@@ -29,8 +29,7 @@ from .model import ChannelParams, EnergyValue, effective_equation
 from .radial_ode import integrate_jost, integrate_regular, interior_state, make_grid
 from .scattering import (low_k_phase_asymptotic, phase_shift,
                          wronskian_pair_jost, wronskian_pair_phi)
-from .spectral import (continuation_count, find_bound_states, levinson_verify,
-                       sturm_liouville_check)
+from .spectral import find_bound_states, levinson_verify, sturm_liouville_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,8 +258,8 @@ def run_levinson(cfg: ExperimentConfig, out: Path, fmt: str,
                "reason": report.reason}
     write_json(out, payload, metadata)
     staircase = cfg.output.get("staircase")
-    if staircase:
-        cont = continuation_count(channel, potential, tol=tol)
+    cont = report.continuation
+    if staircase and cont is not None:
         rows = [(m, a, s) for m, a, s in
                 zip(cont.mu_grid, cont.A_samples, cont.eta0_staircase)]
         write_csv(Path(staircase), ["mu", "A_threshold", "eta0_staircase"],

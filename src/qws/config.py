@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import csv as _csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -194,6 +195,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             continue
         if not _is_float(val):
             diags.append(f"[scan] {key} must be numeric")
+        elif not math.isfinite(float(val)):
+            diags.append(f"[scan] {key} must be finite")
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))

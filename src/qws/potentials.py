@@ -24,7 +24,10 @@ class LocalPotential:
     ``origin`` holds the leading small-r expansion V ~ v_m1/r + v0 + v1*r,
     used for the series start of the integrator.  ``constant`` is set when
     the profile is exactly constant inside the cutoff (square well), which
-    lets downstream code skip the per-point evaluation.
+    lets downstream code skip the per-point evaluation.  ``sign`` is +1 when
+    V >= 0 inside the cutoff, -1 when V <= 0, and 0 when the profile
+    changes sign or its sign is unknown (the default for hand-built
+    profiles); phase shifts of a one-signed well are monotone in mu.
     """
 
     name: str
@@ -32,6 +35,7 @@ class LocalPotential:
     origin: Tuple[float, float, float]
     params: Tuple[Tuple[str, float], ...] = ()
     constant: Optional[float] = None
+    sign: int = 0
 
 
 def square_well(depth: float) -> LocalPotential:
@@ -43,6 +47,7 @@ def square_well(depth: float) -> LocalPotential:
         origin=(0.0, val, 0.0),
         params=(("depth", float(depth)),),
         constant=val,
+        sign=-1 if depth >= 0 else 1,
     )
 
 
@@ -56,6 +61,7 @@ def truncated_exponential(depth: float, scale: float) -> LocalPotential:
         profile=lambda r: -d * math.exp(-r / s),
         origin=(0.0, -d, d / s),
         params=(("depth", d), ("scale", s)),
+        sign=-1 if d >= 0 else 1,
     )
 
 
@@ -69,6 +75,7 @@ def truncated_gaussian(depth: float, width: float) -> LocalPotential:
         profile=lambda r: -d * math.exp(-(r / w) ** 2),
         origin=(0.0, -d, 0.0),
         params=(("depth", d), ("width", w)),
+        sign=-1 if d >= 0 else 1,
     )
 
 
@@ -89,6 +96,7 @@ def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPote
         profile=lambda x: float(np.interp(x, r, v)),
         origin=(0.0, v_at_0, slope),
         params=(("n_rows", float(len(r))),),
+        sign=1 if np.all(v >= 0) else -1 if np.all(v <= 0) else 0,
     )
 
 
@@ -193,6 +201,11 @@ class PotentialModel:
 
     def with_mu(self, mu: float) -> "PotentialModel":
         return replace(self, mu=float(mu))
+
+    @property
+    def one_signed(self) -> bool:
+        """True when the local part keeps one sign inside the cutoff, or is absent."""
+        return self.local is None or self.local.sign != 0
 
     def max_local(self) -> float:
         """Upper bound on |V| inside the cutoff (sampled for non-constant profiles)."""

@@ -155,11 +155,19 @@ class RadialSolution:
 
 def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float], complex]],
                r_start: float, u0: complex, v0: complex,
-               record: np.ndarray, rtol: float, atol: float = 0.0):
+               record: np.ndarray, rtol: float, atol: float = 0.0,
+               return_winding: bool = False):
     """Adaptive DP45 along the (directed) node list ``record``; lands on every node.
 
     Returns (u_nodes, v_nodes, max_abs_u).  ``record`` must be monotone and
     start strictly after r_start in the direction of integration (or equal).
+
+    ``return_winding=True`` appends the Prufer winding count: the signed
+    number of 2 pi wraps of atan2(Re y', Re y) over the accepted steps, so
+    that the continuous angle at the last node is its atan2 plus 2 pi times
+    the count.  A step that would turn (Re y, Re y') by more than pi/2 is
+    rejected and retried with half the step, which keeps every wrap
+    unambiguous.
     """
     n = len(record)
     us = np.empty(n, dtype=complex)
@@ -167,11 +175,12 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
     idx = 0
     r = r_start
     u, v = complex(u0), complex(v0)
+    turns = 0
     if record[0] == r_start:
         us[0], vs[0] = u, v
         idx = 1
         if n == 1:
-            return us, vs, abs(u)
+            return (us, vs, abs(u), turns) if return_winding else (us, vs, abs(u))
     direction = 1.0 if record[-1] > r_start else -1.0
     span = abs(record[-1] - r_start)
     if span == 0.0:
@@ -182,6 +191,7 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
     h = direction * h0
     max_u = abs(u)   # running magnitudes; also floor the error weights below
     run_v = abs(v)
+    phi = math.atan2(v.real, u.real)
     s0 = sfun(r) if sfun is not None else 0.0
     k1u, k1v = v, s0 - qfun(r) * u
     steps = 0
@@ -261,6 +271,21 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
             err = abs(eu) / sc_u if sc_u > 0.0 else math.inf
         if ev != 0.0:
             err = max(err, abs(ev) / sc_v if sc_v > 0.0 else math.inf)
+        if err <= 1.0 and return_winding:
+            phi_new = math.atan2(vn.real, un.real)
+            turn = phi_new - phi
+            wrap = 0
+            if turn > math.pi:
+                turn -= 2.0 * math.pi
+                wrap = -1
+            elif turn <= -math.pi:
+                turn += 2.0 * math.pi
+                wrap = 1
+            if abs(turn) > 0.5 * math.pi:
+                h *= 0.5
+                continue
+            phi = phi_new
+            turns += wrap
         if err <= 1.0:
             r = target if clipped else r + h
             u, v = un, vn
@@ -280,6 +305,8 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
                 h = math.copysign(min(abs(h) * fac, span), direction)
         else:
             h *= max(0.1, 0.9 * err ** -0.2)
+    if return_winding:
+        return us, vs, max_u, turns
     return us, vs, max_u
 
 
@@ -462,12 +489,15 @@ def _without_kernel(eq: EffectiveEquation) -> EffectiveEquation:
 
 
 def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
-                   moments_grid: Optional[RadialGrid] = None):
+                   moments_grid: Optional[RadialGrid] = None,
+                   return_winding: bool = False):
     """(y, y', max|y|) at r0^- for the local or non-local interior problem.
 
     The local path integrates straight to the cutoff without storing a grid;
     the non-local path needs a quadrature grid for the kernel moments (one is
-    built on the fly if not supplied).
+    built on the fly if not supplied).  ``return_winding=True`` (local
+    equation only) appends the Prufer winding count of (Re y, Re y') over
+    (r_min, r0), see :func:`_integrate`; the start angle lies in (0, pi/2).
     """
     if eq.rank == 0 or eq.mu == 0 or not _coupling_nonzero(eq):
         lam = eq.lam
@@ -476,9 +506,12 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
             raise RegularityError("regular solution requires Re lam > 0")
         r_min = 1e-6 * eq.r0
         u0, v0, _ = frobenius_start(lam, eq.energy.E, eq.origin_w, r_min)
-        us, vs, max_u = _integrate(eq.coefficient, None, r_min, u0, v0,
-                                   np.array([eq.r0]), rtol=tol)
-        return complex(us[0]), complex(vs[0]), max_u
+        us, vs, *rest = _integrate(eq.coefficient, None, r_min, u0, v0,
+                                   np.array([eq.r0]), rtol=tol,
+                                   return_winding=return_winding)
+        return (complex(us[0]), complex(vs[0]), *rest)
+    if return_winding:
+        raise QwsError("the winding count is defined for the local equation only")
     if moments_grid is None:
         moments_grid = make_scan_grid(eq.r0)
     y, dy, _ = _interior_superposition(eq, moments_grid, tol)

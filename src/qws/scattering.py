@@ -6,10 +6,21 @@ The phase shift eta(k, mu) is defined modulo pi by the cutoff matching
     tan eta = [ (A - 1/2r0) J - k J' ] / [ (A - 1/2r0) N - k N' ]      (at k r0)
 
 and made single-valued by continuation in the coupling scale mu from the
-free system, where eta(k, 0) = 0.  The continuation tracks the continuous
-angle of the never-vanishing pair (KN, KJ) built projectively from
-(y(r0), y'(r0)), so nodes of y at the cutoff (poles of A) need no special
-casing.
+free system, where eta(k, 0) = 0: eta = theta(mu) - theta(0), with theta
+the continuous angle of the never-vanishing pair (KN, KJ) = L (y, y')(r0).
+L is a fixed linear map per k, so nodes of y at the cutoff (poles of A)
+need no special casing.
+
+Two routes compute the continuous theta.  For local potentials, the
+homotopy over (r, mu) carries the Prufer angle of (y, y') along r through
+L, so one integration with a winding count gives theta at any mu without
+a path in mu (Prufer, Math. Ann. 95 (1926) 499); one more at mu = 0 gives
+theta(0).  Branch events (eta through half-integer multiples of pi) are
+then bisected between such absolute samples; for a one-signed well eta is
+monotone in mu (Calogero's variable-phase relation
+d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a complete starting
+partition.  Kernel potentials are continued along a uniform mu grid with
+bisection across jumps, since coupling resonances break the homotopy.
 """
 
 from __future__ import annotations
@@ -63,10 +74,14 @@ class LogDerivative:
 class PhaseShiftResult:
     """One phase-shift evaluation with diagnostics.
 
-    eta is the mu-continued value when a continuation grid was used,
-    otherwise the raw principal value in (-pi/2, pi/2].  eta_fit comes from
-    an independent two-point fit of the exterior oscillating form and must
-    agree with eta modulo pi.
+    eta is the value continued in mu from eta(k, 0) = 0 when ``mu_steps``
+    was set (Prufer-unwrapped for local potentials, walked along the mu
+    grid for kernels), otherwise the raw principal value in (-pi/2, pi/2].
+    eta_raw is that principal value; tan_eta and A come from the same
+    solve at mu (A is None at a node of y at r0).  ``events`` holds the
+    (mu*, direction) branch events of the continuation, located to
+    MU_REFINE_FLOOR.  eta_fit comes from an independent two-point fit of
+    the exterior oscillating form and must agree with eta modulo pi.
     """
 
     k: float
@@ -217,19 +232,40 @@ def log_derivative_interior(eq, tol: float = 1e-10,
     return LogDerivative(A=A, E=eq.energy.E, mu=eq.mu, channel=eq.channel)
 
 
-def _matching_pair(u: complex, v: complex, lam: float, k: float, r0: float):
-    """(KN, KJ) with tan eta = KJ/KN, built projectively from (y, y')(r0).
+def _matching_map(lam: float, k: float, r0: float):
+    """The fixed linear map (KN, KJ) = L (y, y')(r0), with tan eta = KJ/KN.
 
     KJ = (y' - y/2r0) J(k r0) - y k J'(k r0), same with N for KN; the pair
     never vanishes simultaneously, so its angle tracks eta continuously.
+    det L = -2/(pi r0) < 0: L reverses orientation.  Returns L as a function
+    of (y, y') plus g0 = atan2 of L (0, -1), the angle that fixes the lift
+    of theta from the Prufer angle of (y, y') (see :func:`_lift_theta`).
     """
     x = k * r0
     jrep = specfun.bessel_j(lam, x)
     yrep = specfun.bessel_y(lam, x)
-    a = v - u / (2.0 * r0)
-    kj = a * jrep.value - u * k * jrep.derivative
-    kn = a * yrep.value - u * k * yrep.derivative
-    return kn, kj
+    jv, jd = jrep.value, jrep.derivative
+    nv, nd = yrep.value, yrep.derivative
+
+    def pair(u: complex, v: complex):
+        a = v - u / (2.0 * r0)
+        return a * nv - u * k * nd, a * jv - u * k * jd
+
+    return pair, math.atan2(-jv, -nv)
+
+
+def _lift_theta(theta: float, phi: float, g0: float) -> float:
+    """Continuous theta = atan2(KJ, KN) from the continuous Prufer angle phi of (y, y').
+
+    With phi = psi + n pi, psi in [-pi/2, pi/2), the orientation-reversing
+    map L sends the half-turn psi onto the theta arc (g0 - pi, g0] and each
+    further half-turn of (y, y') subtracts pi.  The arc midpoint
+    g0 - pi/2 - n pi is within pi/2 of the lifted theta, so rounding
+    against it picks the 2 pi branch with margin to spare.
+    """
+    n = math.floor(phi / math.pi + 0.5)
+    mid = g0 - 0.5 * math.pi - n * math.pi
+    return theta + 2.0 * math.pi * round((mid - theta) / (2.0 * math.pi))
 
 
 def _principal(angle: float) -> float:
@@ -242,12 +278,24 @@ def _principal(angle: float) -> float:
     return a
 
 
-def _theta(eq, k: float, tol: float, moments_grid) -> Tuple[float, float, Optional[float]]:
-    """One matching sample: (theta = atan2(KJ, KN), tan eta, A or None at a node)."""
-    u, v, max_u = interior_state(eq, tol, moments_grid)
-    kn, kj = _matching_pair(u, v, eq.lam, k, eq.r0)
+def _theta(eq, pair, tol: float, moments_grid,
+           g0: Optional[float] = None) -> Tuple[float, float, Optional[float]]:
+    """One matching sample: (theta = atan2(KJ, KN), tan eta, A or None at a node).
+
+    With ``g0`` from :func:`_matching_map` (local equation only) theta is
+    the continuous lift through the Prufer angle of (y, y'), so samples at
+    different couplings compare without a path between them.
+    """
+    if g0 is None:
+        u, v, max_u = interior_state(eq, tol, moments_grid)
+    else:
+        u, v, max_u, turns = interior_state(eq, tol, return_winding=True)
+    kn, kj = pair(u, v)
     kn_r, kj_r = kn.real, kj.real
     theta = math.atan2(kj_r, kn_r)
+    if g0 is not None:
+        phi = math.atan2(v.real, u.real) + 2.0 * math.pi * turns
+        theta = _lift_theta(theta, phi, g0)
     tan_eta = math.inf if kn_r == 0.0 else kj_r / kn_r
     A = None
     if abs(u) >= 1e-12 * max_u:
@@ -283,6 +331,24 @@ def _walk_theta(sample, mu_a: float, th_a: float, mu_b: float,
     return _walk_theta(sample, mid, th_mid, mu_b, path, th0)
 
 
+def _bisect_branches(sample, mu_a: float, th_a: float, mu_b: float, th_b: float,
+                     path: List[Tuple[float, float]], th0: float) -> None:
+    """Bisect [mu_a, mu_b] wherever the pi-branch of eta = theta - th0 differs.
+
+    The theta samples are absolute (Prufer-lifted), so a segment needs no
+    inner samples unless it holds a branch event; each event is resolved
+    down to the floor.  Points are appended to ``path`` in order of mu.
+    """
+    if (_branch_index(th_b, th0) == _branch_index(th_a, th0)
+            or abs(mu_b - mu_a) <= MU_REFINE_FLOOR):
+        path.append((mu_b, th_b))
+        return
+    mid = 0.5 * (mu_a + mu_b)
+    th_mid = sample(mid)
+    _bisect_branches(sample, mu_a, th_a, mid, th_mid, path, th0)
+    _bisect_branches(sample, mid, th_mid, mu_b, th_b, path, th0)
+
+
 def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[float, int]]:
     """Crossings of eta = theta - th0 through half-integer multiples of pi.
 
@@ -299,28 +365,55 @@ def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[fl
     return events
 
 
+def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
+    """lam of the channel as a float; a complex or non-positive order raises QwsError."""
+    lam = channel.lam
+    if isinstance(lam, complex):
+        if lam.imag != 0:
+            raise QwsError(f"{what} requires real lambda")
+        lam = lam.real
+    if lam <= 0:
+        raise QwsError(f"{what} requires lam > 0")
+    return float(lam)
+
+
 def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
                 mu: float = 1.0, tol: float = 1e-10,
                 mu_steps: Optional[int] = MU_STEPS_DEFAULT,
                 with_fit: bool = True) -> PhaseShiftResult:
     """Phase shift at wavenumber k and coupling mu.
 
-    With ``mu_steps`` set (default 200) the returned eta is unwrapped by
-    continuation in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the
-    principal value only (cheap, defined mod pi).  ``with_fit`` adds the
-    independent exterior two-point fit diagnostic.
+    With ``mu_steps`` set (default 200) the returned eta is the continuation
+    in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the principal value
+    only (one solve, defined mod pi).  ``with_fit`` adds the independent
+    exterior two-point fit diagnostic.
+
+    Local potentials take theta from one Prufer-unwrapped integration at
+    mu and one free integration, so eta needs no path in mu.  Branch events
+    come from bisecting the branch index between these absolute samples:
+    from the partition {0, mu} when the profile keeps one sign (eta is then
+    monotone in mu), otherwise from the ``mu_steps`` grid.  Kernel
+    potentials, whose coupling resonances break the homotopy in (r, mu),
+    walk the ``mu_steps`` grid and bisect wherever theta jumps by more than
+    pi/2 or changes branch.
     """
-    if k <= 0:
-        raise QwsError("phase shift needs k > 0")
-    lam = channel.lam
-    lam_re = lam.real if isinstance(lam, complex) else lam
-    if lam_re <= 0:
-        raise QwsError("phase shift needs lam > 0")
+    lam = real_lambda(channel)
+    if not (math.isfinite(k) and k > 0):
+        raise QwsError("phase shift needs finite k > 0")
     energy = EnergyValue.from_k(k)
-    moments_grid = make_scan_grid(potential.r0) if potential.kernel else None
+    pair, g0 = _matching_map(lam, k, potential.r0)
+    moments_grid = None
+    if potential.kernel:
+        moments_grid = make_scan_grid(potential.r0)
+        g0 = None
+
+    def sample(m: float) -> float:
+        eqm = effective_equation(channel, potential.with_mu(float(m)), energy)
+        return _theta(eqm, pair, tol, moments_grid, g0)[0]
+
     pot_mu = potential.with_mu(mu)
     eq = effective_equation(channel, pot_mu, energy)
-    theta, tan_eta, A = _theta(eq, k, tol, moments_grid)
+    theta, tan_eta, A = _theta(eq, pair, tol, moments_grid, g0)
     eta_raw = _principal(theta)
     events: Tuple[Tuple[float, int], ...] = ()
     if mu == 0.0:
@@ -328,18 +421,24 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     elif mu_steps is None:
         eta = eta_raw
     else:
-        def sample(m: float) -> float:
-            eqm = effective_equation(channel, potential.with_mu(float(m)), energy)
-            return _theta(eqm, k, tol, moments_grid)[0]
-
-        mu_grid = np.linspace(0.0, mu, abs(int(mu_steps)) + 1)
         th0 = sample(0.0)
-        th = th0
         path: List[Tuple[float, float]] = [(0.0, th0)]
-        for j in range(1, len(mu_grid)):
-            th = _walk_theta(sample, float(mu_grid[j - 1]), th,
-                             float(mu_grid[j]), path, th0)
-        eta = th - th0
+        if potential.kernel:
+            mu_grid = np.linspace(0.0, mu, abs(int(mu_steps)) + 1)
+            theta = th0
+            for j in range(1, len(mu_grid)):
+                theta = _walk_theta(sample, float(mu_grid[j - 1]), theta,
+                                    float(mu_grid[j]), path, th0)
+        else:
+            mu_grid = [0.0, mu]
+            if not potential.one_signed:
+                mu_grid = np.linspace(0.0, mu, abs(int(mu_steps)) + 1)
+            for j in range(1, len(mu_grid)):
+                m = float(mu_grid[j])
+                th_m = theta if m == mu else sample(m)
+                _bisect_branches(sample, float(mu_grid[j - 1]), path[-1][1], m, th_m,
+                                 path, th0)
+        eta = theta - th0
         events = tuple(_branch_events(path, th0))
     eta_fit = _exterior_fit_eta(channel, pot_mu, k, tol) if with_fit else None
     return PhaseShiftResult(k=k, mu=mu, eta=float(eta), eta_raw=float(eta_raw),
@@ -378,7 +477,8 @@ def phase_shift_curve(channel: ChannelParams, potential: PotentialModel,
                       k_values: Sequence[float], mu: float = 1.0,
                       tol: float = 1e-10,
                       mu_steps: Optional[int] = MU_STEPS_DEFAULT) -> PhaseShiftCurve:
-    """eta(k) over a k grid at fixed mu (each point continued in mu independently)."""
+    """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`."""
+    real_lambda(channel)
     samples = []
     events = []
     for k in k_values:

@@ -27,7 +27,7 @@ from .potentials import PotentialModel
 from .radial_ode import (RadialGrid, RadialSolution, cutoff_integral,
                          integrate_regular, interior_state, make_grid,
                          make_scan_grid, _interior_superposition)
-from .scattering import phase_shift
+from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
 MU_FINE_FLOOR = 1e-12      # separation floor for co-located flip events
@@ -75,7 +75,11 @@ class ContinuationReport:
 
 @dataclass(frozen=True)
 class LevinsonReport:
-    """Zero-momentum phase vs bound-state count: the two must satisfy eta0 = n pi."""
+    """Zero-momentum phase vs bound-state count: the two must satisfy eta0 = n pi.
+
+    ``continuation`` is the crossing census behind n_continuation; it is
+    None when the counter itself ended inconclusive.
+    """
 
     eta0: float
     n_direct: int
@@ -83,6 +87,7 @@ class LevinsonReport:
     status: str          # "pass" | "fail" | "inconclusive"
     reason: str = ""
     tol_eta: float = 1e-2
+    continuation: Optional[ContinuationReport] = None
 
     @property
     def passed(self) -> bool:
@@ -104,24 +109,13 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
     """
     if E > 0:
         raise QwsError("matching mismatch is defined for E <= 0")
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
     u, v, max_u = interior_state(eq, tol, moments_grid)
     h = _exterior_logderiv(lam, E, potential.r0)
     if abs(u) < 1e-12 * max_u:
         return float((u / v).real - 1.0 / h)  # inverse chart
     return float((v / u).real - h)
-
-
-def _real_lam(channel: ChannelParams) -> float:
-    lam = channel.lam
-    if isinstance(lam, complex):
-        if lam.imag != 0:
-            raise QwsError("spectral pipeline requires real lambda")
-        lam = lam.real
-    if lam <= 0:
-        raise QwsError("spectral pipeline requires lam > 0")
-    return float(lam)
 
 
 def _matching_scan_value(channel, potential, E, mu, tol, moments_grid) -> Tuple[float, float, float]:
@@ -131,7 +125,7 @@ def _matching_scan_value(channel, potential, E, mu, tol, moments_grid) -> Tuple[
     solve) is sidestepped by a tiny energy perturbation; the resonant zone is
     orders of magnitude narrower than any root bracket.
     """
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     last = None
     for bump in (0.0, 1e-9, -1e-9, 1e-7):
         try:
@@ -176,7 +170,7 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     an interior node-count cross-check near threshold flags a scan that is
     still too coarse.
     """
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     if E_floor is None:
         E_floor = default_energy_floor(potential.with_mu(mu))
     if E_floor >= 0:
@@ -269,7 +263,7 @@ def _interior_nodes_and_A(channel, potential, E, mu, tol) -> Tuple[int, float]:
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
     """Assemble the unit-norm matched solution and its residual at the root."""
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     kappa = math.sqrt(-E)
     grid = make_grid(r0)
@@ -322,7 +316,7 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     Contract: interior slope < 0 and exterior slope > 0; each finite-difference
     slope must agree with the corresponding norm-integral expression.
     """
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     if dE is None:
         dE = 1e-4 * max(1.0, abs(E))
@@ -428,7 +422,7 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     flips; grazing contact without a sign change raises
     AmbiguousCrossingError.
     """
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     if mu_grid is None:
         mu_grid = np.linspace(0.0, 1.0, 201)
@@ -493,10 +487,12 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     eta(0) comes from the mu-continued phase at two small wavenumbers,
     extrapolated to k = 0 along the k^{2 lam} law; n comes from a direct
     energy scan and from the threshold crossing counter, which must agree
-    exactly.  Upstream degeneracies surface as status "inconclusive".
+    exactly.  Upstream degeneracies surface as status "inconclusive".  The
+    counter's report rides along as ``continuation`` (for the staircase).
     """
-    lam = _real_lam(channel)
+    lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
+    cont = None
     try:
         cont = continuation_count(channel, potential, tol=tol)
         states = find_bound_states(channel, potential, mu=potential.mu,
@@ -512,10 +508,11 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
             NodeAtCutoffError, DegenerateCouplingError) as exc:
         return LevinsonReport(eta0=math.nan, n_direct=-1, n_continuation=-1,
                               status="inconclusive", reason=str(exc),
-                              tol_eta=tol_eta)
+                              tol_eta=tol_eta, continuation=cont)
     n_direct = len(states)
     ok = (abs(eta0 - n_direct * math.pi) <= tol_eta
           and n_direct == cont.n_bound)
     return LevinsonReport(eta0=float(eta0), n_direct=n_direct,
                           n_continuation=cont.n_bound,
-                          status="pass" if ok else "fail", tol_eta=tol_eta)
+                          status="pass" if ok else "fail", tol_eta=tol_eta,
+                          continuation=cont)

@@ -287,7 +287,7 @@ def test_inconclusive_exit_code(tmp_path, monkeypatch):
     assert rc == 4
 
 
-def test_levinson_staircase_csv(tmp_path):
+def _staircase_config(tmp_path):
     stair = tmp_path / "stairs.csv"
     cfg = tmp_path / "lev.cfg"
     cfg.write_text(f"""\
@@ -310,6 +310,11 @@ ode = 1e-9
 [output]
 staircase = {stair}
 """)
+    return cfg, stair
+
+
+def test_levinson_staircase_csv(tmp_path):
+    cfg, stair = _staircase_config(tmp_path)
     rc = main(["levinson", "--config", str(cfg),
                "--out", str(tmp_path / "lev.json"), "--no-metadata"])
     assert rc == 0
@@ -318,3 +323,73 @@ staircase = {stair}
     assert len(lines) == 202
     # staircase ends at pi for the one-level well
     assert abs(float(lines[-1].split(",")[2]) - math.pi) <= 1e-12
+
+
+def test_levinson_staircase_reuses_the_census(tmp_path, monkeypatch):
+    import qws.cli as cli
+    import qws.spectral as sp
+    from qws.cli import write_csv
+    from qws.model import ChannelParams
+    from qws.potentials import PotentialModel, square_well
+
+    real = sp.continuation_count
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "continuation_count", counted)
+    # also catch a census the CLI might run on its own
+    monkeypatch.setattr(cli, "continuation_count", counted, raising=False)
+    cfg, stair = _staircase_config(tmp_path)
+    rc = main(["levinson", "--config", str(cfg),
+               "--out", str(tmp_path / "lev.json"), "--no-metadata"])
+    assert rc == 0
+    assert len(calls) == 1
+    # byte-identical to a census run on its own
+    cont = real(ChannelParams(q=3, l=0), PotentialModel(r0=1.0, local=square_well(4.0)),
+                tol=1e-9)
+    expected = tmp_path / "expected.csv"
+    write_csv(expected, ["mu", "A_threshold", "eta0_staircase"],
+              zip(cont.mu_grid, cont.A_samples, cont.eta0_staircase), None)
+    assert stair.read_bytes() == expected.read_bytes()
+
+
+PHASE_MIN = """\
+[experiment]
+version = 1
+task = phase-shift
+
+[channel]
+q = 3
+l = 0
+
+[potential]
+family = square_well
+depth = 4.0
+r0 = 1.0
+
+[scan]
+{scan}
+"""
+
+
+@pytest.mark.parametrize("scan", [
+    "k = nan",
+    "k = inf",
+    "k_min = nan\nk_max = 2.0",
+    "k_min = 0.5\nk_max = inf",
+    "k = 1.0\nmu = -inf",
+], ids=["k-nan", "k-inf", "k_min-nan", "k_max-inf", "mu-inf"])
+def test_non_finite_phase_scan_rejected(scan):
+    diags = validate(parse_config(PHASE_MIN.format(scan=scan)))
+    assert any("must be finite" in d for d in diags)
+
+
+def test_non_finite_k_exits_as_config_error(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(PHASE_MIN.format(scan="k_min = nan\nk_max = 2.0\nk_count = 3"))
+    rc = main(["phase-shift", "--config", str(cfg),
+               "--out", str(tmp_path / "o.csv"), "--no-metadata"])
+    assert rc == 2

@@ -321,6 +321,48 @@ def test_interior_state_matches_full_solution():
     assert abs(u - y0) <= 1e-10 and abs(v - dy0) <= 1e-10
 
 
+class TestWindingCount:
+    """Prufer winding of (y, y') from interior_state(..., return_winding=True)."""
+
+    @staticmethod
+    def lifted_angle(lam, k, r0, tol=1e-10):
+        pot = PotentialModel(r0=r0)
+        eq = effective_equation(ChannelParams.from_lambda(lam), pot, EnergyValue.from_k(k))
+        u, v, _, turns = interior_state(eq, tol, return_winding=True)
+        return math.atan2(v.real, u.real) + 2.0 * math.pi * turns, turns
+
+    def test_free_s_wave_is_exact_rotation(self):
+        # lam = 1/2, k = 1: y ~ sin r, y' ~ cos r, so the angle is pi/2 - r
+        phi, turns = self.lifted_angle(0.5, 1.0, 10.0)
+        assert turns == -1
+        assert abs(phi - (0.5 * math.pi - 10.0)) <= 1e-8
+
+    @pytest.mark.parametrize("lam, k, r0, zeros", [
+        (0.5, 2.0, 7.0, 4),     # sin(2r): zeros at n pi/2, n = 1..4
+        (1.5, 1.0, 12.0, 3),    # tan x = x: x = 4.493, 7.725, 10.904
+        (1.5, 1.0, 4.4, 0),
+    ])
+    def test_half_turns_count_zeros(self, lam, k, r0, zeros):
+        # y = 0 is crossed clockwise only (phi' = -1 there), once per zero
+        phi, _ = self.lifted_angle(lam, k, r0)
+        assert math.floor(0.5 - phi / math.pi) == zeros
+
+    @pytest.mark.parametrize("pot, k", [
+        (PotentialModel(r0=1.0, local=square_well(100.0)), 0.5),
+        (PotentialModel(r0=12.0), 1.0),
+    ])
+    def test_counting_leaves_the_steps_unchanged(self, pot, k):
+        eq = effective_equation(ChannelParams.from_lambda(1.5), pot, EnergyValue.from_k(k))
+        assert interior_state(eq, 1e-10) == interior_state(eq, 1e-10,
+                                                           return_winding=True)[:3]
+
+    def test_kernel_rejected(self):
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.1),), strengths=(-1.0,))
+        eq = effective_equation(CH_S, pot, EnergyValue.from_k(1.0))
+        with pytest.raises(QwsError):
+            interior_state(eq, 1e-10, return_winding=True)
+
+
 def test_node_counting():
     eq = effective_equation(CH_S, FREE, EnergyValue.from_k(7.0))
     g = make_grid(1.0)

@@ -6,13 +6,15 @@ import pytest
 from qws.errors import (NearThresholdResonanceError, NodeAtCutoffError,
                         QwsError)
 from qws.model import ChannelParams, EnergyValue, effective_equation
-from qws.potentials import PotentialModel, gaussian_bump, square_well
+from qws.potentials import (PotentialModel, gaussian_bump, square_well,
+                            tabulated, truncated_exponential,
+                            truncated_gaussian)
 from qws.radial_ode import integrate_regular, interior_state, make_grid
-from qws.scattering import (hermiticity_residual, log_derivative_interior,
-                            low_k_phase_asymptotic, phase_shift,
-                            phase_shift_curve, wronskian, wronskian_pair_jost,
-                            wronskian_pair_phi)
-from qws import specfun
+from qws.scattering import (MU_REFINE_FLOOR, hermiticity_residual,
+                            log_derivative_interior, low_k_phase_asymptotic,
+                            phase_shift, phase_shift_curve, wronskian,
+                            wronskian_pair_jost, wronskian_pair_phi)
+from qws import scattering, specfun
 
 from oracles import circ_dist, swave_well_eta
 
@@ -160,6 +162,100 @@ class TestPhaseShift:
             phase_shift(CH_S, WELL, -1.0)
         with pytest.raises(QwsError):
             phase_shift(ChannelParams(q=2, l=0), WELL, 1.0)
+
+    def test_complex_lambda_rejected(self):
+        ch = ChannelParams.from_lambda(0.5 + 0.3j)
+        with pytest.raises(QwsError):
+            phase_shift(ch, WELL, 1.0)
+        with pytest.raises(QwsError):
+            phase_shift_curve(ch, WELL, [1.0])
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(QwsError, match="finite"):
+            phase_shift(CH_S, WELL, k)
+        with pytest.raises(QwsError, match="finite"):
+            phase_shift_curve(CH_S, WELL, [1.0, k])
+
+
+def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
+    """Reference: walk principal theta samples along the uniform mu grid."""
+    pair, _ = scattering._matching_map(ch.lam, k, pot.r0)
+    energy = EnergyValue.from_k(k)
+
+    def sample(m):
+        eq = effective_equation(ch, pot.with_mu(float(m)), energy)
+        return scattering._theta(eq, pair, tol, None)[0]
+
+    grid = np.linspace(0.0, mu, mu_steps + 1)
+    th0 = sample(0.0)
+    th = th0
+    path = [(0.0, th0)]
+    for a, b in zip(grid[:-1], grid[1:]):
+        th = scattering._walk_theta(sample, float(a), th, float(b), path, th0)
+    return th - th0, scattering._branch_events(path, th0)
+
+
+_R_TAB = np.linspace(0.01, 1.0, 60)
+PRUFER_CASES = [
+    # the phase_local benchmark cells
+    (ChannelParams(q=3, l=0), square_well(4.0), 0.45),
+    (ChannelParams(q=3, l=0), truncated_exponential(15.0, 0.5), 1.5),
+    (ChannelParams(q=4, l=0), square_well(25.0), 1.8),
+    (ChannelParams(q=5, l=0), square_well(12.0), 3.2),
+    (ChannelParams(q=3, l=1), truncated_gaussian(30.0, 0.6), 2.7),
+    (ChannelParams(q=3, l=2), square_well(30.0), 0.7),
+] + [
+    # s-wave wells from 0 to 3 levels and a barrier, at Levinson and mid k
+    (CH_S, square_well(depth), k)
+    for depth in (4.0, (2 * math.pi) ** 2, 100.0, -10.0)
+    for k in (1e-4, 2e-4, 0.5, 3.0)
+] + [
+    (ChannelParams(q=3, l=1), square_well(30.0), 1.0),
+    (ChannelParams.from_lambda(2.5), square_well(200.0), 1.3),
+    (CH_S, tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB)), 0.8),
+]
+
+
+class TestPruferPhase:
+    @pytest.mark.parametrize("ch, local, k", PRUFER_CASES,
+                             ids=[f"{loc.name}-{i}" for i, (_, loc, _) in
+                                  enumerate(PRUFER_CASES)])
+    def test_agrees_with_mu_continuation(self, ch, local, k):
+        pot = PotentialModel(r0=1.0, local=local)
+        eta_ref, events_ref = _mu_continued(ch, pot, k)
+        res = phase_shift(ch, pot, k, with_fit=False)
+        assert abs(res.eta - eta_ref) <= 1e-8  # absolute, not mod pi
+        assert len(res.events) == len(events_ref)
+        for (mu_new, d_new), (mu_ref, d_ref) in zip(res.events, events_ref):
+            assert d_new == d_ref
+            assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
+
+    @staticmethod
+    def sampled_couplings(monkeypatch, pot, mu_steps):
+        seen = []
+        real = scattering.interior_state
+
+        def spy(eq, *args, **kwargs):
+            seen.append(eq.mu)
+            return real(eq, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "interior_state", spy)
+        phase_shift(CH_S, pot, 0.8, mu_steps=mu_steps, with_fit=False)
+        return set(seen)
+
+    def test_mixed_sign_table_starts_from_mu_grid(self, monkeypatch):
+        v = 60.0 * np.cos(2.5 * math.pi * _R_TAB)
+        pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, v))
+        assert pot.local.sign == 0 and not pot.one_signed
+        grid = set(float(m) for m in np.linspace(0.0, 1.0, 21))
+        assert grid <= self.sampled_couplings(monkeypatch, pot, 20)
+
+    def test_one_signed_table_starts_from_endpoints(self, monkeypatch):
+        pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, -40.0 * np.ones(60)))
+        assert pot.local.sign == -1 and pot.one_signed
+        seen = self.sampled_couplings(monkeypatch, pot, 20)
+        assert {0.0, 1.0} <= seen and 0.05 not in seen
 
 
 class TestLowK:
