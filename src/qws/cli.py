@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .config import (ExperimentConfig, build_channel, build_potential,
 from .errors import (AmbiguousCrossingError, ConfigError,
                      NearThresholdResonanceError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
-from .radial_ode import integrate_jost, integrate_regular, interior_state, make_grid
+from .radial_ode import integrate_jost, interior_state, make_grid, solve_nonlocal
 from .scattering import (low_k_phase_asymptotic, phase_shift,
                          wronskian_pair_jost, wronskian_pair_phi)
 from .spectral import find_bound_states, levinson_verify, sturm_liouville_check
@@ -66,14 +64,6 @@ def write_json(path: Path, payload: dict, metadata: Optional[dict]) -> None:
                     encoding="utf-8")
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
-    """Apply fn over items, optionally in a thread pool; output keeps input order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence],
                 fmt: str, metadata: Optional[dict]) -> None:
     """Tabular output as CSV (default) or as a JSON list of row objects."""
@@ -89,8 +79,7 @@ def _tolerance(cfg: ExperimentConfig, name: str, default: float) -> float:
     return float(cfg.tolerances.get(name, default))
 
 
-def run_eval_special(cfg: ExperimentConfig, out: Path, fmt: str,
-                     metadata, threads: int) -> int:
+def run_eval_special(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     name = cfg.scan.get("name", "")
     nu = float(cfg.scan.get("nu", "0"))
     x = float(cfg.scan.get("x", "0"))
@@ -121,7 +110,7 @@ def run_eval_special(cfg: ExperimentConfig, out: Path, fmt: str,
     return EXIT_OK
 
 
-def run_solve(cfg: ExperimentConfig, out: Path, fmt: str, metadata, threads: int) -> int:
+def run_solve(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     grid = _grid_from_cfg(cfg, potential.r0)
@@ -131,11 +120,7 @@ def run_solve(cfg: ExperimentConfig, out: Path, fmt: str, metadata, threads: int
     if kind == "regular":
         k = float(cfg.scan.get("k", "1"))
         eq = effective_equation(channel, potential, EnergyValue.from_k(k))
-        if potential.kernel:
-            from .radial_ode import solve_nonlocal
-            sol = solve_nonlocal(eq, grid, _tolerance(cfg, "ode", 1e-10))
-        else:
-            sol = integrate_regular(eq, grid, _tolerance(cfg, "ode", 1e-10))
+        sol = solve_nonlocal(eq, grid, _tolerance(cfg, "ode", 1e-10))
     elif kind == "jost":
         k = complex(float(cfg.scan.get("k", "1")), float(cfg.scan.get("k_im", "0")))
         eq = effective_equation(channel, potential, EnergyValue(E=k * k))
@@ -148,8 +133,7 @@ def run_solve(cfg: ExperimentConfig, out: Path, fmt: str, metadata, threads: int
     return EXIT_OK
 
 
-def run_phase_shift(cfg: ExperimentConfig, out: Path, fmt: str,
-                    metadata, threads: int) -> int:
+def run_phase_shift(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     ks = scan_floats(cfg, "k")
@@ -174,7 +158,7 @@ def run_phase_shift(cfg: ExperimentConfig, out: Path, fmt: str,
         return (k, mu, res.eta_raw, res.eta,
                 res.A if res.A is not None else math.nan, res.tan_eta, tan520)
 
-    rows = _map_ordered(one, [float(k) for k in ks], threads)
+    rows = [one(float(k)) for k in ks]
     write_table(out, ["k", "mu", "eta_raw", "eta_unwrapped", "A",
                       "tan_eta_matching", "tan_eta_lowk"], rows, fmt, metadata)
     return EXIT_OK
@@ -192,8 +176,7 @@ def _zero_energy_A(channel, potential, mu, tol) -> Optional[float]:
         return None
 
 
-def run_wronskian_audit(cfg: ExperimentConfig, out: Path, fmt: str,
-                        metadata, threads: int) -> int:
+def run_wronskian_audit(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     pair = cfg.scan.get("pair", "f")
@@ -224,8 +207,7 @@ def run_wronskian_audit(cfg: ExperimentConfig, out: Path, fmt: str,
     return EXIT_OK
 
 
-def run_bound_states(cfg: ExperimentConfig, out: Path, fmt: str,
-                     metadata, threads: int) -> int:
+def run_bound_states(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     mu = float(cfg.scan.get("mu", "1"))
@@ -245,8 +227,7 @@ def run_bound_states(cfg: ExperimentConfig, out: Path, fmt: str,
     return EXIT_OK
 
 
-def run_levinson(cfg: ExperimentConfig, out: Path, fmt: str,
-                 metadata, threads: int) -> int:
+def run_levinson(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     tol_eta = _tolerance(cfg, "eta", 1e-2)
@@ -269,8 +250,7 @@ def run_levinson(cfg: ExperimentConfig, out: Path, fmt: str,
     return EXIT_OK
 
 
-def run_sturm_check(cfg: ExperimentConfig, out: Path, fmt: str,
-                    metadata, threads: int) -> int:
+def run_sturm_check(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> int:
     channel = build_channel(cfg)
     potential = build_potential(cfg)
     es = scan_floats(cfg, "e")
@@ -286,7 +266,7 @@ def run_sturm_check(cfg: ExperimentConfig, out: Path, fmt: str,
         return (rep.E, rep.dE, rep.slope_interior_fd, rep.slope_interior_quad,
                 rep.slope_exterior_fd, rep.slope_exterior_quad)
 
-    rows = _map_ordered(one, [float(e) for e in es], threads)
+    rows = [one(float(e)) for e in es]
     write_table(out, ["E", "dE", "slope_interior_fd", "slope_interior_quad",
                       "slope_exterior_fd", "slope_exterior_quad"], rows, fmt, metadata)
     return EXIT_OK
@@ -320,13 +300,13 @@ def _grid_from_cfg(cfg: ExperimentConfig, r0: float):
         r0,
         r_min=float(g["r_min"]) if "r_min" in g else None,
         r_max=float(g["r_max"]) if "r_max" in g else None,
-        n_interior=int(g.get("n_interior", "801")),
-        n_exterior=int(g.get("n_exterior", "161")),
+        n_interior=int(float(g.get("n_interior", "801"))),
+        n_exterior=int(float(g.get("n_exterior", "161"))),
     )
 
 
 def run(cfg: ExperimentConfig, out: Path, fmt: str = "csv",
-        with_metadata: bool = True, threads: int = 1) -> int:
+        with_metadata: bool = True) -> int:
     """Validate and execute one config; returns the process exit code."""
     diags = validate(cfg)
     if diags:
@@ -338,7 +318,7 @@ def run(cfg: ExperimentConfig, out: Path, fmt: str = "csv",
         metadata = {"task": cfg.task, "config": cfg.source,
                     "created": time.strftime("%Y-%m-%dT%H:%M:%S")}
     try:
-        return _RUNNERS[cfg.task](cfg, out, fmt, metadata, threads)
+        return _RUNNERS[cfg.task](cfg, out, fmt, metadata)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -363,7 +343,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--no-metadata", action="store_true")
     args = parser.parse_args(argv)
     try:
@@ -375,16 +354,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config: task {cfg.task!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("QWS_THREADS", "1"))
     fmt = args.format or _FORMATS[args.command][0]
     if fmt not in _FORMATS[args.command]:
         print(f"config: task {args.command!r} does not support --format {fmt}",
               file=sys.stderr)
         return EXIT_CONFIG
     return run(cfg, Path(args.out), fmt=fmt,
-               with_metadata=not args.no_metadata, threads=threads)
+               with_metadata=not args.no_metadata)
 
 
 if __name__ == "__main__":

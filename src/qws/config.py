@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QwsError
 from .model import ChannelParams
 from .potentials import (KernelTerm, PotentialModel, gaussian_bump, poly_bump,
                          square_well, tabulated, truncated_exponential,
@@ -41,6 +41,19 @@ _KNOWN_KEYS = {
     "grid": {"r_min", "r_max", "n_interior", "n_exterior"},
     "tolerances": {"ode", "eta", "root"},
     "output": {"metadata", "staircase"},
+}
+
+# required parameters per family, and the keys that must parse as numbers
+_LOCAL_PARAMS = {"none": (), "square_well": ("depth",),
+                 "truncated_exponential": ("depth", "scale"),
+                 "truncated_gaussian": ("depth", "width"), "tabulated": ("table",)}
+_KERNEL_PARAMS = {"gaussian_bump": ("center", "width", "strength"),
+                  "poly_bump": ("a", "b", "strength")}
+_NUMERIC = {
+    "potential": ("depth", "scale", "width", "mu"),
+    "kernel": ("center", "width", "height", "a", "b", "strength"),
+    "grid": ("r_min", "r_max", "n_interior", "n_exterior"),
+    "tolerances": ("ode", "eta", "root"),
 }
 
 
@@ -167,29 +180,37 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     r0 = None
     if _is_float(cfg.potential.get("r0", "")):
         r0 = float(cfg.potential["r0"])
-    family = cfg.potential.get("family")
-    if family is not None and family not in ("none", "square_well",
-                                             "truncated_exponential",
-                                             "truncated_gaussian", "tabulated"):
+    family = cfg.potential.get("family", "none")
+    if family not in _LOCAL_PARAMS:
         diags.append(f"unknown potential family {family!r}")
+    else:
+        diags += _param_diags("potential", cfg.potential, _LOCAL_PARAMS[family],
+                              _NUMERIC["potential"])
     for i, kern in enumerate(cfg.kernels, 1):
         fam = kern.get("family")
-        if fam not in ("gaussian_bump", "poly_bump"):
+        if fam not in _KERNEL_PARAMS:
             diags.append(f"[kernel.{i}] unknown kernel family {fam!r}")
             continue
-        if "strength" not in kern:
-            diags.append(f"[kernel.{i}] missing 'strength'")
-        if r0 is not None and fam == "gaussian_bump":
-            try:
-                term = _build_kernel(kern, r0)
-                # material support beyond the cutoff, not a negligible tail
-                if abs(term.profile(r0)) > 1e-3 * _bump_peak(term):
-                    diags.append(
-                        f"[kernel.{i}] profile support reaches the cutoff r0 = {r0}: "
-                        "the kernel must vanish for r >= r0")
-            except (ConfigError, ValueError, KeyError):
-                diags.append(f"[kernel.{i}] malformed parameters")
+        bad = _param_diags(f"kernel.{i}", kern, _KERNEL_PARAMS[fam], _NUMERIC["kernel"])
+        diags += bad
+        if bad or r0 is None:
+            continue
+        try:
+            term = _build_kernel(kern, r0)
+        except QwsError as exc:
+            diags.append(f"[kernel.{i}] {exc}")
+            continue
+        # material support beyond the cutoff, not a negligible tail
+        if fam == "gaussian_bump" and abs(term.profile(r0)) > 1e-3 * _bump_peak(term):
+            diags.append(
+                f"[kernel.{i}] profile support reaches the cutoff r0 = {r0}: "
+                "the kernel must vanish for r >= r0")
+    for name, store in (("grid", cfg.grid), ("tolerances", cfg.tolerances)):
+        diags += _param_diags(name, store, (), _NUMERIC[name])
 
+    for key in ("lambdas", "ks"):
+        if not all(_is_float(v) for v in cfg.scan.get(key, "").split()):
+            diags.append(f"[scan] {key} must be a list of numbers")
     for key, val in cfg.scan.items():
         if key in ("name", "kind", "pair", "lambdas", "ks"):
             continue
@@ -205,6 +226,15 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 diags.append(f"[scan] {gk}_min must be < {gk}_max")
             if cnt is not None and _is_float(cnt) and int(float(cnt)) < 2:
                 diags.append(f"[scan] {gk}_count must be >= 2")
+    return diags
+
+
+def _param_diags(section: str, store: Dict[str, str], required: Tuple[str, ...],
+                 numeric: Tuple[str, ...]) -> List[str]:
+    """Missing required keys and non-numeric values of one section."""
+    diags = [f"[{section}] missing '{key}'" for key in required if key not in store]
+    diags += [f"[{section}] {key} must be numeric" for key in numeric
+              if key in store and not _is_float(store[key])]
     return diags
 
 

@@ -180,8 +180,10 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         g = term.profile
         r0 = potential.r0
 
+        # zero only beyond r0: at r0 the source takes its interior limit, so
+        # Simpson's end weight and the last DP45 stage see the interior value
         def src(r, _g=g, _w=w, _r0=r0):
-            if r >= _r0:
+            if r > _r0:
                 return 0.0
             return _g(r) * r ** _w
 

@@ -7,6 +7,13 @@ integrated inward.  The finite-rank non-local equation is solved by
 superposition: one homogeneous and n particular integrations plus an
 n x n linear solve for the source coefficients.
 
+This module alone decides whether an equation is local or non-local (the
+kernel counts when mu != 0 and some coupling is nonzero).  Callers pass an
+equation to :func:`interior_state` for (y, y') at the cutoff or to
+:func:`solve_nonlocal` for a full grid; both pick the local integration or
+the superposition themselves.  :func:`free_exterior` continues a solution
+beyond the cutoff, where the well and the kernel vanish.
+
 The stepper is an embedded Dormand-Prince 4(5) pair on the first-order
 system (y, y'), with scalar complex arithmetic (the pipeline is dominated
 by parameter scans of single integrations, not by vector work).
@@ -39,6 +46,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 _MAX_STEPS = 5_000_000
+_MOMENT_NODES = 401   # interior nodes of the kernel-moment grid in interior_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,54 +220,42 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
         if not clipped and abs(h) < 1e-15 * span:
             raise StiffnessError("step size underflow")
         # stages
-        if sfun is None:
-            r2 = r + _C2 * h
-            u2 = u + h * _A21 * k1u
-            v2 = v + h * _A21 * k1v
-            k2u, k2v = v2, -qfun(r2) * u2
-            r3 = r + _C3 * h
-            u3 = u + h * (_A31 * k1u + _A32 * k2u)
-            v3 = v + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = v3, -qfun(r3) * u3
-            r4 = r + _C4 * h
-            u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = v4, -qfun(r4) * u4
-            r5 = r + _C5 * h
-            u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = v5, -qfun(r5) * u5
-            r6 = r + h
-            u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v = v6, -qfun(r6) * u6
-            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = vn, -qfun(r6) * un
-        else:
-            r2 = r + _C2 * h
-            u2 = u + h * _A21 * k1u
-            v2 = v + h * _A21 * k1v
-            k2u, k2v = v2, sfun(r2) - qfun(r2) * u2
-            r3 = r + _C3 * h
-            u3 = u + h * (_A31 * k1u + _A32 * k2u)
-            v3 = v + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = v3, sfun(r3) - qfun(r3) * u3
-            r4 = r + _C4 * h
-            u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = v4, sfun(r4) - qfun(r4) * u4
-            r5 = r + _C5 * h
-            u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = v5, sfun(r5) - qfun(r5) * u5
-            r6 = r + h
-            u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v = v6, sfun(r6) - qfun(r6) * u6
-            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = vn, sfun(r6) - qfun(r6) * un
+        r2 = r + _C2 * h
+        u2 = u + h * _A21 * k1u
+        v2 = v + h * _A21 * k1v
+        k2u, k2v = v2, -qfun(r2) * u2
+        if sfun is not None:
+            k2v += sfun(r2)
+        r3 = r + _C3 * h
+        u3 = u + h * (_A31 * k1u + _A32 * k2u)
+        v3 = v + h * (_A31 * k1v + _A32 * k2v)
+        k3u, k3v = v3, -qfun(r3) * u3
+        if sfun is not None:
+            k3v += sfun(r3)
+        r4 = r + _C4 * h
+        u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+        v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+        k4u, k4v = v4, -qfun(r4) * u4
+        if sfun is not None:
+            k4v += sfun(r4)
+        r5 = r + _C5 * h
+        u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+        v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+        k5u, k5v = v5, -qfun(r5) * u5
+        if sfun is not None:
+            k5v += sfun(r5)
+        r6 = r + h
+        u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+        v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+        k6u, k6v = v6, -qfun(r6) * u6
+        if sfun is not None:
+            s6 = sfun(r6)
+            k6v += s6
+        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        k7u, k7v = vn, -qfun(r6) * un
+        if sfun is not None:
+            k7v += s6
         eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
         # weights floored at 1e-3 of the running magnitude: pointwise relative
@@ -348,7 +344,7 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
                 "second branch supported for -1 < Re lam < 0, lam != -1/2")
     elif re <= 0.0:
         raise RegularityError("regular solution requires Re lam > 0")
-    if eq.rank > 0 and eq.mu != 0 and _coupling_nonzero(eq):
+    if _kernel_active(eq):
         raise QwsError("equation has an active kernel; use solve_nonlocal")
     u0, v0, trunc = frobenius_start(lam, eq.energy.E, eq.origin_w, grid.r_min)
     us, vs, _ = _integrate(eq.coefficient, None, grid.r_min, u0, v0,
@@ -367,7 +363,7 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
     """
     if k == 0:
         raise QwsError("Jost normalization is degenerate at k = 0")
-    if eq.rank > 0 and eq.mu != 0 and _coupling_nonzero(eq):
+    if _kernel_active(eq):
         raise QwsError("Jost solutions are defined for the local equation only")
     energy = EnergyValue(E=k * k)
     if energy.E != eq.energy.E:
@@ -394,8 +390,9 @@ def _with_energy(eq: EffectiveEquation, energy: EnergyValue) -> EffectiveEquatio
     return effective_equation(eq.channel, eq.potential, energy)
 
 
-def _coupling_nonzero(eq: EffectiveEquation) -> bool:
-    return eq.coupling is not None and bool(np.any(eq.coupling != 0.0))
+def _kernel_active(eq: EffectiveEquation) -> bool:
+    """True when the separable kernel enters the equation: mu != 0 and some coupling != 0."""
+    return eq.rank > 0 and eq.mu != 0 and bool(np.any(eq.coupling != 0.0))
 
 
 def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float):
@@ -450,78 +447,71 @@ def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float)
 
 
 def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
-    """Origin-regular solution of the rank-n non-local equation by superposition.
+    """Origin-regular solution over the whole grid, with or without a kernel.
 
-    Falls back to the plain local integration when the kernel is absent or
-    switched off (mu = 0 or all couplings zero).
+    The one full-grid regular solve.  A local equation (no kernel, mu = 0 or
+    all couplings zero) is integrated by :func:`integrate_regular`; a rank-n
+    kernel is solved by superposition on the interior nodes (moments by
+    Simpson on this grid) and continued through the free exterior.
     """
-    if eq.rank == 0 or eq.mu == 0 or not _coupling_nonzero(eq):
-        local = eq if eq.rank == 0 else _without_kernel(eq)
-        return integrate_regular(local, grid, tol)
+    if not _kernel_active(eq):
+        return integrate_regular(eq, grid, tol)
     y_int, dy_int, data = _interior_superposition(eq, grid, tol)
-    n_nodes = len(grid.nodes)
-    y = np.empty(n_nodes, dtype=complex)
-    dy = np.empty(n_nodes, dtype=complex)
     i0 = grid.i_cutoff
+    y = np.empty(len(grid.nodes), dtype=complex)
+    dy = np.empty(len(grid.nodes), dtype=complex)
     y[: i0 + 1] = y_int
     dy[: i0 + 1] = dy_int
-    if n_nodes > i0 + 1:
-        cf = eq.lam * eq.lam - 0.25
-        E = eq.energy.E
-
-        def q_free(r, _E=E, _cf=cf):
-            return _E - _cf / (r * r)
-
-        us, vs, _ = _integrate(q_free, None, float(grid.nodes[i0]),
-                               y[i0], dy[i0], grid.nodes[i0:], rtol=tol)
-        y[i0:] = us
-        dy[i0:] = vs
+    y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
                           kernel_data=data)
 
 
-def _without_kernel(eq: EffectiveEquation) -> EffectiveEquation:
-    from .model import effective_equation
-    from dataclasses import replace as _replace
-    pot = _replace(eq.potential, kernel=(), strengths=(), coupling=None)
-    return effective_equation(eq.channel, pot, eq.energy)
+def free_exterior(eq: EffectiveEquation, y0: complex, dy0: complex,
+                  nodes: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
+    """(y, y') on ``nodes`` continued outward from (y0, dy0) at nodes[0] >= r0.
+
+    Beyond the cutoff the well and the kernel both vanish, so the solution
+    obeys the free equation y'' + (E - (lam^2 - 1/4)/r^2) y = 0 there.
+    """
+    cf = eq.lam * eq.lam - 0.25
+    E = eq.energy.E
+
+    def q_free(r, _E=E, _cf=cf):
+        return _E - _cf / (r * r)
+
+    us, vs, _ = _integrate(q_free, None, float(nodes[0]), y0, dy0, nodes, rtol=tol)
+    return us, vs
 
 
 def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
-                   moments_grid: Optional[RadialGrid] = None,
                    return_winding: bool = False):
     """(y, y', max|y|) at r0^- for the local or non-local interior problem.
 
-    The local path integrates straight to the cutoff without storing a grid;
-    the non-local path needs a quadrature grid for the kernel moments (one is
-    built on the fly if not supplied).  ``return_winding=True`` (local
-    equation only) appends the Prufer winding count of (Re y, Re y') over
-    (r_min, r0), see :func:`_integrate`; the start angle lies in (0, pi/2).
+    A local equation is integrated straight to the cutoff without storing a
+    grid.  A kernel is solved by superposition on a fixed uniform interior
+    grid of 401 nodes, on which Simpson takes the kernel moments.
+    ``return_winding=True`` (local equation only) appends the Prufer winding
+    count of (Re y, Re y') over (r_min, r0), see :func:`_integrate`; the
+    start angle lies in (0, pi/2).
     """
-    if eq.rank == 0 or eq.mu == 0 or not _coupling_nonzero(eq):
-        lam = eq.lam
-        re = lam.real if isinstance(lam, complex) else lam
-        if re <= 0.0:
-            raise RegularityError("regular solution requires Re lam > 0")
-        r_min = 1e-6 * eq.r0
-        u0, v0, _ = frobenius_start(lam, eq.energy.E, eq.origin_w, r_min)
-        us, vs, *rest = _integrate(eq.coefficient, None, r_min, u0, v0,
-                                   np.array([eq.r0]), rtol=tol,
-                                   return_winding=return_winding)
-        return (complex(us[0]), complex(vs[0]), *rest)
-    if return_winding:
-        raise QwsError("the winding count is defined for the local equation only")
-    if moments_grid is None:
-        moments_grid = make_scan_grid(eq.r0)
-    y, dy, _ = _interior_superposition(eq, moments_grid, tol)
-    max_u = float(np.max(np.abs(y)))
-    return complex(y[-1]), complex(dy[-1]), max_u
-
-
-def make_scan_grid(r0: float) -> RadialGrid:
-    """Coarser interior-only grid for moment quadrature inside parameter scans."""
-    return make_grid(r0, n_interior=401, n_exterior=2)
+    if _kernel_active(eq):
+        if return_winding:
+            raise QwsError("the winding count is defined for the local equation only")
+        grid = make_grid(eq.r0, r_max=eq.r0, n_interior=_MOMENT_NODES)
+        y, dy, _ = _interior_superposition(eq, grid, tol)
+        return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
+    lam = eq.lam
+    re = lam.real if isinstance(lam, complex) else lam
+    if re <= 0.0:
+        raise RegularityError("regular solution requires Re lam > 0")
+    r_min = 1e-6 * eq.r0
+    u0, v0, _ = frobenius_start(lam, eq.energy.E, eq.origin_w, r_min)
+    us, vs, *rest = _integrate(eq.coefficient, None, r_min, u0, v0,
+                               np.array([eq.r0]), rtol=tol,
+                               return_winding=return_winding)
+    return (complex(us[0]), complex(vs[0]), *rest)
 
 
 def green_identity_residual(y1: RadialSolution, y2: RadialSolution) -> float:

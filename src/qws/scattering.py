@@ -36,9 +36,9 @@ from .errors import (GridMismatchError, NearThresholdResonanceError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (RadialGrid, RadialSolution, frobenius_start,
+from .radial_ode import (RadialGrid, RadialSolution, free_exterior,
                          integrate_jost, integrate_regular, interior_state,
-                         make_grid, make_scan_grid, solve_nonlocal, _integrate)
+                         make_grid)
 
 MU_STEPS_DEFAULT = 200       # uniform continuation steps from mu = 0
 MU_REFINE_FLOOR = 1e-4       # bisection floor for branch-jump localization
@@ -216,14 +216,13 @@ def hermiticity_residual(kind: str, lam: complex, k: complex,
     return float(np.max(np.abs(np.conjugate(y1.y) - y2.y)))
 
 
-def log_derivative_interior(eq, tol: float = 1e-10,
-                            moments_grid: Optional[RadialGrid] = None) -> LogDerivative:
+def log_derivative_interior(eq, tol: float = 1e-10) -> LogDerivative:
     """A(E, mu) at r0^- from the interior (local or non-local) solution.
 
     Raises NodeAtCutoffError when y(r0) vanishes to working precision,
     which signals eta passing through pi/2 (mod pi).
     """
-    u, v, max_u = interior_state(eq, tol, moments_grid)
+    u, v, max_u = interior_state(eq, tol)
     if abs(u) < 1e-12 * max_u:
         raise NodeAtCutoffError("y(r0) = 0 within tolerance; A undefined at this energy")
     A = v / u
@@ -278,7 +277,7 @@ def _principal(angle: float) -> float:
     return a
 
 
-def _theta(eq, pair, tol: float, moments_grid,
+def _theta(eq, pair, tol: float,
            g0: Optional[float] = None) -> Tuple[float, float, Optional[float]]:
     """One matching sample: (theta = atan2(KJ, KN), tan eta, A or None at a node).
 
@@ -287,7 +286,7 @@ def _theta(eq, pair, tol: float, moments_grid,
     different couplings compare without a path between them.
     """
     if g0 is None:
-        u, v, max_u = interior_state(eq, tol, moments_grid)
+        u, v, max_u = interior_state(eq, tol)
     else:
         u, v, max_u, turns = interior_state(eq, tol, return_winding=True)
     kn, kj = pair(u, v)
@@ -323,7 +322,7 @@ def _walk_theta(sample, mu_a: float, th_a: float, mu_b: float,
     th_b = _unwrap_step(th_a, sample(mu_b))
     needs_split = (abs(th_b - th_a) > JUMP_TRIGGER
                    or _branch_index(th_b, th0) != _branch_index(th_a, th0))
-    if not needs_split or (mu_b - mu_a) <= MU_REFINE_FLOOR:
+    if not needs_split or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
         path.append((mu_b, th_b))
         return th_b
     mid = 0.5 * (mu_a + mu_b)
@@ -402,18 +401,16 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
         raise QwsError("phase shift needs finite k > 0")
     energy = EnergyValue.from_k(k)
     pair, g0 = _matching_map(lam, k, potential.r0)
-    moments_grid = None
     if potential.kernel:
-        moments_grid = make_scan_grid(potential.r0)
         g0 = None
 
     def sample(m: float) -> float:
         eqm = effective_equation(channel, potential.with_mu(float(m)), energy)
-        return _theta(eqm, pair, tol, moments_grid, g0)[0]
+        return _theta(eqm, pair, tol, g0)[0]
 
     pot_mu = potential.with_mu(mu)
     eq = effective_equation(channel, pot_mu, energy)
-    theta, tan_eta, A = _theta(eq, pair, tol, moments_grid, g0)
+    theta, tan_eta, A = _theta(eq, pair, tol, g0)
     eta_raw = _principal(theta)
     events: Tuple[Tuple[float, int], ...] = ()
     if mu == 0.0:
@@ -450,18 +447,10 @@ def _exterior_fit_eta(channel, potential, k: float, tol: float) -> float:
     """eta mod pi from a two-point fit of y = C sqrt(pi k r/2)[J cos - N sin] beyond r0."""
     r0 = potential.r0
     eq = effective_equation(channel, potential, EnergyValue.from_k(k))
-    if potential.kernel:
-        grid = make_grid(r0, r_max=1.75 * r0, n_interior=401, n_exterior=3)
-        sol = solve_nonlocal(eq, grid, tol)
-        rr1, rr2 = float(grid.nodes[-2]), float(grid.nodes[-1])
-        y1, y2 = complex(sol.y[-2]), complex(sol.y[-1])
-    else:
-        rr1, rr2 = 1.25 * r0, 1.75 * r0
-        r_min = 1e-6 * r0
-        u0, v0, _ = frobenius_start(eq.lam, eq.energy.E, eq.origin_w, r_min)
-        us, _, _ = _integrate(eq.coefficient, None, r_min, u0, v0,
-                              np.array([r0, rr1, rr2]), rtol=tol)
-        y1, y2 = us[1], us[2]
+    u, v, _ = interior_state(eq, tol)
+    rr1, rr2 = 1.25 * r0, 1.75 * r0
+    ys, _ = free_exterior(eq, u, v, np.array([r0, rr1, rr2]), tol)
+    y1, y2 = ys[1], ys[2]
     lam = eq.lam
     b11 = math.sqrt(math.pi * k * rr1 / 2) * specfun.bessel_j(lam, k * rr1).value
     b12 = -math.sqrt(math.pi * k * rr1 / 2) * specfun.bessel_y(lam, k * rr1).value

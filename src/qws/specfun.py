@@ -78,6 +78,8 @@ class ModifiedPair:
 
 
 def _check_envelope(nu: float, x: float, allow_x_zero: bool = False) -> None:
+    if isinstance(nu, complex) or isinstance(x, complex):
+        raise EnvelopeError(f"order nu={nu} and argument x={x} must be real")
     if not (0.0 <= nu <= NU_MAX):
         raise EnvelopeError(f"order nu={nu} outside supported [0, {NU_MAX}]")
     if x == 0.0 and allow_x_zero:

@@ -2,6 +2,14 @@
 coupling-continuation crossing counter, and the zero-momentum phase /
 bound-count identity verifier.
 
+Every solve goes through :func:`~qws.radial_ode.interior_state` (the cutoff
+values) or :func:`~qws.radial_ode.solve_nonlocal` (a full grid), which
+decide between the local integration and the kernel superposition
+themselves; this module never branches on that.  It branches on
+``potential.kernel`` only where the mathematics differs: the kernel term
+of the energy floor, and the Sturm node-count cross-check, which holds for
+local equations only.
+
 The matching function used for root scans is M(E) = y'(r0) - h(E) y(r0),
 with h(E) the decaying-exterior log-derivative: M is continuous (no poles
 where y(r0) = 0, unlike A(E) itself), vanishes exactly at bound states,
@@ -24,14 +32,14 @@ from .errors import (AmbiguousCrossingError, DegenerateCouplingError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (RadialGrid, RadialSolution, cutoff_integral,
-                         integrate_regular, interior_state, make_grid,
-                         make_scan_grid, _interior_superposition)
+from .radial_ode import (RadialSolution, count_interior_nodes, cutoff_integral,
+                         interior_state, make_grid, solve_nonlocal)
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
 MU_FINE_FLOOR = 1e-12      # separation floor for co-located flip events
 GRAZING_TOL = 1e-10
+SCAN_NODES = 401           # interior nodes for the floor bound and the node counts
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,38 @@ def _exterior_logderiv(lam: float, E: float, r0: float) -> float:
     return specfun.log_derivative_exterior(lam, kappa, r0)
 
 
+def _exterior_k_integral(lam: float, z0: float, pair) -> float:
+    """integral_{z0}^inf z K_lam(z)^2 dz in units of e^{-2 z0}, from the scaled K at z0."""
+    k_s, dk_s = pair.k_scaled, pair.k_deriv_scaled
+    return (z0 * z0 / 2.0) * (dk_s * dk_s - (1.0 + lam * lam / (z0 * z0)) * k_s * k_s)
+
+
+def _step_around_resonance(solve, points):
+    """solve(x) at the first of ``points`` where the kernel solve is not degenerate.
+
+    A sample landing exactly on a kernel resonance (degenerate coupling
+    solve) is moved to the next point, each far closer than any bracket the
+    caller resolves.
+    """
+    last = None
+    for x in points:
+        try:
+            return solve(x)
+        except DegenerateCouplingError as exc:
+            last = exc
+    raise last
+
+
+def _cutoff_match(channel, potential, E, mu, tol):
+    """(y, y', max|y|) at r0^- and the decaying-exterior log-derivative h(E)."""
+    lam = real_lambda(channel, "spectral pipeline")
+    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+    u, v, max_u = interior_state(eq, tol)
+    return u, v, max_u, _exterior_logderiv(lam, E, potential.r0)
+
+
 def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
-                      E: float, mu: float, tol: float = 1e-10,
-                      moments_grid: Optional[RadialGrid] = None) -> float:
+                      E: float, mu: float, tol: float = 1e-10) -> float:
     """Interior minus exterior log-derivative at r0 for E <= 0; zero iff bound state.
 
     When y(r0) vanishes (interior A has a pole) the mismatch is evaluated in
@@ -109,42 +146,31 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
     """
     if E > 0:
         raise QwsError("matching mismatch is defined for E <= 0")
-    lam = real_lambda(channel, "spectral pipeline")
-    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    u, v, max_u = interior_state(eq, tol, moments_grid)
-    h = _exterior_logderiv(lam, E, potential.r0)
+    u, v, max_u, h = _cutoff_match(channel, potential, E, mu, tol)
     if abs(u) < 1e-12 * max_u:
         return float((u / v).real - 1.0 / h)  # inverse chart
     return float((v / u).real - h)
 
 
-def _matching_scan_value(channel, potential, E, mu, tol, moments_grid) -> Tuple[float, float, float]:
-    """(M, u, v) with M = y'(r0) - h(E) y(r0): continuous in E, zero at bound states.
+def _matching_scan_value(channel, potential, E, mu, tol) -> float:
+    """M = y'(r0) - h(E) y(r0): continuous in E, zero at bound states.
 
-    A scan point landing exactly on a kernel resonance (degenerate coupling
-    solve) is sidestepped by a tiny energy perturbation; the resonant zone is
-    orders of magnitude narrower than any root bracket.
+    A kernel resonance is sidestepped by a relative energy nudge of at most
+    1e-7; the resonant zone is orders of magnitude narrower than any root
+    bracket.
     """
-    lam = real_lambda(channel, "spectral pipeline")
-    last = None
-    for bump in (0.0, 1e-9, -1e-9, 1e-7):
-        try:
-            Eb = E * (1.0 + bump)
-            eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=Eb))
-            u, v, _ = interior_state(eq, tol, moments_grid)
-            h = _exterior_logderiv(lam, Eb, potential.r0)
-            m = (v - h * u).real
-            return m, u.real, v.real
-        except DegenerateCouplingError as exc:
-            last = exc
-    raise last
+    def match(Eb: float) -> float:
+        u, v, _, h = _cutoff_match(channel, potential, Eb, mu, tol)
+        return (v - h * u).real
+
+    return _step_around_resonance(match, (E * (1.0 + b) for b in (0.0, 1e-9, -1e-9, 1e-7)))
 
 
 def default_energy_floor(potential: PotentialModel) -> float:
     """Below the deepest level: -1.5 max|V| minus a Cauchy-Schwarz kernel bound, -1."""
     floor = -1.5 * potential.max_local() - 1.0
     if potential.kernel:
-        grid = make_scan_grid(potential.r0)
+        grid = make_grid(potential.r0, r_max=potential.r0, n_interior=SCAN_NODES)
         nodes = grid.interior_nodes
         norms = []
         for term in potential.kernel:
@@ -175,11 +201,10 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
         E_floor = default_energy_floor(potential.with_mu(mu))
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
-    moments_grid = make_scan_grid(potential.r0) if potential.kernel else None
 
     def scan(grid_E: np.ndarray) -> List[Tuple[float, float]]:
-        vals = [_matching_scan_value(channel, potential, float(E), mu, ode_tol,
-                                     moments_grid)[0] for E in grid_E]
+        vals = [_matching_scan_value(channel, potential, float(E), mu, ode_tol)
+                for E in grid_E]
         brackets = []
         adjacent = False
         prev_bracket = False
@@ -208,10 +233,10 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     states = []
     for a, b in brackets:
         Ea, Eb = a, b
-        fa = _matching_scan_value(channel, potential, Ea, mu, ode_tol, moments_grid)[0]
+        fa = _matching_scan_value(channel, potential, Ea, mu, ode_tol)
         while abs(Eb - Ea) > tol * max(1.0, abs(Ea)):
             Em = 0.5 * (Ea + Eb)
-            fm = _matching_scan_value(channel, potential, Em, mu, ode_tol, moments_grid)[0]
+            fm = _matching_scan_value(channel, potential, Em, mu, ode_tol)
             if fa * fm <= 0:
                 Eb = Em
             else:
@@ -242,23 +267,11 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
 def _interior_nodes_and_A(channel, potential, E, mu, tol) -> Tuple[int, float]:
     """Interior node count and A(r0) of the regular solution at energy E."""
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    grid = make_scan_grid(potential.r0)
-    if potential.kernel:
-        y, dy, _ = _interior_superposition(eq, grid, tol)
-    else:
-        sol = integrate_regular(eq, grid, tol)
-        y = sol.y[: grid.i_cutoff + 1]
-        dy = sol.dy[: grid.i_cutoff + 1]
-    vals = np.real(y)
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        return 0, math.inf
-    s = np.where(np.abs(vals) < 1e-13 * scale, 0.0, np.sign(vals))
-    s = s[s != 0.0]
-    count = int(np.sum(s[1:] * s[:-1] < 0))
-    y0, dy0 = vals[-1], float(np.real(dy[-1]))
+    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=SCAN_NODES)
+    sol = solve_nonlocal(eq, grid, tol)
+    y0, dy0 = (z.real for z in sol.at_cutoff())
     A = dy0 / y0 if y0 != 0.0 else math.inf * (1.0 if dy0 >= 0 else -1.0)
-    return count, A
+    return count_interior_nodes(sol), A
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
@@ -268,24 +281,16 @@ def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
     kappa = math.sqrt(-E)
     grid = make_grid(r0)
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    if potential.kernel:
-        y_int, dy_int, _ = _interior_superposition(eq, grid, tol)
-    else:
-        sol = integrate_regular(eq, grid, tol)
-        y_int = sol.y[: grid.i_cutoff + 1]
-        dy_int = sol.dy[: grid.i_cutoff + 1]
+    sol = solve_nonlocal(eq, grid, tol)
+    y, dy = sol.y, sol.dy   # the exterior part is replaced by the decaying tail
     i0 = grid.i_cutoff
+    y_int = y[: i0 + 1]
     h = _exterior_logderiv(lam, E, r0)
-    A_int = (dy_int[i0] / y_int[i0]).real
+    A_int = (dy[i0] / y[i0]).real
     residual = abs(A_int - h)
     # exterior tail proportional to sqrt(r) K_lam(kappa r), matched at r0
     pair0 = specfun.bessel_i_k(lam, kappa * r0)
-    scale = y_int[i0].real / (math.sqrt(r0) * pair0.k_scaled)
-    n_ext = len(grid.nodes) - (i0 + 1)
-    y = np.empty(len(grid.nodes), dtype=complex)
-    dy = np.empty(len(grid.nodes), dtype=complex)
-    y[: i0 + 1] = y_int
-    dy[: i0 + 1] = dy_int
+    scale = y[i0].real / (math.sqrt(r0) * pair0.k_scaled)
     for j in range(i0 + 1, len(grid.nodes)):
         r = float(grid.nodes[j])
         pr = specfun.bessel_i_k(lam, kappa * r)
@@ -295,10 +300,7 @@ def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
                                 + math.sqrt(r) * kappa * pr.k_deriv_scaled)
     # norm: interior quadrature + closed-form exterior integral of r K^2
     interior_sq = cutoff_integral(grid, np.real(y_int) ** 2, 2 * lam + 1)
-    z0 = kappa * r0
-    k_s, dk_s = pair0.k_scaled, pair0.k_deriv_scaled
-    ext_int = (z0 * z0 / 2.0) * (dk_s * dk_s - (1.0 + lam * lam / (z0 * z0)) * k_s * k_s)
-    exterior_sq = (scale ** 2) * ext_int / (kappa * kappa)
+    exterior_sq = (scale ** 2) * _exterior_k_integral(lam, kappa * r0, pair0) / (kappa * kappa)
     norm = math.sqrt(abs(interior_sq) + abs(exterior_sq))
     y /= norm
     dy /= norm
@@ -322,11 +324,10 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
         dE = 1e-4 * max(1.0, abs(E))
     if E + dE >= 0:
         raise QwsError("need E + dE < 0 for the decaying exterior branch")
-    moments_grid = make_scan_grid(potential.r0) if potential.kernel else None
 
     def interior_A(Ev: float) -> Tuple[float, float]:
         eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=Ev))
-        u, v, max_u = interior_state(eq, tol, moments_grid)
+        u, v, max_u = interior_state(eq, tol)
         if abs(u) < 1e-12 * max_u:
             raise NodeAtCutoffError("node at r0 inside differencing stencil")
         return (v / u).real, u.real
@@ -340,11 +341,7 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     # integral form at E: -(1/y(r0)^2) * int_0^r0 y^2
     grid = make_grid(r0)
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    if potential.kernel:
-        y_int, dy_int, _ = _interior_superposition(eq, grid, tol)
-    else:
-        s = integrate_regular(eq, grid, tol)
-        y_int = s.y[: grid.i_cutoff + 1]
+    y_int = solve_nonlocal(eq, grid, tol).y[: grid.i_cutoff + 1]
     y0 = y_int[grid.i_cutoff].real
     norm_sq = cutoff_integral(grid, np.real(y_int) ** 2, 2 * lam + 1)
     slope_int_quad = -abs(norm_sq) / (y0 * y0)
@@ -352,11 +349,10 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     slope_ext_fd = (_exterior_logderiv(lam, E + dE, r0)
                     - _exterior_logderiv(lam, E - dE, r0)) / (2 * dE)
     kappa = math.sqrt(-E)
-    z0 = kappa * r0
-    pair = specfun.bessel_i_k(lam, z0)
-    k_s, dk_s = pair.k_scaled, pair.k_deriv_scaled
-    ext_int = (z0 * z0 / 2.0) * (dk_s * dk_s - (1.0 + lam * lam / (z0 * z0)) * k_s * k_s)
-    slope_ext_quad = ext_int / (kappa * kappa * r0 * k_s * k_s)
+    pair = specfun.bessel_i_k(lam, kappa * r0)
+    k_s = pair.k_scaled
+    slope_ext_quad = (_exterior_k_integral(lam, kappa * r0, pair)
+                      / (kappa * kappa * r0 * k_s * k_s))
     return SturmReport(E=float(E), dE=float(dE),
                        slope_interior_fd=float(slope_int_fd),
                        slope_interior_quad=float(slope_int_quad),
@@ -389,7 +385,7 @@ def _crossing_census(state, a: float, st_a: Tuple[float, float],
     flips_u = ua * ub < 0
     if not (flips_m0 or flips_u):
         return
-    width = b - a
+    width = abs(b - a)
     at_floor = width <= MU_FINE_FLOOR or (width <= MU_CROSSING_FLOOR
                                           and not (flips_m0 and flips_u))
     if at_floor:
@@ -432,21 +428,16 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     rho = (0.5 - lam) / r0
     eps_e = min(1e-10 * max(1.0, potential.max_local()), (1e-5 / r0) ** 2)
     E_thr = -eps_e
-    moments_grid = make_scan_grid(r0) if potential.kernel else None
+
+    def at_coupling(m: float) -> Tuple[float, float]:
+        eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=E_thr))
+        u, v, _ = interior_state(eq, tol)
+        return u.real, v.real
 
     def state(mu: float) -> Tuple[float, float]:
-        # a sample landing exactly on a kernel resonance is nudged by far
-        # less than the crossing-bracket floor
-        last = None
-        for bump in (0.0, 1e-13, -1e-13, 1e-12):
-            try:
-                eq = effective_equation(channel, potential.with_mu(float(mu) + bump),
-                                        EnergyValue(E=E_thr))
-                u, v, _ = interior_state(eq, tol, moments_grid)
-                return u.real, v.real
-            except DegenerateCouplingError as exc:
-                last = exc
-        raise last
+        # nudges far below the crossing-bracket floor
+        return _step_around_resonance(
+            at_coupling, (float(mu) + b for b in (0.0, 1e-13, -1e-13, 1e-12)))
 
     def m0(u: float, v: float) -> float:
         return v - rho * u
@@ -471,8 +462,9 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     n_down = sum(1 for _, d in events if d > 0)
     n_up = sum(1 for _, d in events if d < 0)
     stairs = np.zeros(len(mu_grid))
+    path = -1.0 if mu_grid[-1] < 0 else 1.0   # a grid may run from 0 downwards
     for mu_star, d in events:
-        stairs[mu_grid > mu_star] += d * math.pi
+        stairs[path * (mu_grid - mu_star) > 0] += d * math.pi
     return ContinuationReport(channel=channel, mu_grid=mu_grid, A_samples=A_vals,
                               rho=rho, events=tuple(events), n_down=n_down,
                               n_up=n_up, n_bound=n_down - n_up,

@@ -159,16 +159,6 @@ def test_metadata_block_toggles(tmp_path):
     assert "metadata" not in json.loads(out.read_text())
 
 
-def test_threads_preserve_order(tmp_path):
-    out1 = tmp_path / "t1.csv"
-    out2 = tmp_path / "t4.csv"
-    main(["sturm-check", "--config", str(CONFIG_DIR / "sturm_square_well.cfg"),
-          "--out", str(out1), "--no-metadata", "--threads", "1"])
-    main(["sturm-check", "--config", str(CONFIG_DIR / "sturm_square_well.cfg"),
-          "--out", str(out2), "--no-metadata", "--threads", "4"])
-    assert out1.read_text() == out2.read_text()
-
-
 def test_wronskian_audit_reports(tmp_path):
     out = tmp_path / "w.json"
     rc = main(["wronskian-audit", "--config",
@@ -222,14 +212,6 @@ def test_json_rows_format(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["rows"]) == 20
     assert "slope_interior_fd" in doc["rows"][0]
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("QWS_THREADS", "2")
-    out = tmp_path / "st.csv"
-    rc = main(["sturm-check", "--config", str(CONFIG_DIR / "sturm_square_well.cfg"),
-               "--out", str(out), "--no-metadata"])
-    assert rc == 0
 
 
 def test_tabulated_potential_roundtrip(tmp_path):
@@ -393,3 +375,52 @@ def test_non_finite_k_exits_as_config_error(tmp_path):
     rc = main(["phase-shift", "--config", str(cfg),
                "--out", str(tmp_path / "o.csv"), "--no-metadata"])
     assert rc == 2
+
+
+BOUND_MIN = """\
+[experiment]
+version = 1
+task = bound-states
+
+[channel]
+q = 3
+l = 1
+
+[potential]
+r0 = 1.0
+{potential}
+{kernel}
+"""
+KERNEL_BUMP = "[kernel.1]\nfamily = gaussian_bump\ncenter = 0.5\nwidth = 0.15\n"
+
+
+@pytest.mark.parametrize("potential, kernel, message", [
+    ("family = square_well", "", "missing 'depth'"),
+    ("family = square_well\ndepth = abc", "", "depth must be numeric"),
+    ("family = truncated_gaussian\ndepth = 4.0", "", "missing 'width'"),
+    ("family = tabulated", "", "missing 'table'"),
+    ("family = none\nmu = one", "", "mu must be numeric"),
+    ("family = none", KERNEL_BUMP + "strength = x", "strength must be numeric"),
+    ("family = none", KERNEL_BUMP + "strength = -700\nheight = tall",
+     "height must be numeric"),
+    ("family = none", "[kernel.1]\nfamily = poly_bump\na = 2\nstrength = -5",
+     "missing 'b'"),
+    ("family = none", "[kernel.1]\nfamily = poly_bump\na = 2\nb = 0\nstrength = -5",
+     "b > 0"),
+    ("family = none", KERNEL_BUMP + "strength = -700\n[grid]\nn_interior = many",
+     "n_interior must be numeric"),
+    ("family = none", "[scan]\nlambdas = 0.5 x", "lambdas must be a list of numbers"),
+    ("family = none", "[scan]\nks = 1 two", "ks must be a list of numbers"),
+], ids=["depth-missing", "depth-abc", "width-missing", "table-missing", "mu-word",
+        "strength-x", "height-word", "poly-b-missing", "poly-b-zero", "grid-word",
+        "lambdas-word", "ks-word"])
+def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys,
+                                                          potential, kernel, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BOUND_MIN.format(potential=potential, kernel=kernel))
+    rc = main(["bound-states", "--config", str(cfg),
+               "--out", str(tmp_path / "o.json"), "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+

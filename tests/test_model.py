@@ -143,7 +143,9 @@ def test_kernel_source_carries_dimension_weight():
     r = 0.4
     assert math.isclose(s3(r), bump.profile(r) * r, rel_tol=1e-15)
     assert math.isclose(s5(r), bump.profile(r) * r ** 2, rel_tol=1e-15)
-    assert s3(1.0) == 0.0 and s3(1.5) == 0.0  # compact support
+    # compact support beyond r0; at r0 itself the source takes its interior limit
+    assert s3(math.nextafter(1.0, 2.0)) == 0.0 and s3(1.5) == 0.0
+    assert s3(1.0) == bump.profile(1.0) * 1.0
 
 
 def test_potential_model_invariants():

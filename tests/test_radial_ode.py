@@ -182,6 +182,17 @@ class TestNonlocal:
         m_direct = cutoff_integral(g, s * sol.y[: g.i_cutoff + 1], 2.0)
         assert abs(m_direct - kd.moments[0]) <= 1e-9 * max(1, abs(m_direct))
 
+    def test_moments_converge_with_the_grid(self):
+        # the source takes its interior limit at r0, so the Simpson moments
+        # converge at the rule's order instead of first order
+        ch = ChannelParams.from_lambda(1.5)
+        pot = PotentialModel(r0=1.0, kernel=(self.BUMP,), strengths=(-5.0,), mu=0.7)
+        eq = effective_equation(ch, pot, EnergyValue.from_k(1.0))
+        m_coarse, m_fine = (
+            solve_nonlocal(eq, make_grid(1.0, n_interior=n), 1e-11).kernel_data.moments[0]
+            for n in (401, 3201))
+        assert abs(m_coarse - m_fine) <= 1e-9 * abs(m_fine)
+
     def test_superposition_satisfies_equation(self):
         # 5-point second differences: y'' + Q y = sum_i beta_i S_i to 1e-7 (integral norm)
         ch = ChannelParams.from_lambda(1.5)

@@ -185,7 +185,7 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
 
     def sample(m):
         eq = effective_equation(ch, pot.with_mu(float(m)), energy)
-        return scattering._theta(eq, pair, tol, None)[0]
+        return scattering._theta(eq, pair, tol)[0]
 
     grid = np.linspace(0.0, mu, mu_steps + 1)
     th0 = sample(0.0)
@@ -229,6 +229,19 @@ class TestPruferPhase:
         assert len(res.events) == len(events_ref)
         for (mu_new, d_new), (mu_ref, d_ref) in zip(res.events, events_ref):
             assert d_new == d_ref
+            assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
+
+    def test_walk_refines_on_descending_grid(self):
+        # mu < 0 turns the barrier into a well; both routes bisect their events
+        pot = PotentialModel(r0=1.0, local=square_well(-40.0))
+        _, events_ref = _mu_continued(CH_S, pot, 0.5, mu=-1.0)
+        res = phase_shift(CH_S, pot, 0.5, mu=-1.0, with_fit=False)
+        assert len(res.events) == len(events_ref) == 2
+        # the Prufer path's events: -0.06839 and -0.56247
+        for (mu_new, d_new), (mu_ref, d_ref), mu_star in zip(res.events, events_ref,
+                                                             (-0.06839, -0.56247)):
+            assert d_new == d_ref
+            assert abs(mu_ref - mu_star) <= MU_REFINE_FLOOR
             assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
 
     @staticmethod

@@ -194,6 +194,14 @@ def test_envelope_guards():
         specfun.bessel_y(50.0, 1e-6)  # value overflows the double range
 
 
+@pytest.mark.parametrize("fn", [specfun.bessel_j, specfun.bessel_y, specfun.bessel_i_k])
+@pytest.mark.parametrize("nu, x", [(1.0 + 0.5j, 1.0), (1.0, 2.0 + 0j), (math.nan, 1.0),
+                                   (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+def test_complex_or_non_finite_input_is_an_envelope_error(fn, nu, x):
+    with pytest.raises(EnvelopeError):
+        fn(nu, x)
+
+
 def test_error_reports_within_envelope():
     for nu in (0.0, 0.5, 2.0, 10.0, 50.0):
         for x in (1e-6, 1e-2, 1.0, 50.0, 1e3):

@@ -139,6 +139,22 @@ class TestContinuationCount:
         for m, ref in zip(found, mu_oracle):
             assert abs(m - ref) <= 2e-5
 
+    def test_two_level_well_crossings_on_descending_grid(self):
+        # the mirror image: a barrier scaled by mu from 0 down to -1 (a depth
+        # whose thresholds are not grid midpoints, so refinement must act)
+        V0 = 40.0
+        pot = PotentialModel(r0=1.0, local=square_well(-V0))
+        rep = continuation_count(CH_S, pot, mu_grid=np.linspace(0.0, -1.0, 201))
+        assert (rep.n_down, rep.n_up) == (2, 0)
+        mu_oracle = [-(math.pi / 2) ** 2 / V0, -(3 * math.pi / 2) ** 2 / V0]
+        found = sorted((m for m, d in rep.events), reverse=True)
+        assert len(found) == 2
+        for m, ref in zip(found, mu_oracle):
+            assert abs(m - ref) <= 2e-5
+        # the staircase steps up along the path, away from mu = 0
+        assert rep.eta0_staircase[0] == 0.0
+        assert rep.eta0_staircase[-1] == pytest.approx(2 * math.pi)
+
     def test_monotone_attractive_never_uncrosses(self):
         for V0 in (4.0, 12.0, (2 * math.pi) ** 2):
             pot = PotentialModel(r0=1.0, local=square_well(V0))
