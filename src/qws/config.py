@@ -207,6 +207,7 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 "the kernel must vanish for r >= r0")
     for name, store in (("grid", cfg.grid), ("tolerances", cfg.tolerances)):
         diags += _param_diags(name, store, (), _NUMERIC[name])
+    diags += _grid_diags(cfg.grid, r0)
 
     for key in ("lambdas", "ks"):
         if not all(_is_float(v) for v in cfg.scan.get(key, "").split()):
@@ -235,6 +236,25 @@ def _param_diags(section: str, store: Dict[str, str], required: Tuple[str, ...],
     diags = [f"[{section}] missing '{key}'" for key in required if key not in store]
     diags += [f"[{section}] {key} must be numeric" for key in numeric
               if key in store and not _is_float(store[key])]
+    return diags
+
+
+def _grid_diags(grid: Dict[str, str], r0: Optional[float]) -> List[str]:
+    """Range checks of the numeric [grid] values: 0 < r_min < r0 <= r_max, node counts."""
+    vals = {k: float(v) for k, v in grid.items() if k in _NUMERIC["grid"] and _is_float(v)}
+    diags = [f"[grid] {k} must be finite" for k, v in vals.items() if not math.isfinite(v)]
+    if diags:
+        return diags
+    if "r_min" in vals and vals["r_min"] <= 0:
+        diags.append("[grid] r_min must be positive")
+    elif r0 is not None and vals.get("r_min", 0.0) >= r0:
+        diags.append(f"[grid] r_min must be below r0 = {r0}")
+    if r0 is not None and vals.get("r_max", r0) < r0:
+        diags.append(f"[grid] r_max must be at least r0 = {r0}")
+    if int(vals.get("n_interior", 5)) < 5:
+        diags.append("[grid] n_interior must be >= 5")
+    if int(vals.get("n_exterior", 2)) < 2:
+        diags.append("[grid] n_exterior must be >= 2")
     return diags
 
 

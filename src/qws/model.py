@@ -199,3 +199,30 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         coefficient=coefficient, sources=tuple(sources),
         coupling=coupling, origin_w=origin_w,
     )
+
+
+def lane_coefficient(channel: ChannelParams, potential: PotentialModel,
+                     E: np.ndarray, mu: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Q_j(r) = E_j - (lam^2 - 1/4)/r^2 - mu_j V(r) for arrays of energies and couplings.
+
+    The local part of ``potential`` only (``potential.mu`` is ignored; E and
+    mu broadcast against each other).  V(r) is evaluated once per radius for
+    all lanes, and a square well takes the same constant shortcut as
+    :func:`effective_equation`, so each lane's value is bitwise the one the
+    scalar ``coefficient`` of its own equation gives.
+    """
+    cf = centrifugal_coefficient(channel.lam)
+    const = potential.constant_inside
+    if const is not None:
+        E_in = E - mu * const
+        r0 = potential.r0
+
+        def coefficient(r):
+            return (E_in if r < r0 else E) - cf / (r * r)
+    else:
+        v = potential.local_value
+
+        def coefficient(r):
+            return E - cf / (r * r) - mu * v(r)
+
+    return coefficient

@@ -15,8 +15,14 @@ the superposition themselves.  :func:`free_exterior` continues a solution
 beyond the cutoff, where the well and the kernel vanish.
 
 The stepper is an embedded Dormand-Prince 4(5) pair on the first-order
-system (y, y'), with scalar complex arithmetic (the pipeline is dominated
-by parameter scans of single integrations, not by vector work).
+system (y, y'), with one stage block (:func:`_dp45_step`) shared by two
+step loops.  :func:`_integrate` steps one solution in scalar complex
+arithmetic; every single solve uses it (bisection, refinement, phase
+shifts, full grids, kernel superposition).  :func:`interior_lanes` hands
+a grid of (E, mu) points of one local model to :func:`_integrate_lanes`,
+which steps them as float64 numpy lanes sharing one adaptive step; the
+energy scan of the bound-state search and the mu grid of the crossing
+counter run this way.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ import numpy as np
 from .errors import (DegenerateCouplingError, GridMismatchError,
                      NodeAtCutoffError, QwsError, RegularityError,
                      StiffnessError)
-from .model import ChannelParams, EffectiveEquation, EnergyValue
+from .model import (ChannelParams, EffectiveEquation, EnergyValue,
+                    effective_equation, lane_coefficient)
+from .potentials import PotentialModel
 
 # Dormand-Prince 4(5) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -161,6 +169,55 @@ class RadialSolution:
         return dy0 / y0
 
 
+def _dp45_step(qfun, sfun, r, h, u, v, k1u, k1v):
+    """One Dormand-Prince 4(5) step of (y, y') from r to r + h, k1 = f(r) given.
+
+    Returns (y, y') at r + h, the FSAL derivative there and the embedded
+    error estimate (eu, ev).  The arithmetic is generic: scalars for
+    :func:`_integrate`, float64 lanes for :func:`_integrate_lanes`.
+    """
+    r2 = r + _C2 * h
+    u2 = u + h * _A21 * k1u
+    v2 = v + h * _A21 * k1v
+    k2u, k2v = v2, -qfun(r2) * u2
+    if sfun is not None:
+        k2v += sfun(r2)
+    r3 = r + _C3 * h
+    u3 = u + h * (_A31 * k1u + _A32 * k2u)
+    v3 = v + h * (_A31 * k1v + _A32 * k2v)
+    k3u, k3v = v3, -qfun(r3) * u3
+    if sfun is not None:
+        k3v += sfun(r3)
+    r4 = r + _C4 * h
+    u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+    v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+    k4u, k4v = v4, -qfun(r4) * u4
+    if sfun is not None:
+        k4v += sfun(r4)
+    r5 = r + _C5 * h
+    u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+    v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+    k5u, k5v = v5, -qfun(r5) * u5
+    if sfun is not None:
+        k5v += sfun(r5)
+    r6 = r + h
+    u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+    v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+    q6 = qfun(r6)  # stages 6 and 7 share r + h
+    k6u, k6v = v6, -q6 * u6
+    if sfun is not None:
+        s6 = sfun(r6)
+        k6v += s6
+    un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+    vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    k7u, k7v = vn, -q6 * un
+    if sfun is not None:
+        k7v += s6
+    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+    return un, vn, k7u, k7v, eu, ev
+
+
 def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float], complex]],
                r_start: float, u0: complex, v0: complex,
                record: np.ndarray, rtol: float, atol: float = 0.0,
@@ -219,45 +276,7 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
             clipped = True
         if not clipped and abs(h) < 1e-15 * span:
             raise StiffnessError("step size underflow")
-        # stages
-        r2 = r + _C2 * h
-        u2 = u + h * _A21 * k1u
-        v2 = v + h * _A21 * k1v
-        k2u, k2v = v2, -qfun(r2) * u2
-        if sfun is not None:
-            k2v += sfun(r2)
-        r3 = r + _C3 * h
-        u3 = u + h * (_A31 * k1u + _A32 * k2u)
-        v3 = v + h * (_A31 * k1v + _A32 * k2v)
-        k3u, k3v = v3, -qfun(r3) * u3
-        if sfun is not None:
-            k3v += sfun(r3)
-        r4 = r + _C4 * h
-        u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4u, k4v = v4, -qfun(r4) * u4
-        if sfun is not None:
-            k4v += sfun(r4)
-        r5 = r + _C5 * h
-        u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5u, k5v = v5, -qfun(r5) * u5
-        if sfun is not None:
-            k5v += sfun(r5)
-        r6 = r + h
-        u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6u, k6v = v6, -qfun(r6) * u6
-        if sfun is not None:
-            s6 = sfun(r6)
-            k6v += s6
-        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7u, k7v = vn, -qfun(r6) * un
-        if sfun is not None:
-            k7v += s6
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+        un, vn, k7u, k7v, eu, ev = _dp45_step(qfun, sfun, r, h, u, v, k1u, k1v)
         # weights floored at 1e-3 of the running magnitude: pointwise relative
         # control is unsatisfiable (roundoff floor) where a component crosses zero
         sc_u = atol + rtol * max(abs(u), abs(un), 1e-3 * max_u)
@@ -322,7 +341,7 @@ def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, floa
     u = pref * (1 + a1 * r + a2 * r * r)
     v = (r ** (lam - 0.5)) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r * r)
     trunc = abs(a3) * r ** 3
-    return u, v, float(trunc)
+    return u, v, trunc if np.ndim(trunc) else float(trunc)
 
 
 def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10,
@@ -386,13 +405,17 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
 
 
 def _with_energy(eq: EffectiveEquation, energy: EnergyValue) -> EffectiveEquation:
-    from .model import effective_equation
     return effective_equation(eq.channel, eq.potential, energy)
+
+
+def _carries_kernel(potential: PotentialModel) -> bool:
+    """True when the potential has a kernel with some coupling != 0."""
+    return potential.rank > 0 and bool(np.any(potential.coupling_matrix() != 0.0))
 
 
 def _kernel_active(eq: EffectiveEquation) -> bool:
     """True when the separable kernel enters the equation: mu != 0 and some coupling != 0."""
-    return eq.rank > 0 and eq.mu != 0 and bool(np.any(eq.coupling != 0.0))
+    return eq.mu != 0 and _carries_kernel(eq.potential)
 
 
 def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float):
@@ -512,6 +535,89 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
                                np.array([eq.r0]), rtol=tol,
                                return_winding=return_winding)
     return (complex(us[0]), complex(vs[0]), *rest)
+
+
+def _integrate_lanes(qfun: Callable[[float], np.ndarray], r_start: float,
+                     u: np.ndarray, v: np.ndarray, r_end: float, rtol: float):
+    """:func:`_integrate` outward to the single node r_end, on float64 lanes.
+
+    The lanes share every step: one DP45 step of all lanes is accepted only
+    when each lane passes with its own error weights (floored at 1e-3 of its
+    own running magnitude, as in the scalar stepper), and the next step size
+    follows the worst lane.  Every lane is therefore controlled at least as
+    tightly as it would be alone, and a single lane takes the scalar
+    stepper's steps exactly.  Returns (u, v, max_abs_u) at r_end.
+    """
+    span = r_end - r_start
+    h = min(1e-3 * span, 0.1 * r_start)
+    r = r_start
+    max_u = np.abs(u)
+    run_v = np.abs(v)
+    k1u, k1v = v, -qfun(r) * u
+    for _ in range(_MAX_STEPS):
+        clipped = r + h - r_end >= 0.0
+        if clipped:
+            h = r_end - r
+        elif h < 1e-15 * span:
+            raise StiffnessError("step size underflow")
+        un, vn, k7u, k7v, eu, ev = _dp45_step(qfun, None, r, h, u, v, k1u, k1v)
+        au, av = np.abs(un), np.abs(vn)
+        sc_u = rtol * np.maximum(np.maximum(np.abs(u), au), 1e-3 * max_u)
+        sc_v = rtol * np.maximum(np.maximum(np.abs(v), av), 1e-3 * run_v)
+        err = float(max(np.max(np.abs(eu) / sc_u), np.max(np.abs(ev) / sc_v)))
+        if not err <= 1.0:  # NaN rejects, as in the scalar stepper
+            h *= max(0.1, 0.9 * err ** -0.2)
+            continue
+        u, v = un, vn
+        max_u = np.maximum(max_u, au)
+        if clipped:
+            return u, v, max_u
+        r = r + h
+        k1u, k1v = k7u, k7v  # FSAL
+        run_v = np.maximum(run_v, av)
+        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h = min(h * fac, span)
+    raise StiffnessError("step budget exhausted; equation too stiff")
+
+
+def interior_lanes(channel: ChannelParams, potential: PotentialModel,
+                   E, mu, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, y', max|y|) at r0^- for many (E, mu) points of one channel and potential.
+
+    Point j solves the equation of ``channel`` and ``potential`` at energy
+    E[j] and coupling mu[j] (E and mu broadcast against each other;
+    ``potential.mu`` is ignored).  A local model integrates all points at
+    once as float64 lanes that share one adaptive DP45 step (see
+    :func:`_integrate_lanes`); lam, E and mu must be real.  A model with a
+    kernel is solved point by point through :func:`interior_state`, and a
+    point whose kernel solve is degenerate comes back as NaN in all three
+    arrays.  Returns the real parts.
+    """
+    E = np.asarray(E, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    shape = np.broadcast_shapes(E.shape, mu.shape)
+    if _carries_kernel(potential):
+        out = np.full((3,) + shape, np.nan)
+        flat = out.reshape(3, -1)
+        for j, (e, m) in enumerate(np.broadcast(E, mu)):
+            eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=float(e)))
+            try:
+                u, v, max_u = interior_state(eq, tol)
+            except DegenerateCouplingError:
+                continue
+            flat[:, j] = u.real, v.real, max_u
+        return out[0], out[1], out[2]
+    lam = channel.lam
+    if isinstance(lam, complex):
+        raise QwsError("lanes require real lambda")
+    if lam <= 0.0:
+        raise RegularityError("regular solution requires Re lam > 0")
+    r_min = 1e-6 * potential.r0
+    origin_w = tuple(mu * w for w in potential.origin_coefficients())
+    u0, v0, _ = frobenius_start(lam, E, origin_w, r_min)
+    return _integrate_lanes(lane_coefficient(channel, potential, E, mu), r_min,
+                            np.broadcast_to(u0, shape).astype(float),
+                            np.broadcast_to(v0, shape).astype(float), potential.r0, tol)
 
 
 def green_identity_residual(y1: RadialSolution, y2: RadialSolution) -> float:

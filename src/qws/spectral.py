@@ -3,9 +3,12 @@ coupling-continuation crossing counter, and the zero-momentum phase /
 bound-count identity verifier.
 
 Every solve goes through :func:`~qws.radial_ode.interior_state` (the cutoff
-values) or :func:`~qws.radial_ode.solve_nonlocal` (a full grid), which
-decide between the local integration and the kernel superposition
-themselves; this module never branches on that.  It branches on
+values), :func:`~qws.radial_ode.interior_lanes` (the cutoff values of a
+whole grid of points: the energy scan of :func:`find_bound_states` and the
+initial mu grid of :func:`continuation_count`) or
+:func:`~qws.radial_ode.solve_nonlocal` (a full grid), which decide between
+the local integration and the kernel superposition themselves; this module
+never branches on that.  It branches on
 ``potential.kernel`` only where the mathematics differs: the kernel term
 of the energy floor, and the Sturm node-count cross-check, which holds for
 local equations only.
@@ -33,7 +36,7 @@ from .errors import (AmbiguousCrossingError, DegenerateCouplingError,
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
 from .radial_ode import (RadialSolution, count_interior_nodes, cutoff_integral,
-                         interior_state, make_grid, solve_nonlocal)
+                         interior_lanes, interior_state, make_grid, solve_nonlocal)
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
@@ -166,23 +169,60 @@ def _matching_scan_value(channel, potential, E, mu, tol) -> float:
     return _step_around_resonance(match, (E * (1.0 + b) for b in (0.0, 1e-9, -1e-9, 1e-7)))
 
 
-def default_energy_floor(potential: PotentialModel) -> float:
-    """Below the deepest level: -1.5 max|V| minus a Cauchy-Schwarz kernel bound, -1."""
-    floor = -1.5 * potential.max_local() - 1.0
+def _scan_values(channel, potential, grid_E: np.ndarray, mu: float, tol) -> np.ndarray:
+    """M(E) of :func:`_matching_scan_value` on an energy grid, all energies as lanes.
+
+    The lanes come from :func:`~qws.radial_ode.interior_lanes`; only a point
+    whose kernel solve was degenerate is solved again, alone, through the
+    resonance nudge.
+    """
+    lam = real_lambda(channel, "spectral pipeline")
+    u, v, _ = interior_lanes(channel, potential, grid_E, mu, tol)
+    h = np.array([_exterior_logderiv(lam, float(E), potential.r0) for E in grid_E])
+    vals = v - h * u
+    for j in np.flatnonzero(np.isnan(vals)):
+        vals[j] = _matching_scan_value(channel, potential, float(grid_E[j]), mu, tol)
+    return vals
+
+
+def _sign_brackets(grid_E: np.ndarray,
+                   vals: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
+    """Sign-change brackets of the scan values, and whether two are adjacent."""
+    brackets = []
+    adjacent = False
+    prev_bracket = False
+    for j in range(len(grid_E) - 1):
+        if vals[j] == 0.0:
+            brackets.append((float(grid_E[j]), float(grid_E[j])))
+            continue
+        if vals[j] * vals[j + 1] < 0:
+            if prev_bracket:
+                adjacent = True
+            brackets.append((float(grid_E[j]), float(grid_E[j + 1])))
+            prev_bracket = True
+        else:
+            prev_bracket = False
+    return brackets, adjacent
+
+
+def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> float:
+    """Below the deepest level: -1.5 |mu| (max|V| + kernel bound) - 1.
+
+    The kernel bound is the Cauchy-Schwarz norm sum_ij |c_ij| |S_i| |S_j| of
+    the kernel the radial equation carries, with the weighted sources
+    S_i = g_i r^{(q-1)/2} normed over (0, r0).
+    """
+    bound = potential.max_local()
     if potential.kernel:
         grid = make_grid(potential.r0, r_max=potential.r0, n_interior=SCAN_NODES)
-        nodes = grid.interior_nodes
+        eq = effective_equation(channel, potential, EnergyValue(E=0.0))
         norms = []
-        for term in potential.kernel:
-            s = np.array([term.profile(float(r)) for r in nodes])
+        for src in eq.sources:
+            s = np.array([src(float(r)) for r in grid.interior_nodes])
             norms.append(math.sqrt(abs(cutoff_integral(grid, s * s, 0.0))))
-        c = np.abs(potential.coupling_matrix())
-        bound = 0.0
-        for i in range(len(norms)):
-            for j in range(len(norms)):
-                bound += c[i, j] * norms[i] * norms[j]
-        floor -= 1.5 * bound
-    return floor
+        norms = np.array(norms)
+        bound += float(norms @ np.abs(potential.coupling_matrix()) @ norms)
+    return -1.5 * abs(potential.mu) * bound - 1.0
 
 
 def find_bound_states(channel: ChannelParams, potential: PotentialModel,
@@ -198,28 +238,12 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     """
     lam = real_lambda(channel, "spectral pipeline")
     if E_floor is None:
-        E_floor = default_energy_floor(potential.with_mu(mu))
+        E_floor = default_energy_floor(channel, potential.with_mu(mu))
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
 
-    def scan(grid_E: np.ndarray) -> List[Tuple[float, float]]:
-        vals = [_matching_scan_value(channel, potential, float(E), mu, ode_tol)
-                for E in grid_E]
-        brackets = []
-        adjacent = False
-        prev_bracket = False
-        for j in range(len(grid_E) - 1):
-            if vals[j] == 0.0:
-                brackets.append((float(grid_E[j]), float(grid_E[j])))
-                continue
-            if vals[j] * vals[j + 1] < 0:
-                if prev_bracket:
-                    adjacent = True
-                brackets.append((float(grid_E[j]), float(grid_E[j + 1])))
-                prev_bracket = True
-            else:
-                prev_bracket = False
-        return brackets, adjacent
+    def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
+        return _sign_brackets(grid_E, _scan_values(channel, potential, grid_E, mu, ode_tol))
 
     e_lo = 1e-11 * max(1.0, abs(E_floor))
     grid_E = -np.geomspace(abs(E_floor), e_lo, n_scan)
@@ -405,6 +429,36 @@ def _crossing_census(state, a: float, st_a: Tuple[float, float],
     _crossing_census(state, mid, st_m, b, st_b, rho, events)
 
 
+def _threshold_state(channel, potential, E_thr: float, mu: float,
+                     tol: float) -> Tuple[float, float]:
+    """(y, y')(r0) at the threshold proxy E_thr and coupling mu, one solve.
+
+    A kernel resonance is sidestepped by nudges far below the
+    crossing-bracket floor.
+    """
+    def at_coupling(m: float) -> Tuple[float, float]:
+        eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=E_thr))
+        u, v, _ = interior_state(eq, tol)
+        return u.real, v.real
+
+    return _step_around_resonance(
+        at_coupling, (float(mu) + b for b in (0.0, 1e-13, -1e-13, 1e-12)))
+
+
+def _threshold_samples(channel, potential, E_thr: float, mu_grid: np.ndarray,
+                       tol: float) -> List[Tuple[float, float]]:
+    """:func:`_threshold_state` on the whole mu grid, all couplings as lanes.
+
+    Only a point whose kernel solve was degenerate is solved again, alone,
+    through the resonance nudge.
+    """
+    u, v, _ = interior_lanes(channel, potential, E_thr, mu_grid, tol)
+    samples = list(zip(u.tolist(), v.tolist()))
+    for j in np.flatnonzero(np.isnan(u)):
+        samples[j] = _threshold_state(channel, potential, E_thr, mu_grid[j], tol)
+    return samples
+
+
 def continuation_count(channel: ChannelParams, potential: PotentialModel,
                        mu_grid: Optional[Sequence[float]] = None,
                        tol: float = 1e-9) -> ContinuationReport:
@@ -429,20 +483,13 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     eps_e = min(1e-10 * max(1.0, potential.max_local()), (1e-5 / r0) ** 2)
     E_thr = -eps_e
 
-    def at_coupling(m: float) -> Tuple[float, float]:
-        eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=E_thr))
-        u, v, _ = interior_state(eq, tol)
-        return u.real, v.real
-
     def state(mu: float) -> Tuple[float, float]:
-        # nudges far below the crossing-bracket floor
-        return _step_around_resonance(
-            at_coupling, (float(mu) + b for b in (0.0, 1e-13, -1e-13, 1e-12)))
+        return _threshold_state(channel, potential, E_thr, mu, tol)
 
     def m0(u: float, v: float) -> float:
         return v - rho * u
 
-    samples = [state(float(m)) for m in mu_grid]
+    samples = _threshold_samples(channel, potential, E_thr, mu_grid, tol)
     A_vals = np.array([v / u if u != 0.0 else math.inf for u, v in samples])
     M_vals = np.array([m0(u, v) for u, v in samples])
 

@@ -392,6 +392,7 @@ r0 = 1.0
 {kernel}
 """
 KERNEL_BUMP = "[kernel.1]\nfamily = gaussian_bump\ncenter = 0.5\nwidth = 0.15\n"
+WELL = "family = square_well\ndepth = 4.0"
 
 
 @pytest.mark.parametrize("potential, kernel, message", [
@@ -411,9 +412,16 @@ KERNEL_BUMP = "[kernel.1]\nfamily = gaussian_bump\ncenter = 0.5\nwidth = 0.15\n"
      "n_interior must be numeric"),
     ("family = none", "[scan]\nlambdas = 0.5 x", "lambdas must be a list of numbers"),
     ("family = none", "[scan]\nks = 1 two", "ks must be a list of numbers"),
+    (WELL, "[grid]\nr_min = 0", "r_min must be positive"),
+    (WELL, "[grid]\nr_min = 2.0", "r_min must be below r0"),
+    (WELL, "[grid]\nr_max = 0.5", "r_max must be at least r0"),
+    (WELL, "[grid]\nn_interior = 3", "n_interior must be >= 5"),
+    (WELL, "[grid]\nn_exterior = 1", "n_exterior must be >= 2"),
+    (WELL, "[grid]\nn_interior = nan", "n_interior must be finite"),
 ], ids=["depth-missing", "depth-abc", "width-missing", "table-missing", "mu-word",
         "strength-x", "height-word", "poly-b-missing", "poly-b-zero", "grid-word",
-        "lambdas-word", "ks-word"])
+        "lambdas-word", "ks-word", "r_min-zero", "r_min-above-r0", "r_max-below-r0",
+        "n_interior-3", "n_exterior-1", "n_interior-nan"])
 def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys,
                                                           potential, kernel, message):
     cfg = tmp_path / "bad.cfg"

@@ -8,11 +8,12 @@ from scipy import special as sp
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation
-from qws.potentials import PotentialModel, gaussian_bump, square_well
+from qws.potentials import (PotentialModel, gaussian_bump, square_well, tabulated,
+                            truncated_exponential, truncated_gaussian)
 from qws.radial_ode import (cutoff_integral, count_interior_nodes,
                             green_identity_residual, integrate_jost,
-                            integrate_regular, interior_state, make_grid,
-                            solve_nonlocal)
+                            integrate_regular, interior_lanes, interior_state,
+                            make_grid, solve_nonlocal)
 
 CH_S = ChannelParams(q=3, l=0)          # lam = 1/2
 FREE = PotentialModel(r0=1.0)
@@ -480,3 +481,87 @@ class TestIndependentIntegratorCrossCheck:
         assert ref.success
         ref_u = ref.y[0][-1] + 1j * ref.y[1][-1]
         assert abs(f.y[0] - ref_u) <= 1e-9 * abs(ref_u)
+
+
+_R_TAB = np.linspace(0.01, 1.0, 60)
+# (channel, local well) pairs of the lane tests; the kinked table has its own test
+LANE_WELLS = [
+    (CH_S, square_well(40.0)),
+    (ChannelParams(q=3, l=1), truncated_gaussian(30.0, 0.6)),
+    (CH_S, truncated_exponential(15.0, 0.5)),
+    (ChannelParams.from_lambda(2.5), square_well(200.0)),
+]
+LANE_IDS = ["square", "gaussian-p", "exponential", "square-lam2.5"]
+KINKED_TABLE = (CH_S, tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB)))
+
+
+def _scalar_cutoff(ch, pot, E, mu, tol=1e-10):
+    eq = effective_equation(ch, pot.with_mu(float(mu)), EnergyValue(E=float(E)))
+    u, v, max_u = interior_state(eq, tol)
+    return u.real, v.real, max_u
+
+
+def _scan_energies(pot, n):
+    floor = 1.5 * pot.max_local() + 1.0
+    return -np.geomspace(floor, 1e-11 * floor, n)
+
+
+class TestInteriorLanes:
+    @pytest.mark.parametrize("ch, local", LANE_WELLS, ids=LANE_IDS)
+    def test_energy_and_mu_grids_match_scalar_solves(self, ch, local):
+        pot = PotentialModel(r0=1.0, local=local)
+        for E, mu in ((_scan_energies(pot, 60), 1.0), (-1e-10, np.linspace(0.0, 1.0, 21))):
+            u, v, max_u = interior_lanes(ch, pot, E, mu)
+            ref = np.array([_scalar_cutoff(ch, pot, e, m)
+                            for e, m in np.broadcast(E, mu)])
+            assert np.all(np.abs(u - ref[:, 0]) <= 1e-8 * ref[:, 2])
+            assert np.all(np.abs(v - ref[:, 1]) <= 1e-8 * ref[:, 2])
+            assert np.array_equal(np.sign(u), np.sign(ref[:, 0]))
+            assert np.array_equal(np.sign(v), np.sign(ref[:, 1]))
+
+    @pytest.mark.parametrize("ch, local", LANE_WELLS + [KINKED_TABLE],
+                             ids=LANE_IDS + ["kinked-table"])
+    def test_single_lane_is_the_scalar_solve(self, ch, local):
+        # one lane takes the scalar stepper's steps, bit for bit
+        pot = PotentialModel(r0=1.0, local=local)
+        for E, mu in ((-3.7, 1.0), (-1e-10, 0.62), (-2.0, 0.0)):
+            lane = interior_lanes(ch, pot, [E], mu)
+            assert tuple(x[0] for x in lane) == _scalar_cutoff(ch, pot, E, mu)
+
+    def test_kinked_table_lanes_at_least_as_accurate_as_scalar(self):
+        # across the table's kinks the scalar stepper itself is off by ~1e-7
+        # relative; shared steps are never coarser, so lanes err no more
+        ch, local = KINKED_TABLE
+        pot = PotentialModel(r0=1.0, local=local)
+        E = _scan_energies(pot, 40)
+        u, v, _ = interior_lanes(ch, pot, E, 1.0)
+        ref = np.array([_scalar_cutoff(ch, pot, e, 1.0) for e in E])
+        tight = np.array([_scalar_cutoff(ch, pot, e, 1.0, tol=1e-13) for e in E])
+        lane_err = np.maximum(np.abs(u - tight[:, 0]), np.abs(v - tight[:, 1])) / tight[:, 2]
+        scalar_err = np.maximum(np.abs(ref[:, 0] - tight[:, 0]),
+                                np.abs(ref[:, 1] - tight[:, 1])) / tight[:, 2]
+        assert lane_err.max() <= scalar_err.max()
+        assert np.array_equal(np.sign(u), np.sign(ref[:, 0]))
+
+    def test_kernel_points_solved_one_by_one(self, monkeypatch):
+        import qws.radial_ode as ro
+        ch = ChannelParams.from_lambda(1.5)
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
+        E = np.array([-9.0, -4.0, -1.0])
+        solve = ro.interior_state
+
+        def resonant_at_minus_four(eq, tol=1e-10):
+            if eq.energy.E == -4.0:
+                raise DegenerateCouplingError("resonance")
+            return solve(eq, tol)
+
+        monkeypatch.setattr(ro, "interior_state", resonant_at_minus_four)
+        u, v, max_u = interior_lanes(ch, pot, E, 1.0)
+        assert np.isnan(u[1]) and np.isnan(v[1]) and np.isnan(max_u[1])
+        for j in (0, 2):
+            assert (u[j], v[j], max_u[j]) == _scalar_cutoff(ch, pot, E[j], 1.0)
+
+    def test_complex_lambda_rejected(self):
+        ch = ChannelParams(q=3, l=0.5 + 0.5j)
+        with pytest.raises(QwsError):
+            interior_lanes(ch, WELL, [-1.0, -2.0], 1.0)

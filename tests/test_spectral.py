@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qws.errors import QwsError
+from qws import spectral as sp
+from qws.errors import DegenerateCouplingError, QwsError
 from qws.model import ChannelParams
 from qws.potentials import PotentialModel, gaussian_bump, square_well
 from qws.spectral import (continuation_count, find_bound_states,
@@ -215,3 +217,116 @@ class TestLevinson:
         rep = sp.levinson_verify(CH_S, PotentialModel(r0=1.0, local=square_well(4.0)))
         assert rep.status == "inconclusive"
         assert "grazing" in rep.reason
+
+
+# the spectrum_local benchmark cells (mid-gap depths with 0, 2, 1 and 3
+# levels) and the local wells of scripts/levinson_corpus.py
+LANE_SCAN_CASES = [
+    (CH_S, 0.62), (CH_S, 39.0), (ChannelParams(q=4, l=0), 15.7), (CH_S, 88.0),
+    (CH_S, 1.0), (CH_S, 4.0), (CH_S, (2 * math.pi) ** 2), (ChannelParams(q=3, l=1), 12.0),
+]
+
+
+def _scalar_scan_values(channel, potential, grid_E, mu, tol):
+    """The scan as one scalar solve per energy: the reference for the lanes."""
+    return np.array([sp._matching_scan_value(channel, potential, float(E), mu, tol)
+                     for E in grid_E])
+
+
+def _scalar_threshold_samples(channel, potential, E_thr, mu_grid, tol):
+    return [sp._threshold_state(channel, potential, E_thr, m, tol) for m in mu_grid]
+
+
+class TestLaneScans:
+    @pytest.mark.parametrize("ch, depth", LANE_SCAN_CASES,
+                             ids=[f"lam{c.lam:g}-V{d:.4g}" for c, d in LANE_SCAN_CASES])
+    def test_brackets_and_levels_equal_scalar_scan(self, monkeypatch, ch, depth):
+        pot = PotentialModel(r0=1.0, local=square_well(depth))
+        sign_brackets = sp._sign_brackets
+
+        def run(scan_values):
+            seen = []
+
+            def recording(grid_E, vals):
+                seen.append(sign_brackets(grid_E, vals))
+                return seen[-1]
+
+            monkeypatch.setattr(sp, "_sign_brackets", recording)
+            monkeypatch.setattr(sp, "_scan_values", scan_values)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                states = sp.find_bound_states(ch, pot, ode_tol=1e-9)
+            return ([(s.E, s.matching_residual) for s in states], seen,
+                    [str(w.message) for w in caught])
+
+        assert run(sp._scan_values) == run(_scalar_scan_values)
+
+    @pytest.mark.parametrize("depth, grid", [
+        (39.0, None), (-40.0, np.linspace(0.0, -1.0, 201)), (12.0, np.linspace(0.0, 2.0, 101)),
+    ], ids=["two-level-ascending", "barrier-descending", "p-wave-ascending"])
+    def test_continuation_equals_scalar_samples(self, monkeypatch, depth, grid):
+        ch = ChannelParams(q=3, l=1) if depth == 12.0 else CH_S
+        pot = PotentialModel(r0=1.0, local=square_well(depth))
+        lanes = continuation_count(ch, pot, mu_grid=grid)
+        monkeypatch.setattr(sp, "_threshold_samples", _scalar_threshold_samples)
+        ref = continuation_count(ch, pot, mu_grid=grid)
+        assert lanes.n_bound == ref.n_bound and lanes.n_bound != 0
+        assert lanes.events == ref.events
+        assert np.array_equal(lanes.eta0_staircase, ref.eta0_staircase)
+        assert np.allclose(np.arctan(lanes.A_samples), np.arctan(ref.A_samples),
+                           rtol=0.0, atol=1e-7)
+
+    def test_resonant_kernel_point_takes_the_nudge(self, monkeypatch):
+        import qws.radial_ode as ro
+        ch = ChannelParams.from_lambda(1.5)
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
+        solve = ro.interior_state
+        solved = []
+
+        def resonant(eq, tol=1e-10):
+            solved.append((eq.energy.E, eq.mu))
+            if (eq.energy.E, eq.mu) in ((-4.0, 1.0), (-1e-9, 0.5)):
+                raise DegenerateCouplingError("resonance")
+            return solve(eq, tol)
+
+        monkeypatch.setattr(ro, "interior_state", resonant)
+        monkeypatch.setattr(sp, "interior_state", resonant)
+        vals = sp._scan_values(ch, pot, np.array([-9.0, -4.0, -1.0]), 1.0, 1e-10)
+        nudged = -4.0 * (1.0 + 1e-9)
+        # all three as one batch, then the resonant point alone from its nudges
+        assert solved == [(-9.0, 1.0), (-4.0, 1.0), (-1.0, 1.0), (-4.0, 1.0), (nudged, 1.0)]
+        monkeypatch.undo()
+        assert vals[1] == sp._matching_scan_value(ch, pot, nudged, 1.0, 1e-10)
+
+        monkeypatch.setattr(ro, "interior_state", resonant)
+        monkeypatch.setattr(sp, "interior_state", resonant)
+        solved.clear()
+        samples = sp._threshold_samples(ch, pot, -1e-9, np.array([0.0, 0.5, 1.0]), 1e-9)
+        assert solved == [(-1e-9, 0.0), (-1e-9, 0.5), (-1e-9, 1.0), (-1e-9, 0.5),
+                          (-1e-9, 0.5 + 1e-13)]
+        monkeypatch.undo()
+        assert samples[1] == sp._threshold_state(ch, pot, -1e-9, 0.5 + 1e-13, 1e-9)
+
+
+class TestEnergyFloor:
+    def test_floor_scales_with_the_coupling(self):
+        pot = PotentialModel(r0=1.0, local=square_well(10.0))
+        assert sp.default_energy_floor(CH_S, pot) == -1.5 * 10.0 - 1.0
+        assert sp.default_energy_floor(CH_S, pot.with_mu(5.0)) == -1.5 * 50.0 - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(CH_S, pot, mu=5.0)
+        oracle = swave_well_levels(50.0, 1.0)
+        assert len(states) == len(oracle) == 2
+        for s, E_ref in zip(states, oracle):
+            assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
+
+    def test_kernel_bound_carries_the_dimension_weight(self):
+        # q = 5, r0 = 3: the source g r^2 is about 4 g on the bump at r = 2, so
+        # a floor from the bare profile g (-23.6) sits far above the level
+        ch = ChannelParams(q=5, l=0)
+        pot = PotentialModel(r0=3.0, kernel=(gaussian_bump(2.0, 0.3),), strengths=(-40.0,))
+        assert sp.default_energy_floor(ch, pot) < -237.83
+        states = find_bound_states(ch, pot, n_scan=16)
+        assert len(states) == 1
+        assert states[0].E == pytest.approx(-237.83, abs=0.01)
