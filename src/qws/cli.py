@@ -24,8 +24,8 @@ from .config import (ExperimentConfig, build_channel, build_potential,
 from .errors import (AmbiguousCrossingError, ConfigError,
                      NearThresholdResonanceError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
-from .radial_ode import integrate_jost, interior_state, make_grid, solve_nonlocal
-from .scattering import (low_k_phase_asymptotic, phase_shift,
+from .radial_ode import integrate_jost, make_grid, solve_nonlocal
+from .scattering import (log_derivative_interior, low_k_phase_asymptotic, phase_shift,
                          wronskian_pair_jost, wronskian_pair_phi)
 from .spectral import find_bound_states, levinson_verify, sturm_liouville_check
 
@@ -168,10 +168,7 @@ def _zero_energy_A(channel, potential, mu, tol) -> Optional[float]:
     try:
         eq = effective_equation(channel, potential.with_mu(mu),
                                 EnergyValue(E=-1e-12))
-        u, v, max_u = interior_state(eq, tol)
-        if abs(u) < 1e-12 * max_u:
-            return None
-        return (v / u).real
+        return log_derivative_interior(eq, tol).A.real
     except QwsError:
         return None
 

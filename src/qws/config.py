@@ -160,6 +160,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 diags.append(f"missing '{key}' in [channel]")
             elif not _is_float(cfg.channel[key]):
                 diags.append(f"[channel] {key} must be numeric")
+            elif not math.isfinite(float(cfg.channel[key])):
+                diags.append(f"[channel] {key} must be finite")
         if not diags or all(_is_float(cfg.channel.get(k, "x")) for k in ("q", "l")):
             q = float(cfg.channel.get("q", "nan"))
             l = float(cfg.channel.get("l", "nan"))
@@ -167,10 +169,12 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append("missing 'r0' in [potential]")
         elif not _is_float(cfg.potential["r0"]):
             diags.append("[potential] r0 must be numeric")
+        elif not math.isfinite(float(cfg.potential["r0"])):
+            diags.append("[potential] r0 must be finite")
         elif float(cfg.potential["r0"]) <= 0:
             diags.append("[potential] r0 must be positive")
 
-    if q is not None and l is not None and q == q and l == l:
+    if q is not None and l is not None and math.isfinite(q) and math.isfinite(l):
         lam = l + (q - 2) / 2
         if cfg.task in ("levinson", "bound-states", "sturm-check") and lam <= 0:
             diags.append(
@@ -178,7 +182,7 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 "(threshold-degenerate regime: need l + (q-2)/2 > 0)")
 
     r0 = None
-    if _is_float(cfg.potential.get("r0", "")):
+    if _is_float(cfg.potential.get("r0", "")) and math.isfinite(float(cfg.potential["r0"])):
         r0 = float(cfg.potential["r0"])
     family = cfg.potential.get("family", "none")
     if family not in _LOCAL_PARAMS:
@@ -222,6 +226,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))
+        if (lo is None) != (hi is None):
+            diags.append(f"[scan] {gk}_min and {gk}_max must be given together")
         if lo is not None and hi is not None and _is_float(lo) and _is_float(hi):
             if float(lo) >= float(hi):
                 diags.append(f"[scan] {gk}_min must be < {gk}_max")
@@ -232,19 +238,23 @@ def validate(cfg: ExperimentConfig) -> List[str]:
 
 def _param_diags(section: str, store: Dict[str, str], required: Tuple[str, ...],
                  numeric: Tuple[str, ...]) -> List[str]:
-    """Missing required keys and non-numeric values of one section."""
+    """Missing required keys and non-numeric or non-finite values of one section."""
     diags = [f"[{section}] missing '{key}'" for key in required if key not in store]
-    diags += [f"[{section}] {key} must be numeric" for key in numeric
-              if key in store and not _is_float(store[key])]
+    for key in numeric:
+        if key not in store:
+            continue
+        if not _is_float(store[key]):
+            diags.append(f"[{section}] {key} must be numeric")
+        elif not math.isfinite(float(store[key])):
+            diags.append(f"[{section}] {key} must be finite")
     return diags
 
 
 def _grid_diags(grid: Dict[str, str], r0: Optional[float]) -> List[str]:
-    """Range checks of the numeric [grid] values: 0 < r_min < r0 <= r_max, node counts."""
-    vals = {k: float(v) for k, v in grid.items() if k in _NUMERIC["grid"] and _is_float(v)}
-    diags = [f"[grid] {k} must be finite" for k, v in vals.items() if not math.isfinite(v)]
-    if diags:
-        return diags
+    """Range checks of the finite [grid] values: 0 < r_min < r0 <= r_max, node counts."""
+    vals = {k: float(v) for k, v in grid.items()
+            if k in _NUMERIC["grid"] and _is_float(v) and math.isfinite(float(v))}
+    diags = []
     if "r_min" in vals and vals["r_min"] <= 0:
         diags.append("[grid] r_min must be positive")
     elif r0 is not None and vals.get("r_min", 0.0) >= r0:

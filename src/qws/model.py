@@ -8,6 +8,11 @@ substitution psi = r^{-(q-1)/2} y, to a one-dimensional radial equation
 whose centrifugal coefficient depends on (q, l) only through the single
 parameter lambda = l + (q-2)/2.  Reduced units hbar^2/2m = 1 throughout,
 so E = k^2 on the scattering side and E = -kappa^2 on the bound side.
+
+One function, :func:`radial_coefficient`, makes the bracket Q(r): every
+equation from :func:`effective_equation` takes its ``coefficient`` from
+it, and so do the float64 lanes of a parameter scan and the free
+continuation beyond the cutoff.
 """
 
 from __future__ import annotations
@@ -74,10 +79,6 @@ class EnergyValue:
     def from_k(cls, k):
         return cls(E=k * k)
 
-    @classmethod
-    def from_kappa(cls, kappa: float) -> "EnergyValue":
-        return cls(E=-(kappa * kappa))
-
     @property
     def k(self):
         E = self.E
@@ -115,7 +116,7 @@ def unreduce_wavefunction(r, y, q):
 class EffectiveEquation:
     """Packaged coefficients of y'' + Q(r) y = sum_i beta_i S_i(r).
 
-    ``coefficient`` evaluates Q(r) = E - (lam^2 - 1/4)/r^2 - mu*V(r); the
+    ``coefficient`` evaluates Q(r) (see :func:`radial_coefficient`); the
     kernel sources S_i(r) = g_i(r) r^{(q-1)/2} already carry the dimensional
     weight, and ``coupling`` is the symmetric coefficient matrix of the
     separable kernel (the solver applies the overall factor mu).
@@ -137,6 +138,31 @@ class EffectiveEquation:
         return len(self.sources)
 
 
+def radial_coefficient(lam, E, mu=0.0,
+                       potential: Optional[PotentialModel] = None) -> Callable:
+    """Q(r) = E - (lam^2 - 1/4)/r^2 - mu*V(r), the coefficient of y in the radial equation.
+
+    V is the local part of ``potential``, zero from r0 on (``potential.mu``
+    is not read).  E and mu are scalars for one equation, or numpy arrays
+    that broadcast against each other for float64 lanes, and Q(r) then holds
+    one value per lane.  Without a local part, or at a scalar mu = 0, Q is
+    the free coefficient; a square well adds its constant inside r0 instead
+    of calling the profile.
+    """
+    cf = centrifugal_coefficient(lam)
+    local = None if potential is None else potential.local
+    if local is None or (np.ndim(mu) == 0 and mu == 0):
+        def coefficient(r, _E=E, _cf=cf):
+            return _E - _cf / (r * r)
+    elif local.constant is not None:
+        def coefficient(r, _Ein=E - mu * local.constant, _E=E, _cf=cf, _r0=potential.r0):
+            return (_Ein if r < _r0 else _E) - _cf / (r * r)
+    else:
+        def coefficient(r, _E=E, _cf=cf, _mu=mu, _v=potential.local_value):
+            return _E - _cf / (r * r) - _mu * _v(r)
+    return coefficient
+
+
 def effective_equation(channel: ChannelParams, potential: PotentialModel,
                        energy: EnergyValue) -> EffectiveEquation:
     """Assemble the reduced radial equation for one (channel, potential, energy).
@@ -147,32 +173,12 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
     """
     lam = channel.lam
     mu = potential.mu
-    E = energy.E
-    cf = centrifugal_coefficient(lam)
-    v = potential.local_value
 
     if potential.rank > 0:
         if lam == 0:
             raise QwsError("lambda = 0 with a kernel: half-bound regime unsupported")
         if isinstance(channel.q, complex) and channel.q.imag != 0:
             raise QwsError("complex q with a kernel: weight r^{(q-1)/2} is multivalued")
-
-    if mu == 0:
-        def coefficient(r, _E=E, _cf=cf):
-            return _E - _cf / (r * r)
-    else:
-        const = potential.constant_inside
-        if const is not None:
-            Eshift = E - mu * const
-            r0_cut = potential.r0
-
-            def coefficient(r, _Ein=Eshift, _E=E, _cf=cf, _r0=r0_cut):
-                if r < _r0:
-                    return _Ein - _cf / (r * r)
-                return _E - _cf / (r * r)
-        else:
-            def coefficient(r, _E=E, _cf=cf, _mu=mu, _v=v):
-                return _E - _cf / (r * r) - _mu * _v(r)
 
     w = (channel.q - 1) / 2  # weight exponent carried by the kernel sources
     sources = []
@@ -196,33 +202,9 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
     return EffectiveEquation(
         channel=channel, potential=potential, energy=energy,
         lam=lam, mu=mu, r0=potential.r0,
-        coefficient=coefficient, sources=tuple(sources),
+        coefficient=radial_coefficient(lam, energy.E, mu, potential),
+        sources=tuple(sources),
         coupling=coupling, origin_w=origin_w,
     )
 
 
-def lane_coefficient(channel: ChannelParams, potential: PotentialModel,
-                     E: np.ndarray, mu: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Q_j(r) = E_j - (lam^2 - 1/4)/r^2 - mu_j V(r) for arrays of energies and couplings.
-
-    The local part of ``potential`` only (``potential.mu`` is ignored; E and
-    mu broadcast against each other).  V(r) is evaluated once per radius for
-    all lanes, and a square well takes the same constant shortcut as
-    :func:`effective_equation`, so each lane's value is bitwise the one the
-    scalar ``coefficient`` of its own equation gives.
-    """
-    cf = centrifugal_coefficient(channel.lam)
-    const = potential.constant_inside
-    if const is not None:
-        E_in = E - mu * const
-        r0 = potential.r0
-
-        def coefficient(r):
-            return (E_in if r < r0 else E) - cf / (r * r)
-    else:
-        v = potential.local_value
-
-        def coefficient(r):
-            return E - cf / (r * r) - mu * v(r)
-
-    return coefficient

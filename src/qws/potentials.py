@@ -28,6 +28,8 @@ class LocalPotential:
     V >= 0 inside the cutoff, -1 when V <= 0, and 0 when the profile
     changes sign or its sign is unknown (the default for hand-built
     profiles); phase shifts of a one-signed well are monotone in mu.
+    ``knots`` are the radii where V' jumps (the rows of a table); the
+    integrator lands a step on each one inside the cutoff.
     """
 
     name: str
@@ -36,6 +38,7 @@ class LocalPotential:
     params: Tuple[Tuple[str, float], ...] = ()
     constant: Optional[float] = None
     sign: int = 0
+    knots: Tuple[float, ...] = ()
 
 
 def square_well(depth: float) -> LocalPotential:
@@ -97,6 +100,7 @@ def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPote
         origin=(0.0, v_at_0, slope),
         params=(("n_rows", float(len(r))),),
         sign=1 if np.all(v >= 0) else -1 if np.all(v <= 0) else 0,
+        knots=tuple(r.tolist()),
     )
 
 
@@ -179,8 +183,11 @@ class PotentialModel:
         return self.local.profile(r)
 
     @property
-    def constant_inside(self) -> Optional[float]:
-        return None if self.local is None else self.local.constant
+    def knots(self) -> Tuple[float, ...]:
+        """Kinks of the local profile strictly inside (0, r0)."""
+        if self.local is None:
+            return ()
+        return tuple(x for x in self.local.knots if x < self.r0)
 
     def kernel_value(self, r: float, rp: float) -> float:
         """U(r, r') = sum_ij c_ij g_i(r) g_j(r'), zero once either radius reaches r0."""

@@ -14,15 +14,15 @@ equation to :func:`interior_state` for (y, y') at the cutoff or to
 the superposition themselves.  :func:`free_exterior` continues a solution
 beyond the cutoff, where the well and the kernel vanish.
 
-The stepper is an embedded Dormand-Prince 4(5) pair on the first-order
-system (y, y'), with one stage block (:func:`_dp45_step`) shared by two
-step loops.  :func:`_integrate` steps one solution in scalar complex
-arithmetic; every single solve uses it (bisection, refinement, phase
-shifts, full grids, kernel superposition).  :func:`interior_lanes` hands
-a grid of (E, mu) points of one local model to :func:`_integrate_lanes`,
-which steps them as float64 numpy lanes sharing one adaptive step; the
-energy scan of the bound-state search and the mu grid of the crossing
-counter run this way.
+One function, :func:`_integrate`, steps every solve with an embedded
+Dormand-Prince 4(5) pair on the first-order system (y, y').  Scalar start
+values step one solution in complex arithmetic (bisection, refinement,
+phase shifts, full grids, kernel superposition); array start values step
+float64 lanes that share one adaptive step, which is how
+:func:`interior_lanes` runs a grid of (E, mu) points of one local model:
+the energy scan of the bound-state search and the mu grid of the crossing
+counter.  Every interior solve also lands a step on each knot of a
+tabulated well, where V' jumps unseen by the error estimate.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateCouplingError, GridMismatchError,
-                     NodeAtCutoffError, QwsError, RegularityError,
-                     StiffnessError)
+from .errors import (DegenerateCouplingError, GridMismatchError, QwsError,
+                     RegularityError, StiffnessError)
 from .model import (ChannelParams, EffectiveEquation, EnergyValue,
-                    effective_equation, lane_coefficient)
+                    effective_equation, radial_coefficient)
 from .potentials import PotentialModel
 
 # Dormand-Prince 4(5) tableau
@@ -161,91 +160,54 @@ class RadialSolution:
         i = self.grid.i_cutoff
         return complex(self.y[i]), complex(self.dy[i])
 
-    def log_derivative_at_cutoff(self) -> complex:
-        y0, dy0 = self.at_cutoff()
-        scale = float(np.max(np.abs(self.y)))
-        if abs(y0) < 1e-12 * scale:
-            raise NodeAtCutoffError("solution has a node at r0; log-derivative undefined")
-        return dy0 / y0
 
-
-def _dp45_step(qfun, sfun, r, h, u, v, k1u, k1v):
-    """One Dormand-Prince 4(5) step of (y, y') from r to r + h, k1 = f(r) given.
-
-    Returns (y, y') at r + h, the FSAL derivative there and the embedded
-    error estimate (eu, ev).  The arithmetic is generic: scalars for
-    :func:`_integrate`, float64 lanes for :func:`_integrate_lanes`.
-    """
-    r2 = r + _C2 * h
-    u2 = u + h * _A21 * k1u
-    v2 = v + h * _A21 * k1v
-    k2u, k2v = v2, -qfun(r2) * u2
-    if sfun is not None:
-        k2v += sfun(r2)
-    r3 = r + _C3 * h
-    u3 = u + h * (_A31 * k1u + _A32 * k2u)
-    v3 = v + h * (_A31 * k1v + _A32 * k2v)
-    k3u, k3v = v3, -qfun(r3) * u3
-    if sfun is not None:
-        k3v += sfun(r3)
-    r4 = r + _C4 * h
-    u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-    v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-    k4u, k4v = v4, -qfun(r4) * u4
-    if sfun is not None:
-        k4v += sfun(r4)
-    r5 = r + _C5 * h
-    u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-    v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-    k5u, k5v = v5, -qfun(r5) * u5
-    if sfun is not None:
-        k5v += sfun(r5)
-    r6 = r + h
-    u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-    v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-    q6 = qfun(r6)  # stages 6 and 7 share r + h
-    k6u, k6v = v6, -q6 * u6
-    if sfun is not None:
-        s6 = sfun(r6)
-        k6v += s6
-    un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-    vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-    k7u, k7v = vn, -q6 * un
-    if sfun is not None:
-        k7v += s6
-    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-    return un, vn, k7u, k7v, eu, ev
-
-
-def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float], complex]],
-               r_start: float, u0: complex, v0: complex,
-               record: np.ndarray, rtol: float, atol: float = 0.0,
+def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
+               r_start: float, u0, v0, record: np.ndarray, rtol: float,
                return_winding: bool = False):
-    """Adaptive DP45 along the (directed) node list ``record``; lands on every node.
+    """Adaptive Dormand-Prince 4(5) along the (directed) node list ``record``; lands on every node.
 
-    Returns (u_nodes, v_nodes, max_abs_u).  ``record`` must be monotone and
+    Steps the first-order system (y, y') of y'' + Q y = S, with Q = ``qfun``
+    and S = ``sfun`` (None for the homogeneous equation).  Scalar start
+    values step one solution in complex arithmetic.  Array start values step
+    float64 lanes, one real solution per entry of a ``qfun`` that returns
+    one Q per lane: the lanes share every step, which is accepted only when
+    each lane passes its own error test, and the next step follows the worst
+    lane.  Each lane is therefore controlled at least as tightly as alone,
+    and a single lane takes exactly the scalar steps.
+
+    Returns (u_nodes, v_nodes, max_abs_u), node axis first; for lanes
+    max_abs_u holds one value per lane.  ``record`` must be monotone and
     start strictly after r_start in the direction of integration (or equal).
 
-    ``return_winding=True`` appends the Prufer winding count: the signed
-    number of 2 pi wraps of atan2(Re y', Re y) over the accepted steps, so
-    that the continuous angle at the last node is its atan2 plus 2 pi times
-    the count.  A step that would turn (Re y, Re y') by more than pi/2 is
-    rejected and retried with half the step, which keeps every wrap
-    unambiguous.
+    ``return_winding=True`` (scalars only) appends the Prufer winding count:
+    the signed number of 2 pi wraps of atan2(Re y', Re y) over the accepted
+    steps, so that the continuous angle at the last node is its atan2 plus
+    2 pi times the count.  A step that would turn (Re y, Re y') by more
+    than pi/2 is rejected and retried with half the step, which keeps every
+    wrap unambiguous.
     """
+    lanes = np.ndim(u0) > 0
+    if lanes:
+        if return_winding:
+            raise QwsError("the winding count is defined for a single solution only")
+        u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+        mag = np.abs
+    else:
+        u, v = complex(u0), complex(v0)
+        mag = abs
     n = len(record)
-    us = np.empty(n, dtype=complex)
-    vs = np.empty(n, dtype=complex)
+    us = np.empty((n,) + np.shape(u), dtype=float if lanes else complex)
+    vs = np.empty_like(us)
     idx = 0
     r = r_start
-    u, v = complex(u0), complex(v0)
     turns = 0
+    max_u = mag(u)   # running magnitudes; also floor the error weights below
+    run_v = mag(v)
     if record[0] == r_start:
         us[0], vs[0] = u, v
         idx = 1
         if n == 1:
-            return (us, vs, abs(u), turns) if return_winding else (us, vs, abs(u))
+            return (us, vs, max_u, turns) if return_winding else (us, vs, max_u)
     direction = 1.0 if record[-1] > r_start else -1.0
     span = abs(record[-1] - r_start)
     if span == 0.0:
@@ -254,9 +216,7 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
     if r_start != 0.0:
         h0 = min(h0, 0.1 * abs(r_start))  # stay below the centrifugal-layer scale
     h = direction * h0
-    max_u = abs(u)   # running magnitudes; also floor the error weights below
-    run_v = abs(v)
-    phi = math.atan2(v.real, u.real)
+    phi = math.atan2(v.real, u.real) if return_winding else 0.0
     s0 = sfun(r) if sfun is not None else 0.0
     k1u, k1v = v, s0 - qfun(r) * u
     steps = 0
@@ -276,16 +236,61 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
             clipped = True
         if not clipped and abs(h) < 1e-15 * span:
             raise StiffnessError("step size underflow")
-        un, vn, k7u, k7v, eu, ev = _dp45_step(qfun, sfun, r, h, u, v, k1u, k1v)
+        # one step from r to r + h, k1 = f(r) given; stages 6 and 7 share r + h
+        r2 = r + _C2 * h
+        u2 = u + h * _A21 * k1u
+        v2 = v + h * _A21 * k1v
+        k2u, k2v = v2, -qfun(r2) * u2
+        if sfun is not None:
+            k2v += sfun(r2)
+        r3 = r + _C3 * h
+        u3 = u + h * (_A31 * k1u + _A32 * k2u)
+        v3 = v + h * (_A31 * k1v + _A32 * k2v)
+        k3u, k3v = v3, -qfun(r3) * u3
+        if sfun is not None:
+            k3v += sfun(r3)
+        r4 = r + _C4 * h
+        u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+        v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+        k4u, k4v = v4, -qfun(r4) * u4
+        if sfun is not None:
+            k4v += sfun(r4)
+        r5 = r + _C5 * h
+        u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+        v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+        k5u, k5v = v5, -qfun(r5) * u5
+        if sfun is not None:
+            k5v += sfun(r5)
+        r6 = r + h
+        u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+        v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+        q6 = qfun(r6)
+        k6u, k6v = v6, -q6 * u6
+        if sfun is not None:
+            s6 = sfun(r6)
+            k6v += s6
+        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        k7u, k7v = vn, -q6 * un
+        if sfun is not None:
+            k7v += s6
+        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
         # weights floored at 1e-3 of the running magnitude: pointwise relative
         # control is unsatisfiable (roundoff floor) where a component crosses zero
-        sc_u = atol + rtol * max(abs(u), abs(un), 1e-3 * max_u)
-        sc_v = atol + rtol * max(abs(v), abs(vn), 1e-3 * run_v)
-        err = 0.0
-        if eu != 0.0:
-            err = abs(eu) / sc_u if sc_u > 0.0 else math.inf
-        if ev != 0.0:
-            err = max(err, abs(ev) / sc_v if sc_v > 0.0 else math.inf)
+        au, av = mag(un), mag(vn)
+        if lanes:
+            sc_u = rtol * np.maximum(np.maximum(np.abs(u), au), 1e-3 * max_u)
+            sc_v = rtol * np.maximum(np.maximum(np.abs(v), av), 1e-3 * run_v)
+            err = float(max(np.max(np.abs(eu) / sc_u), np.max(np.abs(ev) / sc_v)))
+        else:
+            sc_u = rtol * max(abs(u), au, 1e-3 * max_u)
+            sc_v = rtol * max(abs(v), av, 1e-3 * run_v)
+            err = 0.0
+            if eu != 0.0:
+                err = abs(eu) / sc_u if sc_u > 0.0 else math.inf
+            if ev != 0.0:
+                err = max(err, abs(ev) / sc_v if sc_v > 0.0 else math.inf)
         if err <= 1.0 and return_winding:
             phi_new = math.atan2(vn.real, un.real)
             turn = phi_new - phi
@@ -301,16 +306,18 @@ def _integrate(qfun: Callable[[float], complex], sfun: Optional[Callable[[float]
                 continue
             phi = phi_new
             turns += wrap
-        if err <= 1.0:
+        if err <= 1.0:  # NaN rejects
             r = target if clipped else r + h
             u, v = un, vn
             k1u, k1v = k7u, k7v  # FSAL
-            au = abs(u)
-            av = abs(v)
-            if au > max_u:
-                max_u = au
-            if av > run_v:
-                run_v = av
+            if lanes:
+                max_u = np.maximum(max_u, au)
+                run_v = np.maximum(run_v, av)
+            else:  # builtin max() would cost more than the comparisons
+                if au > max_u:
+                    max_u = au
+                if av > run_v:
+                    run_v = av
             if clipped:
                 us[idx], vs[idx] = u, v
                 idx += 1
@@ -344,6 +351,47 @@ def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, floa
     return u, v, trunc if np.ndim(trunc) else float(trunc)
 
 
+def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: float,
+                 return_winding: bool = False, second_branch: bool = False):
+    """Origin-regular solve: the series start at record[0] = r_min, then :func:`_integrate`.
+
+    Requires Re lam > 0 (``second_branch=True`` admits the subdominant
+    branch of :func:`integrate_regular` instead).  E and origin_w are
+    scalars, or arrays for float64 lanes.  Returns (relative truncation
+    error of the start, the tuple of :func:`_integrate`).
+    """
+    re = lam.real if isinstance(lam, complex) else lam
+    if second_branch:
+        if not (-1.0 < re < 0.0) or abs(2 * re + 1) < 1e-6:
+            raise RegularityError(
+                "second branch supported for -1 < Re lam < 0, lam != -1/2")
+    elif re <= 0.0:
+        raise RegularityError("regular solution requires Re lam > 0")
+    r_min = float(record[0])
+    u0, v0, trunc = frobenius_start(lam, E, origin_w, r_min)
+    return trunc, _integrate(qfun, None, r_min, u0, v0, record, tol, return_winding)
+
+
+def _with_knots(potential: PotentialModel, nodes) -> Tuple[np.ndarray, object]:
+    """``nodes`` with the knots of the local profile strictly inside their span merged in.
+
+    V' jumps at a knot of a tabulated well; the DP45 error estimate does
+    not see that, so a step across one misses the tolerance, while a step
+    landed on each knot keeps it.  Returns (record, keep) with
+    record[keep] == nodes, the record running in the direction of ``nodes``.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    lo, hi = sorted((nodes[0], nodes[-1]))
+    knots = [x for x in potential.knots if lo < x < hi]
+    if not knots:
+        return nodes, slice(None)
+    record = np.union1d(nodes, knots)
+    keep = np.searchsorted(record, nodes)
+    if nodes[0] > nodes[-1]:
+        return record[::-1], len(record) - 1 - keep
+    return record, keep
+
+
 def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10,
                       second_branch: bool = False) -> RadialSolution:
     """Origin-regular solution over the whole grid (local equation only).
@@ -355,20 +403,12 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
     ill-posed for large |lam|, so only -1 < Re lam < 0 away from -1/2 is
     accepted.
     """
-    lam = eq.lam
-    re = lam.real if isinstance(lam, complex) else lam
-    if second_branch:
-        if not (-1.0 < re < 0.0) or abs(2 * re + 1) < 1e-6:
-            raise RegularityError(
-                "second branch supported for -1 < Re lam < 0, lam != -1/2")
-    elif re <= 0.0:
-        raise RegularityError("regular solution requires Re lam > 0")
     if _kernel_active(eq):
         raise QwsError("equation has an active kernel; use solve_nonlocal")
-    u0, v0, trunc = frobenius_start(lam, eq.energy.E, eq.origin_w, grid.r_min)
-    us, vs, _ = _integrate(eq.coefficient, None, grid.r_min, u0, v0,
-                           grid.nodes, rtol=tol)
-    return RadialSolution(grid=grid, y=us, dy=vs, normalization="origin-regular",
+    record, keep = _with_knots(eq.potential, grid.nodes)
+    trunc, (us, vs, _) = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
+                                      record, tol, second_branch=second_branch)
+    return RadialSolution(grid=grid, y=us[keep], dy=vs[keep], normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
                           start_error=trunc)
 
@@ -395,11 +435,11 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
         ph = cmath.exp(-1j * k * nodes[j])
         y[j] = ph
         dy[j] = -1j * k * ph
-    inward = nodes[: i0 + 1][::-1]
+    record, keep = _with_knots(eq.potential, nodes[: i0 + 1][::-1])
     us, vs, _ = _integrate(eq.coefficient, None, float(nodes[i0]),
-                           y[i0], dy[i0], inward, rtol=tol)
-    y[: i0 + 1] = us[::-1]
-    dy[: i0 + 1] = vs[::-1]
+                           y[i0], dy[i0], record, rtol=tol)
+    y[: i0 + 1] = us[keep][::-1]
+    dy[: i0 + 1] = vs[keep][::-1]
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="jost",
                           channel=eq.channel, energy=energy, mu=eq.mu)
 
@@ -428,22 +468,21 @@ def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float)
         if lam.imag != 0:
             raise QwsError("non-local solve requires real lambda")
         lam = lam.real
-    if lam <= 0:
-        raise RegularityError("non-local solve requires lam > 0")
     E = eq.energy.E
     if isinstance(E, complex) and E.imag != 0:
         raise QwsError("non-local solve requires real energy")
     interior = grid.interior_nodes
-    u0, v0, _ = frobenius_start(lam, E, eq.origin_w, grid.r_min)
-    yh, dyh, _ = _integrate(eq.coefficient, None, grid.r_min, u0, v0, interior, rtol=tol)
+    record, keep = _with_knots(eq.potential, interior)
+    _, (yh, dyh, _) = _from_origin(eq.coefficient, lam, E, eq.origin_w, record, tol)
+    yh, dyh = yh[keep], dyh[keep]
     n = eq.rank
     ys = []
     dys = []
     for src in eq.sources:
         yj, dyj, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0,
-                                interior, rtol=tol)
-        ys.append(yj)
-        dys.append(dyj)
+                                record, rtol=tol)
+        ys.append(yj[keep])
+        dys.append(dyj[keep])
     s_samples = [np.array([src(float(r)) for r in interior]) for src in eq.sources]
     power = lam + 0.5
     m_h = np.array([cutoff_integral(grid, s_samples[i] * yh, power) for i in range(n)])
@@ -498,13 +537,8 @@ def free_exterior(eq: EffectiveEquation, y0: complex, dy0: complex,
     Beyond the cutoff the well and the kernel both vanish, so the solution
     obeys the free equation y'' + (E - (lam^2 - 1/4)/r^2) y = 0 there.
     """
-    cf = eq.lam * eq.lam - 0.25
-    E = eq.energy.E
-
-    def q_free(r, _E=E, _cf=cf):
-        return _E - _cf / (r * r)
-
-    us, vs, _ = _integrate(q_free, None, float(nodes[0]), y0, dy0, nodes, rtol=tol)
+    us, vs, _ = _integrate(radial_coefficient(eq.lam, eq.energy.E), None,
+                           float(nodes[0]), y0, dy0, nodes, rtol=tol)
     return us, vs
 
 
@@ -525,59 +559,10 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
         grid = make_grid(eq.r0, r_max=eq.r0, n_interior=_MOMENT_NODES)
         y, dy, _ = _interior_superposition(eq, grid, tol)
         return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
-    lam = eq.lam
-    re = lam.real if isinstance(lam, complex) else lam
-    if re <= 0.0:
-        raise RegularityError("regular solution requires Re lam > 0")
-    r_min = 1e-6 * eq.r0
-    u0, v0, _ = frobenius_start(lam, eq.energy.E, eq.origin_w, r_min)
-    us, vs, *rest = _integrate(eq.coefficient, None, r_min, u0, v0,
-                               np.array([eq.r0]), rtol=tol,
-                               return_winding=return_winding)
-    return (complex(us[0]), complex(vs[0]), *rest)
-
-
-def _integrate_lanes(qfun: Callable[[float], np.ndarray], r_start: float,
-                     u: np.ndarray, v: np.ndarray, r_end: float, rtol: float):
-    """:func:`_integrate` outward to the single node r_end, on float64 lanes.
-
-    The lanes share every step: one DP45 step of all lanes is accepted only
-    when each lane passes with its own error weights (floored at 1e-3 of its
-    own running magnitude, as in the scalar stepper), and the next step size
-    follows the worst lane.  Every lane is therefore controlled at least as
-    tightly as it would be alone, and a single lane takes the scalar
-    stepper's steps exactly.  Returns (u, v, max_abs_u) at r_end.
-    """
-    span = r_end - r_start
-    h = min(1e-3 * span, 0.1 * r_start)
-    r = r_start
-    max_u = np.abs(u)
-    run_v = np.abs(v)
-    k1u, k1v = v, -qfun(r) * u
-    for _ in range(_MAX_STEPS):
-        clipped = r + h - r_end >= 0.0
-        if clipped:
-            h = r_end - r
-        elif h < 1e-15 * span:
-            raise StiffnessError("step size underflow")
-        un, vn, k7u, k7v, eu, ev = _dp45_step(qfun, None, r, h, u, v, k1u, k1v)
-        au, av = np.abs(un), np.abs(vn)
-        sc_u = rtol * np.maximum(np.maximum(np.abs(u), au), 1e-3 * max_u)
-        sc_v = rtol * np.maximum(np.maximum(np.abs(v), av), 1e-3 * run_v)
-        err = float(max(np.max(np.abs(eu) / sc_u), np.max(np.abs(ev) / sc_v)))
-        if not err <= 1.0:  # NaN rejects, as in the scalar stepper
-            h *= max(0.1, 0.9 * err ** -0.2)
-            continue
-        u, v = un, vn
-        max_u = np.maximum(max_u, au)
-        if clipped:
-            return u, v, max_u
-        r = r + h
-        k1u, k1v = k7u, k7v  # FSAL
-        run_v = np.maximum(run_v, av)
-        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = min(h * fac, span)
-    raise StiffnessError("step budget exhausted; equation too stiff")
+    record, _ = _with_knots(eq.potential, [1e-6 * eq.r0, eq.r0])
+    _, (us, vs, *rest) = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
+                                      record, tol, return_winding=return_winding)
+    return (complex(us[-1]), complex(vs[-1]), *rest)
 
 
 def interior_lanes(channel: ChannelParams, potential: PotentialModel,
@@ -587,11 +572,10 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     Point j solves the equation of ``channel`` and ``potential`` at energy
     E[j] and coupling mu[j] (E and mu broadcast against each other;
     ``potential.mu`` is ignored).  A local model integrates all points at
-    once as float64 lanes that share one adaptive DP45 step (see
-    :func:`_integrate_lanes`); lam, E and mu must be real.  A model with a
-    kernel is solved point by point through :func:`interior_state`, and a
-    point whose kernel solve is degenerate comes back as NaN in all three
-    arrays.  Returns the real parts.
+    once as float64 lanes of :func:`_integrate`, which share every step; lam,
+    E and mu must be real.  A model with a kernel is solved point by point
+    through :func:`interior_state`, and a point whose kernel solve is
+    degenerate comes back as NaN in all three arrays.  Returns the real parts.
     """
     E = np.asarray(E, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -610,14 +594,11 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     lam = channel.lam
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
-    if lam <= 0.0:
-        raise RegularityError("regular solution requires Re lam > 0")
-    r_min = 1e-6 * potential.r0
+    record, _ = _with_knots(potential, [1e-6 * potential.r0, potential.r0])
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
-    u0, v0, _ = frobenius_start(lam, E, origin_w, r_min)
-    return _integrate_lanes(lane_coefficient(channel, potential, E, mu), r_min,
-                            np.broadcast_to(u0, shape).astype(float),
-                            np.broadcast_to(v0, shape).astype(float), potential.r0, tol)
+    _, (us, vs, max_u) = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
+                                      origin_w, record, tol)
+    return us[-1].real, vs[-1].real, max_u
 
 
 def green_identity_residual(y1: RadialSolution, y2: RadialSolution) -> float:

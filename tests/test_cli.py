@@ -383,11 +383,11 @@ version = 1
 task = bound-states
 
 [channel]
-q = 3
+q = {q}
 l = 1
 
 [potential]
-r0 = 1.0
+r0 = {r0}
 {potential}
 {kernel}
 """
@@ -395,7 +395,7 @@ KERNEL_BUMP = "[kernel.1]\nfamily = gaussian_bump\ncenter = 0.5\nwidth = 0.15\n"
 WELL = "family = square_well\ndepth = 4.0"
 
 
-@pytest.mark.parametrize("potential, kernel, message", [
+MALFORMED = [
     ("family = square_well", "", "missing 'depth'"),
     ("family = square_well\ndepth = abc", "", "depth must be numeric"),
     ("family = truncated_gaussian\ndepth = 4.0", "", "missing 'width'"),
@@ -418,14 +418,30 @@ WELL = "family = square_well\ndepth = 4.0"
     (WELL, "[grid]\nn_interior = 3", "n_interior must be >= 5"),
     (WELL, "[grid]\nn_exterior = 1", "n_exterior must be >= 2"),
     (WELL, "[grid]\nn_interior = nan", "n_interior must be finite"),
-], ids=["depth-missing", "depth-abc", "width-missing", "table-missing", "mu-word",
-        "strength-x", "height-word", "poly-b-missing", "poly-b-zero", "grid-word",
-        "lambdas-word", "ks-word", "r_min-zero", "r_min-above-r0", "r_max-below-r0",
-        "n_interior-3", "n_exterior-1", "n_interior-nan"])
-def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys,
-                                                          potential, kernel, message):
+    ("family = none\nmu = nan", "", "mu must be finite"),
+    ("family = square_well\ndepth = inf", "", "depth must be finite"),
+    ("family = none", KERNEL_BUMP + "strength = nan", "strength must be finite"),
+    ("family = none", "[scan]\nk_min = 0.1", "k_min and k_max must be given together"),
+    ("family = none", "[scan]\ne_min = -3", "e_min and e_max must be given together"),
+    # the last two fields replace the template's q = 3 and r0 = 1.0
+    (WELL, "", "q must be finite", "nan", "1.0"),
+    (WELL, "", "r0 must be finite", "3", "inf"),
+]
+
+
+@pytest.mark.parametrize("potential, kernel, message, q, r0",
+                         [case + ("3", "1.0")[len(case) - 3:] for case in MALFORMED],
+                         ids=["depth-missing", "depth-abc", "width-missing", "table-missing",
+                              "mu-word", "strength-x", "height-word", "poly-b-missing",
+                              "poly-b-zero", "grid-word", "lambdas-word", "ks-word",
+                              "r_min-zero", "r_min-above-r0", "r_max-below-r0",
+                              "n_interior-3", "n_exterior-1", "n_interior-nan", "mu-nan",
+                              "depth-inf", "strength-nan", "k_min-alone", "e_min-alone",
+                              "q-nan", "r0-inf"])
+def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys, potential,
+                                                          kernel, message, q, r0):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(BOUND_MIN.format(potential=potential, kernel=kernel))
+    cfg.write_text(BOUND_MIN.format(potential=potential, kernel=kernel, q=q, r0=r0))
     rc = main(["bound-states", "--config", str(cfg),
                "--out", str(tmp_path / "o.json"), "--no-metadata"])
     assert rc == 2

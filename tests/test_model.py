@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qws.errors import QwsError
 from qws.model import (ChannelParams, EnergyValue, centrifugal_coefficient,
-                       effective_equation, lambda_of, reduce_wavefunction,
-                       unreduce_wavefunction)
-from qws.potentials import PotentialModel, gaussian_bump, square_well
+                       effective_equation, lambda_of, radial_coefficient,
+                       reduce_wavefunction, unreduce_wavefunction)
+from qws.potentials import (PotentialModel, gaussian_bump, square_well,
+                            truncated_gaussian)
 
 
 def test_lambda_of_values():
@@ -103,6 +104,23 @@ def test_mu_zero_matches_free_bitwise():
     for r in np.linspace(0.01, 2.0, 37):
         assert eq.coefficient(r) == eq_free.coefficient(r)
     assert eq.sources == ()
+
+
+@pytest.mark.parametrize("local", [None, square_well(7.0), truncated_gaussian(5.0, 0.4)],
+                         ids=["free", "square", "gaussian"])
+def test_lane_coefficients_are_the_scalar_coefficients(local):
+    # one function makes both: lane (i, j) is bitwise Q of the equation at (mu_i, E_j)
+    ch = ChannelParams(q=3, l=1)
+    pot = PotentialModel(r0=1.0, local=local)
+    E = np.array([-5.0, 0.0, 2.5])
+    mu = np.array([[0.0], [0.7], [-1.0]])
+    lanes = radial_coefficient(ch.lam, E, mu, pot)
+    for r in (0.01, 0.5, 0.999, 1.0, 1.7):
+        q = np.broadcast_to(lanes(r), (3, 3))
+        for i, m in enumerate(mu[:, 0]):
+            for j, e in enumerate(E):
+                eq = effective_equation(ch, pot.with_mu(m), EnergyValue(E=float(e)))
+                assert q[i, j] == eq.coefficient(r)
 
 
 def test_lambda_evenness_bitwise():

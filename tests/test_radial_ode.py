@@ -7,11 +7,11 @@ from scipy import special as sp
 
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
-from qws.model import ChannelParams, EnergyValue, effective_equation
+from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
 from qws.potentials import (PotentialModel, gaussian_bump, square_well, tabulated,
                             truncated_exponential, truncated_gaussian)
-from qws.radial_ode import (cutoff_integral, count_interior_nodes,
-                            green_identity_residual, integrate_jost,
+from qws.radial_ode import (_integrate, cutoff_integral, count_interior_nodes,
+                            frobenius_start, green_identity_residual, integrate_jost,
                             integrate_regular, interior_lanes, interior_state,
                             make_grid, solve_nonlocal)
 
@@ -528,21 +528,6 @@ class TestInteriorLanes:
             lane = interior_lanes(ch, pot, [E], mu)
             assert tuple(x[0] for x in lane) == _scalar_cutoff(ch, pot, E, mu)
 
-    def test_kinked_table_lanes_at_least_as_accurate_as_scalar(self):
-        # across the table's kinks the scalar stepper itself is off by ~1e-7
-        # relative; shared steps are never coarser, so lanes err no more
-        ch, local = KINKED_TABLE
-        pot = PotentialModel(r0=1.0, local=local)
-        E = _scan_energies(pot, 40)
-        u, v, _ = interior_lanes(ch, pot, E, 1.0)
-        ref = np.array([_scalar_cutoff(ch, pot, e, 1.0) for e in E])
-        tight = np.array([_scalar_cutoff(ch, pot, e, 1.0, tol=1e-13) for e in E])
-        lane_err = np.maximum(np.abs(u - tight[:, 0]), np.abs(v - tight[:, 1])) / tight[:, 2]
-        scalar_err = np.maximum(np.abs(ref[:, 0] - tight[:, 0]),
-                                np.abs(ref[:, 1] - tight[:, 1])) / tight[:, 2]
-        assert lane_err.max() <= scalar_err.max()
-        assert np.array_equal(np.sign(u), np.sign(ref[:, 0]))
-
     def test_kernel_points_solved_one_by_one(self, monkeypatch):
         import qws.radial_ode as ro
         ch = ChannelParams.from_lambda(1.5)
@@ -565,3 +550,111 @@ class TestInteriorLanes:
         ch = ChannelParams(q=3, l=0.5 + 0.5j)
         with pytest.raises(QwsError):
             interior_lanes(ch, WELL, [-1.0, -2.0], 1.0)
+
+
+def _knot_to_knot(eq, stops, u0, v0):
+    """(y, y') at stops[-1] by scipy's DOP853 at rtol 1e-13, restarted at every stop."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(r, y):
+        u, v = y[0] + 1j * y[1], y[2] + 1j * y[3]
+        dv = -eq.coefficient(r) * u
+        return [v.real, v.imag, dv.real, dv.imag]
+
+    y = [u0.real, u0.imag, v0.real, v0.imag]
+    for a, b in zip(stops[:-1], stops[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-300)
+        assert sol.success
+        y = sol.y[:, -1]
+    return complex(y[0], y[1]), complex(y[2], y[3])
+
+
+class TestTabulatedKnots:
+    """V' jumps at every row of a table; each interior solve lands a step on the rows."""
+
+    def test_knots_are_the_rows_inside_the_cutoff(self):
+        _, local = KINKED_TABLE
+        assert local.knots == tuple(_R_TAB)
+        assert PotentialModel(r0=0.5, local=local).knots == tuple(_R_TAB[_R_TAB < 0.5])
+        assert PotentialModel(r0=1.0, local=square_well(4.0)).knots == ()
+
+    def test_kinked_table_scalar_and_lanes_match_knot_to_knot_reference(self):
+        # stepping across the rows left the solves ~3e-7 max|y| off this reference
+        ch, local = KINKED_TABLE
+        pot = PotentialModel(r0=1.0, local=local)
+        E = np.array([-3.0, -20.0, 5.0])
+        u, v, max_u = interior_lanes(ch, pot, E, 1.0)
+        r_min = 1e-6
+        for j, e in enumerate(E):
+            eq = effective_equation(ch, pot, EnergyValue(E=float(e)))
+            u0, v0, _ = frobenius_start(ch.lam, float(e), eq.origin_w, r_min)
+            ref_u, ref_v = _knot_to_knot(eq, [r_min, *_R_TAB[:-1], 1.0], u0, v0)
+            su, sv, s_max = _scalar_cutoff(ch, pot, e, 1.0)
+            assert max(abs(su - ref_u), abs(sv - ref_v)) <= 1e-9 * s_max
+            assert max(abs(u[j] - ref_u), abs(v[j] - ref_v)) <= 1e-9 * max_u[j]
+
+    def test_full_grid_and_jost_match_knot_to_knot_reference(self):
+        # a coarse grid: its nodes alone would let steps straddle the rows
+        ch, local = KINKED_TABLE
+        pot = PotentialModel(r0=1.0, local=local)
+        g = make_grid(1.0, n_interior=11, n_exterior=3)
+        i0 = g.i_cutoff
+        eq = effective_equation(ch, pot, EnergyValue(E=-3.0))
+        sol = solve_nonlocal(eq, g, 1e-10)
+        u0, v0, _ = frobenius_start(ch.lam, -3.0, eq.origin_w, g.r_min)
+        ref_u, ref_v = _knot_to_knot(eq, [g.r_min, *_R_TAB[:-1], 1.0], u0, v0)
+        scale = np.max(np.abs(sol.y[: i0 + 1]))
+        assert max(abs(sol.y[i0] - ref_u), abs(sol.dy[i0] - ref_v)) <= 1e-9 * scale
+        k = 2.0
+        eq = effective_equation(ch, pot, EnergyValue(E=k * k))
+        jost = integrate_jost(eq, g, k, 1e-10)
+        ref_u, ref_v = _knot_to_knot(eq, [1.0, *_R_TAB[-2::-1], g.r_min],
+                                     jost.y[i0], jost.dy[i0])
+        scale = np.max(np.abs(jost.y[: i0 + 1]))
+        assert max(abs(jost.y[0] - ref_u), abs(jost.dy[0] - ref_v)) <= 1e-9 * scale
+
+    def test_kernel_superposition_lands_on_the_rows(self):
+        # with the rows landed, moment grids of 401 and 801 nodes agree to ~1e-12
+        # at r0 (stepping across them they differed by ~2e-7)
+        _, local = KINKED_TABLE
+        pot = PotentialModel(r0=1.0, local=local, kernel=(gaussian_bump(0.5, 0.15),),
+                             strengths=(-20.0,))
+        eq = effective_equation(CH_S, pot, EnergyValue(E=-3.0))
+        u, v, max_u = interior_state(eq, 1e-10)
+        sol = solve_nonlocal(eq, make_grid(1.0, n_interior=801), 1e-10)
+        y0, dy0 = sol.at_cutoff()
+        assert max(abs(y0 - u), abs(dy0 - v)) <= 1e-10 * max_u
+
+
+class TestLaneDriver:
+    """Array start values step float64 lanes through :func:`_integrate`, on any record."""
+
+    @pytest.mark.parametrize("inward", [False, True], ids=["outward", "inward"])
+    def test_each_lane_is_its_scalar_solve_on_every_node(self, inward):
+        ch, local = LANE_WELLS[1]
+        pot = PotentialModel(r0=1.0, local=local)
+        E = np.array([-20.0, -3.0, 0.5, 4.0])
+        if inward:
+            r_start, record = 1.0, np.linspace(0.9, 0.1, 9)
+            u0, v0 = np.ones_like(E), -np.sqrt(np.abs(E))
+        else:
+            r_start, record = 1e-6, np.linspace(0.1, 1.0, 10)
+            u0, v0, _ = frobenius_start(ch.lam, E, pot.origin_coefficients(), r_start)
+        lanes = _integrate(radial_coefficient(ch.lam, E, 1.0, pot), None, r_start,
+                           u0, v0, record, 1e-10)
+        for j, e in enumerate(E):
+            q = effective_equation(ch, pot, EnergyValue(E=float(e))).coefficient
+            us, vs, max_u = _integrate(q, None, r_start, u0[j], v0[j], record, 1e-10)
+            one = _integrate(radial_coefficient(ch.lam, E[j:j + 1], 1.0, pot), None,
+                             r_start, u0[j:j + 1], v0[j:j + 1], record, 1e-10)
+            assert np.array_equal(one[0][:, 0], us.real)
+            assert np.array_equal(one[1][:, 0], vs.real)
+            assert one[2][0] == max_u
+            # shared steps: every lane of the batch within its tolerance of the scalar
+            assert np.all(np.abs(lanes[0][:, j] - us.real) <= 1e-8 * max_u)
+            assert np.all(np.abs(lanes[1][:, j] - vs.real) <= 1e-8 * np.max(np.abs(vs)))
+
+    def test_lanes_refuse_the_winding_count(self):
+        with pytest.raises(QwsError):
+            _integrate(lambda r: np.full(2, -1.0), None, 0.5, np.ones(2), np.ones(2),
+                       np.array([1.0]), 1e-10, return_winding=True)
