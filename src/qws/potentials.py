@@ -158,8 +158,10 @@ class PotentialModel:
     allow_asymmetric_kernel: bool = False  # test-only hook for negative controls
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise QwsError("cutoff radius r0 must be positive")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise QwsError("cutoff radius r0 must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise QwsError("coupling scale mu must be finite")
         if self.kernel:
             if self.coupling is None and len(self.strengths) != len(self.kernel):
                 raise QwsError("one strength per kernel term required")

@@ -17,12 +17,20 @@ beyond the cutoff, where the well and the kernel vanish.
 One function, :func:`_integrate`, steps every solve with an embedded
 Dormand-Prince 4(5) pair on the first-order system (y, y').  Scalar start
 values step one solution in complex arithmetic (bisection, refinement,
-phase shifts, full grids, kernel superposition); array start values step
-float64 lanes that share one adaptive step, which is how
-:func:`interior_lanes` runs a grid of (E, mu) points of one local model:
+phase shifts, full grids, the superposition of a single kernel point);
+array start values step float64 lanes that share one adaptive step, which
+is how :func:`interior_lanes` runs a grid of (E, mu) points of one model:
 the energy scan of the bound-state search and the mu grid of the crossing
-counter.  Every interior solve also lands a step on each knot of a
-tabulated well, where V' jumps unseen by the error estimate.
+counter.  A kernel point there takes 1 + n lanes, its homogeneous and its
+n particular solves, landed on the moment grid.  Both paths take the
+moments and the n x n systems from the same two functions.  Every interior
+solve also lands a step on each knot of a tabulated well, where V' jumps
+unseen by the error estimate.
+
+:func:`interior_in_mu` gives the cutoff values as a function of mu at one
+energy.  In a pure kernel (no local part) Q(r) and the series start do not
+depend on mu, so it makes the superposition once and answers each coupling
+with one n x n solve.
 """
 
 from __future__ import annotations
@@ -53,7 +61,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 _MAX_STEPS = 5_000_000
-_MOMENT_NODES = 401   # interior nodes of the kernel-moment grid in interior_state
+# interior nodes of the fixed grid on which the cutoff solves take kernel
+# moments; the spectral floor bound and node counts use it too
+MOMENT_NODES = 401
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +164,6 @@ class RadialSolution:
     energy: EnergyValue
     mu: float
     kernel_data: Optional[KernelSolveData] = None
-    start_error: float = 0.0
 
     def at_cutoff(self) -> Tuple[complex, complex]:
         i = self.grid.i_cutoff
@@ -203,6 +212,11 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     turns = 0
     max_u = mag(u)   # running magnitudes; also floor the error weights below
     run_v = mag(v)
+    if lanes:
+        # a lane starting at zero (a particular solve) gets a floor far below
+        # any solution, so that its error reads 0, not 0/0, while its source is 0
+        max_u = np.where(max_u == 0.0, 1e-300, max_u)
+        run_v = np.where(run_v == 0.0, 1e-300, run_v)
     if record[0] == r_start:
         us[0], vs[0] = u, v
         idx = 1
@@ -333,32 +347,33 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
 
 
 def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, float],
-                    r: float) -> Tuple[complex, complex, float]:
+                    r: float) -> Tuple[complex, complex]:
     """Two-term series start y = r^{lam+1/2}(1 + a1 r + a2 r^2) and its derivative.
 
     origin_w = (w_-1, w_0, w_1) is the small-r expansion of mu*V.  Returns
-    (y, y', relative truncation estimate).
+    (y, y').
     """
-    w_m1, w0, w1 = origin_w
+    w_m1, w0, _ = origin_w
     a1 = w_m1 / (2 * lam + 1)
     a2 = (w_m1 * a1 + (w0 - E)) / (2 * (2 * lam + 2))
-    # next-order coefficient only to size the truncation error
-    a3 = (w_m1 * a2 + (w0 - E) * a1 + w1) / (3 * (2 * lam + 3))
     pref = r ** (lam + 0.5)
     u = pref * (1 + a1 * r + a2 * r * r)
     v = (r ** (lam - 0.5)) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r * r)
-    trunc = abs(a3) * r ** 3
-    return u, v, trunc if np.ndim(trunc) else float(trunc)
+    return u, v
 
 
 def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: float,
-                 return_winding: bool = False, second_branch: bool = False):
+                 return_winding: bool = False, second_branch: bool = False,
+                 sources: tuple = ()):
     """Origin-regular solve: the series start at record[0] = r_min, then :func:`_integrate`.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
     branch of :func:`integrate_regular` instead).  E and origin_w are
-    scalars, or arrays for float64 lanes.  Returns (relative truncation
-    error of the start, the tuple of :func:`_integrate`).
+    scalars, or arrays for float64 lanes.  With kernel ``sources`` S_i
+    (lanes only; E and origin_w then end in an axis of length 1), every
+    point gets one more lane per source after its homogeneous one: the
+    particular solve of y'' + Q y = S_i from (0, 0).  Returns the tuple of
+    :func:`_integrate`.
     """
     re = lam.real if isinstance(lam, complex) else lam
     if second_branch:
@@ -368,8 +383,17 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: floa
     elif re <= 0.0:
         raise RegularityError("regular solution requires Re lam > 0")
     r_min = float(record[0])
-    u0, v0, trunc = frobenius_start(lam, E, origin_w, r_min)
-    return trunc, _integrate(qfun, None, r_min, u0, v0, record, tol, return_winding)
+    u0, v0 = frobenius_start(lam, E, origin_w, r_min)
+    sfun = None
+    if sources:
+        zeros = np.zeros(np.shape(u0)[:-1] + (len(sources),))
+        u0 = np.concatenate([u0, zeros], axis=-1)
+        v0 = np.concatenate([v0, zeros], axis=-1)
+
+        def sfun(r):
+            return np.array([0.0] + [src(r) for src in sources])
+
+    return _integrate(qfun, sfun, r_min, u0, v0, record, tol, return_winding)
 
 
 def _with_knots(potential: PotentialModel, nodes) -> Tuple[np.ndarray, object]:
@@ -406,11 +430,10 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
     if _kernel_active(eq):
         raise QwsError("equation has an active kernel; use solve_nonlocal")
     record, keep = _with_knots(eq.potential, grid.nodes)
-    trunc, (us, vs, _) = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                      record, tol, second_branch=second_branch)
+    us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
+                             record, tol, second_branch=second_branch)
     return RadialSolution(grid=grid, y=us[keep], dy=vs[keep], normalization="origin-regular",
-                          channel=eq.channel, energy=eq.energy, mu=eq.mu,
-                          start_error=trunc)
+                          channel=eq.channel, energy=eq.energy, mu=eq.mu)
 
 
 def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
@@ -458,10 +481,61 @@ def _kernel_active(eq: EffectiveEquation) -> bool:
     return eq.mu != 0 and _carries_kernel(eq.potential)
 
 
-def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float):
-    """Homogeneous + particular interior solves and the coupling linear system.
+def source_samples(sources, grid: RadialGrid) -> np.ndarray:
+    """The kernel sources S_i on the interior nodes of ``grid``, as (node, i)."""
+    return np.array([[src(float(r)) for src in sources] for r in grid.interior_nodes])
 
-    Returns (y, dy on interior nodes, KernelSolveData).
+
+def _kernel_moments(grid: RadialGrid, s: np.ndarray, ys: np.ndarray, power: float) -> np.ndarray:
+    """m[p, i, l] = integral_0^{r0} S_i y_l dr for every point p and solution l.
+
+    ``s`` holds the sources (node, i) and ``ys`` the solutions (node, point,
+    l) on the interior nodes of ``grid``: the Simpson sum and the power-law
+    tail of :func:`cutoff_integral`, for all (i, p, l) in one contraction.
+    """
+    m = np.tensordot(grid.interior_weights[:, None] * s, ys, axes=(0, 0))
+    m += np.multiply.outer(s[0] * (grid.r_min / (power + 1.0)), ys[0])
+    return np.moveaxis(m, 0, 1)
+
+
+def _couple(m: np.ndarray, ys: np.ndarray, dys: np.ndarray, coupling: np.ndarray, mu):
+    """Superpose y = y_h + sum_j beta_j y_j with (Id - mu C M) beta = mu C m_h at each point.
+
+    ``ys``/``dys`` (node, point, 1 + n) hold the homogeneous solution and
+    the n particular ones (``dys`` may keep fewer nodes), ``m`` their
+    moments from :func:`_kernel_moments` (m_h = m[..., 0], M = m[..., 1:]);
+    ``mu`` is a scalar or one coupling per point, broadcasting against the
+    point axis.  Returns (y, y' as (node, point), beta, det, degenerate).
+    A point is degenerate when |det| < 1e-12 max(1, |B|_F)^n (a kernel
+    resonance); its beta, y and y' are NaN.
+    """
+    n = coupling.shape[0]
+    m_h, M = m[..., 0], m[..., 1:]
+    mu = np.asarray(mu, dtype=float)[..., None]
+    B = np.eye(n) - mu[..., None] * (coupling @ M)
+    det = np.linalg.det(B)
+    norm = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)))
+    degenerate = np.abs(det) < 1e-12 * norm ** n
+    B[degenerate] = np.eye(n)   # one singular matrix would fail the whole stacked solve
+    beta = np.linalg.solve(B, (mu * (coupling @ m_h[..., None])[..., 0])[..., None])[..., 0]
+    beta[degenerate] = np.nan
+    y = ys[..., 0] + beta[:, 0] * ys[..., 1]
+    dy = dys[..., 0] + beta[:, 0] * dys[..., 1]
+    for j in range(1, n):
+        y += beta[:, j] * ys[..., 1 + j]
+        dy += beta[:, j] * dys[..., 1 + j]
+    return y, dy, beta, det, degenerate
+
+
+def _resonance(det, E) -> DegenerateCouplingError:
+    return DegenerateCouplingError(f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {E}")
+
+
+def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
+    """Homogeneous and particular interior solves of one point, one scalar solve each.
+
+    Returns (ys, dys as (node, 1, 1 + n), their moments from
+    :func:`_kernel_moments`).
     """
     lam = eq.lam
     if isinstance(lam, complex):
@@ -471,41 +545,27 @@ def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float)
     E = eq.energy.E
     if isinstance(E, complex) and E.imag != 0:
         raise QwsError("non-local solve requires real energy")
-    interior = grid.interior_nodes
-    record, keep = _with_knots(eq.potential, interior)
-    _, (yh, dyh, _) = _from_origin(eq.coefficient, lam, E, eq.origin_w, record, tol)
-    yh, dyh = yh[keep], dyh[keep]
-    n = eq.rank
-    ys = []
-    dys = []
+    record, keep = _with_knots(eq.potential, grid.interior_nodes)
+    solves = [_from_origin(eq.coefficient, lam, E, eq.origin_w, record, tol)]
     for src in eq.sources:
-        yj, dyj, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0,
-                                record, rtol=tol)
-        ys.append(yj[keep])
-        dys.append(dyj[keep])
-    s_samples = [np.array([src(float(r)) for r in interior]) for src in eq.sources]
-    power = lam + 0.5
-    m_h = np.array([cutoff_integral(grid, s_samples[i] * yh, power) for i in range(n)])
-    M = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = cutoff_integral(grid, s_samples[i] * ys[j], power)
-    C = eq.coupling
-    B = np.eye(n) - eq.mu * (C @ M)
-    det = np.linalg.det(B)
-    norm = max(1.0, float(np.linalg.norm(B)))
-    if abs(det) < 1e-12 * norm ** n:
-        raise DegenerateCouplingError(
-            f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {E}")
-    beta = np.linalg.solve(B, eq.mu * (C @ m_h.astype(complex)))
-    y = yh.astype(complex).copy()
-    dy = dyh.astype(complex).copy()
-    for j in range(n):
-        y += beta[j] * ys[j]
-        dy += beta[j] * dys[j]
-    moments = m_h + M @ beta
-    data = KernelSolveData(moments=moments, coefficients=beta, det=float(abs(det)))
-    return y, dy, data
+        solves.append(_integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, rtol=tol))
+    ys = np.stack([u[keep] for u, _, _ in solves], axis=-1)[:, None, :]
+    dys = np.stack([v[keep] for _, v, _ in solves], axis=-1)[:, None, :]
+    return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
+
+
+def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float):
+    """Homogeneous + particular interior solves and the coupling linear system.
+
+    Returns (y, dy on interior nodes, KernelSolveData).
+    """
+    ys, dys, m = _superposition_solves(eq, grid, tol)
+    y, dy, beta, det, degenerate = _couple(m, ys, dys, eq.coupling, eq.mu)
+    if degenerate[0]:
+        raise _resonance(det[0], eq.energy.E)
+    moments = m[0, :, 0] + m[0, :, 1:] @ beta[0]
+    data = KernelSolveData(moments=moments, coefficients=beta[0], det=float(abs(det[0])))
+    return y[:, 0], dy[:, 0], data
 
 
 def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
@@ -547,8 +607,8 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     """(y, y', max|y|) at r0^- for the local or non-local interior problem.
 
     A local equation is integrated straight to the cutoff without storing a
-    grid.  A kernel is solved by superposition on a fixed uniform interior
-    grid of 401 nodes, on which Simpson takes the kernel moments.
+    grid.  A kernel is solved by superposition on the fixed uniform interior
+    grid of MOMENT_NODES nodes, on which Simpson takes the kernel moments.
     ``return_winding=True`` (local equation only) appends the Prufer winding
     count of (Re y, Re y') over (r_min, r0), see :func:`_integrate`; the
     start angle lies in (0, pi/2).
@@ -556,12 +616,12 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     if _kernel_active(eq):
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
-        grid = make_grid(eq.r0, r_max=eq.r0, n_interior=_MOMENT_NODES)
+        grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
         y, dy, _ = _interior_superposition(eq, grid, tol)
         return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
     record, _ = _with_knots(eq.potential, [1e-6 * eq.r0, eq.r0])
-    _, (us, vs, *rest) = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                      record, tol, return_winding=return_winding)
+    us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
+                                 record, tol, return_winding=return_winding)
     return (complex(us[-1]), complex(vs[-1]), *rest)
 
 
@@ -571,34 +631,77 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
 
     Point j solves the equation of ``channel`` and ``potential`` at energy
     E[j] and coupling mu[j] (E and mu broadcast against each other;
-    ``potential.mu`` is ignored).  A local model integrates all points at
-    once as float64 lanes of :func:`_integrate`, which share every step; lam,
-    E and mu must be real.  A model with a kernel is solved point by point
-    through :func:`interior_state`, and a point whose kernel solve is
-    degenerate comes back as NaN in all three arrays.  Returns the real parts.
+    ``potential.mu`` is ignored).  All points are integrated at once as
+    float64 lanes of :func:`_integrate`, which share every step; lam, E and
+    mu must be real.  A local model takes one lane per point, straight to
+    the cutoff.  A model with a kernel takes 1 + n lanes per point (the
+    homogeneous solve and the n particular ones) landed on the moment grid,
+    and the n x n systems of all points are solved as one stack; a point
+    whose system is degenerate comes back as NaN in all three arrays.
+    Returns the real parts.
     """
     E = np.asarray(E, dtype=float)
     mu = np.asarray(mu, dtype=float)
     shape = np.broadcast_shapes(E.shape, mu.shape)
-    if _carries_kernel(potential):
-        out = np.full((3,) + shape, np.nan)
-        flat = out.reshape(3, -1)
-        for j, (e, m) in enumerate(np.broadcast(E, mu)):
-            eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=float(e)))
-            try:
-                u, v, max_u = interior_state(eq, tol)
-            except DegenerateCouplingError:
-                continue
-            flat[:, j] = u.real, v.real, max_u
-        return out[0], out[1], out[2]
     lam = channel.lam
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
-    record, _ = _with_knots(potential, [1e-6 * potential.r0, potential.r0])
+    if not _carries_kernel(potential):
+        record, _ = _with_knots(potential, [1e-6 * potential.r0, potential.r0])
+        origin_w = tuple(mu * w for w in potential.origin_coefficients())
+        us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
+                                     origin_w, record, tol)
+        return us[-1].real, vs[-1].real, max_u
+    eq = effective_equation(channel, potential, EnergyValue(E=0.0))  # the sources S_i
+    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
+    record, keep = _with_knots(potential, grid.interior_nodes)
+    E, mu = (a.reshape(-1, 1) for a in np.broadcast_arrays(E, mu))
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
-    _, (us, vs, max_u) = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
-                                      origin_w, record, tol)
-    return us[-1].real, vs[-1].real, max_u
+    ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
+                              record, tol, sources=eq.sources)
+    ys, dys = ys[keep], dys[-1:].copy()   # y' is needed at r0 only: free the rest
+    m = _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
+    y, dy, *_ = _couple(m, ys, dys, eq.coupling, mu[:, 0])
+    max_u = np.maximum(y.max(axis=0), -y.min(axis=0))
+    return y[-1].reshape(shape), dy[-1].reshape(shape), max_u.reshape(shape)
+
+
+def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
+                   tol: float = 1e-10) -> Callable:
+    """(y, y', max|y|) at r0^- as a function of the coupling mu, at one energy E.
+
+    The returned function takes a scalar mu and answers as
+    :func:`interior_state` (raising DegenerateCouplingError at a kernel
+    resonance), or an array of couplings and answers as
+    :func:`interior_lanes` (real parts, NaN at a resonance).  In a pure
+    kernel (no local part) neither Q(r) nor the series start depends on mu,
+    so the homogeneous and particular solves and their moments are made
+    once, here, and each coupling costs one n x n solve of
+    (Id - mu C M) beta = mu C m_h.  Any other model solves every call
+    afresh.  The solves live as long as the returned function.
+    """
+    if potential.local is not None or not _carries_kernel(potential):
+        def at(mu):
+            if np.ndim(mu):
+                return interior_lanes(channel, potential, E, mu, tol)
+            eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+            return interior_state(eq, tol)
+
+        return at
+    eq = effective_equation(channel, potential, EnergyValue(E=E))
+    ys, dys, m = _superposition_solves(
+        eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
+    dys = dys[-1:]   # y' is needed at r0 only
+
+    def at(mu):
+        y, dy, _, det, degenerate = _couple(m, ys, dys, eq.coupling, mu)
+        if np.ndim(mu):
+            return y[-1].real, dy[-1].real, np.max(np.abs(y), axis=0)
+        if degenerate[0]:
+            raise _resonance(det[0], E)
+        return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
+
+    return at
 
 
 def green_identity_residual(y1: RadialSolution, y2: RadialSolution) -> float:

@@ -20,7 +20,10 @@ then bisected between such absolute samples; for a one-signed well eta is
 monotone in mu (Calogero's variable-phase relation
 d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a complete starting
 partition.  Kernel potentials are continued along a uniform mu grid with
-bisection across jumps, since coupling resonances break the homotopy.
+bisection across jumps, since coupling resonances break the homotopy; every
+sample of that walk comes from one :func:`~qws.radial_ode.interior_in_mu`
+at E = k^2, so a pure kernel makes one superposition per k and one n x n
+solve per coupling.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .errors import (GridMismatchError, NearThresholdResonanceError,
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
 from .radial_ode import (RadialGrid, RadialSolution, free_exterior,
-                         integrate_jost, integrate_regular, interior_state,
-                         make_grid)
+                         integrate_jost, integrate_regular, interior_in_mu,
+                         interior_state, make_grid)
 
 MU_STEPS_DEFAULT = 200       # uniform continuation steps from mu = 0
 MU_REFINE_FLOOR = 1e-4       # bisection floor for branch-jump localization
@@ -277,23 +280,20 @@ def _principal(angle: float) -> float:
     return a
 
 
-def _theta(eq, pair, tol: float,
-           g0: Optional[float] = None) -> Tuple[float, float, Optional[float]]:
+def _theta(pair, state, g0: Optional[float] = None) -> Tuple[float, float, Optional[float]]:
     """One matching sample: (theta = atan2(KJ, KN), tan eta, A or None at a node).
 
-    With ``g0`` from :func:`_matching_map` (local equation only) theta is
-    the continuous lift through the Prufer angle of (y, y'), so samples at
-    different couplings compare without a path between them.
+    ``state`` is (y, y', max|y|) at r0, plus the Prufer winding count when
+    ``g0`` from :func:`_matching_map` is given (local equation only): theta
+    is then the continuous lift through the Prufer angle of (y, y'), so
+    samples at different couplings compare without a path between them.
     """
-    if g0 is None:
-        u, v, max_u = interior_state(eq, tol)
-    else:
-        u, v, max_u, turns = interior_state(eq, tol, return_winding=True)
+    u, v, max_u, *winding = state
     kn, kj = pair(u, v)
     kn_r, kj_r = kn.real, kj.real
     theta = math.atan2(kj_r, kn_r)
     if g0 is not None:
-        phi = math.atan2(v.real, u.real) + 2.0 * math.pi * turns
+        phi = math.atan2(v.real, u.real) + 2.0 * math.pi * winding[0]
         theta = _lift_theta(theta, phi, g0)
     tan_eta = math.inf if kn_r == 0.0 else kj_r / kn_r
     A = None
@@ -394,7 +394,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     monotone in mu), otherwise from the ``mu_steps`` grid.  Kernel
     potentials, whose coupling resonances break the homotopy in (r, mu),
     walk the ``mu_steps`` grid and bisect wherever theta jumps by more than
-    pi/2 or changes branch.
+    pi/2 or changes branch, taking every sample from
+    :func:`~qws.radial_ode.interior_in_mu`.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
@@ -403,14 +404,17 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     pair, g0 = _matching_map(lam, k, potential.r0)
     if potential.kernel:
         g0 = None
+        state = interior_in_mu(channel, potential, energy.E, tol)
+    else:
+        def state(m: float):
+            eqm = effective_equation(channel, potential.with_mu(m), energy)
+            return interior_state(eqm, tol, return_winding=True)
 
     def sample(m: float) -> float:
-        eqm = effective_equation(channel, potential.with_mu(float(m)), energy)
-        return _theta(eqm, pair, tol, g0)[0]
+        return _theta(pair, state(float(m)), g0)[0]
 
     pot_mu = potential.with_mu(mu)
-    eq = effective_equation(channel, pot_mu, energy)
-    theta, tan_eta, A = _theta(eq, pair, tol, g0)
+    theta, tan_eta, A = _theta(pair, state(float(mu)), g0)
     eta_raw = _principal(theta)
     events: Tuple[Tuple[float, int], ...] = ()
     if mu == 0.0:

@@ -4,11 +4,13 @@ bound-count identity verifier.
 
 Every solve goes through :func:`~qws.radial_ode.interior_state` (the cutoff
 values), :func:`~qws.radial_ode.interior_lanes` (the cutoff values of a
-whole grid of points: the energy scan of :func:`find_bound_states` and the
-initial mu grid of :func:`continuation_count`) or
-:func:`~qws.radial_ode.solve_nonlocal` (a full grid), which decide between
-the local integration and the kernel superposition themselves; this module
-never branches on that.  It branches on
+whole grid of points, as float64 lanes: the energy scan of
+:func:`find_bound_states`), :func:`~qws.radial_ode.interior_in_mu` (the
+cutoff values as a function of mu at the threshold energy: every sample of
+:func:`continuation_count`, its mu grid at once, which a pure kernel
+answers from one superposition) or :func:`~qws.radial_ode.solve_nonlocal`
+(a full grid), which decide between the local integration and the kernel
+superposition themselves; this module never branches on that.  It branches on
 ``potential.kernel`` only where the mathematics differs: the kernel term
 of the energy floor, and the Sturm node-count cross-check, which holds for
 local equations only.
@@ -35,14 +37,14 @@ from .errors import (AmbiguousCrossingError, DegenerateCouplingError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (RadialSolution, count_interior_nodes, cutoff_integral,
-                         interior_lanes, interior_state, make_grid, solve_nonlocal)
+from .radial_ode import (MOMENT_NODES, RadialSolution, count_interior_nodes,
+                         cutoff_integral, interior_in_mu, interior_lanes, interior_state,
+                         make_grid, solve_nonlocal, source_samples)
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
 MU_FINE_FLOOR = 1e-12      # separation floor for co-located flip events
 GRAZING_TOL = 1e-10
-SCAN_NODES = 401           # interior nodes for the floor bound and the node counts
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,11 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
     """
     bound = potential.max_local()
     if potential.kernel:
-        grid = make_grid(potential.r0, r_max=potential.r0, n_interior=SCAN_NODES)
+        grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
         eq = effective_equation(channel, potential, EnergyValue(E=0.0))
-        norms = []
-        for src in eq.sources:
-            s = np.array([src(float(r)) for r in grid.interior_nodes])
-            norms.append(math.sqrt(abs(cutoff_integral(grid, s * s, 0.0))))
-        norms = np.array(norms)
+        s = source_samples(eq.sources, grid)
+        norms = np.array([math.sqrt(abs(cutoff_integral(grid, s[:, i] * s[:, i], 0.0)))
+                          for i in range(eq.rank)])
         bound += float(norms @ np.abs(potential.coupling_matrix()) @ norms)
     return -1.5 * abs(potential.mu) * bound - 1.0
 
@@ -291,7 +291,7 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
 def _interior_nodes_and_A(channel, potential, E, mu, tol) -> Tuple[int, float]:
     """Interior node count and A(r0) of the regular solution at energy E."""
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=SCAN_NODES)
+    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
     sol = solve_nonlocal(eq, grid, tol)
     y0, dy0 = (z.real for z in sol.at_cutoff())
     A = dy0 / y0 if y0 != 0.0 else math.inf * (1.0 if dy0 >= 0 else -1.0)
@@ -429,33 +429,30 @@ def _crossing_census(state, a: float, st_a: Tuple[float, float],
     _crossing_census(state, mid, st_m, b, st_b, rho, events)
 
 
-def _threshold_state(channel, potential, E_thr: float, mu: float,
-                     tol: float) -> Tuple[float, float]:
-    """(y, y')(r0) at the threshold proxy E_thr and coupling mu, one solve.
+def _threshold_state(at, mu: float) -> Tuple[float, float]:
+    """(y, y')(r0) at coupling mu from ``at`` (:func:`~qws.radial_ode.interior_in_mu`).
 
     A kernel resonance is sidestepped by nudges far below the
     crossing-bracket floor.
     """
     def at_coupling(m: float) -> Tuple[float, float]:
-        eq = effective_equation(channel, potential.with_mu(m), EnergyValue(E=E_thr))
-        u, v, _ = interior_state(eq, tol)
+        u, v, _ = at(m)
         return u.real, v.real
 
     return _step_around_resonance(
         at_coupling, (float(mu) + b for b in (0.0, 1e-13, -1e-13, 1e-12)))
 
 
-def _threshold_samples(channel, potential, E_thr: float, mu_grid: np.ndarray,
-                       tol: float) -> List[Tuple[float, float]]:
-    """:func:`_threshold_state` on the whole mu grid, all couplings as lanes.
+def _threshold_samples(at, mu_grid: np.ndarray) -> List[Tuple[float, float]]:
+    """:func:`_threshold_state` on the whole mu grid, all couplings in one call of ``at``.
 
     Only a point whose kernel solve was degenerate is solved again, alone,
     through the resonance nudge.
     """
-    u, v, _ = interior_lanes(channel, potential, E_thr, mu_grid, tol)
+    u, v, _ = at(mu_grid)
     samples = list(zip(u.tolist(), v.tolist()))
     for j in np.flatnonzero(np.isnan(u)):
-        samples[j] = _threshold_state(channel, potential, E_thr, mu_grid[j], tol)
+        samples[j] = _threshold_state(at, mu_grid[j])
     return samples
 
 
@@ -465,7 +462,9 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     """Count directed crossings of A(0, mu) through rho = (1/2 - lam)/r0.
 
     Zero energy is represented by a small negative proxy (kappa r0 < 1e-5),
-    so threshold solutions stay on the single decaying-exterior code path.
+    so threshold solutions stay on the single decaying-exterior code path;
+    every sample comes from one :func:`~qws.radial_ode.interior_in_mu` at
+    that energy.
     Sign-flip brackets of (y'(r0) - rho y(r0), y(r0)) are refined and
     classified by :func:`_crossing_census`, which separates genuine
     crossings from poles of A and from kernel-resonance normalization
@@ -481,15 +480,15 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
         raise QwsError("mu grid must start at 0")
     rho = (0.5 - lam) / r0
     eps_e = min(1e-10 * max(1.0, potential.max_local()), (1e-5 / r0) ** 2)
-    E_thr = -eps_e
+    at = interior_in_mu(channel, potential, -eps_e, tol)
 
     def state(mu: float) -> Tuple[float, float]:
-        return _threshold_state(channel, potential, E_thr, mu, tol)
+        return _threshold_state(at, mu)
 
     def m0(u: float, v: float) -> float:
         return v - rho * u
 
-    samples = _threshold_samples(channel, potential, E_thr, mu_grid, tol)
+    samples = _threshold_samples(at, mu_grid)
     A_vals = np.array([v / u if u != 0.0 else math.inf for u, v in samples])
     M_vals = np.array([m0(u, v) for u, v in samples])
 

@@ -180,3 +180,15 @@ def test_potential_model_invariants():
     with pytest.raises(QwsError):
         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.1),) * 2,
                        coupling=((0.0, 1.0), (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("r0, mu", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                                    (1.0, math.inf)],
+                         ids=["r0-inf", "r0-nan", "mu-nan", "mu-inf"])
+def test_non_finite_cutoff_or_coupling_rejected(r0, mu):
+    # through the API these reached the solver and came back as NaN
+    with pytest.raises(QwsError):
+        PotentialModel(r0=r0, local=square_well(4.0), mu=mu)
+    if math.isfinite(r0):
+        with pytest.raises(QwsError):
+            PotentialModel(r0=r0, local=square_well(4.0)).with_mu(mu)

@@ -8,12 +8,13 @@ from scipy import special as sp
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
-from qws.potentials import (PotentialModel, gaussian_bump, square_well, tabulated,
-                            truncated_exponential, truncated_gaussian)
+from qws.potentials import (PotentialModel, gaussian_bump, poly_bump, square_well,
+                            tabulated, truncated_exponential, truncated_gaussian)
 from qws.radial_ode import (_integrate, cutoff_integral, count_interior_nodes,
                             frobenius_start, green_identity_residual, integrate_jost,
-                            integrate_regular, interior_lanes, interior_state,
-                            make_grid, solve_nonlocal)
+                            integrate_regular, interior_in_mu, interior_lanes,
+                            interior_state, make_grid, solve_nonlocal)
+from qws.spectral import default_energy_floor
 
 CH_S = ChannelParams(q=3, l=0)          # lam = 1/2
 FREE = PotentialModel(r0=1.0)
@@ -400,7 +401,7 @@ class TestPotentialFamilies:
 
         r_min = 1e-6
         from qws.radial_ode import frobenius_start
-        u0, v0, _ = frobenius_start(2.0, k * k, eq.origin_w, r_min)
+        u0, v0 = frobenius_start(2.0, k * k, eq.origin_w, r_min)
         ref = solve_ivp(rhs, (r_min, 1.0), [float(u0.real), float(v0.real)],
                         rtol=1e-11, atol=1e-14, method="DOP853")
         A_mine = (v / u).real
@@ -448,7 +449,7 @@ class TestIndependentIntegratorCrossCheck:
 
         from qws.radial_ode import frobenius_start
         r_min = 1e-6
-        u0, v0, _ = frobenius_start(lam, k * k, eq.origin_w, r_min)
+        u0, v0 = frobenius_start(lam, k * k, eq.origin_w, r_min)
 
         def rhs(r, y):
             return [y[1], -eq.coefficient(r) * y[0]]
@@ -528,28 +529,127 @@ class TestInteriorLanes:
             lane = interior_lanes(ch, pot, [E], mu)
             assert tuple(x[0] for x in lane) == _scalar_cutoff(ch, pot, E, mu)
 
-    def test_kernel_points_solved_one_by_one(self, monkeypatch):
-        import qws.radial_ode as ro
-        ch = ChannelParams.from_lambda(1.5)
-        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
-        E = np.array([-9.0, -4.0, -1.0])
-        solve = ro.interior_state
-
-        def resonant_at_minus_four(eq, tol=1e-10):
-            if eq.energy.E == -4.0:
-                raise DegenerateCouplingError("resonance")
-            return solve(eq, tol)
-
-        monkeypatch.setattr(ro, "interior_state", resonant_at_minus_four)
-        u, v, max_u = interior_lanes(ch, pot, E, 1.0)
-        assert np.isnan(u[1]) and np.isnan(v[1]) and np.isnan(max_u[1])
-        for j in (0, 2):
-            assert (u[j], v[j], max_u[j]) == _scalar_cutoff(ch, pot, E[j], 1.0)
-
     def test_complex_lambda_rejected(self):
         ch = ChannelParams(q=3, l=0.5 + 0.5j)
         with pytest.raises(QwsError):
             interior_lanes(ch, WELL, [-1.0, -2.0], 1.0)
+
+
+_BUMP = gaussian_bump(0.5, 0.15)
+# the three models of the benchmark's kernel workload, a poly bump, and a
+# kinked table under a kernel (the lanes land on its rows)
+KERNEL_MODELS = [
+    (ChannelParams(q=3, l=1), PotentialModel(r0=1.0, kernel=(_BUMP,), strengths=(-700.0,))),
+    (ChannelParams(q=4, l=0),
+     PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
+                    strengths=(-500.0, -400.0))),
+    (CH_S, PotentialModel(r0=1.0, local=square_well(3.0), kernel=(_BUMP,),
+                          strengths=(-120.0,))),
+    (ChannelParams.from_lambda(1.5),
+     PotentialModel(r0=1.0, kernel=(poly_bump(2.0, 3.0, 1.0, 30.0),), strengths=(-5.0,))),
+    (CH_S, PotentialModel(r0=1.0, local=KINKED_TABLE[1], kernel=(_BUMP,),
+                          strengths=(-20.0,))),
+]
+KERNEL_IDS = ["rank1", "rank2", "well+kernel", "poly", "table+kernel"]
+
+
+class TestKernelLanes:
+    """A kernel point as 1 + n lanes, and the cutoff values as a function of mu."""
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_energy_and_mu_grids_match_scalar_solves(self, ch, pot):
+        # the 400-energy scan grid of find_bound_states; every 10th energy
+        # against a scalar solve keeps the test short
+        floor = default_energy_floor(ch, pot)
+        scan_E = -np.geomspace(abs(floor), 1e-11 * max(1.0, abs(floor)), 400)
+        for E, mu, pick in ((scan_E, 1.0, slice(None, None, 10)),
+                            (-1e-9, np.linspace(0.0, 1.0, 17), slice(None))):
+            u, v, max_u = (x[pick] for x in interior_lanes(ch, pot, E, mu))
+            E, mu = (x[pick] for x in np.broadcast_arrays(E, mu))
+            ref = np.array([_scalar_cutoff(ch, pot, e, m) for e, m in zip(E, mu)])
+            assert np.all(np.abs(u - ref[:, 0]) <= 1e-8 * ref[:, 2])
+            assert np.all(np.abs(v - ref[:, 1]) <= 1e-8 * ref[:, 2])
+            assert np.all(np.abs(max_u - ref[:, 2]) <= 1e-8 * ref[:, 2])
+            assert np.array_equal(np.sign(u), np.sign(ref[:, 0]))
+            assert np.array_equal(np.sign(v), np.sign(ref[:, 1]))
+
+    def test_source_that_is_zero_near_the_origin(self):
+        # exp(-2500) underflows: the particular lane starts at 0 under a source
+        # that reads 0 up to r ~ 0.23, where its error must read 0, not 0/0
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.01),), strengths=(-2000.0,))
+        E = np.array([-9.0, -1.0, 2.0])
+        u, v, max_u = interior_lanes(CH_S, pot, E, 1.0)
+        for j, e in enumerate(E):
+            su, sv, s_max = _scalar_cutoff(CH_S, pot, e, 1.0)
+            assert max(abs(u[j] - su), abs(v[j] - sv)) <= 1e-8 * s_max
+
+    def test_degenerate_point_comes_back_nan(self, monkeypatch):
+        import qws.radial_ode as ro
+        ch, pot = KERNEL_MODELS[0]   # rank 1
+        E = np.array([-9.0, -4.0, -1.0])
+        clean = interior_lanes(ch, pot, E, 1.0)
+        scalar = [_scalar_cutoff(ch, pot, e, 1.0) for e in E]
+        couple = ro._couple
+
+        def resonant_at_minus_four(m, ys, dys, coupling, mu):
+            m = m.copy()
+            m[1, 0, 1] = 1.0 / (mu[1] * coupling[0, 0])   # Id - mu C M = 0 there
+            return couple(m, ys, dys, coupling, mu)
+
+        monkeypatch.setattr(ro, "_couple", resonant_at_minus_four)
+        u, v, max_u = interior_lanes(ch, pot, E, 1.0)
+        assert np.isnan(u[1]) and np.isnan(v[1]) and np.isnan(max_u[1])
+        for j in (0, 2):
+            # the other points are untouched and agree with their scalar solves
+            assert (u[j], v[j], max_u[j]) == tuple(x[j] for x in clean)
+            su, sv, s_max = scalar[j]
+            assert max(abs(u[j] - su), abs(v[j] - sv)) <= 1e-8 * s_max
+
+        def resonant(m, ys, dys, coupling, mu):
+            # the one scalar point at the coupling that makes its system singular
+            return couple(m, ys, dys, coupling, 1.0 / (coupling[0, 0] * m[0, 0, 1].real))
+
+        monkeypatch.setattr(ro, "_couple", resonant)
+        with pytest.raises(DegenerateCouplingError):
+            _scalar_cutoff(ch, pot, -4.0, 1.0)
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_interior_in_mu_matches_interior_state(self, ch, pot):
+        mus = np.linspace(0.0, 1.0, 17)
+        at = interior_in_mu(ch, pot, -1e-9)
+        lanes = at(mus)
+        for j, m in enumerate(mus):
+            ref = _scalar_cutoff(ch, pot, -1e-9, m)
+            one = tuple(x.real for x in at(float(m)))
+            if m != 0.0:   # at mu = 0 interior_state takes the local solve
+                assert one == ref
+            assert max(abs(one[0] - ref[0]), abs(one[1] - ref[1])) <= 1e-8 * ref[2]
+            assert max(abs(lanes[0][j] - ref[0]), abs(lanes[1][j] - ref[1])) <= 1e-8 * ref[2]
+            assert np.sign(lanes[0][j]) == np.sign(ref[0])
+            assert np.sign(lanes[1][j]) == np.sign(ref[1])
+
+    @pytest.mark.parametrize("ch, pot", [KERNEL_MODELS[0], KERNEL_MODELS[1]],
+                             ids=["rank1", "rank2"])
+    def test_pure_kernel_integrates_once_per_energy(self, monkeypatch, ch, pot):
+        import qws.radial_ode as ro
+        calls = []
+        integrate = ro._integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(ro, "_integrate", counted)
+        at = interior_in_mu(ch, pot, -0.5)
+        assert len(calls) == 1 + pot.rank     # the homogeneous and n particular solves
+        u, v, _ = at(np.linspace(0.0, 2.0, 41))
+        for m in (0.3, 0.7, 1.9):
+            at(m)
+        assert len(calls) == 1 + pot.rank
+        # the same mu grid through the lanes, one integration
+        lanes = interior_lanes(ch, pot, -0.5, np.linspace(0.0, 2.0, 41))
+        assert np.all(np.abs(u - lanes[0]) <= 1e-8 * lanes[2])
+        assert np.all(np.abs(v - lanes[1]) <= 1e-8 * lanes[2])
 
 
 def _knot_to_knot(eq, stops, u0, v0):
@@ -587,7 +687,7 @@ class TestTabulatedKnots:
         r_min = 1e-6
         for j, e in enumerate(E):
             eq = effective_equation(ch, pot, EnergyValue(E=float(e)))
-            u0, v0, _ = frobenius_start(ch.lam, float(e), eq.origin_w, r_min)
+            u0, v0 = frobenius_start(ch.lam, float(e), eq.origin_w, r_min)
             ref_u, ref_v = _knot_to_knot(eq, [r_min, *_R_TAB[:-1], 1.0], u0, v0)
             su, sv, s_max = _scalar_cutoff(ch, pot, e, 1.0)
             assert max(abs(su - ref_u), abs(sv - ref_v)) <= 1e-9 * s_max
@@ -601,7 +701,7 @@ class TestTabulatedKnots:
         i0 = g.i_cutoff
         eq = effective_equation(ch, pot, EnergyValue(E=-3.0))
         sol = solve_nonlocal(eq, g, 1e-10)
-        u0, v0, _ = frobenius_start(ch.lam, -3.0, eq.origin_w, g.r_min)
+        u0, v0 = frobenius_start(ch.lam, -3.0, eq.origin_w, g.r_min)
         ref_u, ref_v = _knot_to_knot(eq, [g.r_min, *_R_TAB[:-1], 1.0], u0, v0)
         scale = np.max(np.abs(sol.y[: i0 + 1]))
         assert max(abs(sol.y[i0] - ref_u), abs(sol.dy[i0] - ref_v)) <= 1e-9 * scale
@@ -639,7 +739,7 @@ class TestLaneDriver:
             u0, v0 = np.ones_like(E), -np.sqrt(np.abs(E))
         else:
             r_start, record = 1e-6, np.linspace(0.1, 1.0, 10)
-            u0, v0, _ = frobenius_start(ch.lam, E, pot.origin_coefficients(), r_start)
+            u0, v0 = frobenius_start(ch.lam, E, pot.origin_coefficients(), r_start)
         lanes = _integrate(radial_coefficient(ch.lam, E, 1.0, pot), None, r_start,
                            u0, v0, record, 1e-10)
         for j, e in enumerate(E):

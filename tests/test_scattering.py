@@ -146,6 +146,30 @@ class TestPhaseShift:
         yl = specfun.bessel_y(0.5, k).value
         assert abs(res.tan_eta - jl / yl) <= 1e-6 * abs(jl / yl)
 
+    @pytest.mark.parametrize("k, eta_ref, events_ref", [
+        (1e-4, 3.1415926535895995, ((0.6361328125000001, 1),)),
+        (1.0, 3.008791117936214, ((0.5630859374999999, 1),)),
+    ])
+    def test_pure_kernel_walk_from_one_superposition(self, monkeypatch, k, eta_ref,
+                                                    events_ref):
+        # the corpus rank-1 kernel; references from the walk that made a full
+        # superposition at every mu sample
+        import qws.radial_ode as ro
+        ch = ChannelParams(q=3, l=1)
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
+        made = []
+        solves = ro._superposition_solves
+
+        def counted(*args):
+            made.append(args[0].energy.E)
+            return solves(*args)
+
+        monkeypatch.setattr(ro, "_superposition_solves", counted)
+        res = phase_shift(ch, pot, k, with_fit=False)
+        assert abs(res.eta - eta_ref) <= 1e-8
+        assert res.events == events_ref
+        assert made == [k * k]
+
     def test_unwrapped_equals_raw_mod_pi(self):
         res = phase_shift(CH_S, WELL, 0.5, mu_steps=200, with_fit=False)
         assert circ_dist(res.eta, res.eta_raw) <= 1e-9
@@ -185,7 +209,7 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
 
     def sample(m):
         eq = effective_equation(ch, pot.with_mu(float(m)), energy)
-        return scattering._theta(eq, pair, tol)[0]
+        return scattering._theta(pair, interior_state(eq, tol))[0]
 
     grid = np.linspace(0.0, mu, mu_steps + 1)
     th0 = sample(0.0)

@@ -233,8 +233,8 @@ def _scalar_scan_values(channel, potential, grid_E, mu, tol):
                      for E in grid_E])
 
 
-def _scalar_threshold_samples(channel, potential, E_thr, mu_grid, tol):
-    return [sp._threshold_state(channel, potential, E_thr, m, tol) for m in mu_grid]
+def _scalar_threshold_samples(at, mu_grid):
+    return [sp._threshold_state(at, m) for m in mu_grid]
 
 
 class TestLaneScans:
@@ -276,36 +276,100 @@ class TestLaneScans:
         assert np.allclose(np.arctan(lanes.A_samples), np.arctan(ref.A_samples),
                            rtol=0.0, atol=1e-7)
 
-    def test_resonant_kernel_point_takes_the_nudge(self, monkeypatch):
+    @pytest.mark.parametrize("q, l, bumps, strengths", [
+        (3, 1, ((0.5, 0.15),), (-700.0,)),
+        (4, 0, ((0.35, 0.12), (0.7, 0.12)), (-500.0, -400.0)),
+    ], ids=["rank1", "rank2"])
+    def test_pure_kernel_continuation_from_one_superposition(self, monkeypatch, q, l,
+                                                             bumps, strengths):
         import qws.radial_ode as ro
+        from qws.model import EnergyValue, effective_equation
+        ch = ChannelParams(q=q, l=l)
+        pot = PotentialModel(r0=1.0, kernel=tuple(gaussian_bump(c, w) for c, w in bumps),
+                             strengths=strengths)
+        grid = np.linspace(0.0, 1.0, 17)
+        made = []
+        solves = ro._superposition_solves
+
+        def counted(*args):
+            made.append(args[0].energy.E)
+            return solves(*args)
+
+        monkeypatch.setattr(ro, "_superposition_solves", counted)
+        fast = continuation_count(ch, pot, mu_grid=grid)
+        assert len(made) == 1      # grid and census refinement alike
+
+        def one_by_one(channel, potential, E, tol):
+            def at(mu):
+                if np.ndim(mu):
+                    return tuple(np.array(x) for x in zip(*(at(float(m)) for m in mu)))
+                eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+                u, v, max_u = ro.interior_state(eq, tol)
+                return u.real, v.real, max_u
+            return at
+
+        monkeypatch.setattr(sp, "interior_in_mu", one_by_one)
+        ref = continuation_count(ch, pot, mu_grid=grid)
+        assert fast.n_bound == ref.n_bound == 1
+        assert [d for _, d in fast.events] == [d for _, d in ref.events]
+        assert all(abs(a - b) <= sp.MU_CROSSING_FLOOR
+                   for (a, _), (b, _) in zip(fast.events, ref.events))
+        assert np.allclose(np.arctan(fast.A_samples), np.arctan(ref.A_samples),
+                           rtol=0.0, atol=1e-7)
+
+    def test_resonant_kernel_point_takes_the_nudge(self, monkeypatch):
+        # a degenerate lane point comes back NaN (TestKernelLanes in
+        # test_radial_ode); here it must be solved again alone, through the nudges
+        from qws.radial_ode import interior_in_mu
         ch = ChannelParams.from_lambda(1.5)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
-        solve = ro.interior_state
+        lanes, state = sp.interior_lanes, sp.interior_state
         solved = []
+
+        def lanes_resonant(channel, potential, E, mu, tol=1e-10):
+            solved.append((tuple(E), mu))
+            u, v, max_u = lanes(channel, potential, E, mu, tol)
+            hit = E == -4.0
+            u[hit] = v[hit] = max_u[hit] = np.nan
+            return u, v, max_u
 
         def resonant(eq, tol=1e-10):
             solved.append((eq.energy.E, eq.mu))
-            if (eq.energy.E, eq.mu) in ((-4.0, 1.0), (-1e-9, 0.5)):
+            if (eq.energy.E, eq.mu) == (-4.0, 1.0):
                 raise DegenerateCouplingError("resonance")
-            return solve(eq, tol)
+            return state(eq, tol)
 
-        monkeypatch.setattr(ro, "interior_state", resonant)
+        monkeypatch.setattr(sp, "interior_lanes", lanes_resonant)
         monkeypatch.setattr(sp, "interior_state", resonant)
         vals = sp._scan_values(ch, pot, np.array([-9.0, -4.0, -1.0]), 1.0, 1e-10)
         nudged = -4.0 * (1.0 + 1e-9)
         # all three as one batch, then the resonant point alone from its nudges
-        assert solved == [(-9.0, 1.0), (-4.0, 1.0), (-1.0, 1.0), (-4.0, 1.0), (nudged, 1.0)]
+        assert solved == [((-9.0, -4.0, -1.0), 1.0), (-4.0, 1.0), (nudged, 1.0)]
         monkeypatch.undo()
         assert vals[1] == sp._matching_scan_value(ch, pot, nudged, 1.0, 1e-10)
+        u, v, _ = lanes(ch, pot, np.array([-9.0, -4.0, -1.0]), 1.0)
+        h = np.array([sp._exterior_logderiv(ch.lam, e, 1.0) for e in (-9.0, -4.0, -1.0)])
+        assert [vals[0], vals[2]] == [(v - h * u)[0], (v - h * u)[2]]
 
-        monkeypatch.setattr(ro, "interior_state", resonant)
-        monkeypatch.setattr(sp, "interior_state", resonant)
+        at = interior_in_mu(ch, pot, -1e-9, 1e-9)
         solved.clear()
-        samples = sp._threshold_samples(ch, pot, -1e-9, np.array([0.0, 0.5, 1.0]), 1e-9)
-        assert solved == [(-1e-9, 0.0), (-1e-9, 0.5), (-1e-9, 1.0), (-1e-9, 0.5),
-                          (-1e-9, 0.5 + 1e-13)]
-        monkeypatch.undo()
-        assert samples[1] == sp._threshold_state(ch, pot, -1e-9, 0.5 + 1e-13, 1e-9)
+
+        def at_resonant(mu):
+            solved.append(tuple(mu) if np.ndim(mu) else mu)
+            if np.ndim(mu):
+                u, v, max_u = at(mu)
+                hit = mu == 0.5
+                u[hit] = v[hit] = max_u[hit] = np.nan
+                return u, v, max_u
+            if mu == 0.5:
+                raise DegenerateCouplingError("resonance")
+            return at(mu)
+
+        samples = sp._threshold_samples(at_resonant, np.array([0.0, 0.5, 1.0]))
+        assert solved == [(0.0, 0.5, 1.0), 0.5, 0.5 + 1e-13]
+        assert samples[1] == sp._threshold_state(at, 0.5 + 1e-13)
+        u, v, _ = at(np.array([0.0, 1.0]))
+        assert [samples[0], samples[2]] == list(zip(u.tolist(), v.tolist()))
 
 
 class TestEnergyFloor:
