@@ -211,6 +211,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 "the kernel must vanish for r >= r0")
     for name, store in (("grid", cfg.grid), ("tolerances", cfg.tolerances)):
         diags += _param_diags(name, store, (), _NUMERIC[name])
+    for key, val in cfg.tolerances.items():
+        if _is_float(val) and float(val) <= 0:
+            diags.append(f"[tolerances] {key} must be positive")
     diags += _grid_diags(cfg.grid, r0)
 
     for key in ("lambdas", "ks"):

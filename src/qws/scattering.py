@@ -83,8 +83,9 @@ class PhaseShiftResult:
     eta_raw is that principal value; tan_eta and A come from the same
     solve at mu (A is None at a node of y at r0).  ``events`` holds the
     (mu*, direction) branch events of the continuation, located to
-    MU_REFINE_FLOOR.  eta_fit comes from an independent two-point fit of
-    the exterior oscillating form and must agree with eta modulo pi.
+    MU_REFINE_FLOOR.  eta_fit comes from a two-point fit of the exterior
+    oscillating form, continued outward from that same solve at mu instead
+    of matched to Bessel functions at r0, and must agree with eta modulo pi.
     """
 
     k: float
@@ -384,8 +385,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
 
     With ``mu_steps`` set (default 200) the returned eta is the continuation
     in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the principal value
-    only (one solve, defined mod pi).  ``with_fit`` adds the independent
-    exterior two-point fit diagnostic.
+    only (one solve, defined mod pi).  ``with_fit`` adds the exterior
+    two-point fit diagnostic, one outward integration from the solve at mu.
 
     Local potentials take theta from one Prufer-unwrapped integration at
     mu and one free integration, so eta needs no path in mu.  Branch events
@@ -413,8 +414,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     def sample(m: float) -> float:
         return _theta(pair, state(float(m)), g0)[0]
 
-    pot_mu = potential.with_mu(mu)
-    theta, tan_eta, A = _theta(pair, state(float(mu)), g0)
+    at_mu = state(float(mu))
+    theta, tan_eta, A = _theta(pair, at_mu, g0)
     eta_raw = _principal(theta)
     events: Tuple[Tuple[float, int], ...] = ()
     if mu == 0.0:
@@ -441,17 +442,21 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
                                  path, th0)
         eta = theta - th0
         events = tuple(_branch_events(path, th0))
-    eta_fit = _exterior_fit_eta(channel, pot_mu, k, tol) if with_fit else None
+    eta_fit = None
+    if with_fit:
+        eq = effective_equation(channel, potential.with_mu(mu), energy)
+        eta_fit = _exterior_fit_eta(eq, k, at_mu[0], at_mu[1], tol)
     return PhaseShiftResult(k=k, mu=mu, eta=float(eta), eta_raw=float(eta_raw),
                             tan_eta=float(tan_eta), A=A, eta_fit=eta_fit,
                             events=events)
 
 
-def _exterior_fit_eta(channel, potential, k: float, tol: float) -> float:
-    """eta mod pi from a two-point fit of y = C sqrt(pi k r/2)[J cos - N sin] beyond r0."""
-    r0 = potential.r0
-    eq = effective_equation(channel, potential, EnergyValue.from_k(k))
-    u, v, _ = interior_state(eq, tol)
+def _exterior_fit_eta(eq, k: float, u, v, tol: float) -> float:
+    """eta mod pi from a two-point fit of y = C sqrt(pi k r/2)[J cos - N sin] beyond r0.
+
+    (u, v) is the interior (y, y') of ``eq`` at r0, continued outward.
+    """
+    r0 = eq.r0
     rr1, rr2 = 1.25 * r0, 1.75 * r0
     ys, _ = free_exterior(eq, u, v, np.array([r0, rr1, rr2]), tol)
     y1, y2 = ys[1], ys[2]

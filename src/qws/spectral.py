@@ -19,7 +19,9 @@ The matching function used for root scans is M(E) = y'(r0) - h(E) y(r0),
 with h(E) the decaying-exterior log-derivative: M is continuous (no poles
 where y(r0) = 0, unlike A(E) itself), vanishes exactly at bound states,
 and has simple roots because the interior log-derivative decreases while
-the exterior one increases with energy.
+the exterior one increases with energy.  That makes a bracketed
+superlinear method the right refiner for each sign change of the scan:
+:func:`_refine_root` (Illinois false position with a bisection fallback).
 """
 
 from __future__ import annotations
@@ -207,6 +209,56 @@ def _sign_brackets(grid_E: np.ndarray,
     return brackets, adjacent
 
 
+def _same_sign(x: float, y: float) -> bool:
+    """Both nonzero and of one sign (a product of two tiny values could underflow)."""
+    return (x > 0 and y > 0) or (x < 0 and y < 0)
+
+
+def _refine_root(f, a: float, b: float, tol: float) -> float:
+    """The midpoint of a sign bracket of f inside [a, b] no wider than tol max(1, |midpoint|).
+
+    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168): the
+    secant through the two ends, with the value at an end kept a second
+    time in a row halved, so that both ends close in.  Every trial point
+    lies at least half the final width inside the bracket.  A step is a
+    plain bisection once bisection alone could no longer close the bracket
+    within twice the steps it needs from the start, so no kink or resonance
+    nudge of f can stall the loop: it takes at most about twice the steps
+    of bisection.  The end values are computed here, so the result depends
+    on the bracket alone; an exact zero (a == b) costs no evaluation.  Ends
+    whose values do not straddle zero draw a warning, and the bracket is
+    bisected as if f(b) had the sign opposite to f(a) until a sign change
+    turns up.
+    """
+    if a == b:
+        return a
+    a, b = min(a, b), max(a, b)
+    fa, fb = f(a), f(b)
+    if _same_sign(fa, fb):
+        warnings.warn(f"no sign change on the bracket [{a:.12g}, {b:.12g}]: "
+                      "refining by bisection")
+    steps_left = 2 * math.ceil(math.log2((b - a) / (tol * max(1.0, abs(0.5 * (a + b))))))
+    side = 0
+    while b - a > (target := tol * max(1.0, abs(0.5 * (a + b)))):
+        if _same_sign(fa, fb) or b - a > target * 2.0 ** (steps_left - 1):
+            x = 0.5 * (a + b)
+        else:
+            x = min(max((a * fb - b * fa) / (fb - fa), a + 0.5 * target), b - 0.5 * target)
+        steps_left -= 1
+        fx = f(x)
+        if _same_sign(fx, fa):
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b)
+
+
 def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> float:
     """Below the deepest level: -1.5 |mu| (max|V| + kernel bound) - 1.
 
@@ -229,18 +281,22 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
                       mu: float = 1.0, E_floor: Optional[float] = None,
                       tol: float = 1e-10, n_scan: int = 400,
                       ode_tol: float = 1e-10) -> List[BoundState]:
-    """All bound levels in [E_floor, 0), by sign scan plus bisection.
+    """All bound levels in [E_floor, 0), by sign scan plus bracketed root refinement.
 
     The scan runs on a log-spaced energy grid (shallow levels cluster near
     threshold); adjacent sign-change intervals trigger one refined re-scan;
     an interior node-count cross-check near threshold flags a scan that is
-    still too coarse.
+    still too coarse.  Each sign-change bracket is refined by
+    :func:`_refine_root` on scalar solves of M(E) to a width of
+    tol max(1, |E|), and the level is the midpoint of the final bracket.
     """
     lam = real_lambda(channel, "spectral pipeline")
     if E_floor is None:
         E_floor = default_energy_floor(channel, potential.with_mu(mu))
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
+    if not tol > 0:
+        raise QwsError("tol must be positive")
 
     def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
         return _sign_brackets(grid_E, _scan_values(channel, potential, grid_E, mu, ode_tol))
@@ -254,19 +310,12 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
         if adjacent:
             warnings.warn("adjacent sign changes persist: energy scan too coarse")
 
-    states = []
-    for a, b in brackets:
-        Ea, Eb = a, b
-        fa = _matching_scan_value(channel, potential, Ea, mu, ode_tol)
-        while abs(Eb - Ea) > tol * max(1.0, abs(Ea)):
-            Em = 0.5 * (Ea + Eb)
-            fm = _matching_scan_value(channel, potential, Em, mu, ode_tol)
-            if fa * fm <= 0:
-                Eb = Em
-            else:
-                Ea, fa = Em, fm
-        E_root = 0.5 * (Ea + Eb)
-        states.append(_build_bound_state(channel, potential, E_root, mu, ode_tol))
+    def match(E: float) -> float:
+        return _matching_scan_value(channel, potential, E, mu, ode_tol)
+
+    states = [_build_bound_state(channel, potential, _refine_root(match, a, b, tol), mu,
+                                 ode_tol)
+              for a, b in brackets]
 
     # Sturm-oscillation cross-checks, valid for the local problem (the
     # kernel source breaks the simple-zero property the node count rests

@@ -423,6 +423,7 @@ MALFORMED = [
     ("family = none", KERNEL_BUMP + "strength = nan", "strength must be finite"),
     ("family = none", "[scan]\nk_min = 0.1", "k_min and k_max must be given together"),
     ("family = none", "[scan]\ne_min = -3", "e_min and e_max must be given together"),
+    (WELL, "[tolerances]\nroot = 0", "root must be positive"),
     # the last two fields replace the template's q = 3 and r0 = 1.0
     (WELL, "", "q must be finite", "nan", "1.0"),
     (WELL, "", "r0 must be finite", "3", "inf"),
@@ -436,7 +437,7 @@ MALFORMED = [
                               "poly-b-zero", "grid-word", "lambdas-word", "ks-word",
                               "r_min-zero", "r_min-above-r0", "r_max-below-r0",
                               "n_interior-3", "n_exterior-1", "n_interior-nan", "mu-nan",
-                              "depth-inf", "strength-nan", "k_min-alone", "e_min-alone",
+                              "depth-inf", "strength-nan", "k_min-alone", "e_min-alone", "root-tol-zero",
                               "q-nan", "r0-inf"])
 def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys, potential,
                                                           kernel, message, q, r0):

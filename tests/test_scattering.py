@@ -146,6 +146,30 @@ class TestPhaseShift:
         yl = specfun.bessel_y(0.5, k).value
         assert abs(res.tan_eta - jl / yl) <= 1e-6 * abs(jl / yl)
 
+    @pytest.mark.parametrize("ch, pot, integrations", [
+        (CH_S, WELL, 2),
+        (ChannelParams(q=3, l=1),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)), 3),
+    ], ids=["square-well", "rank1-kernel"])
+    def test_fit_reuses_the_interior_solve(self, monkeypatch, ch, pot, integrations):
+        # the fit continues the (y, y') the matching took at mu: one interior
+        # solve (a superposition for the kernel) and one exterior integration
+        import qws.radial_ode as ro
+        calls = []
+        integrate = ro._integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(ro, "_integrate", counted)
+        res = phase_shift(ch, pot, 1.3, mu=0.8, mu_steps=None)
+        assert len(calls) == integrations
+        monkeypatch.undo()
+        eq = effective_equation(ch, pot.with_mu(0.8), EnergyValue.from_k(1.3))
+        u, v, _ = interior_state(eq, 1e-10)
+        assert res.eta_fit == scattering._exterior_fit_eta(eq, 1.3, u, v, 1e-10)
+
     @pytest.mark.parametrize("k, eta_ref, events_ref", [
         (1e-4, 3.1415926535895995, ((0.6361328125000001, 1),)),
         (1.0, 3.008791117936214, ((0.5630859374999999, 1),)),

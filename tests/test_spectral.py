@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,12 @@ class TestFindBoundStates:
         pot = PotentialModel(r0=1.0, local=square_well(10.0))
         assert find_bound_states(CH_S, pot, mu=0.0) == []
 
+    def test_non_positive_tolerance_rejected(self):
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        for tol in (0.0, -1e-10):
+            with pytest.raises(QwsError, match="tol must be positive"):
+                find_bound_states(CH_S, pot, tol=tol)
+
     def test_shallow_well_has_none(self):
         pot = PotentialModel(r0=1.0, local=square_well(1.0))
         assert find_bound_states(CH_S, pot) == []
@@ -86,6 +97,81 @@ class TestFindBoundStates:
         assert len(states) == 1
         assert states[0].E < 0
         assert states[0].matching_residual <= 1e-4
+
+
+def _bisect_root(f, a, b, tol):
+    """Bisection of a scan bracket down to tol max(1, |a|): the reference for the refiner."""
+    if a == b:
+        return a
+    fa = f(a)
+    while abs(b - a) > tol * max(1.0, abs(a)):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def _refined(f, a, b, tol=1e-10):
+    """(result, final sign bracket, evaluations) of the refiner on an increasing f."""
+    seen = []
+
+    def recording(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
+    x = sp._refine_root(recording, a, b, tol)
+    lo = max(t for t, v in seen if v < 0)
+    hi = min(t for t, v in seen if v >= 0)
+    return x, (lo, hi), len(seen)
+
+
+def _bisection_steps(a, b, tol):
+    return math.ceil(math.log2((b - a) / tol))
+
+
+class TestRefineRoot:
+    @pytest.mark.parametrize("f, a, b, root", [
+        (lambda x: 3.0 * x - 2.0, -10.0, 10.0, 2.0 / 3.0),
+        (lambda x: (x - 1.5) * (x * x + 1.0), -4.0, 9.0, 1.5),
+        (lambda x: math.exp(x) - 2.0, -20.0, 5.0, math.log(2.0)),
+        (lambda x: x + 7.0, -40.0, -1.0, -7.0),
+    ], ids=["line", "cubic", "exp", "negative-root"])
+    def test_closed_form_roots(self, f, a, b, root):
+        tol = 1e-10
+        x, (lo, hi), n = _refined(f, a, b, tol)
+        assert hi - lo <= tol * max(1.0, abs(x))
+        assert x == 0.5 * (lo + hi)
+        assert abs(x - root) <= 0.5 * tol * max(1.0, abs(x)) + 1e-15 * max(1.0, abs(root))
+        assert n <= 2 + _bisection_steps(a, b, tol)
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: (x - 0.3) ** 9, 0.3),
+        (lambda x: x - 0.1 if x < 0.1 else 1000.0 * (x - 0.1), 0.1),
+    ], ids=["x^9", "kink"])
+    def test_stalling_false_position_still_closes(self, f, root):
+        # false position alone, Illinois or not, creeps in from one end here
+        # (about 260 evaluations for x^9); the bisection steps bound the
+        # count, give or take one step that the relative width tol max(1, |x|)
+        # costs as the bracket's midpoint drops below 1
+        tol = 1e-10
+        x, (lo, hi), n = _refined(f, -1.0, 2.5, tol)
+        assert hi - lo <= tol and x == 0.5 * (lo + hi)
+        assert lo <= root <= hi
+        assert n <= 2 + 2 * _bisection_steps(-1.0, 2.5, tol) + 1
+
+    def test_exact_zero_bracket_costs_no_evaluation(self):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        assert sp._refine_root(never, -2.5, -2.5, 1e-10) == -2.5
+
+    def test_bracket_without_sign_change_warns(self):
+        with pytest.warns(UserWarning, match="no sign change"):
+            x = sp._refine_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-10)
+        assert -1.0 <= x <= 2.0
 
 
 class TestSturmLiouville:
@@ -370,6 +456,58 @@ class TestLaneScans:
         assert samples[1] == sp._threshold_state(at, 0.5 + 1e-13)
         u, v, _ = at(np.array([0.0, 1.0]))
         assert [samples[0], samples[2]] == list(zip(u.tolist(), v.tolist()))
+
+
+# the models whose levels the kernel benchmark and bound_states_kernel.cfg
+# refine, at the scan sizes they use
+KERNEL_LEVEL_CASES = [
+    pytest.param(ChannelParams(q=4, l=0),
+                 PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12),
+                                                gaussian_bump(0.7, 0.12)),
+                                strengths=(-500.0, -400.0)), 32, id="rank2-kernel"),
+    pytest.param(ChannelParams(q=3, l=1),
+                 PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)),
+                 400, id="rank1-kernel"),
+]
+LEVEL_CASES = [pytest.param(ch, PotentialModel(r0=1.0, local=square_well(d)), 400,
+                            id=f"lam{ch.lam:g}-V{d:.4g}")
+               for ch, d in LANE_SCAN_CASES + [(CH_S, 86.6)]] + KERNEL_LEVEL_CASES
+
+
+class TestLevelRefinement:
+    @pytest.mark.parametrize("ch, pot, n_scan", LEVEL_CASES)
+    def test_levels_match_bisection_in_few_solves(self, monkeypatch, ch, pot, n_scan):
+        tol = 1e-10
+        solves = []
+        scan_value = sp._matching_scan_value
+
+        def counted(*args):
+            solves.append(args[2])
+            return scan_value(*args)
+
+        monkeypatch.setattr(sp, "_matching_scan_value", counted)
+        levels = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
+        assert len(solves) <= 12 * len(levels)    # bisection takes 31-35 per level
+        monkeypatch.setattr(sp, "_refine_root", _bisect_root)
+        ref = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
+        assert len(levels) == len(ref)
+        for E, E_ref in zip(levels, ref):
+            assert abs(E - E_ref) <= tol * max(1.0, abs(E_ref))
+
+
+def test_bound_state_search_leaves_scipy_optimize_unloaded():
+    code = textwrap.dedent("""
+        import sys
+        import qws
+        pot = qws.PotentialModel(r0=1.0, local=qws.square_well(39.0))
+        assert len(qws.find_bound_states(qws.ChannelParams(q=3, l=0), pot)) == 2
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestEnergyFloor:
