@@ -226,6 +226,10 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append(f"[scan] {key} must be numeric")
         elif not math.isfinite(float(val)):
             diags.append(f"[scan] {key} must be finite")
+        elif key == "de" and float(val) <= 0:
+            diags.append("[scan] de must be positive")
+        elif key == "e_floor" and float(val) >= 0:
+            diags.append("[scan] e_floor must be negative")
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))

@@ -16,12 +16,13 @@ beyond the cutoff, where the well and the kernel vanish.
 
 One function, :func:`_integrate`, steps every solve with an embedded
 Dormand-Prince 4(5) pair on the first-order system (y, y').  Scalar start
-values step one solution in complex arithmetic (bisection, refinement,
-phase shifts, full grids, the superposition of a single kernel point);
-array start values step float64 lanes that share one adaptive step, which
-is how :func:`interior_lanes` runs a grid of (E, mu) points of one model:
-the energy scan of the bound-state search and the mu grid of the crossing
-counter.  A kernel point there takes 1 + n lanes, its homogeneous and its
+values step one solution (bisection, refinement, phase shifts, full
+grids, the superposition of a single kernel point): a real problem in
+float arithmetic, a complex one (Jost solves, complex k, E or lambda) in
+complex arithmetic.  Array start values step float64 lanes that share one
+adaptive step, which is how :func:`interior_lanes` runs a grid of (E, mu)
+points of one model: the energy scan of the bound-state search and the mu
+grid of the crossing counter.  A kernel point there takes 1 + n lanes, its homogeneous and its
 n particular solves, landed on the moment grid.  Both paths take the
 moments and the n x n systems from the same two functions.  Every interior
 solve also lands a step on each knot of a tabulated well, where V' jumps
@@ -177,11 +178,14 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
 
     Steps the first-order system (y, y') of y'' + Q y = S, with Q = ``qfun``
     and S = ``sfun`` (None for the homogeneous equation).  Scalar start
-    values step one solution in complex arithmetic.  Array start values step
-    float64 lanes, one real solution per entry of a ``qfun`` that returns
-    one Q per lane: the lanes share every step, which is accepted only when
-    each lane passes its own error test, and the next step follows the worst
-    lane.  Each lane is therefore controlled at least as tightly as alone,
+    values step one solution on Python scalars.  Real start values step as
+    floats, so a real problem runs in float arithmetic, with the steps and
+    values that complex arithmetic gives; a complex Q or S promotes the
+    stages to complex.  The node arrays returned are complex.  Array start
+    values step float64 lanes, one real solution per entry of a ``qfun``
+    that returns one Q per lane: the lanes share every step, which is
+    accepted only when each lane passes its own error test, and the next
+    step follows the worst lane.  Each lane is therefore controlled at least as tightly as alone,
     and a single lane takes exactly the scalar steps.
 
     Returns (u_nodes, v_nodes, max_abs_u), node axis first; for lanes
@@ -203,7 +207,12 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         mag = np.abs
     else:
         u, v = complex(u0), complex(v0)
+        if u.imag == 0.0 and v.imag == 0.0:
+            # a real problem steps in float arithmetic (same real parts, bit for
+            # bit); a complex Q or S promotes the stages to complex by itself
+            u, v = u.real, v.real
         mag = abs
+    record = record.tolist()   # Python floats: r and every stage abscissa stay float
     n = len(record)
     us = np.empty((n,) + np.shape(u), dtype=float if lanes else complex)
     vs = np.empty_like(us)
@@ -298,8 +307,20 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             sc_v = rtol * np.maximum(np.maximum(np.abs(v), av), 1e-3 * run_v)
             err = float(max(np.max(np.abs(eu) / sc_u), np.max(np.abs(ev) / sc_v)))
         else:
-            sc_u = rtol * max(abs(u), au, 1e-3 * max_u)
-            sc_v = rtol * max(abs(v), av, 1e-3 * run_v)
+            # rtol * max(abs(u), au, 1e-3 * max_u) by max()'s own comparisons,
+            # which cost less than the builtin call
+            sc_u, floor = abs(u), 1e-3 * max_u
+            if au > sc_u:
+                sc_u = au
+            if floor > sc_u:
+                sc_u = floor
+            sc_u *= rtol
+            sc_v, floor = abs(v), 1e-3 * run_v
+            if av > sc_v:
+                sc_v = av
+            if floor > sc_v:
+                sc_v = floor
+            sc_v *= rtol
             err = 0.0
             if eu != 0.0:
                 err = abs(eu) / sc_u if sc_u > 0.0 else math.inf

@@ -395,6 +395,8 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     r0 = potential.r0
     if dE is None:
         dE = 1e-4 * max(1.0, abs(E))
+    if not dE > 0:
+        raise QwsError("dE must be positive")
     if E + dE >= 0:
         raise QwsError("need E + dE < 0 for the decaying exterior branch")
 

@@ -449,3 +449,21 @@ def test_malformed_family_parameters_exit_as_config_error(tmp_path, capsys, pote
     err = capsys.readouterr().err
     assert err.startswith("config: ") and message in err
 
+
+@pytest.mark.parametrize("config, line, message", [
+    ("sturm_square_well.cfg", "de = 0", "de must be positive"),
+    ("sturm_square_well.cfg", "de = -1e-4", "de must be positive"),
+    ("bound_states_kernel.cfg", "e_floor = 5", "e_floor must be negative"),
+    ("bound_states_kernel.cfg", "e_floor = 0", "e_floor must be negative"),
+], ids=["de-zero", "de-negative", "e_floor-positive", "e_floor-zero"])
+def test_scan_step_and_floor_exit_as_config_error(tmp_path, capsys, config, line, message):
+    # de = 0 ended in a ZeroDivisionError traceback, e_floor >= 0 in a numeric error
+    text = (CONFIG_DIR / config).read_text()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("[scan]\n", f"[scan]\n{line}\n"))
+    task = parse_config(cfg).task
+    rc = main([task, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+

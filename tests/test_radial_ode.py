@@ -758,3 +758,92 @@ class TestLaneDriver:
         with pytest.raises(QwsError):
             _integrate(lambda r: np.full(2, -1.0), None, 0.5, np.ones(2), np.ones(2),
                        np.array([1.0]), 1e-10, return_winding=True)
+
+
+
+def _real_problem(ch, pot, E, record=None, source=None):
+    """(qfun, sfun, r_start, u0, v0, record) of a real interior solve at energy E.
+
+    The series start of the homogeneous equation, on ``record`` or from
+    r_min = 1e-6 r0 to the cutoff with the knots landed; with a ``source``
+    index, the particular solve of that kernel source from (0, 0).
+    """
+    import qws.radial_ode as ro
+
+    eq = effective_equation(ch, pot, EnergyValue(E=E))
+    if record is None:
+        record, _ = ro._with_knots(pot, [1e-6 * pot.r0, pot.r0])
+    r_min = float(record[0])
+    if source is not None:
+        return eq.coefficient, eq.sources[source], r_min, 0.0, 0.0, record
+    u0, v0 = frobenius_start(ch.lam, E, eq.origin_w, r_min)
+    return eq.coefficient, None, r_min, u0, v0, record
+
+
+_SQUARE = PotentialModel(r0=1.0, local=square_well(40.0))
+_CH_P = ChannelParams(q=3, l=1)
+# the moment grid of the kernel solves: 401 nodes on [1e-6, 1]
+_MOMENT_RECORD = make_grid(1.0, r_max=1.0, n_interior=401).interior_nodes
+# (id, problem, winding): real problems of every kind the scalar stepper meets
+REAL_PROBLEMS = [
+    ("square-s-bound", lambda: _real_problem(CH_S, _SQUARE, -12.0), True),
+    ("square-s-scattering", lambda: _real_problem(CH_S, _SQUARE, 9.0), True),
+    ("square-p-bound", lambda: _real_problem(_CH_P, _SQUARE, -5.0), True),
+    ("square-p-scattering", lambda: _real_problem(_CH_P, _SQUARE, 30.0), True),
+    ("gaussian", lambda: _real_problem(_CH_P, PotentialModel(
+        r0=1.0, local=truncated_gaussian(30.0, 0.6)), -4.0), False),
+    ("table-knots", lambda: _real_problem(CH_S, PotentialModel(
+        r0=1.0, local=KINKED_TABLE[1]), -3.0), False),
+    ("kernel-particular", lambda: _real_problem(*KERNEL_MODELS[1], -20.0,
+                                                _MOMENT_RECORD, source=1), False),
+    ("moment-record", lambda: _real_problem(*KERNEL_MODELS[2], -2.0, _MOMENT_RECORD), False),
+]
+
+
+class TestFloatStepping:
+    """Real problems step in float arithmetic, exactly as in complex arithmetic."""
+
+    @pytest.mark.parametrize("problem, winding", [case[1:] for case in REAL_PROBLEMS],
+                             ids=[case[0] for case in REAL_PROBLEMS])
+    def test_real_problem_matches_complex_stepping_bit_for_bit(self, problem, winding):
+        qfun, sfun, r_start, u0, v0, record = problem()
+        assert not isinstance(qfun(0.5), complex)
+        as_float = _integrate(qfun, sfun, r_start, u0, v0, record, 1e-10,
+                              return_winding=winding)
+        # a complex Q(r) promotes every stage to complex: the stepping of a
+        # complex problem
+        as_complex = _integrate(lambda r: complex(qfun(r)), sfun, r_start, u0, v0,
+                                record, 1e-10, return_winding=winding)
+        assert len(as_float) == len(as_complex) == (4 if winding else 3)
+        for a, b in zip(as_float, as_complex):
+            assert np.array_equal(a, b)
+        assert as_float[0].dtype == complex and as_float[1].dtype == complex
+
+    def test_complex_coefficient_promotes_real_start_values(self):
+        # y'' + E y = 0 from y = 1, y' = 0 at r_s: y = cos(sqrt(E) (r - r_s))
+        E, r_s = 2.0 + 0.5j, 0.3
+        record = np.linspace(0.4, 3.0, 27)
+        us, vs, _ = _integrate(lambda r: E, None, r_s, 1.0, 0.0, record, 1e-10)
+        k = cmath.sqrt(E)
+        ref = np.array([cmath.cos(k * (r - r_s)) for r in record])
+        assert np.max(np.abs(us - ref)) <= 1e-8
+        assert np.max(np.abs(vs + k * np.sin(k * (record - r_s)))) <= 1e-8
+        assert np.max(np.abs(us.imag)) > 0.1
+
+    def test_every_abscissa_is_a_python_float(self):
+        # numpy-scalar abscissas would run every Q(r) and S(r) call in numpy arithmetic
+        seen = []
+
+        def qfun(r):
+            seen.append(type(r))
+            return -4.0
+
+        def sfun(r):
+            seen.append(type(r))
+            return 1.0
+
+        record = _MOMENT_RECORD
+        assert isinstance(record, np.ndarray) and len(record) == 401
+        _integrate(qfun, sfun, float(record[0]), 0.0, 0.0, record, 1e-10)
+        assert len(seen) > 2 * len(record)
+        assert set(seen) == {float}

@@ -208,6 +208,13 @@ class TestSturmLiouville:
         assert rep.slope_interior_fd < 0 < rep.slope_exterior_fd
         assert abs(rep.slope_interior_fd / rep.slope_interior_quad - 1) <= 0.01
 
+    @pytest.mark.parametrize("dE", [0.0, -1e-4, math.nan])
+    def test_non_positive_step_rejected(self, dE):
+        # dE = 0 divided by zero in the centered slopes
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        with pytest.raises(QwsError, match="dE must be positive"):
+            sturm_liouville_check(CH_S, pot, mu=1.0, E=-1.5, dE=dE)
+
 
 class TestContinuationCount:
     def test_single_point_grid_counts_nothing(self):
