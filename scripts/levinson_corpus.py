@@ -3,7 +3,8 @@
 
 Covers attractive square wells with 0, 1 and 2 levels, a higher partial
 wave, a purely non-local rank-1 attraction, and a mixed local + non-local
-configuration.  Prints one line per configuration.
+configuration.  Prints one line per configuration and exits 1 unless
+every configuration passes.
 """
 
 import argparse
@@ -40,13 +41,16 @@ def main():
 
     print(f"{'configuration':<24} {'eta0/pi':>10} {'n_scan':>7} {'n_cont':>7} "
           f"{'status':>8} {'time':>7}")
+    passed = True
     for name, ch, pot in corpus():
         t0 = time.perf_counter()
         rep = levinson_verify(ch, pot, tol=args.tol)
         dt = time.perf_counter() - t0
         print(f"{name:<24} {rep.eta0 / math.pi:>10.6f} {rep.n_direct:>7} "
               f"{rep.n_continuation:>7} {rep.status:>8} {dt:>6.1f}s")
+        passed = passed and rep.passed
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

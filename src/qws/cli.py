@@ -85,25 +85,18 @@ def run_eval_special(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> in
     x = float(cfg.scan.get("x", "0"))
     if name == "gamma":
         val = specfun.gamma(x)
-        rec = {"value": val, "derivative": None, "est_error": 1e-15}
-    elif name == "bessel_j":
-        rep = specfun.bessel_j(nu, x)
-        rec = {"value": rep.value, "derivative": rep.derivative,
-               "est_error": rep.est_error}
-    elif name == "bessel_y":
-        rep = specfun.bessel_y(nu, x)
-        rec = {"value": rep.value, "derivative": rep.derivative,
-               "est_error": rep.est_error}
+        rec = {"value": val, "derivative": None}
+    elif name in ("bessel_j", "bessel_y"):
+        rep = (specfun.bessel_j if name == "bessel_j" else specfun.bessel_y)(nu, x)
+        rec = {"value": rep.value, "derivative": rep.derivative}
     elif name in ("bessel_i", "bessel_k"):
         pair = specfun.bessel_i_k(nu, x)
         if name == "bessel_i":
             rec = {"value": pair.i_value,
-                   "derivative": pair.i_deriv_scaled * math.exp(pair.exponent),
-                   "est_error": 1e-12}
+                   "derivative": pair.i_deriv_scaled * math.exp(pair.exponent)}
         else:
             rec = {"value": pair.k_value,
-                   "derivative": pair.k_deriv_scaled * math.exp(-pair.exponent),
-                   "est_error": 1e-12}
+                   "derivative": pair.k_deriv_scaled * math.exp(-pair.exponent)}
     else:
         raise ConfigError(f"eval-special: unknown function {name!r}")
     write_json(out, rec, metadata)

@@ -24,6 +24,7 @@ from .model import ChannelParams
 from .potentials import (KernelTerm, PotentialModel, gaussian_bump, poly_bump,
                          square_well, tabulated, truncated_exponential,
                          truncated_gaussian)
+from .spectral import default_sturm_step
 
 TASKS = ("eval-special", "solve", "phase-shift", "wronskian-audit",
          "bound-states", "levinson", "sturm-check")
@@ -240,7 +241,20 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 diags.append(f"[scan] {gk}_min must be < {gk}_max")
             if cnt is not None and _is_float(cnt) and int(float(cnt)) < 2:
                 diags.append(f"[scan] {gk}_count must be >= 2")
+    if cfg.task == "sturm-check":
+        diags += _stencil_diags(cfg.scan)
     return diags
+
+
+def _stencil_diags(scan: Dict[str, str]) -> List[str]:
+    """sturm-check needs E + dE < 0 at each E; E + dE grows with E, so the top E decides."""
+    top, de = scan.get("e_max" if "e_min" in scan else "e"), scan.get("de")
+    if top is None or not all(_is_float(v) and math.isfinite(float(v)) for v in (top, de or top)):
+        return []   # missing or reported above
+    E = float(top)
+    dE = float(de) if de else default_sturm_step(E)
+    return [] if E + dE < 0 else [f"[scan] sturm-check needs E + dE < 0 at every energy; "
+                                  f"E = {E:g} with dE = {dE:g} reaches {E + dE:g}"]
 
 
 def _param_diags(section: str, store: Dict[str, str], required: Tuple[str, ...],

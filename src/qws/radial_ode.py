@@ -63,7 +63,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
 
 _MAX_STEPS = 5_000_000
 # interior nodes of the fixed grid on which the cutoff solves take kernel
-# moments; the spectral floor bound and node counts use it too
+# moments; the spectral floor bound uses it too
 MOMENT_NODES = 401
 
 
@@ -362,9 +362,7 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                 h = math.copysign(min(abs(h) * fac, span), direction)
         else:
             h *= max(0.1, 0.9 * err ** -0.2)
-    if return_winding:
-        return us, vs, max_u, turns
-    return us, vs, max_u
+    return (us, vs, max_u, turns) if return_winding else (us, vs, max_u)
 
 
 def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, float],
@@ -631,8 +629,8 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     grid.  A kernel is solved by superposition on the fixed uniform interior
     grid of MOMENT_NODES nodes, on which Simpson takes the kernel moments.
     ``return_winding=True`` (local equation only) appends the Prufer winding
-    count of (Re y, Re y') over (r_min, r0), see :func:`_integrate`; the
-    start angle lies in (0, pi/2).
+    count of (Re y, Re y') over (r_min, r0), see :func:`_integrate` and
+    :func:`prufer_angle`.  :func:`node_at_cutoff` reads y(r0) against max|y|.
     """
     if _kernel_active(eq):
         if return_winding:
@@ -644,6 +642,20 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
                                  record, tol, return_winding=return_winding)
     return (complex(us[-1]), complex(vs[-1]), *rest)
+
+
+def node_at_cutoff(u: complex, max_u: float) -> bool:
+    """True when y(r0) = u from :func:`interior_state` vanishes: |u| < 1e-12 max|y|."""
+    return abs(u) < 1e-12 * max_u
+
+
+def prufer_angle(u: complex, v: complex, turns: int) -> float:
+    """atan2(Re y', Re y) + 2 pi turns, the Prufer angle at r0 of :func:`interior_state`.
+
+    For the origin-regular solution it starts in (0, pi/2) and falls through
+    -pi/2 - k pi at the k-th zero of y (k = 0, 1, ...), never to rise back.
+    """
+    return math.atan2(v.real, u.real) + 2.0 * math.pi * turns
 
 
 def interior_lanes(channel: ChannelParams, potential: PotentialModel,
@@ -747,13 +759,3 @@ def green_identity_residual(y1: RadialSolution, y2: RadialSolution) -> float:
     integral = cutoff_integral(y1.grid, prod, leading_power=2 * lam_re + 1)
     return float(abs(bracket + (E2 - E1) * integral))
 
-
-def count_interior_nodes(solution: RadialSolution) -> int:
-    """Sign changes of Re y on the open interval (0, r0)."""
-    vals = np.real(solution.y[: solution.grid.i_cutoff + 1])
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        return 0
-    s = np.where(np.abs(vals) < 1e-13 * scale, 0.0, np.sign(vals))
-    s = s[s != 0.0]
-    return int(np.sum(s[1:] * s[:-1] < 0))

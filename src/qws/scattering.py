@@ -41,7 +41,7 @@ from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
 from .radial_ode import (RadialGrid, RadialSolution, free_exterior,
                          integrate_jost, integrate_regular, interior_in_mu,
-                         interior_state, make_grid)
+                         interior_state, make_grid, node_at_cutoff, prufer_angle)
 
 MU_STEPS_DEFAULT = 200       # uniform continuation steps from mu = 0
 MU_REFINE_FLOOR = 1e-4       # bisection floor for branch-jump localization
@@ -227,7 +227,7 @@ def log_derivative_interior(eq, tol: float = 1e-10) -> LogDerivative:
     which signals eta passing through pi/2 (mod pi).
     """
     u, v, max_u = interior_state(eq, tol)
-    if abs(u) < 1e-12 * max_u:
+    if node_at_cutoff(u, max_u):
         raise NodeAtCutoffError("y(r0) = 0 within tolerance; A undefined at this energy")
     A = v / u
     if abs(A.imag) <= 1e-10 * max(1.0, abs(A.real)):
@@ -294,12 +294,9 @@ def _theta(pair, state, g0: Optional[float] = None) -> Tuple[float, float, Optio
     kn_r, kj_r = kn.real, kj.real
     theta = math.atan2(kj_r, kn_r)
     if g0 is not None:
-        phi = math.atan2(v.real, u.real) + 2.0 * math.pi * winding[0]
-        theta = _lift_theta(theta, phi, g0)
+        theta = _lift_theta(theta, prufer_angle(u, v, winding[0]), g0)
     tan_eta = math.inf if kn_r == 0.0 else kj_r / kn_r
-    A = None
-    if abs(u) >= 1e-12 * max_u:
-        A = (v / u).real
+    A = None if node_at_cutoff(u, max_u) else (v / u).real
     return theta, tan_eta, A
 
 

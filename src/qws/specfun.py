@@ -1,11 +1,10 @@
 """Cylinder and modified-cylinder functions of arbitrary real order.
 
 Thin, range-guarded wrappers around scipy.special (AMOS / cephes) that
-return an evaluation report (value, derivative, method, error estimate)
-instead of a bare float.  Derivatives come from the order recurrences,
-never from finite differences.  Supported envelope: order nu in [0, 50],
-argument x in [1e-6, 1e3]; outside it the functions raise rather than
-return garbage.
+return each value together with its derivative, which comes from the order
+recurrences, never from finite differences.  Supported envelope: order nu
+in [0, 50], argument x in (0, 1e3] (J also at x = 0); outside it the
+functions raise rather than return garbage.
 
 The bound-state side of the package only ever needs these functions at
 purely imaginary argument, which is reached through I/K so that all
@@ -25,17 +24,14 @@ from .errors import EnvelopeError
 
 NU_MAX = 50.0
 X_MAX = 1.0e3
-X_MIN = 1.0e-6  # guarded lower end for error-estimate claims; 0 allowed where finite
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One special-function evaluation: value, d/dx, method tag, estimated relative error."""
+    """One special-function evaluation: the value and its derivative d/dx."""
 
     value: float
     derivative: float
-    method: str
-    est_error: float
 
 
 @dataclass(frozen=True)
@@ -88,11 +84,6 @@ def _check_envelope(nu: float, x: float, allow_x_zero: bool = False) -> None:
         raise EnvelopeError(f"argument x={x} outside supported (0, {X_MAX}]")
 
 
-def _rel_error_model(nu: float, x: float) -> float:
-    # crude but conservative inside the envelope; stays well under 1e-10
-    return 3e-13 * (1.0 + 0.02 * nu) * (1.0 + 1e-3 * x)
-
-
 def gamma(x: float) -> float:
     """Gamma function for real x away from the poles at 0, -1, -2, ..."""
     if x <= 0 and x == int(x):
@@ -107,21 +98,14 @@ def bessel_j(nu: float, x: float) -> EvalReport:
     """J_nu(x) and J'_nu(x); x = 0 allowed (limit values)."""
     _check_envelope(nu, x, allow_x_zero=True)
     if x == 0.0:
-        value = 1.0 if nu == 0.0 else 0.0
-        if nu == 0.0:
-            deriv = 0.0
-        elif nu == 1.0:
-            deriv = 0.5
-        elif nu < 1.0:
-            deriv = math.inf  # J'_nu ~ x^{nu-1} diverges for 0 < nu < 1
-        else:
-            deriv = 0.0
-        return EvalReport(value, deriv, "scipy.special.jv", 1e-16)
+        # J'_nu ~ (x/2)^{nu-1} / (2 Gamma(nu)): 1/2 at nu = 1, divergent for 0 < nu < 1
+        deriv = 0.5 if nu == 1.0 else (math.inf if 0.0 < nu < 1.0 else 0.0)
+        return EvalReport(1.0 if nu == 0.0 else 0.0, deriv)
     value = float(_sp.jv(nu, x))
     deriv = float(_sp.jv(nu - 1.0, x)) - (nu / x) * value
     if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EnvelopeError(f"J_nu evaluation overflowed at nu={nu}, x={x}")
-    return EvalReport(value, deriv, "scipy.special.jv", _rel_error_model(nu, x))
+    return EvalReport(value, deriv)
 
 
 def bessel_y(nu: float, x: float) -> EvalReport:
@@ -131,7 +115,7 @@ def bessel_y(nu: float, x: float) -> EvalReport:
     deriv = float(_sp.yv(nu - 1.0, x)) - (nu / x) * value
     if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EnvelopeError(f"Y_nu evaluation overflowed at nu={nu}, x={x}")
-    return EvalReport(value, deriv, "scipy.special.yv", _rel_error_model(nu, x))
+    return EvalReport(value, deriv)
 
 
 def bessel_i_k(nu: float, x: float) -> ModifiedPair:

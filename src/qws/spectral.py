@@ -12,8 +12,8 @@ answers from one superposition) or :func:`~qws.radial_ode.solve_nonlocal`
 (a full grid), which decide between the local integration and the kernel
 superposition themselves; this module never branches on that.  It branches on
 ``potential.kernel`` only where the mathematics differs: the kernel term
-of the energy floor, and the Sturm node-count cross-check, which holds for
-local equations only.
+of the energy floor, and the Sturm node-count cross-check (node counts from
+Prufer windings), which holds for local equations only.
 
 The matching function used for root scans is M(E) = y'(r0) - h(E) y(r0),
 with h(E) the decaying-exterior log-derivative: M is continuous (no poles
@@ -39,9 +39,9 @@ from .errors import (AmbiguousCrossingError, DegenerateCouplingError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (MOMENT_NODES, RadialSolution, count_interior_nodes,
-                         cutoff_integral, interior_in_mu, interior_lanes, interior_state,
-                         make_grid, solve_nonlocal, source_samples)
+from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
+                         interior_lanes, interior_state, make_grid, node_at_cutoff,
+                         prufer_angle, solve_nonlocal, source_samples)
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
@@ -154,7 +154,7 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
     if E > 0:
         raise QwsError("matching mismatch is defined for E <= 0")
     u, v, max_u, h = _cutoff_match(channel, potential, E, mu, tol)
-    if abs(u) < 1e-12 * max_u:
+    if node_at_cutoff(u, max_u):
         return float((u / v).real - 1.0 / h)  # inverse chart
     return float((v / u).real - h)
 
@@ -285,8 +285,9 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
 
     The scan runs on a log-spaced energy grid (shallow levels cluster near
     threshold); adjacent sign-change intervals trigger one refined re-scan;
-    an interior node-count cross-check near threshold flags a scan that is
-    still too coarse.  Each sign-change bracket is refined by
+    for a local potential, Sturm node counts (the Prufer winding of one
+    solve each) at E_floor and near threshold flag a scan that is still too
+    coarse.  Each sign-change bracket is refined by
     :func:`_refine_root` on scalar solves of M(E) to a width of
     tol max(1, |E|), and the level is the midpoint of the final bracket.
     """
@@ -338,13 +339,16 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
 
 
 def _interior_nodes_and_A(channel, potential, E, mu, tol) -> Tuple[int, float]:
-    """Interior node count and A(r0) of the regular solution at energy E."""
+    """Interior node count and A(r0) of the regular solution at energy E (local only).
+
+    Both come from one solve straight to the cutoff; the Prufer angle phi at
+    r0 has passed -pi/2 - k pi once for each zero of y in (0, r0).
+    """
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
-    sol = solve_nonlocal(eq, grid, tol)
-    y0, dy0 = (z.real for z in sol.at_cutoff())
-    A = dy0 / y0 if y0 != 0.0 else math.inf * (1.0 if dy0 >= 0 else -1.0)
-    return count_interior_nodes(sol), A
+    u, v, _, turns = interior_state(eq, tol, return_winding=True)
+    phi = prufer_angle(u, v, turns)
+    A = v.real / u.real if u.real != 0.0 else math.inf * (1.0 if v.real >= 0 else -1.0)
+    return max(0, math.ceil(-(phi + 0.5 * math.pi) / math.pi)), A
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
@@ -383,6 +387,11 @@ def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
                       solution=solution, matching_residual=float(residual))
 
 
+def default_sturm_step(E: float) -> float:
+    """The energy step of :func:`sturm_liouville_check` when none is given."""
+    return 1e-4 * max(1.0, abs(E))
+
+
 def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
                           mu: float, E: float, dE: Optional[float] = None,
                           tol: float = 1e-10) -> SturmReport:
@@ -394,7 +403,7 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     if dE is None:
-        dE = 1e-4 * max(1.0, abs(E))
+        dE = default_sturm_step(E)
     if not dE > 0:
         raise QwsError("dE must be positive")
     if E + dE >= 0:
@@ -403,7 +412,7 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     def interior_A(Ev: float) -> Tuple[float, float]:
         eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=Ev))
         u, v, max_u = interior_state(eq, tol)
-        if abs(u) < 1e-12 * max_u:
+        if node_at_cutoff(u, max_u):
             raise NodeAtCutoffError("node at r0 inside differencing stencil")
         return (v / u).real, u.real
 

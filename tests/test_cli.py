@@ -467,3 +467,20 @@ def test_scan_step_and_floor_exit_as_config_error(tmp_path, capsys, config, line
     err = capsys.readouterr().err
     assert err.startswith("config: ") and message in err
 
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[scan]\n", "[scan]\nde = 0.5\n"),
+    ("e_max = -0.1\n", "e_max = -0.00005\n"),
+], ids=["de-past-threshold", "default-step-past-threshold"])
+def test_sturm_stencil_past_threshold_exits_as_config_error(tmp_path, capsys, old, new):
+    # a stencil E + dE >= 0 ended as a numeric QwsError (exit 3)
+    text = (CONFIG_DIR / "sturm_square_well.cfg").read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    rc = main(["sturm-check", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+               "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "needs E + dE < 0" in err

@@ -10,11 +10,11 @@ from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
 from qws.potentials import (PotentialModel, gaussian_bump, poly_bump, square_well,
                             tabulated, truncated_exponential, truncated_gaussian)
-from qws.radial_ode import (_integrate, cutoff_integral, count_interior_nodes,
-                            frobenius_start, green_identity_residual, integrate_jost,
-                            integrate_regular, interior_in_mu, interior_lanes,
-                            interior_state, make_grid, solve_nonlocal)
-from qws.spectral import default_energy_floor
+from qws.radial_ode import (MOMENT_NODES, _integrate, cutoff_integral, frobenius_start,
+                            green_identity_residual, integrate_jost, integrate_regular,
+                            interior_in_mu, interior_lanes, interior_state, make_grid,
+                            solve_nonlocal)
+from qws.spectral import _interior_nodes_and_A, default_energy_floor
 
 CH_S = ChannelParams(q=3, l=0)          # lam = 1/2
 FREE = PotentialModel(r0=1.0)
@@ -376,14 +376,6 @@ class TestWindingCount:
             interior_state(eq, 1e-10, return_winding=True)
 
 
-def test_node_counting():
-    eq = effective_equation(CH_S, FREE, EnergyValue.from_k(7.0))
-    g = make_grid(1.0)
-    sol = integrate_regular(eq, g, 1e-10)
-    # sin(7r) has nodes at pi/7, 2pi/7 under r = 1: floor(7/pi) = 2
-    assert count_interior_nodes(sol) == 2
-
-
 class TestPotentialFamilies:
     def test_exponential_well_against_independent_integrator(self):
         # independent reference: scipy RK with the raw profile, no series start
@@ -494,6 +486,45 @@ LANE_WELLS = [
 ]
 LANE_IDS = ["square", "gaussian-p", "exponential", "square-lam2.5"]
 KINKED_TABLE = (CH_S, tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB)))
+
+
+def _grid_sign_changes(ch, pot, E, mu, tol=1e-10):
+    """Sign changes of Re y over (0, r0) on a MOMENT_NODES grid: the node-count reference."""
+    eq = effective_equation(ch, pot.with_mu(mu), EnergyValue(E=E))
+    sol = solve_nonlocal(eq, make_grid(pot.r0, r_max=pot.r0, n_interior=MOMENT_NODES), tol)
+    vals = np.real(sol.y[: sol.grid.i_cutoff + 1])
+    s = np.where(np.abs(vals) < 1e-13 * np.max(np.abs(vals)), 0.0, np.sign(vals))
+    s = s[s != 0.0]
+    return int(np.sum(s[1:] * s[:-1] < 0))
+
+
+def test_node_counting():
+    # y = sin(k r) has floor(k / pi) nodes in (0, 1): 2, 95 and 477; the
+    # 477 nodes of k = 1500 are more than a 401-node grid can resolve
+    for k, nodes in ((7.0, 2), (300.0, 95), (1500.0, 477)):
+        count, A = _interior_nodes_and_A(CH_S, FREE, k * k, 1.0, 1e-10)
+        assert count == nodes
+        assert abs(A - k / math.tan(k)) <= 1e-6 * abs(k / math.tan(k))
+
+
+NODE_CHANNELS = [CH_S, ChannelParams(q=3, l=1), ChannelParams(q=4, l=0),
+                 ChannelParams(q=5, l=1)]
+NODE_WELLS = [square_well(60.0), truncated_gaussian(80.0, 0.6),
+              truncated_exponential(90.0, 0.5), KINKED_TABLE[1]]
+
+
+@pytest.mark.parametrize("ch", NODE_CHANNELS, ids=["s", "p", "q4", "q5-l1"])
+@pytest.mark.parametrize("local", NODE_WELLS,
+                         ids=["square", "gaussian", "exponential", "sign-changing-table"])
+def test_node_count_equals_grid_sign_changes(ch, local):
+    pot = PotentialModel(r0=1.0, local=local)
+    counts = []
+    for mu in (0.3, 1.0, 4.0, 10.0):
+        for E in (-50.0, -10.0, -1.0, -1e-3, -1e-9):
+            count, _ = _interior_nodes_and_A(ch, pot, E, mu, 1e-10)
+            assert count == _grid_sign_changes(ch, pot, E, mu), (mu, E)
+            counts.append(count)
+    assert max(counts) >= 2
 
 
 def _scalar_cutoff(ch, pot, E, mu, tol=1e-10):

@@ -98,6 +98,23 @@ class TestFindBoundStates:
         assert states[0].E < 0
         assert states[0].matching_residual <= 1e-4
 
+    @pytest.mark.parametrize("kwargs, expected", [
+        ({"n_scan": 3}, ["oscillation count 3 != 1 roots: scan too coarse"]),
+        ({"E_floor": -20.0},
+         ["interior nodes at E_floor: floor may be above the deepest level",
+          "oscillation count 3 != 1 roots: scan too coarse"]),
+    ], ids=["coarse-scan", "floor-above-levels"])
+    def test_sturm_cross_check_warns(self, kwargs, expected):
+        # three levels (E ~ -78.6, -54.9, -17.4): a 3-point scan resolves one
+        # of them, and E_floor = -20 lies above two, where the solution
+        # already has two interior nodes
+        pot = PotentialModel(r0=1.0, local=square_well(86.6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            states = find_bound_states(CH_S, pot, **kwargs)
+        assert len(states) == 1
+        assert [str(w.message) for w in caught] == expected
+
 
 def _bisect_root(f, a, b, tol):
     """Bisection of a scan bracket down to tol max(1, |a|): the reference for the refiner."""
