@@ -231,6 +231,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append("[scan] de must be positive")
         elif key == "e_floor" and float(val) >= 0:
             diags.append("[scan] e_floor must be negative")
+        elif key == "mu_steps" and float(val) < 0:
+            diags.append("[scan] mu_steps must be >= 0 (0: principal value only)")
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))

@@ -16,14 +16,18 @@ homotopy over (r, mu) carries the Prufer angle of (y, y') along r through
 L, so one integration with a winding count gives theta at any mu without
 a path in mu (Prufer, Math. Ann. 95 (1926) 499); one more at mu = 0 gives
 theta(0).  Branch events (eta through half-integer multiples of pi) are
-then bisected between such absolute samples; for a one-signed well eta is
-monotone in mu (Calogero's variable-phase relation
+located between such absolute samples: a segment holding more than one is
+bisected, and a single one is refined by :func:`~qws.roots.refine_root`
+on the matching denominator D = KN cos th0 + KJ sin th0 = |K| cos(eta),
+which is linear in (y, y')(r0), hence smooth in mu, and changes sign at
+the event, where theta itself may turn like a step at low k.  For a
+one-signed well eta is monotone in mu (Calogero's variable-phase relation
 d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a complete starting
 partition.  Kernel potentials are continued along a uniform mu grid with
 bisection across jumps, since coupling resonances break the homotopy; every
 sample of that walk comes from one :func:`~qws.radial_ode.interior_in_mu`
-at E = k^2, so a pure kernel makes one superposition per k and one n x n
-solve per coupling.
+at E = k^2, the grid points from one lanes call of it, so a pure kernel
+makes one superposition per k and one n x n solve per coupling.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from .potentials import PotentialModel
 from .radial_ode import (RadialGrid, RadialSolution, free_exterior,
                          integrate_jost, integrate_regular, interior_in_mu,
                          interior_state, make_grid, node_at_cutoff, prufer_angle)
+from .roots import refine_root, same_sign
 
 MU_STEPS_DEFAULT = 200       # uniform continuation steps from mu = 0
-MU_REFINE_FLOOR = 1e-4       # bisection floor for branch-jump localization
+MU_REFINE_FLOOR = 1e-4       # widest bracket a branch event is located to
 JUMP_TRIGGER = 0.5 * math.pi
 
 
@@ -82,10 +87,11 @@ class PhaseShiftResult:
     grid for kernels), otherwise the raw principal value in (-pi/2, pi/2].
     eta_raw is that principal value; tan_eta and A come from the same
     solve at mu (A is None at a node of y at r0).  ``events`` holds the
-    (mu*, direction) branch events of the continuation, located to
-    MU_REFINE_FLOOR.  eta_fit comes from a two-point fit of the exterior
-    oscillating form, continued outward from that same solve at mu instead
-    of matched to Bessel functions at r0, and must agree with eta modulo pi.
+    (mu*, direction) branch events of the continuation: mu* is the midpoint
+    of a bracket no wider than MU_REFINE_FLOOR.  eta_fit comes from a
+    two-point fit of the exterior oscillating form, continued outward from
+    that same solve at mu instead of matched to Bessel functions at r0, and
+    must agree with eta modulo pi.
     """
 
     k: float
@@ -309,41 +315,64 @@ def _branch_index(th: float, th0: float) -> int:
     return math.floor((th - th0) / math.pi + 0.5)
 
 
-def _walk_theta(sample, mu_a: float, th_a: float, mu_b: float,
+def _walk_theta(sample, mu_a: float, th_a: float, mu_b: float, raw_b: float,
                 path: List[Tuple[float, float]], th0: float) -> float:
-    """Continuous theta at mu_b given theta at mu_a, bisecting across jumps.
+    """Continuous theta at mu_b given theta at mu_a and the principal theta raw_b at mu_b.
 
     Segments where the angle moves by more than pi/2, or where the pi-branch
-    of eta = theta - th0 changes, are refined down to the resolution floor;
-    every resolved point is appended to ``path``.
+    of eta = theta - th0 changes, are bisected down to the resolution floor
+    on principal samples ``sample(mu)``; every resolved point is appended
+    to ``path``.
     """
-    th_b = _unwrap_step(th_a, sample(mu_b))
+    th_b = _unwrap_step(th_a, raw_b)
     needs_split = (abs(th_b - th_a) > JUMP_TRIGGER
                    or _branch_index(th_b, th0) != _branch_index(th_a, th0))
     if not needs_split or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
         path.append((mu_b, th_b))
         return th_b
     mid = 0.5 * (mu_a + mu_b)
-    th_mid = _walk_theta(sample, mu_a, th_a, mid, path, th0)
-    return _walk_theta(sample, mid, th_mid, mu_b, path, th0)
+    th_mid = _walk_theta(sample, mu_a, th_a, mid, sample(mid), path, th0)
+    return _walk_theta(sample, mid, th_mid, mu_b, raw_b, path, th0)
 
 
-def _bisect_branches(sample, mu_a: float, th_a: float, mu_b: float, th_b: float,
+def _locate_branches(point, a: Tuple[float, float, float], b: Tuple[float, float, float],
                      path: List[Tuple[float, float]], th0: float) -> None:
-    """Bisect [mu_a, mu_b] wherever the pi-branch of eta = theta - th0 differs.
+    """Resolve every branch event of eta = theta - th0 between two absolute samples.
 
-    The theta samples are absolute (Prufer-lifted), so a segment needs no
-    inner samples unless it holds a branch event; each event is resolved
-    down to the floor.  Points are appended to ``path`` in order of mu.
+    ``a`` and ``b`` are (mu, theta, D) samples, ``a`` already the last point
+    of ``path``; ``point(mu)`` makes another.  A segment whose branch index
+    jumps by more than one is split at its midpoint until each part holds
+    one jump.  A single jump is refined by :func:`~qws.roots.refine_root`
+    on the matching denominator D, which changes sign there, to a bracket no
+    wider than MU_REFINE_FLOOR; the bracket's ends go into ``path``.  Should
+    the ends not carry the branch indices of a and b (theta not monotone
+    inside), or D not change sign, the segment is split at its midpoint
+    instead.  Points are appended in the order of the walk.
     """
-    if (_branch_index(th_b, th0) == _branch_index(th_a, th0)
-            or abs(mu_b - mu_a) <= MU_REFINE_FLOOR):
+    mu_a, th_a, d_a = a
+    mu_b, th_b, d_b = b
+    jump = _branch_index(th_b, th0) - _branch_index(th_a, th0)
+    if jump == 0 or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
         path.append((mu_b, th_b))
         return
-    mid = 0.5 * (mu_a + mu_b)
-    th_mid = sample(mid)
-    _bisect_branches(sample, mu_a, th_a, mid, th_mid, path, th0)
-    _bisect_branches(sample, mid, th_mid, mu_b, th_b, path, th0)
+    if abs(jump) == 1 and not same_sign(d_a, d_b):
+        seen = {mu_a: a, mu_b: b}
+
+        def denominator(m: float) -> float:
+            seen[m] = point(m)
+            return seen[m][2]
+
+        tol = MU_REFINE_FLOOR / max(1.0, abs(mu_a), abs(mu_b))
+        lo, hi = refine_root(denominator, mu_a, d_a, mu_b, d_b, tol)
+        near, far = (seen[lo], seen[hi]) if mu_a < mu_b else (seen[hi], seen[lo])
+        if (_branch_index(near[1], th0) == _branch_index(th_a, th0)
+                and _branch_index(far[1], th0) == _branch_index(th_b, th0)):
+            path.extend((m, th) for m, th, _ in (near, far) if m not in (mu_a, mu_b))
+            path.append((mu_b, th_b))
+            return
+    mid = point(0.5 * (mu_a + mu_b))
+    _locate_branches(point, a, mid, path, th0)
+    _locate_branches(point, mid, b, path, th0)
 
 
 def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[float, int]]:
@@ -360,6 +389,30 @@ def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[fl
             events.append((0.5 * (mu_a + mu_b), 1 if b_new > b_prev else -1))
         b_prev = b_new
     return events
+
+
+def _walk_grid(pair, state, mu_grid: np.ndarray, theta_end: float,
+               path: List[Tuple[float, float]], th0: float) -> None:
+    """Walk theta along ``mu_grid`` from path[-1] = (0, th0) to theta_end at its last point.
+
+    The inner grid points are answered by one lanes call of ``state`` (see
+    :func:`~qws.radial_ode.interior_in_mu`); a NaN (resonant) lane is
+    sampled again as a scalar, which raises the resonance.  Jumps and
+    branch changes are bisected on scalar samples by :func:`_walk_theta`.
+    """
+    def sample(m: float) -> float:
+        return _theta(pair, state(float(m)))[0]
+
+    raws = [theta_end]
+    if len(mu_grid) > 2:
+        us, vs, _ = state(mu_grid[1:-1])
+        kn, kj = pair(us, vs)
+        raws = np.arctan2(kj, kn).tolist() + raws
+    theta = th0
+    for m_a, m_b, raw in zip(mu_grid[:-1], mu_grid[1:], raws):
+        if math.isnan(raw):
+            raw = sample(m_b)
+        theta = _walk_theta(sample, float(m_a), theta, float(m_b), raw, path, th0)
 
 
 def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
@@ -380,24 +433,29 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
                 with_fit: bool = True) -> PhaseShiftResult:
     """Phase shift at wavenumber k and coupling mu.
 
-    With ``mu_steps`` set (default 200) the returned eta is the continuation
-    in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the principal value
-    only (one solve, defined mod pi).  ``with_fit`` adds the exterior
-    two-point fit diagnostic, one outward integration from the solve at mu.
+    With ``mu_steps`` set (default 200, at least 1) the returned eta is the
+    continuation in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the
+    principal value only (one solve, defined mod pi).  ``with_fit`` adds the
+    exterior two-point fit diagnostic, one outward integration from the
+    solve at mu.
 
     Local potentials take theta from one Prufer-unwrapped integration at
     mu and one free integration, so eta needs no path in mu.  Branch events
-    come from bisecting the branch index between these absolute samples:
-    from the partition {0, mu} when the profile keeps one sign (eta is then
-    monotone in mu), otherwise from the ``mu_steps`` grid.  Kernel
-    potentials, whose coupling resonances break the homotopy in (r, mu),
-    walk the ``mu_steps`` grid and bisect wherever theta jumps by more than
-    pi/2 or changes branch, taking every sample from
-    :func:`~qws.radial_ode.interior_in_mu`.
+    are located between these absolute samples by :func:`_locate_branches`
+    (bisection down to one event per segment, then bracketed refinement of
+    the matching denominator), from the partition {0, mu} when the profile
+    keeps one sign (eta is then monotone in mu), otherwise from the
+    ``mu_steps`` grid.  Kernel potentials, whose coupling resonances break
+    the homotopy in (r, mu), walk the ``mu_steps`` grid, whose points come
+    from one lanes call of :func:`~qws.radial_ode.interior_in_mu`, and
+    bisect on scalar samples wherever theta jumps by more than pi/2 or
+    changes branch.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
         raise QwsError("phase shift needs finite k > 0")
+    if mu_steps is not None and not mu_steps >= 1:
+        raise QwsError("mu_steps must be None or at least 1")
     energy = EnergyValue.from_k(k)
     pair, g0 = _matching_map(lam, k, potential.r0)
     if potential.kernel:
@@ -408,9 +466,6 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
             eqm = effective_equation(channel, potential.with_mu(m), energy)
             return interior_state(eqm, tol, return_winding=True)
 
-    def sample(m: float) -> float:
-        return _theta(pair, state(float(m)), g0)[0]
-
     at_mu = state(float(mu))
     theta, tan_eta, A = _theta(pair, at_mu, g0)
     eta_raw = _principal(theta)
@@ -420,24 +475,26 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     elif mu_steps is None:
         eta = eta_raw
     else:
-        th0 = sample(0.0)
+        at_0 = state(0.0)
+        th0 = _theta(pair, at_0, g0)[0]
         path: List[Tuple[float, float]] = [(0.0, th0)]
         if potential.kernel:
-            mu_grid = np.linspace(0.0, mu, abs(int(mu_steps)) + 1)
-            theta = th0
-            for j in range(1, len(mu_grid)):
-                theta = _walk_theta(sample, float(mu_grid[j - 1]), theta,
-                                    float(mu_grid[j]), path, th0)
+            _walk_grid(pair, state, np.linspace(0.0, mu, int(mu_steps) + 1), theta, path, th0)
         else:
-            mu_grid = [0.0, mu]
-            if not potential.one_signed:
-                mu_grid = np.linspace(0.0, mu, abs(int(mu_steps)) + 1)
-            for j in range(1, len(mu_grid)):
-                m = float(mu_grid[j])
-                th_m = theta if m == mu else sample(m)
-                _bisect_branches(sample, float(mu_grid[j - 1]), path[-1][1], m, th_m,
-                                 path, th0)
-        eta = theta - th0
+            c0, s0 = math.cos(th0), math.sin(th0)
+
+            def point(m: float, st=None) -> Tuple[float, float, float]:
+                """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
+                st = state(m) if st is None else st
+                kn, kj = pair(st[0], st[1])
+                return m, _theta(pair, st, g0)[0], kn.real * c0 + kj.real * s0
+
+            inner = [] if potential.one_signed else np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1]
+            points = ([point(0.0, at_0)] + [point(float(m)) for m in inner]
+                      + [point(float(mu), at_mu)])
+            for a, b in zip(points[:-1], points[1:]):
+                _locate_branches(point, a, b, path, th0)
+        eta = path[-1][1] - th0
         events = tuple(_branch_events(path, th0))
     eta_fit = None
     if with_fit:

@@ -21,7 +21,8 @@ where y(r0) = 0, unlike A(E) itself), vanishes exactly at bound states,
 and has simple roots because the interior log-derivative decreases while
 the exterior one increases with energy.  That makes a bracketed
 superlinear method the right refiner for each sign change of the scan:
-:func:`_refine_root` (Illinois false position with a bisection fallback).
+:func:`~qws.roots.refine_root` (Illinois false position with a bisection
+fallback), which also locates the branch events of the phase shifts.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .potentials import PotentialModel
 from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
                          interior_lanes, interior_state, make_grid, node_at_cutoff,
                          prufer_angle, solve_nonlocal, source_samples)
+from .roots import refine_root
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
@@ -209,56 +211,6 @@ def _sign_brackets(grid_E: np.ndarray,
     return brackets, adjacent
 
 
-def _same_sign(x: float, y: float) -> bool:
-    """Both nonzero and of one sign (a product of two tiny values could underflow)."""
-    return (x > 0 and y > 0) or (x < 0 and y < 0)
-
-
-def _refine_root(f, a: float, b: float, tol: float) -> float:
-    """The midpoint of a sign bracket of f inside [a, b] no wider than tol max(1, |midpoint|).
-
-    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168): the
-    secant through the two ends, with the value at an end kept a second
-    time in a row halved, so that both ends close in.  Every trial point
-    lies at least half the final width inside the bracket.  A step is a
-    plain bisection once bisection alone could no longer close the bracket
-    within twice the steps it needs from the start, so no kink or resonance
-    nudge of f can stall the loop: it takes at most about twice the steps
-    of bisection.  The end values are computed here, so the result depends
-    on the bracket alone; an exact zero (a == b) costs no evaluation.  Ends
-    whose values do not straddle zero draw a warning, and the bracket is
-    bisected as if f(b) had the sign opposite to f(a) until a sign change
-    turns up.
-    """
-    if a == b:
-        return a
-    a, b = min(a, b), max(a, b)
-    fa, fb = f(a), f(b)
-    if _same_sign(fa, fb):
-        warnings.warn(f"no sign change on the bracket [{a:.12g}, {b:.12g}]: "
-                      "refining by bisection")
-    steps_left = 2 * math.ceil(math.log2((b - a) / (tol * max(1.0, abs(0.5 * (a + b))))))
-    side = 0
-    while b - a > (target := tol * max(1.0, abs(0.5 * (a + b)))):
-        if _same_sign(fa, fb) or b - a > target * 2.0 ** (steps_left - 1):
-            x = 0.5 * (a + b)
-        else:
-            x = min(max((a * fb - b * fa) / (fb - fa), a + 0.5 * target), b - 0.5 * target)
-        steps_left -= 1
-        fx = f(x)
-        if _same_sign(fx, fa):
-            a, fa = x, fx
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b)
-
-
 def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> float:
     """Below the deepest level: -1.5 |mu| (max|V| + kernel bound) - 1.
 
@@ -288,7 +240,7 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     for a local potential, Sturm node counts (the Prufer winding of one
     solve each) at E_floor and near threshold flag a scan that is still too
     coarse.  Each sign-change bracket is refined by
-    :func:`_refine_root` on scalar solves of M(E) to a width of
+    :func:`~qws.roots.refine_root` on scalar solves of M(E) to a width of
     tol max(1, |E|), and the level is the midpoint of the final bracket.
     """
     lam = real_lambda(channel, "spectral pipeline")
@@ -314,8 +266,13 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     def match(E: float) -> float:
         return _matching_scan_value(channel, potential, E, mu, ode_tol)
 
-    states = [_build_bound_state(channel, potential, _refine_root(match, a, b, tol), mu,
-                                 ode_tol)
+    def level(a: float, b: float) -> float:
+        if a == b:   # an exact zero of the scan
+            return a
+        lo, hi = refine_root(match, a, match(a), b, match(b), tol)
+        return 0.5 * (lo + hi)
+
+    states = [_build_bound_state(channel, potential, level(a, b), mu, ode_tol)
               for a, b in brackets]
 
     # Sturm-oscillation cross-checks, valid for the local problem (the

@@ -469,6 +469,20 @@ def test_scan_step_and_floor_exit_as_config_error(tmp_path, capsys, config, line
 
 
 
+@pytest.mark.parametrize("steps", ["-5", "-200", "-0.5"])
+def test_negative_mu_steps_exits_as_config_error(tmp_path, capsys, steps):
+    # a negative mu_steps was read as its absolute value
+    text = (CONFIG_DIR / "phase_shift_square_well.cfg").read_text()
+    assert "mu_steps = 200\n" in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("mu_steps = 200\n", f"mu_steps = {steps}\n"))
+    rc = main(["phase-shift", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+               "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "mu_steps must be >= 0" in err
+
+
 @pytest.mark.parametrize("old, new", [
     ("[scan]\n", "[scan]\nde = 0.5\n"),
     ("e_max = -0.1\n", "e_max = -0.00005\n"),

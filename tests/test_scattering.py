@@ -10,7 +10,7 @@ from qws.potentials import (PotentialModel, gaussian_bump, square_well,
                             tabulated, truncated_exponential,
                             truncated_gaussian)
 from qws.radial_ode import integrate_regular, interior_state, make_grid
-from qws.scattering import (MU_REFINE_FLOOR, hermiticity_residual,
+from qws.scattering import (MU_REFINE_FLOOR, MU_STEPS_DEFAULT, hermiticity_residual,
                             log_derivative_interior, low_k_phase_asymptotic,
                             phase_shift, phase_shift_curve, wronskian,
                             wronskian_pair_jost, wronskian_pair_phi)
@@ -240,8 +240,40 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     th = th0
     path = [(0.0, th0)]
     for a, b in zip(grid[:-1], grid[1:]):
-        th = scattering._walk_theta(sample, float(a), th, float(b), path, th0)
+        th = scattering._walk_theta(sample, float(a), th, float(b), sample(b), path, th0)
     return th - th0, scattering._branch_events(path, th0)
+
+
+def _bisected_events(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
+    """Reference: bisect the branch index between absolute (Prufer-lifted) samples.
+
+    The starting partition is the one phase_shift takes: {0, mu} for a
+    one-signed profile, the uniform mu grid otherwise; each event is bisected
+    down to MU_REFINE_FLOOR.
+    """
+    pair, g0 = scattering._matching_map(ch.lam, k, pot.r0)
+    energy = EnergyValue.from_k(k)
+
+    def sample(m):
+        eq = effective_equation(ch, pot.with_mu(float(m)), energy)
+        return scattering._theta(pair, interior_state(eq, tol, return_winding=True), g0)[0]
+
+    def bisect(mu_a, th_a, mu_b, th_b):
+        if (scattering._branch_index(th_b, th0) == scattering._branch_index(th_a, th0)
+                or abs(mu_b - mu_a) <= MU_REFINE_FLOOR):
+            path.append((mu_b, th_b))
+            return
+        mid = 0.5 * (mu_a + mu_b)
+        th_mid = sample(mid)
+        bisect(mu_a, th_a, mid, th_mid)
+        bisect(mid, th_mid, mu_b, th_b)
+
+    grid = [0.0, mu] if pot.one_signed else np.linspace(0.0, mu, mu_steps + 1)
+    th0 = sample(0.0)
+    path = [(0.0, th0)]
+    for a, b in zip(grid[:-1], grid[1:]):
+        bisect(float(a), path[-1][1], float(b), sample(b))
+    return scattering._branch_events(path, th0)
 
 
 _R_TAB = np.linspace(0.01, 1.0, 60)
@@ -317,6 +349,178 @@ class TestPruferPhase:
         assert pot.local.sign == -1 and pot.one_signed
         seen = self.sampled_couplings(monkeypatch, pot, 20)
         assert {0.0, 1.0} <= seen and 0.05 not in seen
+
+
+LEVINSON_WELLS = [(ch, square_well(depth), k)
+                  for ch, depth in ((CH_S, 1.0), (CH_S, 4.0), (CH_S, (2 * math.pi) ** 2),
+                                    (ChannelParams(q=3, l=1), 12.0))
+                  for k in (1e-4, 2e-4)]
+EVENT_CASES = [pytest.param(ch, local, k, 1.0, id=f"{local.name}-{i}")
+               for i, (ch, local, k) in enumerate(PRUFER_CASES + LEVINSON_WELLS)] + [
+    # one segment, {0, -1}, holding two crossings on a descending walk
+    pytest.param(CH_S, square_well(-40.0), 0.5, -1.0, id="descending-two-in-one"),
+]
+
+
+class TestBranchRefinement:
+    @pytest.mark.parametrize("ch, local, k, mu", EVENT_CASES)
+    def test_events_match_bisection_in_few_solves(self, monkeypatch, ch, local, k, mu):
+        pot = PotentialModel(r0=1.0, local=local)
+        events_ref = _bisected_events(ch, pot, k, mu=mu)
+        solves = []
+        real = scattering.interior_state
+
+        def counted(eq, *args, **kwargs):
+            solves.append(eq.mu)
+            return real(eq, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "interior_state", counted)
+        res = phase_shift(ch, pot, k, mu=mu, with_fit=False)
+        assert len(res.events) == len(events_ref)
+        for (mu_new, d_new), (mu_ref, d_ref) in zip(res.events, events_ref):
+            assert d_new == d_ref
+            assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
+        # the samples at 0, at mu and on the starting grid cost nothing extra;
+        # bisection takes 14 solves per event
+        start = 2 if pot.one_signed else MU_STEPS_DEFAULT + 1
+        assert len(solves) - start <= 10 * len(res.events)
+
+    def test_two_crossings_in_one_segment_are_split_first(self):
+        # the two-level well's events both lie inside the partition {0, 1}
+        pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2))
+        res = phase_shift(CH_S, pot, 1e-4, with_fit=False)
+        assert [d for _, d in res.events] == [1, 1]
+        assert 0.0 < res.events[0][0] < 0.5 < res.events[1][0] < 1.0
+
+    def test_mixed_sign_table_on_its_grid(self):
+        v = -60.0 * np.cos(2.5 * math.pi * _R_TAB)
+        pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, v))
+        assert not pot.one_signed
+        events_ref = _bisected_events(CH_S, pot, 0.8, mu_steps=20)
+        res = phase_shift(CH_S, pot, 0.8, mu_steps=20, with_fit=False)
+        assert [d for _, d in res.events] == [d for _, d in events_ref] == [1]
+        assert abs(res.events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
+
+    def test_non_monotone_bracket_falls_back_to_bisection(self, monkeypatch):
+        # a refined bracket whose ends do not carry the branch indices of the
+        # segment's ends is discarded: the segment is split at its midpoint
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        ref = phase_shift(CH_S, pot, 0.45, with_fit=False)
+        calls = []
+        real = scattering.refine_root
+
+        def lying(f, a, fa, b, fb, tol):
+            calls.append((a, b))
+            lo, hi = real(f, a, fa, b, fb, tol)
+            return (lo, hi) if len(calls) > 1 else (a, a)
+
+        monkeypatch.setattr(scattering, "refine_root", lying)
+        res = phase_shift(CH_S, pot, 0.45, with_fit=False)
+        assert calls[0] == (0.0, 1.0) and len(calls) == 2
+        assert abs(calls[1][1] - calls[1][0]) == 0.5
+        assert [d for _, d in res.events] == [d for _, d in ref.events]
+        assert abs(res.events[0][0] - ref.events[0][0]) <= MU_REFINE_FLOOR
+
+
+class TestMuSteps:
+    RANK1 = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
+
+    @pytest.mark.parametrize("mu_steps", [0, -1, -200, 0.5])
+    @pytest.mark.parametrize("ch, pot", [
+        (ChannelParams(q=3, l=1), RANK1),
+        (CH_S, PotentialModel(r0=1.0, local=tabulated(_R_TAB, 60.0 * np.cos(
+            2.5 * math.pi * _R_TAB)))),
+        (CH_S, WELL),
+    ], ids=["rank1-kernel", "mixed-sign-table", "square-well"])
+    def test_fewer_than_one_step_rejected(self, ch, pot, mu_steps):
+        # mu_steps = 0 returned eta = 0.0 and no events for the rank-1 kernel
+        # at k = 1, where the continued value is 3.0088
+        with pytest.raises(QwsError, match="mu_steps"):
+            phase_shift(ch, pot, 1.0, mu_steps=mu_steps, with_fit=False)
+
+    def test_one_step_is_a_whole_walk(self):
+        res = phase_shift(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu_steps=1,
+                          with_fit=False)
+        assert abs(res.eta - 3.008791117936214) <= 1e-8
+        assert len(res.events) == 1
+
+
+def _scalar_kernel_walk(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
+    """Reference: the kernel walk with one scalar interior solve per grid point."""
+    pair, _ = scattering._matching_map(ch.lam, k, pot.r0)
+    energy = EnergyValue.from_k(k)
+
+    def sample(m):
+        eq = effective_equation(ch, pot.with_mu(float(m)), energy)
+        return scattering._theta(pair, interior_state(eq, tol))[0]
+
+    grid = np.linspace(0.0, mu, mu_steps + 1)
+    th0 = sample(0.0)
+    th = th0
+    path = [(0.0, th0)]
+    for a, b in zip(grid[:-1], grid[1:]):
+        th = scattering._walk_theta(sample, float(a), th, float(b), sample(b), path, th0)
+    return th - th0, scattering._branch_events(path, th0)
+
+
+WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
+                             kernel=(gaussian_bump(0.5, 0.15),), strengths=(-120.0,))
+
+
+class TestKernelWalkLanes:
+    def test_well_kernel_grid_from_one_lanes_call(self, monkeypatch):
+        # the corpus well + kernel at the Levinson wavenumber; the scalar walk
+        # takes 427 integrations
+        import qws.radial_ode as ro
+        eta_ref, events_ref = _scalar_kernel_walk(CH_S, WELL_KERNEL, 1e-4, tol=1e-9)
+        calls = []
+        integrate = ro._integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(ro, "_integrate", counted)
+        res = phase_shift(CH_S, WELL_KERNEL, 1e-4, tol=1e-9, with_fit=False)
+        assert abs(res.eta - eta_ref) <= 1e-9
+        assert [d for _, d in res.events] == [d for _, d in events_ref] == [1]
+        assert abs(res.events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
+        assert len(calls) <= 20
+
+    def test_resonant_lane_is_sampled_again(self, monkeypatch):
+        # a NaN lane is answered by a scalar solve: the same result when that
+        # solve succeeds, the resonance when it raises
+        from qws.errors import DegenerateCouplingError
+        ch = ChannelParams(q=3, l=1)
+        pot = TestMuSteps.RANK1
+        ref = phase_shift(ch, pot, 1.0, with_fit=False)
+        real = scattering.interior_in_mu
+        scalar = []
+
+        def nan_lane(*args, raise_at=None):
+            at = real(*args)
+
+            def patched(mu):
+                if np.ndim(mu):
+                    y, dy, mx = at(mu)
+                    y = y.copy()
+                    y[5] = math.nan
+                    return y, dy, mx
+                scalar.append(mu)
+                if mu == raise_at:
+                    raise DegenerateCouplingError("resonance")
+                return at(mu)
+            return patched
+
+        monkeypatch.setattr(scattering, "interior_in_mu", nan_lane)
+        res = phase_shift(ch, pot, 1.0, with_fit=False)
+        assert (res.eta, res.events) == (ref.eta, ref.events)
+        mu_nan = float(np.linspace(0.0, 1.0, MU_STEPS_DEFAULT + 1)[6])
+        assert mu_nan in scalar
+        monkeypatch.setattr(scattering, "interior_in_mu",
+                            lambda *args: nan_lane(*args, raise_at=mu_nan))
+        with pytest.raises(DegenerateCouplingError):
+            phase_shift(ch, pot, 1.0, with_fit=False)
 
 
 class TestLowK:

@@ -16,6 +16,7 @@ from qws.potentials import PotentialModel, gaussian_bump, square_well
 from qws.spectral import (continuation_count, find_bound_states,
                           levinson_verify, matching_mismatch,
                           sturm_liouville_check)
+from qws.roots import refine_root
 from qws.scattering import phase_shift
 
 from oracles import swave_well_levels
@@ -116,11 +117,8 @@ class TestFindBoundStates:
         assert [str(w.message) for w in caught] == expected
 
 
-def _bisect_root(f, a, b, tol):
+def _bisect_root(f, a, fa, b, fb, tol):
     """Bisection of a scan bracket down to tol max(1, |a|): the reference for the refiner."""
-    if a == b:
-        return a
-    fa = f(a)
     while abs(b - a) > tol * max(1.0, abs(a)):
         m = 0.5 * (a + b)
         fm = f(m)
@@ -128,21 +126,26 @@ def _bisect_root(f, a, b, tol):
             b = m
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
+    return a, b
 
 
 def _refined(f, a, b, tol=1e-10):
-    """(result, final sign bracket, evaluations) of the refiner on an increasing f."""
+    """(midpoint, final sign bracket, evaluations) of the refiner on an increasing f.
+
+    The end values are evaluated here, as the refiner's callers do, and count
+    among the evaluations.
+    """
     seen = []
 
     def recording(x):
         seen.append((x, f(x)))
         return seen[-1][1]
 
-    x = sp._refine_root(recording, a, b, tol)
+    lo_r, hi_r = refine_root(recording, a, recording(a), b, recording(b), tol)
     lo = max(t for t, v in seen if v < 0)
     hi = min(t for t, v in seen if v >= 0)
-    return x, (lo, hi), len(seen)
+    assert (lo_r, hi_r) == (lo, hi)
+    return 0.5 * (lo_r + hi_r), (lo, hi), len(seen)
 
 
 def _bisection_steps(a, b, tol):
@@ -179,16 +182,22 @@ class TestRefineRoot:
         assert lo <= root <= hi
         assert n <= 2 + 2 * _bisection_steps(-1.0, 2.5, tol) + 1
 
+    def test_ends_in_either_order(self):
+        f = lambda x: 3.0 * x - 2.0  # noqa: E731
+        assert refine_root(f, 10.0, f(10.0), -10.0, f(-10.0), 1e-10) == \
+            refine_root(f, -10.0, f(-10.0), 10.0, f(10.0), 1e-10)
+
     def test_exact_zero_bracket_costs_no_evaluation(self):
         def never(x):
             raise AssertionError("evaluated")
 
-        assert sp._refine_root(never, -2.5, -2.5, 1e-10) == -2.5
+        assert refine_root(never, -2.5, 0.0, -2.5, 0.0, 1e-10) == (-2.5, -2.5)
 
     def test_bracket_without_sign_change_warns(self):
+        f = lambda x: x * x + 1.0  # noqa: E731
         with pytest.warns(UserWarning, match="no sign change"):
-            x = sp._refine_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-10)
-        assert -1.0 <= x <= 2.0
+            lo, hi = refine_root(f, -1.0, f(-1.0), 2.0, f(2.0), 1e-10)
+        assert -1.0 <= lo <= hi <= 2.0
 
 
 class TestSturmLiouville:
@@ -512,7 +521,7 @@ class TestLevelRefinement:
         monkeypatch.setattr(sp, "_matching_scan_value", counted)
         levels = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
         assert len(solves) <= 12 * len(levels)    # bisection takes 31-35 per level
-        monkeypatch.setattr(sp, "_refine_root", _bisect_root)
+        monkeypatch.setattr(sp, "refine_root", _bisect_root)
         ref = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
         assert len(levels) == len(ref)
         for E, E_ref in zip(levels, ref):
