@@ -24,6 +24,7 @@ from .model import ChannelParams
 from .potentials import (KernelTerm, PotentialModel, gaussian_bump, poly_bump,
                          square_well, tabulated, truncated_exponential,
                          truncated_gaussian)
+from .radial_ode import R_MIN_FRACTION
 from .spectral import default_sturm_step
 
 TASKS = ("eval-special", "solve", "phase-shift", "wronskian-audit",
@@ -56,6 +57,9 @@ _NUMERIC = {
     "grid": ("r_min", "r_max", "n_interior", "n_exterior"),
     "tolerances": ("ode", "eta", "root"),
 }
+# counts, which must be finite integers; the [grid] ones with their least value
+_SCAN_COUNTS = ("k_count", "e_count", "mu_steps")
+_GRID_COUNTS = {"n_interior": 5, "n_exterior": 2}
 
 
 @dataclass
@@ -125,6 +129,11 @@ def _is_float(s: str) -> bool:
         return False
 
 
+def _is_count(s: str) -> bool:
+    """A finite integer value (``200``, ``2e2``), as every count key needs."""
+    return _is_float(s) and math.isfinite(float(s)) and float(s).is_integer()
+
+
 def validate(cfg: ExperimentConfig) -> List[str]:
     """All invariant violations at once (empty list = valid)."""
     diags: List[str] = []
@@ -174,6 +183,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append("[potential] r0 must be finite")
         elif float(cfg.potential["r0"]) <= 0:
             diags.append("[potential] r0 must be positive")
+        elif not _origin_finite(R_MIN_FRACTION * float(cfg.potential["r0"])):
+            diags.append(f"[potential] r0 = {cfg.potential['r0']} is too small: the "
+                         f"centrifugal term 1/r^2 overflows at r_min = {R_MIN_FRACTION:g} r0")
 
     if q is not None and l is not None and math.isfinite(q) and math.isfinite(l):
         lam = l + (q - 2) / 2
@@ -233,6 +245,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append("[scan] e_floor must be negative")
         elif key == "mu_steps" and float(val) < 0:
             diags.append("[scan] mu_steps must be >= 0 (0: principal value only)")
+        elif key in _SCAN_COUNTS and not _is_count(val):
+            diags.append(f"[scan] {key} must be an integer")
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))
@@ -241,7 +255,7 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         if lo is not None and hi is not None and _is_float(lo) and _is_float(hi):
             if float(lo) >= float(hi):
                 diags.append(f"[scan] {gk}_min must be < {gk}_max")
-            if cnt is not None and _is_float(cnt) and int(float(cnt)) < 2:
+            if cnt is not None and _is_count(cnt) and float(cnt) < 2:
                 diags.append(f"[scan] {gk}_count must be >= 2")
     if cfg.task == "sturm-check":
         diags += _stencil_diags(cfg.scan)
@@ -273,6 +287,12 @@ def _param_diags(section: str, store: Dict[str, str], required: Tuple[str, ...],
     return diags
 
 
+def _origin_finite(r_min: float) -> bool:
+    """1/r_min^2 is finite: r * r neither underflows to 0 nor leaves 1/(r * r) infinite."""
+    sq = r_min * r_min
+    return sq > 0 and math.isfinite(1.0 / sq)
+
+
 def _grid_diags(grid: Dict[str, str], r0: Optional[float]) -> List[str]:
     """Range checks of the finite [grid] values: 0 < r_min < r0 <= r_max, node counts."""
     vals = {k: float(v) for k, v in grid.items()
@@ -280,14 +300,18 @@ def _grid_diags(grid: Dict[str, str], r0: Optional[float]) -> List[str]:
     diags = []
     if "r_min" in vals and vals["r_min"] <= 0:
         diags.append("[grid] r_min must be positive")
+    elif "r_min" in vals and not _origin_finite(vals["r_min"]):
+        diags.append(f"[grid] r_min = {vals['r_min']:g} is too small: "
+                     "the centrifugal term 1/r^2 overflows there")
     elif r0 is not None and vals.get("r_min", 0.0) >= r0:
         diags.append(f"[grid] r_min must be below r0 = {r0}")
     if r0 is not None and vals.get("r_max", r0) < r0:
         diags.append(f"[grid] r_max must be at least r0 = {r0}")
-    if int(vals.get("n_interior", 5)) < 5:
-        diags.append("[grid] n_interior must be >= 5")
-    if int(vals.get("n_exterior", 2)) < 2:
-        diags.append("[grid] n_exterior must be >= 2")
+    for key, least in _GRID_COUNTS.items():
+        if not float(vals.get(key, least)).is_integer():
+            diags.append(f"[grid] {key} must be an integer")
+        elif vals.get(key, least) < least:
+            diags.append(f"[grid] {key} must be >= {least}")
     return diags
 
 

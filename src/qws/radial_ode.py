@@ -65,6 +65,8 @@ _MAX_STEPS = 5_000_000
 # interior nodes of the fixed grid on which the cutoff solves take kernel
 # moments; the spectral floor bound uses it too
 MOMENT_NODES = 401
+# r_min / r0, where the default grid and every straight-to-cutoff solve start
+R_MIN_FRACTION = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,7 @@ def make_grid(r0: float, r_min: Optional[float] = None, r_max: Optional[float] =
     if r0 <= 0:
         raise QwsError("r0 must be positive")
     if r_min is None:
-        r_min = 1e-6 * r0
+        r_min = R_MIN_FRACTION * r0
     if r_max is None:
         r_max = 2.0 * r0
     if not (0 < r_min < r0 <= r_max):
@@ -638,7 +640,7 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
         grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
         y, dy, _ = _interior_superposition(eq, grid, tol)
         return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
-    record, _ = _with_knots(eq.potential, [1e-6 * eq.r0, eq.r0])
+    record, _ = _with_knots(eq.potential, [R_MIN_FRACTION * eq.r0, eq.r0])
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
                                  record, tol, return_winding=return_winding)
     return (complex(us[-1]), complex(vs[-1]), *rest)
@@ -680,7 +682,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
     if not _carries_kernel(potential):
-        record, _ = _with_knots(potential, [1e-6 * potential.r0, potential.r0])
+        record, _ = _with_knots(potential, [R_MIN_FRACTION * potential.r0, potential.r0])
         origin_w = tuple(mu * w for w in potential.origin_coefficients())
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
                                      origin_w, record, tol)

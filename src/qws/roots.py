@@ -2,9 +2,10 @@
 
 :func:`refine_root` closes a sign bracket of a scalar function whose every
 evaluation is an ODE solve, so it spends as few evaluations as a bracketed
-method can: :func:`~qws.spectral.find_bound_states` refines its levels on
-the matching function M(E), and :func:`~qws.scattering.phase_shift` locates
-its branch events on the matching denominator D(mu).  Both callers already
+method can: :func:`~qws.spectral.find_bound_states` refines the levels of a
+local well on the Prufer mismatch F(E) + j pi and those of a kernel on the
+matching function M(E), and :func:`~qws.scattering.phase_shift` locates its
+branch events on the matching denominator D(mu).  Both callers already
 hold the values at the bracket ends and hand them in.
 """
 

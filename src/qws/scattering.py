@@ -43,7 +43,7 @@ from .errors import (GridMismatchError, NearThresholdResonanceError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (RadialGrid, RadialSolution, free_exterior,
+from .radial_ode import (R_MIN_FRACTION, RadialGrid, RadialSolution, free_exterior,
                          integrate_jost, integrate_regular, interior_in_mu,
                          interior_state, make_grid, node_at_cutoff, prufer_angle)
 from .roots import refine_root, same_sign
@@ -186,7 +186,7 @@ def wronskian_pair_jost(channel: ChannelParams, potential: PotentialModel,
     if grid is None:
         lam = channel.lam
         lam_re = max(lam.real if isinstance(lam, complex) else lam, 0.5)
-        r_lo = max(1e-6 * r0, r0 * (3e-7) ** (1.0 / (2.0 * lam_re)))
+        r_lo = max(R_MIN_FRACTION * r0, r0 * (3e-7) ** (1.0 / (2.0 * lam_re)))
         grid = make_grid(r0, r_min=r_lo)
     eq = effective_equation(channel, potential, EnergyValue(E=k * k))
     f_p = integrate_jost(eq, grid, k, tol)

@@ -3,24 +3,28 @@ coupling-continuation crossing counter, and the zero-momentum phase /
 bound-count identity verifier.
 
 Every solve goes through :func:`~qws.radial_ode.interior_state` (the cutoff
-values), :func:`~qws.radial_ode.interior_lanes` (the cutoff values of a
-whole grid of points, as float64 lanes: the energy scan of
+values, with the Prufer winding for a local equation),
+:func:`~qws.radial_ode.interior_lanes` (the cutoff values of a whole grid
+of points, as float64 lanes: the energy scan of a kernel's
 :func:`find_bound_states`), :func:`~qws.radial_ode.interior_in_mu` (the
 cutoff values as a function of mu at the threshold energy: every sample of
 :func:`continuation_count`, its mu grid at once, which a pure kernel
 answers from one superposition) or :func:`~qws.radial_ode.solve_nonlocal`
 (a full grid), which decide between the local integration and the kernel
-superposition themselves; this module never branches on that.  It branches on
-``potential.kernel`` only where the mathematics differs: the kernel term
-of the energy floor, and the Sturm node-count cross-check (node counts from
-Prufer windings), which holds for local equations only.
+superposition themselves.  This module branches on ``potential.kernel``
+only where the mathematics differs: the kernel term of the energy floor,
+and how :func:`find_bound_states` finds the levels.
 
-The matching function used for root scans is M(E) = y'(r0) - h(E) y(r0),
-with h(E) the decaying-exterior log-derivative: M is continuous (no poles
-where y(r0) = 0, unlike A(E) itself), vanishes exactly at bound states,
-and has simple roots because the interior log-derivative decreases while
-the exterior one increases with energy.  That makes a bracketed
-superlinear method the right refiner for each sign change of the scan:
+A local equation obeys Sturm oscillation, so its levels are counted and
+refined on the Prufer mismatch F(E) = phi(r0) - atan h(E), with h(E) the
+decaying-exterior log-derivative: F falls strictly with E, level j is the
+root of F + j pi, and ceil(-F/pi) levels lie below E (the eigenvalue index
+of SLEDGE and MATSLISE).  A kernel breaks the oscillation theorem, so its
+levels are the sign changes of M(E) = y'(r0) - h(E) y(r0) on a log-spaced
+energy scan: M is continuous (no poles where y(r0) = 0, unlike A(E)
+itself), vanishes exactly at bound states, and has simple roots because
+the interior log-derivative decreases while the exterior one increases with
+energy.  Either way a bracketed superlinear method refines each level:
 :func:`~qws.roots.refine_root` (Illinois false position with a bisection
 fallback), which also locates the branch events of the phase shifts.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,33 +237,45 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
                       mu: float = 1.0, E_floor: Optional[float] = None,
                       tol: float = 1e-10, n_scan: int = 400,
                       ode_tol: float = 1e-10) -> List[BoundState]:
-    """All bound levels in [E_floor, 0), by sign scan plus bracketed root refinement.
+    """All bound levels in [E_floor, 0), each refined to a width of tol max(1, |E|).
 
-    The scan runs on a log-spaced energy grid (shallow levels cluster near
-    threshold); adjacent sign-change intervals trigger one refined re-scan;
-    for a local potential, Sturm node counts (the Prufer winding of one
-    solve each) at E_floor and near threshold flag a scan that is still too
-    coarse.  Each sign-change bracket is refined by
-    :func:`~qws.roots.refine_root` on scalar solves of M(E) to a width of
-    tol max(1, |E|), and the level is the midpoint of the final bracket.
+    A local potential is searched by count (:func:`_counted_levels`): Sturm
+    oscillation gives the number of levels below any energy from the Prufer
+    mismatch F(E) of one solve, so F at E_floor and near threshold fixes the
+    count, and each level is refined on F itself.  A floor with levels below
+    it draws a warning.  A kernel breaks the oscillation theorem, so it is
+    searched by a sign scan of M(E) on ``n_scan`` log-spaced energies
+    (:func:`_scanned_levels`); ``n_scan`` applies to kernels only.  Each
+    level is the midpoint of the final bracket of
+    :func:`~qws.roots.refine_root`.
     """
-    lam = real_lambda(channel, "spectral pipeline")
     if E_floor is None:
         E_floor = default_energy_floor(channel, potential.with_mu(mu))
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
     if not tol > 0:
         raise QwsError("tol must be positive")
+    E_top = -1e-11 * max(1.0, abs(E_floor))
+    if potential.kernel:
+        levels = _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan, ode_tol)
+    else:
+        levels = _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol)
+    return [_build_bound_state(channel, potential, E, mu, ode_tol) for E in sorted(levels)]
 
+
+def _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan,
+                    ode_tol) -> List[float]:
+    """Levels of M(E) by a log-spaced lane scan plus bracketed refinement (kernels).
+
+    Adjacent sign-change intervals trigger one re-scan on four times the
+    points, and warn if they persist.
+    """
     def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
         return _sign_brackets(grid_E, _scan_values(channel, potential, grid_E, mu, ode_tol))
 
-    e_lo = 1e-11 * max(1.0, abs(E_floor))
-    grid_E = -np.geomspace(abs(E_floor), e_lo, n_scan)
-    brackets, adjacent = scan(grid_E)
+    brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, n_scan))
     if adjacent:
-        grid_E = -np.geomspace(abs(E_floor), e_lo, 4 * n_scan)
-        brackets, adjacent = scan(grid_E)
+        brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, 4 * n_scan))
         if adjacent:
             warnings.warn("adjacent sign changes persist: energy scan too coarse")
 
@@ -272,40 +288,60 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
         lo, hi = refine_root(match, a, match(a), b, match(b), tol)
         return 0.5 * (lo + hi)
 
-    states = [_build_bound_state(channel, potential, level(a, b), mu, ode_tol)
-              for a, b in brackets]
-
-    # Sturm-oscillation cross-checks, valid for the local problem (the
-    # kernel source breaks the simple-zero property the node count rests
-    # on).  At the floor the solution must be node-free (floor below the
-    # deepest level).  At threshold the count of levels equals the interior
-    # node count plus one more when the interior log-derivative has already
-    # dropped below the exterior limit rho.
-    if not potential.kernel:
-        floor_nodes, _ = _interior_nodes_and_A(channel, potential, E_floor, mu, ode_tol)
-        if floor_nodes != 0:
-            warnings.warn("interior nodes at E_floor: floor may be above the deepest level")
-        thr_nodes, A_thr = _interior_nodes_and_A(channel, potential, -e_lo, mu, ode_tol)
-        rho = (0.5 - lam) / potential.r0
-        n_osc = thr_nodes + (1 if A_thr < rho else 0)
-        if n_osc != len(states):
-            warnings.warn(
-                f"oscillation count {n_osc} != {len(states)} roots: scan too coarse")
-    states.sort(key=lambda s: s.E)
-    return states
+    return [level(a, b) for a, b in brackets]
 
 
-def _interior_nodes_and_A(channel, potential, E, mu, tol) -> Tuple[int, float]:
-    """Interior node count and A(r0) of the regular solution at energy E (local only).
+def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
+    """F(E) = Prufer angle of the regular solution at r0 minus atan h(E) (local only).
 
-    Both come from one solve straight to the cutoff; the Prufer angle phi at
-    r0 has passed -pi/2 - k pi once for each zero of y in (0, r0).
+    F decreases strictly in E (the angle falls, the exterior log-derivative
+    h rises), starts in (0, pi) below the deepest level, and level j is its
+    root of F(E) + j pi; so ceil(-F(E)/pi) levels lie below E.  One solve
+    straight to the cutoff with its winding count, see
+    :func:`~qws.radial_ode.prufer_angle`.
     """
+    lam = real_lambda(channel, "spectral pipeline")
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
     u, v, _, turns = interior_state(eq, tol, return_winding=True)
-    phi = prufer_angle(u, v, turns)
-    A = v.real / u.real if u.real != 0.0 else math.inf * (1.0 if v.real >= 0 else -1.0)
-    return max(0, math.ceil(-(phi + 0.5 * math.pi) / math.pi)), A
+    return prufer_angle(u, v, turns) - math.atan(_exterior_logderiv(lam, E, potential.r0))
+
+
+def _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol) -> List[float]:
+    """Levels in [E_floor, E_top) of a local potential, counted and refined on F(E).
+
+    The eigenvalue index of Sturm-Liouville codes (SLEDGE, MATSLISE): F at
+    the two ends gives the indices j of the levels between them, and each
+    is refined by :func:`~qws.roots.refine_root` on F + j pi.  Its start
+    bracket is the tightest pair among every F value taken so far, so each
+    solve also narrows the brackets of the levels still to come.  The
+    middle index goes first, then the middle of each half, so that most
+    levels start between two refined neighbours.
+    """
+    taken: Dict[float, float] = {}
+
+    def F(E: float) -> float:
+        taken[E] = _prufer_mismatch(channel, potential, E, mu, ode_tol)
+        return taken[E]
+
+    def middle_first(lo: int, hi: int) -> List[int]:
+        if lo >= hi:
+            return []
+        mid = (lo + hi) // 2
+        return [mid] + middle_first(lo, mid) + middle_first(mid + 1, hi)
+
+    n_floor = math.ceil(-F(E_floor) / math.pi)
+    n_top = math.ceil(-F(E_top) / math.pi)
+    if n_floor > 0:
+        warnings.warn(f"{n_floor} levels below E_floor: floor above the deepest level")
+    levels = []
+    for j in middle_first(max(n_floor, 0), n_top):
+        shift = j * math.pi
+        a = max(E for E, f in taken.items() if f + shift >= 0)
+        b = min(E for E, f in taken.items() if f + shift < 0)
+        lo, hi = refine_root(lambda E: F(E) + shift, a, taken[a] + shift,
+                             b, taken[b] + shift, tol)
+        levels.append(0.5 * (lo + hi))
+    return levels
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
@@ -540,9 +576,9 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     """Check eta(0) = n pi, with n counted two independent ways.
 
     eta(0) comes from the mu-continued phase at two small wavenumbers,
-    extrapolated to k = 0 along the k^{2 lam} law; n comes from a direct
-    energy scan and from the threshold crossing counter, which must agree
-    exactly.  Upstream degeneracies surface as status "inconclusive".  The
+    extrapolated to k = 0 along the k^{2 lam} law; n comes from
+    :func:`find_bound_states` (``n_scan`` is its kernel scan size) and from
+    the threshold crossing counter, which must agree exactly.  Upstream degeneracies surface as status "inconclusive".  The
     counter's report rides along as ``continuation`` (for the staircase).
     """
     lam = real_lambda(channel, "spectral pipeline")

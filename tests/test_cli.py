@@ -498,3 +498,56 @@ def test_sturm_stencil_past_threshold_exits_as_config_error(tmp_path, capsys, ol
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config: ") and "needs E + dE < 0" in err
+
+
+COUNT_CASES = [
+    ("phase_shift_square_well.cfg", "k_count", "nan", "k_count must be finite"),
+    ("phase_shift_square_well.cfg", "k_count", "inf", "k_count must be finite"),
+    ("phase_shift_square_well.cfg", "k_count", "-inf", "k_count must be finite"),
+    ("phase_shift_square_well.cfg", "k_count", "2.5", "k_count must be an integer"),
+    ("phase_shift_square_well.cfg", "mu_steps", "0.5", "mu_steps must be an integer"),
+    ("phase_shift_square_well.cfg", "mu_steps", "2.5", "mu_steps must be an integer"),
+    ("sturm_square_well.cfg", "e_count", "nan", "e_count must be finite"),
+    ("sturm_square_well.cfg", "e_count", "inf", "e_count must be finite"),
+    ("sturm_square_well.cfg", "e_count", "2.5", "e_count must be an integer"),
+    ("solve_regular.cfg", "n_interior", "200.5", "n_interior must be an integer"),
+    ("solve_regular.cfg", "n_exterior", "40.5", "n_exterior must be an integer"),
+]
+
+
+@pytest.mark.parametrize("config, key, value, message", COUNT_CASES,
+                         ids=[f"{key}={value}" for _, key, value, _ in COUNT_CASES])
+def test_non_integer_counts_exit_as_config_error(tmp_path, capsys, config, key, value, message):
+    # nan and inf raised ValueError or OverflowError inside validate, and a
+    # fraction was truncated (mu_steps = 0.5 asked for the principal value)
+    text = (CONFIG_DIR / config).read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old + "\n", f"{key} = {value}\n"))
+    task = parse_config(cfg).task
+    rc = main([task, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+
+
+@pytest.mark.parametrize("config, old, new, message", [
+    ("solve_regular.cfg", "r0 = 1.0\n", "r0 = 1e-300\n", "r0 = 1e-300 is too small"),
+    ("solve_regular.cfg", "r0 = 1.0\n", "r0 = 1e-150\n", "r0 = 1e-150 is too small"),
+    ("wronskian_jost.cfg", "r0 = 1.0\n", "r0 = 1e-300\n", "r0 = 1e-300 is too small"),
+    ("solve_regular.cfg", "[grid]\n", "[grid]\nr_min = 1e-300\n", "r_min = 1e-300 is too small"),
+], ids=["solve-r0", "solve-r0-subnormal", "wronskian-r0", "solve-grid-r_min"])
+def test_underflowing_origin_exits_as_config_error(tmp_path, capsys, config, old, new,
+                                                    message):
+    # r * r underflowed near r_min = 1e-6 r0, and Q(r) = ... / (r * r) raised
+    # ZeroDivisionError; at r0 = 1e-150 the square is subnormal and 1/r^2 is inf
+    text = (CONFIG_DIR / config).read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    task = parse_config(cfg).task
+    rc = main([task, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
+    assert "1/r^2 overflows" in err

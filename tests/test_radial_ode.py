@@ -13,8 +13,8 @@ from qws.potentials import (PotentialModel, gaussian_bump, poly_bump, square_wel
 from qws.radial_ode import (MOMENT_NODES, _integrate, cutoff_integral, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, make_grid,
-                            solve_nonlocal)
-from qws.spectral import _interior_nodes_and_A, default_energy_floor
+                            prufer_angle, solve_nonlocal)
+from qws.spectral import _exterior_logderiv, _prufer_mismatch, default_energy_floor
 
 CH_S = ChannelParams(q=3, l=0)          # lam = 1/2
 FREE = PotentialModel(r0=1.0)
@@ -498,6 +498,18 @@ def _grid_sign_changes(ch, pot, E, mu, tol=1e-10):
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
+def _interior_nodes_and_A(ch, pot, E, mu, tol):
+    """Interior node count and A(r0) from one winding solve straight to the cutoff.
+
+    The Prufer angle phi at r0 has passed -pi/2 - k pi once for each zero of
+    y in (0, r0).
+    """
+    eq = effective_equation(ch, pot.with_mu(mu), EnergyValue(E=E))
+    u, v, _, turns = interior_state(eq, tol, return_winding=True)
+    phi = prufer_angle(u, v, turns)
+    return max(0, math.ceil(-(phi + 0.5 * math.pi) / math.pi)), v.real / u.real
+
+
 def test_node_counting():
     # y = sin(k r) has floor(k / pi) nodes in (0, 1): 2, 95 and 477; the
     # 477 nodes of k = 1500 are more than a 401-node grid can resolve
@@ -517,12 +529,17 @@ NODE_WELLS = [square_well(60.0), truncated_gaussian(80.0, 0.6),
 @pytest.mark.parametrize("local", NODE_WELLS,
                          ids=["square", "gaussian", "exponential", "sign-changing-table"])
 def test_node_count_equals_grid_sign_changes(ch, local):
+    # and the level count of the bound-state search, ceil(-F(E)/pi), is the
+    # Sturm count: the interior nodes plus one when A(r0) lies below h(E)
     pot = PotentialModel(r0=1.0, local=local)
     counts = []
     for mu in (0.3, 1.0, 4.0, 10.0):
         for E in (-50.0, -10.0, -1.0, -1e-3, -1e-9):
-            count, _ = _interior_nodes_and_A(ch, pot, E, mu, 1e-10)
+            count, A = _interior_nodes_and_A(ch, pot, E, mu, 1e-10)
             assert count == _grid_sign_changes(ch, pot, E, mu), (mu, E)
+            below = A < _exterior_logderiv(ch.lam, E, pot.r0)
+            levels = math.ceil(-_prufer_mismatch(ch, pot, E, mu, 1e-10) / math.pi)
+            assert levels == count + below, (mu, E)
             counts.append(count)
     assert max(counts) >= 2
 

@@ -99,22 +99,35 @@ class TestFindBoundStates:
         assert states[0].E < 0
         assert states[0].matching_residual <= 1e-4
 
-    @pytest.mark.parametrize("kwargs, expected", [
-        ({"n_scan": 3}, ["oscillation count 3 != 1 roots: scan too coarse"]),
-        ({"E_floor": -20.0},
-         ["interior nodes at E_floor: floor may be above the deepest level",
-          "oscillation count 3 != 1 roots: scan too coarse"]),
+    @pytest.mark.parametrize("kwargs, n_levels, expected", [
+        ({"n_scan": 3}, 3, []),
+        ({"E_floor": -20.0}, 1,
+         ["2 levels below E_floor: floor above the deepest level"]),
     ], ids=["coarse-scan", "floor-above-levels"])
-    def test_sturm_cross_check_warns(self, kwargs, expected):
-        # three levels (E ~ -78.6, -54.9, -17.4): a 3-point scan resolves one
-        # of them, and E_floor = -20 lies above two, where the solution
-        # already has two interior nodes
+    def test_sturm_cross_check_warns(self, kwargs, n_levels, expected):
+        # three levels (E ~ -78.6, -54.9, -17.4): a local well is searched by
+        # its Sturm count, so n_scan (a kernel's scan size) cannot lose any,
+        # and E_floor = -20 keeps the one level above it and warns of the two
+        # below
         pot = PotentialModel(r0=1.0, local=square_well(86.6))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             states = find_bound_states(CH_S, pot, **kwargs)
-        assert len(states) == 1
+        assert len(states) == n_levels
+        assert states[-1].E == pytest.approx(-17.4, abs=0.05)
         assert [str(w.message) for w in caught] == expected
+
+    @pytest.mark.parametrize("V0, n_levels", [(1e3, 10), (1e4, 32)])
+    def test_deep_well_keeps_every_level(self, V0, n_levels):
+        # the 400/1600-energy scan found 26 of the 32 levels of V0 = 1e4
+        pot = PotentialModel(r0=1.0, local=square_well(V0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(CH_S, pot)
+        oracle = swave_well_levels(V0, 1.0)
+        assert len(states) == len(oracle) == n_levels
+        for s, E_ref in zip(states, oracle):
+            assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
 
 
 def _bisect_root(f, a, fa, b, fb, tol):
@@ -359,26 +372,18 @@ def _scalar_threshold_samples(at, mu_grid):
 class TestLaneScans:
     @pytest.mark.parametrize("ch, depth", LANE_SCAN_CASES,
                              ids=[f"lam{c.lam:g}-V{d:.4g}" for c, d in LANE_SCAN_CASES])
-    def test_brackets_and_levels_equal_scalar_scan(self, monkeypatch, ch, depth):
+    def test_brackets_and_levels_equal_scalar_scan(self, ch, depth):
+        # the scan of a kernel's search, run here on local wells as lanes and
+        # as one scalar solve per energy: every value has the same sign
         pot = PotentialModel(r0=1.0, local=square_well(depth))
-        sign_brackets = sp._sign_brackets
-
-        def run(scan_values):
-            seen = []
-
-            def recording(grid_E, vals):
-                seen.append(sign_brackets(grid_E, vals))
-                return seen[-1]
-
-            monkeypatch.setattr(sp, "_sign_brackets", recording)
-            monkeypatch.setattr(sp, "_scan_values", scan_values)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                states = sp.find_bound_states(ch, pot, ode_tol=1e-9)
-            return ([(s.E, s.matching_residual) for s in states], seen,
-                    [str(w.message) for w in caught])
-
-        assert run(sp._scan_values) == run(_scalar_scan_values)
+        floor = sp.default_energy_floor(ch, pot)
+        grid_E = -np.geomspace(abs(floor), 1e-11 * max(1.0, abs(floor)), 400)
+        lanes = sp._scan_values(ch, pot, grid_E, 1.0, 1e-9)
+        scalar = _scalar_scan_values(ch, pot, grid_E, 1.0, 1e-9)
+        assert np.array_equal(np.sign(lanes), np.sign(scalar))
+        brackets, adjacent = sp._sign_brackets(grid_E, lanes)
+        assert (brackets, adjacent) == sp._sign_brackets(grid_E, scalar)
+        assert len(brackets) == len(find_bound_states(ch, pot, ode_tol=1e-9))
 
     @pytest.mark.parametrize("depth, grid", [
         (39.0, None), (-40.0, np.linspace(0.0, -1.0, 201)), (12.0, np.linspace(0.0, 2.0, 101)),
@@ -510,17 +515,21 @@ LEVEL_CASES = [pytest.param(ch, PotentialModel(r0=1.0, local=square_well(d)), 40
 class TestLevelRefinement:
     @pytest.mark.parametrize("ch, pot, n_scan", LEVEL_CASES)
     def test_levels_match_bisection_in_few_solves(self, monkeypatch, ch, pot, n_scan):
+        # a local well's solves are its Prufer mismatches F(E), two of them
+        # at the ends of the energy range; a kernel's are its M(E) refinements
         tol = 1e-10
         solves = []
-        scan_value = sp._matching_scan_value
+        name = "_matching_scan_value" if pot.kernel else "_prufer_mismatch"
+        solve = getattr(sp, name)
 
         def counted(*args):
             solves.append(args[2])
-            return scan_value(*args)
+            return solve(*args)
 
-        monkeypatch.setattr(sp, "_matching_scan_value", counted)
+        monkeypatch.setattr(sp, name, counted)
         levels = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
-        assert len(solves) <= 12 * len(levels)    # bisection takes 31-35 per level
+        ends = 0 if pot.kernel else 2
+        assert len(solves) - ends <= 12 * len(levels)    # bisection takes 31-35 per level
         monkeypatch.setattr(sp, "refine_root", _bisect_root)
         ref = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
         assert len(levels) == len(ref)
