@@ -60,6 +60,9 @@ _NUMERIC = {
 # counts, which must be finite integers; the [grid] ones with their least value
 _SCAN_COUNTS = ("k_count", "e_count", "mu_steps")
 _GRID_COUNTS = {"n_interior": 5, "n_exterior": 2}
+# the largest count of either kind: larger grids and scans are rejected before
+# anything of that size is allocated
+MAX_COUNT = 1_000_000
 
 
 @dataclass
@@ -247,6 +250,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             diags.append("[scan] mu_steps must be >= 0 (0: principal value only)")
         elif key in _SCAN_COUNTS and not _is_count(val):
             diags.append(f"[scan] {key} must be an integer")
+        elif key in _SCAN_COUNTS and float(val) > MAX_COUNT:
+            diags.append(f"[scan] {key} must be at most {MAX_COUNT}")
     for gk in ("k", "e"):
         lo, hi, cnt = (cfg.scan.get(f"{gk}_min"), cfg.scan.get(f"{gk}_max"),
                        cfg.scan.get(f"{gk}_count"))
@@ -312,6 +317,8 @@ def _grid_diags(grid: Dict[str, str], r0: Optional[float]) -> List[str]:
             diags.append(f"[grid] {key} must be an integer")
         elif vals.get(key, least) < least:
             diags.append(f"[grid] {key} must be >= {least}")
+        elif vals.get(key, least) > MAX_COUNT:
+            diags.append(f"[grid] {key} must be at most {MAX_COUNT}")
     return diags
 
 

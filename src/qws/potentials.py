@@ -83,7 +83,7 @@ def truncated_gaussian(depth: float, width: float) -> LocalPotential:
 
 
 def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPotential:
-    """Linear interpolation of (r, V) samples; constant beyond the last sample."""
+    """Linear interpolation of (r, V) samples; constant below the first and beyond the last."""
     r = np.asarray(r_values, dtype=float)
     v = np.asarray(v_values, dtype=float)
     if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
@@ -92,12 +92,10 @@ def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPote
         raise QwsError("tabulated radii must be strictly increasing")
     if r[0] <= 0:
         raise QwsError("tabulated radii must be positive")
-    slope = (v[1] - v[0]) / (r[1] - r[0])
-    v_at_0 = v[0] - slope * r[0]
     return LocalPotential(
         name="tabulated",
         profile=lambda x: float(np.interp(x, r, v)),
-        origin=(0.0, v_at_0, slope),
+        origin=(0.0, float(v[0]), 0.0),   # np.interp holds V = v[0] below the first row
         params=(("n_rows", float(len(r))),),
         sign=1 if np.all(v >= 0) else -1 if np.all(v <= 0) else 0,
         knots=tuple(r.tolist()),

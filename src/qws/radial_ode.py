@@ -1,9 +1,13 @@
 """Integration engine for y'' + Q(r) y = S(r) on a radial grid.
 
-Origin-regular solutions start from a two-term power-series expansion at
-r_min (exponent lam + 1/2); decaying "Jost-normalized" solutions start at
-the cutoff radius, where compact support makes e^{-ikr} exact, and are
-integrated inward.  The finite-rank non-local equation is solved by
+Origin-regular solutions start from a power series r^{lam+1/2}(1 + a1 r +
+a2 r^2 + a3 r^3) at the radius r_s where the terms the series neglects
+fall below 1e-3 of the tolerance (:func:`_series_radius`); the nodes below
+r_s take the series value.  The solves that this does not cover, the
+subdominant branch of the Wronskian audit and the kernel particular solves
+with their lanes, start at r_min.  Decaying "Jost-normalized" solutions
+start at the cutoff radius, where compact support makes e^{-ikr} exact, and
+are integrated inward.  The finite-rank non-local equation is solved by
 superposition: one homogeneous and n particular integrations plus an
 n x n linear solve for the source coefficients.
 
@@ -65,8 +69,13 @@ _MAX_STEPS = 5_000_000
 # interior nodes of the fixed grid on which the cutoff solves take kernel
 # moments; the spectral floor bound uses it too
 MOMENT_NODES = 401
-# r_min / r0, where the default grid and every straight-to-cutoff solve start
+# r_min / r0: the first node of the default grid and of every straight-to-cutoff
+# record, and the floor of the series start radius r_s
 R_MIN_FRACTION = 1e-6
+# r_s stays at or below this fraction of r0 (and below half the second recorded node)
+SERIES_CAP_FRACTION = 1e-3
+# the terms the start series neglects stay below this fraction of the tolerance
+SERIES_TOL_FRACTION = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,34 +376,100 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     return (us, vs, max_u, turns) if return_winding else (us, vs, max_u)
 
 
+def _series_coefficients(lam, E, origin_w):
+    """a1 ... a5 of y = r^{lam+1/2} sum_n a_n r^n for Q = E - (lam^2 - 1/4)/r^2 - W.
+
+    W = mu*V ~ w_-1/r + w_0 + w_1 r (origin_w), and
+    n (n + 2 lam) a_n = w_-1 a_{n-1} + (w_0 - E) a_{n-2} + w_1 a_{n-3} + ...;
+    a4 and a5 leave out the W terms beyond w_1, which :func:`_series_radius`
+    bounds from the profile instead.
+    """
+    w_m1, w0, w1 = origin_w
+    d = w0 - E
+    a1 = w_m1 / (2 * lam + 1)
+    a2 = (w_m1 * a1 + d) / (2 * (2 * lam + 2))
+    a3 = (w_m1 * a2 + d * a1 + w1) / (3 * (2 * lam + 3))
+    a4 = (w_m1 * a3 + d * a2 + w1 * a1) / (4 * (2 * lam + 4))
+    a5 = (w_m1 * a4 + d * a3 + w1 * a2) / (5 * (2 * lam + 5))
+    return a1, a2, a3, a4, a5
+
+
 def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, float],
                     r: float) -> Tuple[complex, complex]:
-    """Two-term series start y = r^{lam+1/2}(1 + a1 r + a2 r^2) and its derivative.
+    """Series start y = r^{lam+1/2}(1 + a1 r + a2 r^2 + a3 r^3) and its derivative.
 
-    origin_w = (w_-1, w_0, w_1) is the small-r expansion of mu*V.  Returns
-    (y, y').
+    origin_w = (w_-1, w_0, w_1) is the small-r expansion of mu*V, which
+    fixes a1, a2 and a3 (:func:`_series_coefficients`).  E and origin_w may
+    be arrays (float64 lanes).  Returns (y, y').
     """
-    w_m1, w0, _ = origin_w
-    a1 = w_m1 / (2 * lam + 1)
-    a2 = (w_m1 * a1 + (w0 - E)) / (2 * (2 * lam + 2))
-    pref = r ** (lam + 0.5)
-    u = pref * (1 + a1 * r + a2 * r * r)
-    v = (r ** (lam - 0.5)) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r * r)
+    a1, a2, a3, _, _ = _series_coefficients(lam, E, origin_w)
+    r2 = r * r
+    u = r ** (lam + 0.5) * (1 + a1 * r + a2 * r2 + a3 * r2 * r)
+    v = r ** (lam - 0.5) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r2
+                            + (lam + 3.5) * a3 * r2 * r)
     return u, v
 
 
-def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: float,
-                 return_winding: bool = False, second_branch: bool = False,
+def _largest(x) -> float:
+    """|x| for a scalar, the largest |x| over the lanes for an array."""
+    return float(np.max(np.abs(x))) if np.ndim(x) else abs(x)
+
+
+def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
+                   tol: float) -> float:
+    """Start radius r_s of an origin-regular solve: the series meets 1e-3 tol there.
+
+    The series of :func:`frobenius_start` neglects two things, each held
+    below eps = SERIES_TOL_FRACTION tol |lam + 1/2| / |lam + 11/2| relative
+    (the last factor covers y', whose terms carry n + lam + 1/2 in place of
+    lam + 1/2):
+
+    - the profile's departure dV = mu V - (w_-1/r + w_0 + w_1 r) from its
+      origin expansion, |dV(r)| r^2 / (2 |2 lam + 2|) <= eps.  dV is read
+      from Q(r) on radii that halve from the cap; they depend on the model
+      only, not on E.  A wrong ``origin`` tuple fails here down to r_min;
+    - the E-dependent terms a4 r^4 and a5 r^5, in closed form, so that r_s
+      moves continuously with E (finite differences in E stay smooth).
+
+    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2), so it never
+    passes a knot or the second recorded node, and it is never below
+    record[0].  For float64 lanes the bounds hold on every lane: one r_s,
+    the smallest over the lanes.
+    """
+    r_min = float(record[0])
+    eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
+    w_m1, w0, w1 = origin_w
+    cf = lam * lam - 0.25
+    bound = eps * 2 * abs(2 * lam + 2)
+    r = min(SERIES_CAP_FRACTION * r0, 0.5 * float(record[1]))
+    while r > r_min and not _largest(E - cf / (r * r) - qfun(r)
+                                     - (w_m1 / r + w0 + w1 * r)) * (r * r) <= bound:
+        r *= 0.5
+    _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
+    for a, n in ((_largest(a4), 4), (_largest(a5), 5)):
+        if a > 0.0:
+            r = min(r, (eps / a) ** (1.0 / n))
+    return max(r, r_min)
+
+
+def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
+                 tol: float, return_winding: bool = False, second_branch: bool = False,
                  sources: tuple = ()):
-    """Origin-regular solve: the series start at record[0] = r_min, then :func:`_integrate`.
+    """Origin-regular solve: the series start at r_s, then :func:`_integrate` on ``record``.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
     branch of :func:`integrate_regular` instead).  E and origin_w are
-    scalars, or arrays for float64 lanes.  With kernel ``sources`` S_i
+    scalars, or arrays for float64 lanes.  r_s comes from
+    :func:`_series_radius` (r0 is the cutoff radius that caps it); the
+    nodes below r_s (record[0] only) take the series value.  Between
+    record[0] and r_s neither y nor y' has a zero, so a real problem's
+    winding count is that of a solve from record[0].  The subdominant
+    branch, and kernel ``sources`` S_i, start at record[0].  With sources
     (lanes only; E and origin_w then end in an axis of length 1), every
     point gets one more lane per source after its homogeneous one: the
-    particular solve of y'' + Q y = S_i from (0, 0).  Returns the tuple of
-    :func:`_integrate`.
+    particular solve of y'' + Q y = S_i from (0, 0); a particular solve
+    started at r_s would drop the integral of S_i below it.  Returns the
+    tuple of :func:`_integrate`.
     """
     re = lam.real if isinstance(lam, complex) else lam
     if second_branch:
@@ -405,7 +480,6 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: floa
         raise RegularityError("regular solution requires Re lam > 0")
     r_min = float(record[0])
     u0, v0 = frobenius_start(lam, E, origin_w, r_min)
-    sfun = None
     if sources:
         zeros = np.zeros(np.shape(u0)[:-1] + (len(sources),))
         u0 = np.concatenate([u0, zeros], axis=-1)
@@ -414,7 +488,17 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, tol: floa
         def sfun(r):
             return np.array([0.0] + [src(r) for src in sources])
 
-    return _integrate(qfun, sfun, r_min, u0, v0, record, tol, return_winding)
+        return _integrate(qfun, sfun, r_min, u0, v0, record, tol)
+    r_s = r_min if second_branch else _series_radius(qfun, lam, E, origin_w, record, r0, tol)
+    if r_s == r_min:
+        return _integrate(qfun, None, r_min, u0, v0, record, tol, return_winding)
+    u_s, v_s = frobenius_start(lam, E, origin_w, r_s)
+    us, vs, max_u, *turns = _integrate(qfun, None, r_s, u_s, v_s, record[1:], tol,
+                                       return_winding)
+    us = np.concatenate([[u0], us])
+    vs = np.concatenate([[v0], vs])
+    max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
+    return (us, vs, max_u, *turns)
 
 
 def _with_knots(potential: PotentialModel, nodes) -> Tuple[np.ndarray, object]:
@@ -452,7 +536,7 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
         raise QwsError("equation has an active kernel; use solve_nonlocal")
     record, keep = _with_knots(eq.potential, grid.nodes)
     us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                             record, tol, second_branch=second_branch)
+                             record, grid.r0, tol, second_branch=second_branch)
     return RadialSolution(grid=grid, y=us[keep], dy=vs[keep], normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu)
 
@@ -567,7 +651,7 @@ def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
     if isinstance(E, complex) and E.imag != 0:
         raise QwsError("non-local solve requires real energy")
     record, keep = _with_knots(eq.potential, grid.interior_nodes)
-    solves = [_from_origin(eq.coefficient, lam, E, eq.origin_w, record, tol)]
+    solves = [_from_origin(eq.coefficient, lam, E, eq.origin_w, record, grid.r0, tol)]
     for src in eq.sources:
         solves.append(_integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, rtol=tol))
     ys = np.stack([u[keep] for u, _, _ in solves], axis=-1)[:, None, :]
@@ -642,7 +726,7 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
         return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
     record, _ = _with_knots(eq.potential, [R_MIN_FRACTION * eq.r0, eq.r0])
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                 record, tol, return_winding=return_winding)
+                                 record, eq.r0, tol, return_winding=return_winding)
     return (complex(us[-1]), complex(vs[-1]), *rest)
 
 
@@ -685,7 +769,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
         record, _ = _with_knots(potential, [R_MIN_FRACTION * potential.r0, potential.r0])
         origin_w = tuple(mu * w for w in potential.origin_coefficients())
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
-                                     origin_w, record, tol)
+                                     origin_w, record, potential.r0, tol)
         return us[-1].real, vs[-1].real, max_u
     eq = effective_equation(channel, potential, EnergyValue(E=0.0))  # the sources S_i
     grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
@@ -693,7 +777,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     E, mu = (a.reshape(-1, 1) for a in np.broadcast_arrays(E, mu))
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
     ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
-                              record, tol, sources=eq.sources)
+                              record, potential.r0, tol, sources=eq.sources)
     ys, dys = ys[keep], dys[-1:].copy()   # y' is needed at r0 only: free the rest
     m = _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
     y, dy, *_ = _couple(m, ys, dys, eq.coupling, mu[:, 0])

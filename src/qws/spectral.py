@@ -247,8 +247,15 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     searched by a sign scan of M(E) on ``n_scan`` log-spaced energies
     (:func:`_scanned_levels`); ``n_scan`` applies to kernels only.  Each
     level is the midpoint of the final bracket of
-    :func:`~qws.roots.refine_root`.
+    :func:`~qws.roots.refine_root`; :func:`_level_energies` finds the
+    levels, and each is then built into its unit-norm solution.
     """
+    return [_build_bound_state(channel, potential, E, mu, ode_tol)
+            for E in _level_energies(channel, potential, mu, E_floor, tol, n_scan, ode_tol)]
+
+
+def _level_energies(channel, potential, mu, E_floor, tol, n_scan, ode_tol) -> List[float]:
+    """The level energies of :func:`find_bound_states`, ascending, with no solution built."""
     if E_floor is None:
         E_floor = default_energy_floor(channel, potential.with_mu(mu))
     if E_floor >= 0:
@@ -260,7 +267,7 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
         levels = _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan, ode_tol)
     else:
         levels = _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol)
-    return [_build_bound_state(channel, potential, E, mu, ode_tol) for E in sorted(levels)]
+    return sorted(levels)
 
 
 def _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan,
@@ -576,8 +583,9 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     """Check eta(0) = n pi, with n counted two independent ways.
 
     eta(0) comes from the mu-continued phase at two small wavenumbers,
-    extrapolated to k = 0 along the k^{2 lam} law; n comes from
-    :func:`find_bound_states` (``n_scan`` is its kernel scan size) and from
+    extrapolated to k = 0 along the k^{2 lam} law; n comes from the level
+    search of :func:`find_bound_states`, which builds no solutions here
+    (``n_scan`` is its kernel scan size), and from
     the threshold crossing counter, which must agree exactly.  Upstream degeneracies surface as status "inconclusive".  The
     counter's report rides along as ``continuation`` (for the staircase).
     """
@@ -586,8 +594,8 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     cont = None
     try:
         cont = continuation_count(channel, potential, tol=tol)
-        states = find_bound_states(channel, potential, mu=potential.mu,
-                                   ode_tol=tol, n_scan=n_scan)
+        n_direct = len(_level_energies(channel, potential, potential.mu, E_floor=None,
+                                       tol=1e-10, n_scan=n_scan, ode_tol=tol))
         k1 = 1e-4 / r0
         k2 = 2e-4 / r0
         eta1 = phase_shift(channel, potential, k1, mu=potential.mu, tol=tol,
@@ -600,7 +608,6 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
         return LevinsonReport(eta0=math.nan, n_direct=-1, n_continuation=-1,
                               status="inconclusive", reason=str(exc),
                               tol_eta=tol_eta, continuation=cont)
-    n_direct = len(states)
     ok = (abs(eta0 - n_direct * math.pi) <= tol_eta
           and n_direct == cont.n_bound)
     return LevinsonReport(eta0=float(eta0), n_direct=n_direct,

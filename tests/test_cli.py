@@ -2,10 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qws.cli import main
-from qws.config import parse_config, validate
+from qws.config import MAX_COUNT, parse_config, validate
 from qws.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -529,6 +530,40 @@ def test_non_integer_counts_exit_as_config_error(tmp_path, capsys, config, key, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config: ") and message in err
+
+
+HUGE_COUNT_CASES = [
+    ("phase_shift_square_well.cfg", "k_count", "1e300"),
+    ("phase_shift_square_well.cfg", "k_count", "1000001"),
+    ("phase_shift_square_well.cfg", "mu_steps", "1e300"),
+    ("sturm_square_well.cfg", "e_count", "1e300"),
+    ("solve_regular.cfg", "n_interior", "1e300"),
+    ("solve_regular.cfg", "n_exterior", "1e300"),
+]
+
+
+@pytest.mark.parametrize("config, key, value", HUGE_COUNT_CASES,
+                         ids=[f"{key}={value}" for _, key, value in HUGE_COUNT_CASES])
+def test_oversized_counts_exit_as_config_error(tmp_path, capsys, monkeypatch, config, key,
+                                               value):
+    # k_count = 1e300 ended in ValueError: Maximum allowed size exceeded from
+    # np.linspace; nothing of the asked size may be allocated on the way to exit 2
+    linspace = np.linspace
+
+    def bounded(start, stop, num=50, *args, **kwargs):
+        assert num <= MAX_COUNT, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", bounded)
+    text = (CONFIG_DIR / config).read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old + "\n", f"{key} = {value}\n"))
+    rc = main([parse_config(cfg).task, "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+               "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and f"{key} must be at most {MAX_COUNT}" in err
 
 
 @pytest.mark.parametrize("config, old, new, message", [

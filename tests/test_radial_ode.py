@@ -8,13 +8,18 @@ from scipy import special as sp
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
-from qws.potentials import (PotentialModel, gaussian_bump, poly_bump, square_well,
-                            tabulated, truncated_exponential, truncated_gaussian)
-from qws.radial_ode import (MOMENT_NODES, _integrate, cutoff_integral, frobenius_start,
+from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
+                            square_well, tabulated, truncated_exponential,
+                            truncated_gaussian)
+from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _integrate, _series_radius,
+                            _with_knots, cutoff_integral, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, make_grid,
                             prufer_angle, solve_nonlocal)
-from qws.spectral import _exterior_logderiv, _prufer_mismatch, default_energy_floor
+from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
+                          default_sturm_step)
+
+from test_scattering import PRUFER_CASES
 
 CH_S = ChannelParams(q=3, l=0)          # lam = 1/2
 FREE = PotentialModel(r0=1.0)
@@ -761,6 +766,14 @@ class TestTabulatedKnots:
         scale = np.max(np.abs(jost.y[: i0 + 1]))
         assert max(abs(jost.y[0] - ref_u), abs(jost.dy[0] - ref_v)) <= 1e-9 * scale
 
+    def test_origin_expansion_is_the_profile_below_the_first_row(self):
+        # np.interp holds V = v[0] below the first row; a linear extrapolation
+        # there (-60.49 + 67.8 r) sent every table's series start back to r_min
+        _, local = KINKED_TABLE
+        w_m1, w0, w1 = local.origin
+        for r in (1e-6, 1e-4, 1e-3, 0.5 * _R_TAB[0], _R_TAB[0]):
+            assert w_m1 / r + w0 + w1 * r == local.profile(r)
+
     def test_kernel_superposition_lands_on_the_rows(self):
         # with the rows landed, moment grids of 401 and 801 nodes agree to ~1e-12
         # at r0 (stepping across them they differed by ~2e-7)
@@ -895,3 +908,110 @@ class TestFloatStepping:
         _integrate(qfun, sfun, float(record[0]), 0.0, 0.0, record, 1e-10)
         assert len(seen) > 2 * len(record)
         assert set(seen) == {float}
+
+
+def _from_r_min(ch, pot, E, tol=1e-10):
+    """(y, y', max|y|, turns) at r0 of the series start at r_min = R_MIN_FRACTION r0.
+
+    The reference of the start at r_s: the same series and the same stepper,
+    started where every origin-regular solve started before r_s.
+    """
+    qfun, _, r_min, u0, v0, record = _real_problem(ch, pot, E)
+    us, vs, max_u, turns = _integrate(qfun, None, r_min, u0, v0, record, tol,
+                                      return_winding=True)
+    return us[-1], vs[-1], max_u, turns
+
+
+def _assert_close(u, v, ref_u, ref_v, ref_max):
+    """(y, y') at r0 within 1e-9 of max|y|; y' ~ k y, so y' also within 1e-9 of itself."""
+    assert abs(u - ref_u) <= 1e-9 * ref_max
+    assert abs(v - ref_v) <= 1e-9 * max(ref_max, abs(ref_v))
+
+
+def _start_radius(ch, pot, E, tol=1e-10):
+    """r_s of the straight-to-cutoff solve of :func:`interior_state`."""
+    eq = effective_equation(ch, pot, EnergyValue(E=E))
+    record, _ = _with_knots(pot, [R_MIN_FRACTION * pot.r0, pot.r0])
+    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol)
+
+
+# (channel, local well, energy): the phase-shift cells, the lane wells at a
+# bound and a scattering energy, and complex lambda through complex l and q
+SERIES_START_CASES = [(ch, local, k * k) for ch, local, k in PRUFER_CASES] + [
+    (ch, local, E) for ch, local in LANE_WELLS + [KINKED_TABLE] for E in (-3.7, 5.0)
+] + [
+    (ChannelParams(q=3, l=1.0 + 0.4j), truncated_gaussian(30.0, 0.6), (2.0 + 0.3j) ** 2),
+    (ChannelParams(q=3.6 + 0.5j, l=1.0), square_well(20.0), 1.7 ** 2),
+]
+
+
+class TestSeriesStart:
+    """Origin-regular solves start at r_s, where the series meets 1e-3 tol."""
+
+    @pytest.mark.parametrize("ch, local, E", SERIES_START_CASES,
+                             ids=[f"case{i}" for i in range(len(SERIES_START_CASES))])
+    def test_cutoff_values_and_winding_match_the_start_at_r_min(self, ch, local, E):
+        pot = PotentialModel(r0=1.0, local=local)
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        u, v, max_u, turns = interior_state(eq, 1e-10, return_winding=True)
+        ref_u, ref_v, ref_max, ref_turns = _from_r_min(ch, pot, E)
+        _assert_close(u, v, ref_u, ref_v, ref_max)
+        assert turns == ref_turns
+
+    @pytest.mark.parametrize("ch, local", LANE_WELLS + [KINKED_TABLE],
+                             ids=LANE_IDS + ["kinked-table"])
+    def test_full_grid_takes_the_series_below_r_s(self, ch, local):
+        pot = PotentialModel(r0=1.0, local=local)
+        E = -3.7
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        g = make_grid(1.0, n_interior=201, n_exterior=21)
+        sol = integrate_regular(eq, g, 1e-10)
+        assert g.r_min < _series_radius(eq.coefficient, eq.lam, E, eq.origin_w,
+                                        g.nodes, 1.0, 1e-10) < g.nodes[1]
+        assert sol.y[0] == frobenius_start(eq.lam, E, eq.origin_w, g.r_min)[0]
+        record, keep = _with_knots(pot, g.nodes)
+        u0, v0 = frobenius_start(eq.lam, E, eq.origin_w, g.r_min)
+        ref_u, ref_v, _ = _integrate(eq.coefficient, None, g.r_min, u0, v0, record, 1e-10)
+        scale = np.max(np.abs(ref_u[keep]))
+        assert np.max(np.abs(sol.y - ref_u[keep])) <= 1e-9 * scale
+        assert np.max(np.abs(sol.dy - ref_v[keep])) <= 1e-9 * np.max(np.abs(ref_v[keep]))
+
+    def test_start_moves_off_r_min_where_the_series_is_exact(self):
+        # lam = 2.5 well and p-wave gaussian: the start lies two decades above r_min
+        for ch, local in (LANE_WELLS[3], LANE_WELLS[1]):
+            r_s = _start_radius(ch, PotentialModel(r0=1.0, local=local), -3.7)
+            assert 100 * R_MIN_FRACTION < r_s <= 1e-3
+
+    def test_falls_back_to_r_min(self):
+        r_min = R_MIN_FRACTION
+        # a free s-wave at k = 1500: a4 r^4 meets the tolerance only below r_min
+        assert _start_radius(CH_S, FREE, 1500.0 ** 2) == r_min
+        # an origin tuple that misses the profile by 3 at r = 0: dV = 3 fails down to r_min
+        wrong = LocalPotential(name="wrong-origin", profile=lambda r: -3.0 * math.exp(-r),
+                               origin=(0.0, 0.0, 0.0))
+        assert _start_radius(CH_S, PotentialModel(r0=1.0, local=wrong), -1.0) == r_min
+        # the s-wave square_well(1e5) at its energy floor starts a few r_min out
+        # and still meets the start at r_min
+        deep = PotentialModel(r0=1.0, local=square_well(1e5))
+        floor = -1.5e5 - 1.0
+        assert r_min < _start_radius(CH_S, deep, floor) < 10 * r_min
+        u, v, _ = interior_state(effective_equation(CH_S, deep, EnergyValue(E=floor)))
+        _assert_close(u, v, *_from_r_min(CH_S, deep, floor)[:3])
+
+    @pytest.mark.parametrize("ch, local", [LANE_WELLS[0], LANE_WELLS[3]],
+                             ids=["square", "square-lam2.5"])
+    def test_start_is_continuous_across_a_sturm_stencil(self, ch, local):
+        # r_s follows a4 in closed form on these wells: E +- dE moves it by
+        # O(dE), smoothly, where a search in E would step it by factors of 2
+        # (and break the correlation of the stencil's step sequences)
+        pot = PotentialModel(r0=1.0, local=local)
+        for E in (-3.7, -0.5, 2.0):
+            dE = default_sturm_step(E)
+            r_lo, r_mid, r_hi = (_start_radius(ch, pot, e) for e in (E - dE, E, E + dE))
+            assert r_mid < 1e-3
+            # r_s falls as |w_0 - E| grows: monotone across the stencil, in
+            # steps that agree to O(dE^2)
+            assert (r_hi - r_mid) * (r_mid - r_lo) > 0.0
+            assert abs(r_hi - r_lo) <= 1e-3 * r_mid
+            assert abs((r_hi - r_mid) - (r_mid - r_lo)) <= 1e-3 * abs(r_hi - r_lo)
+

@@ -338,6 +338,17 @@ class TestLevinson:
         assert rep.passed and rep.n_direct == 0
         assert abs(rep.eta0) <= 1e-2
 
+    def test_counts_levels_without_building_them(self, monkeypatch):
+        # each built level cost a full-grid solve and 161 Bessel I/K calls
+        # that the count never read
+        def unused(*args, **kwargs):
+            raise AssertionError("levinson_verify built a bound state")
+
+        monkeypatch.setattr(sp, "_build_bound_state", unused)
+        pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2))
+        rep = levinson_verify(CH_S, pot, tol=1e-9)
+        assert rep.passed and rep.n_direct == rep.n_continuation == 2
+
     def test_upstream_errors_surface_as_inconclusive(self, monkeypatch):
         from qws import spectral as sp
         from qws.errors import AmbiguousCrossingError
