@@ -490,8 +490,6 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
 
         return _integrate(qfun, sfun, r_min, u0, v0, record, tol)
     r_s = r_min if second_branch else _series_radius(qfun, lam, E, origin_w, record, r0, tol)
-    if r_s == r_min:
-        return _integrate(qfun, None, r_min, u0, v0, record, tol, return_winding)
     u_s, v_s = frobenius_start(lam, E, origin_w, r_s)
     us, vs, max_u, *turns = _integrate(qfun, None, r_s, u_s, v_s, record[1:], tol,
                                        return_winding)

@@ -990,6 +990,10 @@ class TestSeriesStart:
         wrong = LocalPotential(name="wrong-origin", profile=lambda r: -3.0 * math.exp(-r),
                                origin=(0.0, 0.0, 0.0))
         assert _start_radius(CH_S, PotentialModel(r0=1.0, local=wrong), -1.0) == r_min
+        # a start at r_min steps exactly as the start at r_min always did
+        for pot, E in ((FREE, 1500.0 ** 2), (PotentialModel(r0=1.0, local=wrong), -1.0)):
+            eq = effective_equation(CH_S, pot, EnergyValue(E=E))
+            assert interior_state(eq, 1e-10, return_winding=True) == _from_r_min(CH_S, pot, E)
         # the s-wave square_well(1e5) at its energy floor starts a few r_min out
         # and still meets the start at r_min
         deep = PotentialModel(r0=1.0, local=square_well(1e5))
