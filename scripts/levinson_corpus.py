@@ -2,8 +2,9 @@
 """Run the zero-momentum phase / bound-count identity over a mixed corpus.
 
 Covers attractive square wells with 0, 1 and 2 levels, a higher partial
-wave, a purely non-local rank-1 attraction, and a mixed local + non-local
-configuration.  Prints one line per configuration and exits 1 unless
+wave, a purely non-local rank-1 attraction, a mixed local + non-local
+configuration, and a repulsive rank-1 kernel whose coupling determinant
+det(Id - mu C M) changes sign along the mu path.  Prints one line per configuration and exits 1 unless
 every configuration passes.
 """
 
@@ -31,6 +32,8 @@ def corpus():
         ("well + kernel", ch_s,
          PotentialModel(r0=1.0, local=square_well(3.0), kernel=(bump,),
                         strengths=(-120.0,))),
+        ("repulsive rank-1 kernel", ch_p,
+         PotentialModel(r0=1.0, kernel=(bump,), strengths=(3000.0,))),
     ]
 
 

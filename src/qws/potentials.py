@@ -116,11 +116,13 @@ def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTer
     if width <= 0:
         raise QwsError("bump width must be positive")
     c, w, h = float(center), float(width), float(height)
-    return KernelTerm(
-        name="gaussian_bump",
-        profile=lambda r: h * math.exp(-(((r - c) / w) ** 2)),
-        params=(("center", c), ("width", w), ("height", h)),
-    )
+
+    def g(r):
+        x = (r - c) / w
+        return h * math.exp(-x * x)   # x * x overflows to inf where x ** 2 would raise
+
+    return KernelTerm(name="gaussian_bump", profile=g,
+                      params=(("center", c), ("width", w), ("height", h)))
 
 
 def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:

@@ -9,7 +9,10 @@ with their lanes, start at r_min.  Decaying "Jost-normalized" solutions
 start at the cutoff radius, where compact support makes e^{-ikr} exact, and
 are integrated inward.  The finite-rank non-local equation is solved by
 superposition: one homogeneous and n particular integrations plus an
-n x n linear solve for the source coefficients.
+n x n linear system for the source coefficients, whose cutoff state the
+module hands out scaled by the system's determinant (:func:`_couple`), so
+that it stays finite where the determinant vanishes (a kernel resonance);
+:func:`solve_nonlocal` alone divides it out.
 
 This module alone decides whether an equation is local or non-local (the
 kernel counts when mu != 0 and some coupling is nonzero).  Callers pass an
@@ -400,13 +403,17 @@ def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, floa
 
     origin_w = (w_-1, w_0, w_1) is the small-r expansion of mu*V, which
     fixes a1, a2 and a3 (:func:`_series_coefficients`).  E and origin_w may
-    be arrays (float64 lanes).  Returns (y, y').
+    be arrays (float64 lanes).  Returns (y, y'); raises RegularityError
+    where r^{lam+1/2} overflows (an r far beyond any physical cutoff).
     """
     a1, a2, a3, _, _ = _series_coefficients(lam, E, origin_w)
     r2 = r * r
-    u = r ** (lam + 0.5) * (1 + a1 * r + a2 * r2 + a3 * r2 * r)
-    v = r ** (lam - 0.5) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r2
-                            + (lam + 3.5) * a3 * r2 * r)
+    try:
+        u = r ** (lam + 0.5) * (1 + a1 * r + a2 * r2 + a3 * r2 * r)
+        v = r ** (lam - 0.5) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r2
+                                + (lam + 3.5) * a3 * r2 * r)
+    except OverflowError:
+        raise RegularityError(f"the origin series r^(lam + 1/2) overflows at r = {r:g}") from None
     return u, v
 
 
@@ -602,36 +609,33 @@ def _kernel_moments(grid: RadialGrid, s: np.ndarray, ys: np.ndarray, power: floa
 
 
 def _couple(m: np.ndarray, ys: np.ndarray, dys: np.ndarray, coupling: np.ndarray, mu):
-    """Superpose y = y_h + sum_j beta_j y_j with (Id - mu C M) beta = mu C m_h at each point.
+    """det (y, y') for y = y_h + sum_j beta_j y_j, (Id - mu C M) beta = mu C m_h, at each point.
 
     ``ys``/``dys`` (node, point, 1 + n) hold the homogeneous solution and
     the n particular ones (``dys`` may keep fewer nodes), ``m`` their
     moments from :func:`_kernel_moments` (m_h = m[..., 0], M = m[..., 1:]);
     ``mu`` is a scalar or one coupling per point, broadcasting against the
-    point axis.  Returns (y, y' as (node, point), beta, det, degenerate).
-    A point is degenerate when |det| < 1e-12 max(1, |B|_F)^n (a kernel
-    resonance); its beta, y and y' are NaN.
+    point axis.  With B = Id - mu C M, Cramer's rule gives det(B) beta_j =
+    N_j, the determinant of B with column j replaced by mu C m_h, so
+    det y = det y_h + sum_j N_j y_j takes no division: it stays finite and
+    smooth through a kernel resonance (det = 0), where y itself has a pole.
+    One real factor per point leaves A = y'/y, tan eta and the zeros of y
+    as they are.  Returns (det y, det y' as (node, point), N, B, det).
     """
     n = coupling.shape[0]
     m_h, M = m[..., 0], m[..., 1:]
-    mu = np.asarray(mu, dtype=float)[..., None]
-    B = np.eye(n) - mu[..., None] * (coupling @ M)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    B = np.eye(n) - mu * (coupling @ M)
+    rhs = mu * (coupling @ m_h[..., None])
     det = np.linalg.det(B)
-    norm = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)))
-    degenerate = np.abs(det) < 1e-12 * norm ** n
-    B[degenerate] = np.eye(n)   # one singular matrix would fail the whole stacked solve
-    beta = np.linalg.solve(B, (mu * (coupling @ m_h[..., None])[..., 0])[..., None])[..., 0]
-    beta[degenerate] = np.nan
-    y = ys[..., 0] + beta[:, 0] * ys[..., 1]
-    dy = dys[..., 0] + beta[:, 0] * dys[..., 1]
-    for j in range(1, n):
-        y += beta[:, j] * ys[..., 1 + j]
-        dy += beta[:, j] * dys[..., 1 + j]
-    return y, dy, beta, det, degenerate
-
-
-def _resonance(det, E) -> DegenerateCouplingError:
-    return DegenerateCouplingError(f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {E}")
+    N = np.stack([np.linalg.det(np.concatenate([B[..., :j], rhs, B[..., j + 1:]], axis=-1))
+                  for j in range(n)], axis=-1)
+    y = det * ys[..., 0]
+    dy = det * dys[..., 0]
+    for j in range(n):
+        y += N[:, j] * ys[..., 1 + j]
+        dy += N[:, j] * dys[..., 1 + j]
+    return y, dy, N, B, det
 
 
 def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
@@ -657,36 +661,34 @@ def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
     return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 
 
-def _interior_superposition(eq: EffectiveEquation, grid: RadialGrid, tol: float):
-    """Homogeneous + particular interior solves and the coupling linear system.
-
-    Returns (y, dy on interior nodes, KernelSolveData).
-    """
-    ys, dys, m = _superposition_solves(eq, grid, tol)
-    y, dy, beta, det, degenerate = _couple(m, ys, dys, eq.coupling, eq.mu)
-    if degenerate[0]:
-        raise _resonance(det[0], eq.energy.E)
-    moments = m[0, :, 0] + m[0, :, 1:] @ beta[0]
-    data = KernelSolveData(moments=moments, coefficients=beta[0], det=float(abs(det[0])))
-    return y[:, 0], dy[:, 0], data
-
-
 def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
     """Origin-regular solution over the whole grid, with or without a kernel.
 
     The one full-grid regular solve.  A local equation (no kernel, mu = 0 or
     all couplings zero) is integrated by :func:`integrate_regular`; a rank-n
     kernel is solved by superposition on the interior nodes (moments by
-    Simpson on this grid) and continued through the free exterior.
+    Simpson on this grid) and continued through the free exterior.  It is
+    the one solve that divides the state of :func:`_couple` by det(Id - mu
+    C M), so it alone raises DegenerateCouplingError, where |det| <
+    1e-12 max(1, |B|_F)^n (a kernel resonance: no solution of this
+    normalization exists there).
     """
     if not _kernel_active(eq):
         return integrate_regular(eq, grid, tol)
-    y_int, dy_int, data = _interior_superposition(eq, grid, tol)
+    ys, dys, m = _superposition_solves(eq, grid, tol)
+    y_int, dy_int, N, B, det = _couple(m, ys, dys, eq.coupling, eq.mu)
+    det = det[0]
+    if abs(det) < 1e-12 * max(1.0, float(np.linalg.norm(B[0]))) ** eq.rank:
+        raise DegenerateCouplingError(
+            f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {eq.energy.E}")
+    beta = N[0] / det
+    data = KernelSolveData(moments=m[0, :, 0] + m[0, :, 1:] @ beta, coefficients=beta,
+                           det=float(abs(det)))
     i0 = grid.i_cutoff
     y = np.empty(len(grid.nodes), dtype=complex)
     dy = np.empty(len(grid.nodes), dtype=complex)
-    y[: i0 + 1] = y_int
-    dy[: i0 + 1] = dy_int
+    y[: i0 + 1] = y_int[:, 0] / det
+    dy[: i0 + 1] = dy_int[:, 0] / det
     y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
@@ -711,17 +713,20 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
 
     A local equation is integrated straight to the cutoff without storing a
     grid.  A kernel is solved by superposition on the fixed uniform interior
-    grid of MOMENT_NODES nodes, on which Simpson takes the kernel moments.
-    ``return_winding=True`` (local equation only) appends the Prufer winding
-    count of (Re y, Re y') over (r_min, r0), see :func:`_integrate` and
-    :func:`prufer_angle`.  :func:`node_at_cutoff` reads y(r0) against max|y|.
+    grid of MOMENT_NODES nodes, on which Simpson takes the kernel moments,
+    and comes back scaled by det(Id - mu C M) (:func:`_couple`), finite at
+    a kernel resonance too.  ``return_winding=True`` (local equation only)
+    appends the Prufer winding count of (Re y, Re y') over (r_min, r0), see
+    :func:`_integrate` and :func:`prufer_angle`.  :func:`node_at_cutoff`
+    reads y(r0) against max|y|.
     """
     if _kernel_active(eq):
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
-        grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
-        y, dy, _ = _interior_superposition(eq, grid, tol)
-        return complex(y[-1]), complex(dy[-1]), float(np.max(np.abs(y)))
+        ys, dys, m = _superposition_solves(
+            eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
+        y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
+        return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
     record, _ = _with_knots(eq.potential, [R_MIN_FRACTION * eq.r0, eq.r0])
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
                                  record, eq.r0, tol, return_winding=return_winding)
@@ -753,8 +758,8 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     mu must be real.  A local model takes one lane per point, straight to
     the cutoff.  A model with a kernel takes 1 + n lanes per point (the
     homogeneous solve and the n particular ones) landed on the moment grid,
-    and the n x n systems of all points are solved as one stack; a point
-    whose system is degenerate comes back as NaN in all three arrays.
+    and the n x n systems of all points are taken as one stack; its points
+    come back scaled by det(Id - mu C M), as from :func:`interior_state`.
     Returns the real parts.
     """
     E = np.asarray(E, dtype=float)
@@ -788,13 +793,13 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
     """(y, y', max|y|) at r0^- as a function of the coupling mu, at one energy E.
 
     The returned function takes a scalar mu and answers as
-    :func:`interior_state` (raising DegenerateCouplingError at a kernel
-    resonance), or an array of couplings and answers as
-    :func:`interior_lanes` (real parts, NaN at a resonance).  In a pure
-    kernel (no local part) neither Q(r) nor the series start depends on mu,
-    so the homogeneous and particular solves and their moments are made
-    once, here, and each coupling costs one n x n solve of
-    (Id - mu C M) beta = mu C m_h.  Any other model solves every call
+    :func:`interior_state`, or an array of couplings and answers as
+    :func:`interior_lanes` (real parts); a kernel's state is scaled by
+    det(Id - mu C M) either way, so it is finite and smooth in mu through a
+    kernel resonance.  In a pure kernel (no local part) neither Q(r) nor the
+    series start depends on mu, so the homogeneous and particular solves
+    and their moments are made once, here, and each coupling costs n + 1
+    determinants of n x n matrices.  Any other model solves every call
     afresh.  The solves live as long as the returned function.
     """
     if potential.local is not None or not _carries_kernel(potential):
@@ -811,11 +816,9 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
     dys = dys[-1:]   # y' is needed at r0 only
 
     def at(mu):
-        y, dy, _, det, degenerate = _couple(m, ys, dys, eq.coupling, mu)
+        y, dy, *_ = _couple(m, ys, dys, eq.coupling, mu)
         if np.ndim(mu):
             return y[-1].real, dy[-1].real, np.max(np.abs(y), axis=0)
-        if degenerate[0]:
-            raise _resonance(det[0], E)
         return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
 
     return at

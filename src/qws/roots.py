@@ -32,8 +32,8 @@ def refine_root(f: Callable[[float], float], a: float, fa: float, b: float, fb: 
     halved, so that both ends close in.  Every trial point lies at least
     half the final width inside the bracket.  A step is a plain bisection
     once bisection alone could no longer close the bracket within twice the
-    steps it needs from the start, so no kink or resonance nudge of f can
-    stall the loop: it takes at most about twice the steps of bisection.  An
+    steps it needs from the start, so no kink of f can stall the loop: it
+    takes at most about twice the steps of bisection.  An
     exact zero (a == b) is returned as it is.  Ends whose values do not
     straddle zero draw a warning, and the bracket is bisected as if f(b)
     had the sign opposite to f(a) until a sign change turns up.

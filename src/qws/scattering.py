@@ -11,23 +11,28 @@ the continuous angle of the never-vanishing pair (KN, KJ) = L (y, y')(r0).
 L is a fixed linear map per k, so nodes of y at the cutoff (poles of A)
 need no special casing.
 
-Two routes compute the continuous theta.  For local potentials, the
+Two sources give the samples of theta.  For local potentials, the
 homotopy over (r, mu) carries the Prufer angle of (y, y') along r through
 L, so one integration with a winding count gives theta at any mu without
 a path in mu (Prufer, Math. Ann. 95 (1926) 499); one more at mu = 0 gives
-theta(0).  Branch events (eta through half-integer multiples of pi) are
-located between such absolute samples: a segment holding more than one is
-bisected, and a single one is refined by :func:`~qws.roots.refine_root`
-on the matching denominator D = KN cos th0 + KJ sin th0 = |K| cos(eta),
-which is linear in (y, y')(r0), hence smooth in mu, and changes sign at
-the event, where theta itself may turn like a step at low k.  For a
-one-signed well eta is monotone in mu (Calogero's variable-phase relation
-d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a complete starting
-partition.  Kernel potentials are continued along a uniform mu grid with
-bisection across jumps, since coupling resonances break the homotopy; every
-sample of that walk comes from one :func:`~qws.radial_ode.interior_in_mu`
-at E = k^2, the grid points from one lanes call of it, so a pure kernel
-makes one superposition per k and one n x n solve per coupling.
+theta(0).  For one-signed wells eta is monotone in mu (Calogero's
+variable-phase relation d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a
+complete starting partition; other local wells start from the uniform mu
+grid.  Kernels break the r-winding argument, so their samples are placed
+on the 2 pi branch nearest the previous one along the uniform mu grid,
+whose points come from one lanes call of
+:func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure kernel makes one
+superposition per k).  A kernel's (y, y') comes scaled by
+det(Id - mu C M), so it stays smooth in mu through coupling resonances,
+where the unscaled state passes through infinity and its theta jumps by pi.
+
+One locator, :func:`_locate_branches`, takes both kinds of samples to the
+branch events (eta through half-integer multiples of pi): a segment
+holding more than one is bisected, and a single one is refined by
+:func:`~qws.roots.refine_root` on the matching denominator
+D = KN cos th0 + KJ sin th0 = |K| cos(eta), which is linear in
+(y, y')(r0), hence smooth in mu, and changes sign at the event, where
+theta itself may turn like a step at low k.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .roots import refine_root, same_sign
 
 MU_STEPS_DEFAULT = 200       # uniform continuation steps from mu = 0
 MU_REFINE_FLOOR = 1e-4       # widest bracket a branch event is located to
-JUMP_TRIGGER = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class PhaseShiftResult:
     """One phase-shift evaluation with diagnostics.
 
     eta is the value continued in mu from eta(k, 0) = 0 when ``mu_steps``
-    was set (Prufer-unwrapped for local potentials, walked along the mu
+    was set (Prufer-unwrapped for local potentials, unwrapped along the mu
     grid for kernels), otherwise the raw principal value in (-pi/2, pi/2].
     eta_raw is that principal value; tan_eta and A come from the same
     solve at mu (A is None at a node of y at r0).  ``events`` holds the
@@ -315,64 +319,49 @@ def _branch_index(th: float, th0: float) -> int:
     return math.floor((th - th0) / math.pi + 0.5)
 
 
-def _walk_theta(sample, mu_a: float, th_a: float, mu_b: float, raw_b: float,
-                path: List[Tuple[float, float]], th0: float) -> float:
-    """Continuous theta at mu_b given theta at mu_a and the principal theta raw_b at mu_b.
+def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
+                     path: List[Tuple[float, float]], th0: float,
+                     max_turn: float) -> Tuple[float, float, float]:
+    """Resolve every branch event of eta = theta - th0 from sample ``a`` to coupling mu_b.
 
-    Segments where the angle moves by more than pi/2, or where the pi-branch
-    of eta = theta - th0 changes, are bisected down to the resolution floor
-    on principal samples ``sample(mu)``; every resolved point is appended
-    to ``path``.
-    """
-    th_b = _unwrap_step(th_a, raw_b)
-    needs_split = (abs(th_b - th_a) > JUMP_TRIGGER
-                   or _branch_index(th_b, th0) != _branch_index(th_a, th0))
-    if not needs_split or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
-        path.append((mu_b, th_b))
-        return th_b
-    mid = 0.5 * (mu_a + mu_b)
-    th_mid = _walk_theta(sample, mu_a, th_a, mid, sample(mid), path, th0)
-    return _walk_theta(sample, mid, th_mid, mu_b, raw_b, path, th0)
+    Samples are (mu, theta, D), ``a`` already the last point of ``path``.
+    ``point(mu, near)`` makes one, with theta on the 2 pi branch nearest
+    ``near`` (a Prufer-lifted theta is absolute and ignores ``near``), and
+    answers a coupling it has seen before without a solve; the end of each
+    segment is placed from the segment's start.  ``max_turn`` is the largest
+    turn of theta a segment holds unsplit: math.inf for absolute samples,
+    pi/2 for placed ones, so that a placement is never ambiguous.
 
-
-def _locate_branches(point, a: Tuple[float, float, float], b: Tuple[float, float, float],
-                     path: List[Tuple[float, float]], th0: float) -> None:
-    """Resolve every branch event of eta = theta - th0 between two absolute samples.
-
-    ``a`` and ``b`` are (mu, theta, D) samples, ``a`` already the last point
-    of ``path``; ``point(mu)`` makes another.  A segment whose branch index
-    jumps by more than one is split at its midpoint until each part holds
-    one jump.  A single jump is refined by :func:`~qws.roots.refine_root`
-    on the matching denominator D, which changes sign there, to a bracket no
-    wider than MU_REFINE_FLOOR; the bracket's ends go into ``path``.  Should
-    the ends not carry the branch indices of a and b (theta not monotone
-    inside), or D not change sign, the segment is split at its midpoint
-    instead.  Points are appended in the order of the walk.
+    A segment that turns further, or whose branch index jumps by more than
+    one, is split at its midpoint.  A single jump is refined by
+    :func:`~qws.roots.refine_root` on the matching denominator D, which
+    changes sign there, to a bracket no wider than MU_REFINE_FLOOR; the
+    bracket's ends go into ``path``.  Should the ends not carry the branch
+    indices of the segment's ends (theta not monotone inside), or D not
+    change sign, the segment is split at its midpoint instead.  Points are
+    appended in the order of the walk; returns the sample at mu_b as
+    appended.
     """
     mu_a, th_a, d_a = a
-    mu_b, th_b, d_b = b
+    b = point(mu_b, th_a)
+    th_b, d_b = b[1], b[2]
     jump = _branch_index(th_b, th0) - _branch_index(th_a, th0)
-    if jump == 0 or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
+    turn_ok = abs(th_b - th_a) <= max_turn
+    if abs(mu_b - mu_a) <= MU_REFINE_FLOOR or (jump == 0 and turn_ok):
         path.append((mu_b, th_b))
-        return
-    if abs(jump) == 1 and not same_sign(d_a, d_b):
-        seen = {mu_a: a, mu_b: b}
-
-        def denominator(m: float) -> float:
-            seen[m] = point(m)
-            return seen[m][2]
-
+        return b
+    if abs(jump) == 1 and turn_ok and not same_sign(d_a, d_b):
         tol = MU_REFINE_FLOOR / max(1.0, abs(mu_a), abs(mu_b))
-        lo, hi = refine_root(denominator, mu_a, d_a, mu_b, d_b, tol)
-        near, far = (seen[lo], seen[hi]) if mu_a < mu_b else (seen[hi], seen[lo])
+        lo, hi = refine_root(lambda m: point(m, th_a)[2], mu_a, d_a, mu_b, d_b, tol)
+        near, far = (lo, hi) if mu_a < mu_b else (hi, lo)
+        near, far = point(near, th_a), point(far, th_a)
         if (_branch_index(near[1], th0) == _branch_index(th_a, th0)
                 and _branch_index(far[1], th0) == _branch_index(th_b, th0)):
             path.extend((m, th) for m, th, _ in (near, far) if m not in (mu_a, mu_b))
             path.append((mu_b, th_b))
-            return
-    mid = point(0.5 * (mu_a + mu_b))
-    _locate_branches(point, a, mid, path, th0)
-    _locate_branches(point, mid, b, path, th0)
+            return b
+    mid = _locate_branches(point, a, 0.5 * (mu_a + mu_b), path, th0, max_turn)
+    return _locate_branches(point, mid, mu_b, path, th0, max_turn)
 
 
 def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[float, int]]:
@@ -389,30 +378,6 @@ def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[fl
             events.append((0.5 * (mu_a + mu_b), 1 if b_new > b_prev else -1))
         b_prev = b_new
     return events
-
-
-def _walk_grid(pair, state, mu_grid: np.ndarray, theta_end: float,
-               path: List[Tuple[float, float]], th0: float) -> None:
-    """Walk theta along ``mu_grid`` from path[-1] = (0, th0) to theta_end at its last point.
-
-    The inner grid points are answered by one lanes call of ``state`` (see
-    :func:`~qws.radial_ode.interior_in_mu`); a NaN (resonant) lane is
-    sampled again as a scalar, which raises the resonance.  Jumps and
-    branch changes are bisected on scalar samples by :func:`_walk_theta`.
-    """
-    def sample(m: float) -> float:
-        return _theta(pair, state(float(m)))[0]
-
-    raws = [theta_end]
-    if len(mu_grid) > 2:
-        us, vs, _ = state(mu_grid[1:-1])
-        kn, kj = pair(us, vs)
-        raws = np.arctan2(kj, kn).tolist() + raws
-    theta = th0
-    for m_a, m_b, raw in zip(mu_grid[:-1], mu_grid[1:], raws):
-        if math.isnan(raw):
-            raw = sample(m_b)
-        theta = _walk_theta(sample, float(m_a), theta, float(m_b), raw, path, th0)
 
 
 def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
@@ -440,16 +405,17 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     solve at mu.
 
     Local potentials take theta from one Prufer-unwrapped integration at
-    mu and one free integration, so eta needs no path in mu.  Branch events
-    are located between these absolute samples by :func:`_locate_branches`
-    (bisection down to one event per segment, then bracketed refinement of
-    the matching denominator), from the partition {0, mu} when the profile
-    keeps one sign (eta is then monotone in mu), otherwise from the
-    ``mu_steps`` grid.  Kernel potentials, whose coupling resonances break
-    the homotopy in (r, mu), walk the ``mu_steps`` grid, whose points come
-    from one lanes call of :func:`~qws.radial_ode.interior_in_mu`, and
-    bisect on scalar samples wherever theta jumps by more than pi/2 or
-    changes branch.
+    mu and one free integration, so eta needs no path in mu; they start
+    from the partition {0, mu} when the profile keeps one sign (eta is then
+    monotone in mu), otherwise from the ``mu_steps`` grid.  Kernel
+    potentials start from the ``mu_steps`` grid, whose points come from
+    one lanes call of :func:`~qws.radial_ode.interior_in_mu`, with theta
+    read from the det(Id - mu C M)-scaled state and placed on the 2 pi
+    branch nearest the previous sample.  Either way
+    :func:`_locate_branches` resolves the branch events (bisection down to
+    one event per segment, then bracketed refinement of the matching
+    denominator); a kernel segment over which theta turns by more than
+    pi/2 is split first.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
@@ -475,25 +441,31 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     elif mu_steps is None:
         eta = eta_raw
     else:
-        at_0 = state(0.0)
-        th0 = _theta(pair, at_0, g0)[0]
+        states = {0.0: state(0.0), float(mu): at_mu}
+        th0 = _theta(pair, states[0.0], g0)[0]
+        inner = np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1]
+        if not potential.kernel and potential.one_signed:
+            inner = inner[:0]   # eta is monotone in mu: {0, mu} partitions the path
+        elif potential.kernel and len(inner):
+            states.update(zip(inner.tolist(), zip(*state(inner))))   # one lanes call
+        c0, s0 = math.cos(th0), math.sin(th0)
+
+        def point(m: float, near: float) -> Tuple[float, float, float]:
+            """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
+            st = states.get(m)
+            if st is None:
+                st = states[m] = state(m)
+            kn, kj = pair(st[0], st[1])
+            th = _theta(pair, st, g0)[0]
+            if g0 is None:
+                th = _unwrap_step(near, th)
+            return m, th, kn.real * c0 + kj.real * s0
+
+        max_turn = math.inf if g0 is not None else 0.5 * math.pi
         path: List[Tuple[float, float]] = [(0.0, th0)]
-        if potential.kernel:
-            _walk_grid(pair, state, np.linspace(0.0, mu, int(mu_steps) + 1), theta, path, th0)
-        else:
-            c0, s0 = math.cos(th0), math.sin(th0)
-
-            def point(m: float, st=None) -> Tuple[float, float, float]:
-                """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
-                st = state(m) if st is None else st
-                kn, kj = pair(st[0], st[1])
-                return m, _theta(pair, st, g0)[0], kn.real * c0 + kj.real * s0
-
-            inner = [] if potential.one_signed else np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1]
-            points = ([point(0.0, at_0)] + [point(float(m)) for m in inner]
-                      + [point(float(mu), at_mu)])
-            for a, b in zip(points[:-1], points[1:]):
-                _locate_branches(point, a, b, path, th0)
+        a = point(0.0, th0)
+        for m in inner.tolist() + [float(mu)]:
+            a = _locate_branches(point, a, m, path, th0, max_turn)
         eta = path[-1][1] - th0
         events = tuple(_branch_events(path, th0))
     eta_fit = None

@@ -22,11 +22,16 @@ root of F + j pi, and ceil(-F/pi) levels lie below E (the eigenvalue index
 of SLEDGE and MATSLISE).  A kernel breaks the oscillation theorem, so its
 levels are the sign changes of M(E) = y'(r0) - h(E) y(r0) on a log-spaced
 energy scan: M is continuous (no poles where y(r0) = 0, unlike A(E)
-itself), vanishes exactly at bound states, and has simple roots because
-the interior log-derivative decreases while the exterior one increases with
-energy.  Either way a bracketed superlinear method refines each level:
-:func:`~qws.roots.refine_root` (Illinois false position with a bisection
-fallback), which also locates the branch events of the phase shifts.
+itself, and none where det(Id - mu C M) = 0, since a kernel's state comes
+scaled by that determinant), vanishes exactly at bound states, and has
+simple roots because the interior log-derivative decreases while the
+exterior one increases with energy.  Either way the search first counts
+(:func:`_level_search`), then a bracketed superlinear method refines each
+level: :func:`~qws.roots.refine_root` (Illinois false position with a
+bisection fallback), which also locates the branch events of the phase
+shifts.  :func:`levinson_verify` takes the count alone.  No sample of the
+scan, the count or the crossing census is nudged around a kernel
+resonance: the scaled state is finite there.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import specfun
-from .errors import (AmbiguousCrossingError, DegenerateCouplingError,
-                     InvalidDifferencingError, NearThresholdResonanceError,
-                     NodeAtCutoffError, QwsError)
+from .errors import (AmbiguousCrossingError, InvalidDifferencingError,
+                     NearThresholdResonanceError, NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
 from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
@@ -51,7 +55,6 @@ from .roots import refine_root
 from .scattering import phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
-MU_FINE_FLOOR = 1e-12      # separation floor for co-located flip events
 GRAZING_TOL = 1e-10
 
 
@@ -126,22 +129,6 @@ def _exterior_k_integral(lam: float, z0: float, pair) -> float:
     return (z0 * z0 / 2.0) * (dk_s * dk_s - (1.0 + lam * lam / (z0 * z0)) * k_s * k_s)
 
 
-def _step_around_resonance(solve, points):
-    """solve(x) at the first of ``points`` where the kernel solve is not degenerate.
-
-    A sample landing exactly on a kernel resonance (degenerate coupling
-    solve) is moved to the next point, each far closer than any bracket the
-    caller resolves.
-    """
-    last = None
-    for x in points:
-        try:
-            return solve(x)
-        except DegenerateCouplingError as exc:
-            last = exc
-    raise last
-
-
 def _cutoff_match(channel, potential, E, mu, tol):
     """(y, y', max|y|) at r0^- and the decaying-exterior log-derivative h(E)."""
     lam = real_lambda(channel, "spectral pipeline")
@@ -168,31 +155,23 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
 def _matching_scan_value(channel, potential, E, mu, tol) -> float:
     """M = y'(r0) - h(E) y(r0): continuous in E, zero at bound states.
 
-    A kernel resonance is sidestepped by a relative energy nudge of at most
-    1e-7; the resonant zone is orders of magnitude narrower than any root
-    bracket.
+    A kernel's (y, y') come scaled by det(Id - mu C M)
+    (:func:`~qws.radial_ode.interior_state`), so M has no pole where that
+    determinant vanishes, and its sign changes are the levels alone.
     """
-    def match(Eb: float) -> float:
-        u, v, _, h = _cutoff_match(channel, potential, Eb, mu, tol)
-        return (v - h * u).real
-
-    return _step_around_resonance(match, (E * (1.0 + b) for b in (0.0, 1e-9, -1e-9, 1e-7)))
+    u, v, _, h = _cutoff_match(channel, potential, E, mu, tol)
+    return (v - h * u).real
 
 
 def _scan_values(channel, potential, grid_E: np.ndarray, mu: float, tol) -> np.ndarray:
     """M(E) of :func:`_matching_scan_value` on an energy grid, all energies as lanes.
 
-    The lanes come from :func:`~qws.radial_ode.interior_lanes`; only a point
-    whose kernel solve was degenerate is solved again, alone, through the
-    resonance nudge.
+    The lanes come from :func:`~qws.radial_ode.interior_lanes`.
     """
     lam = real_lambda(channel, "spectral pipeline")
     u, v, _ = interior_lanes(channel, potential, grid_E, mu, tol)
     h = np.array([_exterior_logderiv(lam, float(E), potential.r0) for E in grid_E])
-    vals = v - h * u
-    for j in np.flatnonzero(np.isnan(vals)):
-        vals[j] = _matching_scan_value(channel, potential, float(grid_E[j]), mu, tol)
-    return vals
+    return v - h * u
 
 
 def _sign_brackets(grid_E: np.ndarray,
@@ -256,26 +235,36 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
 
 def _level_energies(channel, potential, mu, E_floor, tol, n_scan, ode_tol) -> List[float]:
     """The level energies of :func:`find_bound_states`, ascending, with no solution built."""
+    if not tol > 0:
+        raise QwsError("tol must be positive")
+    levels, refine = _level_search(channel, potential, mu, E_floor, n_scan, ode_tol)
+    return sorted(refine(level, tol) for level in levels)
+
+
+def _level_search(channel, potential, mu, E_floor, n_scan, ode_tol):
+    """The count step of the level search: (levels, refine).
+
+    ``levels`` holds one entry per level in [E_floor, E_top), E_top just
+    below threshold, and ``refine(level, tol)`` closes that entry to its
+    energy.  :func:`levinson_verify` counts the entries and refines none,
+    so the count and the list of levels cannot disagree.
+    """
     if E_floor is None:
         E_floor = default_energy_floor(channel, potential.with_mu(mu))
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
-    if not tol > 0:
-        raise QwsError("tol must be positive")
     E_top = -1e-11 * max(1.0, abs(E_floor))
     if potential.kernel:
-        levels = _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan, ode_tol)
-    else:
-        levels = _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol)
-    return sorted(levels)
+        return _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol)
+    return _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
 
 
-def _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan,
-                    ode_tol) -> List[float]:
-    """Levels of M(E) by a log-spaced lane scan plus bracketed refinement (kernels).
+def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
+    """Sign brackets of M(E) on a log-spaced lane scan, each refined on demand (kernels).
 
     Adjacent sign-change intervals trigger one re-scan on four times the
-    points, and warn if they persist.
+    points, and warn if they persist.  Returns the brackets and their
+    refinement by :func:`~qws.roots.refine_root`.
     """
     def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
         return _sign_brackets(grid_E, _scan_values(channel, potential, grid_E, mu, ode_tol))
@@ -289,13 +278,14 @@ def _scanned_levels(channel, potential, mu, E_floor, E_top, tol, n_scan,
     def match(E: float) -> float:
         return _matching_scan_value(channel, potential, E, mu, ode_tol)
 
-    def level(a: float, b: float) -> float:
+    def refine(bracket: Tuple[float, float], tol: float) -> float:
+        a, b = bracket
         if a == b:   # an exact zero of the scan
             return a
         lo, hi = refine_root(match, a, match(a), b, match(b), tol)
         return 0.5 * (lo + hi)
 
-    return [level(a, b) for a, b in brackets]
+    return brackets, refine
 
 
 def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
@@ -313,8 +303,8 @@ def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
     return prufer_angle(u, v, turns) - math.atan(_exterior_logderiv(lam, E, potential.r0))
 
 
-def _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol) -> List[float]:
-    """Levels in [E_floor, E_top) of a local potential, counted and refined on F(E).
+def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
+    """Level indices in [E_floor, E_top) of a local potential, counted on F(E), refined on demand.
 
     The eigenvalue index of Sturm-Liouville codes (SLEDGE, MATSLISE): F at
     the two ends gives the indices j of the levels between them, and each
@@ -322,7 +312,8 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol) -> Lis
     bracket is the tightest pair among every F value taken so far, so each
     solve also narrows the brackets of the levels still to come.  The
     middle index goes first, then the middle of each half, so that most
-    levels start between two refined neighbours.
+    levels start between two refined neighbours.  Returns the indices in
+    that order and their refinement.
     """
     taken: Dict[float, float] = {}
 
@@ -340,15 +331,16 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, tol, ode_tol) -> Lis
     n_top = math.ceil(-F(E_top) / math.pi)
     if n_floor > 0:
         warnings.warn(f"{n_floor} levels below E_floor: floor above the deepest level")
-    levels = []
-    for j in middle_first(max(n_floor, 0), n_top):
+
+    def refine(j: int, tol: float) -> float:
         shift = j * math.pi
         a = max(E for E, f in taken.items() if f + shift >= 0)
         b = min(E for E, f in taken.items() if f + shift < 0)
         lo, hi = refine_root(lambda E: F(E) + shift, a, taken[a] + shift,
                              b, taken[b] + shift, tol)
-        levels.append(0.5 * (lo + hi))
-    return levels
+        return 0.5 * (lo + hi)
+
+    return middle_first(max(n_floor, 0), n_top), refine
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
@@ -449,17 +441,18 @@ def _crossing_census(state, a: float, st_a: Tuple[float, float],
                      events: List[Tuple[float, int]]) -> None:
     """Classify sign-flip structure of (y'(r0) - rho y(r0), y(r0)) on [a, b].
 
-    Three elementary events can flip signs along the coupling path and only
+    Two elementary events can flip signs along the coupling path and only
     one of them is a genuine crossing of A = y'/y through rho:
 
       - M0 = y' - rho y flips, y does not: A crosses rho (count, directed);
-      - y flips, M0 does not: a pole of A (eta passes pi/2), not a crossing;
-      - both flip together: the solution's overall normalization flipped
-        through a kernel resonance while A stayed smooth - an artifact.
+      - y flips, M0 does not: a pole of A (eta passes pi/2), not a crossing.
 
-    Brackets are bisected until the events separate (down to MU_FINE_FLOOR
-    for co-located pairs); an unseparable both-flip bracket is kept only if
-    the sign of A - rho actually differs across it.
+    A kernel's state comes scaled by det(Id - mu C M), so it never passes
+    through infinity at a kernel resonance, and both flip together only
+    where a pole and a crossing share a bracket.  Brackets are bisected
+    until the events separate, down to MU_CROSSING_FLOOR; a crossing that
+    still shares its bracket with a pole there raises
+    AmbiguousCrossingError, since its direction cannot be read.
     """
     ua, va = st_a
     ub, vb = st_b
@@ -469,51 +462,21 @@ def _crossing_census(state, a: float, st_a: Tuple[float, float],
     flips_u = ua * ub < 0
     if not (flips_m0 or flips_u):
         return
-    width = abs(b - a)
-    at_floor = width <= MU_FINE_FLOOR or (width <= MU_CROSSING_FLOOR
-                                          and not (flips_m0 and flips_u))
-    if at_floor:
+    if abs(b - a) <= MU_CROSSING_FLOOR:
         if not flips_m0:
             return  # isolated pole of A: not a crossing
+        if flips_u:
+            raise AmbiguousCrossingError(
+                f"a pole of A and a crossing of rho within mu in [{a:.8f}, {b:.8f}]")
         sign_a = math.copysign(1.0, m0a * ua)   # sign of A - rho on each side
         sign_b = math.copysign(1.0, m0b * ub)
-        if sign_a > 0 > sign_b:
-            events.append((0.5 * (a + b), +1))  # A decreases across rho
-        elif sign_a < 0 < sign_b:
-            events.append((0.5 * (a + b), -1))
-        # both-flip with unchanged sign of A - rho: resonance artifact
+        if sign_a != sign_b:
+            events.append((0.5 * (a + b), +1 if sign_a > 0 else -1))  # +1: A decreases
         return
     mid = 0.5 * (a + b)
     st_m = state(mid)
     _crossing_census(state, a, st_a, mid, st_m, rho, events)
     _crossing_census(state, mid, st_m, b, st_b, rho, events)
-
-
-def _threshold_state(at, mu: float) -> Tuple[float, float]:
-    """(y, y')(r0) at coupling mu from ``at`` (:func:`~qws.radial_ode.interior_in_mu`).
-
-    A kernel resonance is sidestepped by nudges far below the
-    crossing-bracket floor.
-    """
-    def at_coupling(m: float) -> Tuple[float, float]:
-        u, v, _ = at(m)
-        return u.real, v.real
-
-    return _step_around_resonance(
-        at_coupling, (float(mu) + b for b in (0.0, 1e-13, -1e-13, 1e-12)))
-
-
-def _threshold_samples(at, mu_grid: np.ndarray) -> List[Tuple[float, float]]:
-    """:func:`_threshold_state` on the whole mu grid, all couplings in one call of ``at``.
-
-    Only a point whose kernel solve was degenerate is solved again, alone,
-    through the resonance nudge.
-    """
-    u, v, _ = at(mu_grid)
-    samples = list(zip(u.tolist(), v.tolist()))
-    for j in np.flatnonzero(np.isnan(u)):
-        samples[j] = _threshold_state(at, mu_grid[j])
-    return samples
 
 
 def continuation_count(channel: ChannelParams, potential: PotentialModel,
@@ -524,11 +487,11 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     Zero energy is represented by a small negative proxy (kappa r0 < 1e-5),
     so threshold solutions stay on the single decaying-exterior code path;
     every sample comes from one :func:`~qws.radial_ode.interior_in_mu` at
-    that energy.
+    that energy, the whole mu grid from one call of it, and a kernel's come
+    scaled by det(Id - mu C M), smooth through kernel resonances.
     Sign-flip brackets of (y'(r0) - rho y(r0), y(r0)) are refined and
     classified by :func:`_crossing_census`, which separates genuine
-    crossings from poles of A and from kernel-resonance normalization
-    flips; grazing contact without a sign change raises
+    crossings from poles of A; grazing contact without a sign change raises
     AmbiguousCrossingError.
     """
     lam = real_lambda(channel, "spectral pipeline")
@@ -543,12 +506,14 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     at = interior_in_mu(channel, potential, -eps_e, tol)
 
     def state(mu: float) -> Tuple[float, float]:
-        return _threshold_state(at, mu)
+        u, v, _ = at(mu)
+        return u.real, v.real
 
     def m0(u: float, v: float) -> float:
         return v - rho * u
 
-    samples = _threshold_samples(at, mu_grid)
+    u, v, _ = at(mu_grid)
+    samples = list(zip(u.tolist(), v.tolist()))
     A_vals = np.array([v / u if u != 0.0 else math.inf for u, v in samples])
     M_vals = np.array([m0(u, v) for u, v in samples])
 
@@ -583,19 +548,22 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     """Check eta(0) = n pi, with n counted two independent ways.
 
     eta(0) comes from the mu-continued phase at two small wavenumbers,
-    extrapolated to k = 0 along the k^{2 lam} law; n comes from the level
-    search of :func:`find_bound_states`, which builds no solutions here
-    (``n_scan`` is its kernel scan size), and from
-    the threshold crossing counter, which must agree exactly.  Upstream degeneracies surface as status "inconclusive".  The
-    counter's report rides along as ``continuation`` (for the staircase).
+    extrapolated to k = 0 along the k^{2 lam} law.  n comes from the count
+    step of the level search of :func:`find_bound_states`, which refines
+    and builds no level here: two Prufer-mismatch solves for a local well,
+    the sign brackets of the energy scan for a kernel (``n_scan`` is its
+    size).  It also comes from the threshold crossing counter, and the two
+    must agree exactly.  Upstream degeneracies surface as status
+    "inconclusive".  The counter's report rides along as ``continuation``
+    (for the staircase).
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     cont = None
     try:
         cont = continuation_count(channel, potential, tol=tol)
-        n_direct = len(_level_energies(channel, potential, potential.mu, E_floor=None,
-                                       tol=1e-10, n_scan=n_scan, ode_tol=tol))
+        levels, _ = _level_search(channel, potential, potential.mu, None, n_scan, tol)
+        n_direct = len(levels)
         k1 = 1e-4 / r0
         k2 = 2e-4 / r0
         eta1 = phase_shift(channel, potential, k1, mu=potential.mu, tol=tol,
@@ -604,7 +572,7 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
                            mu_steps=mu_steps, with_fit=False).eta
         eta0 = eta1 - (eta2 - eta1) / (2.0 ** (2 * lam) - 1.0)
     except (AmbiguousCrossingError, NearThresholdResonanceError,
-            NodeAtCutoffError, DegenerateCouplingError) as exc:
+            NodeAtCutoffError) as exc:
         return LevinsonReport(eta0=math.nan, n_direct=-1, n_continuation=-1,
                               status="inconclusive", reason=str(exc),
                               tol_eta=tol_eta, continuation=cont)

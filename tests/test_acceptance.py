@@ -217,6 +217,9 @@ def test_criterion_08_levinson_corpus():
          PotentialModel(r0=1.0, local=square_well(3.0),
                         kernel=(gaussian_bump(0.5, 0.15),),
                         strengths=(-120.0,)), None),
+        ("repulsive rank-1 kernel", ChannelParams.from_lambda(1.5),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),),
+                        strengths=(3000.0,)), 0),
     ]
     all_ok = True
     details = []

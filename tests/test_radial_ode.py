@@ -636,35 +636,31 @@ class TestKernelLanes:
             su, sv, s_max = _scalar_cutoff(CH_S, pot, e, 1.0)
             assert max(abs(u[j] - su), abs(v[j] - sv)) <= 1e-8 * s_max
 
-    def test_degenerate_point_comes_back_nan(self, monkeypatch):
+    def test_resonant_point_stays_finite(self, monkeypatch):
+        # the moment M forced to make det(Id - mu C M) = 1 - mu vanish exactly at
+        # mu = 1: the scaled state is finite there, lanes and the scalar solve
+        # agree, and A is the limit of A on either side of the resonance
         import qws.radial_ode as ro
         ch, pot = KERNEL_MODELS[0]   # rank 1
-        E = np.array([-9.0, -4.0, -1.0])
-        clean = interior_lanes(ch, pot, E, 1.0)
-        scalar = [_scalar_cutoff(ch, pot, e, 1.0) for e in E]
         couple = ro._couple
+        dets = []
 
-        def resonant_at_minus_four(m, ys, dys, coupling, mu):
+        def resonant_at_one(m, ys, dys, coupling, mu):
             m = m.copy()
-            m[1, 0, 1] = 1.0 / (mu[1] * coupling[0, 0])   # Id - mu C M = 0 there
-            return couple(m, ys, dys, coupling, mu)
+            m[:, 0, 1] = 1.0 / coupling[0, 0]
+            out = couple(m, ys, dys, coupling, mu)
+            dets.extend(np.atleast_1d(out[-1]).tolist())
+            return out
 
-        monkeypatch.setattr(ro, "_couple", resonant_at_minus_four)
-        u, v, max_u = interior_lanes(ch, pot, E, 1.0)
-        assert np.isnan(u[1]) and np.isnan(v[1]) and np.isnan(max_u[1])
-        for j in (0, 2):
-            # the other points are untouched and agree with their scalar solves
-            assert (u[j], v[j], max_u[j]) == tuple(x[j] for x in clean)
-            su, sv, s_max = scalar[j]
-            assert max(abs(u[j] - su), abs(v[j] - sv)) <= 1e-8 * s_max
-
-        def resonant(m, ys, dys, coupling, mu):
-            # the one scalar point at the coupling that makes its system singular
-            return couple(m, ys, dys, coupling, 1.0 / (coupling[0, 0] * m[0, 0, 1].real))
-
-        monkeypatch.setattr(ro, "_couple", resonant)
-        with pytest.raises(DegenerateCouplingError):
-            _scalar_cutoff(ch, pot, -4.0, 1.0)
+        monkeypatch.setattr(ro, "_couple", resonant_at_one)
+        mus = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        u, v, max_u = interior_lanes(ch, pot, -4.0, mus)
+        su, sv, s_max = _scalar_cutoff(ch, pot, -4.0, 1.0)
+        assert dets[1] == dets[3] == 0.0
+        assert np.all(np.isfinite([*u, *v, *max_u, su, sv, s_max])) and s_max > 0.0
+        assert max(abs(u[1] - su), abs(v[1] - sv)) <= 1e-8 * s_max
+        A = v / u
+        assert np.all(np.abs(A - sv / su) <= 1e-7 * abs(sv / su))
 
     @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
     def test_interior_in_mu_matches_interior_state(self, ch, pot):
@@ -784,7 +780,10 @@ class TestTabulatedKnots:
         u, v, max_u = interior_state(eq, 1e-10)
         sol = solve_nonlocal(eq, make_grid(1.0, n_interior=801), 1e-10)
         y0, dy0 = sol.at_cutoff()
-        assert max(abs(y0 - u), abs(dy0 - v)) <= 1e-10 * max_u
+        # interior_state carries the det(Id - mu C M) that solve_nonlocal divides out
+        scale = u / y0
+        assert abs(abs(scale) - sol.kernel_data.det) <= 1e-10 * sol.kernel_data.det
+        assert abs(scale * dy0 - v) <= 1e-10 * max_u
 
 
 class TestLaneDriver:

@@ -177,7 +177,7 @@ class TestPhaseShift:
     def test_pure_kernel_walk_from_one_superposition(self, monkeypatch, k, eta_ref,
                                                     events_ref):
         # the corpus rank-1 kernel; references from the walk that made a full
-        # superposition at every mu sample
+        # superposition at every mu sample and bisected its events
         import qws.radial_ode as ro
         ch = ChannelParams(q=3, l=1)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
@@ -191,7 +191,9 @@ class TestPhaseShift:
         monkeypatch.setattr(ro, "_superposition_solves", counted)
         res = phase_shift(ch, pot, k, with_fit=False)
         assert abs(res.eta - eta_ref) <= 1e-8
-        assert res.events == events_ref
+        assert [d for _, d in res.events] == [d for _, d in events_ref]
+        assert all(abs(m - m_ref) <= MU_REFINE_FLOOR
+                   for (m, _), (m_ref, _) in zip(res.events, events_ref))
         assert made == [k * k]
 
     def test_unwrapped_equals_raw_mod_pi(self):
@@ -226,8 +228,31 @@ class TestPhaseShift:
             phase_shift_curve(CH_S, WELL, [1.0, k])
 
 
+def _walk_theta(sample, mu_a, th_a, mu_b, raw_b, path, th0):
+    """Continuous theta at mu_b given theta at mu_a and the principal theta raw_b at mu_b.
+
+    Segments where the angle moves by more than pi/2, or where the pi-branch
+    of eta = theta - th0 changes, are bisected down to MU_REFINE_FLOOR on
+    principal samples ``sample(mu)``; every resolved point is appended to
+    ``path``.
+    """
+    th_b = scattering._unwrap_step(th_a, raw_b)
+    needs_split = (abs(th_b - th_a) > 0.5 * math.pi
+                   or scattering._branch_index(th_b, th0) != scattering._branch_index(th_a, th0))
+    if not needs_split or abs(mu_b - mu_a) <= MU_REFINE_FLOOR:
+        path.append((mu_b, th_b))
+        return th_b
+    mid = 0.5 * (mu_a + mu_b)
+    th_mid = _walk_theta(sample, mu_a, th_a, mid, sample(mid), path, th0)
+    return _walk_theta(sample, mid, th_mid, mu_b, raw_b, path, th0)
+
+
 def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
-    """Reference: walk principal theta samples along the uniform mu grid."""
+    """Reference: walk principal theta samples along the uniform mu grid.
+
+    One scalar interior solve per sample, a kernel's scaled by
+    det(Id - mu C M) as :func:`~qws.radial_ode.interior_state` gives it.
+    """
     pair, _ = scattering._matching_map(ch.lam, k, pot.r0)
     energy = EnergyValue.from_k(k)
 
@@ -240,7 +265,7 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     th = th0
     path = [(0.0, th0)]
     for a, b in zip(grid[:-1], grid[1:]):
-        th = scattering._walk_theta(sample, float(a), th, float(b), sample(b), path, th0)
+        th = _walk_theta(sample, float(a), th, float(b), sample(b), path, th0)
     return th - th0, scattering._branch_events(path, th0)
 
 
@@ -445,26 +470,31 @@ class TestMuSteps:
         assert len(res.events) == 1
 
 
-def _scalar_kernel_walk(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
-    """Reference: the kernel walk with one scalar interior solve per grid point."""
-    pair, _ = scattering._matching_map(ch.lam, k, pot.r0)
-    energy = EnergyValue.from_k(k)
-
-    def sample(m):
-        eq = effective_equation(ch, pot.with_mu(float(m)), energy)
-        return scattering._theta(pair, interior_state(eq, tol))[0]
-
-    grid = np.linspace(0.0, mu, mu_steps + 1)
-    th0 = sample(0.0)
-    th = th0
-    path = [(0.0, th0)]
-    for a, b in zip(grid[:-1], grid[1:]):
-        th = scattering._walk_theta(sample, float(a), th, float(b), sample(b), path, th0)
-    return th - th0, scattering._branch_events(path, th0)
-
-
 WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
                              kernel=(gaussian_bump(0.5, 0.15),), strengths=(-120.0,))
+
+
+class TestRepulsiveKernel:
+    """A p-wave rank-1 kernel of strength +3000: no level, det(Id - mu C M) = 0 near mu = 0.305.
+
+    The walk on unscaled states took a spurious pi there: eta = 3.0901 at
+    k = 1 and pi at the Levinson wavenumbers.
+    """
+
+    CH = ChannelParams(q=3, l=1)
+    POT = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(3000.0,))
+
+    def test_phase_at_unit_wavenumber(self):
+        res = phase_shift(self.CH, self.POT, 1.0, with_fit=False)
+        assert abs(res.eta - -0.05154190) <= 1e-8
+        assert res.events == ()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10])
+    @pytest.mark.parametrize("k", [1e-4, 2e-4])
+    def test_phase_vanishes_at_threshold(self, k, tol):
+        res = phase_shift(self.CH, self.POT, k, tol=tol, with_fit=False)
+        assert abs(res.eta) <= 1e-8
+        assert res.events == ()
 
 
 class TestKernelWalkLanes:
@@ -472,7 +502,7 @@ class TestKernelWalkLanes:
         # the corpus well + kernel at the Levinson wavenumber; the scalar walk
         # takes 427 integrations
         import qws.radial_ode as ro
-        eta_ref, events_ref = _scalar_kernel_walk(CH_S, WELL_KERNEL, 1e-4, tol=1e-9)
+        eta_ref, events_ref = _mu_continued(CH_S, WELL_KERNEL, 1e-4, tol=1e-9)
         calls = []
         integrate = ro._integrate
 
@@ -487,40 +517,40 @@ class TestKernelWalkLanes:
         assert abs(res.events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
         assert len(calls) <= 20
 
-    def test_resonant_lane_is_sampled_again(self, monkeypatch):
-        # a NaN lane is answered by a scalar solve: the same result when that
-        # solve succeeds, the resonance when it raises
-        from qws.errors import DegenerateCouplingError
+    def test_resonant_grid_point_stays_finite(self, monkeypatch):
+        # the moment M forced to make det(Id - mu C M) vanish exactly at the
+        # grid point mu = 1/2: the walk's lanes and its scalar samples stay
+        # finite and agree, A there is the limit of A on either side, and the
+        # walk equals the scalar reference walk through that point
+        import qws.radial_ode as ro
         ch = ChannelParams(q=3, l=1)
         pot = TestMuSteps.RANK1
-        ref = phase_shift(ch, pot, 1.0, with_fit=False)
-        real = scattering.interior_in_mu
-        scalar = []
+        mu_h = float(np.linspace(0.0, 1.0, MU_STEPS_DEFAULT + 1)[MU_STEPS_DEFAULT // 2])
+        couple = ro._couple
+        dets = []
 
-        def nan_lane(*args, raise_at=None):
-            at = real(*args)
+        def resonant_at_half(m, ys, dys, coupling, mu):
+            m = m.copy()
+            m[:, 0, 1] = 1.0 / (mu_h * coupling[0, 0])
+            out = couple(m, ys, dys, coupling, mu)
+            dets.append(out[-1])
+            return out
 
-            def patched(mu):
-                if np.ndim(mu):
-                    y, dy, mx = at(mu)
-                    y = y.copy()
-                    y[5] = math.nan
-                    return y, dy, mx
-                scalar.append(mu)
-                if mu == raise_at:
-                    raise DegenerateCouplingError("resonance")
-                return at(mu)
-            return patched
-
-        monkeypatch.setattr(scattering, "interior_in_mu", nan_lane)
+        monkeypatch.setattr(ro, "_couple", resonant_at_half)
+        at = scattering.interior_in_mu(ch, pot, 1.0)
+        u, v, max_u = at(np.array([mu_h - 1e-9, mu_h, mu_h + 1e-9]))
+        su, sv, s_max = at(mu_h)
+        assert dets[0][1] == dets[1][0] == 0.0
+        assert np.all(np.isfinite([*u, *v, *max_u, su, sv, s_max])) and s_max > 0.0
+        assert max(abs(u[1] - su.real), abs(v[1] - sv.real)) <= 1e-8 * s_max
+        assert np.all(np.abs(v / u - (sv / su).real) <= 1e-7 * abs(sv / su))
         res = phase_shift(ch, pot, 1.0, with_fit=False)
-        assert (res.eta, res.events) == (ref.eta, ref.events)
-        mu_nan = float(np.linspace(0.0, 1.0, MU_STEPS_DEFAULT + 1)[6])
-        assert mu_nan in scalar
-        monkeypatch.setattr(scattering, "interior_in_mu",
-                            lambda *args: nan_lane(*args, raise_at=mu_nan))
-        with pytest.raises(DegenerateCouplingError):
-            phase_shift(ch, pot, 1.0, with_fit=False)
+        assert any(np.any(d == 0.0) for d in dets[2:])   # the walk's lanes met det = 0
+        eta_ref, events_ref = _mu_continued(ch, pot, 1.0)
+        assert abs(res.eta - eta_ref) <= 1e-9
+        assert [d for _, d in res.events] == [d for _, d in events_ref]
+        assert all(abs(m - m_ref) <= MU_REFINE_FLOOR
+                   for (m, _), (m_ref, _) in zip(res.events, events_ref))
 
 
 class TestLowK:

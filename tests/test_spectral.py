@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from qws import spectral as sp
-from qws.errors import DegenerateCouplingError, QwsError
-from qws.model import ChannelParams
+from qws.errors import QwsError
+from qws.model import ChannelParams, EnergyValue, effective_equation
 from qws.potentials import PotentialModel, gaussian_bump, square_well
 from qws.spectral import (continuation_count, find_bound_states,
                           levinson_verify, matching_mismatch,
                           sturm_liouville_check)
+from qws.radial_ode import interior_state
 from qws.roots import refine_root
 from qws.scattering import phase_shift
 
@@ -261,6 +262,19 @@ class TestContinuationCount:
         rep = continuation_count(CH_S, pot, mu_grid=[0.0])
         assert rep.n_bound == 0 and rep.events == ()
 
+    def test_census_at_its_floor(self):
+        # (y, y') at the ends of a bracket no wider than MU_CROSSING_FLOOR,
+        # rho = 1: a crossing is counted with its direction, a pole is not,
+        # and a pole sharing the bracket with a crossing hides the direction
+        from qws.errors import AmbiguousCrossingError
+        events = []
+        sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (1.0, 0.5), 1.0, events)
+        sp._crossing_census(None, 0.0, (1.0, 0.5), 1e-6, (1.0, 2.0), 1.0, events)
+        sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (-1.0, -0.5), 1.0, events)
+        assert events == [(5e-7, 1), (5e-7, -1)]
+        with pytest.raises(AmbiguousCrossingError):
+            sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (-1.0, -2.0), 1.0, events)
+
     def test_two_level_well_crossings_at_oracle_couplings(self):
         # threshold states of the scaled well appear at mu V0 r0^2 = (pi/2)^2, (3pi/2)^2
         V0 = (2 * math.pi) ** 2
@@ -349,6 +363,45 @@ class TestLevinson:
         rep = levinson_verify(CH_S, pot, tol=1e-9)
         assert rep.passed and rep.n_direct == rep.n_continuation == 2
 
+    def test_counts_a_local_well_from_two_mismatch_solves(self, monkeypatch):
+        # refining the two levels it only counts took 21 more solves
+        solves = []
+        mismatch = sp._prufer_mismatch
+
+        def counted(*args):
+            solves.append(args[2])
+            return mismatch(*args)
+
+        monkeypatch.setattr(sp, "_prufer_mismatch", counted)
+        pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2 + 20))
+        rep = levinson_verify(CH_S, pot, tol=1e-9)
+        assert rep.passed and rep.n_direct == rep.n_continuation == 2
+        assert len(solves) == 2
+
+    def test_counts_a_kernel_by_its_scan_brackets(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("levinson_verify refined a level")
+
+        monkeypatch.setattr(sp, "refine_root", unused)
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
+        rep = levinson_verify(ChannelParams(q=3, l=1), pot, tol=1e-9)
+        assert rep.passed and rep.n_direct == rep.n_continuation == 1
+
+    @pytest.mark.parametrize("strength", [3000.0, 700.0])
+    def test_repulsive_kernel_has_no_level(self, strength):
+        # det(Id - mu C M) changes sign inside these kernels' paths: at +3000 the
+        # phase walk took a spurious pi (eta0 = pi, "fail"); at +700 the pole of
+        # M(E) gave a level at E = -35.516 with matching residual 12.3
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),),
+                             strengths=(strength,))
+        ch = ChannelParams(q=3, l=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_bound_states(ch, pot) == []
+        rep = levinson_verify(ch, pot, tol=1e-9)
+        assert rep.passed and rep.n_direct == rep.n_continuation == 0
+        assert abs(rep.eta0) <= 1e-8
+
     def test_upstream_errors_surface_as_inconclusive(self, monkeypatch):
         from qws import spectral as sp
         from qws.errors import AmbiguousCrossingError
@@ -376,8 +429,15 @@ def _scalar_scan_values(channel, potential, grid_E, mu, tol):
                      for E in grid_E])
 
 
-def _scalar_threshold_samples(at, mu_grid):
-    return [sp._threshold_state(at, m) for m in mu_grid]
+def _one_by_one(channel, potential, E, tol):
+    """interior_in_mu answered by one scalar interior solve per coupling: the reference."""
+    def at(mu):
+        if np.ndim(mu):
+            return tuple(np.array(x) for x in zip(*(at(float(m)) for m in mu)))
+        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+        u, v, max_u = interior_state(eq, tol)
+        return u.real, v.real, max_u
+    return at
 
 
 class TestLaneScans:
@@ -403,7 +463,7 @@ class TestLaneScans:
         ch = ChannelParams(q=3, l=1) if depth == 12.0 else CH_S
         pot = PotentialModel(r0=1.0, local=square_well(depth))
         lanes = continuation_count(ch, pot, mu_grid=grid)
-        monkeypatch.setattr(sp, "_threshold_samples", _scalar_threshold_samples)
+        monkeypatch.setattr(sp, "interior_in_mu", _one_by_one)
         ref = continuation_count(ch, pot, mu_grid=grid)
         assert lanes.n_bound == ref.n_bound and lanes.n_bound != 0
         assert lanes.events == ref.events
@@ -418,7 +478,6 @@ class TestLaneScans:
     def test_pure_kernel_continuation_from_one_superposition(self, monkeypatch, q, l,
                                                              bumps, strengths):
         import qws.radial_ode as ro
-        from qws.model import EnergyValue, effective_equation
         ch = ChannelParams(q=q, l=l)
         pot = PotentialModel(r0=1.0, kernel=tuple(gaussian_bump(c, w) for c, w in bumps),
                              strengths=strengths)
@@ -434,16 +493,7 @@ class TestLaneScans:
         fast = continuation_count(ch, pot, mu_grid=grid)
         assert len(made) == 1      # grid and census refinement alike
 
-        def one_by_one(channel, potential, E, tol):
-            def at(mu):
-                if np.ndim(mu):
-                    return tuple(np.array(x) for x in zip(*(at(float(m)) for m in mu)))
-                eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-                u, v, max_u = ro.interior_state(eq, tol)
-                return u.real, v.real, max_u
-            return at
-
-        monkeypatch.setattr(sp, "interior_in_mu", one_by_one)
+        monkeypatch.setattr(sp, "interior_in_mu", _one_by_one)
         ref = continuation_count(ch, pot, mu_grid=grid)
         assert fast.n_bound == ref.n_bound == 1
         assert [d for _, d in fast.events] == [d for _, d in ref.events]
@@ -452,59 +502,50 @@ class TestLaneScans:
         assert np.allclose(np.arctan(fast.A_samples), np.arctan(ref.A_samples),
                            rtol=0.0, atol=1e-7)
 
-    def test_resonant_kernel_point_takes_the_nudge(self, monkeypatch):
-        # a degenerate lane point comes back NaN (TestKernelLanes in
-        # test_radial_ode); here it must be solved again alone, through the nudges
+    def test_resonant_kernel_point_stays_finite(self, monkeypatch):
+        # the moment M forced to make det(Id - mu C M) vanish exactly at
+        # mu = mu_star: the energy scan and the threshold samples read finite
+        # values there, lanes and scalar solves agree, and A is the limit of A
+        # on either side of the resonance
+        import qws.radial_ode as ro
         from qws.radial_ode import interior_in_mu
         ch = ChannelParams.from_lambda(1.5)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
-        lanes, state = sp.interior_lanes, sp.interior_state
-        solved = []
+        couple = ro._couple
+        mu_star = 1.0
+        dets = []
 
-        def lanes_resonant(channel, potential, E, mu, tol=1e-10):
-            solved.append((tuple(E), mu))
-            u, v, max_u = lanes(channel, potential, E, mu, tol)
-            hit = E == -4.0
-            u[hit] = v[hit] = max_u[hit] = np.nan
-            return u, v, max_u
+        def resonant(m, ys, dys, coupling, mu):
+            m = m.copy()
+            m[:, 0, 1] = 1.0 / (mu_star * coupling[0, 0])
+            out = couple(m, ys, dys, coupling, mu)
+            dets.append(out[-1])
+            return out
 
-        def resonant(eq, tol=1e-10):
-            solved.append((eq.energy.E, eq.mu))
-            if (eq.energy.E, eq.mu) == (-4.0, 1.0):
-                raise DegenerateCouplingError("resonance")
-            return state(eq, tol)
+        monkeypatch.setattr(ro, "_couple", resonant)
+        E = np.array([-9.0, -4.0, -1.0])
+        vals = sp._scan_values(ch, pot, E, 1.0, 1e-10)
+        assert np.array_equal(dets[0], np.zeros(3))
+        scalar = _scalar_scan_values(ch, pot, E, 1.0, 1e-10)
+        scale = [abs(x) for x in (sp._cutoff_match(ch, pot, float(e), 1.0, 1e-10)[2] for e in E)]
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scalar))
+        assert np.all(np.abs(vals - scalar) <= 1e-8 * np.array(scale))
+        for e in E:   # A - h at the resonance against mu_star -+ 1e-9
+            at = sp.matching_mismatch(ch, pot, float(e), mu_star, 1e-10)
+            for side in (-1e-9, 1e-9):
+                near = sp.matching_mismatch(ch, pot, float(e), mu_star + side, 1e-10)
+                assert abs(near - at) <= 1e-7 * max(1.0, abs(at))
 
-        monkeypatch.setattr(sp, "interior_lanes", lanes_resonant)
-        monkeypatch.setattr(sp, "interior_state", resonant)
-        vals = sp._scan_values(ch, pot, np.array([-9.0, -4.0, -1.0]), 1.0, 1e-10)
-        nudged = -4.0 * (1.0 + 1e-9)
-        # all three as one batch, then the resonant point alone from its nudges
-        assert solved == [((-9.0, -4.0, -1.0), 1.0), (-4.0, 1.0), (nudged, 1.0)]
-        monkeypatch.undo()
-        assert vals[1] == sp._matching_scan_value(ch, pot, nudged, 1.0, 1e-10)
-        u, v, _ = lanes(ch, pot, np.array([-9.0, -4.0, -1.0]), 1.0)
-        h = np.array([sp._exterior_logderiv(ch.lam, e, 1.0) for e in (-9.0, -4.0, -1.0)])
-        assert [vals[0], vals[2]] == [(v - h * u)[0], (v - h * u)[2]]
-
+        mu_star = 0.5
         at = interior_in_mu(ch, pot, -1e-9, 1e-9)
-        solved.clear()
-
-        def at_resonant(mu):
-            solved.append(tuple(mu) if np.ndim(mu) else mu)
-            if np.ndim(mu):
-                u, v, max_u = at(mu)
-                hit = mu == 0.5
-                u[hit] = v[hit] = max_u[hit] = np.nan
-                return u, v, max_u
-            if mu == 0.5:
-                raise DegenerateCouplingError("resonance")
-            return at(mu)
-
-        samples = sp._threshold_samples(at_resonant, np.array([0.0, 0.5, 1.0]))
-        assert solved == [(0.0, 0.5, 1.0), 0.5, 0.5 + 1e-13]
-        assert samples[1] == sp._threshold_state(at, 0.5 + 1e-13)
-        u, v, _ = at(np.array([0.0, 1.0]))
-        assert [samples[0], samples[2]] == list(zip(u.tolist(), v.tolist()))
+        u, v, max_u = at(np.array([0.5 - 1e-9, 0.5, 0.5 + 1e-9]))
+        su, sv, s_max = at(0.5)
+        assert dets[-2][1] == dets[-1][0] == 0.0
+        assert np.all(np.isfinite([*u, *v, *max_u, su, sv, s_max])) and s_max > 0.0
+        assert max(abs(u[1] - su.real), abs(v[1] - sv.real)) <= 1e-8 * s_max
+        assert np.all(np.abs(v / u - (sv / su).real) <= 1e-7 * abs(sv / su))
+        rep = continuation_count(ch, pot, mu_grid=np.linspace(0.0, 1.0, 5))
+        assert np.all(np.isfinite(rep.A_samples))
 
 
 # the models whose levels the kernel benchmark and bound_states_kernel.cfg
