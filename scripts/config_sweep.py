@@ -9,12 +9,11 @@ or 4 (inconclusive).  An exit 1, any other code, or an exception escaping
 ``cli.main`` is a failure.  Prints one line per failure and the totals, and
 exits 1 when anything failed.
 
-    PYTHONPATH=src python3 scripts/config_sweep.py [--configs configs/*.cfg]
+    PYTHONPATH=src python3 scripts/config_sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
@@ -97,15 +96,9 @@ def sweep(configs: Iterable[Path], values: Sequence[str] = VALUES,
     return runs, failures
 
 
-def main(argv: Sequence[str] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--configs", nargs="*", type=Path,
-                        default=sorted((ROOT / "configs").glob("*.cfg")),
-                        help="configs to mutate (default: every shipped config)")
-    args = parser.parse_args(argv)
+def main() -> int:
     t0 = time.perf_counter()
-    runs, failures = sweep(args.configs)
+    runs, failures = sweep(sorted((ROOT / "configs").glob("*.cfg")))
     for line in failures:
         print(line)
     print(f"{runs} runs, {len(failures)} failures, {time.perf_counter() - t0:.1f} s")

@@ -226,19 +226,14 @@ def find_bound_states(channel: ChannelParams, potential: PotentialModel,
     searched by a sign scan of M(E) on ``n_scan`` log-spaced energies
     (:func:`_scanned_levels`); ``n_scan`` applies to kernels only.  Each
     level is the midpoint of the final bracket of
-    :func:`~qws.roots.refine_root`; :func:`_level_energies` finds the
-    levels, and each is then built into its unit-norm solution.
+    :func:`~qws.roots.refine_root`; :func:`_level_search` finds the levels,
+    and each is then built into its unit-norm solution.
     """
-    return [_build_bound_state(channel, potential, E, mu, ode_tol)
-            for E in _level_energies(channel, potential, mu, E_floor, tol, n_scan, ode_tol)]
-
-
-def _level_energies(channel, potential, mu, E_floor, tol, n_scan, ode_tol) -> List[float]:
-    """The level energies of :func:`find_bound_states`, ascending, with no solution built."""
     if not tol > 0:
         raise QwsError("tol must be positive")
     levels, refine = _level_search(channel, potential, mu, E_floor, n_scan, ode_tol)
-    return sorted(refine(level, tol) for level in levels)
+    return [_build_bound_state(channel, potential, E, mu, ode_tol)
+            for E in sorted(refine(level, tol) for level in levels)]
 
 
 def _level_search(channel, potential, mu, E_floor, n_scan, ode_tol):

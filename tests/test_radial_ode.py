@@ -11,11 +11,12 @@ from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coe
 from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
                             square_well, tabulated, truncated_exponential,
                             truncated_gaussian)
-from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _integrate, _series_radius,
-                            _with_knots, cutoff_integral, frobenius_start,
-                            green_identity_residual, integrate_jost, integrate_regular,
-                            interior_in_mu, interior_lanes, interior_state, make_grid,
-                            prufer_angle, solve_nonlocal)
+from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _couple, _integrate,
+                            _series_radius, _superposition_solves, _with_knots,
+                            cutoff_integral, frobenius_start, green_identity_residual,
+                            integrate_jost, integrate_regular, interior_in_mu,
+                            interior_lanes, interior_state, make_grid, prufer_angle,
+                            solve_nonlocal)
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
 
@@ -780,9 +781,15 @@ class TestTabulatedKnots:
         u, v, max_u = interior_state(eq, 1e-10)
         sol = solve_nonlocal(eq, make_grid(1.0, n_interior=801), 1e-10)
         y0, dy0 = sol.at_cutoff()
-        # interior_state carries the det(Id - mu C M) that solve_nonlocal divides out
+        # interior_state carries the det(Id - mu C M) that solve_nonlocal divides
+        # out: real at a real energy, sign and all
+        ys, dys, m = _superposition_solves(
+            eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10)
+        det = _couple(m, ys, dys, eq.coupling, eq.mu)[4][0]
         scale = u / y0
-        assert abs(abs(scale) - sol.kernel_data.det) <= 1e-10 * sol.kernel_data.det
+        assert abs(scale.imag) <= 1e-10 * abs(scale)
+        assert abs(scale - det) <= 1e-10 * abs(det)
+        assert abs(abs(det) - sol.kernel_data.det) <= 1e-10 * sol.kernel_data.det
         assert abs(scale * dy0 - v) <= 1e-10 * max_u
 
 
