@@ -73,9 +73,14 @@ def truncated_gaussian(depth: float, width: float) -> LocalPotential:
     if width <= 0:
         raise QwsError("gaussian width must be positive")
     d, w = float(depth), float(width)
+
+    def profile(r: float) -> float:
+        x = r / w
+        return -d * math.exp(-(x ** 2)) if x < 1e154 else 0.0   # x ** 2 would overflow
+
     return LocalPotential(
         name="truncated_gaussian",
-        profile=lambda r: -d * math.exp(-(r / w) ** 2),
+        profile=profile,
         origin=(0.0, -d, 0.0),
         params=(("depth", d), ("width", w)),
         sign=-1 if d >= 0 else 1,

@@ -4,9 +4,10 @@
 evaluation is an ODE solve, so it spends as few evaluations as a bracketed
 method can: :func:`~qws.spectral.find_bound_states` refines the levels of a
 local well on the Prufer mismatch F(E) + j pi and those of a kernel on the
-matching function M(E), and :func:`~qws.scattering.phase_shift` locates its
-branch events on the matching denominator D(mu).  Both callers already
-hold the values at the bracket ends and hand them in.
+matching function M(E), and the mu walk of
+:func:`~qws.scattering.phase_shift` and :func:`~qws.spectral.continuation_count`
+locates its branch events on the matching denominator D(mu).  Both
+callers already hold the values at the bracket ends and hand them in.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ holding more than one is bisected, and a single one is refined by
 :func:`~qws.roots.refine_root` on the matching denominator
 D = KN cos th0 + KJ sin th0 = |K| cos(eta), which is linear in
 (y, y')(r0), hence smooth in mu, and changes sign at the event, where
-theta itself may turn like a step at low k.
+theta itself may turn like a step at low k.  :func:`_phase_walk` runs it
+along a mu grid; :func:`~qws.spectral.continuation_count` walks the k -> 0
+limit of L, (KN, KJ) ~ (y' - rho y, rho~ y - y'), to its own floor.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ def _branch_index(th: float, th0: float) -> int:
 
 def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
                      path: List[Tuple[float, float]], th0: float,
-                     max_turn: float) -> Tuple[float, float, float]:
+                     max_turn: float, floor: float) -> Tuple[float, float, float]:
     """Resolve every branch event of eta = theta - th0 from sample ``a`` to coupling mu_b.
 
     Samples are (mu, theta, D), ``a`` already the last point of ``path``.
@@ -330,13 +332,15 @@ def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
     answers a coupling it has seen before without a solve; the end of each
     segment is placed from the segment's start.  ``max_turn`` is the largest
     turn of theta a segment holds unsplit: math.inf for absolute samples,
-    pi/2 for placed ones, so that a placement is never ambiguous.
+    pi/2 for placed ones, so that a placement is never ambiguous.  The
+    caller sets the refine floor ``floor``: MU_REFINE_FLOOR for a phase
+    shift, MU_CROSSING_FLOOR for the threshold crossing count.
 
     A segment that turns further, or whose branch index jumps by more than
     one, is split at its midpoint.  A single jump is refined by
     :func:`~qws.roots.refine_root` on the matching denominator D, which
-    changes sign there, to a bracket no wider than MU_REFINE_FLOOR; the
-    bracket's ends go into ``path``.  Should the ends not carry the branch
+    changes sign there, to a bracket no wider than ``floor``; the bracket's
+    ends go into ``path``.  Should the ends not carry the branch
     indices of the segment's ends (theta not monotone inside), or D not
     change sign, the segment is split at its midpoint instead.  Points are
     appended in the order of the walk; returns the sample at mu_b as
@@ -347,11 +351,11 @@ def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
     th_b, d_b = b[1], b[2]
     jump = _branch_index(th_b, th0) - _branch_index(th_a, th0)
     turn_ok = abs(th_b - th_a) <= max_turn
-    if abs(mu_b - mu_a) <= MU_REFINE_FLOOR or (jump == 0 and turn_ok):
+    if abs(mu_b - mu_a) <= floor or (jump == 0 and turn_ok):
         path.append((mu_b, th_b))
         return b
     if abs(jump) == 1 and turn_ok and not same_sign(d_a, d_b):
-        tol = MU_REFINE_FLOOR / max(1.0, abs(mu_a), abs(mu_b))
+        tol = floor / max(1.0, abs(mu_a), abs(mu_b))
         lo, hi = refine_root(lambda m: point(m, th_a)[2], mu_a, d_a, mu_b, d_b, tol)
         near, far = (lo, hi) if mu_a < mu_b else (hi, lo)
         near, far = point(near, th_a), point(far, th_a)
@@ -360,8 +364,8 @@ def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
             path.extend((m, th) for m, th, _ in (near, far) if m not in (mu_a, mu_b))
             path.append((mu_b, th_b))
             return b
-    mid = _locate_branches(point, a, 0.5 * (mu_a + mu_b), path, th0, max_turn)
-    return _locate_branches(point, mid, mu_b, path, th0, max_turn)
+    mid = _locate_branches(point, a, 0.5 * (mu_a + mu_b), path, th0, max_turn, floor)
+    return _locate_branches(point, mid, mu_b, path, th0, max_turn, floor)
 
 
 def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[float, int]]:
@@ -378,6 +382,41 @@ def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[fl
             events.append((0.5 * (mu_a + mu_b), 1 if b_new > b_prev else -1))
         b_prev = b_new
     return events
+
+
+def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: Sequence[float],
+                floor: float) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
+    """Walk theta = atan2(KJ, KN), (KN, KJ) = pair(y, y'), along a coupling grid.
+
+    ``states`` maps each coupling solved so far to its (y, y', max|y|, ...)
+    at r0 and takes the new ones, which ``state(mu)`` makes.  With ``g0``
+    from :func:`_matching_map` theta is the Prufer lift (absolute); with
+    ``g0`` None each sample goes on the 2 pi branch nearest the previous
+    one, and a step turning theta by more than pi/2 is split.
+    :func:`_locate_branches` resolves the events of theta - th0,
+    th0 = theta(grid[0]), each to a bracket no wider than ``floor``.
+    Returns theta(grid[-1]) - th0 and the events of :func:`_branch_events`.
+    """
+    th0 = _theta(pair, states[grid[0]], g0)[0]
+    c0, s0 = math.cos(th0), math.sin(th0)
+
+    def point(m: float, near: float) -> Tuple[float, float, float]:
+        """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
+        st = states.get(m)
+        if st is None:
+            st = states[m] = state(m)
+        kn, kj = pair(st[0], st[1])
+        th = _theta(pair, st, g0)[0]
+        if g0 is None:
+            th = _unwrap_step(near, th)
+        return m, th, kn.real * c0 + kj.real * s0
+
+    max_turn = math.inf if g0 is not None else 0.5 * math.pi
+    path: List[Tuple[float, float]] = [(grid[0], th0)]
+    a = point(grid[0], th0)
+    for m in grid[1:]:
+        a = _locate_branches(point, a, m, path, th0, max_turn, floor)
+    return path[-1][1] - th0, tuple(_branch_events(path, th0))
 
 
 def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
@@ -411,11 +450,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     potentials start from the ``mu_steps`` grid, whose points come from
     one lanes call of :func:`~qws.radial_ode.interior_in_mu`, with theta
     read from the det(Id - mu C M)-scaled state and placed on the 2 pi
-    branch nearest the previous sample.  Either way
-    :func:`_locate_branches` resolves the branch events (bisection down to
-    one event per segment, then bracketed refinement of the matching
-    denominator); a kernel segment over which theta turns by more than
-    pi/2 is split first.
+    branch nearest the previous sample.  Either way :func:`_phase_walk`
+    resolves the branch events to MU_REFINE_FLOOR.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
@@ -442,32 +478,13 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
         eta = eta_raw
     else:
         states = {0.0: state(0.0), float(mu): at_mu}
-        th0 = _theta(pair, states[0.0], g0)[0]
         inner = np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1]
         if not potential.kernel and potential.one_signed:
             inner = inner[:0]   # eta is monotone in mu: {0, mu} partitions the path
         elif potential.kernel and len(inner):
             states.update(zip(inner.tolist(), zip(*state(inner))))   # one lanes call
-        c0, s0 = math.cos(th0), math.sin(th0)
-
-        def point(m: float, near: float) -> Tuple[float, float, float]:
-            """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
-            st = states.get(m)
-            if st is None:
-                st = states[m] = state(m)
-            kn, kj = pair(st[0], st[1])
-            th = _theta(pair, st, g0)[0]
-            if g0 is None:
-                th = _unwrap_step(near, th)
-            return m, th, kn.real * c0 + kj.real * s0
-
-        max_turn = math.inf if g0 is not None else 0.5 * math.pi
-        path: List[Tuple[float, float]] = [(0.0, th0)]
-        a = point(0.0, th0)
-        for m in inner.tolist() + [float(mu)]:
-            a = _locate_branches(point, a, m, path, th0, max_turn)
-        eta = path[-1][1] - th0
-        events = tuple(_branch_events(path, th0))
+        grid = [0.0] + inner.tolist() + [float(mu)]
+        eta, events = _phase_walk(pair, g0, state, states, grid, MU_REFINE_FLOOR)
     eta_fit = None
     if with_fit:
         eq = effective_equation(channel, potential.with_mu(mu), energy)

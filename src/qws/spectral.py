@@ -29,9 +29,13 @@ exterior one increases with energy.  Either way the search first counts
 (:func:`_level_search`), then a bracketed superlinear method refines each
 level: :func:`~qws.roots.refine_root` (Illinois false position with a
 bisection fallback), which also locates the branch events of the phase
-shifts.  :func:`levinson_verify` takes the count alone.  No sample of the
-scan, the count or the crossing census is nudged around a kernel
-resonance: the scaled state is finite there.
+shifts.  :func:`levinson_verify` takes the count alone.
+
+The crossing counter :func:`continuation_count` is the mu walk of
+:func:`~qws.scattering.phase_shift` at k -> 0, with its event locator, on
+the threshold map (y' - rho y, rho~ y - y').  No sample of the scan, the
+count or the walk is nudged around a kernel resonance: the scaled state
+is finite there.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior
                          interior_lanes, interior_state, make_grid, node_at_cutoff,
                          prufer_angle, solve_nonlocal, source_samples)
 from .roots import refine_root
-from .scattering import phase_shift, real_lambda
+from .scattering import _phase_walk, phase_shift, real_lambda
 
-MU_CROSSING_FLOOR = 1e-5   # bisection resolution for crossing localization
+MU_CROSSING_FLOOR = 1e-5   # widest bracket a threshold crossing is located to
 GRAZING_TOL = 1e-10
 
 
@@ -84,13 +88,20 @@ class SturmReport:
 
 @dataclass(frozen=True, eq=False)
 class ContinuationReport:
-    """Crossing census of A(0, mu) through rho = (1/2 - lam)/r0 along the mu grid."""
+    """Directed crossings of A(0, mu) through rho = (1/2 - lam)/r0 along the mu grid.
+
+    A = y'/y at r0.  ``events`` holds (mu*, direction) in the order of the walk: +1 where A
+    falls through rho (a level gained), -1 where it rises; mu* is the
+    midpoint of a bracket no wider than MU_CROSSING_FLOOR.  A pole of A
+    (y(r0) = 0) is no event.  ``A_samples`` is A at the grid couplings
+    (inf where y(r0) is exactly 0).
+    """
 
     channel: ChannelParams
     mu_grid: np.ndarray
     A_samples: np.ndarray
     rho: float
-    events: Tuple[Tuple[float, int], ...]  # (mu*, +1 down / -1 up)
+    events: Tuple[Tuple[float, int], ...]
     n_down: int
     n_up: int
     n_bound: int
@@ -101,7 +112,7 @@ class ContinuationReport:
 class LevinsonReport:
     """Zero-momentum phase vs bound-state count: the two must satisfy eta0 = n pi.
 
-    ``continuation`` is the crossing census behind n_continuation; it is
+    ``continuation`` is the crossing count behind n_continuation; it is
     None when the counter itself ended inconclusive.
     """
 
@@ -431,49 +442,6 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
                        slope_exterior_quad=float(slope_ext_quad))
 
 
-def _crossing_census(state, a: float, st_a: Tuple[float, float],
-                     b: float, st_b: Tuple[float, float], rho: float,
-                     events: List[Tuple[float, int]]) -> None:
-    """Classify sign-flip structure of (y'(r0) - rho y(r0), y(r0)) on [a, b].
-
-    Two elementary events can flip signs along the coupling path and only
-    one of them is a genuine crossing of A = y'/y through rho:
-
-      - M0 = y' - rho y flips, y does not: A crosses rho (count, directed);
-      - y flips, M0 does not: a pole of A (eta passes pi/2), not a crossing.
-
-    A kernel's state comes scaled by det(Id - mu C M), so it never passes
-    through infinity at a kernel resonance, and both flip together only
-    where a pole and a crossing share a bracket.  Brackets are bisected
-    until the events separate, down to MU_CROSSING_FLOOR; a crossing that
-    still shares its bracket with a pole there raises
-    AmbiguousCrossingError, since its direction cannot be read.
-    """
-    ua, va = st_a
-    ub, vb = st_b
-    m0a = va - rho * ua
-    m0b = vb - rho * ub
-    flips_m0 = m0a * m0b < 0
-    flips_u = ua * ub < 0
-    if not (flips_m0 or flips_u):
-        return
-    if abs(b - a) <= MU_CROSSING_FLOOR:
-        if not flips_m0:
-            return  # isolated pole of A: not a crossing
-        if flips_u:
-            raise AmbiguousCrossingError(
-                f"a pole of A and a crossing of rho within mu in [{a:.8f}, {b:.8f}]")
-        sign_a = math.copysign(1.0, m0a * ua)   # sign of A - rho on each side
-        sign_b = math.copysign(1.0, m0b * ub)
-        if sign_a != sign_b:
-            events.append((0.5 * (a + b), +1 if sign_a > 0 else -1))  # +1: A decreases
-        return
-    mid = 0.5 * (a + b)
-    st_m = state(mid)
-    _crossing_census(state, a, st_a, mid, st_m, rho, events)
-    _crossing_census(state, mid, st_m, b, st_b, rho, events)
-
-
 def continuation_count(channel: ChannelParams, potential: PotentialModel,
                        mu_grid: Optional[Sequence[float]] = None,
                        tol: float = 1e-9) -> ContinuationReport:
@@ -484,10 +452,20 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     every sample comes from one :func:`~qws.radial_ode.interior_in_mu` at
     that energy, the whole mu grid from one call of it, and a kernel's come
     scaled by det(Id - mu C M), smooth through kernel resonances.
-    Sign-flip brackets of (y'(r0) - rho y(r0), y(r0)) are refined and
-    classified by :func:`_crossing_census`, which separates genuine
-    crossings from poles of A; grazing contact without a sign change raises
-    AmbiguousCrossingError.
+
+    The count is the phase walk of :func:`~qws.scattering.phase_shift` at
+    k -> 0: theta is the angle of L0 (y, y') = (y' - rho y, rho~ y - y'),
+    rho~ = (1/2 + lam)/r0, in place of the matching map; each sample is
+    placed on the 2 pi branch nearest the previous one, extra samples come
+    from scalar solves at the same energy, and the branch events are
+    refined to MU_CROSSING_FLOOR.  The free threshold state at mu = 0 has
+    A = rho~, so th0 = 0 up to the proxy energy, and the events of
+    theta - th0 through pi/2 (mod pi) are the sign changes of
+    D ~ y' - rho y: the crossings of rho.  L0 reverses orientation
+    (det = -2 lam/r0), so a crossing where A falls through rho (a level
+    gained) is a +1 event.  At a pole of A, y(r0) = 0, D = y' keeps its
+    sign: no event, even beside a crossing.  Grazing contact without a
+    sign change raises AmbiguousCrossingError.
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
@@ -497,20 +475,14 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     if mu_grid[0] != 0.0:
         raise QwsError("mu grid must start at 0")
     rho = (0.5 - lam) / r0
+    rho_t = (0.5 + lam) / r0
     eps_e = min(1e-10 * max(1.0, potential.max_local()), (1e-5 / r0) ** 2)
     at = interior_in_mu(channel, potential, -eps_e, tol)
-
-    def state(mu: float) -> Tuple[float, float]:
-        u, v, _ = at(mu)
-        return u.real, v.real
-
-    def m0(u: float, v: float) -> float:
-        return v - rho * u
-
-    u, v, _ = at(mu_grid)
-    samples = list(zip(u.tolist(), v.tolist()))
+    grid = mu_grid.tolist()
+    lanes = [x.tolist() for x in at(mu_grid)]   # (y, y', max|y|) at every grid coupling
+    samples = list(zip(lanes[0], lanes[1]))
     A_vals = np.array([v / u if u != 0.0 else math.inf for u, v in samples])
-    M_vals = np.array([m0(u, v) for u, v in samples])
+    M_vals = np.array([v - rho * u for u, v in samples])
 
     # grazing detection: A touches rho without M0 changing sign nearby
     for j in range(1, len(mu_grid) - 1):
@@ -520,10 +492,11 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
             raise AmbiguousCrossingError(
                 f"A grazes rho at mu = {mu_grid[j]:.6f} without a sign change")
 
-    events: List[Tuple[float, int]] = []
-    for j in range(len(mu_grid) - 1):
-        _crossing_census(state, float(mu_grid[j]), samples[j],
-                         float(mu_grid[j + 1]), samples[j + 1], rho, events)
+    def threshold_map(u, v):
+        return v - rho * u, rho_t * u - v
+
+    states = dict(zip(grid, zip(*lanes)))
+    _, events = _phase_walk(threshold_map, None, at, states, grid, MU_CROSSING_FLOOR)
 
     n_down = sum(1 for _, d in events if d > 0)
     n_up = sum(1 for _, d in events if d < 0)
@@ -532,7 +505,7 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     for mu_star, d in events:
         stairs[path * (mu_grid - mu_star) > 0] += d * math.pi
     return ContinuationReport(channel=channel, mu_grid=mu_grid, A_samples=A_vals,
-                              rho=rho, events=tuple(events), n_down=n_down,
+                              rho=rho, events=events, n_down=n_down,
                               n_up=n_up, n_bound=n_down - n_up,
                               eta0_staircase=stairs)
 

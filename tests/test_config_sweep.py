@@ -13,16 +13,27 @@ _spec = importlib.util.spec_from_file_location("config_sweep", ROOT / "scripts" 
 config_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(config_sweep)
 
-FAST_CONFIGS = sorted(p for p in (ROOT / "configs").glob("*.cfg")
-                      if p.name != "bound_states_kernel.cfg")
+FAST_CONFIGS = config_sweep.shipped(sorted(p for p in (ROOT / "configs").glob("*.cfg")
+                                            if p.name != "bound_states_kernel.cfg"))
 VALUES = ("0", "-1", "0.5", "nan", "inf", "1e-300", "1e300", "abc", "")
 
 
 def test_every_mutated_config_ends_with_a_documented_exit(tmp_path):
     runs, failures = config_sweep.sweep(FAST_CONFIGS, VALUES, tmp_path)
     assert failures == []
-    keys = sum(len(config_sweep.numeric_keys(p.read_text())) for p in FAST_CONFIGS)
+    keys = sum(len(config_sweep.numeric_keys(text)) for _, text in FAST_CONFIGS)
     assert runs == keys * len(VALUES) and keys >= 40
+
+
+def test_family_variants_end_with_a_documented_exit(tmp_path):
+    # no shipped config uses these families; at width = 1e-300 or r0 = 1e300
+    # the gaussian's (r / w) ** 2 raised OverflowError out of the CLI
+    variants = config_sweep.family_variants(dict(FAST_CONFIGS)[config_sweep.VARIANT_BASE])
+    for (name, text), (family, shape) in zip(variants, config_sweep.FAMILY_VARIANTS):
+        assert f"family = {family}\n{shape}\n" in text and family in name
+    runs, failures = config_sweep.sweep(variants, VALUES, tmp_path)
+    assert failures == []
+    assert runs == len(VALUES) * sum(len(config_sweep.numeric_keys(text)) for _, text in variants)
 
 
 def test_a_traceback_is_a_failure(tmp_path, monkeypatch):

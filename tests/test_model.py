@@ -192,3 +192,15 @@ def test_non_finite_cutoff_or_coupling_rejected(r0, mu):
     if math.isfinite(r0):
         with pytest.raises(QwsError):
             PotentialModel(r0=r0, local=square_well(4.0)).with_mu(mu)
+
+
+def test_truncated_gaussian_vanishes_where_its_square_overflows():
+    # (r / w) ** 2 raised OverflowError once r / w passed about 1e154
+    # (width = 1e-300); below that the profile is the formula, bit for bit
+    d, w = 30.0, 0.6
+    g = truncated_gaussian(d, w)
+    for r in np.linspace(1e-6, 1.0, 97):
+        assert g.profile(float(r)) == -d * math.exp(-(float(r) / w) ** 2)
+    tiny = truncated_gaussian(4.0, 1e-300)
+    assert tiny.profile(0.0) == -4.0
+    assert tiny.profile(1e-145) == 0.0 and tiny.profile(0.5) == 0.0 and tiny.profile(1.0) == 0.0

@@ -262,18 +262,46 @@ class TestContinuationCount:
         rep = continuation_count(CH_S, pot, mu_grid=[0.0])
         assert rep.n_bound == 0 and rep.events == ()
 
-    def test_census_at_its_floor(self):
-        # (y, y') at the ends of a bracket no wider than MU_CROSSING_FLOOR,
-        # rho = 1: a crossing is counted with its direction, a pole is not,
-        # and a pole sharing the bracket with a crossing hides the direction
-        from qws.errors import AmbiguousCrossingError
-        events = []
-        sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (1.0, 0.5), 1.0, events)
-        sp._crossing_census(None, 0.0, (1.0, 0.5), 1e-6, (1.0, 2.0), 1.0, events)
-        sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (-1.0, -0.5), 1.0, events)
-        assert events == [(5e-7, 1), (5e-7, -1)]
-        with pytest.raises(AmbiguousCrossingError):
-            sp._crossing_census(None, 0.0, (1.0, 2.0), 1e-6, (-1.0, -2.0), 1.0, events)
+    @pytest.mark.parametrize("y, dy, expected", [
+        (lambda m: 1.0 + 0.0 * m, lambda m: 1.0 - m / 0.3, [(0.3, 1)]),
+        (lambda m: 1.0 - m / 0.2, lambda m: 1.0 - m / 0.6, [(0.6, -1)]),
+        (lambda m: 1.0 - m / 0.2, lambda m: 1.0 + 0.0 * m, []),
+        (lambda m: 1.0 - m / 0.4, lambda m: 1.0 - m / (0.4 - 1e-6), [(0.4 - 1e-6, 1)]),
+    ], ids=["down-crossing", "pole-then-up-crossing", "lone-pole", "crossing-beside-pole"])
+    def test_walk_on_closed_form_states(self, monkeypatch, y, dy, expected):
+        # lam = 1/2, r0 = 1: rho = 0 and rho~ = 1, and (y, y') = (1, 1) at
+        # mu = 0 is the free threshold state.  A falling through rho counts
+        # +1 and rising -1; a pole of A (y = 0) counts nothing, also 1e-6
+        # from a crossing, where the signs of (y' - rho y, y) at the ends of
+        # a 1e-5 bracket both flip and cannot give the crossing's direction
+        def at(mu):
+            m = np.asarray(mu, dtype=float)
+            u, v = y(m), dy(m)
+            if np.ndim(mu):
+                return u, v, np.abs(u)
+            return float(u), float(v), abs(float(u))
+
+        monkeypatch.setattr(sp, "interior_in_mu", lambda *args: at)
+        rep = continuation_count(CH_S, PotentialModel(r0=1.0), mu_grid=np.linspace(0.0, 1.0, 5))
+        assert [d for _, d in rep.events] == [d for _, d in expected]
+        assert all(abs(m - ref) <= sp.MU_CROSSING_FLOOR
+                   for (m, _), (ref, _) in zip(rep.events, expected))
+        assert rep.n_bound == sum(d for _, d in expected)
+
+    def test_two_level_well_counts_from_few_scalar_solves(self, monkeypatch):
+        # one lanes call for the 201-point grid, scalar solves only to refine
+        # the two crossings (a bisection of every sign flip took 36)
+        import qws.radial_ode as ro
+        calls = {"interior_state": 0, "interior_lanes": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(ro, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ro, name, counted)
+        pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2))
+        rep = continuation_count(CH_S, pot)
+        assert rep.n_bound == 2
+        assert calls["interior_lanes"] == 1 and calls["interior_state"] <= 8
 
     def test_two_level_well_crossings_at_oracle_couplings(self):
         # threshold states of the scaled well appear at mu V0 r0^2 = (pi/2)^2, (3pi/2)^2
@@ -466,7 +494,10 @@ class TestLaneScans:
         monkeypatch.setattr(sp, "interior_in_mu", _one_by_one)
         ref = continuation_count(ch, pot, mu_grid=grid)
         assert lanes.n_bound == ref.n_bound and lanes.n_bound != 0
-        assert lanes.events == ref.events
+        # the refiner's trial points follow the values, so mu* agree to its floor
+        assert [d for _, d in lanes.events] == [d for _, d in ref.events]
+        assert all(abs(a - b) <= sp.MU_CROSSING_FLOOR
+                   for (a, _), (b, _) in zip(lanes.events, ref.events))
         assert np.array_equal(lanes.eta0_staircase, ref.eta0_staircase)
         assert np.allclose(np.arctan(lanes.A_samples), np.arctan(ref.A_samples),
                            rtol=0.0, atol=1e-7)
@@ -491,7 +522,7 @@ class TestLaneScans:
 
         monkeypatch.setattr(ro, "_superposition_solves", counted)
         fast = continuation_count(ch, pot, mu_grid=grid)
-        assert len(made) == 1      # grid and census refinement alike
+        assert len(made) == 1      # grid and walk refinement alike
 
         monkeypatch.setattr(sp, "interior_in_mu", _one_by_one)
         ref = continuation_count(ch, pot, mu_grid=grid)
