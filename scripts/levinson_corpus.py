@@ -3,9 +3,11 @@
 
 Covers attractive square wells with 0, 1 and 2 levels, a higher partial
 wave, a purely non-local rank-1 attraction, a mixed local + non-local
-configuration, and a repulsive rank-1 kernel whose coupling determinant
-det(Id - mu C M) changes sign along the mu path.  Prints one line per configuration and exits 1 unless
-every configuration passes.
+configuration, a repulsive rank-1 kernel whose coupling determinant
+det(Id - mu C M) changes sign along the mu path, and a deep well (32
+levels) whose first thresholds share one step of the default mu grid.
+Prints one line per configuration and exits 1 unless every configuration
+passes.
 """
 
 import argparse
@@ -34,6 +36,7 @@ def corpus():
                         strengths=(-120.0,))),
         ("repulsive rank-1 kernel", ch_p,
          PotentialModel(r0=1.0, kernel=(bump,), strengths=(3000.0,))),
+        ("deep well, 32 levels", ch_s, PotentialModel(r0=1.0, local=square_well(1e4))),
     ]
 
 

@@ -29,11 +29,13 @@ float arithmetic, a complex one (Jost solves, complex k, E or lambda) in
 complex arithmetic.  Array start values step float64 lanes that share one
 adaptive step, which is how :func:`interior_lanes` runs a grid of (E, mu)
 points of one model: the energy scan of the bound-state search and the mu
-grid of the crossing counter.  A kernel point there takes 1 + n lanes, its homogeneous and its
-n particular solves, landed on the moment grid.  Both paths take the
-moments and the n x n systems from the same two functions.  Every interior
-solve also lands a step on each knot of a tabulated well, where V' jumps
-unseen by the error estimate.
+grid of the crossing counter.  The lanes carry y and y' as one stacked
+(2, ...) array, so each stage is one array expression for both, with the
+scalar arithmetic term for term.  A kernel point there takes 1 + n lanes,
+its homogeneous and its n particular solves, landed on the moment grid.
+Both paths take the moments and the n x n systems from the same two
+functions.  Every interior solve also lands a step on each knot of a
+tabulated well, where V' jumps unseen by the error estimate.
 
 :func:`interior_in_mu` gives the cutoff values as a function of mu at one
 energy.  In a pure kernel (no local part) Q(r) and the series start do not
@@ -197,10 +199,15 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     values that complex arithmetic gives; a complex Q or S promotes the
     stages to complex.  The node arrays returned are complex.  Array start
     values step float64 lanes, one real solution per entry of a ``qfun``
-    that returns one Q per lane: the lanes share every step, which is
-    accepted only when each lane passes its own error test, and the next
-    step follows the worst lane.  Each lane is therefore controlled at least as tightly as alone,
-    and a single lane takes exactly the scalar steps.
+    that returns one Q per lane (or one Q for all lanes).  The lanes carry
+    y and y' stacked as one (2, ...) array, so each stage is one array
+    expression for both, with the scalar stepper's operations term for
+    term: the derivative is y[::-1] * (1, -Q), plus S on the y' row.  They
+    share every step, which is accepted only when each lane passes its own
+    error test (one max over the stacked error, so a NaN in y or y' of any
+    lane rejects the step), and the next step follows the worst lane.
+    Each lane is therefore controlled at least as tightly as alone, and a
+    single lane takes exactly the scalar steps, bit for bit.
 
     Returns (u_nodes, v_nodes, max_abs_u), node axis first; for lanes
     max_abs_u holds one value per lane.  ``record`` must be monotone and
@@ -217,15 +224,24 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     if lanes:
         if return_winding:
             raise QwsError("the winding count is defined for a single solution only")
-        u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-        mag = np.abs
+        y = np.array(np.broadcast_arrays(u0, v0), dtype=float)
+        u, v = y   # views of the two rows
+        slope = np.ones_like(y)   # (1, -Q): row 1, neg_q, is refilled at every stage
+        neg_q = slope[1]
+        # running magnitudes of y and y', which floor the error weights below; a
+        # lane starting at zero (a particular solve) gets a floor far below any
+        # solution, so that its error reads 0, not 0/0, while its source is 0
+        ay = np.abs(y)
+        run = np.where(ay == 0.0, 1e-300, ay)
+        max_u = run[0]   # a view: stays current as run grows in place
     else:
         u, v = complex(u0), complex(v0)
         if u.imag == 0.0 and v.imag == 0.0:
             # a real problem steps in float arithmetic (same real parts, bit for
             # bit); a complex Q or S promotes the stages to complex by itself
             u, v = u.real, v.real
-        mag = abs
+        max_u = abs(u)   # running magnitudes; also floor the error weights below
+        run_v = abs(v)
     record = record.tolist()   # Python floats: r and every stage abscissa stay float
     n = len(record)
     us = np.empty((n,) + np.shape(u), dtype=float if lanes else complex)
@@ -233,13 +249,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     idx = 0
     r = r_start
     turns = 0
-    max_u = mag(u)   # running magnitudes; also floor the error weights below
-    run_v = mag(v)
-    if lanes:
-        # a lane starting at zero (a particular solve) gets a floor far below
-        # any solution, so that its error reads 0, not 0/0, while its source is 0
-        max_u = np.where(max_u == 0.0, 1e-300, max_u)
-        run_v = np.where(run_v == 0.0, 1e-300, run_v)
     if record[0] == r_start:
         us[0], vs[0] = u, v
         idx = 1
@@ -255,7 +264,12 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     h = direction * h0
     phi = math.atan2(v.real, u.real) if return_winding else 0.0
     s0 = sfun(r) if sfun is not None else 0.0
-    k1u, k1v = v, s0 - qfun(r) * u
+    if lanes:
+        np.negative(qfun(r), out=neg_q)
+        k1 = y[::-1] * slope
+        k1[1] += s0   # s0 - Q y, as in the scalar stepper
+    else:
+        k1u, k1v = v, s0 - qfun(r) * u
     steps = 0
     while idx < n:
         steps += 1
@@ -275,54 +289,86 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             raise StiffnessError("step size underflow")
         # one step from r to r + h, k1 = f(r) given; stages 6 and 7 share r + h
         r2 = r + _C2 * h
-        u2 = u + h * _A21 * k1u
-        v2 = v + h * _A21 * k1v
-        k2u, k2v = v2, -qfun(r2) * u2
-        if sfun is not None:
-            k2v += sfun(r2)
         r3 = r + _C3 * h
-        u3 = u + h * (_A31 * k1u + _A32 * k2u)
-        v3 = v + h * (_A31 * k1v + _A32 * k2v)
-        k3u, k3v = v3, -qfun(r3) * u3
-        if sfun is not None:
-            k3v += sfun(r3)
         r4 = r + _C4 * h
-        u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4u, k4v = v4, -qfun(r4) * u4
-        if sfun is not None:
-            k4v += sfun(r4)
         r5 = r + _C5 * h
-        u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5u, k5v = v5, -qfun(r5) * u5
-        if sfun is not None:
-            k5v += sfun(r5)
         r6 = r + h
-        u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        q6 = qfun(r6)
-        k6u, k6v = v6, -q6 * u6
-        if sfun is not None:
-            s6 = sfun(r6)
-            k6v += s6
-        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7u, k7v = vn, -q6 * un
-        if sfun is not None:
-            k7v += s6
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-        # weights floored at 1e-3 of the running magnitude: pointwise relative
-        # control is unsatisfiable (roundoff floor) where a component crosses zero
-        au, av = mag(un), mag(vn)
         if lanes:
-            sc_u = rtol * np.maximum(np.maximum(np.abs(u), au), 1e-3 * max_u)
-            sc_v = rtol * np.maximum(np.maximum(np.abs(v), av), 1e-3 * run_v)
-            err = float(max(np.max(np.abs(eu) / sc_u), np.max(np.abs(ev) / sc_v)))
+            # the scalar block's expressions on the stacked (y, y')
+            y2 = y + h * _A21 * k1
+            np.negative(qfun(r2), out=neg_q)
+            k2 = y2[::-1] * slope
+            if sfun is not None:
+                k2[1] += sfun(r2)
+            y3 = y + h * (_A31 * k1 + _A32 * k2)
+            np.negative(qfun(r3), out=neg_q)
+            k3 = y3[::-1] * slope
+            if sfun is not None:
+                k3[1] += sfun(r3)
+            y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            np.negative(qfun(r4), out=neg_q)
+            k4 = y4[::-1] * slope
+            if sfun is not None:
+                k4[1] += sfun(r4)
+            y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            np.negative(qfun(r5), out=neg_q)
+            k5 = y5[::-1] * slope
+            if sfun is not None:
+                k5[1] += sfun(r5)
+            y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            np.negative(qfun(r6), out=neg_q)
+            k6 = y6[::-1] * slope
+            if sfun is not None:
+                s6 = sfun(r6)
+                k6[1] += s6
+            yn = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = yn[::-1] * slope
+            if sfun is not None:
+                k7[1] += s6
+            e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            a = np.abs(yn)
+            sc = rtol * np.maximum(np.maximum(ay, a), 1e-3 * run)
+            err = float((np.abs(e) / sc).max())
         else:
-            # rtol * max(abs(u), au, 1e-3 * max_u) by max()'s own comparisons,
-            # which cost less than the builtin call
+            u2 = u + h * _A21 * k1u
+            v2 = v + h * _A21 * k1v
+            k2u, k2v = v2, -qfun(r2) * u2
+            if sfun is not None:
+                k2v += sfun(r2)
+            u3 = u + h * (_A31 * k1u + _A32 * k2u)
+            v3 = v + h * (_A31 * k1v + _A32 * k2v)
+            k3u, k3v = v3, -qfun(r3) * u3
+            if sfun is not None:
+                k3v += sfun(r3)
+            u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+            v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+            k4u, k4v = v4, -qfun(r4) * u4
+            if sfun is not None:
+                k4v += sfun(r4)
+            u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+            v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+            k5u, k5v = v5, -qfun(r5) * u5
+            if sfun is not None:
+                k5v += sfun(r5)
+            u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+            v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+            q6 = qfun(r6)
+            k6u, k6v = v6, -q6 * u6
+            if sfun is not None:
+                s6 = sfun(r6)
+                k6v += s6
+            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            k7u, k7v = vn, -q6 * un
+            if sfun is not None:
+                k7v += s6
+            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+            # weights rtol * max(abs(u), au, 1e-3 * max_u), floored at 1e-3 of the
+            # running magnitude: pointwise relative control is unsatisfiable
+            # (roundoff floor) where a component crosses zero; max()'s own
+            # comparisons cost less than the builtin call
+            au, av = abs(un), abs(vn)
             sc_u, floor = abs(u), 1e-3 * max_u
             if au > sc_u:
                 sc_u = au
@@ -356,14 +402,15 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             phi = phi_new
             turns += wrap
         if err <= 1.0:  # NaN rejects
-            r = target if clipped else r + h
-            u, v = un, vn
-            k1u, k1v = k7u, k7v  # FSAL
+            r = target if clipped else r6
             if lanes:
-                max_u = np.maximum(max_u, au)
-                run_v = np.maximum(run_v, av)
-            else:  # builtin max() would cost more than the comparisons
-                if au > max_u:
+                y, k1, ay = yn, k7, a  # FSAL
+                u, v = y
+                np.maximum(run, a, out=run)
+            else:
+                u, v = un, vn
+                k1u, k1v = k7u, k7v  # FSAL
+                if au > max_u:  # builtin max() would cost more than the comparisons
                     max_u = au
                 if av > run_v:
                     run_v = av

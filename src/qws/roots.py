@@ -6,8 +6,11 @@ method can: :func:`~qws.spectral.find_bound_states` refines the levels of a
 local well on the Prufer mismatch F(E) + j pi and those of a kernel on the
 matching function M(E), and the mu walk of
 :func:`~qws.scattering.phase_shift` and :func:`~qws.spectral.continuation_count`
-locates its branch events on the matching denominator D(mu).  Both
-callers already hold the values at the bracket ends and hand them in.
+locates its branch events on the matching denominator D(mu).  Every
+caller already holds the values at the bracket ends and hands them in: the
+F values taken so far, the kernel's energy scan (lane values), and the
+samples of the mu walk, whose steps :func:`~qws.spectral.continuation_count`
+first splits in sqrt(mu) on a deep well.
 """
 
 from __future__ import annotations

@@ -33,9 +33,10 @@ shifts.  :func:`levinson_verify` takes the count alone.
 
 The crossing counter :func:`continuation_count` is the mu walk of
 :func:`~qws.scattering.phase_shift` at k -> 0, with its event locator, on
-the threshold map (y' - rho y, rho~ y - y').  No sample of the scan, the
-count or the walk is nudged around a kernel resonance: the scaled state
-is finite there.
+the threshold map (y' - rho y, rho~ y - y'), whose grid steps are split
+in sqrt(mu) wherever a well's phase may turn by more than pi/2 over one.
+No sample of the scan, the count or the walk is nudged around a kernel
+resonance: the scaled state is finite there.
 """
 
 from __future__ import annotations
@@ -269,11 +270,16 @@ def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
     """Sign brackets of M(E) on a log-spaced lane scan, each refined on demand (kernels).
 
     Adjacent sign-change intervals trigger one re-scan on four times the
-    points, and warn if they persist.  Returns the brackets and their
-    refinement by :func:`~qws.roots.refine_root`.
+    points, and warn if they persist.  Returns the brackets, each as
+    (a, M(a), b, M(b)) with the values of the scan that found it, and their
+    refinement by :func:`~qws.roots.refine_root`, which starts from those
+    values and solves no bracket end again.
     """
-    def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
-        return _sign_brackets(grid_E, _scan_values(channel, potential, grid_E, mu, ode_tol))
+    def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float, float, float]], bool]:
+        vals = _scan_values(channel, potential, grid_E, mu, ode_tol)
+        brackets, adjacent = _sign_brackets(grid_E, vals)
+        at = dict(zip(grid_E.tolist(), vals.tolist()))
+        return [(a, at[a], b, at[b]) for a, b in brackets], adjacent
 
     brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, n_scan))
     if adjacent:
@@ -284,11 +290,11 @@ def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
     def match(E: float) -> float:
         return _matching_scan_value(channel, potential, E, mu, ode_tol)
 
-    def refine(bracket: Tuple[float, float], tol: float) -> float:
-        a, b = bracket
+    def refine(bracket: Tuple[float, float, float, float], tol: float) -> float:
+        a, fa, b, fb = bracket
         if a == b:   # an exact zero of the scan
             return a
-        lo, hi = refine_root(match, a, match(a), b, match(b), tol)
+        lo, hi = refine_root(match, a, fa, b, fb, tol)
         return 0.5 * (lo + hi)
 
     return brackets, refine
@@ -442,6 +448,26 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
                        slope_exterior_quad=float(slope_ext_quad))
 
 
+def _sqrt_mu_steps(grid: List[float], scale: float) -> List[float]:
+    """``grid`` with every step that may turn a well's phase by over pi/2 split.
+
+    The interior phase of a local well grows like scale sqrt(mu), scale =
+    r0 sqrt(max|V|), whose slope in mu is unbounded at mu = 0.  A step
+    [a, b] with scale |t(b) - t(a)| > pi/2, t(mu) = sign(mu) sqrt|mu|, is
+    cut into the fewest equal steps in t that each stay within pi/2; every
+    other step, and each grid point, stays as it is.
+    """
+    walk = grid[:1]
+    for a, b in zip(grid[:-1], grid[1:]):
+        ta, tb = math.copysign(math.sqrt(abs(a)), a), math.copysign(math.sqrt(abs(b)), b)
+        n = math.ceil(scale * abs(tb - ta) / (0.5 * math.pi))
+        for j in range(1, n):
+            t = ta + (tb - ta) * j / n
+            walk.append(math.copysign(t * t, t))
+        walk.append(b)
+    return walk
+
+
 def continuation_count(channel: ChannelParams, potential: PotentialModel,
                        mu_grid: Optional[Sequence[float]] = None,
                        tol: float = 1e-9) -> ContinuationReport:
@@ -458,8 +484,14 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     rho~ = (1/2 + lam)/r0, in place of the matching map; each sample is
     placed on the 2 pi branch nearest the previous one, extra samples come
     from scalar solves at the same energy, and the branch events are
-    refined to MU_CROSSING_FLOOR.  The free threshold state at mu = 0 has
-    A = rho~, so th0 = 0 up to the proxy energy, and the events of
+    refined to MU_CROSSING_FLOOR.  A placed sample cannot see a full turn,
+    so the walk first splits each grid step over which a well's phase
+    r0 sqrt(max|V| mu) may turn by more than pi/2 into equal steps in
+    sqrt(mu) (:func:`_sqrt_mu_steps`): the s-wave well of depth 1e4 has
+    its first two crossings in the default grid's first step.  The added
+    couplings are scalar samples; ``A_samples`` and the staircase stay on
+    ``mu_grid``.  The free threshold state at mu = 0 has A = rho~, so
+    th0 = 0 up to the proxy energy, and the events of
     theta - th0 through pi/2 (mod pi) are the sign changes of
     D ~ y' - rho y: the crossings of rho.  L0 reverses orientation
     (det = -2 lam/r0), so a crossing where A falls through rho (a level
@@ -496,7 +528,8 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
         return v - rho * u, rho_t * u - v
 
     states = dict(zip(grid, zip(*lanes)))
-    _, events = _phase_walk(threshold_map, None, at, states, grid, MU_CROSSING_FLOOR)
+    walk = _sqrt_mu_steps(grid, r0 * math.sqrt(potential.max_local()))
+    _, events = _phase_walk(threshold_map, None, at, states, walk, MU_CROSSING_FLOOR)
 
     n_down = sum(1 for _, d in events if d > 0)
     n_up = sum(1 for _, d in events if d < 0)

@@ -821,6 +821,40 @@ class TestLaneDriver:
             assert np.all(np.abs(lanes[0][:, j] - us.real) <= 1e-8 * max_u)
             assert np.all(np.abs(lanes[1][:, j] - vs.real) <= 1e-8 * np.max(np.abs(vs)))
 
+    @pytest.mark.parametrize("source", [0, 1])
+    def test_single_source_lane_is_the_scalar_particular_solve(self, source):
+        # a particular lane from (0, 0) adds S to -Q y at every stage in the
+        # scalar stepper's order, so the two agree bit for bit on every node
+        qfun, sfun, r_min, _, _, record = _real_problem(*KERNEL_MODELS[1], -20.0,
+                                                        _MOMENT_RECORD, source=source)
+        us, vs, max_u = _integrate(qfun, sfun, r_min, 0.0, 0.0, record, 1e-10)
+        lane = _integrate(lambda r: np.array([qfun(r)]), lambda r: np.array([sfun(r)]),
+                          r_min, np.zeros(1), np.zeros(1), record, 1e-10)
+        assert np.array_equal(lane[0][:, 0], us.real)
+        assert np.array_equal(lane[1][:, 0], vs.real)
+        assert lane[2][0] == max_u
+
+    def test_one_q_for_all_lanes(self):
+        # the free system: Q(r) is one float for every lane, which differ in
+        # their start values only (inward from r0, as a Jost solve)
+        qfun = radial_coefficient(1.5, 4.0)
+        assert isinstance(qfun(0.5), float)
+        u0, v0 = np.array([1.0, 0.0, 0.5, -2.0]), np.array([0.0, 1.0, 3.0, 0.7])
+        record = np.linspace(0.9, 0.1, 9)
+        lanes = _integrate(qfun, None, 1.0, u0, v0, record, 1e-10)
+        for j in range(len(u0)):
+            us, vs, max_u = _integrate(qfun, None, 1.0, u0[j], v0[j], record, 1e-10)
+            one = _integrate(qfun, None, 1.0, u0[j:j + 1], v0[j:j + 1], record, 1e-10)
+            assert np.array_equal(one[0][:, 0], us.real)
+            assert np.array_equal(one[1][:, 0], vs.real)
+            assert one[2][0] == max_u
+            assert np.all(np.abs(lanes[0][:, j] - us.real) <= 1e-8 * max_u)
+            assert np.all(np.abs(lanes[1][:, j] - vs.real) <= 1e-8 * np.max(np.abs(vs)))
+        # the free system on a mu grid: every lane is the scalar cutoff solve
+        u, v, max_u = interior_lanes(CH_S, FREE, -1e-10, np.linspace(0.0, 1.0, 5))
+        for j in range(5):
+            assert (u[j], v[j], max_u[j]) == _scalar_cutoff(CH_S, FREE, -1e-10, 0.0)
+
     def test_lanes_refuse_the_winding_count(self):
         with pytest.raises(QwsError):
             _integrate(lambda r: np.full(2, -1.0), None, 0.5, np.ones(2), np.ones(2),

@@ -331,6 +331,24 @@ class TestContinuationCount:
         assert rep.eta0_staircase[0] == 0.0
         assert rep.eta0_staircase[-1] == pytest.approx(2 * math.pi)
 
+    def test_deep_well_keeps_crossings_that_share_a_grid_step(self):
+        # the s-wave 1e4 well's first thresholds, mu* = 2.47e-4 and 2.22e-3,
+        # share the default grid's first step [0, 0.005], over which theta
+        # turns by about 2 pi; the walk splits that step in sqrt(mu)
+        V0 = 1e4
+        pot = PotentialModel(r0=1.0, local=square_well(V0))
+        rep = continuation_count(CH_S, pot)
+        assert (rep.n_bound, rep.n_down, rep.n_up) == (32, 32, 0)
+        assert len(rep.A_samples) == len(rep.mu_grid) == 201
+        assert rep.eta0_staircase[-1] == pytest.approx(32 * math.pi)
+        found = sorted(m for m, _ in rep.events)
+        for j, m in enumerate(found[:3]):
+            assert abs(m - (j + 0.5) ** 2 * math.pi ** 2 / V0) <= sp.MU_CROSSING_FLOOR
+        # the deepest benchmark well (90) keeps the grid as it is
+        grid = np.linspace(0.0, 1.0, 201).tolist()
+        assert sp._sqrt_mu_steps(grid, math.sqrt(90.0)) == grid
+        assert len(sp._sqrt_mu_steps(grid, math.sqrt(V0))) == 201 + 8
+
     def test_monotone_attractive_never_uncrosses(self):
         for V0 in (4.0, 12.0, (2 * math.pi) ** 2):
             pot = PotentialModel(r0=1.0, local=square_well(V0))
