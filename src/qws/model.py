@@ -137,6 +137,11 @@ class EffectiveEquation:
     def rank(self) -> int:
         return len(self.sources)
 
+    @property
+    def kernel_acts(self) -> bool:
+        """True when the separable kernel enters the equation: mu != 0 and some coupling != 0."""
+        return self.mu != 0 and self.potential.kernel_acts
+
 
 def radial_coefficient(lam, E, mu=0.0,
                        potential: Optional[PotentialModel] = None) -> Callable:
@@ -167,19 +172,12 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
                        energy: EnergyValue) -> EffectiveEquation:
     """Assemble the reduced radial equation for one (channel, potential, energy).
 
-    Raises for lambda = 0 with a non-empty kernel (threshold-degenerate regime
-    is excluded from the non-local pipeline) and for complex q with a kernel
-    (the weight r^{(q-1)/2} would be multivalued).
+    Raises for lambda = 0 with a kernel that acts (threshold-degenerate
+    regime is excluded from the non-local pipeline) and for complex q with
+    one (the weight r^{(q-1)/2} would be multivalued).
     """
     lam = channel.lam
     mu = potential.mu
-
-    if potential.rank > 0:
-        if lam == 0:
-            raise QwsError("lambda = 0 with a kernel: half-bound regime unsupported")
-        if isinstance(channel.q, complex) and channel.q.imag != 0:
-            raise QwsError("complex q with a kernel: weight r^{(q-1)/2} is multivalued")
-
     w = (channel.q - 1) / 2  # weight exponent carried by the kernel sources
     sources = []
     for term in potential.kernel:
@@ -199,12 +197,18 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
     vm1, v0, v1 = potential.origin_coefficients()
     origin_w = (mu * vm1, mu * v0, mu * v1)
 
-    return EffectiveEquation(
+    eq = EffectiveEquation(
         channel=channel, potential=potential, energy=energy,
         lam=lam, mu=mu, r0=potential.r0,
         coefficient=radial_coefficient(lam, energy.E, mu, potential),
         sources=tuple(sources),
         coupling=coupling, origin_w=origin_w,
     )
+    if eq.kernel_acts:
+        if lam == 0:
+            raise QwsError("lambda = 0 with a kernel: half-bound regime unsupported")
+        if isinstance(channel.q, complex) and channel.q.imag != 0:
+            raise QwsError("complex q with a kernel: weight r^{(q-1)/2} is multivalued")
+    return eq
 
 

@@ -184,6 +184,15 @@ class PotentialModel:
     def rank(self) -> int:
         return len(self.kernel)
 
+    @property
+    def kernel_acts(self) -> bool:
+        """True when the kernel has some nonzero coupling (``mu`` is not read).
+
+        The one test of whether a solve takes the kernel path: a kernel whose
+        couplings all vanish is solved as the local problem it is.
+        """
+        return self.rank > 0 and bool(np.any(self.coupling_matrix() != 0.0))
+
     def local_value(self, r: float) -> float:
         if self.local is None or r >= self.r0:
             return 0.0

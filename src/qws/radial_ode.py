@@ -14,9 +14,11 @@ module hands out scaled by the system's determinant (:func:`_couple`), so
 that it stays finite where the determinant vanishes (a kernel resonance);
 :func:`solve_nonlocal` alone divides it out.
 
-This module alone decides whether an equation is local or non-local (the
-kernel counts when mu != 0 and some coupling is nonzero).  Callers pass an
-equation to :func:`interior_state` for (y, y') at the cutoff or to
+Every entry point routes on one predicate: an equation's ``kernel_acts``
+(mu != 0 and some coupling nonzero), or a model's for the lanes, whose
+couplings come per point.  A kernel whose couplings all vanish is solved
+as the local problem it is.  Callers pass an equation to
+:func:`interior_state` for (y, y') at the cutoff or to
 :func:`solve_nonlocal` for a full grid; both pick the local integration or
 the superposition themselves.  :func:`free_exterior` continues a solution
 beyond the cutoff, where the well and the kernel vanish.
@@ -584,7 +586,7 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
     ill-posed for large |lam|, so only -1 < Re lam < 0 away from -1/2 is
     accepted.
     """
-    if _kernel_active(eq):
+    if eq.kernel_acts:
         raise QwsError("equation has an active kernel; use solve_nonlocal")
     record, keep = _with_knots(eq.potential, grid.nodes)
     us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
@@ -602,7 +604,7 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
     """
     if k == 0:
         raise QwsError("Jost normalization is degenerate at k = 0")
-    if _kernel_active(eq):
+    if eq.kernel_acts:
         raise QwsError("Jost solutions are defined for the local equation only")
     energy = EnergyValue(E=k * k)
     if energy.E != eq.energy.E:
@@ -626,16 +628,6 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
 
 def _with_energy(eq: EffectiveEquation, energy: EnergyValue) -> EffectiveEquation:
     return effective_equation(eq.channel, eq.potential, energy)
-
-
-def _carries_kernel(potential: PotentialModel) -> bool:
-    """True when the potential has a kernel with some coupling != 0."""
-    return potential.rank > 0 and bool(np.any(potential.coupling_matrix() != 0.0))
-
-
-def _kernel_active(eq: EffectiveEquation) -> bool:
-    """True when the separable kernel enters the equation: mu != 0 and some coupling != 0."""
-    return eq.mu != 0 and _carries_kernel(eq.potential)
 
 
 def source_samples(sources, grid: RadialGrid) -> np.ndarray:
@@ -720,7 +712,7 @@ def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) 
     1e-12 max(1, |B|_F)^n (a kernel resonance: no solution of this
     normalization exists there).
     """
-    if not _kernel_active(eq):
+    if not eq.kernel_acts:
         return integrate_regular(eq, grid, tol)
     ys, dys, m = _superposition_solves(eq, grid, tol)
     y_int, dy_int, N, B, det = _couple(m, ys, dys, eq.coupling, eq.mu)
@@ -767,7 +759,7 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     :func:`_integrate` and :func:`prufer_angle`.  :func:`node_at_cutoff`
     reads y(r0) against max|y|.
     """
-    if _kernel_active(eq):
+    if eq.kernel_acts:
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
         ys, dys, m = _superposition_solves(
@@ -803,7 +795,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     ``potential.mu`` is ignored).  All points are integrated at once as
     float64 lanes of :func:`_integrate`, which share every step; lam, E and
     mu must be real.  A local model takes one lane per point, straight to
-    the cutoff.  A model with a kernel takes 1 + n lanes per point (the
+    the cutoff.  A model whose kernel acts takes 1 + n lanes per point (the
     homogeneous solve and the n particular ones) landed on the moment grid,
     and the n x n systems of all points are taken as one stack; its points
     come back scaled by det(Id - mu C M), as from :func:`interior_state`.
@@ -815,7 +807,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     lam = channel.lam
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
-    if not _carries_kernel(potential):
+    if not potential.kernel_acts:
         record, _ = _with_knots(potential, [R_MIN_FRACTION * potential.r0, potential.r0])
         origin_w = tuple(mu * w for w in potential.origin_coefficients())
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
@@ -849,7 +841,7 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
     determinants of n x n matrices.  Any other model solves every call
     afresh.  The solves live as long as the returned function.
     """
-    if potential.local is not None or not _carries_kernel(potential):
+    if potential.local is not None or not potential.kernel_acts:
         def at(mu):
             if np.ndim(mu):
                 return interior_lanes(channel, potential, E, mu, tol)

@@ -18,11 +18,12 @@ a path in mu (Prufer, Math. Ann. 95 (1926) 499); one more at mu = 0 gives
 theta(0).  For one-signed wells eta is monotone in mu (Calogero's
 variable-phase relation d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a
 complete starting partition; other local wells start from the uniform mu
-grid.  Kernels break the r-winding argument, so their samples are placed
-on the 2 pi branch nearest the previous one along the uniform mu grid,
-whose points come from one lanes call of
+grid.  A kernel that acts (``kernel_acts``) breaks the r-winding argument,
+so its samples are placed on the 2 pi branch nearest the previous one
+along the uniform mu grid, whose points come from one lanes call of
 :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure kernel makes one
-superposition per k).  A kernel's (y, y') comes scaled by
+superposition per k); the walk splits each step over which the well's
+phase may turn by more than pi/2 in sqrt(mu).  A kernel's (y, y') comes scaled by
 det(Id - mu C M), so it stays smooth in mu through coupling resonances,
 where the unscaled state passes through infinity and its theta jumps by pi.
 
@@ -209,7 +210,7 @@ def hermiticity_residual(kind: str, lam: complex, k: complex,
     kind="phi": || conj(phi(lam, k)) - phi(conj lam, conj k) ||_inf
     kind="f":   || conj(f(lam, k))  - f(conj lam, -conj k)  ||_inf
     """
-    if potential.kernel:
+    if potential.kernel_acts:
         raise QwsError("conjugation audit applies to the local problem")
     if grid is None:
         grid = make_grid(potential.r0)
@@ -384,19 +385,50 @@ def _branch_events(path: List[Tuple[float, float]], th0: float) -> List[Tuple[fl
     return events
 
 
-def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: Sequence[float],
-                floor: float) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
+def _sqrt_mu_steps(grid: List[float], scale: float) -> List[float]:
+    """``grid`` with every step that may turn a well's phase by over pi/2 split.
+
+    The interior phase of a local well grows like scale sqrt(mu), scale =
+    r0 sqrt(max|V|), whose slope in mu is unbounded at mu = 0.  A step
+    [a, b] with scale |t(b) - t(a)| > pi/2, t(mu) = sign(mu) sqrt|mu|, is
+    cut into the fewest equal steps in t that each stay within pi/2; every
+    other step, and each grid point, stays as it is.
+    """
+    walk = grid[:1]
+    for a, b in zip(grid[:-1], grid[1:]):
+        ta, tb = math.copysign(math.sqrt(abs(a)), a), math.copysign(math.sqrt(abs(b)), b)
+        n = math.ceil(scale * abs(tb - ta) / (0.5 * math.pi))
+        for j in range(1, n):
+            t = ta + (tb - ta) * j / n
+            walk.append(math.copysign(t * t, t))
+        walk.append(b)
+    return walk
+
+
+def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: List[float],
+                floor: float, potential: PotentialModel
+                ) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
     """Walk theta = atan2(KJ, KN), (KN, KJ) = pair(y, y'), along a coupling grid.
 
     ``states`` maps each coupling solved so far to its (y, y', max|y|, ...)
     at r0 and takes the new ones, which ``state(mu)`` makes.  With ``g0``
-    from :func:`_matching_map` theta is the Prufer lift (absolute); with
-    ``g0`` None each sample goes on the 2 pi branch nearest the previous
-    one, and a step turning theta by more than pi/2 is split.
+    from :func:`_matching_map` theta is the Prufer lift (absolute), and
+    the walk keeps ``grid``.  With ``g0`` None each sample goes on the 2 pi
+    branch nearest the previous one.  Such a placed walk makes the grid
+    points missing from ``states`` with one array call of ``state`` (float64
+    lanes), then splits every step over which the local well of
+    ``potential`` may turn theta by more than pi/2 (:func:`_sqrt_mu_steps`,
+    scale r0 sqrt(max|V|)); the added couplings are scalar samples, and a
+    step that still turns by more than pi/2 is split again.
     :func:`_locate_branches` resolves the events of theta - th0,
     th0 = theta(grid[0]), each to a bracket no wider than ``floor``.
     Returns theta(grid[-1]) - th0 and the events of :func:`_branch_events`.
     """
+    if g0 is None:
+        missing = [m for m in grid if m not in states]
+        if missing:
+            states.update(zip(missing, zip(*state(np.array(missing)))))
+        grid = _sqrt_mu_steps(grid, potential.r0 * math.sqrt(potential.max_local()))
     th0 = _theta(pair, states[grid[0]], g0)[0]
     c0, s0 = math.cos(th0), math.sin(th0)
 
@@ -446,12 +478,14 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     Local potentials take theta from one Prufer-unwrapped integration at
     mu and one free integration, so eta needs no path in mu; they start
     from the partition {0, mu} when the profile keeps one sign (eta is then
-    monotone in mu), otherwise from the ``mu_steps`` grid.  Kernel
-    potentials start from the ``mu_steps`` grid, whose points come from
-    one lanes call of :func:`~qws.radial_ode.interior_in_mu`, with theta
-    read from the det(Id - mu C M)-scaled state and placed on the 2 pi
-    branch nearest the previous sample.  Either way :func:`_phase_walk`
-    resolves the branch events to MU_REFINE_FLOOR.
+    monotone in mu), otherwise from the ``mu_steps`` grid.  A potential
+    whose kernel acts (``kernel_acts``: some coupling nonzero) starts from
+    the ``mu_steps`` grid, with theta read from the det(Id - mu C M)-scaled
+    state of :func:`~qws.radial_ode.interior_in_mu` and placed on the 2 pi
+    branch nearest the previous sample; :func:`_phase_walk` makes that
+    grid in one lanes call and splits its steps where the well may turn
+    theta by more than pi/2.  Either way the walk resolves the branch
+    events to MU_REFINE_FLOOR.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
@@ -460,7 +494,7 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
         raise QwsError("mu_steps must be None or at least 1")
     energy = EnergyValue.from_k(k)
     pair, g0 = _matching_map(lam, k, potential.r0)
-    if potential.kernel:
+    if potential.kernel_acts:
         g0 = None
         state = interior_in_mu(channel, potential, energy.E, tol)
     else:
@@ -477,14 +511,11 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     elif mu_steps is None:
         eta = eta_raw
     else:
-        states = {0.0: state(0.0), float(mu): at_mu}
-        inner = np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1]
-        if not potential.kernel and potential.one_signed:
-            inner = inner[:0]   # eta is monotone in mu: {0, mu} partitions the path
-        elif potential.kernel and len(inner):
-            states.update(zip(inner.tolist(), zip(*state(inner))))   # one lanes call
-        grid = [0.0] + inner.tolist() + [float(mu)]
-        eta, events = _phase_walk(pair, g0, state, states, grid, MU_REFINE_FLOOR)
+        inner = np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1].tolist()
+        if not potential.kernel_acts and potential.one_signed:
+            inner = []   # eta is monotone in mu: {0, mu} partitions the path
+        eta, events = _phase_walk(pair, g0, state, {0.0: state(0.0), float(mu): at_mu},
+                                  [0.0] + inner + [float(mu)], MU_REFINE_FLOOR, potential)
     eta_fit = None
     if with_fit:
         eq = effective_equation(channel, potential.with_mu(mu), energy)

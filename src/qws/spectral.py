@@ -11,9 +11,10 @@ cutoff values as a function of mu at the threshold energy: every sample of
 :func:`continuation_count`, its mu grid at once, which a pure kernel
 answers from one superposition) or :func:`~qws.radial_ode.solve_nonlocal`
 (a full grid), which decide between the local integration and the kernel
-superposition themselves.  This module branches on ``potential.kernel``
-only where the mathematics differs: the kernel term of the energy floor,
-and how :func:`find_bound_states` finds the levels.
+superposition themselves.  This module reads ``potential.kernel_acts``
+(some coupling nonzero) only where the mathematics differs: the kernel
+term of the energy floor, and how :func:`find_bound_states` finds the
+levels; a kernel whose couplings all vanish is searched as its well.
 
 A local equation obeys Sturm oscillation, so its levels are counted and
 refined on the Prufer mismatch F(E) = phi(r0) - atan h(E), with h(E) the
@@ -33,8 +34,9 @@ shifts.  :func:`levinson_verify` takes the count alone.
 
 The crossing counter :func:`continuation_count` is the mu walk of
 :func:`~qws.scattering.phase_shift` at k -> 0, with its event locator, on
-the threshold map (y' - rho y, rho~ y - y'), whose grid steps are split
-in sqrt(mu) wherever a well's phase may turn by more than pi/2 over one.
+the threshold map (y' - rho y, rho~ y - y'), whose grid steps the walk
+splits in sqrt(mu) wherever a well's phase may turn by more than pi/2
+over one.
 No sample of the scan, the count or the walk is nudged around a kernel
 resonance: the scaled state is finite there.
 """
@@ -214,7 +216,7 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
     S_i = g_i r^{(q-1)/2} normed over (0, r0).
     """
     bound = potential.max_local()
-    if potential.kernel:
+    if potential.kernel_acts:
         grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
         eq = effective_equation(channel, potential, EnergyValue(E=0.0))
         s = source_samples(eq.sources, grid)
@@ -261,7 +263,7 @@ def _level_search(channel, potential, mu, E_floor, n_scan, ode_tol):
     if E_floor >= 0:
         raise QwsError("E_floor must be negative")
     E_top = -1e-11 * max(1.0, abs(E_floor))
-    if potential.kernel:
+    if potential.kernel_acts:
         return _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol)
     return _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
 
@@ -448,26 +450,6 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
                        slope_exterior_quad=float(slope_ext_quad))
 
 
-def _sqrt_mu_steps(grid: List[float], scale: float) -> List[float]:
-    """``grid`` with every step that may turn a well's phase by over pi/2 split.
-
-    The interior phase of a local well grows like scale sqrt(mu), scale =
-    r0 sqrt(max|V|), whose slope in mu is unbounded at mu = 0.  A step
-    [a, b] with scale |t(b) - t(a)| > pi/2, t(mu) = sign(mu) sqrt|mu|, is
-    cut into the fewest equal steps in t that each stay within pi/2; every
-    other step, and each grid point, stays as it is.
-    """
-    walk = grid[:1]
-    for a, b in zip(grid[:-1], grid[1:]):
-        ta, tb = math.copysign(math.sqrt(abs(a)), a), math.copysign(math.sqrt(abs(b)), b)
-        n = math.ceil(scale * abs(tb - ta) / (0.5 * math.pi))
-        for j in range(1, n):
-            t = ta + (tb - ta) * j / n
-            walk.append(math.copysign(t * t, t))
-        walk.append(b)
-    return walk
-
-
 def continuation_count(channel: ChannelParams, potential: PotentialModel,
                        mu_grid: Optional[Sequence[float]] = None,
                        tol: float = 1e-9) -> ContinuationReport:
@@ -485,10 +467,11 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     placed on the 2 pi branch nearest the previous one, extra samples come
     from scalar solves at the same energy, and the branch events are
     refined to MU_CROSSING_FLOOR.  A placed sample cannot see a full turn,
-    so the walk first splits each grid step over which a well's phase
-    r0 sqrt(max|V| mu) may turn by more than pi/2 into equal steps in
-    sqrt(mu) (:func:`_sqrt_mu_steps`): the s-wave well of depth 1e4 has
-    its first two crossings in the default grid's first step.  The added
+    so the walk (:func:`~qws.scattering._phase_walk`, handed the grid
+    states of the ``A_samples`` lanes call) splits each grid step over
+    which a well's phase r0 sqrt(max|V| mu) may turn by more than pi/2
+    into equal steps in sqrt(mu): the s-wave well of depth 1e4 has its
+    first two crossings in the default grid's first step.  The added
     couplings are scalar samples; ``A_samples`` and the staircase stay on
     ``mu_grid``.  The free threshold state at mu = 0 has A = rho~, so
     th0 = 0 up to the proxy energy, and the events of
@@ -527,9 +510,8 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     def threshold_map(u, v):
         return v - rho * u, rho_t * u - v
 
-    states = dict(zip(grid, zip(*lanes)))
-    walk = _sqrt_mu_steps(grid, r0 * math.sqrt(potential.max_local()))
-    _, events = _phase_walk(threshold_map, None, at, states, walk, MU_CROSSING_FLOOR)
+    _, events = _phase_walk(threshold_map, None, at, dict(zip(grid, zip(*lanes))), grid,
+                            MU_CROSSING_FLOOR, potential)
 
     n_down = sum(1 for _, d in events if d > 0)
     n_up = sum(1 for _, d in events if d < 0)

@@ -470,6 +470,56 @@ class TestMuSteps:
         assert len(res.events) == 1
 
 
+class TestSqrtMuSteps:
+    def test_only_steps_that_may_turn_past_a_quarter_are_split(self):
+        grid = np.linspace(0.0, 1.0, 201).tolist()
+        # the deepest benchmark well (90) keeps the grid as it is
+        assert scattering._sqrt_mu_steps(grid, math.sqrt(90.0)) == grid
+        assert len(scattering._sqrt_mu_steps(grid, math.sqrt(1e4))) == 201 + 8
+
+
+DEEP_WELL = PotentialModel(r0=1.0, local=square_well(5000.0))
+
+
+def _deep_well_with_bump(strength: float) -> PotentialModel:
+    return PotentialModel(r0=1.0, local=square_well(5000.0),
+                          kernel=(gaussian_bump(0.5, 0.15),), strengths=(strength,))
+
+
+class TestKernelActs:
+    """A kernel acts when mu != 0 and some coupling is nonzero; otherwise every
+    layer solves the local problem, as the bare well would."""
+
+    @pytest.fixture(scope="class")
+    def bare(self):
+        return phase_shift(CH_S, DEEP_WELL, 1.0)
+
+    def test_predicate(self):
+        idle, weak = _deep_well_with_bump(0.0), _deep_well_with_bump(-1e-9)
+        assert not idle.kernel_acts and weak.kernel_acts
+        energy = EnergyValue.from_k(1.0)
+        assert effective_equation(CH_S, weak, energy).kernel_acts
+        assert not effective_equation(CH_S, weak.with_mu(0.0), energy).kernel_acts
+        # the lambda = 0 guard reads the same predicate
+        ch0 = ChannelParams(q=2, l=0)
+        assert not effective_equation(ch0, idle, energy).kernel_acts
+        with pytest.raises(QwsError, match="lambda = 0"):
+            effective_equation(ch0, weak, energy)
+
+    def test_zero_coupling_is_the_bare_well(self, bare):
+        # the kernel path's walk placed 23 samples' worth of turns on a grid
+        # too coarse for them: eta = 20.549 pi against 22.549 pi
+        res = phase_shift(CH_S, _deep_well_with_bump(0.0), 1.0)
+        assert res == bare
+
+    def test_weak_kernel_walk_splits_placed_steps(self, bare):
+        # a kernel that acts takes the placed walk, which now splits the
+        # steps over which the well's phase may turn by more than pi/2
+        res = phase_shift(CH_S, _deep_well_with_bump(-1e-9), 1.0, with_fit=False)
+        assert abs(res.eta - bare.eta) <= 1e-6
+        assert [d for _, d in res.events] == [d for _, d in bare.events]
+
+
 WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
                              kernel=(gaussian_bump(0.5, 0.15),), strengths=(-120.0,))
 

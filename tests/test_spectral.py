@@ -130,6 +130,16 @@ class TestFindBoundStates:
         for s, E_ref in zip(states, oracle):
             assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
 
+    def test_zero_coupling_kernel_is_searched_as_its_well(self):
+        # a kernel whose couplings all vanish does not act, so the well is
+        # counted by Sturm, not scanned: the 400-energy scan found 21 of 23
+        bare = PotentialModel(r0=1.0, local=square_well(5000.0))
+        idle = PotentialModel(r0=1.0, local=square_well(5000.0),
+                              kernel=(gaussian_bump(0.5, 0.15),), strengths=(0.0,))
+        levels = [s.E for s in find_bound_states(CH_S, idle)]
+        assert len(levels) == 23
+        assert levels == [s.E for s in find_bound_states(CH_S, bare)]
+
 
 def _bisect_root(f, a, fa, b, fb, tol):
     """Bisection of a scan bracket down to tol max(1, |a|): the reference for the refiner."""
@@ -344,10 +354,6 @@ class TestContinuationCount:
         found = sorted(m for m, _ in rep.events)
         for j, m in enumerate(found[:3]):
             assert abs(m - (j + 0.5) ** 2 * math.pi ** 2 / V0) <= sp.MU_CROSSING_FLOOR
-        # the deepest benchmark well (90) keeps the grid as it is
-        grid = np.linspace(0.0, 1.0, 201).tolist()
-        assert sp._sqrt_mu_steps(grid, math.sqrt(90.0)) == grid
-        assert len(sp._sqrt_mu_steps(grid, math.sqrt(V0))) == 201 + 8
 
     def test_monotone_attractive_never_uncrosses(self):
         for V0 in (4.0, 12.0, (2 * math.pi) ** 2):
