@@ -4,8 +4,10 @@
 Covers attractive square wells with 0, 1 and 2 levels, a higher partial
 wave, a purely non-local rank-1 attraction, a mixed local + non-local
 configuration, a repulsive rank-1 kernel whose coupling determinant
-det(Id - mu C M) changes sign along the mu path, and a deep well (32
-levels) whose first thresholds share one step of the default mu grid.
+det(Id - mu C M) changes sign along the mu path, a deep well (32
+levels) whose first thresholds share one step of the default mu grid, and
+an l = 2 rank-1 kernel whose phase at the Levinson wavenumbers steps by pi
+to the last bit at its one event.
 Prints one line per configuration and exits 1 unless every configuration
 passes.
 """
@@ -22,6 +24,7 @@ from qws.spectral import levinson_verify
 def corpus():
     ch_s = ChannelParams(q=3, l=0)
     ch_p = ChannelParams(q=3, l=1)
+    ch_d = ChannelParams(q=3, l=2)
     bump = gaussian_bump(center=0.5, width=0.15)
     return [
         ("square well, no level", ch_s, PotentialModel(r0=1.0, local=square_well(1.0))),
@@ -37,6 +40,8 @@ def corpus():
         ("repulsive rank-1 kernel", ch_p,
          PotentialModel(r0=1.0, kernel=(bump,), strengths=(3000.0,))),
         ("deep well, 32 levels", ch_s, PotentialModel(r0=1.0, local=square_well(1e4))),
+        ("d-wave rank-1 kernel", ch_d,
+         PotentialModel(r0=1.0, kernel=(bump,), strengths=(-3000.0,))),
     ]
 
 

@@ -33,7 +33,11 @@ holding more than one is bisected, and a single one is refined by
 :func:`~qws.roots.refine_root` on the matching denominator
 D = KN cos th0 + KJ sin th0 = |K| cos(eta), which is linear in
 (y, y')(r0), hence smooth in mu, and changes sign at the event, where
-theta itself may turn like a step at low k.  :func:`_phase_walk` runs it
+theta itself may turn like a step at low k.  A placed sample takes th0 as
+exactly 0 or pi (the free state has KJ = 0), and across a sign change of D
+its turn comes from the signs of D and P = |K| sin(eta) (:func:`_across`):
+at low k the step is pi to the last bit, and the nearest branch a rounding
+tie.  :func:`_phase_walk` runs it
 along a mu grid; :func:`~qws.spectral.continuation_count` walks the k -> 0
 limit of L, (KN, KJ) ~ (y' - rho y, rho~ y - y'), to its own floor.
 """
@@ -322,12 +326,33 @@ def _branch_index(th: float, th0: float) -> int:
     return math.floor((th - th0) / math.pi + 0.5)
 
 
-def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
-                     path: List[Tuple[float, float]], th0: float,
-                     max_turn: float, floor: float) -> Tuple[float, float, float]:
+Sample = Tuple[float, float, float, float]   # (mu, theta, D, P)
+
+
+def _across(near: Sample, far: Sample) -> float:
+    """The angle to place ``far`` by, across a sign change of D from ``near``.
+
+    D = |K| cos(theta - th0) changes sign where eta = theta - th0 passes
+    pi/2 (mod pi).  When P = |K| sin(theta - th0) has one sign at both
+    ends, theta crossed no multiple of pi on the way, so it turned by d pi
+    plus less than pi/2 either side, d = -sign(P) sign(D_far - D_near).
+    That holds also where the turn is pi to the last bit (low k), and the
+    nearest 2 pi branch is a rounding tie.  Returns theta(near) + d pi,
+    or theta(near), to place ``far`` on its nearest branch, when D keeps
+    its sign or P does not.
+    """
+    _, th, d_near, p_near = near
+    _, _, d_far, p_far = far
+    if same_sign(d_near, d_far) or not same_sign(p_near, p_far):
+        return th
+    return th - math.copysign(math.pi, p_near) * math.copysign(1.0, d_far - d_near)
+
+
+def _locate_branches(point, a: Sample, mu_b: float, path: List[Tuple[float, float]],
+                     th0: float, max_turn: float, floor: float) -> Sample:
     """Resolve every branch event of eta = theta - th0 from sample ``a`` to coupling mu_b.
 
-    Samples are (mu, theta, D), ``a`` already the last point of ``path``.
+    Samples are (mu, theta, D, P), ``a`` already the last point of ``path``.
     ``point(mu, near)`` makes one, with theta on the 2 pi branch nearest
     ``near`` (a Prufer-lifted theta is absolute and ignores ``near``), and
     answers a coupling it has seen before without a solve; the end of each
@@ -343,26 +368,30 @@ def _locate_branches(point, a: Tuple[float, float, float], mu_b: float,
     changes sign there, to a bracket no wider than ``floor``; the bracket's
     ends go into ``path``.  Should the ends not carry the branch
     indices of the segment's ends (theta not monotone inside), or D not
-    change sign, the segment is split at its midpoint instead.  Points are
+    change sign, the segment is split at its midpoint instead.  Wherever
+    D changes sign across a bracket no wider than ``floor``, by refinement
+    or by splitting, the far end is placed by :func:`_across`.  Points are
     appended in the order of the walk; returns the sample at mu_b as
     appended.
     """
-    mu_a, th_a, d_a = a
+    mu_a, th_a, d_a, _ = a
     b = point(mu_b, th_a)
     th_b, d_b = b[1], b[2]
     jump = _branch_index(th_b, th0) - _branch_index(th_a, th0)
     turn_ok = abs(th_b - th_a) <= max_turn
     if abs(mu_b - mu_a) <= floor or (jump == 0 and turn_ok):
-        path.append((mu_b, th_b))
+        b = point(mu_b, _across(a, b))
+        path.append((mu_b, b[1]))
         return b
     if abs(jump) == 1 and turn_ok and not same_sign(d_a, d_b):
         tol = floor / max(1.0, abs(mu_a), abs(mu_b))
         lo, hi = refine_root(lambda m: point(m, th_a)[2], mu_a, d_a, mu_b, d_b, tol)
         near, far = (lo, hi) if mu_a < mu_b else (hi, lo)
         near, far = point(near, th_a), point(far, th_a)
+        far = point(far[0], _across(near, far))
         if (_branch_index(near[1], th0) == _branch_index(th_a, th0)
                 and _branch_index(far[1], th0) == _branch_index(th_b, th0)):
-            path.extend((m, th) for m, th, _ in (near, far) if m not in (mu_a, mu_b))
+            path.extend((m, th) for m, th, *_ in (near, far) if m not in (mu_a, mu_b))
             path.append((mu_b, th_b))
             return b
     mid = _locate_branches(point, a, 0.5 * (mu_a + mu_b), path, th0, max_turn, floor)
@@ -421,7 +450,9 @@ def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: List[float
     scale r0 sqrt(max|V|)); the added couplings are scalar samples, and a
     step that still turns by more than pi/2 is split again.
     :func:`_locate_branches` resolves the events of theta - th0,
-    th0 = theta(grid[0]), each to a bracket no wider than ``floor``.
+    th0 = theta(grid[0]) (in a placed walk, rounded to the multiple of pi
+    that the free state's KJ = 0 makes it), each to a bracket no wider
+    than ``floor``.
     Returns theta(grid[-1]) - th0 and the events of :func:`_branch_events`.
     """
     if g0 is None:
@@ -430,10 +461,14 @@ def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: List[float
             states.update(zip(missing, zip(*state(np.array(missing)))))
         grid = _sqrt_mu_steps(grid, potential.r0 * math.sqrt(potential.max_local()))
     th0 = _theta(pair, states[grid[0]], g0)[0]
-    c0, s0 = math.cos(th0), math.sin(th0)
+    if g0 is None:   # the free state has KJ = 0: th0 is 0 or pi, and exactly so
+        turns = round(th0 / math.pi)
+        th0, c0, s0 = turns * math.pi, -1.0 if turns % 2 else 1.0, 0.0
+    else:
+        c0, s0 = math.cos(th0), math.sin(th0)
 
-    def point(m: float, near: float) -> Tuple[float, float, float]:
-        """(mu, theta, D) with D = KN cos th0 + KJ sin th0 = |K| cos(theta - th0)."""
+    def point(m: float, near: float) -> Sample:
+        """(mu, theta, D, P): D = |K| cos(theta - th0), P = |K| sin(theta - th0)."""
         st = states.get(m)
         if st is None:
             st = states[m] = state(m)
@@ -441,7 +476,8 @@ def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: List[float
         th = _theta(pair, st, g0)[0]
         if g0 is None:
             th = _unwrap_step(near, th)
-        return m, th, kn.real * c0 + kj.real * s0
+        kn, kj = kn.real, kj.real
+        return m, th, kn * c0 + kj * s0, kj * c0 - kn * s0
 
     max_turn = math.inf if g0 is not None else 0.5 * math.pi
     path: List[Tuple[float, float]] = [(grid[0], th0)]

@@ -547,6 +547,31 @@ class TestRepulsiveKernel:
         assert res.events == ()
 
 
+class TestLowKStep:
+    """The q = 3, l = 2 rank-1 bump at strength -3000: one level, one event near mu = 0.2942."""
+
+    CH = ChannelParams(q=3, l=2)
+    POT = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-3000.0,))
+
+    def test_event_rises_at_every_wavenumber(self):
+        # at k = 1e-4 theta - th0 is 0 before the event and exactly +-pi
+        # after it; the nearest 2 pi branch took -1 there, +1 at k = 1e-2
+        for k in (1e-4, 2e-4, 1e-2):
+            res = phase_shift(self.CH, self.POT, k, with_fit=False)
+            assert [d for _, d in res.events] == [1]
+            assert abs(res.events[0][0] - 0.29418) <= 1e-4
+            assert abs(res.eta - math.pi) <= 1e-6
+
+    def test_across_reads_p_only_where_both_ends_agree(self):
+        # D falls through 0 with P > 0 at both ends: theta rose by pi
+        assert scattering._across((0.0, 0.0, 1.0, 1e-20), (1e-5, -math.pi, -1.0, 1e-20)) \
+            == math.pi
+        # P changes sign as well: the far end keeps its nearest branch
+        assert scattering._across((0.0, 0.5, 1.0, -1e-6), (1e-5, 2.0, -1.0, 1e-6)) == 0.5
+        # D keeps its sign: no crossing to place
+        assert scattering._across((0.0, 0.5, 1.0, 1e-6), (1e-5, 0.6, 2.0, 1e-6)) == 0.5
+
+
 class TestKernelWalkLanes:
     def test_well_kernel_grid_from_one_lanes_call(self, monkeypatch):
         # the corpus well + kernel at the Levinson wavenumber; the scalar walk

@@ -454,6 +454,29 @@ class TestLevinson:
         assert rep.passed and rep.n_direct == rep.n_continuation == 0
         assert abs(rep.eta0) <= 1e-8
 
+    def test_low_k_events_take_their_direction_from_d_and_p(self):
+        # at lam = 2.5 and k = 1e-4 tan eta ~ (k r0)^5 is below double
+        # precision, so a placed theta steps by exactly pi at an event and
+        # its nearest 2 pi branch was a rounding tie: the first two models
+        # gave eta0 = -pi and pi against 1 and 3 levels ("fail").  The
+        # two-bump model flipped an event when only th0 was made exact; the
+        # s-wave one, when d took the sign of P from one bracket end alone
+        def model(depth, *bumps):
+            return PotentialModel(r0=1.0, local=square_well(depth) if depth else None,
+                                  kernel=tuple(gaussian_bump(c, w) for c, w, _ in bumps),
+                                  strengths=tuple(s for *_, s in bumps))
+
+        ch_d = ChannelParams(q=3, l=2)
+        for ch, pot, n in [
+            (ch_d, model(0.0, (0.5, 0.15, -3000.0)), 1),
+            (ch_d, model(114.943, (0.343121, 0.120363, -2599.04)), 3),
+            (ch_d, model(123.16, (0.702, 0.13, -1119.7), (0.339, 0.163, 1374.3)), 2),
+            (CH_S, model(120.338, (0.623673, 0.143661, 1612.51)), 3),
+        ]:
+            rep = levinson_verify(ch, pot)
+            assert rep.passed and rep.n_direct == rep.n_continuation == n
+            assert abs(rep.eta0 - n * math.pi) <= 1e-6
+
     def test_upstream_errors_surface_as_inconclusive(self, monkeypatch):
         from qws import spectral as sp
         from qws.errors import AmbiguousCrossingError
