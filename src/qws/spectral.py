@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +62,7 @@ from .roots import refine_root
 from .scattering import _phase_walk, phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # widest bracket a threshold crossing is located to
+N_SCAN_DEFAULT = 400       # energies of a kernel's level scan
 GRAZING_TOL = 1e-10
 
 
@@ -228,7 +229,7 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
 
 def find_bound_states(channel: ChannelParams, potential: PotentialModel,
                       mu: float = 1.0, E_floor: Optional[float] = None,
-                      tol: float = 1e-10, n_scan: int = 400,
+                      tol: float = 1e-10, n_scan: int = N_SCAN_DEFAULT,
                       ode_tol: float = 1e-10) -> List[BoundState]:
     """All bound levels in [E_floor, 0), each refined to a width of tol max(1, |E|).
 
@@ -268,14 +269,36 @@ def _level_search(channel, potential, mu, E_floor, n_scan, ode_tol):
     return _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
 
 
+def _interlacing_window(channel, potential, mu, E_floor, E_top, ode_tol) -> Tuple[int, int]:
+    """The level counts in [E_floor, E_top) that rank-n interlacing allows.
+
+    H differs from its local part by the rank-n kernel mu sum_ij c_ij S_i <S_j, .>,
+    whose nonzero eigenvalues have the signs of those of mu C: n_+ positive
+    and n_- negative.  So N_H(E), the number of levels below E, lies in
+    [N_loc(E) - n_+, N_loc(E) + n_-] at every E (Weyl's interlacing for
+    finite-rank perturbations), with N_loc = ceil(-F/pi) from the local
+    part's Prufer mismatch: two solves, none without a local part.  The
+    count in the range is N_H(E_top) - N_H(E_floor), with N_H >= 0.
+    """
+    eig = np.linalg.eigvalsh(mu * potential.coupling_matrix())
+    n_plus, n_minus = int(np.sum(eig > 0)), int(np.sum(eig < 0))
+    n_floor = n_top = 0
+    if potential.local is not None:
+        local = replace(potential, kernel=(), strengths=(), coupling=None)
+        n_floor, n_top = (math.ceil(-_prufer_mismatch(channel, local, E, mu, ode_tol) / math.pi)
+                          for E in (E_floor, E_top))
+    return n_top - n_plus - n_floor - n_minus, n_top + n_minus - max(0, n_floor - n_plus)
+
+
 def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
     """Sign brackets of M(E) on a log-spaced lane scan, each refined on demand (kernels).
 
-    Adjacent sign-change intervals trigger one re-scan on four times the
-    points, and warn if they persist.  Returns the brackets, each as
-    (a, M(a), b, M(b)) with the values of the scan that found it, and their
-    refinement by :func:`~qws.roots.refine_root`, which starts from those
-    values and solves no bracket end again.
+    Adjacent sign-change intervals, or a bracket count outside the
+    interlacing window of :func:`_interlacing_window`, trigger one re-scan
+    on four times the points, and warn if they persist.  Returns the
+    brackets, each as (a, M(a), b, M(b)) with the values of the scan that
+    found it, and their refinement by :func:`~qws.roots.refine_root`, which
+    starts from those values and solves no bracket end again.
     """
     def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float, float, float]], bool]:
         vals = _scan_values(channel, potential, grid_E, mu, ode_tol)
@@ -283,11 +306,15 @@ def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
         at = dict(zip(grid_E.tolist(), vals.tolist()))
         return [(a, at[a], b, at[b]) for a, b in brackets], adjacent
 
+    lo, hi = _interlacing_window(channel, potential, mu, E_floor, E_top, ode_tol)
     brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, n_scan))
-    if adjacent:
+    if adjacent or not lo <= len(brackets) <= hi:
         brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, 4 * n_scan))
         if adjacent:
             warnings.warn("adjacent sign changes persist: energy scan too coarse")
+        if not lo <= len(brackets) <= hi:
+            warnings.warn(f"{len(brackets)} levels outside the interlacing window "
+                          f"[{lo}, {hi}]: the kernel scan miscounts")
 
     def match(E: float) -> float:
         return _matching_scan_value(channel, potential, E, mu, ode_tol)
@@ -526,16 +553,16 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
 
 
 def levinson_verify(channel: ChannelParams, potential: PotentialModel,
-                    tol_eta: float = 1e-2, tol: float = 1e-9,
-                    mu_steps: int = 200, n_scan: int = 400) -> LevinsonReport:
+                    tol_eta: float = 1e-2, tol: float = 1e-9) -> LevinsonReport:
     """Check eta(0) = n pi, with n counted two independent ways.
 
-    eta(0) comes from the mu-continued phase at two small wavenumbers,
-    extrapolated to k = 0 along the k^{2 lam} law.  n comes from the count
-    step of the level search of :func:`find_bound_states`, which refines
-    and builds no level here: two Prufer-mismatch solves for a local well,
-    the sign brackets of the energy scan for a kernel (``n_scan`` is its
-    size).  It also comes from the threshold crossing counter, and the two
+    eta(0) comes from the mu-continued phase (MU_STEPS_DEFAULT steps) at
+    two small wavenumbers, extrapolated to k = 0 along the k^{2 lam} law.
+    n comes from the count step of the level search of
+    :func:`find_bound_states`, which refines and builds no level here: two
+    Prufer-mismatch solves for a local well, the sign brackets of the
+    default energy scan for a kernel.  It also comes from the threshold
+    crossing counter, and the two
     must agree exactly.  Upstream degeneracies surface as status
     "inconclusive".  The counter's report rides along as ``continuation``
     (for the staircase).
@@ -545,14 +572,14 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     cont = None
     try:
         cont = continuation_count(channel, potential, tol=tol)
-        levels, _ = _level_search(channel, potential, potential.mu, None, n_scan, tol)
+        levels, _ = _level_search(channel, potential, potential.mu, None, N_SCAN_DEFAULT, tol)
         n_direct = len(levels)
         k1 = 1e-4 / r0
         k2 = 2e-4 / r0
         eta1 = phase_shift(channel, potential, k1, mu=potential.mu, tol=tol,
-                           mu_steps=mu_steps, with_fit=False).eta
+                           with_fit=False).eta
         eta2 = phase_shift(channel, potential, k2, mu=potential.mu, tol=tol,
-                           mu_steps=mu_steps, with_fit=False).eta
+                           with_fit=False).eta
         eta0 = eta1 - (eta2 - eta1) / (2.0 ** (2 * lam) - 1.0)
     except (AmbiguousCrossingError, NearThresholdResonanceError,
             NodeAtCutoffError) as exc:

@@ -130,6 +130,28 @@ class TestFindBoundStates:
         for s, E_ref in zip(states, oracle):
             assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
 
+    def test_scan_count_outside_the_interlacing_window_rescans(self):
+        # a repulsive rank-1 kernel on a two-level well keeps 1 or 2 levels
+        # (Weyl); the 32-point scan lost both, two levels in one interval
+        pot = PotentialModel(r0=1.0, local=square_well(60.0),
+                             kernel=(gaussian_bump(0.5, 0.15),), strengths=(300.0,))
+        assert sp._interlacing_window(CH_S, pot, 1.0, -100.0, -1e-9, 1e-10) == (1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(CH_S, pot, n_scan=32)
+        assert [round(s.E, 4) for s in states] == [-44.7122, -29.1884]
+
+    def test_strong_rank1_kernel_warns_of_its_miscount(self):
+        # a rank-1 kernel binds at most one level, but at -5e4 the outward
+        # superposition is too ill-conditioned to scan: the count stays
+        # outside the window after the re-scan, and says so
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-5e4,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            levels, _ = sp._level_search(CH_S, pot, 1.0, None, sp.N_SCAN_DEFAULT, 1e-10)
+        assert len(levels) > 1
+        assert any("outside the interlacing window [-1, 1]" in str(w.message) for w in caught)
+
     def test_zero_coupling_kernel_is_searched_as_its_well(self):
         # a kernel whose couplings all vanish does not act, so the well is
         # counted by Sturm, not scanned: the 400-energy scan found 21 of 23
