@@ -23,9 +23,10 @@ so its samples are placed on the 2 pi branch nearest the previous one
 along the uniform mu grid, whose points come from one lanes call of
 :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure kernel makes one
 superposition per k); the walk splits each step over which the well's
-phase may turn by more than pi/2 in sqrt(mu).  A kernel's (y, y') comes scaled by
-det(Id - mu C M), so it stays smooth in mu through coupling resonances,
-where the unscaled state passes through infinity and its theta jumps by pi.
+phase may turn by more than pi/2 in sqrt(mu).  A kernel's (y, y') comes
+scaled by det(Id - mu C M), so it stays smooth in mu through coupling
+resonances, where the unscaled state passes through infinity and its theta
+jumps by pi.
 
 One locator, :func:`_locate_branches`, takes both kinds of samples to the
 branch events (eta through half-integer multiples of pi): a segment
@@ -333,12 +334,13 @@ def _across(near: Sample, far: Sample) -> float:
     """The angle to place ``far`` by, across a sign change of D from ``near``.
 
     D = |K| cos(theta - th0) changes sign where eta = theta - th0 passes
-    pi/2 (mod pi).  When P = |K| sin(theta - th0) has one sign at both
-    ends, theta crossed no multiple of pi on the way, so it turned by d pi
-    plus less than pi/2 either side, d = -sign(P) sign(D_far - D_near).
-    That holds also where the turn is pi to the last bit (low k), and the
-    nearest 2 pi branch is a rounding tie.  Returns theta(near) + d pi,
-    or theta(near), to place ``far`` on its nearest branch, when D keeps
+    pi/2 (mod pi).  When P = |K| sin(theta - th0) keeps one sign from end
+    to end, theta passed no multiple of pi, so the far end lies in the
+    quadrant beside the near one, d = -sign(P) sign(D_far - D_near) pi
+    away: the far end's branch is the near one's plus d.  That holds also
+    where theta steps by pi to the last bit (low k), so that its nearest
+    2 pi branch is a rounding tie.  Returns theta(near) + d pi; or
+    theta(near), which places ``far`` on its nearest branch, when D keeps
     its sign or P does not.
     """
     _, th, d_near, p_near = near
