@@ -4,9 +4,12 @@
 Each model is an attractive square well (depth 0-150, r0 = 1) plus 0, 1 or
 2 rank-1 gaussian bumps (centre 0.3-0.7, width 0.10-0.17, strength
 -3000..3000), in a channel with lambda = 0.5, 1, 1.5, 2 or 2.5.  Every
-model runs through ``levinson_verify``; the script prints each model whose
-status is not "pass", then the totals, and exits 1 if any status is
-"fail" ("inconclusive" is reported but allowed).
+model runs through ``levinson_verify``, and every model whose kernel acts
+also through ``find_bound_states`` on a coarse 32-energy scan, whose
+brackets the level count must split to its own number of levels.  The
+script prints each model whose status is not "pass" or whose two counts
+differ, then the totals, and exits 1 if any status is "fail" or any count
+differs ("inconclusive" is reported but allowed).
 
     PYTHONPATH=src python3 scripts/kernel_sweep.py [--count 120] [--seed 11]
 """
@@ -20,7 +23,7 @@ import time
 
 from qws.model import ChannelParams
 from qws.potentials import PotentialModel, gaussian_bump, square_well
-from qws.spectral import levinson_verify
+from qws.spectral import find_bound_states, levinson_verify
 
 # (q, l) for lambda = 0.5, 1, 1.5, 2, 2.5
 CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2))
@@ -50,15 +53,23 @@ def main() -> int:
 
     t0 = time.perf_counter()
     tally = {"pass": 0, "fail": 0, "inconclusive": 0}
+    miscounts = 0
     for label, ch, pot in models(args.count, args.seed):
         rep = levinson_verify(ch, pot)
         tally[rep.status] += 1
         if rep.status != "pass":
             print(f"{rep.status:<12} {label}: eta0/pi = {rep.eta0 / math.pi:.4f}, "
                   f"n = {rep.n_direct}/{rep.n_continuation} {rep.reason}")
+        if pot.kernel_acts and rep.status != "inconclusive":
+            found = len(find_bound_states(ch, pot, n_scan=32))
+            if found != rep.n_direct:
+                miscounts += 1
+                print(f"{'miscount':<12} {label}: {found} levels from a 32-energy scan, "
+                      f"count {rep.n_direct}")
     print(f"{args.count} models: {tally['pass']} pass, {tally['fail']} fail, "
-          f"{tally['inconclusive']} inconclusive in {time.perf_counter() - t0:.1f} s")
-    return 1 if tally["fail"] else 0
+          f"{tally['inconclusive']} inconclusive, {miscounts} scans off the count "
+          f"in {time.perf_counter() - t0:.1f} s")
+    return 1 if tally["fail"] or miscounts else 0
 
 
 if __name__ == "__main__":

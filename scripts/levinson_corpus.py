@@ -50,14 +50,14 @@ def main():
     parser.add_argument("--tol", type=float, default=1e-9, help="ODE tolerance")
     args = parser.parse_args()
 
-    print(f"{'configuration':<24} {'eta0/pi':>10} {'n_scan':>7} {'n_cont':>7} "
+    print(f"{'configuration':<24} {'eta0/pi':>10} {'n_direct':>8} {'n_cont':>7} "
           f"{'status':>8} {'time':>7}")
     passed = True
     for name, ch, pot in corpus():
         t0 = time.perf_counter()
         rep = levinson_verify(ch, pot, tol=args.tol)
         dt = time.perf_counter() - t0
-        print(f"{name:<24} {rep.eta0 / math.pi:>10.6f} {rep.n_direct:>7} "
+        print(f"{name:<24} {rep.eta0 / math.pi:>10.6f} {rep.n_direct:>8} "
               f"{rep.n_continuation:>7} {rep.status:>8} {dt:>6.1f}s")
         passed = passed and rep.passed
     return 0 if passed else 1

@@ -29,13 +29,13 @@ values step one solution (bisection, refinement, phase shifts, full
 grids, the superposition of a single kernel point): a real problem in
 float arithmetic, a complex one (Jost solves, complex k, E or lambda) in
 complex arithmetic.  Array start values step float64 lanes that share one
-adaptive step, which is how :func:`interior_lanes` runs a grid of (E, mu)
-points of one model: the energy scan of the bound-state search and the mu
-grid of the crossing counter.  The lanes carry y and y' as one stacked
-(2, ...) array, so each stage is one array expression for both, with the
-scalar arithmetic term for term.  A kernel point there takes 1 + n lanes,
-its homogeneous and its n particular solves, landed on the moment grid.
-Both paths take the moments and the n x n systems from the same two
+adaptive step: :func:`interior_lanes` runs a grid of (E, mu) points of one
+model (the crossing counter's mu grid), :func:`_superposition_lanes` a
+kernel's level scan.  The lanes carry y and y' as one stacked (2, ...)
+array, so each stage is one array expression for both, with the scalar
+arithmetic term for term.  A kernel point there takes 1 + n lanes, its
+homogeneous and n particular solves landed on the moment grid; both
+paths take the moments and the n x n systems from the same two
 functions.  Every interior solve also lands a step on each knot of a
 tabulated well, where V' jumps unseen by the error estimate.
 
@@ -813,18 +813,25 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
                                      origin_w, record, potential.r0, tol)
         return us[-1].real, vs[-1].real, max_u
+    E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
+    ys, dys, m = _superposition_lanes(channel, potential, E, mu, tol)
+    y, dy, *_ = _couple(m, ys, dys, potential.coupling_matrix(), mu)
+    max_u = np.maximum(y.max(axis=0), -y.min(axis=0))
+    return y[-1].reshape(shape), dy[-1].reshape(shape), max_u.reshape(shape)
+
+
+def _superposition_lanes(channel: ChannelParams, potential: PotentialModel, E, mu, tol: float):
+    """:func:`_superposition_solves` of the points (E[j], mu[j]) as lanes, dys at r0 only."""
+    lam = channel.lam
     eq = effective_equation(channel, potential, EnergyValue(E=0.0))  # the sources S_i
     grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
     record, keep = _with_knots(potential, grid.interior_nodes)
-    E, mu = (a.reshape(-1, 1) for a in np.broadcast_arrays(E, mu))
+    E, mu = E[:, None], mu[:, None]
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
     ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
                               record, potential.r0, tol, sources=eq.sources)
     ys, dys = ys[keep], dys[-1:].copy()   # y' is needed at r0 only: free the rest
-    m = _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
-    y, dy, *_ = _couple(m, ys, dys, eq.coupling, mu[:, 0])
-    max_u = np.maximum(y.max(axis=0), -y.min(axis=0))
-    return y[-1].reshape(shape), dy[-1].reshape(shape), max_u.reshape(shape)
+    return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 
 
 def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,

@@ -2,42 +2,29 @@
 coupling-continuation crossing counter, and the zero-momentum phase /
 bound-count identity verifier.
 
-Every solve goes through :func:`~qws.radial_ode.interior_state` (the cutoff
-values, with the Prufer winding for a local equation),
-:func:`~qws.radial_ode.interior_lanes` (the cutoff values of a whole grid
-of points, as float64 lanes: the energy scan of a kernel's
-:func:`find_bound_states`), :func:`~qws.radial_ode.interior_in_mu` (the
-cutoff values as a function of mu at the threshold energy: every sample of
-:func:`continuation_count`, its mu grid at once, which a pure kernel
-answers from one superposition) or :func:`~qws.radial_ode.solve_nonlocal`
-(a full grid), which decide between the local integration and the kernel
-superposition themselves.  This module reads ``potential.kernel_acts``
-(some coupling nonzero) only where the mathematics differs: the kernel
-term of the energy floor, and how :func:`find_bound_states` finds the
-levels; a kernel whose couplings all vanish is searched as its well.
+Solves go through :mod:`~qws.radial_ode`, which decides between the local
+integration and the kernel superposition itself.  This module reads
+``potential.kernel_acts`` (some coupling nonzero) only where the
+mathematics differs: the kernel terms of the energy floor and of the level
+count, and how :func:`find_bound_states` brackets the levels.
 
-A local equation obeys Sturm oscillation, so its levels are counted and
-refined on the Prufer mismatch F(E) = phi(r0) - atan h(E), with h(E) the
-decaying-exterior log-derivative: F falls strictly with E, level j is the
-root of F + j pi, and ceil(-F/pi) levels lie below E (the eigenvalue index
-of SLEDGE and MATSLISE).  A kernel breaks the oscillation theorem, so its
-levels are the sign changes of M(E) = y'(r0) - h(E) y(r0) on a log-spaced
-energy scan: M is continuous (no poles where y(r0) = 0, unlike A(E)
-itself, and none where det(Id - mu C M) = 0, since a kernel's state comes
-scaled by that determinant), vanishes exactly at bound states, and has
-simple roots because the interior log-derivative decreases while the
-exterior one increases with energy.  Either way the search first counts
-(:func:`_level_search`), then a bracketed superlinear method refines each
-level: :func:`~qws.roots.refine_root` (Illinois false position with a
-bisection fallback), which also locates the branch events of the phase
-shifts.  :func:`levinson_verify` takes the count alone.
+One count serves every model (:func:`_level_count`): ceil(-F(E)/pi)
+levels lie below E, with F = phi(r0) - atan h(E) the Prufer mismatch of
+the local part and h(E) the decaying-exterior log-derivative (the
+eigenvalue index of SLEDGE and MATSLISE), and a kernel adds n_+(K^-1 +
+G(E)) - n_+(K) (Haynsworth's inertia additivity, K = mu C).  The count at
+the ends of the energy range is all :func:`levinson_verify` takes.  A
+local level j is refined on F + j pi.  A kernel breaks the oscillation
+theorem, so its levels are refined on M(E) = y'(r0) - h(E) y(r0), from the
+sign brackets of an energy scan that the count confirms or splits: M is
+continuous (a kernel's state comes scaled by det(Id - mu C M)), vanishes
+exactly at bound states, and has simple roots.  Either way
+:func:`~qws.roots.refine_root` (Illinois false position with a bisection
+fallback) refines each level; it also locates the phases' branch events.
 
 The crossing counter :func:`continuation_count` is the mu walk of
-:func:`~qws.scattering.phase_shift` at k -> 0, with its event locator, on
-the threshold map (y' - rho y, rho~ y - y'), whose grid steps the walk
-splits in sqrt(mu) wherever a well's phase may turn by more than pi/2
-over one.
-No sample of the scan, the count or the walk is nudged around a kernel
+:func:`~qws.scattering.phase_shift` at k -> 0 on the threshold map.  No
+sample of the scan, the count or the walk is nudged around a kernel
 resonance: the scaled state is finite there.
 """
 
@@ -55,9 +42,10 @@ from .errors import (AmbiguousCrossingError, InvalidDifferencingError,
                      NearThresholdResonanceError, NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
-                         interior_lanes, interior_state, make_grid, node_at_cutoff,
-                         prufer_angle, solve_nonlocal, source_samples)
+from .radial_ode import (MOMENT_NODES, RadialSolution, _couple, _superposition_lanes,
+                         _superposition_solves, cutoff_integral, interior_in_mu,
+                         interior_state, make_grid, node_at_cutoff, prufer_angle,
+                         solve_nonlocal, source_samples)
 from .roots import refine_root
 from .scattering import _phase_walk, phase_shift, real_lambda
 
@@ -168,45 +156,44 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
 
 
 def _matching_scan_value(channel, potential, E, mu, tol) -> float:
-    """M = y'(r0) - h(E) y(r0): continuous in E, zero at bound states.
-
-    A kernel's (y, y') come scaled by det(Id - mu C M)
-    (:func:`~qws.radial_ode.interior_state`), so M has no pole where that
-    determinant vanishes, and its sign changes are the levels alone.
-    """
+    """M = y'(r0) - h(E) y(r0), a kernel's (y, y') scaled by det(Id - mu C M): no pole."""
     u, v, _, h = _cutoff_match(channel, potential, E, mu, tol)
     return (v - h * u).real
 
 
-def _scan_values(channel, potential, grid_E: np.ndarray, mu: float, tol) -> np.ndarray:
-    """M(E) of :func:`_matching_scan_value` on an energy grid, all energies as lanes.
+def _scan_values(channel, potential, grid_E, mu: float, tol) -> Tuple[np.ndarray, np.ndarray]:
+    """M(E), bit for bit :func:`_matching_scan_value`'s, and the kernel's index at each energy.
 
-    The lanes come from :func:`~qws.radial_ode.interior_lanes`.
+    The energies run as float64 lanes; a single one takes scalar solves (a
+    fraction of a lane's cost).  The index is n_+(K^-1 + G(E)) - n_+(K), K
+    = mu C on its range, G_ij = <S_i, (H_loc - E)^-1 S_j>: the resolvent
+    takes S_j to c_j y_h - y_j (homogeneous y_h, particular y_j), decaying
+    for c_j = D_j / D_h, D_l = y_l'(r0) - h(E) y_l(r0); so G = m_h c^T - M_p.
     """
+    if len(grid_E) == 1:
+        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=grid_E[0]))
+        ys, dys, m = _superposition_solves(
+            eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
+    else:
+        ys, dys, m = _superposition_lanes(channel, potential, grid_E,
+                                          np.full(len(grid_E), float(mu)), tol)
     lam = real_lambda(channel, "spectral pipeline")
-    u, v, _ = interior_lanes(channel, potential, grid_E, mu, tol)
     h = np.array([_exterior_logderiv(lam, float(E), potential.r0) for E in grid_E])
-    return v - h * u
+    coupling = potential.coupling_matrix()
+    y, dy, *_ = _couple(m, ys[-1:], dys[-1:], coupling, mu)
+    D = (dys[-1] - h[:, None] * ys[-1]).real
+    G = m.real[:, :, :1] * (D[:, None, 1:] / D[:, None, :1]) - m.real[:, :, 1:]
+    k, U = np.linalg.eigh(mu * coupling)
+    on = np.abs(k) > 1e-12 * np.max(np.abs(k))
+    A = np.diag(1.0 / k[on]) + U[:, on].T @ G @ U[:, on]
+    n_plus = np.sum(np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2))) > 0, axis=-1)
+    return (dy[0] - h * y[0]).real, n_plus - int(np.sum(k[on] > 0))
 
 
-def _sign_brackets(grid_E: np.ndarray,
-                   vals: np.ndarray) -> Tuple[List[Tuple[float, float]], bool]:
-    """Sign-change brackets of the scan values, and whether two are adjacent."""
-    brackets = []
-    adjacent = False
-    prev_bracket = False
-    for j in range(len(grid_E) - 1):
-        if vals[j] == 0.0:
-            brackets.append((float(grid_E[j]), float(grid_E[j])))
-            continue
-        if vals[j] * vals[j + 1] < 0:
-            if prev_bracket:
-                adjacent = True
-            brackets.append((float(grid_E[j]), float(grid_E[j + 1])))
-            prev_bracket = True
-        else:
-            prev_bracket = False
-    return brackets, adjacent
+def _sign_brackets(grid_E, vals) -> List[Tuple[float, float]]:
+    """Sign-change brackets of the scan values; an exact zero is its own bracket."""
+    return [(float(grid_E[j]), float(grid_E[j if vals[j] == 0.0 else j + 1]))
+            for j in range(len(grid_E) - 1) if vals[j] == 0.0 or vals[j] * vals[j + 1] < 0]
 
 
 def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> float:
@@ -227,106 +214,121 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
     return -1.5 * abs(potential.mu) * bound - 1.0
 
 
+def _search_range(channel, potential, mu, E_floor) -> Tuple[float, float]:
+    """(E_floor, E_top) of the level search: the default floor if none, E_top below threshold."""
+    if E_floor is None:
+        E_floor = default_energy_floor(channel, potential.with_mu(mu))
+    if E_floor >= 0:
+        raise QwsError("E_floor must be negative")
+    return E_floor, -1e-11 * max(1.0, abs(E_floor))
+
+
+def _level_count(channel, potential, E, mu, tol, index=None) -> Tuple[int, float]:
+    """(N(E), F_loc(E)): the number of levels below E, for every model.
+
+    H = H_loc + S K S^T with K = mu C, so Haynsworth's inertia additivity
+    (Linear Algebra Appl. 1 (1968) 73) gives N(E) = N_loc(E) + n_+(K^-1 +
+    G(E)) - n_+(K).  N_loc = ceil(-F_loc/pi) is the Sturm count of the local
+    part alone (F_loc = 0 in a pure kernel).  ``index``, the kernel's share
+    from :func:`_scan_values`, is 0 where no kernel acts and taken from one
+    scalar superposition at E when None.
+    """
+    if potential.kernel_acts:
+        if index is None:
+            index = int(_scan_values(channel, potential, [E], mu, tol)[1][0])
+        if potential.local is None:
+            return index, 0.0
+        potential = replace(potential, kernel=(), strengths=(), coupling=None)
+    F = _prufer_mismatch(channel, potential, E, mu, tol)
+    return math.ceil(-F / math.pi) + (index or 0), F
+
+
 def find_bound_states(channel: ChannelParams, potential: PotentialModel,
                       mu: float = 1.0, E_floor: Optional[float] = None,
                       tol: float = 1e-10, n_scan: int = N_SCAN_DEFAULT,
                       ode_tol: float = 1e-10) -> List[BoundState]:
     """All bound levels in [E_floor, 0), each refined to a width of tol max(1, |E|).
 
-    A local potential is searched by count (:func:`_counted_levels`): Sturm
-    oscillation gives the number of levels below any energy from the Prufer
-    mismatch F(E) of one solve, so F at E_floor and near threshold fixes the
-    count, and each level is refined on F itself.  A floor with levels below
-    it draws a warning.  A kernel breaks the oscillation theorem, so it is
-    searched by a sign scan of M(E) on ``n_scan`` log-spaced energies
-    (:func:`_scanned_levels`); ``n_scan`` applies to kernels only.  Each
-    level is the midpoint of the final bracket of
-    :func:`~qws.roots.refine_root`; :func:`_level_search` finds the levels,
-    and each is then built into its unit-norm solution.
+    The level count of :func:`_level_count` at E_floor and at E_top, just
+    below threshold, fixes the number of levels of every model; levels
+    below the floor draw a warning.  A local well's levels are refined on
+    F (:func:`_counted_levels`), a kernel's on M from sign brackets that
+    ``n_scan`` log-spaced energies seed and the count confirms or splits
+    (:func:`_scanned_levels`).  Each level, the midpoint of the final
+    bracket of :func:`~qws.roots.refine_root`, is built into its unit-norm
+    solution.
     """
     if not tol > 0:
         raise QwsError("tol must be positive")
-    levels, refine = _level_search(channel, potential, mu, E_floor, n_scan, ode_tol)
+    E_floor, E_top = _search_range(channel, potential, mu, E_floor)
+    if potential.kernel_acts:
+        n_floor, levels, refine = _scanned_levels(channel, potential, mu, E_floor, E_top,
+                                                  n_scan, tol, ode_tol)
+    else:
+        n_floor, levels, refine = _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
+    if n_floor > 0:
+        warnings.warn(f"{n_floor} levels below E_floor: floor above the deepest level")
     return [_build_bound_state(channel, potential, E, mu, ode_tol)
             for E in sorted(refine(level, tol) for level in levels)]
 
 
-def _level_search(channel, potential, mu, E_floor, n_scan, ode_tol):
-    """The count step of the level search: (levels, refine).
+def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, tol, ode_tol):
+    """Sign brackets of M(E) that the level count confirms, each refined on demand (kernels).
 
-    ``levels`` holds one entry per level in [E_floor, E_top), E_top just
-    below threshold, and ``refine(level, tol)`` closes that entry to its
-    energy.  :func:`levinson_verify` counts the entries and refines none,
-    so the count and the list of levels cannot disagree.
+    A lanes scan of ``n_scan`` log-spaced energies on [E_floor, E_top]
+    gives M and the index at each (:func:`_scan_values`), so the count N at
+    the ends costs the local part's two F solves.  A run of the scan whose
+    bracket count differs from N's rise over it is split at its middle scan
+    energy (one F solve), and inside one scan interval at the energy
+    midpoint (one scalar superposition more).  A run over which N does not
+    rise yields no bracket (its sign changes are noise); one still at odds
+    at a width of tol max(1, |E|) keeps its brackets.  Either warns once.
+    Returns N(E_floor), the brackets (a, M(a), b, M(b)) and their refinement.
     """
-    if E_floor is None:
-        E_floor = default_energy_floor(channel, potential.with_mu(mu))
-    if E_floor >= 0:
-        raise QwsError("E_floor must be negative")
-    E_top = -1e-11 * max(1.0, abs(E_floor))
-    if potential.kernel_acts:
-        return _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol)
-    return _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
+    grid_E = -np.geomspace(abs(E_floor), -E_top, max(n_scan, 2))
+    M, index = _scan_values(channel, potential, grid_E, mu, ode_tol)
+    at = dict(zip(grid_E.tolist(), M.tolist()))
+    notes = set()
 
+    def count(E: float, idx: int) -> int:
+        return _level_count(channel, potential, E, mu, ode_tol, idx)[0]
 
-def _interlacing_window(channel, potential, mu, E_floor, E_top, ode_tol) -> Tuple[int, int]:
-    """The level counts in [E_floor, E_top) that rank-n interlacing allows.
+    def settle(run: List[Tuple[float, int]], n_a: int, n_b: int) -> List[Tuple[float, float]]:
+        """The brackets of ``run``, (E, index) points with n_a and n_b levels below its ends."""
+        brackets = _sign_brackets([E for E, _ in run], [at[E] for E, _ in run])
+        if len(brackets) == n_b - n_a:
+            return brackets
+        if n_b <= n_a:
+            notes.add("sign changes of M where the level count rises by none: dropped as noise")
+            return []
+        a, b = run[0][0], run[-1][0]
+        E = 0.5 * (a + b)
+        if b - a <= tol * max(1.0, abs(a)) or E in (a, b):
+            notes.add("sign changes of M off the level count at the refinement width: kept")
+            return brackets
+        if len(run) == 2:
+            val, idx = _scan_values(channel, potential, [E], mu, ode_tol)
+            at[E] = float(val[0])
+            run = [run[0], (E, int(idx[0])), run[1]]
+        k = len(run) // 2
+        n_k = count(*run[k])
+        return settle(run[:k + 1], n_a, n_k) + settle(run[k:], n_k, n_b)
 
-    H differs from its local part by the rank-n kernel mu sum_ij c_ij S_i <S_j, .>,
-    whose nonzero eigenvalues have the signs of those of mu C: n_+ positive
-    and n_- negative.  So N_H(E), the number of levels below E, lies in
-    [N_loc(E) - n_+, N_loc(E) + n_-] at every E (Weyl's interlacing for
-    finite-rank perturbations), with N_loc = ceil(-F/pi) from the local
-    part's Prufer mismatch: two solves, none without a local part.  The
-    count in the range is N_H(E_top) - N_H(E_floor), with N_H >= 0.
-    """
-    eig = np.linalg.eigvalsh(mu * potential.coupling_matrix())
-    n_plus, n_minus = int(np.sum(eig > 0)), int(np.sum(eig < 0))
-    n_floor = n_top = 0
-    if potential.local is not None:
-        local = replace(potential, kernel=(), strengths=(), coupling=None)
-        n_floor, n_top = (math.ceil(-_prufer_mismatch(channel, local, E, mu, ode_tol) / math.pi)
-                          for E in (E_floor, E_top))
-    return n_top - n_plus - n_floor - n_minus, n_top + n_minus - max(0, n_floor - n_plus)
-
-
-def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, ode_tol):
-    """Sign brackets of M(E) on a log-spaced lane scan, each refined on demand (kernels).
-
-    Adjacent sign-change intervals, or a bracket count outside the
-    interlacing window of :func:`_interlacing_window`, trigger one re-scan
-    on four times the points, and warn if they persist.  Returns the
-    brackets, each as (a, M(a), b, M(b)) with the values of the scan that
-    found it, and their refinement by :func:`~qws.roots.refine_root`, which
-    starts from those values and solves no bracket end again.
-    """
-    def scan(grid_E: np.ndarray) -> Tuple[List[Tuple[float, float, float, float]], bool]:
-        vals = _scan_values(channel, potential, grid_E, mu, ode_tol)
-        brackets, adjacent = _sign_brackets(grid_E, vals)
-        at = dict(zip(grid_E.tolist(), vals.tolist()))
-        return [(a, at[a], b, at[b]) for a, b in brackets], adjacent
-
-    lo, hi = _interlacing_window(channel, potential, mu, E_floor, E_top, ode_tol)
-    brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, n_scan))
-    if adjacent or not lo <= len(brackets) <= hi:
-        brackets, adjacent = scan(-np.geomspace(abs(E_floor), -E_top, 4 * n_scan))
-        if adjacent:
-            warnings.warn("adjacent sign changes persist: energy scan too coarse")
-        if not lo <= len(brackets) <= hi:
-            warnings.warn(f"{len(brackets)} levels outside the interlacing window "
-                          f"[{lo}, {hi}]: the kernel scan miscounts")
-
-    def match(E: float) -> float:
-        return _matching_scan_value(channel, potential, E, mu, ode_tol)
+    run = list(zip(grid_E.tolist(), index.tolist()))
+    n_floor = count(*run[0])
+    brackets = settle(run, n_floor, count(*run[-1]))
+    for note in sorted(notes):
+        warnings.warn(note)
 
     def refine(bracket: Tuple[float, float, float, float], tol: float) -> float:
         a, fa, b, fb = bracket
         if a == b:   # an exact zero of the scan
             return a
-        lo, hi = refine_root(match, a, fa, b, fb, tol)
+        lo, hi = refine_root(lambda E: _matching_scan_value(channel, potential, E, mu, ode_tol),
+                             a, fa, b, fb, tol)
         return 0.5 * (lo + hi)
 
-    return brackets, refine
+    return n_floor, [(a, at[a], b, at[b]) for a, b in brackets], refine
 
 
 def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
@@ -347,14 +349,12 @@ def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
 def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
     """Level indices in [E_floor, E_top) of a local potential, counted on F(E), refined on demand.
 
-    The eigenvalue index of Sturm-Liouville codes (SLEDGE, MATSLISE): F at
-    the two ends gives the indices j of the levels between them, and each
-    is refined by :func:`~qws.roots.refine_root` on F + j pi.  Its start
-    bracket is the tightest pair among every F value taken so far, so each
-    solve also narrows the brackets of the levels still to come.  The
-    middle index goes first, then the middle of each half, so that most
-    levels start between two refined neighbours.  Returns the indices in
-    that order and their refinement.
+    The count at the two ends (:func:`_level_count`) gives the indices j of
+    the levels, each refined on F + j pi from the tightest bracket among
+    every F value taken so far.  The middle index goes first, then the
+    middle of each half, so that most levels start between two refined
+    neighbours.  Returns N(E_floor), the indices in that order and their
+    refinement.
     """
     taken: Dict[float, float] = {}
 
@@ -368,10 +368,8 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
         mid = (lo + hi) // 2
         return [mid] + middle_first(lo, mid) + middle_first(mid + 1, hi)
 
-    n_floor = math.ceil(-F(E_floor) / math.pi)
-    n_top = math.ceil(-F(E_top) / math.pi)
-    if n_floor > 0:
-        warnings.warn(f"{n_floor} levels below E_floor: floor above the deepest level")
+    (n_floor, taken[E_floor]), (n_top, taken[E_top]) = (
+        _level_count(channel, potential, E, mu, ode_tol) for E in (E_floor, E_top))
 
     def refine(j: int, tol: float) -> float:
         shift = j * math.pi
@@ -381,7 +379,7 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
                              b, taken[b] + shift, tol)
         return 0.5 * (lo + hi)
 
-    return middle_first(max(n_floor, 0), n_top), refine
+    return n_floor, middle_first(max(n_floor, 0), n_top), refine
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
@@ -482,24 +480,20 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
                        tol: float = 1e-9) -> ContinuationReport:
     """Count directed crossings of A(0, mu) through rho = (1/2 - lam)/r0.
 
-    Zero energy is represented by a small negative proxy (kappa r0 < 1e-5),
-    so threshold solutions stay on the single decaying-exterior code path;
-    every sample comes from one :func:`~qws.radial_ode.interior_in_mu` at
-    that energy, the whole mu grid from one call of it, and a kernel's come
-    scaled by det(Id - mu C M), smooth through kernel resonances.
+    Zero energy is a small negative proxy (kappa r0 < 1e-5), so threshold
+    solutions stay on the decaying-exterior code path; every sample comes
+    from one :func:`~qws.radial_ode.interior_in_mu` at that energy (the mu
+    grid from one call), a kernel's scaled by det(Id - mu C M).
 
     The count is the phase walk of :func:`~qws.scattering.phase_shift` at
-    k -> 0: theta is the angle of L0 (y, y') = (y' - rho y, rho~ y - y'),
-    rho~ = (1/2 + lam)/r0, in place of the matching map; each sample is
-    placed on the 2 pi branch nearest the previous one, extra samples come
-    from scalar solves at the same energy, and the branch events are
-    refined to MU_CROSSING_FLOOR.  A placed sample cannot see a full turn,
-    so the walk (:func:`~qws.scattering._phase_walk`, handed the grid
-    states of the ``A_samples`` lanes call) splits each grid step over
-    which a well's phase r0 sqrt(max|V| mu) may turn by more than pi/2
-    into equal steps in sqrt(mu): the s-wave well of depth 1e4 has its
-    first two crossings in the default grid's first step.  The added
-    couplings are scalar samples; ``A_samples`` and the staircase stay on
+    k -> 0 (:func:`~qws.scattering._phase_walk`, handed the grid states of
+    the ``A_samples`` lanes call), with events refined to
+    MU_CROSSING_FLOOR: theta is the angle of L0 (y, y') = (y' - rho y, rho~
+    y - y'), rho~ = (1/2 + lam)/r0, each sample placed on the 2 pi branch
+    nearest the previous one.  The walk splits the steps over which a
+    well's phase may turn by more than pi/2 in sqrt(mu) (the s-wave well of
+    depth 1e4 has two crossings in the default grid's first step), with
+    scalar samples; ``A_samples`` and the staircase stay on
     ``mu_grid``.  The free threshold state at mu = 0 has A = rho~, so
     th0 = 0 up to the proxy energy, and the events of
     theta - th0 through pi/2 (mod pi) are the sign changes of
@@ -558,22 +552,21 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
 
     eta(0) comes from the mu-continued phase (MU_STEPS_DEFAULT steps) at
     two small wavenumbers, extrapolated to k = 0 along the k^{2 lam} law.
-    n comes from the count step of the level search of
-    :func:`find_bound_states`, which refines and builds no level here: two
-    Prufer-mismatch solves for a local well, the sign brackets of the
-    default energy scan for a kernel.  It also comes from the threshold
-    crossing counter, and the two
-    must agree exactly.  Upstream degeneracies surface as status
-    "inconclusive".  The counter's report rides along as ``continuation``
-    (for the staircase).
+    n = N(E_top) - N(E_floor), the level count (:func:`_level_count`) at
+    the ends of :func:`find_bound_states`' default range, takes no scan: two
+    F solves, and two scalar superpositions where a kernel acts.  The
+    threshold crossing counter must give the same n.  Upstream degeneracies
+    surface as status "inconclusive".  The counter's report rides along as
+    ``continuation`` (for the staircase).
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     cont = None
     try:
         cont = continuation_count(channel, potential, tol=tol)
-        levels, _ = _level_search(channel, potential, potential.mu, None, N_SCAN_DEFAULT, tol)
-        n_direct = len(levels)
+        n_floor, n_top = (_level_count(channel, potential, E, potential.mu, tol)[0]
+                          for E in _search_range(channel, potential, potential.mu, None))
+        n_direct = n_top - n_floor
         k1 = 1e-4 / r0
         k2 = 2e-4 / r0
         eta1 = phase_shift(channel, potential, k1, mu=potential.mu, tol=tol,

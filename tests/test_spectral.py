@@ -16,7 +16,7 @@ from qws.potentials import PotentialModel, gaussian_bump, square_well
 from qws.spectral import (continuation_count, find_bound_states,
                           levinson_verify, matching_mismatch,
                           sturm_liouville_check)
-from qws.radial_ode import interior_state
+from qws.radial_ode import interior_lanes, interior_state
 from qws.roots import refine_root
 from qws.scattering import phase_shift
 
@@ -130,27 +130,73 @@ class TestFindBoundStates:
         for s, E_ref in zip(states, oracle):
             assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
 
-    def test_scan_count_outside_the_interlacing_window_rescans(self):
-        # a repulsive rank-1 kernel on a two-level well keeps 1 or 2 levels
-        # (Weyl); the 32-point scan lost both, two levels in one interval
+    @pytest.mark.parametrize("n_scan", [3, 32])
+    def test_coarse_scan_is_split_to_the_level_count(self, n_scan):
+        # a repulsive rank-1 kernel on a two-level well: the 32-point scan
+        # lost both levels (two in one interval), and the 3-point scan warned
+        # "0 levels outside the interlacing window [1, 2]" and returned none
         pot = PotentialModel(r0=1.0, local=square_well(60.0),
                              kernel=(gaussian_bump(0.5, 0.15),), strengths=(300.0,))
-        assert sp._interlacing_window(CH_S, pot, 1.0, -100.0, -1e-9, 1e-10) == (1, 2)
+        assert [sp._level_count(CH_S, pot, E, 1.0, 1e-10)[0] for E in (-100.0, -1e-9)] == [0, 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = find_bound_states(CH_S, pot, n_scan=32)
+            states = find_bound_states(CH_S, pot, n_scan=n_scan)
         assert [round(s.E, 4) for s in states] == [-44.7122, -29.1884]
 
     def test_strong_rank1_kernel_warns_of_its_miscount(self):
         # a rank-1 kernel binds at most one level, but at -5e4 the outward
-        # superposition is too ill-conditioned to scan: the count stays
-        # outside the window after the re-scan, and says so
+        # superposition is too ill-conditioned to scan: M changes sign where
+        # the level count rises by none, and those brackets go with a warning
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-5e4,))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            levels, _ = sp._level_search(CH_S, pot, 1.0, None, sp.N_SCAN_DEFAULT, 1e-10)
-        assert len(levels) > 1
-        assert any("outside the interlacing window [-1, 1]" in str(w.message) for w in caught)
+            states = find_bound_states(CH_S, pot)
+        n_floor, n_top = (sp._level_count(CH_S, pot, E, 1.0, 1e-10)[0]
+                          for E in sp._search_range(CH_S, pot, 1.0, None))
+        assert len(states) == n_top - n_floor == 1
+        assert any("dropped as noise" in str(w.message) for w in caught)
+
+    def test_well_with_a_weak_kernel_keeps_every_level(self):
+        # a -1e-9 bump on the 23-level well: the 400- and 1600-energy scans
+        # found 21 levels and warned twice
+        pot = PotentialModel(r0=1.0, local=square_well(5000.0),
+                             kernel=(gaussian_bump(0.5, 0.15),), strengths=(-1e-9,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(CH_S, pot)
+        oracle = swave_well_levels(5000.0, 1.0)
+        assert len(states) == len(oracle) == 23
+        for s, E_ref in zip(states, oracle):
+            assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
+
+    @pytest.mark.parametrize("ch, pot", [
+        (ChannelParams(q=3, l=1),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))),
+        (ChannelParams(q=4, l=0),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
+                        strengths=(-500.0, -400.0))),
+        (ChannelParams(q=3, l=1),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(700.0,))),
+        (CH_S, PotentialModel(r0=1.0, local=square_well(60.0),
+                              kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
+                              coupling=((100.0, -500.0), (-500.0, 100.0)))),
+        (CH_S, PotentialModel(r0=1.0, local=square_well(3.0), kernel=(gaussian_bump(0.5, 0.15),),
+                              strengths=(-120.0,))),
+        (ChannelParams(q=5, l=0),
+         PotentialModel(r0=3.0, kernel=(gaussian_bump(2.0, 0.3),), strengths=(-40.0,))),
+    ], ids=["p-wave-rank1", "rank2-q4", "repulsive-rank1", "well-and-indefinite-offdiagonal",
+            "well-and-kernel", "q5-r0-3"])
+    def test_level_count_steps_by_one_at_each_level(self, ch, pot):
+        # N(E) = N_loc + n_+(K^-1 + G) - n_+(K) reads 0 at the floor, j at
+        # the midpoint between levels j and j + 1, and n at the top of the
+        # range (also half-way from the floor to the first level and from
+        # the last level to the top)
+        E_floor, E_top = sp._search_range(ch, pot, 1.0, None)
+        ends = [E_floor] + [s.E for s in find_bound_states(ch, pot)] + [E_top]
+        probes = [E_floor] + [0.5 * (a + b) for a, b in zip(ends, ends[1:])] + [E_top]
+        counts = [sp._level_count(ch, pot, E, 1.0, 1e-10)[0] for E in probes]
+        n = len(ends) - 2
+        assert counts == [0] + list(range(n + 1)) + [n]
 
     def test_zero_coupling_kernel_is_searched_as_its_well(self):
         # a kernel whose couplings all vanish does not act, so the well is
@@ -452,11 +498,14 @@ class TestLevinson:
         assert rep.passed and rep.n_direct == rep.n_continuation == 2
         assert len(solves) == 2
 
-    def test_counts_a_kernel_by_its_scan_brackets(self, monkeypatch):
+    def test_counts_a_kernel_without_a_scan(self, monkeypatch):
+        # the count is N(E_top) - N(E_floor): two scalar superpositions, where
+        # a 400-energy lanes scan counted sign brackets
         def unused(*args, **kwargs):
-            raise AssertionError("levinson_verify refined a level")
+            raise AssertionError("levinson_verify scanned or refined")
 
         monkeypatch.setattr(sp, "refine_root", unused)
+        monkeypatch.setattr(sp, "_superposition_lanes", unused)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
         rep = levinson_verify(ChannelParams(q=3, l=1), pot, tol=1e-9)
         assert rep.passed and rep.n_direct == rep.n_continuation == 1
@@ -526,6 +575,13 @@ def _scalar_scan_values(channel, potential, grid_E, mu, tol):
                      for E in grid_E])
 
 
+def _lane_scan_values(channel, potential, grid_E, mu, tol):
+    """M(E) = y'(r0) - h(E) y(r0) of a local well, every energy as a lane."""
+    u, v, _ = interior_lanes(channel, potential, grid_E, mu, tol)
+    lam = channel.lam
+    return v - np.array([sp._exterior_logderiv(lam, float(E), potential.r0) for E in grid_E]) * u
+
+
 def _one_by_one(channel, potential, E, tol):
     """interior_in_mu answered by one scalar interior solve per coupling: the reference."""
     def at(mu):
@@ -546,11 +602,11 @@ class TestLaneScans:
         pot = PotentialModel(r0=1.0, local=square_well(depth))
         floor = sp.default_energy_floor(ch, pot)
         grid_E = -np.geomspace(abs(floor), 1e-11 * max(1.0, abs(floor)), 400)
-        lanes = sp._scan_values(ch, pot, grid_E, 1.0, 1e-9)
+        lanes = _lane_scan_values(ch, pot, grid_E, 1.0, 1e-9)
         scalar = _scalar_scan_values(ch, pot, grid_E, 1.0, 1e-9)
         assert np.array_equal(np.sign(lanes), np.sign(scalar))
-        brackets, adjacent = sp._sign_brackets(grid_E, lanes)
-        assert (brackets, adjacent) == sp._sign_brackets(grid_E, scalar)
+        brackets = sp._sign_brackets(grid_E, lanes)
+        assert brackets == sp._sign_brackets(grid_E, scalar)
         assert len(brackets) == len(find_bound_states(ch, pot, ode_tol=1e-9))
 
     @pytest.mark.parametrize("depth, grid", [
@@ -623,8 +679,9 @@ class TestLaneScans:
             return out
 
         monkeypatch.setattr(ro, "_couple", resonant)
+        monkeypatch.setattr(sp, "_couple", resonant)
         E = np.array([-9.0, -4.0, -1.0])
-        vals = sp._scan_values(ch, pot, E, 1.0, 1e-10)
+        vals, _ = sp._scan_values(ch, pot, E, 1.0, 1e-10)
         assert np.array_equal(dets[0], np.zeros(3))
         scalar = _scalar_scan_values(ch, pot, E, 1.0, 1e-10)
         scale = [abs(x) for x in (sp._cutoff_match(ch, pot, float(e), 1.0, 1e-10)[2] for e in E)]
