@@ -8,9 +8,10 @@ local families no shipped config uses, the truncated gaussian and
 exponential, are swept as variants of one shipped config's text, made in
 memory: a file under ``configs/`` would also join the benchmark.  Every
 run must end with a documented exit code: 0 (ran), 2 (config), 3 (numeric)
-or 4 (inconclusive).  An exit 1, any other code, or an exception escaping
-``cli.main`` is a failure.  Prints one line per failure and the totals, and
-exits 1 when anything failed.
+or 4 (inconclusive).  An exit 1, any other code, an exception escaping
+``cli.main``, or a numpy ``RuntimeWarning`` escaping it (overflow or NaN
+arithmetic left unguarded) is a failure.  Prints one line per failure and
+the totals, and exits 1 when anything failed.
 
     PYTHONPATH=src python3 scripts/config_sweep.py
 """
@@ -23,6 +24,7 @@ import sys
 import tempfile
 import time
 import traceback
+import warnings
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
@@ -86,14 +88,20 @@ def run_one(text: str, task: str, workdir: Path) -> str:
     cfg.write_text(text)
     stderr = io.StringIO()
     try:
-        with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             code = cli.main([task, "--config", str(cfg), "--out", str(workdir / "out"),
                              "--no-metadata"])
     except Exception:   # the sweep reports any escaping exception as a failure
         return "exception: " + traceback.format_exc(limit=-1).strip().splitlines()[-1]
-    if code in DOCUMENTED_EXITS:
-        return ""
-    return f"exit {code}: {stderr.getvalue().strip()[-200:]}"
+    if code not in DOCUMENTED_EXITS:
+        return f"exit {code}: {stderr.getvalue().strip()[-200:]}"
+    leaked = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if leaked:
+        w = leaked[0]
+        return (f"{len(leaked)} RuntimeWarning(s), first {Path(w.filename).name}:{w.lineno}: "
+                f"{w.message}")
+    return ""
 
 
 def sweep(configs: Iterable[Tuple[str, str]], values: Sequence[str] = VALUES,

@@ -5,9 +5,10 @@ Covers attractive square wells with 0, 1 and 2 levels, a higher partial
 wave, a purely non-local rank-1 attraction, a mixed local + non-local
 configuration, a repulsive rank-1 kernel whose coupling determinant
 det(Id - mu C M) changes sign along the mu path, a deep well (32
-levels) whose first thresholds share one step of the default mu grid, and
-an l = 2 rank-1 kernel whose phase at the Levinson wavenumbers steps by pi
-to the last bit at its one event.
+levels) whose first thresholds share one step of the default mu grid, an
+l = 2 rank-1 kernel whose phase at the Levinson wavenumbers steps by pi
+to the last bit at its one event, and an l = 4 rank-1 kernel, whose
+particular solves leave the origin far below the regular solution.
 Prints one line per configuration and exits 1 unless every configuration
 passes.
 """
@@ -25,6 +26,7 @@ def corpus():
     ch_s = ChannelParams(q=3, l=0)
     ch_p = ChannelParams(q=3, l=1)
     ch_d = ChannelParams(q=3, l=2)
+    ch_g = ChannelParams(q=3, l=4)
     bump = gaussian_bump(center=0.5, width=0.15)
     return [
         ("square well, no level", ch_s, PotentialModel(r0=1.0, local=square_well(1.0))),
@@ -42,6 +44,8 @@ def corpus():
         ("deep well, 32 levels", ch_s, PotentialModel(r0=1.0, local=square_well(1e4))),
         ("d-wave rank-1 kernel", ch_d,
          PotentialModel(r0=1.0, kernel=(bump,), strengths=(-3000.0,))),
+        ("g-wave (l = 4) rank-1 kernel", ch_g,
+         PotentialModel(r0=1.0, kernel=(bump,), strengths=(-2e4,))),
     ]
 
 
@@ -50,14 +54,14 @@ def main():
     parser.add_argument("--tol", type=float, default=1e-9, help="ODE tolerance")
     args = parser.parse_args()
 
-    print(f"{'configuration':<24} {'eta0/pi':>10} {'n_direct':>8} {'n_cont':>7} "
+    print(f"{'configuration':<28} {'eta0/pi':>10} {'n_direct':>8} {'n_cont':>7} "
           f"{'status':>8} {'time':>7}")
     passed = True
     for name, ch, pot in corpus():
         t0 = time.perf_counter()
         rep = levinson_verify(ch, pot, tol=args.tol)
         dt = time.perf_counter() - t0
-        print(f"{name:<24} {rep.eta0 / math.pi:>10.6f} {rep.n_direct:>8} "
+        print(f"{name:<28} {rep.eta0 / math.pi:>10.6f} {rep.n_direct:>8} "
               f"{rep.n_continuation:>7} {rep.status:>8} {dt:>6.1f}s")
         passed = passed and rep.passed
     return 0 if passed else 1

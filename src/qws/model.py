@@ -118,8 +118,10 @@ class EffectiveEquation:
 
     ``coefficient`` evaluates Q(r) (see :func:`radial_coefficient`); the
     kernel sources S_i(r) = g_i(r) r^{(q-1)/2} already carry the dimensional
-    weight, and ``coupling`` is the symmetric coefficient matrix of the
-    separable kernel (the solver applies the overall factor mu).
+    weight, ``source_origins`` holds their small-r expansions (p_i, t_i), S_i
+    ~ r^{p_i} sum_n t_in r^n, and ``coupling`` is the symmetric coefficient
+    matrix of the separable kernel (the solver applies the overall factor
+    mu).
     """
 
     channel: ChannelParams
@@ -132,6 +134,7 @@ class EffectiveEquation:
     sources: tuple
     coupling: Optional[np.ndarray]
     origin_w: tuple  # (w_-1, w_0, w_1): small-r expansion of mu*V
+    source_origins: tuple  # (p_i, (t_i0, t_i1, ...)): small-r expansions of the S_i
 
     @property
     def rank(self) -> int:
@@ -203,6 +206,7 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         coefficient=radial_coefficient(lam, energy.E, mu, potential),
         sources=tuple(sources),
         coupling=coupling, origin_w=origin_w,
+        source_origins=tuple((term.origin[0] + w, term.origin[1]) for term in potential.kernel),
     )
     if eq.kernel_acts:
         if lam == 0:

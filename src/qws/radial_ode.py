@@ -3,16 +3,18 @@
 Origin-regular solutions start from a power series r^{lam+1/2}(1 + a1 r +
 a2 r^2 + a3 r^3) at the radius r_s where the terms the series neglects
 fall below 1e-3 of the tolerance (:func:`_series_radius`); the nodes below
-r_s take the series value.  The solves that this does not cover, the
-subdominant branch of the Wronskian audit and the kernel particular solves
-with their lanes, start at r_min.  Decaying "Jost-normalized" solutions
-start at the cutoff radius, where compact support makes e^{-ikr} exact, and
-are integrated inward.  The finite-rank non-local equation is solved by
-superposition: one homogeneous and n particular integrations plus an
-n x n linear system for the source coefficients, whose cutoff state the
-module hands out scaled by the system's determinant (:func:`_couple`), so
-that it stays finite where the determinant vanishes (a kernel resonance);
-:func:`solve_nonlocal` alone divides it out.
+r_s take the series value.  The kernel particular solves, scalar and in
+lanes, start the same way on their own series r^sigma sum_n b_n r^n
+(:func:`_particular_series`), from the origin expansion of each kernel
+profile.  The subdominant branch of the Wronskian audit starts at r_min.
+Decaying "Jost-normalized" solutions start at the cutoff radius, where
+compact support makes e^{-ikr} exact, and are integrated inward.  The
+finite-rank non-local equation is solved by superposition: one homogeneous
+and n particular integrations plus an n x n linear system for the source
+coefficients, whose cutoff state the module hands out scaled by the
+system's determinant (:func:`_couple`), so that it stays finite where the
+determinant vanishes (a kernel resonance); :func:`solve_nonlocal` alone
+divides it out.
 
 Every entry point routes on one predicate: an equation's ``kernel_acts``
 (mu != 0 and some coupling nonzero), or a model's for the lanes, whose
@@ -34,9 +36,9 @@ model (the crossing counter's mu grid), :func:`_superposition_lanes` a
 kernel's level scan.  The lanes carry y and y' as one stacked (2, ...)
 array, so each stage is one array expression for both, with the scalar
 arithmetic term for term.  A kernel point there takes 1 + n lanes, its
-homogeneous and n particular solves landed on the moment grid; both
-paths take the moments and the n x n systems from the same two
-functions.  Every interior solve also lands a step on each knot of a
+homogeneous and n particular solves landed on the moment grid and started
+at one r_s; both paths take the moments and the n x n systems from the
+same two functions.  Every interior solve also lands a step on each knot of a
 tabulated well, where V' jumps unseen by the error estimate.
 
 :func:`interior_in_mu` gives the cutoff values as a function of mu at one
@@ -48,6 +50,7 @@ with one n x n solve.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -191,7 +194,7 @@ class RadialSolution:
 
 def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                r_start: float, u0, v0, record: np.ndarray, rtol: float,
-               return_winding: bool = False):
+               return_winding: bool = False, head=None):
     """Adaptive Dormand-Prince 4(5) along the (directed) node list ``record``; lands on every node.
 
     Steps the first-order system (y, y') of y'' + Q y = S, with Q = ``qfun``
@@ -214,6 +217,9 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     Returns (u_nodes, v_nodes, max_abs_u), node axis first; for lanes
     max_abs_u holds one value per lane.  ``record`` must be monotone and
     start strictly after r_start in the direction of integration (or equal).
+    ``head`` = (u, v) of one node before r_start (a series start's r_min)
+    puts that node first, written into the same arrays; max_abs_u leaves
+    it out.
 
     ``return_winding=True`` (scalars only) appends the Prufer winding count:
     the signed number of 2 pi wraps of atan2(Re y', Re y) over the accepted
@@ -246,8 +252,12 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         run_v = abs(v)
     record = record.tolist()   # Python floats: r and every stage abscissa stay float
     n = len(record)
-    us = np.empty((n,) + np.shape(u), dtype=float if lanes else complex)
-    vs = np.empty_like(us)
+    lead = 0 if head is None else 1
+    nodes_u = np.empty((lead + n,) + np.shape(u), dtype=float if lanes else complex)
+    nodes_v = np.empty_like(nodes_u)
+    if head is not None:
+        nodes_u[0], nodes_v[0] = head
+    us, vs = nodes_u[lead:], nodes_v[lead:]   # views: one slot per node of record
     idx = 0
     r = r_start
     turns = 0
@@ -255,7 +265,8 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         us[0], vs[0] = u, v
         idx = 1
         if n == 1:
-            return (us, vs, max_u, turns) if return_winding else (us, vs, max_u)
+            return ((nodes_u, nodes_v, max_u, turns) if return_winding
+                    else (nodes_u, nodes_v, max_u))
     direction = 1.0 if record[-1] > r_start else -1.0
     span = abs(record[-1] - r_start)
     if span == 0.0:
@@ -425,7 +436,7 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                 h = math.copysign(min(abs(h) * fac, span), direction)
         else:
             h *= max(0.1, 0.9 * err ** -0.2)
-    return (us, vs, max_u, turns) if return_winding else (us, vs, max_u)
+    return (nodes_u, nodes_v, max_u, turns) if return_winding else (nodes_u, nodes_v, max_u)
 
 
 def _series_coefficients(lam, E, origin_w):
@@ -466,13 +477,63 @@ def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, floa
     return u, v
 
 
+def _particular_series(lam, E, origin_w, source_origin):
+    """(sigma, b, tail): y = r^sigma sum_n b_n r^n solving y'' + Q y = S near the origin.
+
+    S ~ r^p sum_n t_n r^n (``source_origin`` = (p, t)) and mu V ~ w_-1/r +
+    w_0 + w_1 r (origin_w) give sigma = p + 2 and, with c = sigma - lam - 1/2,
+
+        (n + c)(n + c + 2 lam) b_n = t_n + w_-1 b_{n-1} + (w_0 - E) b_{n-2} + w_1 b_{n-3}.
+
+    The factor vanishes where the exponent n + sigma meets lam + 1/2, the
+    regular solution's (n = l - 2 - a for g ~ r^a: the particular solution
+    takes a log term there), or 1/2 - lam.  The series stops at the first
+    order whose factor has |n + c| or |n + c + 2 lam| below 1/2, and after
+    the last t_n; ``tail`` holds the right-hand sides of the two orders
+    after it.  E and origin_w may be arrays (float64 lanes).
+    """
+    p, t = source_origin
+    sigma = p + 2.0
+    c = sigma - lam - 0.5
+    w_m1, w0, w1 = origin_w
+    weights = ((1, w_m1), (2, w0 - E), (3, w1))
+    b = []
+
+    def rhs(n):
+        f = t[n] if n < len(t) else 0.0
+        for k, w in weights:
+            if 0 <= n - k < len(b):
+                f = f + w * b[n - k]
+        return f
+
+    n = 0
+    while n < len(t) and abs(n + c) >= 0.5 and abs(n + c + 2 * lam) >= 0.5:
+        b.append(rhs(n) / ((n + c) * (n + c + 2 * lam)))
+        n += 1
+    return sigma, b, (rhs(n), rhs(n + 1))
+
+
+def _particular_start(sigma, b, r: float):
+    """(y, y') of the particular series (sigma, b) of :func:`_particular_series` at r."""
+    y = dy = 0.0
+    for n in range(len(b) - 1, -1, -1):
+        y = y * r + b[n]
+        dy = dy * r + (n + sigma) * b[n]
+    if not b:
+        return y, dy
+    try:
+        return y * r ** sigma, dy * r ** (sigma - 1.0)
+    except OverflowError:
+        raise RegularityError(f"the particular series r^{sigma:g} overflows at r = {r:g}") from None
+
+
 def _largest(x) -> float:
     """|x| for a scalar, the largest |x| over the lanes for an array."""
     return float(np.max(np.abs(x))) if np.ndim(x) else abs(x)
 
 
 def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
-                   tol: float) -> float:
+                   tol: float, source=None) -> float:
     """Start radius r_s of an origin-regular solve: the series meets 1e-3 tol there.
 
     The series of :func:`frobenius_start` neglects two things, each held
@@ -487,24 +548,64 @@ def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: flo
     - the E-dependent terms a4 r^4 and a5 r^5, in closed form, so that r_s
       moves continuously with E (finite differences in E stay smooth).
 
+    A ``source`` (S, (p, t)) asks for the radius of its particular series
+    (:func:`_particular_series`) instead.  A start error of the form a y_h
+    leaves the superposition as it is (:func:`_couple`), so only the start
+    error's share of the irregular solution r^{1/2 - lam} counts: a term f
+    r^{n + sigma} has the share f r^{n + sigma} / (2 lam (n + c + 2 lam))
+    of its right-hand side f, finite at the log order too.  Relative to the
+    leading term b_0 r^sigma, and below eps = SERIES_TOL_FRACTION tol, it
+    bounds
+    - the departures of mu V and of S from their expansions, read on the
+      same halving radii, which a wrong ``origin`` of the kernel term fails
+      down to r_min;
+    - the two orders after the series stops, in closed form.
+    An empty series under a source that its expansion does not make zero
+    (the log order at n = 0) starts at r_min.
+
     r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2), so it never
     passes a knot or the second recorded node, and it is never below
     record[0].  For float64 lanes the bounds hold on every lane: one r_s,
     the smallest over the lanes.
     """
     r_min = float(record[0])
-    eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
     w_m1, w0, w1 = origin_w
     cf = lam * lam - 0.25
-    bound = eps * 2 * abs(2 * lam + 2)
     r = min(SERIES_CAP_FRACTION * r0, 0.5 * float(record[1]))
-    while r > r_min and not _largest(E - cf / (r * r) - qfun(r)
-                                     - (w_m1 / r + w0 + w1 * r)) * (r * r) <= bound:
-        r *= 0.5
-    _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
-    for a, n in ((_largest(a4), 4), (_largest(a5), 5)):
+
+    def dv(r):   # dV(r) r^2, per lane
+        return (E - cf / (r * r) - qfun(r) - (w_m1 / r + w0 + w1 * r)) * (r * r)
+
+    if source is None:
+        eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
+        bound = eps * 2 * abs(2 * lam + 2)
+        while r > r_min and not _largest(dv(r)) <= bound:
+            r *= 0.5
+        _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
+        terms = ((eps, _largest(a4), 4), (eps, _largest(a5), 5))
+    else:
+        sfun, (p, t) = source
+        sigma, b, tail = _particular_series(lam, E, origin_w, (p, t))
+        eps = SERIES_TOL_FRACTION * tol
+        share = 2 * lam * (sigma + lam - 0.5)   # 2 lam (n + c + 2 lam) at n = 0
+
+        def departs(r):
+            try:
+                y = np.abs(_particular_start(sigma, b, r)[0])
+                ds = sfun(r) - r ** p * sum(t_n * r ** n for n, t_n in enumerate(t))
+            except (OverflowError, RegularityError):
+                return True
+            return not np.all(np.abs(dv(r)) * y + abs(ds) * (r * r) <= eps * share * y)
+
+        while r > r_min and departs(r):
+            r *= 0.5
+        if not b:
+            return max(r, r_min) if _largest(tail[0]) == 0.0 else r_min
+        terms = [(eps * abs(b[0]) * 2 * lam * abs(n + sigma + lam - 0.5), _largest(f), n)
+                 for n, f in enumerate(tail, len(b))]
+    for limit, a, n in terms:   # a r^n <= limit
         if a > 0.0:
-            r = min(r, (eps / a) ** (1.0 / n))
+            r = min(r, (limit / a) ** (1.0 / n))
     return max(r, r_min)
 
 
@@ -514,18 +615,22 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     """Origin-regular solve: the series start at r_s, then :func:`_integrate` on ``record``.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
-    branch of :func:`integrate_regular` instead).  E and origin_w are
-    scalars, or arrays for float64 lanes.  r_s comes from
+    branch of :func:`integrate_regular` instead, started at record[0]).  E
+    and origin_w are scalars, or arrays for float64 lanes.  r_s comes from
     :func:`_series_radius` (r0 is the cutoff radius that caps it); the
     nodes below r_s (record[0] only) take the series value.  Between
     record[0] and r_s neither y nor y' has a zero, so a real problem's
-    winding count is that of a solve from record[0].  The subdominant
-    branch, and kernel ``sources`` S_i, start at record[0].  With sources
-    (lanes only; E and origin_w then end in an axis of length 1), every
-    point gets one more lane per source after its homogeneous one: the
-    particular solve of y'' + Q y = S_i from (0, 0); a particular solve
-    started at r_s would drop the integral of S_i below it.  Returns the
-    tuple of :func:`_integrate`.
+    winding count is that of a solve from record[0].
+
+    ``sources``, pairs (S_i, (p_i, t_i)) of a kernel source and its origin
+    expansion, add the particular solves of y'' + Q y = S_i, each started
+    on its own series (:func:`_particular_series`) as the homogeneous solve
+    is on its own: the node arrays and max|y| then gain a last axis of 1 +
+    n solves, the homogeneous one first.  Scalars start every solve at its
+    own r_s; lanes (E and origin_w then end in an axis of length 1) start
+    the 1 + n lanes of every point at one r_s, the smallest.  Lanes run
+    with numpy's floating-point warnings off: a NaN or inf in a lane
+    rejects its step by design.  Returns the tuple of :func:`_integrate`.
     """
     re = lam.real if isinstance(lam, complex) else lam
     if second_branch:
@@ -535,24 +640,46 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     elif re <= 0.0:
         raise RegularityError("regular solution requires Re lam > 0")
     r_min = float(record[0])
-    u0, v0 = frobenius_start(lam, E, origin_w, r_min)
-    if sources:
-        zeros = np.zeros(np.shape(u0)[:-1] + (len(sources),))
-        u0 = np.concatenate([u0, zeros], axis=-1)
-        v0 = np.concatenate([v0, zeros], axis=-1)
+    solves = (None,) + tuple(sources)   # None: the homogeneous solve
 
-        def sfun(r):
-            return np.array([0.0] + [src(r) for src in sources])
+    def start(j, r):
+        if series[j] is None:
+            return frobenius_start(lam, E, origin_w, r)
+        return _particular_start(*series[j], r)
 
-        return _integrate(qfun, sfun, r_min, u0, v0, record, tol)
-    r_s = r_min if second_branch else _series_radius(qfun, lam, E, origin_w, record, r0, tol)
-    u_s, v_s = frobenius_start(lam, E, origin_w, r_s)
-    us, vs, max_u, *turns = _integrate(qfun, None, r_s, u_s, v_s, record[1:], tol,
-                                       return_winding)
-    us = np.concatenate([[u0], us])
-    vs = np.concatenate([[v0], vs])
-    max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
-    return (us, vs, max_u, *turns)
+    def run(sfun, r_s, at_min, at_s):
+        us, vs, max_u, *turns = _integrate(qfun, sfun, r_s, *at_s, record[1:], tol,
+                                           return_winding, head=at_min)
+        u0 = at_min[0]
+        max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
+        return (us, vs, max_u, *turns)
+
+    lanes = np.ndim(E) > 0 or np.ndim(origin_w[0]) > 0
+    with np.errstate(all="ignore") if lanes else contextlib.nullcontext():
+        series = [None if source is None else _particular_series(lam, E, origin_w, source[1])[:2]
+                  for source in solves]
+        if second_branch:
+            radii = [r_min]
+        else:
+            radii = [_series_radius(qfun, lam, E, origin_w, record, r0, tol, source)
+                     for source in solves]
+        if lanes and sources:
+            r_s = min(radii)
+            shape = np.broadcast_shapes(np.shape(E), *(np.shape(w) for w in origin_w))
+
+            def stacked(r):
+                return tuple(np.concatenate([np.broadcast_to(x, shape) for x in xs], axis=-1)
+                             for xs in zip(*(start(j, r) for j in range(len(solves)))))
+
+            def sfun(r):
+                return np.array([0.0] + [src(r) for src, _ in sources])
+
+            return run(sfun, r_s, stacked(r_min), stacked(r_s))
+        out = [run(None if source is None else source[0], r_s, start(j, r_min), start(j, r_s))
+               for j, (source, r_s) in enumerate(zip(solves, radii))]
+    if not sources:
+        return out[0]
+    return tuple(np.stack(parts, axis=-1) for parts in zip(*out))
 
 
 def _with_knots(potential: PotentialModel, nodes) -> Tuple[np.ndarray, object]:
@@ -692,11 +819,9 @@ def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
     if isinstance(E, complex) and E.imag != 0:
         raise QwsError("non-local solve requires real energy")
     record, keep = _with_knots(eq.potential, grid.interior_nodes)
-    solves = [_from_origin(eq.coefficient, lam, E, eq.origin_w, record, grid.r0, tol)]
-    for src in eq.sources:
-        solves.append(_integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, rtol=tol))
-    ys = np.stack([u[keep] for u, _, _ in solves], axis=-1)[:, None, :]
-    dys = np.stack([v[keep] for _, v, _ in solves], axis=-1)[:, None, :]
+    us, vs, _ = _from_origin(eq.coefficient, lam, E, eq.origin_w, record, grid.r0, tol,
+                             sources=tuple(zip(eq.sources, eq.source_origins)))
+    ys, dys = us[keep][:, None, :], vs[keep][:, None, :]
     return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 
 
@@ -829,7 +954,8 @@ def _superposition_lanes(channel: ChannelParams, potential: PotentialModel, E, m
     E, mu = E[:, None], mu[:, None]
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
     ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
-                              record, potential.r0, tol, sources=eq.sources)
+                              record, potential.r0, tol,
+                              sources=tuple(zip(eq.sources, eq.source_origins)))
     ys, dys = ys[keep], dys[-1:].copy()   # y' is needed at r0 only: free the rest
     return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 

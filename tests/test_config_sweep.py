@@ -1,8 +1,8 @@
 """The mutation sweep of scripts/config_sweep.py over the fast shipped configs.
 
-bound_states_kernel.cfg takes about 0.1 s per run and stays out of Tier-1;
-CI runs the whole sweep, all seven configs and every value of
-``config_sweep.VALUES``, through the script itself.
+bound_states_kernel.cfg takes about 0.1 s per run and stays out of Tier-1
+but for the value 1e300; CI runs the whole sweep, all seven configs and
+every value of ``config_sweep.VALUES``, through the script itself.
 """
 
 import importlib.util
@@ -36,6 +36,14 @@ def test_family_variants_end_with_a_documented_exit(tmp_path):
     assert runs == len(VALUES) * sum(len(config_sweep.numeric_keys(text)) for _, text in variants)
 
 
+def test_kernel_config_at_1e300_leaks_no_runtime_warning(tmp_path):
+    # 1e300 on q, l, strength or mu of the kernel config drove NaN and inf
+    # through the lanes and the series, and 10-111 numpy warnings escaped
+    kernel = config_sweep.shipped([ROOT / "configs" / "bound_states_kernel.cfg"])
+    runs, failures = config_sweep.sweep(kernel, ("1e300",), tmp_path)
+    assert failures == [] and runs >= 6
+
+
 def test_a_traceback_is_a_failure(tmp_path, monkeypatch):
     def broken(argv):
         raise ZeroDivisionError("float division by zero")
@@ -44,6 +52,18 @@ def test_a_traceback_is_a_failure(tmp_path, monkeypatch):
     runs, failures = config_sweep.sweep(FAST_CONFIGS[:1], ("0",), tmp_path)
     assert runs == len(failures) >= 1
     assert all("ZeroDivisionError" in line for line in failures)
+
+
+def test_a_runtime_warning_is_a_failure(tmp_path, monkeypatch):
+    def noisy(argv):
+        import numpy as np
+        np.array([1e300]) * 1e300   # overflow: numpy warns and carries on
+        return 0
+
+    monkeypatch.setattr(config_sweep.cli, "main", noisy)
+    runs, failures = config_sweep.sweep(FAST_CONFIGS[:1], ("0",), tmp_path)
+    assert runs == len(failures) >= 1
+    assert all("RuntimeWarning" in line and "overflow" in line for line in failures)
 
 
 def test_mutation_replaces_one_value():

@@ -8,11 +8,11 @@ from scipy import special as sp
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
-from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
-                            square_well, tabulated, truncated_exponential,
+from qws.potentials import (KernelTerm, LocalPotential, PotentialModel, gaussian_bump,
+                            poly_bump, square_well, tabulated, truncated_exponential,
                             truncated_gaussian)
 from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _couple, _integrate,
-                            _series_radius, _superposition_solves, _with_knots,
+                            _kernel_moments, _series_radius, _superposition_solves, _with_knots,
                             cutoff_integral, frobenius_start, green_identity_residual,
                             integrate_jost, integrate_regular, interior_in_mu,
                             interior_lanes, interior_state, make_grid, prufer_angle,
@@ -1059,3 +1059,109 @@ class TestSeriesStart:
             assert abs(r_hi - r_lo) <= 1e-3 * r_mid
             assert abs((r_hi - r_mid) - (r_mid - r_lo)) <= 1e-3 * abs(r_hi - r_lo)
 
+
+
+def _particular_radius(ch, pot, E, source=0, tol=1e-10):
+    """r_s of particular solve ``source`` of the scalar superposition at energy E."""
+    eq = effective_equation(ch, pot, EnergyValue(E=E))
+    record = make_grid(pot.r0, r_max=pot.r0, n_interior=MOMENT_NODES).interior_nodes
+    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol,
+                          (eq.sources[source], eq.source_origins[source]))
+
+
+def _superposed_from_zero(eq, tol=1e-10):
+    """(y, y', max|y|) at r0 of the kernel point with its particular solves from (0, 0) at r_min.
+
+    The start the series start at r_s replaces: the same homogeneous solve,
+    moments and coupling, with each particular solve stepped from rest.
+    """
+    grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
+    ys, dys, _ = _superposition_solves(eq, grid, tol)
+    record, keep = _with_knots(eq.potential, grid.interior_nodes)
+    for j, src in enumerate(eq.sources):
+        us, vs, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, tol)
+        ys[:, 0, 1 + j], dys[:, 0, 1 + j] = us[keep], vs[keep]
+    s = np.array([[src(float(r)) for src in eq.sources] for r in grid.interior_nodes])
+    m = _kernel_moments(grid, s, ys, eq.lam + 0.5)
+    y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
+    return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
+
+
+class TestParticularStart:
+    """Kernel particular solves start on their own origin series at r_s."""
+
+    @pytest.mark.parametrize("term, a", [(gaussian_bump(0.5, 0.15), 0.0),
+                                         (gaussian_bump(0.35, 0.12, 3.0), 0.0),
+                                         (poly_bump(2.0, 3.0, 1.0, 30.0), 2.0),
+                                         (poly_bump(0.5, 1.5, 2.0), 0.5)])
+    def test_expansion_is_the_profile_near_the_origin(self, term, a):
+        lead, t = term.origin
+        assert lead == a and len(t) >= 4
+        for r in (1e-3, 1e-2):
+            series = r ** lead * sum(c * r ** n for n, c in enumerate(t))
+            assert abs(series - term.profile(r)) <= 1e-14 * abs(term.profile(r))
+
+    def test_underflowing_or_unknown_expansion(self):
+        # g(0) = exp(-2500) reads 0: no terms, a zero series that the source
+        # matches up to r ~ 0.23, so the start stays at the cap
+        assert gaussian_bump(0.5, 0.01).origin == (0.0, ())
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.01),), strengths=(-2000.0,))
+        assert _particular_radius(CH_S, pot, -9.0) == 1e-3
+        # a hand-built term has no expansion: the source departs from the zero
+        # series at every radius, and the start falls to r_min
+        bare = KernelTerm(name="bare", profile=_BUMP.profile)
+        pot = PotentialModel(r0=1.0, kernel=(bare,), strengths=(-700.0,))
+        ch = ChannelParams(q=3, l=1)
+        assert _particular_radius(ch, pot, -50.0) == R_MIN_FRACTION
+        eq = effective_equation(ch, pot, EnergyValue(E=-50.0))
+        u, v, max_u = interior_state(eq)
+        ref = _superposed_from_zero(eq)
+        assert max(abs(u - ref[0]), abs(v - ref[1])) <= 1e-9 * ref[2]
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_matches_the_start_from_rest_at_r_min(self, ch, pot):
+        # l <= 1: the start from (0, 0) at r_min is accurate here, and the
+        # series start leaves it three decades higher
+        for E in (-200.0, -3.0, 2.0):
+            assert all(_particular_radius(ch, pot, E, i) == 1e-3 for i in range(pot.rank))
+            eq = effective_equation(ch, pot, EnergyValue(E=E))
+            u, v, max_u = interior_state(eq)
+            ref = _superposed_from_zero(eq)
+            assert max(abs(u - ref[0]), abs(v - ref[1])) <= 1e-9 * ref[2]
+
+    def test_high_partial_wave_is_tolerance_stable(self):
+        # q = 3, l = 5: from (0, 0) at r_min each particular solve carried
+        # about r_min^(2 - l) y_h, which the superposition cancelled to 28 % in
+        # A = y'/y between tol 1e-10 and 1e-12, at det(Id - mu C M) = 5.9e12
+        ch = ChannelParams(q=3, l=5)
+        pot = PotentialModel(r0=1.0, kernel=(_BUMP,), strengths=(-3000.0,))
+        eq = effective_equation(ch, pot, EnergyValue(E=2.0))
+        A = [complex(v / u).real for u, v, _ in (interior_state(eq, tol) for tol in (1e-10, 1e-12))]
+        assert abs(A[0] - A[1]) <= 1e-9 * abs(A[1])
+        det = solve_nonlocal(eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES)).kernel_data.det
+        assert 1.0 < det < 100.0
+
+    def test_start_error_along_y_h_leaves_the_superposition_as_it_is(self, monkeypatch):
+        # y_j -> y_j + a_j y_h scales det(B) and beta alike (Sherman-Morrison),
+        # and leaves G = m_h c^T - M_p of the kernel index as it is
+        import qws.spectral as spec
+        ch, pot = KERNEL_MODELS[1]   # rank 2
+        E = -40.0
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        ys, dys, m = _superposition_solves(
+            eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10)
+        a = np.array([0.7, -1.3]) * np.abs(ys[-1, 0, 1:]) / abs(ys[-1, 0, 0])
+        shifted = tuple(x.copy() for x in (ys, dys, m))
+        for x in shifted:
+            x[..., 1:] += a * x[..., :1]
+        ref, moved = (_couple(s[2], s[0], s[1], eq.coupling, eq.mu)
+                      for s in ((ys, dys, m), shifted))
+        for x, y in zip(ref[:2], moved[:2]):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+        values = []
+        for solves in ((ys, dys, m), shifted):
+            monkeypatch.setattr(spec, "_superposition_solves", lambda *args, s=solves: s)
+            values.append(spec._scan_values(ch, pot, [E], 1.0, 1e-10))
+        (M_ref, index_ref), (M, index) = values
+        assert abs(M[0] - M_ref[0]) <= 1e-12 * abs(M_ref[0])
+        assert index[0] == index_ref[0]

@@ -20,7 +20,7 @@ from qws.radial_ode import interior_lanes, interior_state
 from qws.roots import refine_root
 from qws.scattering import phase_shift
 
-from oracles import swave_well_levels
+from oracles import rank1_kernel_level, swave_well_levels
 
 CH_S = ChannelParams(q=3, l=0)
 
@@ -144,17 +144,34 @@ class TestFindBoundStates:
         assert [round(s.E, 4) for s in states] == [-44.7122, -29.1884]
 
     def test_strong_rank1_kernel_warns_of_its_miscount(self):
-        # a rank-1 kernel binds at most one level, but at -5e4 the outward
-        # superposition is too ill-conditioned to scan: M changes sign where
-        # the level count rises by none, and those brackets go with a warning
+        # a rank-1 kernel binds at most one level, but the outward superposition
+        # loses its conditioning as the strength grows: at -5e4 the count still
+        # gives the one level; at -1e5 M changes sign where the level count
+        # rises by none, and those brackets go with a warning
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-5e4,))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            states = find_bound_states(CH_S, pot)
+        states = find_bound_states(CH_S, pot)
         n_floor, n_top = (sp._level_count(CH_S, pot, E, 1.0, 1e-10)[0]
                           for E in sp._search_range(CH_S, pot, 1.0, None))
         assert len(states) == n_top - n_floor == 1
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-1e5,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            find_bound_states(CH_S, pot)
         assert any("dropped as noise" in str(w.message) for w in caught)
+
+    def test_high_partial_wave_kernel_level(self):
+        # q = 3, l = 4: each particular solve from (0, 0) at r_min carried about
+        # r_min^(2 - l) y_h, and no level came out ("1 levels below E_floor")
+        ch = ChannelParams(q=3, l=4)
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-2e4,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(ch, pot)
+        E_ref = rank1_kernel_level(ch.lam, 3, lambda r: np.exp(-((r - 0.5) / 0.15) ** 2),
+                                   -2e4, (-900.0, -800.0))
+        assert abs(E_ref + 840.0506) <= 1e-4
+        assert len(states) == 1
+        assert abs(states[0].E - E_ref) <= 1e-7 * abs(E_ref)
 
     def test_well_with_a_weak_kernel_keeps_every_level(self):
         # a -1e-9 bump on the 23-level well: the 400- and 1600-energy scans
