@@ -6,12 +6,15 @@ set, one at a time, to each value of a list of malformed or extreme values,
 and the mutated config runs through the CLI with ``--no-metadata``.  The
 local families no shipped config uses, the truncated gaussian and
 exponential, are swept as variants of one shipped config's text, made in
-memory: a file under ``configs/`` would also join the benchmark.  Every
-run must end with a documented exit code: 0 (ran), 2 (config), 3 (numeric)
-or 4 (inconclusive).  An exit 1, any other code, an exception escaping
-``cli.main``, or a numpy ``RuntimeWarning`` escaping it (overflow or NaN
-arithmetic left unguarded) is a failure.  Prints one line per failure and
-the totals, and exits 1 when anything failed.
+memory: a file under ``configs/`` would also join the benchmark.  So are
+the four Bessel functions of ``eval-special``, as variants of the gamma
+config at nu = 1.5, x = 2.5.  Every run must end with a documented exit
+code: 0 (ran), 2 (config), 3 (numeric) or 4 (inconclusive), and a Bessel
+variant's run with the one ``special_exit`` names.  An exit 1, any other
+code, an exception escaping ``cli.main``, or a numpy ``RuntimeWarning``
+escaping it (overflow or NaN arithmetic left unguarded) is a failure.
+Prints one line per failure and the totals, and exits 1 when anything
+failed.
 
     PYTHONPATH=src python3 scripts/config_sweep.py
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 import tempfile
 import time
@@ -36,6 +40,10 @@ DOCUMENTED_EXITS = (0, 2, 3, 4)
 # (family, its shape-parameter line) swapped for the square well of VARIANT_BASE
 FAMILY_VARIANTS = (("truncated_gaussian", "width = 0.5"), ("truncated_exponential", "scale = 0.5"))
 VARIANT_BASE = "levinson_two_levels.cfg"
+# eval-special functions swapped, with nu and x, for the gamma function of SPECIAL_BASE
+SPECIAL_FUNCTIONS = ("bessel_j", "bessel_y", "bessel_i", "bessel_k")
+SPECIAL_BASE = "eval_gamma.cfg"
+SPECIAL_LINES = "name = gamma\nx = 0.5\n"
 
 
 def numeric_keys(text: str) -> List[Tuple[int, str]]:
@@ -69,6 +77,35 @@ def family_variants(text: str) -> List[Tuple[str, str]]:
             for family, shape in FAMILY_VARIANTS]
 
 
+def special_variants(text: str) -> List[Tuple[str, str]]:
+    """(name, text) of ``text`` with its gamma function swapped for each of SPECIAL_FUNCTIONS."""
+    if SPECIAL_LINES not in text:
+        raise ValueError(f"{SPECIAL_BASE} no longer evaluates gamma at x = 0.5")
+    return [(f"{SPECIAL_BASE}[{name}]",
+             text.replace(SPECIAL_LINES, f"name = {name}\nnu = 1.5\nx = 2.5\n"))
+            for name in SPECIAL_FUNCTIONS]
+
+
+def special_exit(name: str, key: str, value: str) -> int:
+    """The exit code a Bessel variant ``name`` must end with when ``key`` reads ``value``.
+
+    2 for a value that is no finite number; 3 outside the envelope (nu in
+    [0, 50], x in (0, 1e3]) and where Y, I/K or a derivative overflows at
+    x -> 0 (J has a limit at x = 0); else 0.
+    """
+    try:
+        v = float(value)
+    except ValueError:
+        return 2
+    if not math.isfinite(v):
+        return 2
+    if v < 0.0 or v > (50.0 if key == "nu" else 1e3):
+        return 3
+    if key == "x" and v <= 1e-300 and not name.endswith("[bessel_j]"):
+        return 3
+    return 0
+
+
 def shipped(paths: Iterable[Path]) -> List[Tuple[str, str]]:
     """(name, text) of each config file."""
     return [(Path(path).name, Path(path).read_text()) for path in paths]
@@ -82,8 +119,11 @@ def task_of(text: str) -> str:
     raise ValueError("config names no task")
 
 
-def run_one(text: str, task: str, workdir: Path) -> str:
-    """Run one config through cli.main; '' when it ends with a documented exit, else why not."""
+def run_one(text: str, task: str, workdir: Path, expected: int = None) -> str:
+    """Run one config through cli.main; '' when it ends with a documented exit, else why not.
+
+    With ``expected`` the run must end with that exit code.
+    """
     cfg = workdir / "mutated.cfg"
     cfg.write_text(text)
     stderr = io.StringIO()
@@ -94,8 +134,9 @@ def run_one(text: str, task: str, workdir: Path) -> str:
                              "--no-metadata"])
     except Exception:   # the sweep reports any escaping exception as a failure
         return "exception: " + traceback.format_exc(limit=-1).strip().splitlines()[-1]
-    if code not in DOCUMENTED_EXITS:
-        return f"exit {code}: {stderr.getvalue().strip()[-200:]}"
+    if code not in DOCUMENTED_EXITS or expected not in (None, code):
+        want = "" if expected is None else f" (expected {expected})"
+        return f"exit {code}{want}: {stderr.getvalue().strip()[-200:]}"
     leaked = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if leaked:
         w = leaked[0]
@@ -105,8 +146,14 @@ def run_one(text: str, task: str, workdir: Path) -> str:
 
 
 def sweep(configs: Iterable[Tuple[str, str]], values: Sequence[str] = VALUES,
-          workdir: Path = None) -> Tuple[int, List[str]]:
-    """Run every ((name, text) config, numeric key, value); returns (runs, one line per failure)."""
+          workdir: Path = None, expected_exit=None,
+          keys: Sequence[str] = None) -> Tuple[int, List[str]]:
+    """Run every ((name, text) config, numeric key, value); returns (runs, one line per failure).
+
+    ``keys``, when given, limits the sweep to those keys, and
+    ``expected_exit(name, key, value)`` names the exit code each run must
+    end with.
+    """
     failures = []
     runs = 0
     with contextlib.ExitStack() as stack:
@@ -115,9 +162,12 @@ def sweep(configs: Iterable[Tuple[str, str]], values: Sequence[str] = VALUES,
         for name, text in configs:
             task = task_of(text)
             for line, key in numeric_keys(text):
+                if keys is not None and key not in keys:
+                    continue
                 for value in values:
                     runs += 1
-                    why = run_one(mutated(text, line, value), task, workdir)
+                    expected = None if expected_exit is None else expected_exit(name, key, value)
+                    why = run_one(mutated(text, line, value), task, workdir, expected)
                     if why:
                         failures.append(f"{name}: {key} = {value!r}: {why}")
     return runs, failures
@@ -127,6 +177,10 @@ def main() -> int:
     t0 = time.perf_counter()
     configs = shipped(sorted((ROOT / "configs").glob("*.cfg")))
     runs, failures = sweep(configs + family_variants(dict(configs)[VARIANT_BASE]))
+    special_runs, special_failures = sweep(special_variants(dict(configs)[SPECIAL_BASE]),
+                                           expected_exit=special_exit, keys=("nu", "x"))
+    runs += special_runs
+    failures += special_failures
     for line in failures:
         print(line)
     print(f"{runs} runs, {len(failures)} failures, {time.perf_counter() - t0:.1f} s")

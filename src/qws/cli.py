@@ -92,11 +92,9 @@ def run_eval_special(cfg: ExperimentConfig, out: Path, fmt: str, metadata) -> in
     elif name in ("bessel_i", "bessel_k"):
         pair = specfun.bessel_i_k(nu, x)
         if name == "bessel_i":
-            rec = {"value": pair.i_value,
-                   "derivative": pair.i_deriv_scaled * math.exp(pair.exponent)}
+            rec = {"value": pair.i_value, "derivative": pair.i_derivative}
         else:
-            rec = {"value": pair.k_value,
-                   "derivative": pair.k_deriv_scaled * math.exp(-pair.exponent)}
+            rec = {"value": pair.k_value, "derivative": pair.k_derivative}
     else:
         raise ConfigError(f"eval-special: unknown function {name!r}")
     write_json(out, rec, metadata)

@@ -1,10 +1,32 @@
 """Cylinder and modified-cylinder functions of arbitrary real order.
 
-Thin, range-guarded wrappers around scipy.special (AMOS / cephes) that
-return each value together with its derivative, which comes from the order
-recurrences, never from finite differences.  Supported envelope: order nu
-in [0, 50], argument x in (0, 1e3] (J also at x = 0); outside it the
-functions raise rather than return garbage.
+J, Y, I and K of real order nu with their derivatives, computed here in
+pure Python, so that importing the package loads numpy and nothing
+heavier.  Supported envelope: order nu in [0, 50], argument x in (0, 1e3]
+(J also at x = 0); outside it the functions raise rather than return
+garbage, and so do they where a value or a derivative overflows.
+
+Three regions of x, one method each:
+
+- x < 2: the power series for J and I (its terms keep one sign for I) and
+  Temme's series for Y and K at an order mu in [-1/2, 1/2), then the upward
+  order recurrence, which is stable for Y and K (N. M. Temme, J. Comput.
+  Phys. 19 (1975) 324).  Temme's gamma terms come from the Taylor
+  coefficients of 1/Gamma(1 + z) below.
+- 2 <= x < ``_asymptotic_from(nu, modified)``: Steed's method (A. R.
+  Barnett et al., Comput. Phys. Commun. 8 (1974) 377; Numerical Recipes
+  §6.7).  CF1 gives J'/J (I'/I) at nu, the downward recurrence carries it
+  to mu, CF2 gives the (J + iY)'/(J + iY) pair (K and K'/K) at mu, and
+  the Wronskian fixes the scale.
+- x >= ``_asymptotic_from(nu, modified)``: the large-argument expansions
+  (Hankel's for J and Y; Abramowitz & Stegun 9.2 and 9.7), which need no
+  continued fraction of about x steps.
+
+Derivatives come from the order recurrences or the expansions, never from
+finite differences.  Near the origin the derivative is formed from the
+neighbouring orders, J' = J_{nu-1} - (nu/x) J, Y' likewise,
+I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, so that a
+neighbour that overflows raises.
 
 The bound-state side of the package only ever needs these functions at
 purely imaginary argument, which is reached through I/K so that all
@@ -18,12 +40,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special as _sp
-
 from .errors import EnvelopeError
 
 NU_MAX = 50.0
 X_MAX = 1.0e3
+
+_EPS = 1e-16           # relative convergence of every series and continued fraction
+_TINY = 1e-300         # Lentz's stand-in for a zero denominator
+_MAX_ITER = 10_000     # a guard: inside the envelope no loop takes 400 steps
+_SERIES_X = 2.0        # below: power and Temme series; above: Steed's continued fractions
+_LN2 = math.log(2.0)
+# Below 1e3 times the smallest normal double every Y' and K' passes 2/(pi x) > 2.8e304;
+# they read as overflowed there, the same boundary as AMOS (scipy.special) keeps
+_X_TINY = 1e3 * 2.2250738585072014e-308
+
+# Taylor coefficients of 1/Gamma(1 + z) about z = 0, odd and even powers
+# (40-digit evaluation, rounded); the omitted terms stay below 1e-18 at |z| <= 1/2
+_RGAMMA_ODD = (0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
+               0.0072189432466631, -0.00021524167411495098, -2.013485478078824e-05,
+               1.133027231981696e-06, 6.116095104481416e-09, -1.18127457048702e-09,
+               7.782263439905071e-12, 5.100370287454476e-13, -5.348122539423018e-15)
+_RGAMMA_EVEN = (1.0, -0.6558780715202539, 0.16653861138229148, -0.009621971527876973,
+                -0.0011651675918590652, 0.0001280502823881162, -1.2504934821426706e-06,
+                -2.056338416977607e-07, 5.002007644469223e-09, 1.0434267116911005e-10,
+                -3.696805618642206e-12, -2.0583260535665066e-14, 1.2267786282382608e-15)
 
 
 @dataclass(frozen=True)
@@ -40,7 +80,8 @@ class ModifiedPair:
 
     The true values are i_scaled * e^{exponent} and k_scaled * e^{-exponent};
     scaling keeps the envelope x <= 1e3 free of overflow, and cancels in the
-    I'/I and K'/K ratios used by the matching conditions.
+    I'/I and K'/K ratios used by the matching conditions.  Unscaled values
+    that overflow read as +-inf.
     """
 
     nu: float
@@ -53,14 +94,19 @@ class ModifiedPair:
 
     @property
     def i_value(self) -> float:
-        try:
-            return self.i_scaled * math.exp(self.exponent)
-        except OverflowError:
-            return math.inf * (1.0 if self.i_scaled >= 0 else -1.0)
+        return _unscale(self.i_scaled, self.exponent)
+
+    @property
+    def i_derivative(self) -> float:
+        return _unscale(self.i_deriv_scaled, self.exponent)
 
     @property
     def k_value(self) -> float:
         return self.k_scaled * math.exp(-self.exponent)
+
+    @property
+    def k_derivative(self) -> float:
+        return self.k_deriv_scaled * math.exp(-self.exponent)
 
     @property
     def i_log_derivative(self) -> float:
@@ -71,6 +117,14 @@ class ModifiedPair:
     def k_log_derivative(self) -> float:
         """K'_nu(x) / K_nu(x) (scaling cancels)."""
         return self.k_deriv_scaled / self.k_scaled
+
+
+def _unscale(scaled: float, exponent: float) -> float:
+    """scaled * e^{exponent}, or +-inf where that overflows."""
+    try:
+        return scaled * math.exp(exponent)
+    except OverflowError:
+        return math.inf * (1.0 if scaled >= 0 else -1.0)
 
 
 def _check_envelope(nu: float, x: float, allow_x_zero: bool = False) -> None:
@@ -94,6 +148,300 @@ def gamma(x: float) -> float:
         raise EnvelopeError(f"gamma({x}) not representable") from exc
 
 
+def _not_converged(what: str, nu: float, x: float) -> EnvelopeError:
+    return EnvelopeError(f"{what} did not converge at nu={nu}, x={x}")
+
+
+def _asymptotic_from(nu: float, modified: bool) -> float:
+    """Smallest x at which the large-argument expansions of order nu serve.
+
+    The terms (4 nu^2 - 1)(4 nu^2 - 9).../(k! (8x)^k) first grow to about
+    e^{nu^2/(2x)}: at most 12 from x = nu^2/6.5 on, which costs as many
+    ulps.  I's alternating sum is about e^{-nu^2/(2x)} and loses that
+    factor as well, so the ``modified`` pair waits until x = nu^2/2.5.
+    Past k ~ nu the terms fall, and from x = 20 + nu on they reach 1e-18
+    before they turn up again near k = 2x.
+    """
+    return max(20.0 + nu, nu * nu / (2.5 if modified else 6.5))
+
+
+def _temme_gammas(mu: float):
+    """Temme's gamma terms for |mu| <= 1/2.
+
+    Returns (gam1, gam2, 1/Gamma(1 + mu), 1/Gamma(1 - mu)) with
+    gam1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu) and
+    gam2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2, free of cancellation at
+    small mu.
+    """
+    m2 = mu * mu
+    odd = 0.0
+    for c in reversed(_RGAMMA_ODD):
+        odd = odd * m2 + c
+    gam2 = 0.0
+    for c in reversed(_RGAMMA_EVEN):
+        gam2 = gam2 * m2 + c
+    return -odd, gam2, gam2 + mu * odd, gam2 - mu * odd
+
+
+def _power_over_gamma(x: float, v: float, g: float) -> float:
+    """(x/2)^v / Gamma(g), g > 0; inf where it overflows, 0 where it underflows.
+
+    By the power where that stays in range, else by logarithms, which cost
+    |log| ulps but reach the whole double range.
+    """
+    try:
+        power = x ** v * 0.5 ** v
+    except OverflowError:
+        power = math.inf
+    if 1e-300 < power < 1e300:
+        return power / math.gamma(g)
+    try:
+        return math.exp(v * (math.log(x) - _LN2) - math.lgamma(g))
+    except OverflowError:
+        return math.inf
+
+
+def _power_series(nu: float, x: float, sign: float):
+    """(f_{nu-1}, f_nu, f_{nu+1}) for f = J (sign -1) or I (sign +1) by the power series.
+
+    With z = sign x^2/4, t_k = z^k Gamma(nu + 1) / (k! Gamma(nu + k + 1))
+    and P_v = (x/2)^v / Gamma(v + 1): f_nu = P_nu sum t_k,
+    f_{nu+1} = P_nu (x/2) sum t_k / (nu + k + 1) and
+    f_{nu-1} = P_{nu-1} sum (nu + k) t_k / nu (f_{-1} = sign f_1).  Meant
+    for x < 2, where |z| < 1 and, for J, no sum comes near a zero but that
+    of f_{nu-1}, whose scale is nu.
+    """
+    z = 0.25 * sign * x * x
+    term = 1.0
+    s0, sm, sp = 1.0, nu, 1.0 / (nu + 1.0)
+    k = 0
+    while True:
+        k += 1
+        term *= z / (k * (nu + k))
+        s0 += term
+        sm += (nu + k) * term
+        sp += term / (nu + k + 1.0)
+        if (abs(term) <= _EPS * abs(s0)
+                and abs(term) * (nu + k) <= _EPS * max(abs(sm), nu)):
+            break
+    pre = _power_over_gamma(x, nu, nu + 1.0)
+    above = pre * sp * 0.5 * x
+    below = sign * above if nu == 0.0 else _power_over_gamma(x, nu - 1.0, nu) * (sm / nu)
+    return below, pre * s0, above
+
+
+def _temme_start(mu: float, x: float):
+    """Temme's f_0, p_0 and q_0 of K_mu, |mu| <= 1/2; those of Y_mu are 2/pi times these.
+
+    f_0 = mu pi / sin(mu pi) (gam1 cosh(sigma) + gam2 ln(2/x) sinh(sigma)/sigma),
+    p_0 = (2/x)^mu / (2 Gamma(1 - mu)) and q_0 = (x/2)^mu / (2 Gamma(1 + mu)),
+    sigma = mu ln(2/x).  ln(2/x) is taken as ln 2 - ln x, exact also for
+    subnormal x.
+    """
+    log_2x = _LN2 - math.log(x)
+    pimu = math.pi * mu
+    fact = 1.0 if abs(pimu) < _EPS else pimu / math.sin(pimu)
+    sigma = mu * log_2x
+    fact2 = 1.0 if abs(sigma) < _EPS else math.sinh(sigma) / sigma
+    gam1, gam2, gampl, gammi = _temme_gammas(mu)
+    e = math.exp(sigma)
+    return (fact * (gam1 * math.cosh(sigma) + gam2 * fact2 * log_2x),
+            0.5 * e / gampl, 0.5 / (e * gammi))
+
+
+def _temme_y(mu: float, x: float):
+    """(Y_mu, x Y_{mu+1}) by Temme's series, |mu| <= 1/2 and x < 2.
+
+    The second one carries the factor x so that it does not overflow near
+    x = 0 where Y_{mu+1} itself would.
+    """
+    ff, p, q = (2.0 / math.pi * v for v in _temme_start(mu, x))
+    half = 0.5 * math.pi * mu
+    fact3 = 1.0 if abs(half) < _EPS else math.sin(half) / half
+    r = math.pi * half * fact3 * fact3
+    c = 1.0
+    d = -0.25 * x * x
+    total = ff + r * q
+    total1 = p
+    m2 = mu * mu
+    for i in range(1, _MAX_ITER):
+        ff = (i * ff + p + q) / (i * i - m2)
+        c *= d / i
+        p /= i - mu
+        q /= i + mu
+        delta = c * (ff + r * q)
+        total += delta
+        delta1 = c * p - i * delta
+        total1 += delta1
+        if (abs(delta) < _EPS * (1.0 + abs(total))
+                and abs(delta1) < _EPS * (1.0 + abs(total1))):
+            break
+    else:
+        raise _not_converged("Temme's Y series", mu, x)
+    return -total, -2.0 * total1
+
+
+def _temme_k(mu: float, x: float):
+    """(K_mu e^x, x K_{mu+1} e^x) by Temme's series, |mu| <= 1/2 and x < 2."""
+    ff, p, q = _temme_start(mu, x)
+    total = ff
+    c = 1.0
+    d = 0.25 * x * x
+    total1 = p
+    m2 = mu * mu
+    for i in range(1, _MAX_ITER):
+        ff = (i * ff + p + q) / (i * i - m2)
+        c *= d / i
+        p /= i - mu
+        q /= i + mu
+        delta = c * ff
+        total += delta
+        total1 += c * (p - i * ff)
+        if abs(delta) < _EPS * abs(total):
+            break
+    else:
+        raise _not_converged("Temme's K series", mu, x)
+    scale = math.exp(x)
+    return total * scale, 2.0 * total1 * scale
+
+
+def _hankel(nu: float, x: float):
+    """(J, J', Y, Y') of order nu by Hankel's expansions, x >= _asymptotic_from(nu, False).
+
+    J = A (P cos chi - Q sin chi), Y = A (P sin chi + Q cos chi),
+    J' = -A (R sin chi + S cos chi), Y' = A (R cos chi - S sin chi), with
+    A = sqrt(2/(pi x)) and chi = x - (nu/2 + 1/4) pi (Abramowitz & Stegun
+    9.2.5-9.2.11).
+    """
+    p, q, r, s = _asymptotic_sums(nu, x, alternate=True)
+    # chi's phase from nu mod 4, so that the reduction is exact
+    half_pi_nu = 0.5 * math.pi * math.fmod(nu, 4.0)
+    cn, sn = math.cos(half_pi_nu), math.sin(half_pi_nu)
+    cos_phi, sin_phi = (cn - sn) * math.sqrt(0.5), (sn + cn) * math.sqrt(0.5)
+    cx, sx = math.cos(x), math.sin(x)
+    cos_chi = cx * cos_phi + sx * sin_phi
+    sin_chi = sx * cos_phi - cx * sin_phi
+    amp = math.sqrt(2.0 / (math.pi * x))
+    return (amp * (p * cos_chi - q * sin_chi), -amp * (r * sin_chi + s * cos_chi),
+            amp * (p * sin_chi + q * cos_chi), amp * (r * cos_chi - s * sin_chi))
+
+
+def _asymptotic_sums(nu: float, x: float, alternate: bool):
+    """The even and odd parts of sum a_k and of sum b_k, the value and derivative expansions.
+
+    a_k = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! (8x)^k) and
+    b_k = a_{k-1} (4 nu^2 + 4k^2 - 1) / (8 k x), b_0 = 1.  With ``alternate``
+    the k-th term of each part carries (-1)^(k//2) (Hankel's P, Q, R, S);
+    without it all terms add (K e^x and -K' e^x up to sqrt(pi/(2x))).
+    """
+    mu4 = 4.0 * nu * nu
+    a = 1.0
+    sums = [1.0, 0.0, 1.0, 0.0]          # sum a_even, sum a_odd, sum b_even, sum b_odd
+    prev = math.inf
+    for k in range(1, _MAX_ITER):
+        b = a * (mu4 + 4.0 * k * k - 1.0) / (8.0 * k * x)
+        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        sign = -1.0 if alternate and k % 4 in (2, 3) else 1.0
+        sums[k % 2] += sign * a
+        sums[2 + k % 2] += sign * b
+        size = abs(a) + abs(b)
+        if size <= 0.1 * _EPS * (abs(sums[0]) + abs(sums[1])):
+            break
+        if size > prev and k > 2 * nu:
+            raise _not_converged("the asymptotic expansion", nu, x)
+        prev = size
+    else:
+        raise _not_converged("the asymptotic expansion", nu, x)
+    return sums
+
+
+def _jy_steed(nu: float, x: float):
+    """(J, J', Y, Y') of order nu by Steed's method, x >= 2."""
+    xi = 1.0 / x
+    xi2 = 2.0 * xi
+    # CF1 for g = J_{nu+1} / J_nu, summed from its tail: the backward
+    # recurrence g_{v-1} = 1 / (2v/x - g_v) from g = 0 at an order past x,
+    # where J_v(x) > 0.  It keeps J within 1e-14 of sqrt(J^2 + Y^2) where
+    # the forward (Lentz) evaluation lost 2.5e-12 at nu = 50, x = 376 and
+    # 1.2e-9 in f at nu = 35.9, x = 988.  The signs of the denominators
+    # give the sign of J_nu.
+    g = 0.0
+    isign = 1.0
+    for j in range(int(max(x - nu, 0.0) + 8.0 * x ** (1.0 / 3.0)) + 10, 0, -1):
+        den = 2.0 * (nu + j) * xi - g
+        if den == 0.0:
+            den = _TINY
+        if den < 0.0:
+            isign = -isign
+        g = 1.0 / den
+    h = nu * xi - g                                   # J'_nu / J_nu
+    # downward recurrence from nu to mu = nu - nl, which CF2 takes for mu <~ x
+    nl = max(0, int(nu - x + 1.5))
+    mu = nu - nl
+    jl = isign
+    jpl = h * jl
+    jl_nu, jpl_nu = jl, jpl
+    for l in range(nl, 0, -1):
+        jtemp = (mu + l) * xi * jl + jpl
+        jpl = (mu + l - 1) * xi * jtemp - jl
+        jl = jtemp
+    f = jpl / jl
+    # CF2: p + iq = (J'_mu + i Y'_mu) / (J_mu + i Y_mu)
+    #   = -1/(2x) + i + (i/x) a_1 / (b_1 + a_2 / (b_2 + ...)),
+    #   a_k = (k - 1/2)^2 - mu^2, b_k = 2 (x + k i)
+    m2 = mu * mu
+    frac = _TINY + 0j
+    cc = frac
+    dd = 0j
+    for k in range(1, _MAX_ITER):
+        ak = (k - 0.5) ** 2 - m2
+        bk = complex(2.0 * x, 2.0 * k)
+        dd = bk + ak * dd
+        if dd == 0:
+            dd = _TINY
+        cc = bk + ak / cc
+        if cc == 0:
+            cc = _TINY
+        dd = 1.0 / dd
+        delta = cc * dd
+        frac *= delta
+        if abs(delta.real - 1.0) + abs(delta.imag) < _EPS:
+            break
+    else:
+        raise _not_converged("CF2 for J and Y", nu, x)
+    pq = complex(-0.5 * xi, 1.0) + 1j * xi * frac
+    p, q = pq.real, pq.imag
+    gam = (p - f) / q
+    jmu = math.copysign(math.sqrt(2.0 / (math.pi * x) / ((p - f) * gam + q)), jl)
+    ymu = gam * jmu
+    y1 = mu * xi * ymu - (p * ymu + q * jmu)         # Y_{mu+1} = (mu/x) Y_mu - Y'_mu
+    scale = jmu / jl
+    for i in range(1, nl + 1):
+        ymu, y1 = y1, (mu + i) * xi2 * y1 - ymu
+    return jl_nu * scale, jpl_nu * scale, ymu, nu * xi * ymu - y1
+
+
+def _jy(nu: float, x: float):
+    """(J, J', Y, Y') of order nu at x > 0."""
+    if x >= _asymptotic_from(nu, False):
+        return _hankel(nu, x)
+    if x >= _SERIES_X:
+        return _jy_steed(nu, x)
+    jm1, j, _ = _power_series(nu, x, -1.0)
+    # Y from Temme's pair at mu in [-1/2, 1/2), then upward to nu
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    ymu, xy1 = _temme_y(mu, x)
+    if nl == 0:
+        ym1 = (2.0 * mu * ymu - xy1) / x              # Y_{mu-1} = (2mu/x) Y_mu - Y_{mu+1}
+        y = ymu
+    else:
+        ym1, y = ymu, xy1 / x
+        for i in range(1, nl):
+            ym1, y = y, (2.0 * (mu + i) / x) * y - ym1
+    return j, jm1 - (nu / x) * j, y, ym1 - (nu / x) * y
+
+
 def bessel_j(nu: float, x: float) -> EvalReport:
     """J_nu(x) and J'_nu(x); x = 0 allowed (limit values)."""
     _check_envelope(nu, x, allow_x_zero=True)
@@ -101,8 +449,7 @@ def bessel_j(nu: float, x: float) -> EvalReport:
         # J'_nu ~ (x/2)^{nu-1} / (2 Gamma(nu)): 1/2 at nu = 1, divergent for 0 < nu < 1
         deriv = 0.5 if nu == 1.0 else (math.inf if 0.0 < nu < 1.0 else 0.0)
         return EvalReport(1.0 if nu == 0.0 else 0.0, deriv)
-    value = float(_sp.jv(nu, x))
-    deriv = float(_sp.jv(nu - 1.0, x)) - (nu / x) * value
+    value, deriv, _, _ = _jy(float(nu), float(x))
     if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EnvelopeError(f"J_nu evaluation overflowed at nu={nu}, x={x}")
     return EvalReport(value, deriv)
@@ -111,21 +458,110 @@ def bessel_j(nu: float, x: float) -> EvalReport:
 def bessel_y(nu: float, x: float) -> EvalReport:
     """Y_nu(x) (Neumann) and Y'_nu(x); singular at x = 0."""
     _check_envelope(nu, x)
-    value = float(_sp.yv(nu, x))
-    deriv = float(_sp.yv(nu - 1.0, x)) - (nu / x) * value
+    if x < _X_TINY:
+        raise EnvelopeError(f"Y_nu evaluation overflowed at nu={nu}, x={x}")
+    _, _, value, deriv = _jy(float(nu), float(x))
     if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EnvelopeError(f"Y_nu evaluation overflowed at nu={nu}, x={x}")
     return EvalReport(value, deriv)
 
 
+def _ik_steed(nu: float, x: float):
+    """(I e^-x, I' e^-x, K e^x, K' e^x) of order nu by Steed's method, x >= 2."""
+    xi = 1.0 / x
+    xi2 = 2.0 * xi
+    # CF1: ratio = I'_nu / I_nu (all terms positive: no sign to track)
+    ratio = max(nu * xi, _TINY)
+    b = xi2 * nu
+    d = 0.0
+    c = ratio
+    for _ in range(_MAX_ITER):
+        b += xi2
+        d = 1.0 / (b + d)
+        c = b + 1.0 / c
+        delta = c * d
+        ratio *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    else:
+        raise _not_converged("CF1 for I", nu, x)
+    # downward recurrence from nu to mu = nu - nl in [-1/2, 1/2)
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    il = 1.0
+    ipl = ratio
+    for l in range(nl, 0, -1):
+        itemp = (mu + l) * xi * il + ipl
+        ipl = (mu + l - 1) * xi * itemp + il
+        il = itemp
+    f = ipl / il
+    # CF2 (Temme): K_mu e^x = sqrt(pi/(2x)) / s, and K_{mu+1}/K_mu from h
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _MAX_ITER):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < _EPS * abs(s):
+            break
+    else:
+        raise _not_converged("CF2 for K", nu, x)
+    kmu = math.sqrt(math.pi / (2.0 * x)) / s
+    k1 = kmu * (mu + x + 0.5 - a1 * h) * xi
+    # Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/x, with I_{mu+1} = I'_mu - (mu/x) I_mu
+    imu = xi / (f * kmu + k1 - mu * xi * kmu)
+    for i in range(1, nl + 1):
+        kmu, k1 = k1, (mu + i) * xi2 * k1 + kmu
+    inu = imu / il
+    return inu, inu * ratio, kmu, nu * xi * kmu - k1
+
+
+def _ik(nu: float, x: float):
+    """(I e^-x, I' e^-x, K e^x, K' e^x) of order nu at x > 0."""
+    if x >= _asymptotic_from(nu, True):
+        a_even, a_odd, b_even, b_odd = _asymptotic_sums(nu, x, alternate=False)
+        ik = math.sqrt(0.5 / (math.pi * x))
+        kk = math.sqrt(0.5 * math.pi / x)
+        return (ik * (a_even - a_odd), ik * (b_even - b_odd),
+                kk * (a_even + a_odd), -kk * (b_even + b_odd))
+    if x >= _SERIES_X:
+        return _ik_steed(nu, x)
+    scale = math.exp(-x)
+    im1, i, ip1 = _power_series(nu, x, 1.0)
+    # K from Temme's pair at mu in [-1/2, 1/2), then upward to nu + 1
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    kmu, xk1 = _temme_k(mu, x)
+    if nl == 0:
+        km1, k, kp1 = (xk1 - 2.0 * mu * kmu) / x, kmu, xk1 / x
+    else:
+        km1, k = kmu, xk1 / x
+        for j in range(1, nl):
+            km1, k = k, (2.0 * (mu + j) / x) * k + km1
+        kp1 = (2.0 * nu / x) * k + km1
+    return (i * scale, 0.5 * (im1 + ip1) * scale, k, -0.5 * (km1 + kp1))
+
+
 def bessel_i_k(nu: float, x: float) -> ModifiedPair:
     """Exponentially scaled I_nu, K_nu and derivatives (see :class:`ModifiedPair`)."""
     _check_envelope(nu, x)
-    i0 = float(_sp.ive(nu, x))
-    k0 = float(_sp.kve(nu, x))
-    # I'_nu = (I_{nu-1} + I_{nu+1})/2,  K'_nu = -(K_{nu-1} + K_{nu+1})/2
-    di = 0.5 * (float(_sp.ive(nu - 1.0, x)) + float(_sp.ive(nu + 1.0, x)))
-    dk = -0.5 * (float(_sp.kve(nu - 1.0, x)) + float(_sp.kve(nu + 1.0, x)))
+    if x < _X_TINY:
+        raise EnvelopeError(f"modified pair overflowed at nu={nu}, x={x}")
+    i0, di, k0, dk = _ik(float(nu), float(x))
     for v in (i0, k0, di, dk):
         if not math.isfinite(v):
             raise EnvelopeError(f"modified pair overflowed at nu={nu}, x={x}")

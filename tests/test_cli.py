@@ -199,6 +199,29 @@ x = 1.0
     assert rc == 3
 
 
+@pytest.mark.parametrize("name, value, derivative", [
+    ("bessel_i", math.inf, math.inf), ("bessel_k", 0.0, 0.0)])
+def test_modified_bessel_beyond_the_exp_range(tmp_path, name, value, derivative):
+    # at x = 800 e^x overflows: I and I' read inf, K and K' underflow to 0;
+    # I' was unscaled with a bare math.exp, and OverflowError escaped (exit 1)
+    cfg = tmp_path / "big_x.cfg"
+    cfg.write_text(f"""\
+[experiment]
+version = 1
+task = eval-special
+
+[scan]
+name = {name}
+nu = 1
+x = 800
+""")
+    out = tmp_path / "o.json"
+    rc = main(["eval-special", "--config", str(cfg), "--out", str(out), "--no-metadata"])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["value"] == value and doc["derivative"] == derivative
+
+
 def test_unsupported_format_rejected(tmp_path):
     rc = main(["levinson", "--config", str(CONFIG_DIR / "levinson_two_levels.cfg"),
                "--out", str(tmp_path / "o.csv"), "--format", "csv"])

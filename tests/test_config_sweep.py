@@ -70,3 +70,32 @@ def test_mutation_replaces_one_value():
     text = "[scan]\nk_min = 0.1\n# k = 3\nname = gamma\nk_count = 25\n"
     assert config_sweep.numeric_keys(text) == [(1, "k_min"), (4, "k_count")]
     assert config_sweep.mutated(text, 4, "nan") == "[scan]\nk_min = 0.1\n# k = 3\nname = gamma\nk_count = nan\n"
+
+
+def test_bessel_variants_end_with_their_exit(tmp_path):
+    # eval-special variants of the gamma config for J, Y, I and K, nu and x
+    # through every value: 26 runs exit 0, 22 exit 3 (envelope, overflow at
+    # x -> 0) and 40 exit 2 (no finite number)
+    gamma = dict(config_sweep.shipped([ROOT / "configs" / config_sweep.SPECIAL_BASE]))
+    variants = config_sweep.special_variants(gamma[config_sweep.SPECIAL_BASE])
+    assert [name for name, _ in variants] == [f"eval_gamma.cfg[{fn}]"
+                                              for fn in config_sweep.SPECIAL_FUNCTIONS]
+    runs, failures = config_sweep.sweep(variants, config_sweep.VALUES, tmp_path,
+                                        expected_exit=config_sweep.special_exit,
+                                        keys=("nu", "x"))
+    assert failures == [] and runs == 88
+    codes = [config_sweep.special_exit(name, key, value) for name, _ in variants
+             for key in ("nu", "x") for value in config_sweep.VALUES]
+    assert (codes.count(0), codes.count(3), codes.count(2)) == (26, 22, 40)
+
+
+def test_a_wrong_exit_of_a_bessel_variant_is_a_failure(tmp_path, monkeypatch):
+    # a Bessel variant that exits 3 where it should run is a failure, though 3 is documented
+    monkeypatch.setattr(config_sweep.cli, "main", lambda argv: 3)
+    gamma = dict(config_sweep.shipped([ROOT / "configs" / config_sweep.SPECIAL_BASE]))
+    variants = config_sweep.special_variants(gamma[config_sweep.SPECIAL_BASE])
+    runs, failures = config_sweep.sweep(variants[:1], ("0.5",), tmp_path,
+                                        expected_exit=config_sweep.special_exit,
+                                        keys=("nu", "x"))
+    assert runs == 2 and len(failures) == 2
+    assert all("exit 3 (expected 0)" in line for line in failures)

@@ -204,13 +204,107 @@ def test_complex_or_non_finite_input_is_an_envelope_error(fn, nu, x):
 
 
 def test_error_reports_within_envelope():
-    # the derivative comes from J' = J_{nu-1} - (nu/x) J; scipy's jvp takes
-    # the other recurrence, (J_{nu-1} - J_{nu+1}) / 2
+    # the value within the envelope bound of the scipy grid below; the
+    # derivative against scipy's jvp, which takes the other recurrence,
+    # (J_{nu-1} - J_{nu+1}) / 2
     for nu in (0.0, 0.5, 2.0, 10.0, 50.0):
         for x in (1e-6, 1e-2, 1.0, 50.0, 1e3):
             rep = specfun.bessel_j(nu, x)
-            assert rep.value == sp.jv(nu, x)
+            assert abs(rep.value - sp.jv(nu, x)) <= 1e-12 * math.hypot(sp.jv(nu, x), sp.yv(nu, x))
             assert abs(rep.derivative - sp.jvp(nu, x)) <= 1e-12 * abs(sp.jvp(nu, x))
+
+
+GRID_NUS = np.unique(np.concatenate([np.linspace(0.0, 50.0, 81), [0.5, 35.9, 45.0, 49.99]]))
+GRID_XS = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 97), [1.999, 2.0, 20.0, 988.0]]))
+
+
+def test_grid_against_scipy():
+    # the whole envelope nu in [0, 50], x in [1e-3, 1e3], across the series,
+    # continued-fraction and asymptotic regions: I and K relative to the
+    # value, J and Y relative to sqrt(J^2 + Y^2), their derivatives relative
+    # to sqrt(J'^2 + Y'^2); the derivatives of I and K against scipy's
+    # (I_{nu-1} + I_{nu+1})/2 and -(K_{nu-1} + K_{nu+1})/2
+    nu, x = np.meshgrid(GRID_NUS, GRID_XS, indexing="ij")
+    jv, yv, jp, yp = sp.jv(nu, x), sp.yv(nu, x), sp.jvp(nu, x), sp.yvp(nu, x)
+    iv, kv = sp.ive(nu, x), sp.kve(nu, x)
+    ip = 0.5 * (sp.ive(nu - 1, x) + sp.ive(nu + 1, x))
+    kp = -0.5 * (sp.kve(nu - 1, x) + sp.kve(nu + 1, x))
+    got = np.empty((8,) + nu.shape)
+    for idx in np.ndindex(nu.shape):
+        n, z = float(nu[idx]), float(x[idx])
+        j, y, pair = specfun.bessel_j(n, z), specfun.bessel_y(n, z), specfun.bessel_i_k(n, z)
+        got[(slice(None),) + idx] = (j.value, y.value, j.derivative, y.derivative, pair.i_scaled,
+                                     pair.k_scaled, pair.i_deriv_scaled, pair.k_deriv_scaled)
+    amp, damp = np.hypot(jv, yv), np.hypot(jp, yp)
+    errors = {"J": abs(got[0] - jv) / amp, "Y": abs(got[1] - yv) / amp,
+              "J'": abs(got[2] - jp) / damp, "Y'": abs(got[3] - yp) / damp,
+              "I": abs(got[4] - iv) / iv, "K": abs(got[5] - kv) / kv,
+              "I'": abs(got[6] - ip) / abs(ip), "K'": abs(got[7] - kp) / abs(kp)}
+    worst = {name: float(err.max()) for name, err in errors.items()}
+    print("max error against scipy: " + ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))
+    assert max(worst.values()) <= 1e-12
+
+
+EDGE_NUS = (0.0, 1e-300, 1e-20, 1e-9, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0, 1.5, 2.0, 2.5, 7.3,
+            10.0, 33.3, 49.5, 50.0)
+EDGE_XS = (5e-324, 1e-315, 2.2e-308, 1e-305, 1e-300, 1e-250, 1e-200, 1e-100, 1e-50, 1e-30,
+           1e-12, 1e-9, 3e-6, 2.4e-5, 1e-3, 2.0, 700.0, 709.8, 710.0, 800.0, 1e3)
+
+
+def _scipy_wrapper(name, nu, x):
+    """(raised, value) of the scipy wrappers this module replaced.
+
+    They raised where a value or a derivative was not finite.
+    """
+    with np.errstate(all="ignore"):
+        if name == "i_k":
+            vals = (sp.ive(nu, x), sp.kve(nu, x), 0.5 * (sp.ive(nu - 1, x) + sp.ive(nu + 1, x)),
+                    -0.5 * (sp.kve(nu - 1, x) + sp.kve(nu + 1, x)))
+        else:
+            f = sp.jv if name == "j" else sp.yv
+            vals = (f(nu, x), f(nu - 1, x) - (nu / x) * f(nu, x))
+    return not all(math.isfinite(v) for v in vals), vals[0]
+
+
+@pytest.mark.parametrize("name", ["j", "y", "i_k"])
+def test_edges_raise_where_the_scipy_wrappers_did(name):
+    # an overflowing value or derivative raises, an underflowing value reads
+    # 0 or next to it: AMOS flushes below 1e3 times the smallest normal
+    # double, and below that x it reads J and I of positive order as 0
+    # whatever their size.  One corner differs: J'_nu at 0 < nu << 1 and
+    # subnormal x, where AMOS reads J_{nu-1} as overflowed; there the true
+    # J' ~ (x/2)^{nu-1} / (2 Gamma(nu)) fits, and is returned
+    fn = {"j": specfun.bessel_j, "y": specfun.bessel_y, "i_k": specfun.bessel_i_k}[name]
+    raised, differ = 0, []
+    for nu in EDGE_NUS:
+        for x in EDGE_XS:
+            expected, value = _scipy_wrapper(name, nu, x)
+            try:
+                rep = fn(nu, x)
+            except EnvelopeError:
+                raised += 1
+                assert expected, (nu, x)
+                continue
+            if expected:
+                differ.append((nu, x))
+                lead = math.exp((nu - 1) * math.log(x / 2) - math.lgamma(nu)) / 2
+                assert name == "j" and 0 < nu < 1e-6 and x < 2.2e-308
+                assert abs(rep.derivative - lead) <= 1e-6 * lead
+            elif value == 0.0 and x >= 2.2e-305:
+                assert abs(rep.i_scaled if name == "i_k" else rep.value) < 2.3e-305, (nu, x)
+    assert raised >= {"j": 30, "y": 130, "i_k": 130}[name]
+    assert differ == ([(1e-9, 1e-315)] if name == "j" else [])
+    if name == "j":
+        assert specfun.bessel_j(2.5, 1e-300) == specfun.EvalReport(0.0, 0.0)
+
+
+def test_pair_derivatives_beyond_the_exp_range():
+    pair = specfun.bessel_i_k(1.0, 5.0)
+    assert pair.i_derivative == pair.i_deriv_scaled * math.exp(5.0)
+    assert pair.k_derivative == pair.k_deriv_scaled * math.exp(-5.0)
+    far = specfun.bessel_i_k(1.0, 800.0)
+    assert far.i_value == far.i_derivative == math.inf
+    assert far.k_value == far.k_derivative == 0.0
 
 
 class TestExteriorLogDerivative:
