@@ -19,8 +19,9 @@ theorem, so its levels are refined on M(E) = y'(r0) - h(E) y(r0), from the
 sign brackets of an energy scan that the count confirms or splits: M is
 continuous (a kernel's state comes scaled by det(Id - mu C M)), vanishes
 exactly at bound states, and has simple roots.  Either way
-:func:`~qws.roots.refine_root` (Illinois false position with a bisection
-fallback) refines each level; it also locates the phases' branch events.
+:func:`~qws.roots.refine_root` (Chandrupatla's inverse-quadratic step with
+a bisection fallback) refines each level; it also locates the phases'
+branch events.
 
 The crossing counter :func:`continuation_count` is the mu walk of
 :func:`~qws.scattering.phase_shift` at k -> 0 on the threshold map.  No

@@ -410,6 +410,24 @@ class TestBranchRefinement:
         start = 2 if pot.one_signed else MU_STEPS_DEFAULT + 1
         assert len(solves) - start <= 10 * len(res.events)
 
+    def test_event_in_few_denominator_solves(self, monkeypatch):
+        # the lam = 1 well of the phase_local benchmark: Illinois false
+        # position took 9 D(mu) solves to locate its one event
+        solves = []
+        real = scattering.refine_root
+
+        def counted(f, *args):
+            def g(m):
+                solves.append(m)
+                return f(m)
+            return real(g, *args)
+
+        monkeypatch.setattr(scattering, "refine_root", counted)
+        pot = PotentialModel(r0=1.0, local=square_well(24.61))
+        res = phase_shift(ChannelParams(q=4, l=0), pot, 1.816)
+        assert [d for _, d in res.events] == [1]
+        assert len(solves) <= 7
+
     def test_two_crossings_in_one_segment_are_split_first(self):
         # the two-level well's events both lie inside the partition {0, 1}
         pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2))
