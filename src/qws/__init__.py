@@ -22,7 +22,7 @@ from .radial_ode import (RadialGrid, RadialSolution, cutoff_integral,
 from .scattering import (LogDerivative, PhaseShiftCurve, PhaseShiftResult,
                          WronskianReport, hermiticity_residual,
                          log_derivative_interior, low_k_phase_asymptotic,
-                         phase_shift, phase_shift_curve, wronskian,
+                         phase_events, phase_shift, phase_shift_curve, wronskian,
                          wronskian_pair_jost, wronskian_pair_phi)
 from .spectral import (BoundState, ContinuationReport, LevinsonReport,
                        SturmReport, continuation_count, find_bound_states,

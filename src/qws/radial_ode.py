@@ -192,6 +192,12 @@ class RadialSolution:
         return complex(self.y[i]), complex(self.dy[i])
 
 
+def _check_tol(tol: float) -> None:
+    """A solve's relative tolerance must be finite and positive (QwsError otherwise)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise QwsError(f"tolerance must be finite and > 0, got {tol!r}")
+
+
 def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                r_start: float, u0, v0, record: np.ndarray, rtol: float,
                return_winding: bool = False, head=None):
@@ -226,8 +232,9 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     steps, so that the continuous angle at the last node is its atan2 plus
     2 pi times the count.  A step that would turn (Re y, Re y') by more
     than pi/2 is rejected and retried with half the step, which keeps every
-    wrap unambiguous.
+    wrap unambiguous.  A non-finite or non-positive ``rtol`` raises QwsError.
     """
+    _check_tol(rtol)
     lanes = np.ndim(u0) > 0
     if lanes:
         if return_winding:
@@ -630,8 +637,10 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     own r_s; lanes (E and origin_w then end in an axis of length 1) start
     the 1 + n lanes of every point at one r_s, the smallest.  Lanes run
     with numpy's floating-point warnings off: a NaN or inf in a lane
-    rejects its step by design.  Returns the tuple of :func:`_integrate`.
+    rejects its step by design.  Returns the tuple of :func:`_integrate`;
+    a non-finite or non-positive ``tol`` raises QwsError before the series.
     """
+    _check_tol(tol)
     re = lam.real if isinstance(lam, complex) else lam
     if second_branch:
         if not (-1.0 < re < 0.0) or abs(2 * re + 1) < 1e-6:

@@ -14,38 +14,43 @@ need no special casing.
 Two sources give the samples of theta.  For local potentials, the
 homotopy over (r, mu) carries the Prufer angle of (y, y') along r through
 L, so one integration with a winding count gives theta at any mu without
-a path in mu (Prufer, Math. Ann. 95 (1926) 499); one more at mu = 0 gives
-theta(0).  For one-signed wells eta is monotone in mu (Calogero's
-variable-phase relation d eta/d mu = -(1/k) int V y^2 dr), so {0, mu} is a
-complete starting partition; other local wells start from the uniform mu
-grid.  A kernel that acts (``kernel_acts``) breaks the r-winding argument,
-so its samples are placed on the 2 pi branch nearest the previous one
-along the uniform mu grid, whose points come from one lanes call of
-:func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure kernel makes one
-superposition per k); the walk splits each step over which the well's
-phase may turn by more than pi/2 in sqrt(mu).  A kernel's (y, y') comes
-scaled by det(Id - mu C M), so it stays smooth in mu through coupling
-resonances, where the unscaled state passes through infinity and its theta
-jumps by pi.
+a path in mu (Prufer, Math. Ann. 95 (1926) 499; Calogero, *Variable Phase
+Approach to Potential Scattering*, 1967); one more at mu = 0 gives
+theta(0), and :func:`phase_shift` takes eta = theta(mu) - theta(0) from
+those two solves.  A kernel that acts (``kernel_acts``) breaks the
+r-winding argument, so its samples are placed on the 2 pi branch nearest
+the previous one along the uniform mu grid, whose points come from one
+lanes call of :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure
+kernel makes one superposition per k); the walk splits each step over
+which the well's phase may turn by more than pi/2 in sqrt(mu), and a
+kernel's eta is the end of that walk.  A kernel's (y, y') comes scaled by
+det(Id - mu C M), so it stays smooth in mu through coupling resonances,
+where the unscaled state passes through infinity and its theta jumps by
+pi.
 
-One locator, :func:`_locate_branches`, takes both kinds of samples to the
-branch events (eta through half-integer multiples of pi): a segment
-holding more than one is bisected, and a single one is refined by
-:func:`~qws.roots.refine_root` on the matching denominator
-D = KN cos th0 + KJ sin th0 = |K| cos(eta), which is linear in
-(y, y')(r0), hence smooth in mu, and changes sign at the event, where
-theta itself may turn like a step at low k.  A placed sample takes th0 as
-exactly 0 or pi (the free state has KJ = 0), and across a sign change of D
-its turn comes from the signs of D and P = |K| sin(eta) (:func:`_across`):
-at low k the step is pi to the last bit, and the nearest branch a rounding
-tie.  :func:`_phase_walk` runs it
-along a mu grid; :func:`~qws.spectral.continuation_count` walks the k -> 0
-limit of L, (KN, KJ) ~ (y' - rho y, rho~ y - y'), to its own floor.
+The branch events (eta through half-integer multiples of pi) come from the
+walk :func:`_phase_walk`, which a kernel's :func:`phase_shift` runs for
+its eta and :func:`phase_events` runs for any model.  A local walk starts
+from the partition {0, mu} when the profile keeps one sign (eta is then
+monotone in mu: Calogero's d eta/d mu = -(1/k) int V y^2 dr), otherwise
+from the uniform mu grid.  One locator, :func:`_locate_branches`, takes
+both kinds of samples to the events: a segment holding more than one is
+bisected, and a single one is refined by :func:`~qws.roots.refine_root`
+on the matching denominator D = KN cos th0 + KJ sin th0 = |K| cos(eta),
+which is linear in (y, y')(r0), hence smooth in mu, and changes sign at
+the event, where theta itself may turn like a step at low k.  A placed
+sample takes th0 as exactly 0 or pi (the free state has KJ = 0), and
+across a sign change of D its turn comes from the signs of D and P =
+|K| sin(eta) (:func:`_across`): at low k the step is pi to the last bit,
+and the nearest branch a rounding tie.
+:func:`~qws.spectral.continuation_count` walks the k -> 0 limit of L,
+(KN, KJ) ~ (y' - rho y, rho~ y - y'), to its own floor.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -99,8 +104,10 @@ class PhaseShiftResult:
     grid for kernels), otherwise the raw principal value in (-pi/2, pi/2].
     eta_raw is that principal value; tan_eta and A come from the same
     solve at mu (A is None at a node of y at r0).  ``events`` holds the
-    (mu*, direction) branch events of the continuation: mu* is the midpoint
-    of a bracket no wider than MU_REFINE_FLOOR.  eta_fit comes from a
+    (mu*, direction) branch events of a kernel's walk: mu* is the midpoint
+    of a bracket no wider than MU_REFINE_FLOOR.  A local eta takes no walk,
+    so its ``events`` is (); :func:`phase_events` locates the events of
+    any model.  eta_fit comes from a
     two-point fit of the exterior oscillating form, continued outward from
     that same solve at mu instead of matched to Bessel functions at r0, and
     must agree with eta modulo pi.
@@ -118,7 +125,11 @@ class PhaseShiftResult:
 
 @dataclass(frozen=True)
 class PhaseShiftCurve:
-    """Unwrapped eta(k) samples at fixed mu, with recorded branch-jump events."""
+    """Unwrapped eta(k) samples at fixed mu, with the branch events each point carries.
+
+    ``events`` collects the ``events`` of each point's
+    :class:`PhaseShiftResult`, so a local curve has none.
+    """
 
     channel: ChannelParams
     mu: float
@@ -361,8 +372,8 @@ def _locate_branches(point, a: Sample, mu_b: float, path: List[Tuple[float, floa
     segment is placed from the segment's start.  ``max_turn`` is the largest
     turn of theta a segment holds unsplit: math.inf for absolute samples,
     pi/2 for placed ones, so that a placement is never ambiguous.  The
-    caller sets the refine floor ``floor``: MU_REFINE_FLOOR for a phase
-    shift, MU_CROSSING_FLOOR for the threshold crossing count.
+    caller sets the refine floor ``floor``: MU_REFINE_FLOOR for the
+    events of a phase, MU_CROSSING_FLOOR for the threshold crossing count.
 
     A segment that turns further, or whose branch index jumps by more than
     one, is split at its midpoint.  A single jump is refined by
@@ -501,45 +512,82 @@ def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
     return float(lam)
 
 
+def _step_count(mu_steps) -> Optional[int]:
+    """``mu_steps`` as a count: None, or an integer of at least 1 (QwsError otherwise)."""
+    if mu_steps is None:
+        return None
+    whole = isinstance(mu_steps, numbers.Integral) or (
+        isinstance(mu_steps, numbers.Real) and float(mu_steps).is_integer())
+    if not (whole and mu_steps >= 1):
+        raise QwsError(f"mu_steps must be None or an integer >= 1, got {mu_steps!r}")
+    return int(mu_steps)
+
+
+def _coupling_states(channel: ChannelParams, potential: PotentialModel, k: float,
+                     tol: float):
+    """(pair, g0, state) of the phase at wavenumber k, for every coupling.
+
+    ``pair`` and ``g0`` are those of :func:`_matching_map`, g0 None where a
+    kernel acts; ``state(mu)`` gives (y, y', max|y|) at r0, with the Prufer
+    winding count for a local model, and for a kernel as
+    :func:`~qws.radial_ode.interior_in_mu` does (scaled, lanes for arrays).
+    """
+    lam = real_lambda(channel)
+    if not (math.isfinite(k) and k > 0):
+        raise QwsError("phase shift needs finite k > 0")
+    energy = EnergyValue.from_k(k)
+    pair, g0 = _matching_map(lam, k, potential.r0)
+    if potential.kernel_acts:
+        return pair, None, interior_in_mu(channel, potential, energy.E, tol)
+
+    def state(m: float):
+        eqm = effective_equation(channel, potential.with_mu(m), energy)
+        return interior_state(eqm, tol, return_winding=True)
+
+    return pair, g0, state
+
+
+def _walk_to(pair, g0, state, at_mu, mu: float, mu_steps: int,
+             potential: PotentialModel) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
+    """:func:`_phase_walk` from 0 to ``mu`` (``at_mu`` = state(mu)) on its starting grid.
+
+    The grid is the partition {0, mu} for a local profile of one sign (eta
+    is then monotone in mu), otherwise the ``mu_steps`` uniform steps.
+    Returns eta and the branch events, each to MU_REFINE_FLOOR.
+    """
+    inner = []
+    if potential.kernel_acts or not potential.one_signed:
+        inner = np.linspace(0.0, mu, mu_steps + 1)[1:-1].tolist()
+    return _phase_walk(pair, g0, state, {0.0: state(0.0), mu: at_mu}, [0.0] + inner + [mu],
+                       MU_REFINE_FLOOR, potential)
+
+
 def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
                 mu: float = 1.0, tol: float = 1e-10,
                 mu_steps: Optional[int] = MU_STEPS_DEFAULT,
                 with_fit: bool = True) -> PhaseShiftResult:
     """Phase shift at wavenumber k and coupling mu.
 
-    With ``mu_steps`` set (default 200, at least 1) the returned eta is the
-    continuation in mu from eta(k, 0) = 0; ``mu_steps=None`` returns the
-    principal value only (one solve, defined mod pi).  ``with_fit`` adds the
-    exterior two-point fit diagnostic, one outward integration from the
-    solve at mu.
+    With ``mu_steps`` set (default 200, an integer of at least 1) the
+    returned eta is the continuation in mu from eta(k, 0) = 0;
+    ``mu_steps=None`` returns the principal value only (one solve, defined
+    mod pi).  ``with_fit`` adds the exterior two-point fit diagnostic, one
+    outward integration from the solve at mu.
 
-    Local potentials take theta from one Prufer-unwrapped integration at
-    mu and one free integration, so eta needs no path in mu; they start
-    from the partition {0, mu} when the profile keeps one sign (eta is then
-    monotone in mu), otherwise from the ``mu_steps`` grid.  A potential
-    whose kernel acts (``kernel_acts``: some coupling nonzero) starts from
-    the ``mu_steps`` grid, with theta read from the det(Id - mu C M)-scaled
-    state of :func:`~qws.radial_ode.interior_in_mu` and placed on the 2 pi
-    branch nearest the previous sample; :func:`_phase_walk` makes that
-    grid in one lanes call and splits its steps where the well may turn
-    theta by more than pi/2.  Either way the walk resolves the branch
-    events to MU_REFINE_FLOOR.
+    A local potential takes eta = theta(mu) - theta(0) from one
+    Prufer-lifted integration at mu and one at mu = 0: no path in mu, no
+    events (``events`` is ()), and ``mu_steps`` only selects continuation
+    over the principal value.  A potential whose kernel acts
+    (``kernel_acts``: some coupling nonzero) walks the ``mu_steps`` grid,
+    with theta read from the det(Id - mu C M)-scaled state of
+    :func:`~qws.radial_ode.interior_in_mu` and placed on the 2 pi branch
+    nearest the previous sample; :func:`_phase_walk` makes that grid in one
+    lanes call, splits its steps where the well may turn theta by more than
+    pi/2, and resolves the branch events to MU_REFINE_FLOOR, which
+    ``events`` carries.  :func:`phase_events` gives the events of any model.
     """
-    lam = real_lambda(channel)
-    if not (math.isfinite(k) and k > 0):
-        raise QwsError("phase shift needs finite k > 0")
-    if mu_steps is not None and not mu_steps >= 1:
-        raise QwsError("mu_steps must be None or at least 1")
-    energy = EnergyValue.from_k(k)
-    pair, g0 = _matching_map(lam, k, potential.r0)
-    if potential.kernel_acts:
-        g0 = None
-        state = interior_in_mu(channel, potential, energy.E, tol)
-    else:
-        def state(m: float):
-            eqm = effective_equation(channel, potential.with_mu(m), energy)
-            return interior_state(eqm, tol, return_winding=True)
-
+    mu_steps = _step_count(mu_steps)
+    pair, g0, state = _coupling_states(channel, potential, k, tol)
     at_mu = state(float(mu))
     theta, tan_eta, A = _theta(pair, at_mu, g0)
     eta_raw = _principal(theta)
@@ -548,19 +596,38 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
         eta = 0.0
     elif mu_steps is None:
         eta = eta_raw
+    elif g0 is not None:   # Prufer-lifted: theta is absolute at every coupling
+        eta = theta - _theta(pair, state(0.0), g0)[0]
     else:
-        inner = np.linspace(0.0, mu, int(mu_steps) + 1)[1:-1].tolist()
-        if not potential.kernel_acts and potential.one_signed:
-            inner = []   # eta is monotone in mu: {0, mu} partitions the path
-        eta, events = _phase_walk(pair, g0, state, {0.0: state(0.0), float(mu): at_mu},
-                                  [0.0] + inner + [float(mu)], MU_REFINE_FLOOR, potential)
+        eta, events = _walk_to(pair, g0, state, at_mu, float(mu), mu_steps, potential)
     eta_fit = None
     if with_fit:
-        eq = effective_equation(channel, potential.with_mu(mu), energy)
+        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue.from_k(k))
         eta_fit = _exterior_fit_eta(eq, k, at_mu[0], at_mu[1], tol)
     return PhaseShiftResult(k=k, mu=mu, eta=float(eta), eta_raw=float(eta_raw),
                             tan_eta=float(tan_eta), A=A, eta_fit=eta_fit,
                             events=events)
+
+
+def phase_events(channel: ChannelParams, potential: PotentialModel, k: float,
+                 mu: float = 1.0, tol: float = 1e-10,
+                 mu_steps: Optional[int] = MU_STEPS_DEFAULT) -> Tuple[Tuple[float, int], ...]:
+    """The branch events of eta(k, mu') for mu' from 0 to ``mu``, for any model.
+
+    Each event is (mu*, direction): eta passes a half-integer multiple of
+    pi at mu*, the midpoint of a bracket no wider than MU_REFINE_FLOOR,
+    upward (+1) or downward (-1).  The walk is the one a kernel's
+    :func:`phase_shift` takes, whose ``events`` these equal.  A local walk
+    takes Prufer-lifted samples, from the partition {0, mu} where the
+    profile keeps one sign and from the ``mu_steps`` uniform grid where it
+    does not; a kernel's starts from that grid always.  ``mu_steps=None``
+    (no continuation) and mu = 0 give ().
+    """
+    mu_steps = _step_count(mu_steps)
+    pair, g0, state = _coupling_states(channel, potential, k, tol)
+    if mu == 0.0 or mu_steps is None:
+        return ()
+    return _walk_to(pair, g0, state, state(float(mu)), float(mu), mu_steps, potential)[1]
 
 
 def _exterior_fit_eta(eq, k: float, u, v, tol: float) -> float:
@@ -587,8 +654,13 @@ def phase_shift_curve(channel: ChannelParams, potential: PotentialModel,
                       k_values: Sequence[float], mu: float = 1.0,
                       tol: float = 1e-10,
                       mu_steps: Optional[int] = MU_STEPS_DEFAULT) -> PhaseShiftCurve:
-    """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`."""
+    """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`.
+
+    ``events`` holds (k, mu*, direction) for each event a point carries:
+    a kernel's, none for a local model (:func:`phase_events` has those).
+    """
     real_lambda(channel)
+    _step_count(mu_steps)
     samples = []
     events = []
     for k in k_values:

@@ -24,7 +24,7 @@ a bisection fallback) refines each level; it also locates the phases'
 branch events.
 
 The crossing counter :func:`continuation_count` is the mu walk of
-:func:`~qws.scattering.phase_shift` at k -> 0 on the threshold map.  No
+:func:`~qws.scattering.phase_events` at k -> 0 on the threshold map.  No
 sample of the scan, the count or the walk is nudged around a kernel
 resonance: the scaled state is finite there.
 """
@@ -486,7 +486,7 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     from one :func:`~qws.radial_ode.interior_in_mu` at that energy (the mu
     grid from one call), a kernel's scaled by det(Id - mu C M).
 
-    The count is the phase walk of :func:`~qws.scattering.phase_shift` at
+    The count is the phase walk of :func:`~qws.scattering.phase_events` at
     k -> 0 (:func:`~qws.scattering._phase_walk`, handed the grid states of
     the ``A_samples`` lanes call), with events refined to
     MU_CROSSING_FLOOR: theta is the angle of L0 (y, y') = (y' - rho y, rho~
@@ -551,8 +551,11 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
                     tol_eta: float = 1e-2, tol: float = 1e-9) -> LevinsonReport:
     """Check eta(0) = n pi, with n counted two independent ways.
 
-    eta(0) comes from the mu-continued phase (MU_STEPS_DEFAULT steps) at
-    two small wavenumbers, extrapolated to k = 0 along the k^{2 lam} law.
+    eta(0) comes from the continued phase of :func:`phase_shift` at two
+    small wavenumbers, extrapolated to k = 0 along the k^{2 lam} law: two
+    Prufer-lifted solves each for a local well, the walk along the
+    MU_STEPS_DEFAULT-step mu grid where a kernel acts.  No branch event is
+    read.
     n = N(E_top) - N(E_floor), the level count (:func:`_level_count`) at
     the ends of :func:`find_bound_states`' default range, takes no scan: two
     F solves, and two scalar superpositions where a kernel acts.  The

@@ -17,6 +17,7 @@ from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _couple, _integrate,
                             integrate_jost, integrate_regular, interior_in_mu,
                             interior_lanes, interior_state, make_grid, prufer_angle,
                             solve_nonlocal)
+from qws.scattering import phase_shift
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
 
@@ -147,6 +148,21 @@ class TestJost:
         eq = effective_equation(CH_S, WELL, EnergyValue.from_k(1.0))
         with pytest.raises(QwsError):
             integrate_jost(eq, make_grid(1.0), 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tolerance_rejected(tol):
+    # tol = -1 ended in a TypeError from the series radius (a negative base to
+    # a fractional power), 0 and nan in a misleading "step size underflow"
+    eq = effective_equation(CH_S, WELL, EnergyValue.from_k(1.0))
+    with pytest.raises(QwsError, match="tolerance"):
+        interior_state(eq, tol)
+    with pytest.raises(QwsError, match="tolerance"):
+        interior_state(eq, tol, return_winding=True)
+    with pytest.raises(QwsError, match="tolerance"):
+        integrate_jost(eq, make_grid(1.0), 1.0, tol)
+    with pytest.raises(QwsError, match="tolerance"):
+        phase_shift(CH_S, WELL, 1.0, tol=tol)
 
 
 class TestNonlocal:

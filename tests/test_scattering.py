@@ -12,7 +12,7 @@ from qws.potentials import (PotentialModel, gaussian_bump, square_well,
 from qws.radial_ode import integrate_regular, interior_state, make_grid
 from qws.scattering import (MU_REFINE_FLOOR, MU_STEPS_DEFAULT, hermiticity_residual,
                             log_derivative_interior, low_k_phase_asymptotic,
-                            phase_shift, phase_shift_curve, wronskian,
+                            phase_events, phase_shift, phase_shift_curve, wronskian,
                             wronskian_pair_jost, wronskian_pair_phi)
 from qws import scattering, specfun
 
@@ -331,26 +331,38 @@ class TestPruferPhase:
         eta_ref, events_ref = _mu_continued(ch, pot, k)
         res = phase_shift(ch, pot, k, with_fit=False)
         assert abs(res.eta - eta_ref) <= 1e-8  # absolute, not mod pi
-        assert len(res.events) == len(events_ref)
-        for (mu_new, d_new), (mu_ref, d_ref) in zip(res.events, events_ref):
+        events = phase_events(ch, pot, k)
+        assert len(events) == len(events_ref)
+        for (mu_new, d_new), (mu_ref, d_ref) in zip(events, events_ref):
             assert d_new == d_ref
             assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
+
+    @pytest.mark.parametrize("ch, local, k", PRUFER_CASES,
+                             ids=[f"{loc.name}-{i}" for i, (_, loc, _) in
+                                  enumerate(PRUFER_CASES)])
+    def test_two_solves_give_the_walk_eta(self, ch, local, k):
+        # the walk returned theta(mu) - theta(0) of the same two solves
+        pot = PotentialModel(r0=1.0, local=local)
+        pair, g0, state = scattering._coupling_states(ch, pot, k, 1e-10)
+        eta_walk, _ = scattering._walk_to(pair, g0, state, state(1.0), 1.0,
+                                          MU_STEPS_DEFAULT, pot)
+        assert phase_shift(ch, pot, k, with_fit=False).eta == eta_walk
 
     def test_walk_refines_on_descending_grid(self):
         # mu < 0 turns the barrier into a well; both routes bisect their events
         pot = PotentialModel(r0=1.0, local=square_well(-40.0))
         _, events_ref = _mu_continued(CH_S, pot, 0.5, mu=-1.0)
-        res = phase_shift(CH_S, pot, 0.5, mu=-1.0, with_fit=False)
-        assert len(res.events) == len(events_ref) == 2
+        events = phase_events(CH_S, pot, 0.5, mu=-1.0)
+        assert len(events) == len(events_ref) == 2
         # the Prufer path's events: -0.06839 and -0.56247
-        for (mu_new, d_new), (mu_ref, d_ref), mu_star in zip(res.events, events_ref,
+        for (mu_new, d_new), (mu_ref, d_ref), mu_star in zip(events, events_ref,
                                                              (-0.06839, -0.56247)):
             assert d_new == d_ref
             assert abs(mu_ref - mu_star) <= MU_REFINE_FLOOR
             assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
 
     @staticmethod
-    def sampled_couplings(monkeypatch, pot, mu_steps):
+    def sampled_couplings(monkeypatch, call):
         seen = []
         real = scattering.interior_state
 
@@ -359,21 +371,36 @@ class TestPruferPhase:
             return real(eq, *args, **kwargs)
 
         monkeypatch.setattr(scattering, "interior_state", spy)
-        phase_shift(CH_S, pot, 0.8, mu_steps=mu_steps, with_fit=False)
-        return set(seen)
+        call()
+        return seen
 
     def test_mixed_sign_table_starts_from_mu_grid(self, monkeypatch):
         v = 60.0 * np.cos(2.5 * math.pi * _R_TAB)
         pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, v))
         assert pot.local.sign == 0 and not pot.one_signed
         grid = set(float(m) for m in np.linspace(0.0, 1.0, 21))
-        assert grid <= self.sampled_couplings(monkeypatch, pot, 20)
+        seen = self.sampled_couplings(monkeypatch,
+                                      lambda: phase_events(CH_S, pot, 0.8, mu_steps=20))
+        assert grid <= set(seen)
 
     def test_one_signed_table_starts_from_endpoints(self, monkeypatch):
         pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, -40.0 * np.ones(60)))
         assert pot.local.sign == -1 and pot.one_signed
-        seen = self.sampled_couplings(monkeypatch, pot, 20)
+        seen = set(self.sampled_couplings(monkeypatch,
+                                          lambda: phase_events(CH_S, pot, 0.8, mu_steps=20)))
         assert {0.0, 1.0} <= seen and 0.05 not in seen
+
+    @pytest.mark.parametrize("local", [
+        square_well(4.0),
+        tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB)),
+    ], ids=["one-signed", "mixed-sign-table"])
+    def test_local_phase_shift_makes_two_solves(self, monkeypatch, local):
+        # the walk solved the mixed-sign table at every point of the mu grid
+        # and both wells again for each event
+        pot = PotentialModel(r0=1.0, local=local)
+        seen = self.sampled_couplings(
+            monkeypatch, lambda: phase_shift(CH_S, pot, 0.8, with_fit=False))
+        assert sorted(seen) == [0.0, 1.0]
 
 
 LEVINSON_WELLS = [(ch, square_well(depth), k)
@@ -400,15 +427,15 @@ class TestBranchRefinement:
             return real(eq, *args, **kwargs)
 
         monkeypatch.setattr(scattering, "interior_state", counted)
-        res = phase_shift(ch, pot, k, mu=mu, with_fit=False)
-        assert len(res.events) == len(events_ref)
-        for (mu_new, d_new), (mu_ref, d_ref) in zip(res.events, events_ref):
+        events = phase_events(ch, pot, k, mu=mu)
+        assert len(events) == len(events_ref)
+        for (mu_new, d_new), (mu_ref, d_ref) in zip(events, events_ref):
             assert d_new == d_ref
             assert abs(mu_new - mu_ref) <= MU_REFINE_FLOOR
         # the samples at 0, at mu and on the starting grid cost nothing extra;
         # bisection takes 14 solves per event
         start = 2 if pot.one_signed else MU_STEPS_DEFAULT + 1
-        assert len(solves) - start <= 10 * len(res.events)
+        assert len(solves) - start <= 10 * len(events)
 
     def test_event_in_few_denominator_solves(self, monkeypatch):
         # the lam = 1 well of the phase_local benchmark: Illinois false
@@ -424,31 +451,31 @@ class TestBranchRefinement:
 
         monkeypatch.setattr(scattering, "refine_root", counted)
         pot = PotentialModel(r0=1.0, local=square_well(24.61))
-        res = phase_shift(ChannelParams(q=4, l=0), pot, 1.816)
-        assert [d for _, d in res.events] == [1]
+        events = phase_events(ChannelParams(q=4, l=0), pot, 1.816)
+        assert [d for _, d in events] == [1]
         assert len(solves) <= 7
 
     def test_two_crossings_in_one_segment_are_split_first(self):
         # the two-level well's events both lie inside the partition {0, 1}
         pot = PotentialModel(r0=1.0, local=square_well((2 * math.pi) ** 2))
-        res = phase_shift(CH_S, pot, 1e-4, with_fit=False)
-        assert [d for _, d in res.events] == [1, 1]
-        assert 0.0 < res.events[0][0] < 0.5 < res.events[1][0] < 1.0
+        events = phase_events(CH_S, pot, 1e-4)
+        assert [d for _, d in events] == [1, 1]
+        assert 0.0 < events[0][0] < 0.5 < events[1][0] < 1.0
 
     def test_mixed_sign_table_on_its_grid(self):
         v = -60.0 * np.cos(2.5 * math.pi * _R_TAB)
         pot = PotentialModel(r0=1.0, local=tabulated(_R_TAB, v))
         assert not pot.one_signed
         events_ref = _bisected_events(CH_S, pot, 0.8, mu_steps=20)
-        res = phase_shift(CH_S, pot, 0.8, mu_steps=20, with_fit=False)
-        assert [d for _, d in res.events] == [d for _, d in events_ref] == [1]
-        assert abs(res.events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
+        events = phase_events(CH_S, pot, 0.8, mu_steps=20)
+        assert [d for _, d in events] == [d for _, d in events_ref] == [1]
+        assert abs(events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
 
     def test_non_monotone_bracket_falls_back_to_bisection(self, monkeypatch):
         # a refined bracket whose ends do not carry the branch indices of the
         # segment's ends is discarded: the segment is split at its midpoint
         pot = PotentialModel(r0=1.0, local=square_well(4.0))
-        ref = phase_shift(CH_S, pot, 0.45, with_fit=False)
+        ref = phase_events(CH_S, pot, 0.45)
         calls = []
         real = scattering.refine_root
 
@@ -458,17 +485,17 @@ class TestBranchRefinement:
             return (lo, hi) if len(calls) > 1 else (a, a)
 
         monkeypatch.setattr(scattering, "refine_root", lying)
-        res = phase_shift(CH_S, pot, 0.45, with_fit=False)
+        events = phase_events(CH_S, pot, 0.45)
         assert calls[0] == (0.0, 1.0) and len(calls) == 2
         assert abs(calls[1][1] - calls[1][0]) == 0.5
-        assert [d for _, d in res.events] == [d for _, d in ref.events]
-        assert abs(res.events[0][0] - ref.events[0][0]) <= MU_REFINE_FLOOR
+        assert [d for _, d in events] == [d for _, d in ref]
+        assert abs(events[0][0] - ref[0][0]) <= MU_REFINE_FLOOR
 
 
 class TestMuSteps:
     RANK1 = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
 
-    @pytest.mark.parametrize("mu_steps", [0, -1, -200, 0.5])
+    @pytest.mark.parametrize("mu_steps", [0, -1, -200, 0.5, 2.5, math.inf])
     @pytest.mark.parametrize("ch, pot", [
         (ChannelParams(q=3, l=1), RANK1),
         (CH_S, PotentialModel(r0=1.0, local=tabulated(_R_TAB, 60.0 * np.cos(
@@ -477,9 +504,14 @@ class TestMuSteps:
     ], ids=["rank1-kernel", "mixed-sign-table", "square-well"])
     def test_fewer_than_one_step_rejected(self, ch, pot, mu_steps):
         # mu_steps = 0 returned eta = 0.0 and no events for the rank-1 kernel
-        # at k = 1, where the continued value is 3.0088
+        # at k = 1, where the continued value is 3.0088; 2.5 was cut to 2
+        # steps, and math.inf ended in an OverflowError
         with pytest.raises(QwsError, match="mu_steps"):
             phase_shift(ch, pot, 1.0, mu_steps=mu_steps, with_fit=False)
+        with pytest.raises(QwsError, match="mu_steps"):
+            phase_events(ch, pot, 1.0, mu_steps=mu_steps)
+        with pytest.raises(QwsError, match="mu_steps"):
+            phase_shift_curve(ch, pot, [1.0], mu_steps=mu_steps)
 
     def test_one_step_is_a_whole_walk(self):
         res = phase_shift(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu_steps=1,
@@ -535,7 +567,8 @@ class TestKernelActs:
         # steps over which the well's phase may turn by more than pi/2
         res = phase_shift(CH_S, _deep_well_with_bump(-1e-9), 1.0, with_fit=False)
         assert abs(res.eta - bare.eta) <= 1e-6
-        assert [d for _, d in res.events] == [d for _, d in bare.events]
+        bare_events = phase_events(CH_S, DEEP_WELL, 1.0)
+        assert [d for _, d in res.events] == [d for _, d in bare_events]
 
 
 WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
@@ -644,6 +677,15 @@ class TestKernelWalkLanes:
         assert [d for _, d in res.events] == [d for _, d in events_ref]
         assert all(abs(m - m_ref) <= MU_REFINE_FLOOR
                    for (m, _), (m_ref, _) in zip(res.events, events_ref))
+
+    @pytest.mark.parametrize("k", [1e-4, 1.0])
+    @pytest.mark.parametrize("ch, pot", [
+        (ChannelParams(q=3, l=1), TestMuSteps.RANK1),
+        (CH_S, WELL_KERNEL),
+    ], ids=["rank1-kernel", "well+kernel"])
+    def test_phase_events_are_the_kernel_walk_events(self, ch, pot, k):
+        res = phase_shift(ch, pot, k, with_fit=False)
+        assert res.events and phase_events(ch, pot, k) == res.events
 
 
 class TestLowK:

@@ -19,7 +19,7 @@ from qws.spectral import (continuation_count, find_bound_states,
                           sturm_liouville_check)
 from qws.radial_ode import interior_lanes, interior_state
 from qws.roots import refine_root
-from qws.scattering import phase_shift
+from qws.scattering import phase_events
 
 from oracles import rank1_kernel_level, swave_well_levels
 
@@ -535,9 +535,9 @@ class TestStaircasePhaseConsistency:
         V0 = (2 * math.pi) ** 2
         pot = PotentialModel(r0=1.0, local=square_well(V0))
         rep = continuation_count(CH_S, pot, tol=1e-9)
-        res = phase_shift(CH_S, pot, 1e-4, mu=1.0, tol=1e-9, with_fit=False)
-        assert len(res.events) == len(rep.events)
-        for (mu_phase, d_phase), (mu_cross, d_cross) in zip(res.events, rep.events):
+        events = phase_events(CH_S, pot, 1e-4, mu=1.0, tol=1e-9)
+        assert len(events) == len(rep.events)
+        for (mu_phase, d_phase), (mu_cross, d_cross) in zip(events, rep.events):
             assert abs(mu_phase - mu_cross) <= 5e-4
             assert d_phase == d_cross
 
