@@ -150,12 +150,14 @@ def radial_coefficient(lam, E, mu=0.0,
                        potential: Optional[PotentialModel] = None) -> Callable:
     """Q(r) = E - (lam^2 - 1/4)/r^2 - mu*V(r), the coefficient of y in the radial equation.
 
-    V is the local part of ``potential``, zero from r0 on (``potential.mu``
-    is not read).  E and mu are scalars for one equation, or numpy arrays
-    that broadcast against each other for float64 lanes, and Q(r) then holds
-    one value per lane.  Without a local part, or at a scalar mu = 0, Q is
-    the free coefficient; a square well adds its constant inside r0 instead
-    of calling the profile.
+    V is the local part of ``potential``, zero beyond r0 (``potential.mu``
+    is not read); at r0 itself Q takes its interior limit, so that a solve
+    that ends or starts on the cutoff sees the interior equation in every
+    stage.  E and mu are scalars for one equation, or numpy arrays that
+    broadcast against each other for float64 lanes, and Q(r) then holds one
+    value per lane.  Without a local part, or at a scalar mu = 0, Q is the
+    free coefficient; a square well adds its constant up to r0 instead of
+    calling the profile.
     """
     cf = centrifugal_coefficient(lam)
     local = None if potential is None else potential.local
@@ -164,10 +166,10 @@ def radial_coefficient(lam, E, mu=0.0,
             return _E - _cf / (r * r)
     elif local.constant is not None:
         def coefficient(r, _Ein=E - mu * local.constant, _E=E, _cf=cf, _r0=potential.r0):
-            return (_Ein if r < _r0 else _E) - _cf / (r * r)
+            return (_Ein if r <= _r0 else _E) - _cf / (r * r)
     else:
-        def coefficient(r, _E=E, _cf=cf, _mu=mu, _v=potential.local_value):
-            return _E - _cf / (r * r) - _mu * _v(r)
+        def coefficient(r, _E=E, _cf=cf, _mu=mu, _v=local.profile, _r0=potential.r0):
+            return _E - _cf / (r * r) - _mu * (_v(r) if r <= _r0 else 0.0)
     return coefficient
 
 
@@ -187,8 +189,9 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         g = term.profile
         r0 = potential.r0
 
-        # zero only beyond r0: at r0 the source takes its interior limit, so
-        # Simpson's end weight and the last DP45 stage see the interior value
+        # zero only beyond r0: at r0 the source takes its interior limit, as Q
+        # does, so Simpson's end weight and every stage of a solve that ends
+        # on r0 see the interior value
         def src(r, _g=g, _w=w, _r0=r0):
             if r > _r0:
                 return 0.0

@@ -29,7 +29,7 @@ class LocalPotential:
     changes sign or its sign is unknown (the default for hand-built
     profiles); phase shifts of a one-signed well are monotone in mu.
     ``knots`` are the radii where V' jumps (the rows of a table); the
-    integrator lands a step on each one inside the cutoff.
+    integrator ends a step on each one inside the cutoff.
     """
 
     name: str

@@ -25,21 +25,24 @@ as the local problem it is.  Callers pass an equation to
 the superposition themselves.  :func:`free_exterior` continues a solution
 beyond the cutoff, where the well and the kernel vanish.
 
-One function, :func:`_integrate`, steps every solve with an embedded
-Dormand-Prince 4(5) pair on the first-order system (y, y').  Scalar start
-values step one solution (bisection, refinement, phase shifts, full
-grids, the superposition of a single kernel point): a real problem in
-float arithmetic, a complex one (Jost solves, complex k, E or lambda) in
-complex arithmetic.  Array start values step float64 lanes that share one
-adaptive step: :func:`interior_lanes` runs a grid of (E, mu) points of one
-model (the crossing counter's mu grid), :func:`_superposition_lanes` a
-kernel's level scan.  The lanes carry y and y' as one stacked (2, ...)
-array, so each stage is one array expression for both, with the scalar
-arithmetic term for term.  A kernel point there takes 1 + n lanes, its
-homogeneous and n particular solves landed on the moment grid and started
-at one r_s; both paths take the moments and the n x n systems from the
-same two functions.  Every interior solve also lands a step on each knot of a
-tabulated well, where V' jumps unseen by the error estimate.
+One function, :func:`_integrate`, steps every solve with the embedded
+Dormand-Prince 8(5,3) pair on the first-order system (y, y').  A step ends
+only on the knots of a tabulated well, where V' jumps unseen by the error
+estimate, and on the last node; every other node takes the order-7
+continuous extension of the step that covers it.  Scalar start values step
+one solution (bisection, refinement, phase shifts, full grids, the
+superposition of a single kernel point): a real problem in float
+arithmetic, a complex one (Jost solves, complex k, E or lambda) in complex
+arithmetic.  Array start values step float64 lanes that share one adaptive
+step: :func:`interior_lanes` runs a grid of (E, mu) points of one model
+(the crossing counter's mu grid), :func:`_superposition_lanes` a kernel's
+level scan.  The lanes carry y and y' as one stacked (2, ...) array, so
+each stage is one array expression for both, with the scalar arithmetic
+term for term.  A kernel point there takes 1 + n lanes, its homogeneous and
+n particular solves recorded on the moment grid and started at one r_s;
+both paths take the moments and the n x n systems from the same two
+functions.  No solve steps across the cutoff: Q(r0) is the interior value,
+and a full grid continues from r0 through :func:`free_exterior`.
 
 :func:`interior_in_mu` gives the cutoff values as a function of mu at one
 energy.  In a pure kernel (no local part) Q(r) and the series start do not
@@ -49,6 +52,7 @@ with one n x n solve.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import contextlib
 import math
@@ -63,17 +67,117 @@ from .model import (ChannelParams, EffectiveEquation, EnergyValue,
                     effective_equation, radial_coefficient)
 from .potentials import PotentialModel
 
-# Dormand-Prince 4(5) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage
+# abscissas c_i, a_ij of stages 2-12 (c_12 = 1), weights b_j, the 5th- and
+# 3rd-order error rows, and the three dense-output stages 14-16 (stage 13 is the
+# FSAL derivative at the step end) with the rows d_3 ... d_6 of the order-7
+# continuous extension; the values of scipy's dop853_coefficients
+_C2, _C3, _C4, _C5, _C6 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333)
+_C7, _C8, _C9, _C10, _C11 = 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571
+_C14, _C15, _C16 = 0.1, 0.2, 0.7777777777777778
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636)
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
+_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15, _D3_16 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894)
+_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408)
+_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279)
+_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564)
+
+# (c_i, columns j, a_ij) of stages 2-12 and 14-16, and the columns and rows of
+# the weights, the error estimates and the extension: the lanes block sums
+# them term by term in this order (:func:`_dot`), the scalar block writes the
+# same sums out
+_STAGES = (
+    (_C2, (1,), (_A2_1,)),
+    (_C3, (1, 2), (_A3_1, _A3_2)),
+    (_C4, (1, 3), (_A4_1, _A4_3)),
+    (_C5, (1, 3, 4), (_A5_1, _A5_3, _A5_4)),
+    (_C6, (1, 4, 5), (_A6_1, _A6_4, _A6_5)),
+    (_C7, (1, 4, 5, 6), (_A7_1, _A7_4, _A7_5, _A7_6)),
+    (_C8, (1, 4, 5, 6, 7), (_A8_1, _A8_4, _A8_5, _A8_6, _A8_7)),
+    (_C9, (1, 4, 5, 6, 7, 8), (_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8)),
+    (_C10, (1, 4, 5, 6, 7, 8, 9), (_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9)),
+    (_C11, (1, 4, 5, 6, 7, 8, 9, 10),
+     (_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10)),
+    (1.0, (1, 4, 5, 6, 7, 8, 9, 10, 11),
+     (_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11)),
+)
+_DENSE_STAGES = (
+    (_C14, (1, 7, 8, 9, 10, 11, 12, 13),
+     (_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13)),
+    (_C15, (1, 6, 7, 8, 11, 12, 13, 14),
+     (_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14)),
+    (_C16, (1, 6, 7, 8, 9, 13, 14, 15),
+     (_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15)),
+)
+_WEIGHT_COLUMNS = (1, 6, 7, 8, 9, 10, 11, 12)
+_B_ROW = (_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
+_E5_ROW = (_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12)
+_E3_ROW = (_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12)
+_D_COLUMNS = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+_D_ROWS = (
+    (_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15, _D3_16),
+    (_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16),
+    (_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16),
+    (_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16),
+)
+# the stepper controls its blended error estimate, far less pessimistic than a
+# 4(5) pair's, to RTOL_SCALE times the requested tolerance: the loosest of a run
+# of neighbouring scales at which the oracle tests of tests/ meet their gates
+RTOL_SCALE = 0.15
+# an error ratio above this fails anyway; the cap keeps its square finite
+_ERR_CAP = 1e100
 
 _MAX_STEPS = 5_000_000
 # interior nodes of the fixed grid on which the cutoff solves take kernel
@@ -198,43 +302,87 @@ def _check_tol(tol: float) -> None:
         raise QwsError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
+def _dot(ws, ks):
+    """w_1 k_1 + w_2 k_2 + ..., summed term by term in order (in place for arrays)."""
+    acc = ws[0] * ks[0]   # a new array for lanes, so the sums below stay in place
+    for w, k in zip(ws[1:], ks[1:]):
+        acc += w * k
+    return acc
+
+
+def _dense(y0, F, x):
+    """The order-7 extension y0 + x (F0 + (1 - x) (F1 + x (F2 + ... F6))) at step fractions x."""
+    F0, F1, F2, F3, F4, F5, F6 = F
+    w = 1.0 - x
+    return y0 + x * (F0 + w * (F1 + x * (F2 + w * (F3 + x * (F4 + w * (F5 + x * F6))))))
+
+
+def _blend(e5, e3, sc) -> float:
+    """err5^2 / sqrt(err5^2 + 0.01 err3^2) for the error estimates e5 and e3 on weight sc.
+
+    Each ratio is capped at _ERR_CAP, so no square overflows, and the
+    denominator is floored at the smallest subnormal, so a step whose
+    ratios both underflow reads 0, not 0/0.  The lanes block of
+    :func:`_integrate` takes the same operations per entry.
+    """
+    a5 = min(abs(e5) / sc, _ERR_CAP)
+    a3 = min(abs(e3) / sc, _ERR_CAP)
+    n5 = a5 * a5
+    return n5 / max(math.sqrt(n5 + 0.01 * (a3 * a3)), 5e-324)
+
+
 def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                r_start: float, u0, v0, record: np.ndarray, rtol: float,
-               return_winding: bool = False, head=None):
-    """Adaptive Dormand-Prince 4(5) along the (directed) node list ``record``; lands on every node.
+               return_winding: bool = False, head=None, knots=()):
+    """Adaptive Dormand-Prince 8(5,3) along the (directed) node list ``record``.
 
     Steps the first-order system (y, y') of y'' + Q y = S, with Q = ``qfun``
-    and S = ``sfun`` (None for the homogeneous equation).  Scalar start
-    values step one solution on Python scalars.  Real start values step as
-    floats, so a real problem runs in float arithmetic, with the steps and
-    values that complex arithmetic gives; a complex Q or S promotes the
-    stages to complex.  The node arrays returned are complex.  Array start
-    values step float64 lanes, one real solution per entry of a ``qfun``
-    that returns one Q per lane (or one Q for all lanes).  The lanes carry
-    y and y' stacked as one (2, ...) array, so each stage is one array
-    expression for both, with the scalar stepper's operations term for
-    term: the derivative is y[::-1] * (1, -Q), plus S on the y' row.  They
-    share every step, which is accepted only when each lane passes its own
-    error test (one max over the stacked error, so a NaN in y or y' of any
-    lane rejects the step), and the next step follows the worst lane.
+    and S = ``sfun`` (None for the homogeneous equation).  A step ends on
+    each of ``knots`` (radii strictly between r_start and the last node, in
+    the direction of integration: the kinks of a tabulated well, where V'
+    jumps unseen by the error estimate) and on the last node; every other node takes the value
+    of the order-7 continuous extension of the step that covers it, which
+    costs three more stages on such a step.  Each step takes 12 evaluations
+    of the right-hand side, the last one reused as the next step's first
+    (FSAL), and is accepted when err5^2 / sqrt(err5^2 + 0.01 err3^2) of its
+    5th- and 3rd-order error estimates (:func:`_blend`) stays below
+    RTOL_SCALE ``rtol`` times max(|y| at either end, 1e-3 max|y| so far) in
+    y and in y'.
+
+    Scalar start values step one solution on Python scalars.  Real start
+    values step as floats, so a real problem runs in float arithmetic, with
+    the steps and values that complex arithmetic gives; a complex Q or S
+    promotes the stages to complex.  The node arrays returned are complex.
+    Array start values step float64 lanes, one real solution per entry of a
+    ``qfun`` that returns one Q per lane (or one Q for all lanes).  The
+    lanes carry y and y' stacked as one (2, ...) array, so each stage is one
+    array expression for both, with the scalar stepper's operations term
+    for term: the derivative is y[::-1] * (1, -Q), plus S on the y' row.
+    They share every step, which is accepted only when each lane passes its
+    own error test (one max over the stacked error, so a NaN in y or y' of
+    any lane rejects the step), and the next step follows the worst lane.
     Each lane is therefore controlled at least as tightly as alone, and a
     single lane takes exactly the scalar steps, bit for bit.
 
-    Returns (u_nodes, v_nodes, max_abs_u), node axis first; for lanes
-    max_abs_u holds one value per lane.  ``record`` must be monotone and
-    start strictly after r_start in the direction of integration (or equal).
-    ``head`` = (u, v) of one node before r_start (a series start's r_min)
-    puts that node first, written into the same arrays; max_abs_u leaves
-    it out.
+    Returns (u_nodes, v_nodes, max_abs_u), node axis first, with max_abs_u
+    taken over the step ends and the interpolated nodes; for lanes it holds
+    one value per lane.  ``record`` must be monotone and start strictly
+    after r_start in the direction of integration (or equal).  ``head`` =
+    (u, v) of one node before r_start (a series start's r_min) puts that
+    node first, written into the same arrays; max_abs_u leaves it out.
 
     ``return_winding=True`` (scalars only) appends the Prufer winding count:
     the signed number of 2 pi wraps of atan2(Re y', Re y) over the accepted
     steps, so that the continuous angle at the last node is its atan2 plus
-    2 pi times the count.  A step that would turn (Re y, Re y') by more
-    than pi/2 is rejected and retried with half the step, which keeps every
-    wrap unambiguous.  A non-finite or non-positive ``rtol`` raises QwsError.
+    2 pi times the count.  Each step measures its turn on (Re y, Re y' / s),
+    s = sqrt(max(1, |Q|)) at the step start, which crosses the axes where
+    (Re y, Re y') does and so counts the same wraps; a step that would turn
+    it by more than pi/2 is rejected and retried with half the step, which
+    keeps every wrap unambiguous.  A non-finite or non-positive ``rtol``
+    raises QwsError.
     """
     _check_tol(rtol)
+    rtol *= RTOL_SCALE
     lanes = np.ndim(u0) > 0
     if lanes:
         if return_winding:
@@ -257,7 +405,8 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             u, v = u.real, v.real
         max_u = abs(u)   # running magnitudes; also floor the error weights below
         run_v = abs(v)
-    record = record.tolist()   # Python floats: r and every stage abscissa stay float
+    at = np.asarray(record, dtype=float)
+    record = at.tolist()   # Python floats: r and every stage abscissa stay float
     n = len(record)
     lead = 0 if head is None else 1
     nodes_u = np.empty((lead + n,) + np.shape(u), dtype=float if lanes else complex)
@@ -278,112 +427,133 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
     span = abs(record[-1] - r_start)
     if span == 0.0:
         raise QwsError("empty integration span")
+    keys = record if direction > 0.0 else [-x for x in record]   # ascending, for bisect
+    stops = [float(x) for x in knots] + [record[-1]]
+    stop = 0
     h0 = 1e-3 * span
     if r_start != 0.0:
         h0 = min(h0, 0.1 * abs(r_start))  # stay below the centrifugal-layer scale
     h = direction * h0
-    phi = math.atan2(v.real, u.real) if return_winding else 0.0
-    s0 = sfun(r) if sfun is not None else 0.0
+    q_end = qfun(r)
+    s_end = sfun(r) if sfun is not None else 0.0
     if lanes:
-        np.negative(qfun(r), out=neg_q)
+        np.negative(q_end, out=neg_q)
         k1 = y[::-1] * slope
-        k1[1] += s0   # s0 - Q y, as in the scalar stepper
+        k1[1] += s_end   # s - Q y, as in the scalar stepper
     else:
-        k1u, k1v = v, s0 - qfun(r) * u
+        k1u, k1v = v, s_end - q_end * u
+    if return_winding:
+        scale = math.sqrt(max(1.0, abs(q_end)))
+        phi = math.atan2(v.real / scale, u.real)
     steps = 0
     while idx < n:
         steps += 1
         if steps > _MAX_STEPS:
             raise StiffnessError("step budget exhausted; equation too stiff")
-        target = record[idx]
-        if r == target:  # landed exactly in a free step
-            us[idx], vs[idx] = u, v
-            idx += 1
-            continue
-        h_prop = h  # remember the unclipped proposal across node landings
+        target = stops[stop]
+        h_prop = h  # remember the unclipped proposal across landings
         clipped = False
         if direction * (r + h - target) >= 0.0:
             h = target - r
             clipped = True
         if not clipped and abs(h) < 1e-15 * span:
             raise StiffnessError("step size underflow")
-        # one step from r to r + h, k1 = f(r) given; stages 6 and 7 share r + h
-        r2 = r + _C2 * h
-        r3 = r + _C3 * h
-        r4 = r + _C4 * h
-        r5 = r + _C5 * h
-        r6 = r + h
+        # one step from r to r + h, k1 = f(r) given; stage 12 and the FSAL
+        # derivative share r + h
+        r12 = r + h
         if lanes:
-            # the scalar block's expressions on the stacked (y, y')
-            y2 = y + h * _A21 * k1
-            np.negative(qfun(r2), out=neg_q)
-            k2 = y2[::-1] * slope
-            if sfun is not None:
-                k2[1] += sfun(r2)
-            y3 = y + h * (_A31 * k1 + _A32 * k2)
-            np.negative(qfun(r3), out=neg_q)
-            k3 = y3[::-1] * slope
-            if sfun is not None:
-                k3[1] += sfun(r3)
-            y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-            np.negative(qfun(r4), out=neg_q)
-            k4 = y4[::-1] * slope
-            if sfun is not None:
-                k4[1] += sfun(r4)
-            y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-            np.negative(qfun(r5), out=neg_q)
-            k5 = y5[::-1] * slope
-            if sfun is not None:
-                k5[1] += sfun(r5)
-            y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-            np.negative(qfun(r6), out=neg_q)
-            k6 = y6[::-1] * slope
-            if sfun is not None:
-                s6 = sfun(r6)
-                k6[1] += s6
-            yn = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7 = yn[::-1] * slope
-            if sfun is not None:
-                k7[1] += s6
-            e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            # the scalar block's sums, term for term, on the stacked (y, y')
+            ks = [k1]
+            for c, cols, ws in _STAGES:
+                ri = r + c * h
+                yi = y + h * _dot(ws, [ks[j - 1] for j in cols])
+                np.negative(qfun(ri), out=neg_q)
+                ki = yi[::-1] * slope
+                if sfun is not None:
+                    s_end = sfun(ri)
+                    ki[1] += s_end
+                ks.append(ki)
+            kw = [ks[j - 1] for j in _WEIGHT_COLUMNS]
+            yn = y + h * _dot(_B_ROW, kw)
             a = np.abs(yn)
             sc = rtol * np.maximum(np.maximum(ay, a), 1e-3 * run)
-            err = float((np.abs(e) / sc).max())
+            # _blend's operations, per entry
+            a5 = np.minimum(np.abs(h * _dot(_E5_ROW, kw)) / sc, _ERR_CAP)
+            a3 = np.minimum(np.abs(h * _dot(_E3_ROW, kw)) / sc, _ERR_CAP)
+            n5 = a5 * a5
+            err = float((n5 / np.maximum(np.sqrt(n5 + 0.01 * (a3 * a3)), 5e-324)).max())
         else:
-            u2 = u + h * _A21 * k1u
-            v2 = v + h * _A21 * k1v
-            k2u, k2v = v2, -qfun(r2) * u2
+            u2 = u + h * (_A2_1 * k1u)
+            v2 = v + h * (_A2_1 * k1v)
+            k2u, k2v = v2, -qfun(r + _C2 * h) * u2
             if sfun is not None:
-                k2v += sfun(r2)
-            u3 = u + h * (_A31 * k1u + _A32 * k2u)
-            v3 = v + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = v3, -qfun(r3) * u3
+                k2v += sfun(r + _C2 * h)
+            u3 = u + h * (_A3_1 * k1u + _A3_2 * k2u)
+            v3 = v + h * (_A3_1 * k1v + _A3_2 * k2v)
+            k3u, k3v = v3, -qfun(r + _C3 * h) * u3
             if sfun is not None:
-                k3v += sfun(r3)
-            u4 = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = v4, -qfun(r4) * u4
+                k3v += sfun(r + _C3 * h)
+            u4 = u + h * (_A4_1 * k1u + _A4_3 * k3u)
+            v4 = v + h * (_A4_1 * k1v + _A4_3 * k3v)
+            k4u, k4v = v4, -qfun(r + _C4 * h) * u4
             if sfun is not None:
-                k4v += sfun(r4)
-            u5 = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = v5, -qfun(r5) * u5
+                k4v += sfun(r + _C4 * h)
+            u5 = u + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u)
+            v5 = v + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v)
+            k5u, k5v = v5, -qfun(r + _C5 * h) * u5
             if sfun is not None:
-                k5v += sfun(r5)
-            u6 = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            q6 = qfun(r6)
-            k6u, k6v = v6, -q6 * u6
+                k5v += sfun(r + _C5 * h)
+            u6 = u + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u)
+            v6 = v + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v)
+            k6u, k6v = v6, -qfun(r + _C6 * h) * u6
             if sfun is not None:
-                s6 = sfun(r6)
-                k6v += s6
-            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = vn, -q6 * un
+                k6v += sfun(r + _C6 * h)
+            u7 = u + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u)
+            v7 = v + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v)
+            k7u, k7v = v7, -qfun(r + _C7 * h) * u7
             if sfun is not None:
-                k7v += s6
-            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+                k7v += sfun(r + _C7 * h)
+            u8 = u + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u)
+            v8 = v + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v)
+            k8u, k8v = v8, -qfun(r + _C8 * h) * u8
+            if sfun is not None:
+                k8v += sfun(r + _C8 * h)
+            u9 = u + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                          + _A9_8 * k8u)
+            v9 = v + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
+                          + _A9_8 * k8v)
+            k9u, k9v = v9, -qfun(r + _C9 * h) * u9
+            if sfun is not None:
+                k9v += sfun(r + _C9 * h)
+            u10 = u + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u
+                           + _A10_7 * k7u + _A10_8 * k8u + _A10_9 * k9u)
+            v10 = v + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v
+                           + _A10_7 * k7v + _A10_8 * k8v + _A10_9 * k9v)
+            k10u, k10v = v10, -qfun(r + _C10 * h) * u10
+            if sfun is not None:
+                k10v += sfun(r + _C10 * h)
+            u11 = u + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u
+                           + _A11_7 * k7u + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
+            v11 = v + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v
+                           + _A11_7 * k7v + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v)
+            k11u, k11v = v11, -qfun(r + _C11 * h) * u11
+            if sfun is not None:
+                k11v += sfun(r + _C11 * h)
+            u12 = u + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u
+                           + _A12_7 * k7u + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u
+                           + _A12_11 * k11u)
+            v12 = v + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v
+                           + _A12_7 * k7v + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v
+                           + _A12_11 * k11v)
+            q_end = qfun(r12)
+            k12u, k12v = v12, -q_end * u12
+            if sfun is not None:
+                s_end = sfun(r12)
+                k12v += s_end
+            un = u + h * (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
+                          + _B10 * k10u + _B11 * k11u + _B12 * k12u)
+            vn = v + h * (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v
+                          + _B10 * k10v + _B11 * k11v + _B12 * k12v)
             # weights rtol * max(abs(u), au, 1e-3 * max_u), floored at 1e-3 of the
             # running magnitude: pointwise relative control is unsatisfiable
             # (roundoff floor) where a component crosses zero; max()'s own
@@ -401,13 +571,23 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             if floor > sc_v:
                 sc_v = floor
             sc_v *= rtol
+            eu = h * (_E5_1 * k1u + _E5_6 * k6u + _E5_7 * k7u + _E5_8 * k8u + _E5_9 * k9u
+                      + _E5_10 * k10u + _E5_11 * k11u + _E5_12 * k12u)
+            ev = h * (_E5_1 * k1v + _E5_6 * k6v + _E5_7 * k7v + _E5_8 * k8v + _E5_9 * k9v
+                      + _E5_10 * k10v + _E5_11 * k11v + _E5_12 * k12v)
             err = 0.0
             if eu != 0.0:
-                err = abs(eu) / sc_u if sc_u > 0.0 else math.inf
+                err = (_blend(eu, h * (_E3_1 * k1u + _E3_6 * k6u + _E3_7 * k7u + _E3_8 * k8u
+                                       + _E3_9 * k9u + _E3_10 * k10u + _E3_11 * k11u
+                                       + _E3_12 * k12u), sc_u)
+                       if sc_u > 0.0 else math.inf)
             if ev != 0.0:
-                err = max(err, abs(ev) / sc_v if sc_v > 0.0 else math.inf)
+                err = max(err, _blend(ev, h * (_E3_1 * k1v + _E3_6 * k6v + _E3_7 * k7v
+                                               + _E3_8 * k8v + _E3_9 * k9v + _E3_10 * k10v
+                                               + _E3_11 * k11v + _E3_12 * k12v), sc_v)
+                          if sc_v > 0.0 else math.inf)
         if err <= 1.0 and return_winding:
-            phi_new = math.atan2(vn.real, un.real)
+            phi_new = math.atan2(vn.real / scale, un.real)
             turn = phi_new - phi
             wrap = 0
             if turn > math.pi:
@@ -419,30 +599,105 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             if abs(turn) > 0.5 * math.pi:
                 h *= 0.5
                 continue
-            phi = phi_new
             turns += wrap
         if err <= 1.0:  # NaN rejects
-            r = target if clipped else r6
+            r_new = target if clipped else r12
+            # the nodes idx ... covered - 1 lie in this step: the one it ends
+            # on takes the end value, the others (idx ... end - 1) the
+            # continuous extension
+            covered = bisect.bisect_right(keys, direction * r_new, idx)
+            end = covered - 1 if covered > idx and record[covered - 1] == r_new else covered
             if lanes:
-                y, k1, ay = yn, k7, a  # FSAL
+                k13 = yn[::-1] * slope   # FSAL: neg_q still holds -Q(r + h)
+                if sfun is not None:
+                    k13[1] += s_end
+                if end > idx:
+                    ks.append(k13)
+                    for c, cols, ws in _DENSE_STAGES:
+                        ri = r + c * h
+                        yi = y + h * _dot(ws, [ks[j - 1] for j in cols])
+                        np.negative(qfun(ri), out=neg_q)
+                        ki = yi[::-1] * slope
+                        if sfun is not None:
+                            ki[1] += sfun(ri)
+                        ks.append(ki)
+                    dy = yn - y
+                    kd = [ks[j - 1] for j in _D_COLUMNS]
+                    F = (dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1),
+                         *(h * _dot(d, kd) for d in _D_ROWS))
+                    x = (at[idx:end] - r) / h
+                    ys = _dense(y, F, x.reshape((-1,) + (1,) * y.ndim))
+                    us[idx:end], vs[idx:end] = ys[:, 0], ys[:, 1]
+                    np.maximum(max_u, np.abs(ys[:, 0]).max(axis=0), out=max_u)
+                if end < covered:
+                    us[end], vs[end] = yn
+                y, k1, ay = yn, k13, a
                 u, v = y
                 np.maximum(run, a, out=run)
             else:
+                k13u, k13v = vn, -q_end * un   # FSAL
+                if sfun is not None:
+                    k13v += s_end
+                if end > idx:
+                    u14 = u + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u
+                                   + _A14_10 * k10u + _A14_11 * k11u + _A14_12 * k12u
+                                   + _A14_13 * k13u)
+                    v14 = v + h * (_A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v
+                                   + _A14_10 * k10v + _A14_11 * k11v + _A14_12 * k12v
+                                   + _A14_13 * k13v)
+                    k14u, k14v = v14, -qfun(r + _C14 * h) * u14
+                    if sfun is not None:
+                        k14v += sfun(r + _C14 * h)
+                    u15 = u + h * (_A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u
+                                   + _A15_11 * k11u + _A15_12 * k12u + _A15_13 * k13u
+                                   + _A15_14 * k14u)
+                    v15 = v + h * (_A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v
+                                   + _A15_11 * k11v + _A15_12 * k12v + _A15_13 * k13v
+                                   + _A15_14 * k14v)
+                    k15u, k15v = v15, -qfun(r + _C15 * h) * u15
+                    if sfun is not None:
+                        k15v += sfun(r + _C15 * h)
+                    u16 = u + h * (_A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u
+                                   + _A16_9 * k9u + _A16_13 * k13u + _A16_14 * k14u
+                                   + _A16_15 * k15u)
+                    v16 = v + h * (_A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v
+                                   + _A16_9 * k9v + _A16_13 * k13v + _A16_14 * k14v
+                                   + _A16_15 * k15v)
+                    k16u, k16v = v16, -qfun(r + _C16 * h) * u16
+                    if sfun is not None:
+                        k16v += sfun(r + _C16 * h)
+                    du, dv = un - u, vn - v
+                    ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
+                    kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
+                    F = np.array([(du, dv), (h * k1u - du, h * k1v - dv),
+                                  (2.0 * du - h * (k13u + k1u), 2.0 * dv - h * (k13v + k1v))]
+                                 + [(h * _dot(d, ku), h * _dot(d, kv)) for d in _D_ROWS])
+                    ys = _dense(np.array((u, v)), F, (at[idx:end, None] - r) / h)
+                    us[idx:end], vs[idx:end] = ys[:, 0], ys[:, 1]
+                    m = float(np.abs(ys[:, 0]).max())
+                    if m > max_u:
+                        max_u = m
+                if end < covered:
+                    us[end], vs[end] = un, vn
                 u, v = un, vn
-                k1u, k1v = k7u, k7v  # FSAL
+                k1u, k1v = k13u, k13v
                 if au > max_u:  # builtin max() would cost more than the comparisons
                     max_u = au
                 if av > run_v:
                     run_v = av
+                if return_winding:
+                    scale = math.sqrt(max(1.0, abs(q_end)))
+                    phi = math.atan2(v.real / scale, u.real)
+            idx = covered
+            r = r_new
             if clipped:
-                us[idx], vs[idx] = u, v
-                idx += 1
-                h = h_prop  # a short node-landing step says nothing about scale
+                stop += 1
+                h = h_prop  # a short landing step says nothing about scale
             else:
-                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
                 h = math.copysign(min(abs(h) * fac, span), direction)
         else:
-            h *= max(0.1, 0.9 * err ** -0.2)
+            h *= max(0.1, 0.9 * err ** -0.125)
     return (nodes_u, nodes_v, max_u, turns) if return_winding else (nodes_u, nodes_v, max_u)
 
 
@@ -540,7 +795,7 @@ def _largest(x) -> float:
 
 
 def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
-                   tol: float, source=None) -> float:
+                   tol: float, source=None, knots=()) -> float:
     """Start radius r_s of an origin-regular solve: the series meets 1e-3 tol there.
 
     The series of :func:`frobenius_start` neglects two things, each held
@@ -570,15 +825,15 @@ def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: flo
     An empty series under a source that its expansion does not make zero
     (the log order at n = 0) starts at r_min.
 
-    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2), so it never
-    passes a knot or the second recorded node, and it is never below
-    record[0].  For float64 lanes the bounds hold on every lane: one r_s,
+    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2, knots[0] / 2),
+    so it never passes a knot or the second recorded node, and it is never
+    below record[0].  For float64 lanes the bounds hold on every lane: one r_s,
     the smallest over the lanes.
     """
     r_min = float(record[0])
     w_m1, w0, w1 = origin_w
     cf = lam * lam - 0.25
-    r = min(SERIES_CAP_FRACTION * r0, 0.5 * float(record[1]))
+    r = min(SERIES_CAP_FRACTION * r0, 0.5 * min([float(record[1]), *knots[:1]]))
 
     def dv(r):   # dV(r) r^2, per lane
         return (E - cf / (r * r) - qfun(r) - (w_m1 / r + w0 + w1 * r)) * (r * r)
@@ -618,7 +873,7 @@ def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: flo
 
 def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
                  tol: float, return_winding: bool = False, second_branch: bool = False,
-                 sources: tuple = ()):
+                 sources: tuple = (), knots=()):
     """Origin-regular solve: the series start at r_s, then :func:`_integrate` on ``record``.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
@@ -627,7 +882,9 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     :func:`_series_radius` (r0 is the cutoff radius that caps it); the
     nodes below r_s (record[0] only) take the series value.  Between
     record[0] and r_s neither y nor y' has a zero, so a real problem's
-    winding count is that of a solve from record[0].
+    winding count is that of a solve from record[0].  Every step ends on
+    each of ``knots`` (ascending, inside the span of ``record``), and r_s
+    stays below the first.
 
     ``sources``, pairs (S_i, (p_i, t_i)) of a kernel source and its origin
     expansion, add the particular solves of y'' + Q y = S_i, each started
@@ -658,7 +915,7 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
 
     def run(sfun, r_s, at_min, at_s):
         us, vs, max_u, *turns = _integrate(qfun, sfun, r_s, *at_s, record[1:], tol,
-                                           return_winding, head=at_min)
+                                           return_winding, head=at_min, knots=knots)
         u0 = at_min[0]
         max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
         return (us, vs, max_u, *turns)
@@ -670,7 +927,7 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
         if second_branch:
             radii = [r_min]
         else:
-            radii = [_series_radius(qfun, lam, E, origin_w, record, r0, tol, source)
+            radii = [_series_radius(qfun, lam, E, origin_w, record, r0, tol, source, knots)
                      for source in solves]
         if lanes and sources:
             r_s = min(radii)
@@ -691,24 +948,16 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     return tuple(np.stack(parts, axis=-1) for parts in zip(*out))
 
 
-def _with_knots(potential: PotentialModel, nodes) -> Tuple[np.ndarray, object]:
-    """``nodes`` with the knots of the local profile strictly inside their span merged in.
+def _knots(potential: PotentialModel, nodes) -> Tuple[float, ...]:
+    """The knots of the local profile strictly inside the span of ``nodes``, in its direction.
 
-    V' jumps at a knot of a tabulated well; the DP45 error estimate does
-    not see that, so a step across one misses the tolerance, while a step
-    landed on each knot keeps it.  Returns (record, keep) with
-    record[keep] == nodes, the record running in the direction of ``nodes``.
+    V' jumps at a knot of a tabulated well, which the error estimate does
+    not see, so a step across one misses the tolerance; :func:`_integrate`
+    ends a step on each knot it is given instead.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    lo, hi = sorted((nodes[0], nodes[-1]))
-    knots = [x for x in potential.knots if lo < x < hi]
-    if not knots:
-        return nodes, slice(None)
-    record = np.union1d(nodes, knots)
-    keep = np.searchsorted(record, nodes)
-    if nodes[0] > nodes[-1]:
-        return record[::-1], len(record) - 1 - keep
-    return record, keep
+    lo, hi = sorted((float(nodes[0]), float(nodes[-1])))
+    knots = sorted(x for x in potential.knots if lo < x < hi)
+    return tuple(knots[::-1] if nodes[0] > nodes[-1] else knots)
 
 
 def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10,
@@ -724,10 +973,14 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
     """
     if eq.kernel_acts:
         raise QwsError("equation has an active kernel; use solve_nonlocal")
-    record, keep = _with_knots(eq.potential, grid.nodes)
-    us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                             record, grid.r0, tol, second_branch=second_branch)
-    return RadialSolution(grid=grid, y=us[keep], dy=vs[keep], normalization="origin-regular",
+    nodes, i0 = grid.interior_nodes, grid.i_cutoff
+    us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, nodes, grid.r0,
+                             tol, second_branch=second_branch, knots=_knots(eq.potential, nodes))
+    y = np.empty(len(grid.nodes), dtype=complex)
+    dy = np.empty(len(grid.nodes), dtype=complex)
+    y[: i0 + 1], dy[: i0 + 1] = us, vs
+    y[i0:], dy[i0:] = free_exterior(eq, us[-1], vs[-1], grid.nodes[i0:], tol)
+    return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu)
 
 
@@ -753,11 +1006,11 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
         ph = cmath.exp(-1j * k * nodes[j])
         y[j] = ph
         dy[j] = -1j * k * ph
-    record, keep = _with_knots(eq.potential, nodes[: i0 + 1][::-1])
-    us, vs, _ = _integrate(eq.coefficient, None, float(nodes[i0]),
-                           y[i0], dy[i0], record, rtol=tol)
-    y[: i0 + 1] = us[keep][::-1]
-    dy[: i0 + 1] = vs[keep][::-1]
+    record = nodes[: i0 + 1][::-1]
+    us, vs, _ = _integrate(eq.coefficient, None, float(nodes[i0]), y[i0], dy[i0], record,
+                           rtol=tol, knots=_knots(eq.potential, record))
+    y[: i0 + 1] = us[::-1]
+    dy[: i0 + 1] = vs[::-1]
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="jost",
                           channel=eq.channel, energy=energy, mu=eq.mu)
 
@@ -827,10 +1080,11 @@ def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
     E = eq.energy.E
     if isinstance(E, complex) and E.imag != 0:
         raise QwsError("non-local solve requires real energy")
-    record, keep = _with_knots(eq.potential, grid.interior_nodes)
+    record = grid.interior_nodes
     us, vs, _ = _from_origin(eq.coefficient, lam, E, eq.origin_w, record, grid.r0, tol,
-                             sources=tuple(zip(eq.sources, eq.source_origins)))
-    ys, dys = us[keep][:, None, :], vs[keep][:, None, :]
+                             sources=tuple(zip(eq.sources, eq.source_origins)),
+                             knots=_knots(eq.potential, record))
+    ys, dys = us[:, None, :], vs[:, None, :]
     return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 
 
@@ -900,9 +1154,10 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
             eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
         y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
         return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
-    record, _ = _with_knots(eq.potential, [R_MIN_FRACTION * eq.r0, eq.r0])
+    record = [R_MIN_FRACTION * eq.r0, eq.r0]
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                 record, eq.r0, tol, return_winding=return_winding)
+                                 record, eq.r0, tol, return_winding=return_winding,
+                                 knots=_knots(eq.potential, record))
     return (complex(us[-1]), complex(vs[-1]), *rest)
 
 
@@ -930,7 +1185,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     float64 lanes of :func:`_integrate`, which share every step; lam, E and
     mu must be real.  A local model takes one lane per point, straight to
     the cutoff.  A model whose kernel acts takes 1 + n lanes per point (the
-    homogeneous solve and the n particular ones) landed on the moment grid,
+    homogeneous solve and the n particular ones) recorded on the moment grid,
     and the n x n systems of all points are taken as one stack; its points
     come back scaled by det(Id - mu C M), as from :func:`interior_state`.
     Returns the real parts.
@@ -942,10 +1197,11 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
     if not potential.kernel_acts:
-        record, _ = _with_knots(potential, [R_MIN_FRACTION * potential.r0, potential.r0])
+        record = [R_MIN_FRACTION * potential.r0, potential.r0]
         origin_w = tuple(mu * w for w in potential.origin_coefficients())
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
-                                     origin_w, record, potential.r0, tol)
+                                     origin_w, record, potential.r0, tol,
+                                     knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
     ys, dys, m = _superposition_lanes(channel, potential, E, mu, tol)
@@ -959,13 +1215,14 @@ def _superposition_lanes(channel: ChannelParams, potential: PotentialModel, E, m
     lam = channel.lam
     eq = effective_equation(channel, potential, EnergyValue(E=0.0))  # the sources S_i
     grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
-    record, keep = _with_knots(potential, grid.interior_nodes)
+    record = grid.interior_nodes
     E, mu = E[:, None], mu[:, None]
     origin_w = tuple(mu * w for w in potential.origin_coefficients())
     ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
                               record, potential.r0, tol,
-                              sources=tuple(zip(eq.sources, eq.source_origins)))
-    ys, dys = ys[keep], dys[-1:].copy()   # y' is needed at r0 only: free the rest
+                              sources=tuple(zip(eq.sources, eq.source_origins)),
+                              knots=_knots(potential, record))
+    dys = dys[-1:].copy()   # y' is needed at r0 only: free the rest
     return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
 
 

@@ -166,6 +166,24 @@ def test_kernel_source_carries_dimension_weight():
     assert s3(1.0) == bump.profile(1.0) * 1.0
 
 
+@pytest.mark.parametrize("local", [square_well(7.0), truncated_gaussian(5.0, 0.4)],
+                         ids=["square", "gaussian"])
+def test_coefficient_takes_its_interior_limit_at_r0(local):
+    # a solve that ends or starts on r0 sees the interior equation in every
+    # stage, as the kernel sources do; the well is gone just beyond r0, and
+    # local_value stays 0 at r0
+    ch = ChannelParams(q=3, l=1)   # lam^2 - 1/4 = 2
+    pot = PotentialModel(r0=1.0, local=local)
+    E = 2.5
+    q = effective_equation(ch, pot, EnergyValue(E=E)).coefficient
+    lanes = radial_coefficient(ch.lam, np.array([E, E]), 1.0, pot)
+    inside = E - 2.0 - local.profile(1.0)
+    assert q(1.0) == inside and np.all(lanes(1.0) == inside)
+    r = math.nextafter(1.0, 2.0)
+    assert q(r) == E - 2.0 / (r * r)
+    assert pot.local_value(1.0) == 0.0
+
+
 def test_potential_model_invariants():
     pot = PotentialModel(r0=2.0, local=square_well(3.0),
                          kernel=(gaussian_bump(1.0, 0.2),), strengths=(-4.0,))

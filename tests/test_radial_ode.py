@@ -12,11 +12,11 @@ from qws.potentials import (KernelTerm, LocalPotential, PotentialModel, gaussian
                             poly_bump, square_well, tabulated, truncated_exponential,
                             truncated_gaussian)
 from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _couple, _integrate,
-                            _kernel_moments, _series_radius, _superposition_solves, _with_knots,
-                            cutoff_integral, frobenius_start, green_identity_residual,
-                            integrate_jost, integrate_regular, interior_in_mu,
-                            interior_lanes, interior_state, make_grid, prufer_angle,
-                            solve_nonlocal)
+                            _kernel_moments, _knots, _series_radius, _superposition_solves,
+                            cutoff_integral, free_exterior, frobenius_start,
+                            green_identity_residual, integrate_jost, integrate_regular,
+                            interior_in_mu, interior_lanes, interior_state, make_grid,
+                            prufer_angle, solve_nonlocal)
 from qws.scattering import phase_shift
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
@@ -809,6 +809,104 @@ class TestTabulatedKnots:
         assert abs(scale * dy0 - v) <= 1e-10 * max_u
 
 
+def _square_well_regular(V0, E, r, r0=1.0):
+    """(y, y') of the s-wave square well's origin-regular solution y ~ r, closed form."""
+    kp = math.sqrt(E + V0)
+    y_in, dy_in = np.sin(kp * r) / kp, np.cos(kp * r)
+    y0, dy0 = math.sin(kp * r0) / kp, math.cos(kp * r0)
+    x = r - r0
+    if E > 0:
+        k = math.sqrt(E)
+        y_out = y0 * np.cos(k * x) + dy0 / k * np.sin(k * x)
+        dy_out = -y0 * k * np.sin(k * x) + dy0 * np.cos(k * x)
+    else:
+        kappa = math.sqrt(-E)
+        y_out = y0 * np.cosh(kappa * x) + dy0 / kappa * np.sinh(kappa * x)
+        dy_out = y0 * kappa * np.sinh(kappa * x) + dy0 * np.cosh(kappa * x)
+    inside = r <= r0
+    return np.where(inside, y_in, y_out), np.where(inside, dy_in, dy_out)
+
+
+def _square_well_jost(V0, k, r, r0=1.0):
+    """(f, f') of the s-wave square well's Jost solution, e^{-ikr} from r0 on."""
+    kp = math.sqrt(k * k + V0)
+    e = np.exp(-1j * k * r0)
+    x = r - r0
+    f_in = e * (np.cos(kp * x) - 1j * (k / kp) * np.sin(kp * x))
+    df_in = e * (-kp * np.sin(kp * x) - 1j * k * np.cos(kp * x))
+    inside = r < r0
+    return (np.where(inside, f_in, np.exp(-1j * k * r)),
+            np.where(inside, df_in, -1j * k * np.exp(-1j * k * r)))
+
+
+def _max_rel(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+class TestInterpolatedNodes:
+    """Steps end on knots and the last node only; the other nodes take the
+    order-7 continuous extension.  The gates are ones that node-landed
+    steps met: they read 6.9e-10 (regular), 2.9e-9 (Jost), and up to
+    8.6e-11 in y and 3.5e-10 in y' on the kernel grids, where the strong
+    rank-1 kernel amplifies the integration error of either stepper to
+    about the tolerance itself."""
+
+    @pytest.mark.parametrize("E", [-3.7, 5.0])
+    def test_full_regular_grid_against_the_closed_form(self, E):
+        g = make_grid(1.0)
+        sol = integrate_regular(effective_equation(CH_S, _SQUARE, EnergyValue(E=E)), g, 1e-10)
+        y, dy = _square_well_regular(40.0, E, g.nodes)
+        assert _max_rel(sol.y, y) <= 1e-9
+        assert _max_rel(sol.dy, dy) <= 1e-9
+
+    @pytest.mark.parametrize("k", [1.0, 3.0])
+    def test_full_jost_grid_against_the_closed_form(self, k):
+        g = make_grid(1.0)
+        f = integrate_jost(effective_equation(CH_S, _SQUARE, EnergyValue.from_k(k)), g, k, 1e-10)
+        y, dy = _square_well_jost(40.0, k, g.nodes)
+        assert _max_rel(f.y, y) <= 5e-9
+        assert _max_rel(f.dy, dy) <= 5e-9
+
+    @pytest.mark.parametrize("ch, pot, E", [(*KERNEL_MODELS[0], -50.0),
+                                            (*KERNEL_MODELS[2], -2.0)],
+                             ids=["rank1", "well+kernel"])
+    def test_kernel_grid_against_its_6401_node_moment_reference(self, ch, pot, E):
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        fine = solve_nonlocal(eq, make_grid(1.0, n_interior=6401), 1e-10)
+        for n in (401, 801):
+            g = make_grid(1.0, n_interior=n)
+            sol = solve_nonlocal(eq, g, 1e-10)
+            i0, every = g.i_cutoff, 6400 // (n - 1)
+            ref = slice(0, fine.grid.i_cutoff + 1, every)
+            assert np.array_equal(fine.grid.nodes[ref], g.interior_nodes)
+            assert _max_rel(sol.y[: i0 + 1], fine.y[ref]) <= 2e-10
+            assert _max_rel(sol.dy[: i0 + 1], fine.dy[ref]) <= 5e-10
+
+
+@pytest.mark.parametrize("local, E", [(square_well(89.8), -30.0),
+                                      (truncated_gaussian(30.0, 0.6), -3.7)],
+                         ids=["square", "gaussian"])
+def test_solves_meet_r0_without_a_run_of_rejected_steps(local, E):
+    # Q(r0) took the exterior value: the last stage of an outward step onto r0
+    # and the first stage of every inward step from it saw the wrong equation.
+    # Outward, 588 (square) and 778 (gaussian) Q calls crept up within 0.01 of
+    # r0 by rejected steps; inward, the step size underflowed.  A step attempt
+    # reads Q 11 times.
+    pot = PotentialModel(r0=1.0, local=local)
+    qfun, _, r_min, u0, v0, record, knots = _real_problem(CH_S, pot, E)
+    seen = []
+
+    def counted(r):
+        seen.append(r)
+        return qfun(r)
+
+    _integrate(counted, None, r_min, u0, v0, record, 1e-10, knots=knots)
+    assert sum(r >= 0.99 for r in seen) <= 2 * 11
+    seen.clear()
+    _integrate(counted, None, 1.0, 1.0, 0.0, np.linspace(1.0, 1e-6, 5), 1e-10)
+    assert sum(r >= 0.99 for r in seen) <= 1 + 3 * 11
+
+
 class TestLaneDriver:
     """Array start values step float64 lanes through :func:`_integrate`, on any record."""
 
@@ -841,8 +939,8 @@ class TestLaneDriver:
     def test_single_source_lane_is_the_scalar_particular_solve(self, source):
         # a particular lane from (0, 0) adds S to -Q y at every stage in the
         # scalar stepper's order, so the two agree bit for bit on every node
-        qfun, sfun, r_min, _, _, record = _real_problem(*KERNEL_MODELS[1], -20.0,
-                                                        _MOMENT_RECORD, source=source)
+        qfun, sfun, r_min, _, _, record, _ = _real_problem(*KERNEL_MODELS[1], -20.0,
+                                                           _MOMENT_RECORD, source=source)
         us, vs, max_u = _integrate(qfun, sfun, r_min, 0.0, 0.0, record, 1e-10)
         lane = _integrate(lambda r: np.array([qfun(r)]), lambda r: np.array([sfun(r)]),
                           r_min, np.zeros(1), np.zeros(1), record, 1e-10)
@@ -879,22 +977,22 @@ class TestLaneDriver:
 
 
 def _real_problem(ch, pot, E, record=None, source=None):
-    """(qfun, sfun, r_start, u0, v0, record) of a real interior solve at energy E.
+    """(qfun, sfun, r_start, u0, v0, record, knots) of a real interior solve at energy E.
 
     The series start of the homogeneous equation, on ``record`` or from
-    r_min = 1e-6 r0 to the cutoff with the knots landed; with a ``source``
-    index, the particular solve of that kernel source from (0, 0).
+    r_min = 1e-6 r0 to the cutoff, with the knots inside it to land on;
+    with a ``source`` index, the particular solve of that kernel source
+    from (0, 0).
     """
-    import qws.radial_ode as ro
-
     eq = effective_equation(ch, pot, EnergyValue(E=E))
     if record is None:
-        record, _ = ro._with_knots(pot, [1e-6 * pot.r0, pot.r0])
+        record = np.array([1e-6 * pot.r0, pot.r0])
     r_min = float(record[0])
+    knots = _knots(pot, record)
     if source is not None:
-        return eq.coefficient, eq.sources[source], r_min, 0.0, 0.0, record
+        return eq.coefficient, eq.sources[source], r_min, 0.0, 0.0, record, knots
     u0, v0 = frobenius_start(ch.lam, E, eq.origin_w, r_min)
-    return eq.coefficient, None, r_min, u0, v0, record
+    return eq.coefficient, None, r_min, u0, v0, record, knots
 
 
 _SQUARE = PotentialModel(r0=1.0, local=square_well(40.0))
@@ -923,14 +1021,14 @@ class TestFloatStepping:
     @pytest.mark.parametrize("problem, winding", [case[1:] for case in REAL_PROBLEMS],
                              ids=[case[0] for case in REAL_PROBLEMS])
     def test_real_problem_matches_complex_stepping_bit_for_bit(self, problem, winding):
-        qfun, sfun, r_start, u0, v0, record = problem()
+        qfun, sfun, r_start, u0, v0, record, knots = problem()
         assert not isinstance(qfun(0.5), complex)
         as_float = _integrate(qfun, sfun, r_start, u0, v0, record, 1e-10,
-                              return_winding=winding)
+                              return_winding=winding, knots=knots)
         # a complex Q(r) promotes every stage to complex: the stepping of a
         # complex problem
         as_complex = _integrate(lambda r: complex(qfun(r)), sfun, r_start, u0, v0,
-                                record, 1e-10, return_winding=winding)
+                                record, 1e-10, return_winding=winding, knots=knots)
         assert len(as_float) == len(as_complex) == (4 if winding else 3)
         for a, b in zip(as_float, as_complex):
             assert np.array_equal(a, b)
@@ -962,7 +1060,9 @@ class TestFloatStepping:
         record = _MOMENT_RECORD
         assert isinstance(record, np.ndarray) and len(record) == 401
         _integrate(qfun, sfun, float(record[0]), 0.0, 0.0, record, 1e-10)
-        assert len(seen) > 2 * len(record)
+        # the nodes are interpolated, not landed: Q and S are read at the 11
+        # stage and 3 dense-output abscissas of more than ten steps
+        assert len(seen) > 2 * 14 * 10
         assert set(seen) == {float}
 
 
@@ -972,9 +1072,9 @@ def _from_r_min(ch, pot, E, tol=1e-10):
     The reference of the start at r_s: the same series and the same stepper,
     started where every origin-regular solve started before r_s.
     """
-    qfun, _, r_min, u0, v0, record = _real_problem(ch, pot, E)
+    qfun, _, r_min, u0, v0, record, knots = _real_problem(ch, pot, E)
     us, vs, max_u, turns = _integrate(qfun, None, r_min, u0, v0, record, tol,
-                                      return_winding=True)
+                                      return_winding=True, knots=knots)
     return us[-1], vs[-1], max_u, turns
 
 
@@ -987,8 +1087,9 @@ def _assert_close(u, v, ref_u, ref_v, ref_max):
 def _start_radius(ch, pot, E, tol=1e-10):
     """r_s of the straight-to-cutoff solve of :func:`interior_state`."""
     eq = effective_equation(ch, pot, EnergyValue(E=E))
-    record, _ = _with_knots(pot, [R_MIN_FRACTION * pot.r0, pot.r0])
-    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol)
+    record = [R_MIN_FRACTION * pot.r0, pot.r0]
+    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol,
+                          knots=_knots(pot, record))
 
 
 # (channel, local well, energy): the phase-shift cells, the lane wells at a
@@ -1025,12 +1126,17 @@ class TestSeriesStart:
         assert g.r_min < _series_radius(eq.coefficient, eq.lam, E, eq.origin_w,
                                         g.nodes, 1.0, 1e-10) < g.nodes[1]
         assert sol.y[0] == frobenius_start(eq.lam, E, eq.origin_w, g.r_min)[0]
-        record, keep = _with_knots(pot, g.nodes)
+        # the reference: the interior solve from r_min, continued beyond r0
+        # through the free exterior
+        record, i0 = g.interior_nodes, g.i_cutoff
         u0, v0 = frobenius_start(eq.lam, E, eq.origin_w, g.r_min)
-        ref_u, ref_v, _ = _integrate(eq.coefficient, None, g.r_min, u0, v0, record, 1e-10)
-        scale = np.max(np.abs(ref_u[keep]))
-        assert np.max(np.abs(sol.y - ref_u[keep])) <= 1e-9 * scale
-        assert np.max(np.abs(sol.dy - ref_v[keep])) <= 1e-9 * np.max(np.abs(ref_v[keep]))
+        ref_u, ref_v, _ = _integrate(eq.coefficient, None, g.r_min, u0, v0, record, 1e-10,
+                                     knots=_knots(pot, record))
+        out_u, out_v = free_exterior(eq, ref_u[-1], ref_v[-1], g.nodes[i0:], 1e-10)
+        ref_u, ref_v = np.concatenate([ref_u, out_u[1:]]), np.concatenate([ref_v, out_v[1:]])
+        scale = np.max(np.abs(ref_u))
+        assert np.max(np.abs(sol.y - ref_u)) <= 1e-9 * scale
+        assert np.max(np.abs(sol.dy - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
 
     def test_start_moves_off_r_min_where_the_series_is_exact(self):
         # lam = 2.5 well and p-wave gaussian: the start lies two decades above r_min
@@ -1093,10 +1199,11 @@ def _superposed_from_zero(eq, tol=1e-10):
     """
     grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
     ys, dys, _ = _superposition_solves(eq, grid, tol)
-    record, keep = _with_knots(eq.potential, grid.interior_nodes)
+    record = grid.interior_nodes
     for j, src in enumerate(eq.sources):
-        us, vs, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, tol)
-        ys[:, 0, 1 + j], dys[:, 0, 1 + j] = us[keep], vs[keep]
+        us, vs, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, tol,
+                               knots=_knots(eq.potential, record))
+        ys[:, 0, 1 + j], dys[:, 0, 1 + j] = us, vs
     s = np.array([[src(float(r)) for src in eq.sources] for r in grid.interior_nodes])
     m = _kernel_moments(grid, s, ys, eq.lam + 0.5)
     y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
