@@ -5,11 +5,16 @@ Each model is an attractive square well (depth 0-150, r0 = 1) plus 0, 1 or
 2 rank-1 gaussian bumps (centre 0.3-0.7, width 0.10-0.17, strength
 -3000..3000), in a channel with lambda = 0.5, 1, 1.5, 2 or 2.5.  Every
 model runs through ``levinson_verify``, and every model whose kernel acts
-also through ``find_bound_states`` on a coarse 32-energy scan, whose
-brackets the level count must split to its own number of levels.  The
-script prints each model whose status is not "pass" or whose two counts
-differ, then the totals, and exits 1 if any status is "fail" or any count
-differs ("inconclusive" is reported but allowed).
+also through ``find_bound_states``, which must return as many levels as
+the count, each within LEVEL_RTOL relative of the nearest root of the
+independent Green-function reference ``kernel_level_near`` of
+tests/oracles.py (closed-form Bessel pair, composite Gauss-Legendre; it
+needs scipy); a level above E = -LEVEL_TOL / LEVEL_RTOL need only lie
+within its refinement width LEVEL_TOL max(1, |E|).  The script prints
+each model whose status is not "pass", whose two counts differ or whose
+level misses the reference, then the totals with the largest relative
+level error, and exits 1 if any status is "fail", any count differs or
+any level misses ("inconclusive" is reported but allowed).
 
     PYTHONPATH=src python3 scripts/kernel_sweep.py [--count 120] [--seed 11]
 """
@@ -19,18 +24,27 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 from qws.model import ChannelParams
 from qws.potentials import PotentialModel, gaussian_bump, square_well
 from qws.spectral import find_bound_states, levinson_verify
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import kernel_level_near  # noqa: E402
+
 # (q, l) for lambda = 0.5, 1, 1.5, 2, 2.5
 CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2))
+LEVEL_RTOL = 1e-7   # largest relative distance of a level from the reference's
+LEVEL_TOL = 1e-10   # find_bound_states' tol: levels are refined to LEVEL_TOL max(1, |E|)
 
 
 def models(count: int, seed: int):
-    """``count`` (label, channel, potential) triples drawn from ``seed``."""
+    """``count`` (label, channel, potential, depth, bumps) tuples drawn from ``seed``."""
     rng = random.Random(seed)
     for i in range(count):
         q, l = rng.choice(CHANNELS)
@@ -42,7 +56,18 @@ def models(count: int, seed: int):
                              strengths=tuple(s for _, _, s in bumps))
         label = (f"#{i} q={q} l={l} well {depth:.6g} bumps "
                  + (", ".join(f"({c:.6g}, {w:.6g}, {s:.6g})" for c, w, s in bumps) or "none"))
-        yield label, ChannelParams(q=q, l=l), pot
+        yield label, ChannelParams(q=q, l=l), pot, depth, bumps
+
+
+def reference_level(ch: ChannelParams, pot: PotentialModel, depth: float, bumps,
+                    E: float) -> float:
+    """The reference level nearest E (nan if there is none)."""
+    profiles = [lambda r, c=c, w=w: np.exp(-((r - c) / w) ** 2) for c, w, _ in bumps]
+    try:
+        return kernel_level_near(ch.lam, ch.q, pot.r0, profiles, pot.coupling_matrix(), E,
+                                 depth=depth)
+    except ValueError:
+        return math.nan
 
 
 def main() -> int:
@@ -53,23 +78,32 @@ def main() -> int:
 
     t0 = time.perf_counter()
     tally = {"pass": 0, "fail": 0, "inconclusive": 0}
-    miscounts = 0
-    for label, ch, pot in models(args.count, args.seed):
+    miscounts = misses = 0
+    worst = 0.0
+    for label, ch, pot, depth, bumps in models(args.count, args.seed):
         rep = levinson_verify(ch, pot)
         tally[rep.status] += 1
         if rep.status != "pass":
             print(f"{rep.status:<12} {label}: eta0/pi = {rep.eta0 / math.pi:.4f}, "
                   f"n = {rep.n_direct}/{rep.n_continuation} {rep.reason}")
         if pot.kernel_acts and rep.status != "inconclusive":
-            found = len(find_bound_states(ch, pot, n_scan=32))
-            if found != rep.n_direct:
+            levels = [s.E for s in find_bound_states(ch, pot, tol=LEVEL_TOL)]
+            if len(levels) != rep.n_direct:
                 miscounts += 1
-                print(f"{'miscount':<12} {label}: {found} levels from a 32-energy scan, "
-                      f"count {rep.n_direct}")
+                print(f"{'miscount':<12} {label}: {len(levels)} levels, count {rep.n_direct}")
+            for E in levels:
+                E_ref = reference_level(ch, pot, depth, bumps, E)
+                err = abs(E - E_ref) / abs(E_ref) if math.isfinite(E_ref) else math.inf
+                worst = max(worst, err)
+                bound = max(LEVEL_RTOL * abs(E_ref), LEVEL_TOL * max(1.0, abs(E)))
+                if not abs(E - E_ref) <= bound:
+                    misses += 1
+                    print(f"{'level off':<12} {label}: E = {E!r} is {err:.2e} off the reference")
     print(f"{args.count} models: {tally['pass']} pass, {tally['fail']} fail, "
-          f"{tally['inconclusive']} inconclusive, {miscounts} scans off the count "
+          f"{tally['inconclusive']} inconclusive, {miscounts} level lists off the count, "
+          f"{misses} levels off the reference (largest relative error {worst:.2e}) "
           f"in {time.perf_counter() - t0:.1f} s")
-    return 1 if tally["fail"] or miscounts else 0
+    return 1 if tally["fail"] or miscounts or misses else 0
 
 
 if __name__ == "__main__":

@@ -119,13 +119,17 @@ class KernelTerm:
     t_n r^n, from which the integrator starts the particular solves.  No
     terms (the default for hand-built profiles) read as g ~ 0 near the
     origin; a profile that departs from its expansion only moves that start
-    toward r_min.
+    toward r_min.  ``width`` is the length on which the profile changes,
+    its narrowest feature; the quadrature of the kernel's Green function
+    resolves it.  A hand-built term leaves it infinite and gets the rule's
+    fixed panels.
     """
 
     name: str
     profile: Callable[[float], float]
     params: Tuple[Tuple[str, float], ...] = ()
     origin: Tuple[float, Tuple[float, ...]] = (0.0, ())
+    width: float = math.inf
 
 
 def _taylor(t0: float, step: Callable[[int, list], float]) -> Tuple[float, ...]:
@@ -158,7 +162,7 @@ def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTer
                     / (n + 1))
     return KernelTerm(name="gaussian_bump", profile=g,
                       params=(("center", c), ("width", w), ("height", h)),
-                      origin=(0.0, terms))
+                      origin=(0.0, terms), width=w)
 
 
 def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:
@@ -178,9 +182,13 @@ def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:
     except OverflowError:
         t0 = math.inf
     terms = _taylor(t0, lambda n, t: t[n] * (n - bb) / ((n + 1) * rr))
+    # the peak's Gaussian width, r0 sqrt(ab / (a + b)^3), with exponents below 1
+    # read as 1, in a form that does not overflow
+    a1, b1 = max(aa, 1.0), max(bb, 1.0)
+    width = rr * math.sqrt(a1 / (a1 + b1) * (b1 / (a1 + b1)) / (a1 + b1))
     return KernelTerm(name="poly_bump", profile=g,
                       params=(("a", aa), ("b", bb), ("r0", rr), ("height", h)),
-                      origin=(aa, terms))
+                      origin=(aa, terms), width=width)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ and a full grid continues from r0 through :func:`free_exterior`.
 energy.  In a pure kernel (no local part) Q(r) and the series start do not
 depend on mu, so it makes the superposition once and answers each coupling
 with one n x n solve.
+
+:func:`kernel_green` is the kernel's other route, for the level count and
+search below threshold: the Green matrix G_ij = <S_i, (H_loc - E)^-1 S_j>
+from one outward origin-regular and one inward decaying local solve, each
+in the direction in which it grows, on the nodes of a composite
+Gauss-Legendre rule.  It takes no particular solve, and does not cancel
+where the superposition does (a strong kernel).
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -190,6 +198,21 @@ R_MIN_FRACTION = 1e-6
 SERIES_CAP_FRACTION = 1e-3
 # the terms the start series neglects stay below this fraction of the tolerance
 SERIES_TOL_FRACTION = 1e-3
+# the composite Gauss-Legendre rule of :func:`kernel_green`: GREEN_NODES nodes on
+# each of ceil(GREEN_PANELS r0 / l) equal panels of [0, r0], split further at the
+# knots of a tabulated well.  l = min(r0, GREEN_PHASE / k, GREEN_WIDTHS w) is the
+# shortest length on which the integrands change: k = sqrt(|E| + |mu| max|V|)
+# bounds the rate at which the local solutions grow or turn, and w is the
+# narrowest kernel profile's width, so no panel spans more than 3 / k or one
+# width, up to GREEN_MAX_PANELS panels (a width below r0 / GREEN_MAX_PANELS is
+# not resolved; the solves overflow long before k r0 needs the cap).  Doubling
+# the panels moves no kernel level of tests/ by 1e-10 max(1, |E|); 8 fixed
+# panels left the level of a width-0.01 bump 54 % off
+GREEN_PANELS = 8
+GREEN_NODES = 12
+GREEN_PHASE = 24.0
+GREEN_WIDTHS = 8.0
+GREEN_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -1120,6 +1143,81 @@ def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) 
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
                           kernel_data=data)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes x, weights w and the cumulative matrix A of the n-point Gauss-Legendre rule.
+
+    (A f)_k = int_{-1}^{x_k} of the degree n - 1 interpolant of the node
+    values f.  Made on first use, not at import: the first LAPACK call of a
+    process sets up its buffers.  The arrays are shared, so they are
+    read-only.
+    """
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(n)
+    integral = leg.legvander(x, n) @ leg.legint(np.eye(n), lbnd=-1.0)
+    rule = (x, w, np.linalg.solve(leg.legvander(x, n - 1).T, integral.T).T)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _green_edges(eq: EffectiveEquation) -> np.ndarray:
+    """The panel edges of :func:`kernel_green`'s rule on [0, r0] (see GREEN_PANELS)."""
+    r0 = eq.r0
+    k = math.sqrt(abs(eq.energy.E) + abs(eq.mu) * eq.potential.max_local())
+    length = min(r0, GREEN_PHASE / k, *(GREEN_WIDTHS * term.width for term in eq.potential.kernel))
+    panels = math.ceil(GREEN_PANELS * r0 / max(length, GREEN_PANELS * r0 / GREEN_MAX_PANELS))
+    return np.array(sorted({*np.linspace(0.0, r0, panels + 1).tolist(),
+                            *(x for x in eq.potential.knots if 0.0 < x < r0)}))
+
+
+def kernel_green(eq: EffectiveEquation, h: float, tol: float = 1e-10,
+                 return_winding: bool = False):
+    """(N, W, y(r0), y'(r0)): the kernel's Green matrix G = N / W from two local solves.
+
+    G_ij = <S_i, (H_loc - E)^-1 S_j> for the sources S_i of ``eq`` at its
+    real energy E < 0, H_loc = -d^2/dr^2 - Q the local part, and h = h(E)
+    the decaying exterior's log-derivative at r0.  The Green function of
+    H_loc - E is -y_reg(r<) y_dec(r>) / W, each solution integrated in the
+    direction in which it grows: y_reg outward from the origin series
+    (:func:`_from_origin`), y_dec inward from (1, h) at r0, and W = y_reg h
+    - y_reg' at r0 their Wronskian.  Both record the nodes of a composite
+    Gauss-Legendre rule (:func:`_green_edges`: panels of GREEN_NODES nodes
+    that resolve the kernel profiles and the solutions' turning or growth,
+    the knots of a tabulated well among their edges), on which P_j(r) =
+    int_0^r S_j y_reg takes each panel's cumulative matrix and X_ij = sum_b
+    w_b S_i y_dec P_j the rule itself.  X is the half r' < r of the double
+    integral and X^T the half r' > r, so G = -(X + X^T) / W takes no inner
+    integral int_r^r0 S_j y_dec, which diverges at the origin for l >= 2.
+    The product y_reg(r<) y_dec(r>) is bounded, so nothing cancels, however
+    strong the kernel.  Returns N = -(X + X^T) (regular
+    where W vanishes, at the levels of H_loc) and W, both on y_reg's scale,
+    and (y, y') of y_reg at r0; ``return_winding=True`` appends the Prufer
+    winding count of y_reg (:func:`prufer_angle`).  The solves bypass
+    :func:`interior_state`.
+    """
+    r0 = eq.r0
+    gl_x, gl_w, gl_cumulative = _gauss_legendre(GREEN_NODES)
+    edges = _green_edges(eq)
+    half = 0.5 * np.diff(edges)
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * gl_x
+    at = nodes.ravel()
+    record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * at[0])], at, [r0]))
+    us, vs, _, *turns = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, record,
+                                     r0, tol, return_winding=return_winding,
+                                     knots=_knots(eq.potential, record))
+    inward = at[::-1]
+    y_dec = _integrate(eq.coefficient, None, r0, 1.0, h, inward, tol,
+                       knots=_knots(eq.potential, inward))[0].real[::-1]
+    s = np.array([[src(r) for src in eq.sources] for r in at.tolist()])
+    f = (s * us[1:-1].real[:, None]).reshape(len(half), GREEN_NODES, -1)
+    full = (gl_w @ f) * half[:, None]
+    P = (gl_cumulative @ f) * half[:, None, None] + (np.cumsum(full, axis=0) - full)[:, None]
+    X = (s * ((half[:, None] * gl_w).ravel() * y_dec)[:, None]).T @ P.reshape(len(at), -1)
+    u, v = us[-1].real, vs[-1].real
+    return (-(X + X.T), u * h - v, u, v, *turns)
 
 
 def free_exterior(eq: EffectiveEquation, y0: complex, dy0: complex,

@@ -4,16 +4,16 @@
 evaluation is an ODE solve, so it spends as few evaluations as a bracketed
 method can (an inverse-quadratic step where it is safe, a bisection where
 it is not): :func:`~qws.spectral.find_bound_states` refines the levels of a
-local well on the Prufer mismatch F(E) + j pi and those of a kernel on the
-matching function M(E), and the mu walk of
+local well on the Prufer mismatch F(E) + j pi and those of a kernel on W
+det(Id + K G(E)) of its Green matrix, and the mu walk of
 :func:`~qws.scattering.phase_events` (which a kernel's
 :func:`~qws.scattering.phase_shift` takes too) and
 :func:`~qws.spectral.continuation_count` locates its branch events on the
 matching denominator D(mu); a local phase shift walks no mu path.  Every
 caller already holds the values at the bracket ends and hands them in: the
-F values taken so far, the kernel's energy scan (lane values), and the
-samples of the mu walk, whose steps :func:`~qws.spectral.continuation_count`
-first splits in sqrt(mu) on a deep well.
+values of the level counts taken so far, and the samples of the mu walk,
+whose steps :func:`~qws.spectral.continuation_count` first splits in
+sqrt(mu) on a deep well.
 """
 
 from __future__ import annotations

@@ -6,34 +6,35 @@ Solves go through :mod:`~qws.radial_ode`, which decides between the local
 integration and the kernel superposition itself.  This module reads
 ``potential.kernel_acts`` (some coupling nonzero) only where the
 mathematics differs: the kernel terms of the energy floor and of the level
-count, and how :func:`find_bound_states` brackets the levels.
+count.
 
 One count serves every model (:func:`_level_count`): ceil(-F(E)/pi)
 levels lie below E, with F = phi(r0) - atan h(E) the Prufer mismatch of
 the local part and h(E) the decaying-exterior log-derivative (the
 eigenvalue index of SLEDGE and MATSLISE), and a kernel adds n_+(K^-1 +
-G(E)) - n_+(K) (Haynsworth's inertia additivity, K = mu C).  The count at
-the ends of the energy range is all :func:`levinson_verify` takes.  A
-local level j is refined on F + j pi.  A kernel breaks the oscillation
-theorem, so its levels are refined on M(E) = y'(r0) - h(E) y(r0), from the
-sign brackets of an energy scan that the count confirms or splits: M is
-continuous (a kernel's state comes scaled by det(Id - mu C M)), vanishes
-exactly at bound states, and has simple roots.  Either way
-:func:`~qws.roots.refine_root` (Chandrupatla's inverse-quadratic step with
-a bisection fallback) refines each level; it also locates the phases'
-branch events.
+G(E)) - n_+(K) (Haynsworth's inertia additivity, K = mu C).  G_ij = <S_i,
+(H_loc - E)^-1 S_j> comes from two local solves, each in the direction in
+which it grows (:func:`~qws.radial_ode.kernel_green`), so it does not
+cancel however strong the kernel.  The count at the ends of the energy
+range is all :func:`levinson_verify` takes.  :func:`find_bound_states`
+scans no energies: every level is bracketed by the count, and refined on F
++ j pi (a local level j) or on W det(Id + K G) (a kernel's level, W the
+Wronskian of the two solves: finite at the levels of H_loc, where G has a
+pole) by :func:`~qws.roots.refine_root` (Chandrupatla's inverse-quadratic
+step with a bisection fallback), which also locates the phases' branch
+events.
 
 The crossing counter :func:`continuation_count` is the mu walk of
-:func:`~qws.scattering.phase_events` at k -> 0 on the threshold map.  No
-sample of the scan, the count or the walk is nudged around a kernel
-resonance: the scaled state is finite there.
+:func:`~qws.scattering.phase_events` at k -> 0 on the threshold map, on the
+kernel superposition.  No sample of the count or the walk is nudged around
+a kernel resonance: the scaled state is finite there.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,15 +44,13 @@ from .errors import (AmbiguousCrossingError, InvalidDifferencingError,
                      NearThresholdResonanceError, NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (MOMENT_NODES, RadialSolution, _couple, _superposition_lanes,
-                         _superposition_solves, cutoff_integral, interior_in_mu,
-                         interior_state, make_grid, node_at_cutoff, prufer_angle,
-                         solve_nonlocal, source_samples)
+from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
+                         interior_state, kernel_green, make_grid, node_at_cutoff,
+                         prufer_angle, solve_nonlocal, source_samples)
 from .roots import refine_root
 from .scattering import _phase_walk, phase_shift, real_lambda
 
 MU_CROSSING_FLOOR = 1e-5   # widest bracket a threshold crossing is located to
-N_SCAN_DEFAULT = 400       # energies of a kernel's level scan
 GRAZING_TOL = 1e-10
 
 
@@ -156,47 +155,6 @@ def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
     return float((v / u).real - h)
 
 
-def _matching_scan_value(channel, potential, E, mu, tol) -> float:
-    """M = y'(r0) - h(E) y(r0), a kernel's (y, y') scaled by det(Id - mu C M): no pole."""
-    u, v, _, h = _cutoff_match(channel, potential, E, mu, tol)
-    return (v - h * u).real
-
-
-def _scan_values(channel, potential, grid_E, mu: float, tol) -> Tuple[np.ndarray, np.ndarray]:
-    """M(E), bit for bit :func:`_matching_scan_value`'s, and the kernel's index at each energy.
-
-    The energies run as float64 lanes; a single one takes scalar solves (a
-    fraction of a lane's cost).  The index is n_+(K^-1 + G(E)) - n_+(K), K
-    = mu C on its range, G_ij = <S_i, (H_loc - E)^-1 S_j>: the resolvent
-    takes S_j to c_j y_h - y_j (homogeneous y_h, particular y_j), decaying
-    for c_j = D_j / D_h, D_l = y_l'(r0) - h(E) y_l(r0); so G = m_h c^T - M_p.
-    """
-    if len(grid_E) == 1:
-        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=grid_E[0]))
-        ys, dys, m = _superposition_solves(
-            eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
-    else:
-        ys, dys, m = _superposition_lanes(channel, potential, grid_E,
-                                          np.full(len(grid_E), float(mu)), tol)
-    lam = real_lambda(channel, "spectral pipeline")
-    h = np.array([_exterior_logderiv(lam, float(E), potential.r0) for E in grid_E])
-    coupling = potential.coupling_matrix()
-    y, dy, *_ = _couple(m, ys[-1:], dys[-1:], coupling, mu)
-    D = (dys[-1] - h[:, None] * ys[-1]).real
-    G = m.real[:, :, :1] * (D[:, None, 1:] / D[:, None, :1]) - m.real[:, :, 1:]
-    k, U = np.linalg.eigh(mu * coupling)
-    on = np.abs(k) > 1e-12 * np.max(np.abs(k))
-    A = np.diag(1.0 / k[on]) + U[:, on].T @ G @ U[:, on]
-    n_plus = np.sum(np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2))) > 0, axis=-1)
-    return (dy[0] - h * y[0]).real, n_plus - int(np.sum(k[on] > 0))
-
-
-def _sign_brackets(grid_E, vals) -> List[Tuple[float, float]]:
-    """Sign-change brackets of the scan values; an exact zero is its own bracket."""
-    return [(float(grid_E[j]), float(grid_E[j if vals[j] == 0.0 else j + 1]))
-            for j in range(len(grid_E) - 1) if vals[j] == 0.0 or vals[j] * vals[j + 1] < 0]
-
-
 def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> float:
     """Below the deepest level: -1.5 |mu| (max|V| + kernel bound) - 1.
 
@@ -219,117 +177,69 @@ def _search_range(channel, potential, mu, E_floor) -> Tuple[float, float]:
     """(E_floor, E_top) of the level search: the default floor if none, E_top below threshold."""
     if E_floor is None:
         E_floor = default_energy_floor(channel, potential.with_mu(mu))
-    if E_floor >= 0:
-        raise QwsError("E_floor must be negative")
+    if not (math.isfinite(E_floor) and E_floor < 0):
+        raise QwsError("E_floor must be negative and finite")
     return E_floor, -1e-11 * max(1.0, abs(E_floor))
 
 
-def _level_count(channel, potential, E, mu, tol, index=None) -> Tuple[int, float]:
-    """(N(E), F_loc(E)): the number of levels below E, for every model.
+def _level_count(channel, potential, E, mu, tol) -> Tuple[int, float]:
+    """(N(E), g(E)): the number of levels below E, for every model, and the refiner's function.
 
     H = H_loc + S K S^T with K = mu C, so Haynsworth's inertia additivity
     (Linear Algebra Appl. 1 (1968) 73) gives N(E) = N_loc(E) + n_+(K^-1 +
-    G(E)) - n_+(K).  N_loc = ceil(-F_loc/pi) is the Sturm count of the local
-    part alone (F_loc = 0 in a pure kernel).  ``index``, the kernel's share
-    from :func:`_scan_values`, is 0 where no kernel acts and taken from one
-    scalar superposition at E when None.
+    G(E)) - n_+(K), G_ij = <S_i, (H_loc - E)^-1 S_j> on the range of K.
+    N_loc = ceil(-F/pi) is the Sturm count of the local part alone, F =
+    :func:`_prufer_mismatch` (0 in a pure kernel).  Where no kernel acts, g
+    = F and level j is the root of F + j pi.  Where one acts, G comes from
+    :func:`~qws.radial_ode.kernel_green` (one outward and one inward local
+    solve, whose outward one also gives F), and g = det(W Id + K N) /
+    (W^(n-1) |(y, y')(r0)|) with N = W G: that is W det(Id + K G) on a
+    positive scale, which vanishes exactly at the levels, and stays finite
+    and nonzero where W = 0, at the levels of H_loc, where G has a pole.
     """
-    if potential.kernel_acts:
-        if index is None:
-            index = int(_scan_values(channel, potential, [E], mu, tol)[1][0])
-        if potential.local is None:
-            return index, 0.0
-        potential = replace(potential, kernel=(), strengths=(), coupling=None)
-    F = _prufer_mismatch(channel, potential, E, mu, tol)
-    return math.ceil(-F / math.pi) + (index or 0), F
+    if not (mu != 0 and potential.kernel_acts):
+        F = _prufer_mismatch(channel, potential, E, mu, tol)
+        return math.ceil(-F / math.pi), F
+    lam = real_lambda(channel, "spectral pipeline")
+    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+    h = _exterior_logderiv(lam, E, potential.r0)
+    local = potential.local is not None
+    N, W, u, v, *turns = kernel_green(eq, h, tol, return_winding=local)
+    scale = math.hypot(u, v)
+    N, W = N / scale, W / scale
+    K = mu * eq.coupling
+    k, U = np.linalg.eigh(K)
+    on = np.abs(k) > 1e-12 * np.max(np.abs(k))
+    A = np.diag(1.0 / k[on]) + U[:, on].T @ (N / W) @ U[:, on]
+    index = int(np.sum(np.linalg.eigvalsh(A) > 0)) - int(np.sum(k[on] > 0))
+    n_loc = math.ceil(-(prufer_angle(u, v, turns[0]) - math.atan(h)) / math.pi) if local else 0
+    return n_loc + index, float(np.linalg.det(W * np.eye(eq.rank) + K @ N) / W ** (eq.rank - 1))
 
 
 def find_bound_states(channel: ChannelParams, potential: PotentialModel,
                       mu: float = 1.0, E_floor: Optional[float] = None,
-                      tol: float = 1e-10, n_scan: int = N_SCAN_DEFAULT,
+                      tol: float = 1e-10, n_scan: Optional[int] = None,
                       ode_tol: float = 1e-10) -> List[BoundState]:
     """All bound levels in [E_floor, 0), each refined to a width of tol max(1, |E|).
 
     The level count of :func:`_level_count` at E_floor and at E_top, just
     below threshold, fixes the number of levels of every model; levels
-    below the floor draw a warning.  A local well's levels are refined on
-    F (:func:`_counted_levels`), a kernel's on M from sign brackets that
-    ``n_scan`` log-spaced energies seed and the count confirms or splits
-    (:func:`_scanned_levels`).  Each level, the midpoint of the final
-    bracket of :func:`~qws.roots.refine_root`, is built into its unit-norm
-    solution.
+    below the floor draw a warning.  A local well's level j is refined on F
+    + j pi, a kernel's on the Green function's g, from the tightest bracket
+    of the count among every energy taken so far (:func:`_counted_levels`).
+    Each level, the midpoint of the final bracket of
+    :func:`~qws.roots.refine_root`, is built into its unit-norm solution.
+    No energy is scanned: ``n_scan``, the size of an energy scan that
+    earlier versions took for a kernel, is accepted and ignored.
     """
-    if not tol > 0:
-        raise QwsError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise QwsError("tol must be positive and finite")
     E_floor, E_top = _search_range(channel, potential, mu, E_floor)
-    if potential.kernel_acts:
-        n_floor, levels, refine = _scanned_levels(channel, potential, mu, E_floor, E_top,
-                                                  n_scan, tol, ode_tol)
-    else:
-        n_floor, levels, refine = _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
+    n_floor, levels, refine = _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol)
     if n_floor > 0:
         warnings.warn(f"{n_floor} levels below E_floor: floor above the deepest level")
     return [_build_bound_state(channel, potential, E, mu, ode_tol)
             for E in sorted(refine(level, tol) for level in levels)]
-
-
-def _scanned_levels(channel, potential, mu, E_floor, E_top, n_scan, tol, ode_tol):
-    """Sign brackets of M(E) that the level count confirms, each refined on demand (kernels).
-
-    A lanes scan of ``n_scan`` log-spaced energies on [E_floor, E_top]
-    gives M and the index at each (:func:`_scan_values`), so the count N at
-    the ends costs the local part's two F solves.  A run of the scan whose
-    bracket count differs from N's rise over it is split at its middle scan
-    energy (one F solve), and inside one scan interval at the energy
-    midpoint (one scalar superposition more).  A run over which N does not
-    rise yields no bracket (its sign changes are noise); one still at odds
-    at a width of tol max(1, |E|) keeps its brackets.  Either warns once.
-    Returns N(E_floor), the brackets (a, M(a), b, M(b)) and their refinement.
-    """
-    grid_E = -np.geomspace(abs(E_floor), -E_top, max(n_scan, 2))
-    M, index = _scan_values(channel, potential, grid_E, mu, ode_tol)
-    at = dict(zip(grid_E.tolist(), M.tolist()))
-    notes = set()
-
-    def count(E: float, idx: int) -> int:
-        return _level_count(channel, potential, E, mu, ode_tol, idx)[0]
-
-    def settle(run: List[Tuple[float, int]], n_a: int, n_b: int) -> List[Tuple[float, float]]:
-        """The brackets of ``run``, (E, index) points with n_a and n_b levels below its ends."""
-        brackets = _sign_brackets([E for E, _ in run], [at[E] for E, _ in run])
-        if len(brackets) == n_b - n_a:
-            return brackets
-        if n_b <= n_a:
-            notes.add("sign changes of M where the level count rises by none: dropped as noise")
-            return []
-        a, b = run[0][0], run[-1][0]
-        E = 0.5 * (a + b)
-        if b - a <= tol * max(1.0, abs(a)) or E in (a, b):
-            notes.add("sign changes of M off the level count at the refinement width: kept")
-            return brackets
-        if len(run) == 2:
-            val, idx = _scan_values(channel, potential, [E], mu, ode_tol)
-            at[E] = float(val[0])
-            run = [run[0], (E, int(idx[0])), run[1]]
-        k = len(run) // 2
-        n_k = count(*run[k])
-        return settle(run[:k + 1], n_a, n_k) + settle(run[k:], n_k, n_b)
-
-    run = list(zip(grid_E.tolist(), index.tolist()))
-    n_floor = count(*run[0])
-    brackets = settle(run, n_floor, count(*run[-1]))
-    for note in sorted(notes):
-        warnings.warn(note)
-
-    def refine(bracket: Tuple[float, float, float, float], tol: float) -> float:
-        a, fa, b, fb = bracket
-        if a == b:   # an exact zero of the scan
-            return a
-        lo, hi = refine_root(lambda E: _matching_scan_value(channel, potential, E, mu, ode_tol),
-                             a, fa, b, fb, tol)
-        return 0.5 * (lo + hi)
-
-    return n_floor, [(a, at[a], b, at[b]) for a, b in brackets], refine
 
 
 def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
@@ -348,19 +258,24 @@ def _prufer_mismatch(channel, potential, E, mu, tol) -> float:
 
 
 def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
-    """Level indices in [E_floor, E_top) of a local potential, counted on F(E), refined on demand.
+    """Level indices in [E_floor, E_top), counted by :func:`_level_count`, refined on demand.
 
-    The count at the two ends (:func:`_level_count`) gives the indices j of
-    the levels, each refined on F + j pi from the tightest bracket among
-    every F value taken so far.  The middle index goes first, then the
-    middle of each half, so that most levels start between two refined
-    neighbours.  Returns N(E_floor), the indices in that order and their
-    refinement.
+    The count at the two ends gives the indices j of the levels.  Level j
+    is refined on g + j pi (a local well: g = F) or on g (a kernel: g
+    vanishes at every level) from the tightest bracket among every energy
+    taken so far: a the highest with at most j levels below, b the lowest
+    above a with more.  A kernel's bracket must hold level j alone, so one
+    whose ends count other than j and j + 1 is halved first (one count
+    each), down to a width of tol max(1, |a|).  The middle index goes
+    first, then the middle of each half, so that most levels start between
+    two refined neighbours.  Returns N(E_floor), the indices in that order
+    and their refinement.
     """
-    taken: Dict[float, float] = {}
+    kernel = mu != 0 and potential.kernel_acts
+    taken: Dict[float, Tuple[int, float]] = {}
 
-    def F(E: float) -> float:
-        taken[E] = _prufer_mismatch(channel, potential, E, mu, ode_tol)
+    def take(E: float) -> Tuple[int, float]:
+        taken[E] = _level_count(channel, potential, E, mu, ode_tol)
         return taken[E]
 
     def middle_first(lo: int, hi: int) -> List[int]:
@@ -369,15 +284,20 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
         mid = (lo + hi) // 2
         return [mid] + middle_first(lo, mid) + middle_first(mid + 1, hi)
 
-    (n_floor, taken[E_floor]), (n_top, taken[E_top]) = (
-        _level_count(channel, potential, E, mu, ode_tol) for E in (E_floor, E_top))
+    n_floor, n_top = take(E_floor)[0], take(E_top)[0]
 
     def refine(j: int, tol: float) -> float:
-        shift = j * math.pi
-        a = max(E for E, f in taken.items() if f + shift >= 0)
-        b = min(E for E, f in taken.items() if f + shift < 0)
-        lo, hi = refine_root(lambda E: F(E) + shift, a, taken[a] + shift,
-                             b, taken[b] + shift, tol)
+        shift = 0.0 if kernel else j * math.pi
+        while True:
+            b = min(E for E, (n, _) in taken.items() if n > j)
+            a = max(E for E, (n, _) in taken.items() if n <= j and E < b)
+            E = 0.5 * (a + b)
+            if (not kernel or (taken[a][0], taken[b][0]) == (j, j + 1)
+                    or b - a <= tol * max(1.0, abs(a)) or E in (a, b)):
+                break
+            take(E)
+        lo, hi = refine_root(lambda E: take(E)[1] + shift, a, taken[a][1] + shift,
+                             b, taken[b][1] + shift, tol)
         return 0.5 * (lo + hi)
 
     return n_floor, middle_first(max(n_floor, 0), n_top), refine
@@ -557,12 +477,16 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
     MU_STEPS_DEFAULT-step mu grid where a kernel acts.  No branch event is
     read.
     n = N(E_top) - N(E_floor), the level count (:func:`_level_count`) at
-    the ends of :func:`find_bound_states`' default range, takes no scan: two
-    F solves, and two scalar superpositions where a kernel acts.  The
-    threshold crossing counter must give the same n.  Upstream degeneracies
-    surface as status "inconclusive".  The counter's report rides along as
-    ``continuation`` (for the staircase).
+    the ends of :func:`find_bound_states`' default range: two F solves, or
+    two Green matrices where a kernel acts (each two local solves, the
+    outward one giving F too).  The threshold crossing counter must give
+    the same n.  Upstream degeneracies surface as status "inconclusive".
+    The counter's report rides along as ``continuation`` (for the
+    staircase).  A ``tol_eta`` that is not positive and finite raises
+    QwsError.
     """
+    if not (math.isfinite(tol_eta) and tol_eta > 0):
+        raise QwsError("tol_eta must be positive and finite")
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     cont = None

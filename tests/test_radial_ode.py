@@ -11,12 +11,14 @@ from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coe
 from qws.potentials import (KernelTerm, LocalPotential, PotentialModel, gaussian_bump,
                             poly_bump, square_well, tabulated, truncated_exponential,
                             truncated_gaussian)
-from qws.radial_ode import (MOMENT_NODES, R_MIN_FRACTION, _couple, _integrate,
-                            _kernel_moments, _knots, _series_radius, _superposition_solves,
+from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE, MOMENT_NODES,
+                            R_MIN_FRACTION, _couple, _gauss_legendre, _green_edges,
+                            _integrate, _kernel_moments,
+                            _knots, _series_radius, _superposition_solves,
                             cutoff_integral, free_exterior, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
-                            interior_in_mu, interior_lanes, interior_state, make_grid,
-                            prufer_angle, solve_nonlocal)
+                            interior_in_mu, interior_lanes, interior_state, kernel_green,
+                            make_grid, prufer_angle, solve_nonlocal)
 from qws.scattering import phase_shift
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
@@ -1264,10 +1266,9 @@ class TestParticularStart:
         det = solve_nonlocal(eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES)).kernel_data.det
         assert 1.0 < det < 100.0
 
-    def test_start_error_along_y_h_leaves_the_superposition_as_it_is(self, monkeypatch):
+    def test_start_error_along_y_h_leaves_the_superposition_as_it_is(self):
         # y_j -> y_j + a_j y_h scales det(B) and beta alike (Sherman-Morrison),
-        # and leaves G = m_h c^T - M_p of the kernel index as it is
-        import qws.spectral as spec
+        # and leaves the outward G = m_h c^T - M_p as it is
         ch, pot = KERNEL_MODELS[1]   # rank 2
         E = -40.0
         eq = effective_equation(ch, pot, EnergyValue(E=E))
@@ -1281,10 +1282,66 @@ class TestParticularStart:
                       for s in ((ys, dys, m), shifted))
         for x, y in zip(ref[:2], moved[:2]):
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
-        values = []
-        for solves in ((ys, dys, m), shifted):
-            monkeypatch.setattr(spec, "_superposition_solves", lambda *args, s=solves: s)
-            values.append(spec._scan_values(ch, pot, [E], 1.0, 1e-10))
-        (M_ref, index_ref), (M, index) = values
-        assert abs(M[0] - M_ref[0]) <= 1e-12 * abs(M_ref[0])
-        assert index[0] == index_ref[0]
+        h = _exterior_logderiv(ch.lam, E, 1.0)
+        G_ref, G = (_outward_green(*s, h) for s in ((ys, dys, m), shifted))
+        assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+
+
+def _outward_green(ys, dys, m, h):
+    """G = m_h c^T - M_p of one point's outward superposition, c_j = D_j / D_h.
+
+    D_l = y_l'(r0) - h y_l(r0) of the homogeneous (l = 0) and particular
+    solves: the resolvent takes S_j to c_j y_h - y_j, which decays.
+    """
+    D = (dys[-1, 0] - h * ys[-1, 0]).real
+    return m[0, :, :1].real * (D[1:] / D[0]) - m[0, :, 1:].real
+
+
+class TestKernelGreen:
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_equals_the_outward_green_function(self, ch, pot):
+        # where the kernel is weak enough for the outward superposition to
+        # keep its conditioning, the two routes agree; G is symmetric by
+        # construction, G = -(X + X^T) / W
+        for E in (-60.0, -8.0, -0.5):
+            eq = effective_equation(ch, pot, EnergyValue(E=E))
+            h = _exterior_logderiv(ch.lam, E, 1.0)
+            ref = _outward_green(*_superposition_solves(
+                eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10), h)
+            N, W, u, v = kernel_green(eq, h)
+            G = N / W
+            assert np.array_equal(G, G.T)
+            assert np.max(np.abs(G - ref)) <= 1e-8 * np.max(np.abs(ref))
+            assert W == u * h - v
+
+    def test_cumulative_matrix_integrates_polynomials(self):
+        # A f = int_{-1}^{x_k} f, exact up to the interpolant's degree n - 1
+        x, w, A = _gauss_legendre(12)
+        for k in range(12):
+            exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(A @ x ** k - exact)) <= 1e-14
+            assert abs(w @ x ** k - (1.0 - (-1.0) ** (k + 1)) / (k + 1)) <= 1e-14
+
+    def test_panels_resolve_the_narrowest_width_and_the_energy(self):
+        # a bump of width 0.01 on the 8 fixed panels of earlier versions got
+        # about one node per width, and its level came out 0.2 % off
+        assert gaussian_bump(0.3, 0.01).width == 0.01
+        assert poly_bump(30.0, 30.0, 1.0).width == pytest.approx(math.sqrt(900.0 / 60.0 ** 3))
+        pot = PotentialModel(r0=1.0, local=square_well(3000.0),
+                             kernel=(gaussian_bump(0.5, 0.15), gaussian_bump(0.3, 0.01)),
+                             strengths=(-1.0, -1.0))
+        k = math.sqrt(1e6 + 3000.0)
+        for E, widest in ((-1.0, 0.01), (-1e6, GREEN_PHASE / GREEN_PANELS / k)):
+            edges = _green_edges(effective_equation(CH_S, pot, EnergyValue(E=E)))
+            assert edges[0] == 0.0 and edges[-1] == 1.0
+            assert np.max(np.diff(edges)) <= widest * (1 + 1e-12)
+        weak = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-1.0,))
+        edges = _green_edges(effective_equation(CH_S, weak, EnergyValue(E=-1.0)))
+        assert len(edges) == GREEN_PANELS + 1
+        # a width the rule cannot resolve takes the largest layout; a width of
+        # 1e-300 asked numpy for a 1e300-point linspace
+        for term in (gaussian_bump(0.5, 1e-300), poly_bump(1e300, 1e300, 1.0)):
+            pot = PotentialModel(r0=1.0, kernel=(term,), strengths=(-1.0,))
+            edges = _green_edges(effective_equation(CH_S, pot, EnergyValue(E=-1.0)))
+            assert len(edges) == GREEN_MAX_PANELS + 1
+

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qws import spectral as sp
 from qws.errors import QwsError
 from qws.model import ChannelParams, EnergyValue, effective_equation
-from qws.potentials import PotentialModel, gaussian_bump, square_well
+from qws.potentials import PotentialModel, gaussian_bump, square_well, tabulated
 from qws.spectral import (continuation_count, find_bound_states,
                           levinson_verify, matching_mismatch,
                           sturm_liouville_check)
@@ -21,9 +21,14 @@ from qws.radial_ode import interior_lanes, interior_state
 from qws.roots import refine_root
 from qws.scattering import phase_events
 
-from oracles import rank1_kernel_level, swave_well_levels
+from oracles import kernel_level_near, rank1_kernel_level, swave_well_levels
 
 CH_S = ChannelParams(q=3, l=0)
+
+
+def _bump(c, w):
+    """The profile of gaussian_bump(c, w), vectorised for the oracle."""
+    return lambda r: np.exp(-((r - c) / w) ** 2)
 
 
 class TestMatchingMismatch:
@@ -141,11 +146,12 @@ class TestFindBoundStates:
             assert abs(s.E - E_ref) <= 1e-8 * abs(E_ref)
         assert len(solves) <= 11 * n_levels
 
-    @pytest.mark.parametrize("n_scan", [3, 32])
-    def test_coarse_scan_is_split_to_the_level_count(self, n_scan):
-        # a repulsive rank-1 kernel on a two-level well: the 32-point scan
-        # lost both levels (two in one interval), and the 3-point scan warned
-        # "0 levels outside the interlacing window [1, 2]" and returned none
+    @pytest.mark.parametrize("n_scan", [None, 3, 32])
+    def test_repulsive_kernel_on_a_well_keeps_both_levels(self, n_scan):
+        # a repulsive rank-1 kernel on a two-level well: a 32-point energy scan
+        # lost both levels (two in one interval), and a 3-point scan warned
+        # "0 levels outside the interlacing window [1, 2]" and returned none;
+        # the count brackets each level, and n_scan is accepted and ignored
         pot = PotentialModel(r0=1.0, local=square_well(60.0),
                              kernel=(gaussian_bump(0.5, 0.15),), strengths=(300.0,))
         assert [sp._level_count(CH_S, pot, E, 1.0, 1e-10)[0] for E in (-100.0, -1e-9)] == [0, 2]
@@ -153,22 +159,97 @@ class TestFindBoundStates:
             warnings.simplefilter("error")
             states = find_bound_states(CH_S, pot, n_scan=n_scan)
         assert [round(s.E, 4) for s in states] == [-44.7122, -29.1884]
+        for s in states:
+            E_ref = kernel_level_near(0.5, 3, 1.0, [_bump(0.5, 0.15)], [[300.0]], s.E, depth=60.0)
+            assert abs(s.E - E_ref) <= 1e-9 * abs(E_ref)
 
-    def test_strong_rank1_kernel_warns_of_its_miscount(self):
+    @pytest.mark.parametrize("strength, E_ref", [(-5e4, -2358.10238089), (-1e5, -4760.13723223)])
+    def test_strong_rank1_kernel_has_its_one_level(self, strength, E_ref):
         # a rank-1 kernel binds at most one level, but the outward superposition
-        # loses its conditioning as the strength grows: at -5e4 the count still
-        # gives the one level; at -1e5 M changes sign where the level count
-        # rises by none, and those brackets go with a warning
-        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-5e4,))
-        states = find_bound_states(CH_S, pot)
+        # lost its conditioning here: at -5e4 it returned -2319.77 (1.6 % off),
+        # at -1e5 -5959.36 (25 % off) and warned "dropped as noise"; the
+        # two-sided Green function does not cancel
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(strength,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(CH_S, pot)
         n_floor, n_top = (sp._level_count(CH_S, pot, E, 1.0, 1e-10)[0]
                           for E in sp._search_range(CH_S, pot, 1.0, None))
         assert len(states) == n_top - n_floor == 1
-        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-1e5,))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            find_bound_states(CH_S, pot)
-        assert any("dropped as noise" in str(w.message) for w in caught)
+        E = kernel_level_near(0.5, 3, 1.0, [_bump(0.5, 0.15)], [[strength]], states[0].E)
+        assert abs(E - E_ref) <= 1e-9 * abs(E_ref)
+        assert abs(states[0].E - E) <= 1e-7 * abs(E)
+
+    @pytest.mark.parametrize("strength", [-5e4, -1e5])
+    def test_strong_rank1_level_is_still_under_panel_doubling(self, monkeypatch, strength):
+        import qws.radial_ode as ro
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(strength,))
+        (E,) = [s.E for s in find_bound_states(CH_S, pot, tol=1e-13)]
+        monkeypatch.setattr(ro, "GREEN_PANELS", 2 * ro.GREEN_PANELS)
+        (E2,) = [s.E for s in find_bound_states(CH_S, pot, tol=1e-13)]
+        assert abs(E2 - E) <= 1e-10 * abs(E)
+
+    @pytest.mark.parametrize("center, strength", [(0.5, -1e5), (0.4375, -5e4)])
+    def test_narrow_kernel_level(self, monkeypatch, center, strength):
+        # a bump of width 0.01 on 8 fixed panels of 12 nodes, about one node
+        # per width: the levels came out 0.2 % and 54 % off (the second bump
+        # mid-panel); the panels now resolve the narrowest kernel width.  The
+        # reference takes 48 panels of 16 nodes
+        import qws.radial_ode as ro
+        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(center, 0.01),), strengths=(strength,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (E,) = [s.E for s in find_bound_states(CH_S, pot, tol=1e-13)]
+        E_ref = kernel_level_near(0.5, 3, 1.0, [_bump(center, 0.01)], [[strength]], E, panels=48)
+        assert abs(E - E_ref) <= 1e-8 * abs(E_ref)
+        monkeypatch.setattr(ro, "GREEN_PANELS", 2 * ro.GREEN_PANELS)
+        (E2,) = [s.E for s in find_bound_states(CH_S, pot, tol=1e-13)]
+        assert abs(E2 - E) <= 1e-10 * max(1.0, abs(E))
+
+    @pytest.mark.parametrize("ch, depth, bumps, strengths, recorded", [
+        (CH_S, 60.0, ((0.5, 0.2),), (-40.0,), [-38.446612836037886, -7.243742939617051]),
+        (ChannelParams(q=4, l=1), 90.0, ((0.3, 0.2), (0.6, 0.2)), (-40.0, 25.0),
+         [-32.291504860382275]),
+    ], ids=["s-wave-rank1", "q4-p-wave-rank2"])
+    def test_tabulated_well_with_a_kernel(self, monkeypatch, ch, depth, bumps, strengths,
+                                          recorded):
+        # a well tabulated on 19 rows, V = -depth (1 - r^2), whose knots are
+        # panel edges of the Green function's rule; the recorded levels come
+        # from the outward superposition, whose Simpson moments are accurate
+        # on these wide bumps
+        import qws.radial_ode as ro
+        r = np.linspace(0.07, 0.97, 19)
+        pot = PotentialModel(r0=1.0, local=tabulated(r.tolist(), (-depth * (1 - r ** 2)).tolist()),
+                             kernel=tuple(gaussian_bump(c, w) for c, w in bumps),
+                             strengths=strengths)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = [s.E for s in find_bound_states(ch, pot, tol=1e-12)]
+        monkeypatch.setattr(ro, "GREEN_PANELS", 2 * ro.GREEN_PANELS)
+        doubled = [s.E for s in find_bound_states(ch, pot, tol=1e-12)]
+        assert len(levels) == len(doubled) == len(recorded)
+        for E, E2, E_ref in zip(levels, doubled, recorded):
+            assert abs(E2 - E) <= 1e-10 * abs(E)
+            assert abs(E - E_ref) <= 1e-8 * abs(E_ref)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.inf}, {"tol": math.nan}, {"E_floor": math.nan}, {"E_floor": -math.inf},
+        {"E_floor": 0.0}, {"ode_tol": math.inf},
+    ], ids=["tol-inf", "tol-nan", "floor-nan", "floor-minus-inf", "floor-zero", "ode-tol-inf"])
+    @pytest.mark.parametrize("pot", [
+        PotentialModel(r0=1.0, local=square_well(39.0)),
+        PotentialModel(r0=1.0, local=square_well(3.0), kernel=(gaussian_bump(0.5, 0.15),),
+                       strengths=(-120.0,)),
+    ], ids=["well", "well-and-kernel"])
+    def test_bad_arguments_raise_qws_error(self, pot, kwargs):
+        # tol = inf raised ValueError (math domain error) in the refiner, and
+        # E_floor = nan or -inf ended in StiffnessError, after a numpy
+        # RuntimeWarning on the kernel path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QwsError) as caught:
+                find_bound_states(CH_S, pot, **kwargs)
+        assert type(caught.value) is QwsError
 
     def test_high_partial_wave_kernel_level(self):
         # q = 3, l = 4: each particular solve from (0, 0) at r_min carried about
@@ -583,16 +664,34 @@ class TestLevinson:
         assert len(solves) == 2
 
     def test_counts_a_kernel_without_a_scan(self, monkeypatch):
-        # the count is N(E_top) - N(E_floor): two scalar superpositions, where
-        # a 400-energy lanes scan counted sign brackets
+        # the count is N(E_top) - N(E_floor): two Green matrices, where a
+        # 400-energy lanes scan once counted sign brackets
+        import qws.radial_ode as ro
+
         def unused(*args, **kwargs):
             raise AssertionError("levinson_verify scanned or refined")
 
+        greens = []
+        green = sp.kernel_green
+
+        def counted(*args, **kwargs):
+            greens.append(args[0].energy.E)
+            return green(*args, **kwargs)
+
         monkeypatch.setattr(sp, "refine_root", unused)
-        monkeypatch.setattr(sp, "_superposition_lanes", unused)
+        monkeypatch.setattr(ro, "_superposition_lanes", unused)
+        monkeypatch.setattr(sp, "kernel_green", counted)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
         rep = levinson_verify(ChannelParams(q=3, l=1), pot, tol=1e-9)
         assert rep.passed and rep.n_direct == rep.n_continuation == 1
+        assert len(greens) == 2
+
+    @pytest.mark.parametrize("tol_eta", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_eta_tolerance_raises_qws_error(self, tol_eta):
+        # inf returned "pass" whatever eta0 was, and nan or -1 returned "fail"
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        with pytest.raises(QwsError, match="tol_eta must be positive and finite"):
+            levinson_verify(CH_S, pot, tol_eta=tol_eta)
 
     @pytest.mark.parametrize("strength", [3000.0, 700.0])
     def test_repulsive_kernel_has_no_level(self, strength):
@@ -654,9 +753,18 @@ LANE_SCAN_CASES = [
 
 
 def _scalar_scan_values(channel, potential, grid_E, mu, tol):
-    """The scan as one scalar solve per energy: the reference for the lanes."""
-    return np.array([sp._matching_scan_value(channel, potential, float(E), mu, tol)
-                     for E in grid_E])
+    """M(E) = y'(r0) - h(E) y(r0), one scalar solve per energy: the reference for the lanes."""
+    values = []
+    for E in grid_E:
+        u, v, _, h = sp._cutoff_match(channel, potential, float(E), mu, tol)
+        values.append((v - h * u).real)
+    return np.array(values)
+
+
+def _sign_brackets(grid_E, vals):
+    """Sign-change brackets of values on an energy grid; an exact zero is its own bracket."""
+    return [(float(grid_E[j]), float(grid_E[j if vals[j] == 0.0 else j + 1]))
+            for j in range(len(grid_E) - 1) if vals[j] == 0.0 or vals[j] * vals[j + 1] < 0]
 
 
 def _lane_scan_values(channel, potential, grid_E, mu, tol):
@@ -681,16 +789,17 @@ class TestLaneScans:
     @pytest.mark.parametrize("ch, depth", LANE_SCAN_CASES,
                              ids=[f"lam{c.lam:g}-V{d:.4g}" for c, d in LANE_SCAN_CASES])
     def test_brackets_and_levels_equal_scalar_scan(self, ch, depth):
-        # the scan of a kernel's search, run here on local wells as lanes and
-        # as one scalar solve per energy: every value has the same sign
+        # a 400-energy scan of M on local wells, as lanes and as one scalar
+        # solve per energy: every value has the same sign, and the sign
+        # changes are the levels
         pot = PotentialModel(r0=1.0, local=square_well(depth))
         floor = sp.default_energy_floor(ch, pot)
         grid_E = -np.geomspace(abs(floor), 1e-11 * max(1.0, abs(floor)), 400)
         lanes = _lane_scan_values(ch, pot, grid_E, 1.0, 1e-9)
         scalar = _scalar_scan_values(ch, pot, grid_E, 1.0, 1e-9)
         assert np.array_equal(np.sign(lanes), np.sign(scalar))
-        brackets = sp._sign_brackets(grid_E, lanes)
-        assert brackets == sp._sign_brackets(grid_E, scalar)
+        brackets = _sign_brackets(grid_E, lanes)
+        assert brackets == _sign_brackets(grid_E, scalar)
         assert len(brackets) == len(find_bound_states(ch, pot, ode_tol=1e-9))
 
     @pytest.mark.parametrize("depth, grid", [
@@ -744,7 +853,7 @@ class TestLaneScans:
 
     def test_resonant_kernel_point_stays_finite(self, monkeypatch):
         # the moment M forced to make det(Id - mu C M) vanish exactly at
-        # mu = mu_star: the energy scan and the threshold samples read finite
+        # mu = mu_star: energy lanes and the threshold samples read finite
         # values there, lanes and scalar solves agree, and A is the limit of A
         # on either side of the resonance
         import qws.radial_ode as ro
@@ -763,9 +872,9 @@ class TestLaneScans:
             return out
 
         monkeypatch.setattr(ro, "_couple", resonant)
-        monkeypatch.setattr(sp, "_couple", resonant)
         E = np.array([-9.0, -4.0, -1.0])
-        vals, _ = sp._scan_values(ch, pot, E, 1.0, 1e-10)
+        u, v, _ = interior_lanes(ch, pot, E, 1.0, 1e-10)
+        vals = v - np.array([sp._exterior_logderiv(ch.lam, float(e), 1.0) for e in E]) * u
         assert np.array_equal(dets[0], np.zeros(3))
         scalar = _scalar_scan_values(ch, pot, E, 1.0, 1e-10)
         scale = [abs(x) for x in (sp._cutoff_match(ch, pot, float(e), 1.0, 1e-10)[2] for e in E)]
@@ -789,30 +898,30 @@ class TestLaneScans:
         assert np.all(np.isfinite(rep.A_samples))
 
 
-# the models whose levels the kernel benchmark and bound_states_kernel.cfg
-# refine, at the scan sizes they use
+# the models whose levels the kernel benchmark and bound_states_kernel.cfg refine
 KERNEL_LEVEL_CASES = [
     pytest.param(ChannelParams(q=4, l=0),
                  PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12),
                                                 gaussian_bump(0.7, 0.12)),
-                                strengths=(-500.0, -400.0)), 32, id="rank2-kernel"),
+                                strengths=(-500.0, -400.0)), id="rank2-kernel"),
     pytest.param(ChannelParams(q=3, l=1),
                  PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)),
-                 400, id="rank1-kernel"),
+                 id="rank1-kernel"),
 ]
-LEVEL_CASES = [pytest.param(ch, PotentialModel(r0=1.0, local=square_well(d)), 400,
+LEVEL_CASES = [pytest.param(ch, PotentialModel(r0=1.0, local=square_well(d)),
                             id=f"lam{ch.lam:g}-V{d:.4g}")
                for ch, d in LANE_SCAN_CASES + [(CH_S, 86.6)]] + KERNEL_LEVEL_CASES
 
 
 class TestLevelRefinement:
-    @pytest.mark.parametrize("ch, pot, n_scan", LEVEL_CASES)
-    def test_levels_match_bisection_in_few_solves(self, monkeypatch, ch, pot, n_scan):
+    @pytest.mark.parametrize("ch, pot", LEVEL_CASES)
+    def test_levels_match_bisection_in_few_solves(self, monkeypatch, ch, pot):
         # a local well's solves are its Prufer mismatches F(E), two of them
-        # at the ends of the energy range; a kernel's are its M(E) refinements
+        # at the ends of the energy range; a kernel's are its counts (one
+        # Green matrix each), the two at the ends among them
         tol = 1e-10
         solves = []
-        name = "_matching_scan_value" if pot.kernel else "_prufer_mismatch"
+        name = "_level_count" if pot.kernel else "_prufer_mismatch"
         solve = getattr(sp, name)
 
         def counted(*args):
@@ -820,11 +929,11 @@ class TestLevelRefinement:
             return solve(*args)
 
         monkeypatch.setattr(sp, name, counted)
-        levels = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
+        levels = [s.E for s in find_bound_states(ch, pot, tol=tol)]
         ends = 0 if pot.kernel else 2
         assert len(solves) - ends <= 12 * len(levels)    # bisection takes 31-35 per level
         monkeypatch.setattr(sp, "refine_root", _bisect_root)
-        ref = [s.E for s in find_bound_states(ch, pot, tol=tol, n_scan=n_scan)]
+        ref = [s.E for s in find_bound_states(ch, pot, tol=tol)]
         assert len(levels) == len(ref)
         for E, E_ref in zip(levels, ref):
             assert abs(E - E_ref) <= tol * max(1.0, abs(E_ref))
