@@ -10,11 +10,15 @@ the count, each within LEVEL_RTOL relative of the nearest root of the
 independent Green-function reference ``kernel_level_near`` of
 tests/oracles.py (closed-form Bessel pair, composite Gauss-Legendre; it
 needs scipy); a level above E = -LEVEL_TOL / LEVEL_RTOL need only lie
-within its refinement width LEVEL_TOL max(1, |E|).  The script prints
-each model whose status is not "pass", whose two counts differ or whose
-level misses the reference, then the totals with the largest relative
-level error, and exits 1 if any status is "fail", any count differs or
-any level misses ("inconclusive" is reported but allowed).
+within its refinement width LEVEL_TOL max(1, |E|).  Every model's principal
+phase shift at one wavenumber k in [0.5, 3] (drawn per model, apart from
+the models' own draws) must lie within PHASE_TOL rad, mod pi, of the
+reference ``kernel_phase`` of the same file.  The script prints each model
+whose status is not "pass", whose two counts differ, whose level misses
+the reference or whose phase misses it, then the totals with the largest
+relative level error and the largest phase error, and exits 1 if any
+status is "fail", any count differs, any level misses or any phase misses
+("inconclusive" is reported but allowed).
 
     PYTHONPATH=src python3 scripts/kernel_sweep.py [--count 120] [--seed 11]
 """
@@ -32,15 +36,17 @@ import numpy as np
 
 from qws.model import ChannelParams
 from qws.potentials import PotentialModel, gaussian_bump, square_well
+from qws.scattering import phase_shift
 from qws.spectral import find_bound_states, levinson_verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import kernel_level_near  # noqa: E402
+from oracles import circ_dist, kernel_level_near, kernel_phase  # noqa: E402
 
 # (q, l) for lambda = 0.5, 1, 1.5, 2, 2.5
 CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2))
 LEVEL_RTOL = 1e-7   # largest relative distance of a level from the reference's
 LEVEL_TOL = 1e-10   # find_bound_states' tol: levels are refined to LEVEL_TOL max(1, |E|)
+PHASE_TOL = 1e-8    # rad, mod pi: the principal phase against the reference's
 
 
 def models(count: int, seed: int):
@@ -59,10 +65,14 @@ def models(count: int, seed: int):
         yield label, ChannelParams(q=q, l=l), pot, depth, bumps
 
 
+def _profiles(bumps):
+    return [lambda r, c=c, w=w: np.exp(-((r - c) / w) ** 2) for c, w, _ in bumps]
+
+
 def reference_level(ch: ChannelParams, pot: PotentialModel, depth: float, bumps,
                     E: float) -> float:
     """The reference level nearest E (nan if there is none)."""
-    profiles = [lambda r, c=c, w=w: np.exp(-((r - c) / w) ** 2) for c, w, _ in bumps]
+    profiles = _profiles(bumps)
     try:
         return kernel_level_near(ch.lam, ch.q, pot.r0, profiles, pot.coupling_matrix(), E,
                                  depth=depth)
@@ -78,9 +88,17 @@ def main() -> int:
 
     t0 = time.perf_counter()
     tally = {"pass": 0, "fail": 0, "inconclusive": 0}
-    miscounts = misses = 0
-    worst = 0.0
-    for label, ch, pot, depth, bumps in models(args.count, args.seed):
+    miscounts = misses = phase_misses = 0
+    worst = worst_phase = 0.0
+    for i, (label, ch, pot, depth, bumps) in enumerate(models(args.count, args.seed)):
+        k = random.Random(args.seed * 1_000_003 + i).uniform(0.5, 3.0)
+        eta = phase_shift(ch, pot, k, mu_steps=None, with_fit=False).eta
+        err = circ_dist(eta, kernel_phase(ch.lam, ch.q, pot.r0, _profiles(bumps),
+                                          pot.coupling_matrix(), k, depth=depth))
+        worst_phase = max(worst_phase, err)
+        if not err <= PHASE_TOL:
+            phase_misses += 1
+            print(f"{'phase off':<12} {label}: eta({k:.6g}) is {err:.2e} rad off the reference")
         rep = levinson_verify(ch, pot)
         tally[rep.status] += 1
         if rep.status != "pass":
@@ -101,9 +119,10 @@ def main() -> int:
                     print(f"{'level off':<12} {label}: E = {E!r} is {err:.2e} off the reference")
     print(f"{args.count} models: {tally['pass']} pass, {tally['fail']} fail, "
           f"{tally['inconclusive']} inconclusive, {miscounts} level lists off the count, "
-          f"{misses} levels off the reference (largest relative error {worst:.2e}) "
+          f"{misses} levels off the reference (largest relative error {worst:.2e}), "
+          f"{phase_misses} phases off the reference (largest error {worst_phase:.2e} rad) "
           f"in {time.perf_counter() - t0:.1f} s")
-    return 1 if tally["fail"] or miscounts or misses else 0
+    return 1 if tally["fail"] or miscounts or misses or phase_misses else 0
 
 
 if __name__ == "__main__":

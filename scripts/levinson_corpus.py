@@ -7,8 +7,9 @@ configuration, a repulsive rank-1 kernel whose coupling determinant
 det(Id - mu C M) changes sign along the mu path, a deep well (32
 levels) whose first thresholds share one step of the default mu grid, an
 l = 2 rank-1 kernel whose phase at the Levinson wavenumbers steps by pi
-to the last bit at its one event, and an l = 4 rank-1 kernel, whose
-particular solves leave the origin far below the regular solution.
+to the last bit at its one event, and an l = 4 rank-1 kernel, where
+int_0^r S y_2 of the irregular solution y_2 diverges at the origin, so that
+its particular solutions are taken from r0 inward.
 Prints one line per configuration and exits 1 unless every configuration
 passes.
 """

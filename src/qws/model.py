@@ -118,10 +118,8 @@ class EffectiveEquation:
 
     ``coefficient`` evaluates Q(r) (see :func:`radial_coefficient`); the
     kernel sources S_i(r) = g_i(r) r^{(q-1)/2} already carry the dimensional
-    weight, ``source_origins`` holds their small-r expansions (p_i, t_i), S_i
-    ~ r^{p_i} sum_n t_in r^n, and ``coupling`` is the symmetric coefficient
-    matrix of the separable kernel (the solver applies the overall factor
-    mu).
+    weight, and ``coupling`` is the symmetric coefficient matrix of the
+    separable kernel (the solver applies the overall factor mu).
     """
 
     channel: ChannelParams
@@ -134,7 +132,6 @@ class EffectiveEquation:
     sources: tuple
     coupling: Optional[np.ndarray]
     origin_w: tuple  # (w_-1, w_0, w_1): small-r expansion of mu*V
-    source_origins: tuple  # (p_i, (t_i0, t_i1, ...)): small-r expansions of the S_i
 
     @property
     def rank(self) -> int:
@@ -190,8 +187,7 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         r0 = potential.r0
 
         # zero only beyond r0: at r0 the source takes its interior limit, as Q
-        # does, so Simpson's end weight and every stage of a solve that ends
-        # on r0 see the interior value
+        # does, so a quadrature node on r0 sees the interior value
         def src(r, _g=g, _w=w, _r0=r0):
             if r > _r0:
                 return 0.0
@@ -209,7 +205,6 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         coefficient=radial_coefficient(lam, energy.E, mu, potential),
         sources=tuple(sources),
         coupling=coupling, origin_w=origin_w,
-        source_origins=tuple((term.origin[0] + w, term.origin[1]) for term in potential.kernel),
     )
     if eq.kernel_acts:
         if lam == 0:

@@ -107,43 +107,19 @@ def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPote
     )
 
 
-# Taylor coefficients a kernel profile's origin expansion carries
-ORIGIN_TERMS = 12
-
-
 @dataclass(frozen=True)
 class KernelTerm:
     """One separable factor g_i(r) of the non-local kernel (untruncated profile).
 
-    ``origin`` = (a, (t_0, t_1, ...)) is the small-r expansion g ~ r^a sum_n
-    t_n r^n, from which the integrator starts the particular solves.  No
-    terms (the default for hand-built profiles) read as g ~ 0 near the
-    origin; a profile that departs from its expansion only moves that start
-    toward r_min.  ``width`` is the length on which the profile changes,
-    its narrowest feature; the quadrature of the kernel's Green function
-    resolves it.  A hand-built term leaves it infinite and gets the rule's
-    fixed panels.
+    ``width`` is the length on which the profile changes, its narrowest
+    feature; the quadrature rule of every kernel solve resolves it.  A
+    hand-built term leaves it infinite and gets the rule's fixed panels.
     """
 
     name: str
     profile: Callable[[float], float]
     params: Tuple[Tuple[str, float], ...] = ()
-    origin: Tuple[float, Tuple[float, ...]] = (0.0, ())
     width: float = math.inf
-
-
-def _taylor(t0: float, step: Callable[[int, list], float]) -> Tuple[float, ...]:
-    """t_0 ... t_{ORIGIN_TERMS-1} with t_{n+1} = step(n, t), cut before the first non-finite term.
-
-    A zero t_0 (an underflowing profile) gives no terms.
-    """
-    t = [t0] if t0 != 0.0 and math.isfinite(t0) else []
-    while t and len(t) < ORIGIN_TERMS:
-        nxt = step(len(t) - 1, t)
-        if not math.isfinite(nxt):
-            break
-        t.append(nxt)
-    return tuple(t)
 
 
 def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTerm:
@@ -156,13 +132,8 @@ def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTer
         x = (r - c) / w
         return h * math.exp(-x * x)   # x * x overflows to inf where x ** 2 would raise
 
-    # g = g(0) exp(alpha r - beta r^2): (n + 1) t_{n+1} = alpha t_n - 2 beta t_{n-1}
-    alpha, beta = 2.0 * c / w / w, 1.0 / w / w   # w * w may underflow to 0
-    terms = _taylor(g(0.0), lambda n, t: (alpha * t[n] - (2.0 * beta * t[n - 1] if n else 0.0))
-                    / (n + 1))
     return KernelTerm(name="gaussian_bump", profile=g,
-                      params=(("center", c), ("width", w), ("height", h)),
-                      origin=(0.0, terms), width=w)
+                      params=(("center", c), ("width", w), ("height", h)), width=w)
 
 
 def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:
@@ -176,19 +147,13 @@ def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:
             return 0.0
         return h * r ** aa * (rr - r) ** bb
 
-    # (r0 - r)^b = r0^b sum_n binom(b, n) (-r / r0)^n
-    try:
-        t0 = h * rr ** bb
-    except OverflowError:
-        t0 = math.inf
-    terms = _taylor(t0, lambda n, t: t[n] * (n - bb) / ((n + 1) * rr))
     # the peak's Gaussian width, r0 sqrt(ab / (a + b)^3), with exponents below 1
     # read as 1, in a form that does not overflow
     a1, b1 = max(aa, 1.0), max(bb, 1.0)
     width = rr * math.sqrt(a1 / (a1 + b1) * (b1 / (a1 + b1)) / (a1 + b1))
     return KernelTerm(name="poly_bump", profile=g,
                       params=(("a", aa), ("b", bb), ("r0", rr), ("height", h)),
-                      origin=(aa, terms), width=width)
+                      width=width)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,12 @@
-"""Integration engine for y'' + Q(r) y = S(r) on a radial grid.
+"""Integration engine for y'' + Q(r) y = 0 on a radial grid, and the separable kernel.
 
 Origin-regular solutions start from a power series r^{lam+1/2}(1 + a1 r +
 a2 r^2 + a3 r^3) at the radius r_s where the terms the series neglects
 fall below 1e-3 of the tolerance (:func:`_series_radius`); the nodes below
-r_s take the series value.  The kernel particular solves, scalar and in
-lanes, start the same way on their own series r^sigma sum_n b_n r^n
-(:func:`_particular_series`), from the origin expansion of each kernel
-profile.  The subdominant branch of the Wronskian audit starts at r_min.
-Decaying "Jost-normalized" solutions start at the cutoff radius, where
-compact support makes e^{-ikr} exact, and are integrated inward.  The
-finite-rank non-local equation is solved by superposition: one homogeneous
-and n particular integrations plus an n x n linear system for the source
-coefficients, whose cutoff state the module hands out scaled by the
-system's determinant (:func:`_couple`), so that it stays finite where the
-determinant vanishes (a kernel resonance); :func:`solve_nonlocal` alone
-divides it out.
+r_s take the series value.  The subdominant branch of the Wronskian audit
+starts at r_min.  Decaying "Jost-normalized" solutions start at the cutoff
+radius, where compact support makes e^{-ikr} exact, and are integrated
+inward.
 
 Every entry point routes on one predicate: an equation's ``kernel_acts``
 (mu != 0 and some coupling nonzero), or a model's for the lanes, whose
@@ -22,39 +14,30 @@ couplings come per point.  A kernel whose couplings all vanish is solved
 as the local problem it is.  Callers pass an equation to
 :func:`interior_state` for (y, y') at the cutoff or to
 :func:`solve_nonlocal` for a full grid; both pick the local integration or
-the superposition themselves.  :func:`free_exterior` continues a solution
+the kernel solve themselves.  :func:`free_exterior` continues a solution
 beyond the cutoff, where the well and the kernel vanish.
 
 One function, :func:`_integrate`, steps every solve with the embedded
 Dormand-Prince 8(5,3) pair on the first-order system (y, y').  A step ends
-only on the knots of a tabulated well, where V' jumps unseen by the error
-estimate, and on the last node; every other node takes the order-7
-continuous extension of the step that covers it.  Scalar start values step
-one solution (bisection, refinement, phase shifts, full grids, the
-superposition of a single kernel point): a real problem in float
-arithmetic, a complex one (Jost solves, complex k, E or lambda) in complex
-arithmetic.  Array start values step float64 lanes that share one adaptive
-step: :func:`interior_lanes` runs a grid of (E, mu) points of one model
-(the crossing counter's mu grid), :func:`_superposition_lanes` a kernel's
-level scan.  The lanes carry y and y' as one stacked (2, ...) array, so
-each stage is one array expression for both, with the scalar arithmetic
-term for term.  A kernel point there takes 1 + n lanes, its homogeneous and
-n particular solves recorded on the moment grid and started at one r_s;
-both paths take the moments and the n x n systems from the same two
-functions.  No solve steps across the cutoff: Q(r0) is the interior value,
-and a full grid continues from r0 through :func:`free_exterior`.
+only on the knots of a tabulated well and on the last node; every other
+node takes the order-7 continuous extension of the step that covers it.
+Scalar start values step one solution, a real problem in float and a
+complex one (Jost solves, complex k, E or lambda) in complex arithmetic;
+array start values step float64 lanes that share one adaptive step, for
+the (E, mu) points of :func:`interior_lanes`.  No solve steps across the
+cutoff: Q(r0) is the interior value, and a full grid continues from r0
+through :func:`free_exterior`.
 
-:func:`interior_in_mu` gives the cutoff values as a function of mu at one
-energy.  In a pure kernel (no local part) Q(r) and the series start do not
-depend on mu, so it makes the superposition once and answers each coupling
-with one n x n solve.
-
-:func:`kernel_green` is the kernel's other route, for the level count and
-search below threshold: the Green matrix G_ij = <S_i, (H_loc - E)^-1 S_j>
-from one outward origin-regular and one inward decaying local solve, each
-in the direction in which it grows, on the nodes of a composite
-Gauss-Legendre rule.  It takes no particular solve, and does not cancel
-where the superposition does (a strong kernel).
+A rank-n kernel takes two local solves at any real energy and no
+particular solve (:func:`_kernel_point`): y_reg outward and a second
+solution y_2 inward from r0, each in the direction in which it grows, on a
+composite Gauss-Legendre rule that resolves the profiles and the
+solutions (:func:`_green_edges`).  Variation of parameters gives the
+particular solutions, the rule their moments, and Cramer's rule the
+cutoff state scaled by det(Id - mu C M) (:func:`_couple`), finite at a
+kernel resonance; :func:`solve_nonlocal` alone divides it out.
+:func:`kernel_green` takes the same two solves, the second one decaying
+from r0, for the Green matrix of the level count.
 """
 
 from __future__ import annotations
@@ -65,7 +48,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -188,9 +171,6 @@ RTOL_SCALE = 0.15
 _ERR_CAP = 1e100
 
 _MAX_STEPS = 5_000_000
-# interior nodes of the fixed grid on which the cutoff solves take kernel
-# moments; the spectral floor bound uses it too
-MOMENT_NODES = 401
 # r_min / r0: the first node of the default grid and of every straight-to-cutoff
 # record, and the floor of the series start radius r_s
 R_MIN_FRACTION = 1e-6
@@ -198,7 +178,7 @@ R_MIN_FRACTION = 1e-6
 SERIES_CAP_FRACTION = 1e-3
 # the terms the start series neglects stay below this fraction of the tolerance
 SERIES_TOL_FRACTION = 1e-3
-# the composite Gauss-Legendre rule of :func:`kernel_green`: GREEN_NODES nodes on
+# the composite Gauss-Legendre rule of every kernel solve: GREEN_NODES nodes on
 # each of ceil(GREEN_PANELS r0 / l) equal panels of [0, r0], split further at the
 # knots of a tabulated well.  l = min(r0, GREEN_PHASE / k, GREEN_WIDTHS w) is the
 # shortest length on which the integrands change: k = sqrt(|E| + |mu| max|V|)
@@ -290,7 +270,7 @@ def cutoff_integral(grid: RadialGrid, samples: np.ndarray, leading_power: float)
 
 @dataclass(frozen=True)
 class KernelSolveData:
-    """Byproducts of the non-local solve: moments m_i[y], source coefficients, det."""
+    """Byproducts of the non-local solve: moments m_i[y], source coefficients, |det|."""
 
     moments: np.ndarray
     coefficients: np.ndarray
@@ -354,33 +334,31 @@ def _blend(e5, e3, sc) -> float:
     return n5 / max(math.sqrt(n5 + 0.01 * (a3 * a3)), 5e-324)
 
 
-def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
-               r_start: float, u0, v0, record: np.ndarray, rtol: float,
+def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol: float,
                return_winding: bool = False, head=None, knots=()):
     """Adaptive Dormand-Prince 8(5,3) along the (directed) node list ``record``.
 
-    Steps the first-order system (y, y') of y'' + Q y = S, with Q = ``qfun``
-    and S = ``sfun`` (None for the homogeneous equation).  A step ends on
-    each of ``knots`` (radii strictly between r_start and the last node, in
-    the direction of integration: the kinks of a tabulated well, where V'
-    jumps unseen by the error estimate) and on the last node; every other node takes the value
-    of the order-7 continuous extension of the step that covers it, which
-    costs three more stages on such a step.  Each step takes 12 evaluations
-    of the right-hand side, the last one reused as the next step's first
-    (FSAL), and is accepted when err5^2 / sqrt(err5^2 + 0.01 err3^2) of its
-    5th- and 3rd-order error estimates (:func:`_blend`) stays below
-    RTOL_SCALE ``rtol`` times max(|y| at either end, 1e-3 max|y| so far) in
-    y and in y'.
+    Steps the first-order system (y, y') of y'' + Q y = 0, with Q = ``qfun``.
+    A step ends on each of ``knots`` (radii strictly between r_start and the
+    last node, in the direction of integration: the kinks of a tabulated
+    well, where V' jumps unseen by the error estimate) and on the last node;
+    every other node takes the value of the order-7 continuous extension of
+    the step that covers it, which costs three more stages on such a step.
+    Each step takes 12 evaluations of the right-hand side, the last one
+    reused as the next step's first (FSAL), and is accepted when err5^2 /
+    sqrt(err5^2 + 0.01 err3^2) of its 5th- and 3rd-order error estimates
+    (:func:`_blend`) stays below RTOL_SCALE ``rtol`` times max(|y| at either
+    end, 1e-3 max|y| so far) in y and in y'.
 
     Scalar start values step one solution on Python scalars.  Real start
     values step as floats, so a real problem runs in float arithmetic, with
-    the steps and values that complex arithmetic gives; a complex Q or S
+    the steps and values that complex arithmetic gives; a complex Q
     promotes the stages to complex.  The node arrays returned are complex.
     Array start values step float64 lanes, one real solution per entry of a
     ``qfun`` that returns one Q per lane (or one Q for all lanes).  The
     lanes carry y and y' stacked as one (2, ...) array, so each stage is one
     array expression for both, with the scalar stepper's operations term
-    for term: the derivative is y[::-1] * (1, -Q), plus S on the y' row.
+    for term: the derivative is y[::-1] * (1, -Q).
     They share every step, which is accepted only when each lane passes its
     own error test (one max over the stacked error, so a NaN in y or y' of
     any lane rejects the step), and the next step follows the worst lane.
@@ -415,8 +393,8 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         slope = np.ones_like(y)   # (1, -Q): row 1, neg_q, is refilled at every stage
         neg_q = slope[1]
         # running magnitudes of y and y', which floor the error weights below; a
-        # lane starting at zero (a particular solve) gets a floor far below any
-        # solution, so that its error reads 0, not 0/0, while its source is 0
+        # component starting at zero gets a floor far below any solution, so
+        # that its error reads 0, not 0/0, while it stays 0
         ay = np.abs(y)
         run = np.where(ay == 0.0, 1e-300, ay)
         max_u = run[0]   # a view: stays current as run grows in place
@@ -424,7 +402,7 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         u, v = complex(u0), complex(v0)
         if u.imag == 0.0 and v.imag == 0.0:
             # a real problem steps in float arithmetic (same real parts, bit for
-            # bit); a complex Q or S promotes the stages to complex by itself
+            # bit); a complex Q promotes the stages to complex by itself
             u, v = u.real, v.real
         max_u = abs(u)   # running magnitudes; also floor the error weights below
         run_v = abs(v)
@@ -458,13 +436,11 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
         h0 = min(h0, 0.1 * abs(r_start))  # stay below the centrifugal-layer scale
     h = direction * h0
     q_end = qfun(r)
-    s_end = sfun(r) if sfun is not None else 0.0
     if lanes:
         np.negative(q_end, out=neg_q)
         k1 = y[::-1] * slope
-        k1[1] += s_end   # s - Q y, as in the scalar stepper
     else:
-        k1u, k1v = v, s_end - q_end * u
+        k1u, k1v = v, -q_end * u
     if return_winding:
         scale = math.sqrt(max(1.0, abs(q_end)))
         phi = math.atan2(v.real / scale, u.real)
@@ -491,11 +467,7 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                 ri = r + c * h
                 yi = y + h * _dot(ws, [ks[j - 1] for j in cols])
                 np.negative(qfun(ri), out=neg_q)
-                ki = yi[::-1] * slope
-                if sfun is not None:
-                    s_end = sfun(ri)
-                    ki[1] += s_end
-                ks.append(ki)
+                ks.append(yi[::-1] * slope)
             kw = [ks[j - 1] for j in _WEIGHT_COLUMNS]
             yn = y + h * _dot(_B_ROW, kw)
             a = np.abs(yn)
@@ -509,59 +481,39 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             u2 = u + h * (_A2_1 * k1u)
             v2 = v + h * (_A2_1 * k1v)
             k2u, k2v = v2, -qfun(r + _C2 * h) * u2
-            if sfun is not None:
-                k2v += sfun(r + _C2 * h)
             u3 = u + h * (_A3_1 * k1u + _A3_2 * k2u)
             v3 = v + h * (_A3_1 * k1v + _A3_2 * k2v)
             k3u, k3v = v3, -qfun(r + _C3 * h) * u3
-            if sfun is not None:
-                k3v += sfun(r + _C3 * h)
             u4 = u + h * (_A4_1 * k1u + _A4_3 * k3u)
             v4 = v + h * (_A4_1 * k1v + _A4_3 * k3v)
             k4u, k4v = v4, -qfun(r + _C4 * h) * u4
-            if sfun is not None:
-                k4v += sfun(r + _C4 * h)
             u5 = u + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u)
             v5 = v + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v)
             k5u, k5v = v5, -qfun(r + _C5 * h) * u5
-            if sfun is not None:
-                k5v += sfun(r + _C5 * h)
             u6 = u + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u)
             v6 = v + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v)
             k6u, k6v = v6, -qfun(r + _C6 * h) * u6
-            if sfun is not None:
-                k6v += sfun(r + _C6 * h)
             u7 = u + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u)
             v7 = v + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v)
             k7u, k7v = v7, -qfun(r + _C7 * h) * u7
-            if sfun is not None:
-                k7v += sfun(r + _C7 * h)
             u8 = u + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u)
             v8 = v + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v)
             k8u, k8v = v8, -qfun(r + _C8 * h) * u8
-            if sfun is not None:
-                k8v += sfun(r + _C8 * h)
             u9 = u + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
                           + _A9_8 * k8u)
             v9 = v + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
                           + _A9_8 * k8v)
             k9u, k9v = v9, -qfun(r + _C9 * h) * u9
-            if sfun is not None:
-                k9v += sfun(r + _C9 * h)
             u10 = u + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u
                            + _A10_7 * k7u + _A10_8 * k8u + _A10_9 * k9u)
             v10 = v + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v
                            + _A10_7 * k7v + _A10_8 * k8v + _A10_9 * k9v)
             k10u, k10v = v10, -qfun(r + _C10 * h) * u10
-            if sfun is not None:
-                k10v += sfun(r + _C10 * h)
             u11 = u + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u
                            + _A11_7 * k7u + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
             v11 = v + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v
                            + _A11_7 * k7v + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v)
             k11u, k11v = v11, -qfun(r + _C11 * h) * u11
-            if sfun is not None:
-                k11v += sfun(r + _C11 * h)
             u12 = u + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u
                            + _A12_7 * k7u + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u
                            + _A12_11 * k11u)
@@ -570,9 +522,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                            + _A12_11 * k11v)
             q_end = qfun(r12)
             k12u, k12v = v12, -q_end * u12
-            if sfun is not None:
-                s_end = sfun(r12)
-                k12v += s_end
             un = u + h * (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
                           + _B10 * k10u + _B11 * k11u + _B12 * k12u)
             vn = v + h * (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v
@@ -632,18 +581,13 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
             end = covered - 1 if covered > idx and record[covered - 1] == r_new else covered
             if lanes:
                 k13 = yn[::-1] * slope   # FSAL: neg_q still holds -Q(r + h)
-                if sfun is not None:
-                    k13[1] += s_end
                 if end > idx:
                     ks.append(k13)
                     for c, cols, ws in _DENSE_STAGES:
                         ri = r + c * h
                         yi = y + h * _dot(ws, [ks[j - 1] for j in cols])
                         np.negative(qfun(ri), out=neg_q)
-                        ki = yi[::-1] * slope
-                        if sfun is not None:
-                            ki[1] += sfun(ri)
-                        ks.append(ki)
+                        ks.append(yi[::-1] * slope)
                     dy = yn - y
                     kd = [ks[j - 1] for j in _D_COLUMNS]
                     F = (dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1),
@@ -659,8 +603,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                 np.maximum(run, a, out=run)
             else:
                 k13u, k13v = vn, -q_end * un   # FSAL
-                if sfun is not None:
-                    k13v += s_end
                 if end > idx:
                     u14 = u + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u
                                    + _A14_10 * k10u + _A14_11 * k11u + _A14_12 * k12u
@@ -669,8 +611,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                                    + _A14_10 * k10v + _A14_11 * k11v + _A14_12 * k12v
                                    + _A14_13 * k13v)
                     k14u, k14v = v14, -qfun(r + _C14 * h) * u14
-                    if sfun is not None:
-                        k14v += sfun(r + _C14 * h)
                     u15 = u + h * (_A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u
                                    + _A15_11 * k11u + _A15_12 * k12u + _A15_13 * k13u
                                    + _A15_14 * k14u)
@@ -678,8 +618,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                                    + _A15_11 * k11v + _A15_12 * k12v + _A15_13 * k13v
                                    + _A15_14 * k14v)
                     k15u, k15v = v15, -qfun(r + _C15 * h) * u15
-                    if sfun is not None:
-                        k15v += sfun(r + _C15 * h)
                     u16 = u + h * (_A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u
                                    + _A16_9 * k9u + _A16_13 * k13u + _A16_14 * k14u
                                    + _A16_15 * k15u)
@@ -687,8 +625,6 @@ def _integrate(qfun: Callable, sfun: Optional[Callable[[float], complex]],
                                    + _A16_9 * k9v + _A16_13 * k13v + _A16_14 * k14v
                                    + _A16_15 * k15v)
                     k16u, k16v = v16, -qfun(r + _C16 * h) * u16
-                    if sfun is not None:
-                        k16v += sfun(r + _C16 * h)
                     du, dv = un - u, vn - v
                     ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
                     kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
@@ -762,63 +698,13 @@ def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, floa
     return u, v
 
 
-def _particular_series(lam, E, origin_w, source_origin):
-    """(sigma, b, tail): y = r^sigma sum_n b_n r^n solving y'' + Q y = S near the origin.
-
-    S ~ r^p sum_n t_n r^n (``source_origin`` = (p, t)) and mu V ~ w_-1/r +
-    w_0 + w_1 r (origin_w) give sigma = p + 2 and, with c = sigma - lam - 1/2,
-
-        (n + c)(n + c + 2 lam) b_n = t_n + w_-1 b_{n-1} + (w_0 - E) b_{n-2} + w_1 b_{n-3}.
-
-    The factor vanishes where the exponent n + sigma meets lam + 1/2, the
-    regular solution's (n = l - 2 - a for g ~ r^a: the particular solution
-    takes a log term there), or 1/2 - lam.  The series stops at the first
-    order whose factor has |n + c| or |n + c + 2 lam| below 1/2, and after
-    the last t_n; ``tail`` holds the right-hand sides of the two orders
-    after it.  E and origin_w may be arrays (float64 lanes).
-    """
-    p, t = source_origin
-    sigma = p + 2.0
-    c = sigma - lam - 0.5
-    w_m1, w0, w1 = origin_w
-    weights = ((1, w_m1), (2, w0 - E), (3, w1))
-    b = []
-
-    def rhs(n):
-        f = t[n] if n < len(t) else 0.0
-        for k, w in weights:
-            if 0 <= n - k < len(b):
-                f = f + w * b[n - k]
-        return f
-
-    n = 0
-    while n < len(t) and abs(n + c) >= 0.5 and abs(n + c + 2 * lam) >= 0.5:
-        b.append(rhs(n) / ((n + c) * (n + c + 2 * lam)))
-        n += 1
-    return sigma, b, (rhs(n), rhs(n + 1))
-
-
-def _particular_start(sigma, b, r: float):
-    """(y, y') of the particular series (sigma, b) of :func:`_particular_series` at r."""
-    y = dy = 0.0
-    for n in range(len(b) - 1, -1, -1):
-        y = y * r + b[n]
-        dy = dy * r + (n + sigma) * b[n]
-    if not b:
-        return y, dy
-    try:
-        return y * r ** sigma, dy * r ** (sigma - 1.0)
-    except OverflowError:
-        raise RegularityError(f"the particular series r^{sigma:g} overflows at r = {r:g}") from None
-
-
 def _largest(x) -> float:
     """|x| for a scalar, the largest |x| over the lanes for an array."""
     return float(np.max(np.abs(x))) if np.ndim(x) else abs(x)
 
 
 def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
-                   tol: float, source=None, knots=()) -> float:
+                   tol: float, knots=()) -> float:
     """Start radius r_s of an origin-regular solve: the series meets 1e-3 tol there.
 
     The series of :func:`frobenius_start` neglects two things, each held
@@ -833,21 +719,6 @@ def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: flo
     - the E-dependent terms a4 r^4 and a5 r^5, in closed form, so that r_s
       moves continuously with E (finite differences in E stay smooth).
 
-    A ``source`` (S, (p, t)) asks for the radius of its particular series
-    (:func:`_particular_series`) instead.  A start error of the form a y_h
-    leaves the superposition as it is (:func:`_couple`), so only the start
-    error's share of the irregular solution r^{1/2 - lam} counts: a term f
-    r^{n + sigma} has the share f r^{n + sigma} / (2 lam (n + c + 2 lam))
-    of its right-hand side f, finite at the log order too.  Relative to the
-    leading term b_0 r^sigma, and below eps = SERIES_TOL_FRACTION tol, it
-    bounds
-    - the departures of mu V and of S from their expansions, read on the
-      same halving radii, which a wrong ``origin`` of the kernel term fails
-      down to r_min;
-    - the two orders after the series stops, in closed form.
-    An empty series under a source that its expansion does not make zero
-    (the log order at n = 0) starts at r_min.
-
     r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2, knots[0] / 2),
     so it never passes a knot or the second recorded node, and it is never
     below record[0].  For float64 lanes the bounds hold on every lane: one r_s,
@@ -857,46 +728,24 @@ def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: flo
     w_m1, w0, w1 = origin_w
     cf = lam * lam - 0.25
     r = min(SERIES_CAP_FRACTION * r0, 0.5 * min([float(record[1]), *knots[:1]]))
+    eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
+    bound = eps * 2 * abs(2 * lam + 2)
 
     def dv(r):   # dV(r) r^2, per lane
         return (E - cf / (r * r) - qfun(r) - (w_m1 / r + w0 + w1 * r)) * (r * r)
 
-    if source is None:
-        eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
-        bound = eps * 2 * abs(2 * lam + 2)
-        while r > r_min and not _largest(dv(r)) <= bound:
-            r *= 0.5
-        _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
-        terms = ((eps, _largest(a4), 4), (eps, _largest(a5), 5))
-    else:
-        sfun, (p, t) = source
-        sigma, b, tail = _particular_series(lam, E, origin_w, (p, t))
-        eps = SERIES_TOL_FRACTION * tol
-        share = 2 * lam * (sigma + lam - 0.5)   # 2 lam (n + c + 2 lam) at n = 0
-
-        def departs(r):
-            try:
-                y = np.abs(_particular_start(sigma, b, r)[0])
-                ds = sfun(r) - r ** p * sum(t_n * r ** n for n, t_n in enumerate(t))
-            except (OverflowError, RegularityError):
-                return True
-            return not np.all(np.abs(dv(r)) * y + abs(ds) * (r * r) <= eps * share * y)
-
-        while r > r_min and departs(r):
-            r *= 0.5
-        if not b:
-            return max(r, r_min) if _largest(tail[0]) == 0.0 else r_min
-        terms = [(eps * abs(b[0]) * 2 * lam * abs(n + sigma + lam - 0.5), _largest(f), n)
-                 for n, f in enumerate(tail, len(b))]
-    for limit, a, n in terms:   # a r^n <= limit
+    while r > r_min and not _largest(dv(r)) <= bound:
+        r *= 0.5
+    _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
+    for a, n in ((_largest(a4), 4), (_largest(a5), 5)):   # a r^n <= eps
         if a > 0.0:
-            r = min(r, (limit / a) ** (1.0 / n))
+            r = min(r, (eps / a) ** (1.0 / n))
     return max(r, r_min)
 
 
 def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
                  tol: float, return_winding: bool = False, second_branch: bool = False,
-                 sources: tuple = (), knots=()):
+                 knots=()):
     """Origin-regular solve: the series start at r_s, then :func:`_integrate` on ``record``.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
@@ -907,18 +756,10 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     record[0] and r_s neither y nor y' has a zero, so a real problem's
     winding count is that of a solve from record[0].  Every step ends on
     each of ``knots`` (ascending, inside the span of ``record``), and r_s
-    stays below the first.
-
-    ``sources``, pairs (S_i, (p_i, t_i)) of a kernel source and its origin
-    expansion, add the particular solves of y'' + Q y = S_i, each started
-    on its own series (:func:`_particular_series`) as the homogeneous solve
-    is on its own: the node arrays and max|y| then gain a last axis of 1 +
-    n solves, the homogeneous one first.  Scalars start every solve at its
-    own r_s; lanes (E and origin_w then end in an axis of length 1) start
-    the 1 + n lanes of every point at one r_s, the smallest.  Lanes run
-    with numpy's floating-point warnings off: a NaN or inf in a lane
-    rejects its step by design.  Returns the tuple of :func:`_integrate`;
-    a non-finite or non-positive ``tol`` raises QwsError before the series.
+    stays below the first.  Lanes run with numpy's floating-point warnings
+    off: a NaN or inf in a lane rejects its step by design.  Returns the
+    tuple of :func:`_integrate`; a non-finite or non-positive ``tol``
+    raises QwsError before the series.
     """
     _check_tol(tol)
     re = lam.real if isinstance(lam, complex) else lam
@@ -929,46 +770,17 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     elif re <= 0.0:
         raise RegularityError("regular solution requires Re lam > 0")
     r_min = float(record[0])
-    solves = (None,) + tuple(sources)   # None: the homogeneous solve
-
-    def start(j, r):
-        if series[j] is None:
-            return frobenius_start(lam, E, origin_w, r)
-        return _particular_start(*series[j], r)
-
-    def run(sfun, r_s, at_min, at_s):
-        us, vs, max_u, *turns = _integrate(qfun, sfun, r_s, *at_s, record[1:], tol,
-                                           return_winding, head=at_min, knots=knots)
-        u0 = at_min[0]
-        max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
-        return (us, vs, max_u, *turns)
-
     lanes = np.ndim(E) > 0 or np.ndim(origin_w[0]) > 0
     with np.errstate(all="ignore") if lanes else contextlib.nullcontext():
-        series = [None if source is None else _particular_series(lam, E, origin_w, source[1])[:2]
-                  for source in solves]
-        if second_branch:
-            radii = [r_min]
-        else:
-            radii = [_series_radius(qfun, lam, E, origin_w, record, r0, tol, source, knots)
-                     for source in solves]
-        if lanes and sources:
-            r_s = min(radii)
-            shape = np.broadcast_shapes(np.shape(E), *(np.shape(w) for w in origin_w))
-
-            def stacked(r):
-                return tuple(np.concatenate([np.broadcast_to(x, shape) for x in xs], axis=-1)
-                             for xs in zip(*(start(j, r) for j in range(len(solves)))))
-
-            def sfun(r):
-                return np.array([0.0] + [src(r) for src, _ in sources])
-
-            return run(sfun, r_s, stacked(r_min), stacked(r_s))
-        out = [run(None if source is None else source[0], r_s, start(j, r_min), start(j, r_s))
-               for j, (source, r_s) in enumerate(zip(solves, radii))]
-    if not sources:
-        return out[0]
-    return tuple(np.stack(parts, axis=-1) for parts in zip(*out))
+        r_s = (r_min if second_branch
+               else _series_radius(qfun, lam, E, origin_w, record, r0, tol, knots))
+        at_min = frobenius_start(lam, E, origin_w, r_min)
+        us, vs, max_u, *turns = _integrate(qfun, r_s, *frobenius_start(lam, E, origin_w, r_s),
+                                           record[1:], tol, return_winding, head=at_min,
+                                           knots=knots)
+    u0 = at_min[0]
+    max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
+    return (us, vs, max_u, *turns)
 
 
 def _knots(potential: PotentialModel, nodes) -> Tuple[float, ...]:
@@ -1020,7 +832,7 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
         raise QwsError("Jost solutions are defined for the local equation only")
     energy = EnergyValue(E=k * k)
     if energy.E != eq.energy.E:
-        eq = _with_energy(eq, energy)
+        eq = effective_equation(eq.channel, eq.potential, energy)
     nodes = grid.nodes
     i0 = grid.i_cutoff
     y = np.empty(len(nodes), dtype=complex)
@@ -1030,7 +842,7 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
         y[j] = ph
         dy[j] = -1j * k * ph
     record = nodes[: i0 + 1][::-1]
-    us, vs, _ = _integrate(eq.coefficient, None, float(nodes[i0]), y[i0], dy[i0], record,
+    us, vs, _ = _integrate(eq.coefficient, float(nodes[i0]), y[i0], dy[i0], record,
                            rtol=tol, knots=_knots(eq.potential, record))
     y[: i0 + 1] = us[::-1]
     dy[: i0 + 1] = vs[::-1]
@@ -1038,111 +850,34 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
                           channel=eq.channel, energy=energy, mu=eq.mu)
 
 
-def _with_energy(eq: EffectiveEquation, energy: EnergyValue) -> EffectiveEquation:
-    return effective_equation(eq.channel, eq.potential, energy)
+def _real_point(eq: EffectiveEquation) -> Tuple[float, float]:
+    """(lam, E) of a kernel equation as floats; a complex lam or E raises QwsError."""
+    lam, E = complex(eq.lam), complex(eq.energy.E)
+    if lam.imag or E.imag:
+        raise QwsError("a non-local solve requires real lambda and energy")
+    return lam.real, E.real
 
 
-def source_samples(sources, grid: RadialGrid) -> np.ndarray:
-    """The kernel sources S_i on the interior nodes of ``grid``, as (node, i)."""
-    return np.array([[src(float(r)) for src in sources] for r in grid.interior_nodes])
+def _couple(M: np.ndarray, m_h: np.ndarray, coupling: np.ndarray, mu):
+    """(N, B, det) of (Id - mu C M) beta = mu C m_h at each point, by Cramer's rule.
 
-
-def _kernel_moments(grid: RadialGrid, s: np.ndarray, ys: np.ndarray, power: float) -> np.ndarray:
-    """m[p, i, l] = integral_0^{r0} S_i y_l dr for every point p and solution l.
-
-    ``s`` holds the sources (node, i) and ``ys`` the solutions (node, point,
-    l) on the interior nodes of ``grid``: the Simpson sum and the power-law
-    tail of :func:`cutoff_integral`, for all (i, p, l) in one contraction.
-    """
-    m = np.tensordot(grid.interior_weights[:, None] * s, ys, axes=(0, 0))
-    m += np.multiply.outer(s[0] * (grid.r_min / (power + 1.0)), ys[0])
-    return np.moveaxis(m, 0, 1)
-
-
-def _couple(m: np.ndarray, ys: np.ndarray, dys: np.ndarray, coupling: np.ndarray, mu):
-    """det (y, y') for y = y_h + sum_j beta_j y_j, (Id - mu C M) beta = mu C m_h, at each point.
-
-    ``ys``/``dys`` (node, point, 1 + n) hold the homogeneous solution and
-    the n particular ones (``dys`` may keep fewer nodes), ``m`` their
-    moments from :func:`_kernel_moments` (m_h = m[..., 0], M = m[..., 1:]);
-    ``mu`` is a scalar or one coupling per point, broadcasting against the
-    point axis.  With B = Id - mu C M, Cramer's rule gives det(B) beta_j =
-    N_j, the determinant of B with column j replaced by mu C m_h, so
-    det y = det y_h + sum_j N_j y_j takes no division: it stays finite and
-    smooth through a kernel resonance (det = 0), where y itself has a pole.
-    One real factor per point leaves A = y'/y, tan eta and the zeros of y
-    as they are.  Returns (det y, det y' as (node, point), N, B, det).
+    M_ij = m_i[p_j] and m_h,i = m_i[y_reg] are moments of the particular and
+    regular solutions (:func:`_kernel_point`), point axis first; ``mu`` is
+    a scalar or one coupling per point.  det(B) beta_j = N_j, the
+    determinant of B = Id - mu C M with column j replaced by mu C m_h, so
+    det y = det y_reg + sum_j N_j p_j (:func:`_scaled`) takes no division:
+    it stays finite through a kernel resonance (det = 0), where y has a
+    pole, and one real factor per point leaves A = y'/y and tan eta as
+    they are.
     """
     n = coupling.shape[0]
-    m_h, M = m[..., 0], m[..., 1:]
     mu = np.asarray(mu, dtype=float)[..., None, None]
     B = np.eye(n) - mu * (coupling @ M)
     rhs = mu * (coupling @ m_h[..., None])
     det = np.linalg.det(B)
     N = np.stack([np.linalg.det(np.concatenate([B[..., :j], rhs, B[..., j + 1:]], axis=-1))
                   for j in range(n)], axis=-1)
-    y = det * ys[..., 0]
-    dy = det * dys[..., 0]
-    for j in range(n):
-        y += N[:, j] * ys[..., 1 + j]
-        dy += N[:, j] * dys[..., 1 + j]
-    return y, dy, N, B, det
-
-
-def _superposition_solves(eq: EffectiveEquation, grid: RadialGrid, tol: float):
-    """Homogeneous and particular interior solves of one point, one scalar solve each.
-
-    Returns (ys, dys as (node, 1, 1 + n), their moments from
-    :func:`_kernel_moments`).
-    """
-    lam = eq.lam
-    if isinstance(lam, complex):
-        if lam.imag != 0:
-            raise QwsError("non-local solve requires real lambda")
-        lam = lam.real
-    E = eq.energy.E
-    if isinstance(E, complex) and E.imag != 0:
-        raise QwsError("non-local solve requires real energy")
-    record = grid.interior_nodes
-    us, vs, _ = _from_origin(eq.coefficient, lam, E, eq.origin_w, record, grid.r0, tol,
-                             sources=tuple(zip(eq.sources, eq.source_origins)),
-                             knots=_knots(eq.potential, record))
-    ys, dys = us[:, None, :], vs[:, None, :]
-    return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
-
-
-def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
-    """Origin-regular solution over the whole grid, with or without a kernel.
-
-    The one full-grid regular solve.  A local equation (no kernel, mu = 0 or
-    all couplings zero) is integrated by :func:`integrate_regular`; a rank-n
-    kernel is solved by superposition on the interior nodes (moments by
-    Simpson on this grid) and continued through the free exterior.  It is
-    the one solve that divides the state of :func:`_couple` by det(Id - mu
-    C M), so it alone raises DegenerateCouplingError, where |det| <
-    1e-12 max(1, |B|_F)^n (a kernel resonance: no solution of this
-    normalization exists there).
-    """
-    if not eq.kernel_acts:
-        return integrate_regular(eq, grid, tol)
-    ys, dys, m = _superposition_solves(eq, grid, tol)
-    y_int, dy_int, N, B, det = _couple(m, ys, dys, eq.coupling, eq.mu)
-    det = det[0]
-    if abs(det) < 1e-12 * max(1.0, float(np.linalg.norm(B[0]))) ** eq.rank:
-        raise DegenerateCouplingError(
-            f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {eq.energy.E}")
-    beta = N[0] / det
-    data = KernelSolveData(moments=m[0, :, 0] + m[0, :, 1:] @ beta, coefficients=beta,
-                           det=float(abs(det)))
-    i0 = grid.i_cutoff
-    y = np.empty(len(grid.nodes), dtype=complex)
-    dy = np.empty(len(grid.nodes), dtype=complex)
-    y[: i0 + 1] = y_int[:, 0] / det
-    dy[: i0 + 1] = dy_int[:, 0] / det
-    y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
-    return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
-                          channel=eq.channel, energy=eq.energy, mu=eq.mu,
-                          kernel_data=data)
+    return N, B, det
 
 
 @functools.lru_cache(maxsize=None)
@@ -1150,73 +885,328 @@ def _gauss_legendre(n: int):
     """Nodes x, weights w and the cumulative matrix A of the n-point Gauss-Legendre rule.
 
     (A f)_k = int_{-1}^{x_k} of the degree n - 1 interpolant of the node
-    values f.  Made on first use, not at import: the first LAPACK call of a
-    process sets up its buffers.  The arrays are shared, so they are
-    read-only.
+    values f (:func:`_antiderivative`).  Made on first use, not at import:
+    the first LAPACK call of a process sets up its buffers.  The arrays are
+    shared, so they are read-only.
     """
-    leg = np.polynomial.legendre
-    x, w = leg.leggauss(n)
-    integral = leg.legvander(x, n) @ leg.legint(np.eye(n), lbnd=-1.0)
-    rule = (x, w, np.linalg.solve(leg.legvander(x, n - 1).T, integral.T).T)
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = (x, w, _antiderivative(x, x))
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
-def _green_edges(eq: EffectiveEquation) -> np.ndarray:
-    """The panel edges of :func:`kernel_green`'s rule on [0, r0] (see GREEN_PANELS)."""
-    r0 = eq.r0
-    k = math.sqrt(abs(eq.energy.E) + abs(eq.mu) * eq.potential.max_local())
-    length = min(r0, GREEN_PHASE / k, *(GREEN_WIDTHS * term.width for term in eq.potential.kernel))
+def _antiderivative(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows A with (A f)_k = int_{-1}^{t_k} of the degree len(x) - 1 interpolant of f at x."""
+    leg = np.polynomial.legendre
+    n = len(x)
+    integral = leg.legvander(t, n) @ leg.legint(np.eye(n), lbnd=-1.0)
+    return np.linalg.solve(leg.legvander(x, n - 1).T, integral.T).T
+
+
+@functools.lru_cache(maxsize=None)
+def _power_cumulative(b: float) -> np.ndarray:
+    """(A phi)_k = int_{-1}^{x_k} ((1 + t)/2)^b p(t) dt, p the interpolant of phi at the nodes x.
+
+    The cumulative matrix of the rule's first panel for an integrand r^b
+    phi with phi smooth: the power is integrated exactly, so int_0^r keeps
+    its relative accuracy down to the first node, where the plain
+    interpolant of r^b phi errs by the panel's largest value.  Each row is
+    Gauss-Jacobi with weight s^b on (0, 1) (Golub & Welsch, Math. Comp. 23
+    (1969) 221), exact for p.
+    """
+    leg, n = np.polynomial.legendre, GREEN_NODES
+    x, _, _ = _gauss_legendre(n)
+    k, m = np.arange(1.0, n), np.arange(n)
+    off = 2.0 * k * (k + b) / ((2.0 * k + b) * np.sqrt((2.0 * k + b) ** 2 - 1.0))
+    xj, vectors = np.linalg.eigh(np.diag(b * b / ((2.0 * m + b) * (2.0 * m + b + 2.0)))
+                                 + np.diag(off, 1) + np.diag(off, -1))
+    t = -1.0 + np.outer(1.0 + x, 0.5 * (1.0 + xj))
+    basis = np.linalg.solve(leg.legvander(x, n - 1).T, leg.legvander(t, n - 1).reshape(-1, n).T)
+    A = (((0.5 * (1.0 + x)) ** b * (1.0 + x))[:, None] / (b + 1.0)
+         * np.einsum("m,gkm->kg", vectors[0] ** 2, basis.reshape(n, n, n)))
+    A.flags.writeable = False
+    return A
+
+
+def _green_edges(potential: PotentialModel, E, mu) -> np.ndarray:
+    """The panel edges of the kernel rule on [0, r0] (see GREEN_PANELS).
+
+    E and mu are a point's energy and coupling, or the arrays of lanes,
+    whose largest |E| and |mu| set one rule for all of them.
+    """
+    r0 = potential.r0
+    k = math.sqrt(_largest(E) + _largest(mu) * potential.max_local())
+    length = min(r0, *(GREEN_WIDTHS * term.width for term in potential.kernel))
+    if k > 0.0:
+        length = min(length, GREEN_PHASE / k)
     panels = math.ceil(GREEN_PANELS * r0 / max(length, GREEN_PANELS * r0 / GREEN_MAX_PANELS))
     return np.array(sorted({*np.linspace(0.0, r0, panels + 1).tolist(),
-                            *(x for x in eq.potential.knots if 0.0 < x < r0)}))
+                            *(x for x in potential.knots if 0.0 < x < r0)}))
+
+
+def _rule(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on ``edges``, panel after panel."""
+    gl_x, gl_w, _ = _gauss_legendre(GREEN_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half * gl_x).ravel(), (half * gl_w).ravel()
+
+
+def _graded(edges: np.ndarray, r_lo: float) -> np.ndarray:
+    """``edges`` with the first panel split into panels [e/2, e] down to r_lo, [0, e] dropped.
+
+    Near the origin y_reg S ~ r^m and y_2 S ~ r^(1 + a - l) change over
+    decades that one polynomial does not follow, but on [e/2, e] by a
+    bounded factor, so each radius down to r_lo gets int_0^r and int_r^r0
+    to the rule's relative accuracy; below the last, both products vanish
+    like high powers of r.
+    """
+    e1 = float(edges[1])
+    if r_lo >= e1:
+        return edges
+    return np.concatenate((e1 * 0.5 ** np.arange(math.ceil(math.log2(e1 / r_lo)), 0, -1),
+                           edges[1:]))
+
+
+def _running(f: np.ndarray, edges: np.ndarray, at: Optional[np.ndarray] = None,
+             reverse: bool = False, power: Optional[float] = None) -> np.ndarray:
+    """int_{e_0}^r f, or int_r^{r0} f (``reverse``), from the values f (node, ...) on the rule.
+
+    At the rule's nodes each panel's cumulative matrix adds to the whole
+    panels before (after) it, or at the radii ``at`` the panel's Legendre
+    interpolant does.  ``power`` = b for an f ~ r^b takes the first panel
+    from :func:`_power_cumulative`.  A reverse integral takes no panel
+    below r, so an f singular at the origin reaches no radius beyond the
+    first panel.
+    """
+    x, gl_w, cumulative = _gauss_legendre(GREEN_NODES)
+    half = 0.5 * np.diff(edges)
+    g = f.reshape(len(half), GREEN_NODES, -1)
+    full = (gl_w @ g) * half[:, None]
+    outside = (np.cumsum(full[::-1], axis=0)[::-1] if reverse else np.cumsum(full, axis=0)) - full
+    if at is None:
+        within = (cumulative @ g) * half[:, None, None]   # from each panel's left edge
+        if power is not None and edges[0] == 0.0:
+            scale = (0.5 * (1.0 + x)) ** power
+            phi = np.divide(g[0], scale[:, None], out=np.zeros_like(g[0]),
+                            where=scale[:, None] > 0.0)
+            within[0] = (_power_cumulative(power) @ phi) * half[0]
+        outside, full = outside[:, None], full[:, None]
+    else:
+        b = np.clip(np.searchsorted(edges, at, side="right") - 1, 0, len(half) - 1)
+        rows = _antiderivative(x, (at - 0.5 * (edges[1:] + edges[:-1])[b]) / half[b])
+        within = np.einsum("mk,mkr->mr", rows, g[b]) * half[b, None]
+        outside, full = outside[b], full[b]
+    F = outside + (full - within if reverse else within)
+    return F.reshape((-1,) + f.shape[1:])
+
+
+def _local_pair(qfun: Callable, lam, E, origin_w, potential: PotentialModel, nodes: np.ndarray,
+                start: Callable, tol: float, return_winding: bool = False):
+    """Two local solutions on ``nodes``, each integrated in the direction in which it grows.
+
+    y_reg goes outward from its origin series (:func:`_from_origin`), y_2
+    inward from (y_2, y_2')(r0) = start(y_reg(r0), y_reg'(r0)); ``nodes``
+    ascend inside (0, r0).  Returns (y_reg, y_reg', y_2, y_2') on ``nodes``
+    and r0 (last), real, as (node, point), and y_reg's winding count if asked.
+    """
+    r0 = potential.r0
+    record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * nodes[0])], nodes, [r0]))
+    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_w, record, r0, tol,
+                                     return_winding=return_winding,
+                                     knots=_knots(potential, record))
+    inward = np.concatenate(([r0], nodes[::-1]))
+    ys, dys, _ = _integrate(qfun, r0, *start(us[-1].real, vs[-1].real), inward, tol,
+                            knots=_knots(potential, inward))
+    out = (us[1:], vs[1:], ys[::-1], dys[::-1])
+    return (*(x.real.reshape(len(x), -1) for x in out), *turns)
+
+
+def _sources(sources, at: np.ndarray) -> np.ndarray:
+    """The kernel sources S_i at the radii ``at``, as (node, 1, i)."""
+    return np.array([[src(r) for src in sources] for r in at.tolist()])[:, None, :]
+
+
+def _cross(s: np.ndarray, y: np.ndarray, F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X_ij = int S_i y F_j by the rule's weights w, for each point: (point, i, j)."""
+    return np.einsum("xpi,xpj->pij", s * (w[:, None] * y)[..., None], F)
+
+
+class _KernelPoint(NamedTuple):
+    """A kernel point of :func:`_kernel_point` at its samples, r0 last.
+
+    y, dy, y2, dy2: y_reg, y_2 and their derivatives (sample, point); P =
+    int_0^r S_j y_reg and R = int_r^r0 S_j y_2 (sample, point, j); W
+    (point,); the moments M = m_i[p_j] (point, i, j); Q0 = int_0^r0 S_j y_2
+    on the uniform rule (point, j).
+    """
+
+    y: np.ndarray
+    dy: np.ndarray
+    y2: np.ndarray
+    dy2: np.ndarray
+    P: np.ndarray
+    R: np.ndarray
+    W: np.ndarray
+    M: np.ndarray
+    Q0: np.ndarray
+
+
+def _kernel_point(qfun: Callable, lam, q, E, origin_w, potential: PotentialModel, sources, mu,
+                  tol: float, samples: Optional[np.ndarray] = None) -> _KernelPoint:
+    """The regular and the n particular solutions of a kernel point from two local solves.
+
+    y_reg goes outward and y_2 inward from (-y_reg', y_reg) at r0, so that
+    W = y_reg(r0)^2 + y_reg'(r0)^2 > 0 at any real E (:func:`_local_pair`),
+    on the rule of :func:`_green_edges`, :func:`_graded` down to the first
+    of ``samples`` (ascending radii inside (0, r0)) if any.  Variation of
+    parameters gives the particular solutions of y'' + Q y = S_j,
+
+        p_j = (y_2 P_j + y_reg R_j) / W,  P_j = int_0^r S_j y_reg,  R_j = int_r^r0 S_j y_2,
+
+    and, with X_ij = int S_i y_2 P_j and parts, their moments M = (X +
+    X^T) / W: no integral of y_2 S starts at the origin, where it diverges
+    for l >= a + 2 (S ~ r^(a + (q - 1)/2)).  P takes the power r^(lam +
+    q/2) of y_reg S exactly on the first panel, where y_2 is largest.  The
+    samples get P and R from their panels' interpolants; without samples
+    the state comes at the rule's nodes beyond the first panel.  E and
+    origin_w are scalars, or arrays of float64 lanes, and mu the coupling
+    or the lanes' couplings, which with E set the rule.
+    """
+    uniform = _green_edges(potential, E, mu)
+    edges = uniform if samples is None else _graded(uniform, float(samples[0]))
+    at, w = _rule(edges)
+    nodes = at
+    if samples is not None:
+        at_u, w_u = _rule(uniform)
+        nodes = np.union1d(np.union1d(at, at_u), samples)
+    y, dy, y2, dy2 = _local_pair(qfun, lam, E, origin_w, potential, nodes,
+                                 lambda u, v: (-v, u), tol)
+
+    def on(radii):   # the rows of the solutions at ``radii``
+        return slice(None, -1) if samples is None else np.searchsorted(nodes, radii)
+
+    s = _sources(sources, at)
+    f, f2 = s * y[on(at), :, None], s * y2[on(at), :, None]
+    P = _running(f, edges, power=lam + 0.5 * q)
+    W = y[-1] * dy2[-1] - dy[-1] * y2[-1]
+    X = _cross(s, y2[on(at)], P, w)
+    m_h = np.tensordot(w, f, axes=1)
+    if samples is None:
+        Q0 = np.tensordot(w, f2, axes=1)
+        kept = np.flatnonzero(at >= edges[1])
+        P, R = P[kept], _running(f2, edges, reverse=True)[kept]
+    else:
+        Q0 = np.tensordot(w_u, _sources(sources, at_u) * y2[on(at_u), :, None], axes=1)
+        kept = np.searchsorted(nodes, samples)
+        P, R = _running(f, edges, samples), _running(f2, edges, samples, reverse=True)
+    rows = np.append(kept, -1)
+    return _KernelPoint(y[rows], dy[rows], y2[rows], dy2[rows], np.concatenate((P, m_h[None])),
+                        np.concatenate((R, 0.0 * m_h[None])), W,
+                        (X + X.swapaxes(-1, -2)) / W[:, None, None], Q0)
+
+
+def _volterra_moments(part: _KernelPoint) -> np.ndarray:
+    """The moments M - m_h Q0^T / W of the particular solutions p_j - (Q0_j / W) y_reg.
+
+    Those are (y_2 P_j - y_reg int_0^r S_j y_2) / W, which keep the
+    normalization of the origin series, y ~ r^(lam + 1/2) (for l < a + 2;
+    beyond, the rule's finite sum Q0 is a convention).  The shift along
+    y_reg scales det(Id - mu C M) and N alike (Sherman-Morrison), so det y
+    stays as it is.
+    """
+    return part.M - part.P[-1][:, :, None] * part.Q0[:, None, :] / part.W[:, None, None]
+
+
+def _scaled(part: _KernelPoint, N: np.ndarray, det) -> Tuple[np.ndarray, np.ndarray]:
+    """(det y, det y') = det y_reg + (y_2 P.N + y_reg R.N) / W and its derivative at the samples.
+
+    N and det of :func:`_couple` hold one point, or one per coupling
+    against a single point's ``part``.
+    """
+    pn = (part.P * N).sum(axis=-1)
+    rn = (part.R * N).sum(axis=-1)
+    return (det * part.y + (part.y2 * pn + part.y * rn) / part.W,
+            det * part.dy + (part.dy2 * pn + part.dy * rn) / part.W)
+
+
+def _cutoff(part: _KernelPoint, coupling: np.ndarray, mu):
+    """(det y, det y', max|det y|) at r0, per point or per coupling ``mu``."""
+    y, dy = _scaled(part, *_couple(part.M, part.P[-1], coupling, mu)[::2])
+    return y[-1], dy[-1], np.max(np.abs(y), axis=0)
+
+
+def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
+    """Origin-regular solution over the whole grid, with or without a kernel.
+
+    The one full-grid regular solve.  A local equation (no kernel, mu = 0 or
+    all couplings zero) is integrated by :func:`integrate_regular`; a rank-n
+    kernel by :func:`_kernel_point`, with the grid's interior nodes as its
+    samples, continued through the free exterior.  The solution keeps the
+    normalization of the origin series: det, N and the moments are those
+    of :func:`_volterra_moments`, and nodes at or below R_MIN_FRACTION r0
+    take the series value of y_reg, as the first node of every
+    origin-regular solve does (where l < a + 2 the particular solutions add
+    r^(a + 2 - l) to it, relative).  It alone divides the scaled state by
+    det, so it alone raises DegenerateCouplingError, where |det| < 1e-12
+    max(1, |B|_F)^n (a kernel resonance: no solution of this normalization
+    exists there).
+    """
+    if not eq.kernel_acts:
+        return integrate_regular(eq, grid, tol)
+    lam, E = _real_point(eq)
+    i0 = grid.i_cutoff
+    nodes = grid.interior_nodes[:i0]
+    low = int(np.searchsorted(nodes, R_MIN_FRACTION * eq.r0, side="right"))
+    part = _kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w, eq.potential,
+                         eq.sources, eq.mu, tol, samples=nodes[low:])
+    y_int, dy_int = _scaled(part, *_couple(part.M, part.P[-1], eq.coupling, eq.mu)[::2])
+    M = _volterra_moments(part)
+    N, B, det = _couple(M, part.P[-1], eq.coupling, eq.mu)
+    det = det[0]
+    if abs(det) < 1e-12 * max(1.0, float(np.linalg.norm(B[0]))) ** eq.rank:
+        raise DegenerateCouplingError(
+            f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {eq.energy.E}")
+    beta = N[0] / det
+    data = KernelSolveData(moments=part.P[-1, 0] + M[0] @ beta, coefficients=beta,
+                           det=float(abs(det)))
+    y = np.empty(len(grid.nodes), dtype=complex)
+    dy = np.empty(len(grid.nodes), dtype=complex)
+    y[:low], dy[:low] = frobenius_start(lam, E, eq.origin_w, nodes[:low])
+    y[low: i0 + 1] = y_int[:, 0] / det
+    dy[low: i0 + 1] = dy_int[:, 0] / det
+    y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
+    return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
+                          channel=eq.channel, energy=eq.energy, mu=eq.mu,
+                          kernel_data=data)
 
 
 def kernel_green(eq: EffectiveEquation, h: float, tol: float = 1e-10,
                  return_winding: bool = False):
     """(N, W, y(r0), y'(r0)): the kernel's Green matrix G = N / W from two local solves.
 
-    G_ij = <S_i, (H_loc - E)^-1 S_j> for the sources S_i of ``eq`` at its
-    real energy E < 0, H_loc = -d^2/dr^2 - Q the local part, and h = h(E)
-    the decaying exterior's log-derivative at r0.  The Green function of
-    H_loc - E is -y_reg(r<) y_dec(r>) / W, each solution integrated in the
-    direction in which it grows: y_reg outward from the origin series
-    (:func:`_from_origin`), y_dec inward from (1, h) at r0, and W = y_reg h
-    - y_reg' at r0 their Wronskian.  Both record the nodes of a composite
-    Gauss-Legendre rule (:func:`_green_edges`: panels of GREEN_NODES nodes
-    that resolve the kernel profiles and the solutions' turning or growth,
-    the knots of a tabulated well among their edges), on which P_j(r) =
-    int_0^r S_j y_reg takes each panel's cumulative matrix and X_ij = sum_b
-    w_b S_i y_dec P_j the rule itself.  X is the half r' < r of the double
-    integral and X^T the half r' > r, so G = -(X + X^T) / W takes no inner
-    integral int_r^r0 S_j y_dec, which diverges at the origin for l >= 2.
-    The product y_reg(r<) y_dec(r>) is bounded, so nothing cancels, however
-    strong the kernel.  Returns N = -(X + X^T) (regular
-    where W vanishes, at the levels of H_loc) and W, both on y_reg's scale,
-    and (y, y') of y_reg at r0; ``return_winding=True`` appends the Prufer
-    winding count of y_reg (:func:`prufer_angle`).  The solves bypass
-    :func:`interior_state`.
+    G_ij = <S_i, (H_loc - E)^-1 S_j> at the real energy E < 0 of ``eq``,
+    H_loc = -d^2/dr^2 - Q the local part, h = h(E) the decaying exterior's
+    log-derivative at r0.  The Green function of H_loc - E is -y_reg(r<)
+    y_dec(r>) / W, from the solves of :func:`_local_pair` on the rule of
+    :func:`_green_edges`: y_dec inward from (1, h), W = y_reg h - y_reg' at
+    r0.  With P and X as in :func:`_kernel_point`, X is the half r' < r of
+    the double integral and X^T the half r' > r, so G = -(X + X^T) / W: the
+    product y_reg(r<) y_dec(r>) is bounded, so nothing cancels, however
+    strong the kernel.  Returns N = -(X + X^T) (regular where W vanishes,
+    at the levels of H_loc) and W on y_reg's scale, y_reg's (y, y') at r0
+    and, with ``return_winding``, its Prufer winding count.  The level
+    count is its one caller.
     """
-    r0 = eq.r0
-    gl_x, gl_w, gl_cumulative = _gauss_legendre(GREEN_NODES)
-    edges = _green_edges(eq)
-    half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * gl_x
-    at = nodes.ravel()
-    record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * at[0])], at, [r0]))
-    us, vs, _, *turns = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, record,
-                                     r0, tol, return_winding=return_winding,
-                                     knots=_knots(eq.potential, record))
-    inward = at[::-1]
-    y_dec = _integrate(eq.coefficient, None, r0, 1.0, h, inward, tol,
-                       knots=_knots(eq.potential, inward))[0].real[::-1]
-    s = np.array([[src(r) for src in eq.sources] for r in at.tolist()])
-    f = (s * us[1:-1].real[:, None]).reshape(len(half), GREEN_NODES, -1)
-    full = (gl_w @ f) * half[:, None]
-    P = (gl_cumulative @ f) * half[:, None, None] + (np.cumsum(full, axis=0) - full)[:, None]
-    X = (s * ((half[:, None] * gl_w).ravel() * y_dec)[:, None]).T @ P.reshape(len(at), -1)
-    u, v = us[-1].real, vs[-1].real
+    edges = _green_edges(eq.potential, eq.energy.E, eq.mu)
+    at, w = _rule(edges)
+    y, dy, y_dec, _, *turns = _local_pair(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
+                                          eq.potential, at, lambda u, v: (1.0, h), tol,
+                                          return_winding)
+    s = _sources(eq.sources, at)
+    P = _running(s * y[:-1, :, None], edges, power=eq.lam + 0.5 * eq.channel.q)
+    X = _cross(s, y_dec[:-1], P, w)[0]
+    u, v = y[-1, 0], dy[-1, 0]
     return (-(X + X.T), u * h - v, u, v, *turns)
 
 
@@ -1227,8 +1217,8 @@ def free_exterior(eq: EffectiveEquation, y0: complex, dy0: complex,
     Beyond the cutoff the well and the kernel both vanish, so the solution
     obeys the free equation y'' + (E - (lam^2 - 1/4)/r^2) y = 0 there.
     """
-    us, vs, _ = _integrate(radial_coefficient(eq.lam, eq.energy.E), None,
-                           float(nodes[0]), y0, dy0, nodes, rtol=tol)
+    us, vs, _ = _integrate(radial_coefficient(eq.lam, eq.energy.E), float(nodes[0]), y0, dy0,
+                           nodes, rtol=tol)
     return us, vs
 
 
@@ -1237,21 +1227,22 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     """(y, y', max|y|) at r0^- for the local or non-local interior problem.
 
     A local equation is integrated straight to the cutoff without storing a
-    grid.  A kernel is solved by superposition on the fixed uniform interior
-    grid of MOMENT_NODES nodes, on which Simpson takes the kernel moments,
-    and comes back scaled by det(Id - mu C M) (:func:`_couple`), finite at
-    a kernel resonance too.  ``return_winding=True`` (local equation only)
-    appends the Prufer winding count of (Re y, Re y') over (r_min, r0), see
-    :func:`_integrate` and :func:`prufer_angle`.  :func:`node_at_cutoff`
-    reads y(r0) against max|y|.
+    grid.  A kernel takes the two local solves of :func:`_kernel_point` and
+    comes back scaled by det(Id - mu C M) (:func:`_couple`), finite at a
+    kernel resonance too; its max|y| is taken on the rule's nodes beyond
+    the first panel and on r0.  ``return_winding=True`` (local equation
+    only) appends the Prufer winding count of (Re y, Re y') over (r_min,
+    r0), see :func:`_integrate` and :func:`prufer_angle`.
+    :func:`node_at_cutoff` reads y(r0) against max|y|.
     """
     if eq.kernel_acts:
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
-        ys, dys, m = _superposition_solves(
-            eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
-        y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
-        return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
+        lam, E = _real_point(eq)
+        y, dy, max_y = _cutoff(_kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w,
+                                             eq.potential, eq.sources, eq.mu, tol),
+                               eq.coupling, eq.mu)
+        return complex(y[0]), complex(dy[0]), float(max_y[0])
     record = [R_MIN_FRACTION * eq.r0, eq.r0]
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
                                  record, eq.r0, tol, return_winding=return_winding,
@@ -1282,11 +1273,10 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     ``potential.mu`` is ignored).  All points are integrated at once as
     float64 lanes of :func:`_integrate`, which share every step; lam, E and
     mu must be real.  A local model takes one lane per point, straight to
-    the cutoff.  A model whose kernel acts takes 1 + n lanes per point (the
-    homogeneous solve and the n particular ones) recorded on the moment grid,
-    and the n x n systems of all points are taken as one stack; its points
-    come back scaled by det(Id - mu C M), as from :func:`interior_state`.
-    Returns the real parts.
+    the cutoff.  A kernel takes the two solves of :func:`_kernel_point` as
+    lanes, on one rule that the largest |E| and |mu| set, and comes back
+    scaled by det(Id - mu C M), as from :func:`interior_state`.  Returns the
+    real parts.
     """
     E = np.asarray(E, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -1302,26 +1292,11 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
                                      knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
-    ys, dys, m = _superposition_lanes(channel, potential, E, mu, tol)
-    y, dy, *_ = _couple(m, ys, dys, potential.coupling_matrix(), mu)
-    max_u = np.maximum(y.max(axis=0), -y.min(axis=0))
-    return y[-1].reshape(shape), dy[-1].reshape(shape), max_u.reshape(shape)
-
-
-def _superposition_lanes(channel: ChannelParams, potential: PotentialModel, E, mu, tol: float):
-    """:func:`_superposition_solves` of the points (E[j], mu[j]) as lanes, dys at r0 only."""
-    lam = channel.lam
-    eq = effective_equation(channel, potential, EnergyValue(E=0.0))  # the sources S_i
-    grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
-    record = grid.interior_nodes
-    E, mu = E[:, None], mu[:, None]
-    origin_w = tuple(mu * w for w in potential.origin_coefficients())
-    ys, dys, _ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E, origin_w,
-                              record, potential.r0, tol,
-                              sources=tuple(zip(eq.sources, eq.source_origins)),
-                              knots=_knots(potential, record))
-    dys = dys[-1:].copy()   # y' is needed at r0 only: free the rest
-    return ys, dys, _kernel_moments(grid, source_samples(eq.sources, grid), ys, lam + 0.5)
+    sources = effective_equation(channel, potential, EnergyValue(E=0.0)).sources
+    part = _kernel_point(radial_coefficient(lam, E, mu, potential), lam, channel.q, E,
+                         tuple(mu * w for w in potential.origin_coefficients()), potential,
+                         sources, mu, tol)
+    return tuple(x.reshape(shape) for x in _cutoff(part, potential.coupling_matrix(), mu))
 
 
 def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
@@ -1330,12 +1305,11 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
 
     The returned function takes a scalar mu and answers as
     :func:`interior_state`, or an array of couplings and answers as
-    :func:`interior_lanes` (real parts); a kernel's state is scaled by
-    det(Id - mu C M) either way, so it is finite and smooth in mu through a
-    kernel resonance.  In a pure kernel (no local part) neither Q(r) nor the
-    series start depends on mu, so the homogeneous and particular solves
-    and their moments are made once, here, and each coupling costs n + 1
-    determinants of n x n matrices.  Any other model solves every call
+    :func:`interior_lanes` (real parts), a kernel's state scaled by det(Id
+    - mu C M) either way.  In a pure kernel (no local part) neither Q(r),
+    the series start nor the rule depends on mu, so the two solves of
+    :func:`_kernel_point` are made once, here, and each coupling costs n +
+    1 determinants of n x n matrices.  Any other model solves every call
     afresh.  The solves live as long as the returned function.
     """
     if potential.local is not None or not potential.kernel_acts:
@@ -1347,15 +1321,15 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
 
         return at
     eq = effective_equation(channel, potential, EnergyValue(E=E))
-    ys, dys, m = _superposition_solves(
-        eq, make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES), tol)
-    dys = dys[-1:]   # y' is needed at r0 only
+    lam, E = _real_point(eq)
+    part = _kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w, potential,
+                         eq.sources, eq.mu, tol)
 
     def at(mu):
-        y, dy, *_ = _couple(m, ys, dys, eq.coupling, mu)
+        y, dy, max_y = _cutoff(part, eq.coupling, mu)
         if np.ndim(mu):
-            return y[-1].real, dy[-1].real, np.max(np.abs(y), axis=0)
-        return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
+            return y, dy, max_y
+        return complex(y[0]), complex(dy[0]), float(max_y[0])
 
     return at
 

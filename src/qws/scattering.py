@@ -21,12 +21,14 @@ those two solves.  A kernel that acts (``kernel_acts``) breaks the
 r-winding argument, so its samples are placed on the 2 pi branch nearest
 the previous one along the uniform mu grid, whose points come from one
 lanes call of :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure
-kernel makes one superposition per k); the walk splits each step over
-which the well's phase may turn by more than pi/2 in sqrt(mu), and a
-kernel's eta is the end of that walk.  A kernel's (y, y') comes scaled by
-det(Id - mu C M), so it stays smooth in mu through coupling resonances,
-where the unscaled state passes through infinity and its theta jumps by
-pi.
+kernel makes its two local solves once per k); the walk splits each step
+over which the well's phase may turn by more than pi/2 in sqrt(mu), and a
+kernel's eta is the end of that walk.  A kernel's (y, y') comes from the
+same two local solves at E = k^2 as below threshold, y_reg outward and a
+second solution inward, with its particular solutions by variation of
+parameters, scaled by det(Id - mu C M), so it stays smooth in mu through
+coupling resonances, where the unscaled state passes through infinity
+and its theta jumps by pi.
 
 The branch events (eta through half-integer multiples of pi) come from the
 walk :func:`_phase_walk`, which a kernel's :func:`phase_shift` runs for

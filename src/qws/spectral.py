@@ -3,7 +3,7 @@ coupling-continuation crossing counter, and the zero-momentum phase /
 bound-count identity verifier.
 
 Solves go through :mod:`~qws.radial_ode`, which decides between the local
-integration and the kernel superposition itself.  This module reads
+integration and the kernel's two local solves itself.  This module reads
 ``potential.kernel_acts`` (some coupling nonzero) only where the
 mathematics differs: the kernel terms of the energy floor and of the level
 count.
@@ -26,8 +26,12 @@ events.
 
 The crossing counter :func:`continuation_count` is the mu walk of
 :func:`~qws.scattering.phase_events` at k -> 0 on the threshold map, on the
-kernel superposition.  No sample of the count or the walk is nudged around
-a kernel resonance: the scaled state is finite there.
+kernel's scaled state.  No sample of the count or the walk is nudged
+around a kernel resonance: the scaled state is finite there.  Every kernel
+state, here and in :mod:`~qws.scattering`, comes from the same two local
+solves as the Green matrix, y_reg outward and a second solution inward,
+with no particular solve; the default energy floor norms the sources on
+the same rule.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from .errors import (AmbiguousCrossingError, InvalidDifferencingError,
                      NearThresholdResonanceError, NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (MOMENT_NODES, RadialSolution, cutoff_integral, interior_in_mu,
-                         interior_state, kernel_green, make_grid, node_at_cutoff,
-                         prufer_angle, solve_nonlocal, source_samples)
+from .radial_ode import (RadialSolution, _green_edges, _rule, _sources, cutoff_integral,
+                         interior_in_mu, interior_state, kernel_green, make_grid,
+                         node_at_cutoff, prufer_angle, solve_nonlocal)
 from .roots import refine_root
 from .scattering import _phase_walk, phase_shift, real_lambda
 
@@ -160,15 +164,15 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
 
     The kernel bound is the Cauchy-Schwarz norm sum_ij |c_ij| |S_i| |S_j| of
     the kernel the radial equation carries, with the weighted sources
-    S_i = g_i r^{(q-1)/2} normed over (0, r0).
+    S_i = g_i r^{(q-1)/2} normed over (0, r0) on the rule of the kernel
+    solves at E = 0.
     """
     bound = potential.max_local()
     if potential.kernel_acts:
-        grid = make_grid(potential.r0, r_max=potential.r0, n_interior=MOMENT_NODES)
+        at, w = _rule(_green_edges(potential, 0.0, potential.mu))
         eq = effective_equation(channel, potential, EnergyValue(E=0.0))
-        s = source_samples(eq.sources, grid)
-        norms = np.array([math.sqrt(abs(cutoff_integral(grid, s[:, i] * s[:, i], 0.0)))
-                          for i in range(eq.rank)])
+        s = _sources(eq.sources, at)[:, 0]
+        norms = np.sqrt(w @ (s * s))
         bound += float(norms @ np.abs(potential.coupling_matrix()) @ norms)
     return -1.5 * abs(potential.mu) * bound - 1.0
 

@@ -163,3 +163,54 @@ def kernel_level_near(lam, q, r0, profiles, coupling, E, depth=0.0, width=1e-6, 
         if d > abs(E):
             raise ValueError(f"no level of the reference near E = {E!r}")
         d *= 8.0
+
+
+def kernel_phase(lam, q, r0, profiles, coupling, k, depth=0.0, panels=12, nodes=16):
+    """The principal phase shift (mod pi) at E = k^2 > 0 of :func:`kernel_secular`'s model.
+
+    Inside r0 the local pair is closed-form: u = sqrt(r) J_lam(K r) and v =
+    sqrt(r) Y_lam(K r), K = sqrt(k^2 + depth), with W = u v' - u' v = 2/pi.
+    The regular solution is y = u + sum_j beta_j p_j, with the particular
+    solutions of variation of parameters, p_j = (v P_j + u R_j) / W, P_j =
+    int_0^r S_j u and R_j = int_r^r0 S_j v (finite at every l, and any other
+    particular solution moves y along u only, which the phase does not
+    see), and (Id - C M) beta = C m, M_ij = int S_i p_j, m_i = int S_i u.
+    The inner integrals take the rule scaled to (0, r) and to (r, r0), the
+    outer ones the rule itself, as in :func:`kernel_secular`.  Matching (y,
+    y')(r0) to the free pair sqrt(r) J_lam(k r), sqrt(r) Y_lam(k r) gives
+    tan eta = [(A - 1/(2 r0)) J - k J'] / [(A - 1/(2 r0)) Y - k Y'] at k r0,
+    A = y'/y; returns atan of it.  No profiles give the square well's phase.
+    """
+    from scipy.special import jv, jvp, yv, yvp
+
+    C = np.asarray(coupling, dtype=float).reshape(len(profiles), len(profiles))
+    t, wt = _gauss_legendre_panels(0.0, 1.0, panels, nodes)
+    r, w = t * r0, wt * r0
+    below = r[:, None] * t[None, :]                    # r' = r t on (0, r)
+    above = r[:, None] + (r0 - r)[:, None] * t[None, :]  # r' on (r, r0)
+    weight = (q - 1.0) / 2.0
+
+    def sources(x):
+        return np.array([g(x) * x ** weight for g in profiles]).reshape((len(profiles),) + x.shape)
+
+    K = math.sqrt(k * k + depth)
+
+    def pair(x):   # (u, u', v, v') at x
+        sx = np.sqrt(x)
+        return (sx * jv(lam, K * x), 0.5 / sx * jv(lam, K * x) + sx * K * jvp(lam, K * x),
+                sx * yv(lam, K * x), 0.5 / sx * yv(lam, K * x) + sx * K * yvp(lam, K * x))
+
+    W = 2.0 / math.pi
+    S = sources(r)
+    P = (sources(below) * pair(below)[0]) @ wt * r          # P_j(r) = int_0^r S_j u
+    R = (sources(above) * pair(above)[2]) @ wt * (r0 - r)   # R_j(r) = int_r^r0 S_j v
+    u, _, v, _ = pair(r)
+    M = (S * w) @ ((v * P + u * R) / W).T
+    m = (S * w) @ u
+    beta = np.linalg.solve(np.eye(len(C)) - C @ M, C @ m)
+    u0, du0, v0, dv0 = pair(np.array(r0))
+    y = u0 + beta @ (v0 * m) / W
+    dy = du0 + beta @ (dv0 * m) / W
+    x = k * r0
+    a = dy / y - 0.5 / r0
+    return math.atan((a * jv(lam, x) - k * jvp(lam, x)) / (a * yv(lam, x) - k * yvp(lam, x)))

@@ -1,11 +1,12 @@
-"""The Green-function kernel-level reference of oracles.py against the older references."""
+"""The Green-function kernel references of oracles.py against the older references."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import kernel_level_near, kernel_secular, rank1_kernel_level, swave_well_levels
+from oracles import (circ_dist, kernel_level_near, kernel_phase, kernel_secular,
+                     rank1_kernel_level, swave_well_eta, swave_well_levels)
 
 
 def _bump(c, w):
@@ -53,3 +54,16 @@ def test_rule_is_converged():
     E = kernel_level_near(*args, -4760.137)
     F2 = kernel_secular(*args, panels=24)
     assert F2(E * (1 + 1e-11)) * F2(E * (1 - 1e-11)) < 0
+
+
+@pytest.mark.parametrize("k", [0.5, 1.3, 3.0])
+def test_kernel_phase_gives_the_square_well_phase_at_zero_coupling(k):
+    eta = kernel_phase(0.5, 3, 1.0, [_bump(0.5, 0.15)], [[0.0]], k, depth=3.0)
+    assert circ_dist(eta, swave_well_eta(k, 3.0, 1.0)) <= 1e-12
+
+
+def test_kernel_phase_rule_is_converged():
+    # doubling the panels moves the phase of the benchmark's rank-2 pair by rounding only
+    args = (1.0, 4, 1.0, [_bump(0.35, 0.12), _bump(0.7, 0.12)],
+            [[-500.0, 0.0], [0.0, -400.0]], 3.0)
+    assert circ_dist(kernel_phase(*args), kernel_phase(*args, panels=24)) <= 1e-14

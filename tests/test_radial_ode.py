@@ -8,13 +8,12 @@ from scipy import special as sp
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
-from qws.potentials import (KernelTerm, LocalPotential, PotentialModel, gaussian_bump,
-                            poly_bump, square_well, tabulated, truncated_exponential,
-                            truncated_gaussian)
-from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE, MOMENT_NODES,
+from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
+                            square_well, tabulated, truncated_exponential, truncated_gaussian)
+from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
                             R_MIN_FRACTION, _couple, _gauss_legendre, _green_edges,
-                            _integrate, _kernel_moments,
-                            _knots, _series_radius, _superposition_solves,
+                            _integrate, _kernel_point, _knots, _scaled, _series_radius,
+                            _volterra_moments,
                             cutoff_integral, free_exterior, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, kernel_green,
@@ -513,9 +512,9 @@ KINKED_TABLE = (CH_S, tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB)))
 
 
 def _grid_sign_changes(ch, pot, E, mu, tol=1e-10):
-    """Sign changes of Re y over (0, r0) on a MOMENT_NODES grid: the node-count reference."""
+    """Sign changes of Re y over (0, r0) on a 401-node grid: the node-count reference."""
     eq = effective_equation(ch, pot.with_mu(mu), EnergyValue(E=E))
-    sol = solve_nonlocal(eq, make_grid(pot.r0, r_max=pot.r0, n_interior=MOMENT_NODES), tol)
+    sol = solve_nonlocal(eq, make_grid(pot.r0, r_max=pot.r0, n_interior=401), tol)
     vals = np.real(sol.y[: sol.grid.i_cutoff + 1])
     s = np.where(np.abs(vals) < 1e-13 * np.max(np.abs(vals)), 0.0, np.sign(vals))
     s = s[s != 0.0]
@@ -646,8 +645,8 @@ class TestKernelLanes:
             assert np.array_equal(np.sign(v), np.sign(ref[:, 1]))
 
     def test_source_that_is_zero_near_the_origin(self):
-        # exp(-2500) underflows: the particular lane starts at 0 under a source
-        # that reads 0 up to r ~ 0.23, where its error must read 0, not 0/0
+        # exp(-2500) underflows: the source reads 0 up to r ~ 0.23, where its
+        # half-sums P and R take only zeros
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.01),), strengths=(-2000.0,))
         E = np.array([-9.0, -1.0, 2.0])
         u, v, max_u = interior_lanes(CH_S, pot, E, 1.0)
@@ -664,10 +663,10 @@ class TestKernelLanes:
         couple = ro._couple
         dets = []
 
-        def resonant_at_one(m, ys, dys, coupling, mu):
-            m = m.copy()
-            m[:, 0, 1] = 1.0 / coupling[0, 0]
-            out = couple(m, ys, dys, coupling, mu)
+        def resonant_at_one(M, m_h, coupling, mu):
+            M = M.copy()
+            M[:, 0, 0] = 1.0 / coupling[0, 0]
+            out = couple(M, m_h, coupling, mu)
             dets.extend(np.atleast_1d(out[-1]).tolist())
             return out
 
@@ -704,16 +703,16 @@ class TestKernelLanes:
         integrate = ro._integrate
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(ro, "_integrate", counted)
         at = interior_in_mu(ch, pot, -0.5)
-        assert len(calls) == 1 + pot.rank     # the homogeneous and n particular solves
+        assert len(calls) == 2     # y_reg outward and y_2 inward, whatever the rank
         u, v, _ = at(np.linspace(0.0, 2.0, 41))
         for m in (0.3, 0.7, 1.9):
             at(m)
-        assert len(calls) == 1 + pot.rank
+        assert len(calls) == 2
         # the same mu grid through the lanes, one integration
         lanes = interior_lanes(ch, pot, -0.5, np.linspace(0.0, 2.0, 41))
         assert np.all(np.abs(u - lanes[0]) <= 1e-8 * lanes[2])
@@ -790,8 +789,9 @@ class TestTabulatedKnots:
             assert w_m1 / r + w0 + w1 * r == local.profile(r)
 
     def test_kernel_superposition_lands_on_the_rows(self):
-        # with the rows landed, moment grids of 401 and 801 nodes agree to ~1e-12
-        # at r0 (stepping across them they differed by ~2e-7)
+        # with the rows landed (and among the rule's panel edges), the solve on
+        # the rule alone and the one that also records 801 grid nodes agree to
+        # ~1e-12 at r0 (stepping across the rows, two grids differed by ~2e-7)
         _, local = KINKED_TABLE
         pot = PotentialModel(r0=1.0, local=local, kernel=(gaussian_bump(0.5, 0.15),),
                              strengths=(-20.0,))
@@ -801,9 +801,9 @@ class TestTabulatedKnots:
         y0, dy0 = sol.at_cutoff()
         # interior_state carries the det(Id - mu C M) that solve_nonlocal divides
         # out: real at a real energy, sign and all
-        ys, dys, m = _superposition_solves(
-            eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10)
-        det = _couple(m, ys, dys, eq.coupling, eq.mu)[4][0]
+        part = _kernel_point(eq.coefficient, eq.lam, eq.channel.q, -3.0, eq.origin_w, pot,
+                             eq.sources, eq.mu, 1e-10)
+        det = _couple(_volterra_moments(part), part.P[-1], eq.coupling, eq.mu)[2][0]
         scale = u / y0
         assert abs(scale.imag) <= 1e-10 * abs(scale)
         assert abs(scale - det) <= 1e-10 * abs(det)
@@ -895,17 +895,17 @@ def test_solves_meet_r0_without_a_run_of_rejected_steps(local, E):
     # r0 by rejected steps; inward, the step size underflowed.  A step attempt
     # reads Q 11 times.
     pot = PotentialModel(r0=1.0, local=local)
-    qfun, _, r_min, u0, v0, record, knots = _real_problem(CH_S, pot, E)
+    qfun, r_min, u0, v0, record, knots = _real_problem(CH_S, pot, E)
     seen = []
 
     def counted(r):
         seen.append(r)
         return qfun(r)
 
-    _integrate(counted, None, r_min, u0, v0, record, 1e-10, knots=knots)
+    _integrate(counted, r_min, u0, v0, record, 1e-10, knots=knots)
     assert sum(r >= 0.99 for r in seen) <= 2 * 11
     seen.clear()
-    _integrate(counted, None, 1.0, 1.0, 0.0, np.linspace(1.0, 1e-6, 5), 1e-10)
+    _integrate(counted, 1.0, 1.0, 0.0, np.linspace(1.0, 1e-6, 5), 1e-10)
     assert sum(r >= 0.99 for r in seen) <= 1 + 3 * 11
 
 
@@ -923,12 +923,12 @@ class TestLaneDriver:
         else:
             r_start, record = 1e-6, np.linspace(0.1, 1.0, 10)
             u0, v0 = frobenius_start(ch.lam, E, pot.origin_coefficients(), r_start)
-        lanes = _integrate(radial_coefficient(ch.lam, E, 1.0, pot), None, r_start,
+        lanes = _integrate(radial_coefficient(ch.lam, E, 1.0, pot), r_start,
                            u0, v0, record, 1e-10)
         for j, e in enumerate(E):
             q = effective_equation(ch, pot, EnergyValue(E=float(e))).coefficient
-            us, vs, max_u = _integrate(q, None, r_start, u0[j], v0[j], record, 1e-10)
-            one = _integrate(radial_coefficient(ch.lam, E[j:j + 1], 1.0, pot), None,
+            us, vs, max_u = _integrate(q, r_start, u0[j], v0[j], record, 1e-10)
+            one = _integrate(radial_coefficient(ch.lam, E[j:j + 1], 1.0, pot),
                              r_start, u0[j:j + 1], v0[j:j + 1], record, 1e-10)
             assert np.array_equal(one[0][:, 0], us.real)
             assert np.array_equal(one[1][:, 0], vs.real)
@@ -937,19 +937,6 @@ class TestLaneDriver:
             assert np.all(np.abs(lanes[0][:, j] - us.real) <= 1e-8 * max_u)
             assert np.all(np.abs(lanes[1][:, j] - vs.real) <= 1e-8 * np.max(np.abs(vs)))
 
-    @pytest.mark.parametrize("source", [0, 1])
-    def test_single_source_lane_is_the_scalar_particular_solve(self, source):
-        # a particular lane from (0, 0) adds S to -Q y at every stage in the
-        # scalar stepper's order, so the two agree bit for bit on every node
-        qfun, sfun, r_min, _, _, record, _ = _real_problem(*KERNEL_MODELS[1], -20.0,
-                                                           _MOMENT_RECORD, source=source)
-        us, vs, max_u = _integrate(qfun, sfun, r_min, 0.0, 0.0, record, 1e-10)
-        lane = _integrate(lambda r: np.array([qfun(r)]), lambda r: np.array([sfun(r)]),
-                          r_min, np.zeros(1), np.zeros(1), record, 1e-10)
-        assert np.array_equal(lane[0][:, 0], us.real)
-        assert np.array_equal(lane[1][:, 0], vs.real)
-        assert lane[2][0] == max_u
-
     def test_one_q_for_all_lanes(self):
         # the free system: Q(r) is one float for every lane, which differ in
         # their start values only (inward from r0, as a Jost solve)
@@ -957,10 +944,10 @@ class TestLaneDriver:
         assert isinstance(qfun(0.5), float)
         u0, v0 = np.array([1.0, 0.0, 0.5, -2.0]), np.array([0.0, 1.0, 3.0, 0.7])
         record = np.linspace(0.9, 0.1, 9)
-        lanes = _integrate(qfun, None, 1.0, u0, v0, record, 1e-10)
+        lanes = _integrate(qfun, 1.0, u0, v0, record, 1e-10)
         for j in range(len(u0)):
-            us, vs, max_u = _integrate(qfun, None, 1.0, u0[j], v0[j], record, 1e-10)
-            one = _integrate(qfun, None, 1.0, u0[j:j + 1], v0[j:j + 1], record, 1e-10)
+            us, vs, max_u = _integrate(qfun, 1.0, u0[j], v0[j], record, 1e-10)
+            one = _integrate(qfun, 1.0, u0[j:j + 1], v0[j:j + 1], record, 1e-10)
             assert np.array_equal(one[0][:, 0], us.real)
             assert np.array_equal(one[1][:, 0], vs.real)
             assert one[2][0] == max_u
@@ -973,34 +960,29 @@ class TestLaneDriver:
 
     def test_lanes_refuse_the_winding_count(self):
         with pytest.raises(QwsError):
-            _integrate(lambda r: np.full(2, -1.0), None, 0.5, np.ones(2), np.ones(2),
+            _integrate(lambda r: np.full(2, -1.0), 0.5, np.ones(2), np.ones(2),
                        np.array([1.0]), 1e-10, return_winding=True)
 
 
 
-def _real_problem(ch, pot, E, record=None, source=None):
-    """(qfun, sfun, r_start, u0, v0, record, knots) of a real interior solve at energy E.
+def _real_problem(ch, pot, E, record=None):
+    """(qfun, r_start, u0, v0, record, knots) of a real interior solve at energy E.
 
-    The series start of the homogeneous equation, on ``record`` or from
-    r_min = 1e-6 r0 to the cutoff, with the knots inside it to land on;
-    with a ``source`` index, the particular solve of that kernel source
-    from (0, 0).
+    The series start, on ``record`` or from r_min = 1e-6 r0 to the cutoff,
+    with the knots inside it to land on.
     """
     eq = effective_equation(ch, pot, EnergyValue(E=E))
     if record is None:
         record = np.array([1e-6 * pot.r0, pot.r0])
     r_min = float(record[0])
-    knots = _knots(pot, record)
-    if source is not None:
-        return eq.coefficient, eq.sources[source], r_min, 0.0, 0.0, record, knots
     u0, v0 = frobenius_start(ch.lam, E, eq.origin_w, r_min)
-    return eq.coefficient, None, r_min, u0, v0, record, knots
+    return eq.coefficient, r_min, u0, v0, record, _knots(pot, record)
 
 
 _SQUARE = PotentialModel(r0=1.0, local=square_well(40.0))
 _CH_P = ChannelParams(q=3, l=1)
-# the moment grid of the kernel solves: 401 nodes on [1e-6, 1]
-_MOMENT_RECORD = make_grid(1.0, r_max=1.0, n_interior=401).interior_nodes
+# a dense record: 401 nodes on [1e-6, 1]
+_DENSE_RECORD = make_grid(1.0, r_max=1.0, n_interior=401).interior_nodes
 # (id, problem, winding): real problems of every kind the scalar stepper meets
 REAL_PROBLEMS = [
     ("square-s-bound", lambda: _real_problem(CH_S, _SQUARE, -12.0), True),
@@ -1011,9 +993,7 @@ REAL_PROBLEMS = [
         r0=1.0, local=truncated_gaussian(30.0, 0.6)), -4.0), False),
     ("table-knots", lambda: _real_problem(CH_S, PotentialModel(
         r0=1.0, local=KINKED_TABLE[1]), -3.0), False),
-    ("kernel-particular", lambda: _real_problem(*KERNEL_MODELS[1], -20.0,
-                                                _MOMENT_RECORD, source=1), False),
-    ("moment-record", lambda: _real_problem(*KERNEL_MODELS[2], -2.0, _MOMENT_RECORD), False),
+    ("dense-record", lambda: _real_problem(*KERNEL_MODELS[2], -2.0, _DENSE_RECORD), False),
 ]
 
 
@@ -1023,13 +1003,13 @@ class TestFloatStepping:
     @pytest.mark.parametrize("problem, winding", [case[1:] for case in REAL_PROBLEMS],
                              ids=[case[0] for case in REAL_PROBLEMS])
     def test_real_problem_matches_complex_stepping_bit_for_bit(self, problem, winding):
-        qfun, sfun, r_start, u0, v0, record, knots = problem()
+        qfun, r_start, u0, v0, record, knots = problem()
         assert not isinstance(qfun(0.5), complex)
-        as_float = _integrate(qfun, sfun, r_start, u0, v0, record, 1e-10,
+        as_float = _integrate(qfun, r_start, u0, v0, record, 1e-10,
                               return_winding=winding, knots=knots)
         # a complex Q(r) promotes every stage to complex: the stepping of a
         # complex problem
-        as_complex = _integrate(lambda r: complex(qfun(r)), sfun, r_start, u0, v0,
+        as_complex = _integrate(lambda r: complex(qfun(r)), r_start, u0, v0,
                                 record, 1e-10, return_winding=winding, knots=knots)
         assert len(as_float) == len(as_complex) == (4 if winding else 3)
         for a, b in zip(as_float, as_complex):
@@ -1040,7 +1020,7 @@ class TestFloatStepping:
         # y'' + E y = 0 from y = 1, y' = 0 at r_s: y = cos(sqrt(E) (r - r_s))
         E, r_s = 2.0 + 0.5j, 0.3
         record = np.linspace(0.4, 3.0, 27)
-        us, vs, _ = _integrate(lambda r: E, None, r_s, 1.0, 0.0, record, 1e-10)
+        us, vs, _ = _integrate(lambda r: E, r_s, 1.0, 0.0, record, 1e-10)
         k = cmath.sqrt(E)
         ref = np.array([cmath.cos(k * (r - r_s)) for r in record])
         assert np.max(np.abs(us - ref)) <= 1e-8
@@ -1048,23 +1028,19 @@ class TestFloatStepping:
         assert np.max(np.abs(us.imag)) > 0.1
 
     def test_every_abscissa_is_a_python_float(self):
-        # numpy-scalar abscissas would run every Q(r) and S(r) call in numpy arithmetic
+        # numpy-scalar abscissas would run every Q(r) call in numpy arithmetic
         seen = []
 
         def qfun(r):
             seen.append(type(r))
-            return -4.0
+            return 400.0
 
-        def sfun(r):
-            seen.append(type(r))
-            return 1.0
-
-        record = _MOMENT_RECORD
+        record = _DENSE_RECORD
         assert isinstance(record, np.ndarray) and len(record) == 401
-        _integrate(qfun, sfun, float(record[0]), 0.0, 0.0, record, 1e-10)
-        # the nodes are interpolated, not landed: Q and S are read at the 11
-        # stage and 3 dense-output abscissas of more than ten steps
-        assert len(seen) > 2 * 14 * 10
+        _integrate(qfun, float(record[0]), 1.0, 0.0, record, 1e-10)
+        # the nodes are interpolated, not landed: Q is read at the 11 stage
+        # and 3 dense-output abscissas of more than ten steps
+        assert len(seen) > 14 * 10
         assert set(seen) == {float}
 
 
@@ -1074,8 +1050,8 @@ def _from_r_min(ch, pot, E, tol=1e-10):
     The reference of the start at r_s: the same series and the same stepper,
     started where every origin-regular solve started before r_s.
     """
-    qfun, _, r_min, u0, v0, record, knots = _real_problem(ch, pot, E)
-    us, vs, max_u, turns = _integrate(qfun, None, r_min, u0, v0, record, tol,
+    qfun, r_min, u0, v0, record, knots = _real_problem(ch, pot, E)
+    us, vs, max_u, turns = _integrate(qfun, r_min, u0, v0, record, tol,
                                       return_winding=True, knots=knots)
     return us[-1], vs[-1], max_u, turns
 
@@ -1132,7 +1108,7 @@ class TestSeriesStart:
         # through the free exterior
         record, i0 = g.interior_nodes, g.i_cutoff
         u0, v0 = frobenius_start(eq.lam, E, eq.origin_w, g.r_min)
-        ref_u, ref_v, _ = _integrate(eq.coefficient, None, g.r_min, u0, v0, record, 1e-10,
+        ref_u, ref_v, _ = _integrate(eq.coefficient, g.r_min, u0, v0, record, 1e-10,
                                      knots=_knots(pot, record))
         out_u, out_v = free_exterior(eq, ref_u[-1], ref_v[-1], g.nodes[i0:], 1e-10)
         ref_u, ref_v = np.concatenate([ref_u, out_u[1:]]), np.concatenate([ref_v, out_v[1:]])
@@ -1185,129 +1161,70 @@ class TestSeriesStart:
 
 
 
-def _particular_radius(ch, pot, E, source=0, tol=1e-10):
-    """r_s of particular solve ``source`` of the scalar superposition at energy E."""
-    eq = effective_equation(ch, pot, EnergyValue(E=E))
-    record = make_grid(pot.r0, r_max=pot.r0, n_interior=MOMENT_NODES).interior_nodes
-    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol,
-                          (eq.sources[source], eq.source_origins[source]))
-
-
-def _superposed_from_zero(eq, tol=1e-10):
-    """(y, y', max|y|) at r0 of the kernel point with its particular solves from (0, 0) at r_min.
-
-    The start the series start at r_s replaces: the same homogeneous solve,
-    moments and coupling, with each particular solve stepped from rest.
-    """
-    grid = make_grid(eq.r0, r_max=eq.r0, n_interior=MOMENT_NODES)
-    ys, dys, _ = _superposition_solves(eq, grid, tol)
-    record = grid.interior_nodes
-    for j, src in enumerate(eq.sources):
-        us, vs, _ = _integrate(eq.coefficient, src, grid.r_min, 0.0, 0.0, record, tol,
-                               knots=_knots(eq.potential, record))
-        ys[:, 0, 1 + j], dys[:, 0, 1 + j] = us, vs
-    s = np.array([[src(float(r)) for src in eq.sources] for r in grid.interior_nodes])
-    m = _kernel_moments(grid, s, ys, eq.lam + 0.5)
-    y, dy, *_ = _couple(m, ys, dys, eq.coupling, eq.mu)
-    return complex(y[-1, 0]), complex(dy[-1, 0]), float(np.max(np.abs(y)))
-
-
-class TestParticularStart:
-    """Kernel particular solves start on their own origin series at r_s."""
-
-    @pytest.mark.parametrize("term, a", [(gaussian_bump(0.5, 0.15), 0.0),
-                                         (gaussian_bump(0.35, 0.12, 3.0), 0.0),
-                                         (poly_bump(2.0, 3.0, 1.0, 30.0), 2.0),
-                                         (poly_bump(0.5, 1.5, 2.0), 0.5)])
-    def test_expansion_is_the_profile_near_the_origin(self, term, a):
-        lead, t = term.origin
-        assert lead == a and len(t) >= 4
-        for r in (1e-3, 1e-2):
-            series = r ** lead * sum(c * r ** n for n, c in enumerate(t))
-            assert abs(series - term.profile(r)) <= 1e-14 * abs(term.profile(r))
-
-    def test_underflowing_or_unknown_expansion(self):
-        # g(0) = exp(-2500) reads 0: no terms, a zero series that the source
-        # matches up to r ~ 0.23, so the start stays at the cap
-        assert gaussian_bump(0.5, 0.01).origin == (0.0, ())
-        pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.01),), strengths=(-2000.0,))
-        assert _particular_radius(CH_S, pot, -9.0) == 1e-3
-        # a hand-built term has no expansion: the source departs from the zero
-        # series at every radius, and the start falls to r_min
-        bare = KernelTerm(name="bare", profile=_BUMP.profile)
-        pot = PotentialModel(r0=1.0, kernel=(bare,), strengths=(-700.0,))
-        ch = ChannelParams(q=3, l=1)
-        assert _particular_radius(ch, pot, -50.0) == R_MIN_FRACTION
-        eq = effective_equation(ch, pot, EnergyValue(E=-50.0))
-        u, v, max_u = interior_state(eq)
-        ref = _superposed_from_zero(eq)
-        assert max(abs(u - ref[0]), abs(v - ref[1])) <= 1e-9 * ref[2]
-
-    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
-    def test_matches_the_start_from_rest_at_r_min(self, ch, pot):
-        # l <= 1: the start from (0, 0) at r_min is accurate here, and the
-        # series start leaves it three decades higher
-        for E in (-200.0, -3.0, 2.0):
-            assert all(_particular_radius(ch, pot, E, i) == 1e-3 for i in range(pot.rank))
-            eq = effective_equation(ch, pot, EnergyValue(E=E))
-            u, v, max_u = interior_state(eq)
-            ref = _superposed_from_zero(eq)
-            assert max(abs(u - ref[0]), abs(v - ref[1])) <= 1e-9 * ref[2]
+class TestKernelPoint:
+    """A kernel point from two local solves and variation of parameters (:func:`_kernel_point`)."""
 
     def test_high_partial_wave_is_tolerance_stable(self):
-        # q = 3, l = 5: from (0, 0) at r_min each particular solve carried
-        # about r_min^(2 - l) y_h, which the superposition cancelled to 28 % in
-        # A = y'/y between tol 1e-10 and 1e-12, at det(Id - mu C M) = 5.9e12
+        # q = 3, l = 5: particular solves from (0, 0) at r_min carried about
+        # r_min^(2 - l) y_h, which the superposition cancelled to 28 % in A =
+        # y'/y between tol 1e-10 and 1e-12, at det(Id - mu C M) = 5.9e12.  The
+        # full-grid solution keeps its shape as well, on every node down to r_min
         ch = ChannelParams(q=3, l=5)
         pot = PotentialModel(r0=1.0, kernel=(_BUMP,), strengths=(-3000.0,))
         eq = effective_equation(ch, pot, EnergyValue(E=2.0))
         A = [complex(v / u).real for u, v, _ in (interior_state(eq, tol) for tol in (1e-10, 1e-12))]
         assert abs(A[0] - A[1]) <= 1e-9 * abs(A[1])
-        det = solve_nonlocal(eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES)).kernel_data.det
-        assert 1.0 < det < 100.0
+        grid = make_grid(1.0, r_max=1.0)
+        shape = [sol.y / sol.y[-1] for sol in (solve_nonlocal(eq, grid, tol)
+                                               for tol in (1e-10, 1e-12))]
+        assert np.max(np.abs(shape[0] - shape[1])) <= 1e-9 * np.max(np.abs(shape[1]))
 
-    def test_start_error_along_y_h_leaves_the_superposition_as_it_is(self):
-        # y_j -> y_j + a_j y_h scales det(B) and beta alike (Sherman-Morrison),
-        # and leaves the outward G = m_h c^T - M_p as it is
-        ch, pot = KERNEL_MODELS[1]   # rank 2
-        E = -40.0
-        eq = effective_equation(ch, pot, EnergyValue(E=E))
-        ys, dys, m = _superposition_solves(
-            eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10)
-        a = np.array([0.7, -1.3]) * np.abs(ys[-1, 0, 1:]) / abs(ys[-1, 0, 0])
-        shifted = tuple(x.copy() for x in (ys, dys, m))
-        for x in shifted:
-            x[..., 1:] += a * x[..., :1]
-        ref, moved = (_couple(s[2], s[0], s[1], eq.coupling, eq.mu)
-                      for s in ((ys, dys, m), shifted))
-        for x, y in zip(ref[:2], moved[:2]):
-            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
-        h = _exterior_logderiv(ch.lam, E, 1.0)
-        G_ref, G = (_outward_green(*s, h) for s in ((ys, dys, m), shifted))
-        assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+    @pytest.mark.parametrize("ch, pot", [
+        KERNEL_MODELS[1],
+        (ChannelParams(q=3, l=4), PotentialModel(r0=1.0, kernel=(_BUMP,), strengths=(-2e4,))),
+    ], ids=["rank2", "l4"])
+    def test_a_multiple_of_y_reg_in_the_particular_solutions_leaves_the_state(self, ch, pot):
+        # p_j -> p_j - (c_j / W) y_reg, that is R_j -> R_j - c_j and M -> M -
+        # m_h c^T / W, scales det(Id - mu C M) and N alike (Sherman-Morrison),
+        # so det y stays as it is: the origin series' normalization
+        # (_volterra_moments) changes nothing in it, and where int_0^r S_j y_2
+        # diverges (l >= a + 2: the l = 4 bump) nothing depends on that sum
+        for E in (-40.0, 2.0):
+            eq = effective_equation(ch, pot, EnergyValue(E=E))
+            part = _kernel_point(eq.coefficient, eq.lam, eq.channel.q, E, eq.origin_w, pot,
+                                 eq.sources, eq.mu, 1e-10)
+            c = np.array([0.7, -1.3])[:pot.rank] * np.abs(part.Q0[0])
+            moved = part._replace(R=part.R - c,
+                                  M=part.M - part.P[-1][:, :, None] * c / part.W[:, None, None])
+            ref, new = (_scaled(x, *_couple(x.M, x.P[-1], eq.coupling, eq.mu)[::2])
+                        for x in (part, moved))
+            for a, b in zip(ref, new):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
-def _outward_green(ys, dys, m, h):
-    """G = m_h c^T - M_p of one point's outward superposition, c_j = D_j / D_h.
+def _outward_green(part, h):
+    """G = m_h c^T - M of the particular solutions of :func:`_kernel_point`, c_j = D_j / D_h.
 
-    D_l = y_l'(r0) - h y_l(r0) of the homogeneous (l = 0) and particular
-    solves: the resolvent takes S_j to c_j y_h - y_j, which decays.
+    D = y'(r0) - h y(r0) of y_reg (D_h) and of each p_j = (y_2 P_j + y_reg
+    R_j) / W (D_j): the resolvent takes S_j to c_j y_reg - p_j, which decays.
     """
-    D = (dys[-1, 0] - h * ys[-1, 0]).real
-    return m[0, :, :1].real * (D[1:] / D[0]) - m[0, :, 1:].real
+    P, R, W = part.P[-1, 0], part.R[-1, 0], part.W[0]
+    y, dy, y2, dy2 = (x[-1, 0] for x in (part.y, part.dy, part.y2, part.dy2))
+    D = ((dy2 - h * y2) * P + (dy - h * y) * R) / W
+    return np.outer(P, D / (dy - h * y)) - part.M[0]
 
 
 class TestKernelGreen:
     @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
     def test_equals_the_outward_green_function(self, ch, pot):
-        # where the kernel is weak enough for the outward superposition to
-        # keep its conditioning, the two routes agree; G is symmetric by
+        # where the kernel is weak enough for the outward particular solutions
+        # to keep their conditioning, the two routes agree; G is symmetric by
         # construction, G = -(X + X^T) / W
         for E in (-60.0, -8.0, -0.5):
             eq = effective_equation(ch, pot, EnergyValue(E=E))
             h = _exterior_logderiv(ch.lam, E, 1.0)
-            ref = _outward_green(*_superposition_solves(
-                eq, make_grid(1.0, r_max=1.0, n_interior=MOMENT_NODES), 1e-10), h)
+            ref = _outward_green(_kernel_point(eq.coefficient, eq.lam, ch.q, E, eq.origin_w,
+                                               pot, eq.sources, eq.mu, 1e-10), h)
             N, W, u, v = kernel_green(eq, h)
             G = N / W
             assert np.array_equal(G, G.T)
@@ -1332,16 +1249,16 @@ class TestKernelGreen:
                              strengths=(-1.0, -1.0))
         k = math.sqrt(1e6 + 3000.0)
         for E, widest in ((-1.0, 0.01), (-1e6, GREEN_PHASE / GREEN_PANELS / k)):
-            edges = _green_edges(effective_equation(CH_S, pot, EnergyValue(E=E)))
+            edges = _green_edges(pot, E, 1.0)
             assert edges[0] == 0.0 and edges[-1] == 1.0
             assert np.max(np.diff(edges)) <= widest * (1 + 1e-12)
         weak = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-1.0,))
-        edges = _green_edges(effective_equation(CH_S, weak, EnergyValue(E=-1.0)))
+        edges = _green_edges(weak, -1.0, 1.0)
         assert len(edges) == GREEN_PANELS + 1
         # a width the rule cannot resolve takes the largest layout; a width of
         # 1e-300 asked numpy for a 1e300-point linspace
         for term in (gaussian_bump(0.5, 1e-300), poly_bump(1e300, 1e300, 1.0)):
             pot = PotentialModel(r0=1.0, kernel=(term,), strengths=(-1.0,))
-            edges = _green_edges(effective_equation(CH_S, pot, EnergyValue(E=-1.0)))
+            edges = _green_edges(pot, -1.0, 1.0)
             assert len(edges) == GREEN_MAX_PANELS + 1
 

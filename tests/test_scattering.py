@@ -16,7 +16,7 @@ from qws.scattering import (MU_REFINE_FLOOR, MU_STEPS_DEFAULT, hermiticity_resid
                             wronskian_pair_jost, wronskian_pair_phi)
 from qws import scattering, specfun
 
-from oracles import circ_dist, swave_well_eta
+from oracles import circ_dist, kernel_phase, swave_well_eta
 
 CH_S = ChannelParams(q=3, l=0)
 WELL = PotentialModel(r0=1.0, local=square_well(4.0))
@@ -150,10 +150,14 @@ class TestPhaseShift:
         (CH_S, WELL, 2),
         (ChannelParams(q=3, l=1),
          PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)), 3),
-    ], ids=["square-well", "rank1-kernel"])
+        (ChannelParams(q=4, l=0),
+         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
+                        strengths=(-500.0, -400.0)), 3),
+    ], ids=["square-well", "rank1-kernel", "rank2-kernel"])
     def test_fit_reuses_the_interior_solve(self, monkeypatch, ch, pot, integrations):
         # the fit continues the (y, y') the matching took at mu: one interior
-        # solve (a superposition for the kernel) and one exterior integration
+        # solve (for a kernel of any rank, y_reg outward and y_2 inward) and
+        # one exterior integration
         import qws.radial_ode as ro
         calls = []
         integrate = ro._integrate
@@ -176,19 +180,20 @@ class TestPhaseShift:
     ])
     def test_pure_kernel_walk_from_one_superposition(self, monkeypatch, k, eta_ref,
                                                     events_ref):
-        # the corpus rank-1 kernel; references from the walk that made a full
-        # superposition at every mu sample and bisected its events
+        # the corpus rank-1 kernel; references from the walk that solved the
+        # kernel afresh at every mu sample and bisected its events.  One pair
+        # of local solves (one _kernel_point) serves every coupling of the walk
         import qws.radial_ode as ro
         ch = ChannelParams(q=3, l=1)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
         made = []
-        solves = ro._superposition_solves
+        solves = ro._kernel_point
 
-        def counted(*args):
-            made.append(args[0].energy.E)
-            return solves(*args)
+        def counted(qfun, lam, q, E, *args, **kwargs):
+            made.append(E)
+            return solves(qfun, lam, q, E, *args, **kwargs)
 
-        monkeypatch.setattr(ro, "_superposition_solves", counted)
+        monkeypatch.setattr(ro, "_kernel_point", counted)
         res = phase_shift(ch, pot, k, with_fit=False)
         assert abs(res.eta - eta_ref) <= 1e-8
         assert [d for _, d in res.events] == [d for _, d in events_ref]
@@ -655,10 +660,10 @@ class TestKernelWalkLanes:
         couple = ro._couple
         dets = []
 
-        def resonant_at_half(m, ys, dys, coupling, mu):
-            m = m.copy()
-            m[:, 0, 1] = 1.0 / (mu_h * coupling[0, 0])
-            out = couple(m, ys, dys, coupling, mu)
+        def resonant_at_half(M, m_h, coupling, mu):
+            M = M.copy()
+            M[:, 0, 0] = 1.0 / (mu_h * coupling[0, 0])
+            out = couple(M, m_h, coupling, mu)
             dets.append(out[-1])
             return out
 
@@ -720,3 +725,27 @@ class TestLowK:
     def test_range_guard(self):
         with pytest.raises(QwsError):
             low_k_phase_asymptotic(CH_S, 1.0, 0.5, 1.0)
+
+
+# (channel, [(center, width, strength)], square-well depth): the corpus
+# rank-1 p-wave bump, the benchmark's rank-2 pair and the well + kernel
+KERNEL_PHASE_MODELS = [
+    (ChannelParams(q=3, l=1), [(0.5, 0.15, -700.0)], 0.0),
+    (ChannelParams(q=4, l=0), [(0.35, 0.12, -500.0), (0.7, 0.12, -400.0)], 0.0),
+    (CH_S, [(0.5, 0.15, -120.0)], 3.0),
+]
+
+
+@pytest.mark.parametrize("k", [0.5, 1.3, 3.0])
+@pytest.mark.parametrize("ch, bumps, depth", KERNEL_PHASE_MODELS,
+                         ids=["rank1", "rank2", "well+kernel"])
+def test_principal_kernel_phase_matches_the_closed_form_oracle(ch, bumps, depth, k):
+    # an independent reference: the closed-form Bessel pair and the
+    # variation-of-parameters particular solutions on its own quadrature
+    pot = PotentialModel(r0=1.0, local=square_well(depth) if depth else None,
+                         kernel=tuple(gaussian_bump(c, w) for c, w, _ in bumps),
+                         strengths=tuple(s for _, _, s in bumps))
+    profiles = [lambda r, c=c, w=w: np.exp(-((r - c) / w) ** 2) for c, w, _ in bumps]
+    ref = kernel_phase(ch.lam, ch.q, 1.0, profiles, pot.coupling_matrix(), k, depth=depth)
+    eta = phase_shift(ch, pot, k, mu_steps=None, with_fit=False).eta
+    assert circ_dist(eta, ref) <= 1e-9

@@ -679,7 +679,7 @@ class TestLevinson:
             return green(*args, **kwargs)
 
         monkeypatch.setattr(sp, "refine_root", unused)
-        monkeypatch.setattr(ro, "_superposition_lanes", unused)
+        monkeypatch.setattr(ro, "interior_lanes", unused)
         monkeypatch.setattr(sp, "kernel_green", counted)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
         rep = levinson_verify(ChannelParams(q=3, l=1), pot, tol=1e-9)
@@ -832,13 +832,13 @@ class TestLaneScans:
                              strengths=strengths)
         grid = np.linspace(0.0, 1.0, 17)
         made = []
-        solves = ro._superposition_solves
+        solves = ro._kernel_point
 
-        def counted(*args):
-            made.append(args[0].energy.E)
-            return solves(*args)
+        def counted(qfun, lam, q, E, *args, **kwargs):
+            made.append(E)
+            return solves(qfun, lam, q, E, *args, **kwargs)
 
-        monkeypatch.setattr(ro, "_superposition_solves", counted)
+        monkeypatch.setattr(ro, "_kernel_point", counted)
         fast = continuation_count(ch, pot, mu_grid=grid)
         assert len(made) == 1      # grid and walk refinement alike
 
@@ -864,10 +864,10 @@ class TestLaneScans:
         mu_star = 1.0
         dets = []
 
-        def resonant(m, ys, dys, coupling, mu):
-            m = m.copy()
-            m[:, 0, 1] = 1.0 / (mu_star * coupling[0, 0])
-            out = couple(m, ys, dys, coupling, mu)
+        def resonant(M, m_h, coupling, mu):
+            M = M.copy()
+            M[:, 0, 0] = 1.0 / (mu_star * coupling[0, 0])
+            out = couple(M, m_h, coupling, mu)
             dets.append(out[-1])
             return out
 
