@@ -170,6 +170,23 @@ def radial_coefficient(lam, E, mu=0.0,
     return coefficient
 
 
+def kernel_sources(channel: ChannelParams, potential: PotentialModel) -> tuple:
+    """The sources S_i(r) = g_i(r) r^{(q-1)/2} of the kernel terms, in order.
+
+    Zero only beyond r0: at r0 a source takes its interior limit, as Q does.
+    """
+    w = (channel.q - 1) / 2  # weight exponent carried by the kernel sources
+    sources = []
+    for term in potential.kernel:
+        def src(r, _g=term.profile, _w=w, _r0=potential.r0):
+            if r > _r0:
+                return 0.0
+            return _g(r) * r ** _w
+
+        sources.append(src)
+    return tuple(sources)
+
+
 def effective_equation(channel: ChannelParams, potential: PotentialModel,
                        energy: EnergyValue) -> EffectiveEquation:
     """Assemble the reduced radial equation for one (channel, potential, energy).
@@ -180,21 +197,6 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
     """
     lam = channel.lam
     mu = potential.mu
-    w = (channel.q - 1) / 2  # weight exponent carried by the kernel sources
-    sources = []
-    for term in potential.kernel:
-        g = term.profile
-        r0 = potential.r0
-
-        # zero only beyond r0: at r0 the source takes its interior limit, as Q
-        # does, so a quadrature node on r0 sees the interior value
-        def src(r, _g=g, _w=w, _r0=r0):
-            if r > _r0:
-                return 0.0
-            return _g(r) * r ** _w
-
-        sources.append(src)
-
     coupling = potential.coupling_matrix() if potential.rank else None
     vm1, v0, v1 = potential.origin_coefficients()
     origin_w = (mu * vm1, mu * v0, mu * v1)
@@ -203,7 +205,7 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         channel=channel, potential=potential, energy=energy,
         lam=lam, mu=mu, r0=potential.r0,
         coefficient=radial_coefficient(lam, energy.E, mu, potential),
-        sources=tuple(sources),
+        sources=kernel_sources(channel, potential),
         coupling=coupling, origin_w=origin_w,
     )
     if eq.kernel_acts:
@@ -212,5 +214,3 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
         if isinstance(channel.q, complex) and channel.q.imag != 0:
             raise QwsError("complex q with a kernel: weight r^{(q-1)/2} is multivalued")
     return eq
-
-

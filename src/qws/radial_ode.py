@@ -28,16 +28,15 @@ the (E, mu) points of :func:`interior_lanes`.  No solve steps across the
 cutoff: Q(r0) is the interior value, and a full grid continues from r0
 through :func:`free_exterior`.
 
-A rank-n kernel takes two local solves at any real energy and no
-particular solve (:func:`_kernel_point`): y_reg outward and a second
-solution y_2 inward from r0, each in the direction in which it grows, on a
-composite Gauss-Legendre rule that resolves the profiles and the
-solutions (:func:`_green_edges`).  Variation of parameters gives the
-particular solutions, the rule their moments, and Cramer's rule the
-cutoff state scaled by det(Id - mu C M) (:func:`_couple`), finite at a
-kernel resonance; :func:`solve_nonlocal` alone divides it out.
-:func:`kernel_green` takes the same two solves, the second one decaying
-from r0, for the Green matrix of the level count.
+Every kernel datum at an energy comes from one kernel point
+(:func:`_kernel_point`): two local solves and no particular solve, y_reg
+outward and y_2 inward from r0, each in the direction in which it grows,
+on a composite Gauss-Legendre rule that resolves the profiles and the
+solutions (:func:`_green_edges`).  For a state y_2 starts from (-y_reg',
+y_reg): variation of parameters gives the particular solutions, the rule
+their moments, and Cramer's rule the cutoff state scaled by det(Id - mu C
+M) (:func:`_couple`), finite at a kernel resonance; :func:`solve_nonlocal`
+alone divides it out.  For the level count y_2 decays from (1, h).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 from .errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                      RegularityError, StiffnessError)
 from .model import (ChannelParams, EffectiveEquation, EnergyValue,
-                    effective_equation, radial_coefficient)
+                    effective_equation, kernel_sources, radial_coefficient)
 from .potentials import PotentialModel
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage
@@ -850,14 +849,6 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
                           channel=eq.channel, energy=energy, mu=eq.mu)
 
 
-def _real_point(eq: EffectiveEquation) -> Tuple[float, float]:
-    """(lam, E) of a kernel equation as floats; a complex lam or E raises QwsError."""
-    lam, E = complex(eq.lam), complex(eq.energy.E)
-    if lam.imag or E.imag:
-        raise QwsError("a non-local solve requires real lambda and energy")
-    return lam.real, E.real
-
-
 def _couple(M: np.ndarray, m_h: np.ndarray, coupling: np.ndarray, mu):
     """(N, B, det) of (Id - mu C M) beta = mu C m_h at each point, by Cramer's rule.
 
@@ -1001,35 +992,16 @@ def _running(f: np.ndarray, edges: np.ndarray, at: Optional[np.ndarray] = None,
     return F.reshape((-1,) + f.shape[1:])
 
 
-def _local_pair(qfun: Callable, lam, E, origin_w, potential: PotentialModel, nodes: np.ndarray,
-                start: Callable, tol: float, return_winding: bool = False):
-    """Two local solutions on ``nodes``, each integrated in the direction in which it grows.
-
-    y_reg goes outward from its origin series (:func:`_from_origin`), y_2
-    inward from (y_2, y_2')(r0) = start(y_reg(r0), y_reg'(r0)); ``nodes``
-    ascend inside (0, r0).  Returns (y_reg, y_reg', y_2, y_2') on ``nodes``
-    and r0 (last), real, as (node, point), and y_reg's winding count if asked.
-    """
-    r0 = potential.r0
-    record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * nodes[0])], nodes, [r0]))
-    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_w, record, r0, tol,
-                                     return_winding=return_winding,
-                                     knots=_knots(potential, record))
-    inward = np.concatenate(([r0], nodes[::-1]))
-    ys, dys, _ = _integrate(qfun, r0, *start(us[-1].real, vs[-1].real), inward, tol,
-                            knots=_knots(potential, inward))
-    out = (us[1:], vs[1:], ys[::-1], dys[::-1])
-    return (*(x.real.reshape(len(x), -1) for x in out), *turns)
-
-
 def _sources(sources, at: np.ndarray) -> np.ndarray:
     """The kernel sources S_i at the radii ``at``, as (node, 1, i)."""
     return np.array([[src(r) for src in sources] for r in at.tolist()])[:, None, :]
 
 
-def _cross(s: np.ndarray, y: np.ndarray, F: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X_ij = int S_i y F_j by the rule's weights w, for each point: (point, i, j)."""
-    return np.einsum("xpi,xpj->pij", s * (w[:, None] * y)[..., None], F)
+def source_norms(channel: ChannelParams, potential: PotentialModel) -> np.ndarray:
+    """The norms |S_i| = (int_0^r0 S_i^2)^(1/2), on the rule of a kernel point at E = 0."""
+    at, w = _rule(_green_edges(potential, 0.0, potential.mu))
+    s = _sources(kernel_sources(channel, potential), at)[:, 0]
+    return np.sqrt(w @ (s * s))
 
 
 class _KernelPoint(NamedTuple):
@@ -1037,42 +1009,59 @@ class _KernelPoint(NamedTuple):
 
     y, dy, y2, dy2: y_reg, y_2 and their derivatives (sample, point); P =
     int_0^r S_j y_reg and R = int_r^r0 S_j y_2 (sample, point, j); W
-    (point,); the moments M = m_i[p_j] (point, i, j); Q0 = int_0^r0 S_j y_2
-    on the uniform rule (point, j).
+    (point,); WG = W G = -(X + X^T) (point, i, j); Q0 = int_0^r0 S_j y_2 on
+    the uniform rule (point, j); turns: y_reg's winding count, if asked.
+    The level count's point holds r0 alone, and no P, R or Q0.
     """
 
     y: np.ndarray
     dy: np.ndarray
     y2: np.ndarray
     dy2: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
+    P: Optional[np.ndarray]
+    R: Optional[np.ndarray]
     W: np.ndarray
-    M: np.ndarray
-    Q0: np.ndarray
+    WG: np.ndarray
+    Q0: Optional[np.ndarray]
+    turns: Optional[int] = None
+
+    @property
+    def M(self) -> np.ndarray:
+        """The moments M = m_i[p_j] = -G of the particular solutions (point, i, j)."""
+        return -self.WG / self.W[:, None, None]
 
 
-def _kernel_point(qfun: Callable, lam, q, E, origin_w, potential: PotentialModel, sources, mu,
-                  tol: float, samples: Optional[np.ndarray] = None) -> _KernelPoint:
-    """The regular and the n particular solutions of a kernel point from two local solves.
+def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: PotentialModel,
+                  E, mu, tol: float, samples: Optional[np.ndarray] = None,
+                  h: Optional[float] = None, return_winding: bool = False) -> _KernelPoint:
+    """The Green matrix and the state's parts at a kernel point, from two local solves.
 
-    y_reg goes outward and y_2 inward from (-y_reg', y_reg) at r0, so that
-    W = y_reg(r0)^2 + y_reg'(r0)^2 > 0 at any real E (:func:`_local_pair`),
-    on the rule of :func:`_green_edges`, :func:`_graded` down to the first
-    of ``samples`` (ascending radii inside (0, r0)) if any.  Variation of
-    parameters gives the particular solutions of y'' + Q y = S_j,
-
-        p_j = (y_2 P_j + y_reg R_j) / W,  P_j = int_0^r S_j y_reg,  R_j = int_r^r0 S_j y_2,
-
-    and, with X_ij = int S_i y_2 P_j and parts, their moments M = (X +
-    X^T) / W: no integral of y_2 S starts at the origin, where it diverges
-    for l >= a + 2 (S ~ r^(a + (q - 1)/2)).  P takes the power r^(lam +
-    q/2) of y_reg S exactly on the first panel, where y_2 is largest.  The
-    samples get P and R from their panels' interpolants; without samples
-    the state comes at the rule's nodes beyond the first panel.  E and
-    origin_w are scalars, or arrays of float64 lanes, and mu the coupling
-    or the lanes' couplings, which with E set the rule.
+    y_reg goes outward from its series (:func:`_from_origin`) and y_2 inward
+    from r0, each in the direction in which it grows, on the rule of
+    :func:`_green_edges`, :func:`_graded` down to the first of ``samples``
+    (ascending radii inside (0, r0)) if any.  With P_j = int_0^r S_j y_reg
+    (the power r^(lam + q/2) exact on the first panel) and X_ij = int S_i
+    y_2 P_j, the half r' < r of the double integral of the Green function
+    -y_reg(r<) y_2(r>) / W, W G = -(X + X^T): bounded, so nothing cancels
+    however strong the kernel, and regular where W vanishes.  A state (``h``
+    None) starts y_2 from (-y_reg', y_reg), so that W = y_reg^2 + y_reg'^2
+    > 0 at r0 at any real E, and gets the particular solutions of y'' + Q y
+    = S_j, p_j = (y_2 P_j + y_reg R_j) / W with R_j = int_r^r0 S_j y_2, and
+    their moments M = -G: no integral of y_2 S starts at the origin, where
+    it diverges for l >= a + 2.  The samples get P and R from their panels'
+    interpolants; without samples the state comes at the rule's nodes beyond
+    the first panel.  The level count passes h = h(E), the decaying
+    exterior's log-derivative: y_2 starts from (1, h), W = y_reg h - y_reg',
+    and the point holds r0 alone, W G, W and, with ``return_winding``,
+    y_reg's winding count: what the count reads.  E and mu are scalars, or
+    arrays of float64 lanes (``potential.mu`` is not read), with Q(r) =
+    ``qfun`` and S_i(r) = ``sources``: an equation's ``coefficient`` and
+    ``sources``.  A complex lambda, q or E raises QwsError.
     """
+    lam = channel.lam
+    if isinstance(lam, complex) or np.iscomplex(channel.q) or np.any(np.iscomplex(E)):
+        raise QwsError("a non-local solve requires real lambda, q and energy")
+    E = np.real(E)
     uniform = _green_edges(potential, E, mu)
     edges = uniform if samples is None else _graded(uniform, float(samples[0]))
     at, w = _rule(edges)
@@ -1080,17 +1069,30 @@ def _kernel_point(qfun: Callable, lam, q, E, origin_w, potential: PotentialModel
     if samples is not None:
         at_u, w_u = _rule(uniform)
         nodes = np.union1d(np.union1d(at, at_u), samples)
-    y, dy, y2, dy2 = _local_pair(qfun, lam, E, origin_w, potential, nodes,
-                                 lambda u, v: (-v, u), tol)
+    r0 = potential.r0
+    record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * nodes[0])], nodes, [r0]))
+    origin_w = tuple(mu * c for c in potential.origin_coefficients())
+    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_w, record, r0, tol,
+                                     return_winding=return_winding,
+                                     knots=_knots(potential, record))
+    u, v = us[-1].real, vs[-1].real
+    inward = np.concatenate(([r0], nodes[::-1]))
+    ys, dys, _ = _integrate(qfun, r0, *((-v, u) if h is None else (1.0, h)), inward, tol,
+                            knots=_knots(potential, inward))
+    y, dy, y2, dy2 = (x.real.reshape(len(x), -1) for x in (us[1:], vs[1:], ys[::-1], dys[::-1]))
 
     def on(radii):   # the rows of the solutions at ``radii``
         return slice(None, -1) if samples is None else np.searchsorted(nodes, radii)
 
     s = _sources(sources, at)
-    f, f2 = s * y[on(at), :, None], s * y2[on(at), :, None]
-    P = _running(f, edges, power=lam + 0.5 * q)
+    f = s * y[on(at), :, None]
+    P = _running(f, edges, power=lam + 0.5 * channel.q)
     W = y[-1] * dy2[-1] - dy[-1] * y2[-1]
-    X = _cross(s, y2[on(at)], P, w)
+    X = np.einsum("xpi,xpj->pij", s * (w[:, None] * y2[on(at)])[..., None], P)
+    WG = -(X + X.swapaxes(-1, -2))
+    if h is not None:
+        return _KernelPoint(y[-1:], dy[-1:], y2[-1:], dy2[-1:], None, None, W, WG, None, *turns)
+    f2 = s * y2[on(at), :, None]
     m_h = np.tensordot(w, f, axes=1)
     if samples is None:
         Q0 = np.tensordot(w, f2, axes=1)
@@ -1102,8 +1104,7 @@ def _kernel_point(qfun: Callable, lam, q, E, origin_w, potential: PotentialModel
         P, R = _running(f, edges, samples), _running(f2, edges, samples, reverse=True)
     rows = np.append(kept, -1)
     return _KernelPoint(y[rows], dy[rows], y2[rows], dy2[rows], np.concatenate((P, m_h[None])),
-                        np.concatenate((R, 0.0 * m_h[None])), W,
-                        (X + X.swapaxes(-1, -2)) / W[:, None, None], Q0)
+                        np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0)
 
 
 def _volterra_moments(part: _KernelPoint) -> np.ndarray:
@@ -1154,12 +1155,11 @@ def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) 
     """
     if not eq.kernel_acts:
         return integrate_regular(eq, grid, tol)
-    lam, E = _real_point(eq)
     i0 = grid.i_cutoff
     nodes = grid.interior_nodes[:i0]
     low = int(np.searchsorted(nodes, R_MIN_FRACTION * eq.r0, side="right"))
-    part = _kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w, eq.potential,
-                         eq.sources, eq.mu, tol, samples=nodes[low:])
+    part = _kernel_point(eq.coefficient, eq.sources, eq.channel, eq.potential, eq.energy.E,
+                         eq.mu, tol, samples=nodes[low:])
     y_int, dy_int = _scaled(part, *_couple(part.M, part.P[-1], eq.coupling, eq.mu)[::2])
     M = _volterra_moments(part)
     N, B, det = _couple(M, part.P[-1], eq.coupling, eq.mu)
@@ -1172,42 +1172,13 @@ def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) 
                            det=float(abs(det)))
     y = np.empty(len(grid.nodes), dtype=complex)
     dy = np.empty(len(grid.nodes), dtype=complex)
-    y[:low], dy[:low] = frobenius_start(lam, E, eq.origin_w, nodes[:low])
+    y[:low], dy[:low] = frobenius_start(eq.lam, eq.energy.E.real, eq.origin_w, nodes[:low])
     y[low: i0 + 1] = y_int[:, 0] / det
     dy[low: i0 + 1] = dy_int[:, 0] / det
     y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
                           kernel_data=data)
-
-
-def kernel_green(eq: EffectiveEquation, h: float, tol: float = 1e-10,
-                 return_winding: bool = False):
-    """(N, W, y(r0), y'(r0)): the kernel's Green matrix G = N / W from two local solves.
-
-    G_ij = <S_i, (H_loc - E)^-1 S_j> at the real energy E < 0 of ``eq``,
-    H_loc = -d^2/dr^2 - Q the local part, h = h(E) the decaying exterior's
-    log-derivative at r0.  The Green function of H_loc - E is -y_reg(r<)
-    y_dec(r>) / W, from the solves of :func:`_local_pair` on the rule of
-    :func:`_green_edges`: y_dec inward from (1, h), W = y_reg h - y_reg' at
-    r0.  With P and X as in :func:`_kernel_point`, X is the half r' < r of
-    the double integral and X^T the half r' > r, so G = -(X + X^T) / W: the
-    product y_reg(r<) y_dec(r>) is bounded, so nothing cancels, however
-    strong the kernel.  Returns N = -(X + X^T) (regular where W vanishes,
-    at the levels of H_loc) and W on y_reg's scale, y_reg's (y, y') at r0
-    and, with ``return_winding``, its Prufer winding count.  The level
-    count is its one caller.
-    """
-    edges = _green_edges(eq.potential, eq.energy.E, eq.mu)
-    at, w = _rule(edges)
-    y, dy, y_dec, _, *turns = _local_pair(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                          eq.potential, at, lambda u, v: (1.0, h), tol,
-                                          return_winding)
-    s = _sources(eq.sources, at)
-    P = _running(s * y[:-1, :, None], edges, power=eq.lam + 0.5 * eq.channel.q)
-    X = _cross(s, y_dec[:-1], P, w)[0]
-    u, v = y[-1, 0], dy[-1, 0]
-    return (-(X + X.T), u * h - v, u, v, *turns)
 
 
 def free_exterior(eq: EffectiveEquation, y0: complex, dy0: complex,
@@ -1238,10 +1209,8 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     if eq.kernel_acts:
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
-        lam, E = _real_point(eq)
-        y, dy, max_y = _cutoff(_kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w,
-                                             eq.potential, eq.sources, eq.mu, tol),
-                               eq.coupling, eq.mu)
+        y, dy, max_y = _cutoff(_kernel_point(eq.coefficient, eq.sources, eq.channel, eq.potential,
+                                             eq.energy.E, eq.mu, tol), eq.coupling, eq.mu)
         return complex(y[0]), complex(dy[0]), float(max_y[0])
     record = [R_MIN_FRACTION * eq.r0, eq.r0]
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
@@ -1292,10 +1261,8 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
                                      knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
-    sources = effective_equation(channel, potential, EnergyValue(E=0.0)).sources
-    part = _kernel_point(radial_coefficient(lam, E, mu, potential), lam, channel.q, E,
-                         tuple(mu * w for w in potential.origin_coefficients()), potential,
-                         sources, mu, tol)
+    part = _kernel_point(radial_coefficient(lam, E, mu, potential),
+                         kernel_sources(channel, potential), channel, potential, E, mu, tol)
     return tuple(x.reshape(shape) for x in _cutoff(part, potential.coupling_matrix(), mu))
 
 
@@ -1321,9 +1288,7 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
 
         return at
     eq = effective_equation(channel, potential, EnergyValue(E=E))
-    lam, E = _real_point(eq)
-    part = _kernel_point(eq.coefficient, lam, eq.channel.q, E, eq.origin_w, potential,
-                         eq.sources, eq.mu, tol)
+    part = _kernel_point(eq.coefficient, eq.sources, channel, potential, E, eq.mu, tol)
 
     def at(mu):
         y, dy, max_y = _cutoff(part, eq.coupling, mu)

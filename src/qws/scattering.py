@@ -526,17 +526,20 @@ def _step_count(mu_steps) -> Optional[int]:
 
 
 def _coupling_states(channel: ChannelParams, potential: PotentialModel, k: float,
-                     tol: float):
-    """(pair, g0, state) of the phase at wavenumber k, for every coupling.
+                     mu: float, tol: float):
+    """(pair, g0, state) of the phase at wavenumber k, for every coupling up to ``mu``.
 
     ``pair`` and ``g0`` are those of :func:`_matching_map`, g0 None where a
     kernel acts; ``state(mu)`` gives (y, y', max|y|) at r0, with the Prufer
     winding count for a local model, and for a kernel as
     :func:`~qws.radial_ode.interior_in_mu` does (scaled, lanes for arrays).
+    A non-finite k or ``mu`` raises QwsError before any solve.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
         raise QwsError("phase shift needs finite k > 0")
+    if not math.isfinite(mu):
+        raise QwsError("coupling scale mu must be finite")
     energy = EnergyValue.from_k(k)
     pair, g0 = _matching_map(lam, k, potential.r0)
     if potential.kernel_acts:
@@ -589,7 +592,7 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     ``events`` carries.  :func:`phase_events` gives the events of any model.
     """
     mu_steps = _step_count(mu_steps)
-    pair, g0, state = _coupling_states(channel, potential, k, tol)
+    pair, g0, state = _coupling_states(channel, potential, k, mu, tol)
     at_mu = state(float(mu))
     theta, tan_eta, A = _theta(pair, at_mu, g0)
     eta_raw = _principal(theta)
@@ -626,7 +629,7 @@ def phase_events(channel: ChannelParams, potential: PotentialModel, k: float,
     (no continuation) and mu = 0 give ().
     """
     mu_steps = _step_count(mu_steps)
-    pair, g0, state = _coupling_states(channel, potential, k, tol)
+    pair, g0, state = _coupling_states(channel, potential, k, mu, tol)
     if mu == 0.0 or mu_steps is None:
         return ()
     return _walk_to(pair, g0, state, state(float(mu)), float(mu), mu_steps, potential)[1]

@@ -14,9 +14,10 @@ the local part and h(E) the decaying-exterior log-derivative (the
 eigenvalue index of SLEDGE and MATSLISE), and a kernel adds n_+(K^-1 +
 G(E)) - n_+(K) (Haynsworth's inertia additivity, K = mu C).  G_ij = <S_i,
 (H_loc - E)^-1 S_j> comes from two local solves, each in the direction in
-which it grows (:func:`~qws.radial_ode.kernel_green`), so it does not
-cancel however strong the kernel.  The count at the ends of the energy
-range is all :func:`levinson_verify` takes.  :func:`find_bound_states`
+which it grows (the kernel point of :func:`~qws.radial_ode._kernel_point`
+with y_2 started from (1, h)), so it does not cancel however strong the
+kernel.  The count at the ends of the energy range is all
+:func:`levinson_verify` takes.  :func:`find_bound_states`
 scans no energies: every level is bracketed by the count, and refined on F
 + j pi (a local level j) or on W det(Id + K G) (a kernel's level, W the
 Wronskian of the two solves: finite at the levels of H_loc, where G has a
@@ -48,9 +49,9 @@ from .errors import (AmbiguousCrossingError, InvalidDifferencingError,
                      NearThresholdResonanceError, NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (RadialSolution, _green_edges, _rule, _sources, cutoff_integral,
-                         interior_in_mu, interior_state, kernel_green, make_grid,
-                         node_at_cutoff, prufer_angle, solve_nonlocal)
+from .radial_ode import (RadialSolution, _kernel_point, cutoff_integral, interior_in_mu,
+                         interior_state, make_grid, node_at_cutoff, prufer_angle,
+                         solve_nonlocal, source_norms)
 from .roots import refine_root
 from .scattering import _phase_walk, phase_shift, real_lambda
 
@@ -136,24 +137,18 @@ def _exterior_k_integral(lam: float, z0: float, pair) -> float:
     return (z0 * z0 / 2.0) * (dk_s * dk_s - (1.0 + lam * lam / (z0 * z0)) * k_s * k_s)
 
 
-def _cutoff_match(channel, potential, E, mu, tol):
-    """(y, y', max|y|) at r0^- and the decaying-exterior log-derivative h(E)."""
-    lam = real_lambda(channel, "spectral pipeline")
-    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    u, v, max_u = interior_state(eq, tol)
-    return u, v, max_u, _exterior_logderiv(lam, E, potential.r0)
-
-
 def matching_mismatch(channel: ChannelParams, potential: PotentialModel,
                       E: float, mu: float, tol: float = 1e-10) -> float:
-    """Interior minus exterior log-derivative at r0 for E <= 0; zero iff bound state.
+    """Interior minus exterior log-derivative at r0 for finite E <= 0; zero iff bound state.
 
     When y(r0) vanishes (interior A has a pole) the mismatch is evaluated in
     the inverse chart 1/A instead, where the matching condition is regular.
     """
-    if E > 0:
-        raise QwsError("matching mismatch is defined for E <= 0")
-    u, v, max_u, h = _cutoff_match(channel, potential, E, mu, tol)
+    if not (math.isfinite(E) and E <= 0):
+        raise QwsError("matching mismatch is defined for finite E <= 0")
+    h = _exterior_logderiv(real_lambda(channel, "spectral pipeline"), E, potential.r0)
+    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+    u, v, max_u = interior_state(eq, tol)
     if node_at_cutoff(u, max_u):
         return float((u / v).real - 1.0 / h)  # inverse chart
     return float((v / u).real - h)
@@ -169,10 +164,7 @@ def default_energy_floor(channel: ChannelParams, potential: PotentialModel) -> f
     """
     bound = potential.max_local()
     if potential.kernel_acts:
-        at, w = _rule(_green_edges(potential, 0.0, potential.mu))
-        eq = effective_equation(channel, potential, EnergyValue(E=0.0))
-        s = _sources(eq.sources, at)[:, 0]
-        norms = np.sqrt(w @ (s * s))
+        norms = source_norms(channel, potential)
         bound += float(norms @ np.abs(potential.coupling_matrix()) @ norms)
     return -1.5 * abs(potential.mu) * bound - 1.0
 
@@ -194,12 +186,12 @@ def _level_count(channel, potential, E, mu, tol) -> Tuple[int, float]:
     G(E)) - n_+(K), G_ij = <S_i, (H_loc - E)^-1 S_j> on the range of K.
     N_loc = ceil(-F/pi) is the Sturm count of the local part alone, F =
     :func:`_prufer_mismatch` (0 in a pure kernel).  Where no kernel acts, g
-    = F and level j is the root of F + j pi.  Where one acts, G comes from
-    :func:`~qws.radial_ode.kernel_green` (one outward and one inward local
-    solve, whose outward one also gives F), and g = det(W Id + K N) /
-    (W^(n-1) |(y, y')(r0)|) with N = W G: that is W det(Id + K G) on a
-    positive scale, which vanishes exactly at the levels, and stays finite
-    and nonzero where W = 0, at the levels of H_loc, where G has a pole.
+    = F and level j is the root of F + j pi.  Where one acts, N = W G, W
+    and F come from the two local solves of one kernel point, y_2 from (1,
+    h) (:func:`~qws.radial_ode._kernel_point`), and g = det(W Id + K N) /
+    (W^(n-1) |(y, y')(r0)|): that is W det(Id + K G) on a positive scale,
+    which vanishes exactly at the levels, and stays finite and nonzero where
+    W = 0, at the levels of H_loc, where G has a pole.
     """
     if not (mu != 0 and potential.kernel_acts):
         F = _prufer_mismatch(channel, potential, E, mu, tol)
@@ -208,15 +200,17 @@ def _level_count(channel, potential, E, mu, tol) -> Tuple[int, float]:
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
     h = _exterior_logderiv(lam, E, potential.r0)
     local = potential.local is not None
-    N, W, u, v, *turns = kernel_green(eq, h, tol, return_winding=local)
+    point = _kernel_point(eq.coefficient, eq.sources, channel, eq.potential, E, eq.mu, tol, h=h,
+                          return_winding=local)
+    u, v = point.y[0, 0], point.dy[0, 0]
     scale = math.hypot(u, v)
-    N, W = N / scale, W / scale
+    N, W = point.WG[0] / scale, point.W[0] / scale
     K = mu * eq.coupling
     k, U = np.linalg.eigh(K)
     on = np.abs(k) > 1e-12 * np.max(np.abs(k))
     A = np.diag(1.0 / k[on]) + U[:, on].T @ (N / W) @ U[:, on]
     index = int(np.sum(np.linalg.eigvalsh(A) > 0)) - int(np.sum(k[on] > 0))
-    n_loc = math.ceil(-(prufer_angle(u, v, turns[0]) - math.atan(h)) / math.pi) if local else 0
+    n_loc = math.ceil(-(prufer_angle(u, v, point.turns) - math.atan(h)) / math.pi) if local else 0
     return n_loc + index, float(np.linalg.det(W * np.eye(eq.rank) + K @ N) / W ** (eq.rank - 1))
 
 
@@ -354,10 +348,13 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
     """Centered energy slopes of the cutoff log-derivatives plus their integral forms.
 
     Contract: interior slope < 0 and exterior slope > 0; each finite-difference
-    slope must agree with the corresponding norm-integral expression.
+    slope must agree with the corresponding norm-integral expression.  E
+    must be finite (QwsError).
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
+    if not math.isfinite(E):
+        raise QwsError("E must be finite")
     if dE is None:
         dE = default_sturm_step(E)
     if not dE > 0:
@@ -426,15 +423,19 @@ def continuation_count(channel: ChannelParams, potential: PotentialModel,
     (det = -2 lam/r0), so a crossing where A falls through rho (a level
     gained) is a +1 event.  At a pole of A, y(r0) = 0, D = y' keeps its
     sign: no event, even beside a crossing.  Grazing contact without a
-    sign change raises AmbiguousCrossingError.
+    sign change raises AmbiguousCrossingError.  A grid must be one-dimensional,
+    start at 0 and be finite and strictly monotone, upwards or downwards
+    (QwsError).
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     if mu_grid is None:
         mu_grid = np.linspace(0.0, 1.0, 201)
     mu_grid = np.asarray(mu_grid, dtype=float)
-    if mu_grid[0] != 0.0:
-        raise QwsError("mu grid must start at 0")
+    if not (mu_grid.ndim == 1 and mu_grid.size and mu_grid[0] == 0.0):
+        raise QwsError("mu grid must be one-dimensional and start at 0")
+    if not (np.all(np.isfinite(mu_grid)) and np.all(np.diff(mu_grid) * np.sign(mu_grid[-1]) > 0)):
+        raise QwsError("mu grid must be finite and strictly monotone")
     rho = (0.5 - lam) / r0
     rho_t = (0.5 + lam) / r0
     eps_e = min(1e-10 * max(1.0, potential.max_local()), (1e-5 / r0) ** 2)

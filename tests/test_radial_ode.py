@@ -16,8 +16,8 @@ from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
                             _volterra_moments,
                             cutoff_integral, free_exterior, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
-                            interior_in_mu, interior_lanes, interior_state, kernel_green,
-                            make_grid, prufer_angle, solve_nonlocal)
+                            interior_in_mu, interior_lanes, interior_state, make_grid,
+                            prufer_angle, solve_nonlocal)
 from qws.scattering import phase_shift
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
@@ -801,8 +801,7 @@ class TestTabulatedKnots:
         y0, dy0 = sol.at_cutoff()
         # interior_state carries the det(Id - mu C M) that solve_nonlocal divides
         # out: real at a real energy, sign and all
-        part = _kernel_point(eq.coefficient, eq.lam, eq.channel.q, -3.0, eq.origin_w, pot,
-                             eq.sources, eq.mu, 1e-10)
+        part = _kernel_point(eq.coefficient, eq.sources, CH_S, pot, -3.0, eq.mu, 1e-10)
         det = _couple(_volterra_moments(part), part.P[-1], eq.coupling, eq.mu)[2][0]
         scale = u / y0
         assert abs(scale.imag) <= 1e-10 * abs(scale)
@@ -1191,11 +1190,10 @@ class TestKernelPoint:
         # diverges (l >= a + 2: the l = 4 bump) nothing depends on that sum
         for E in (-40.0, 2.0):
             eq = effective_equation(ch, pot, EnergyValue(E=E))
-            part = _kernel_point(eq.coefficient, eq.lam, eq.channel.q, E, eq.origin_w, pot,
-                                 eq.sources, eq.mu, 1e-10)
+            part = _kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu, 1e-10)
             c = np.array([0.7, -1.3])[:pot.rank] * np.abs(part.Q0[0])
-            moved = part._replace(R=part.R - c,
-                                  M=part.M - part.P[-1][:, :, None] * c / part.W[:, None, None])
+            # M -> M - m_h c^T / W is W G -> W G + m_h c^T
+            moved = part._replace(R=part.R - c, WG=part.WG + part.P[-1][:, :, None] * c)
             ref, new = (_scaled(x, *_couple(x.M, x.P[-1], eq.coupling, eq.mu)[::2])
                         for x in (part, moved))
             for a, b in zip(ref, new):
@@ -1218,18 +1216,20 @@ class TestKernelGreen:
     @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
     def test_equals_the_outward_green_function(self, ch, pot):
         # where the kernel is weak enough for the outward particular solutions
-        # to keep their conditioning, the two routes agree; G is symmetric by
-        # construction, G = -(X + X^T) / W
+        # to keep their conditioning, the state's point and the count's point
+        # (y_2 from (1, h)) agree; G = -(X + X^T) / W is symmetric by
+        # construction
         for E in (-60.0, -8.0, -0.5):
             eq = effective_equation(ch, pot, EnergyValue(E=E))
             h = _exterior_logderiv(ch.lam, E, 1.0)
-            ref = _outward_green(_kernel_point(eq.coefficient, eq.lam, ch.q, E, eq.origin_w,
-                                               pot, eq.sources, eq.mu, 1e-10), h)
-            N, W, u, v = kernel_green(eq, h)
-            G = N / W
+            ref = _outward_green(_kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu,
+                                               1e-10), h)
+            count = _kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu, 1e-10, h=h)
+            G = count.WG[0] / count.W[0]
+            u, v = count.y[0, 0], count.dy[0, 0]
             assert np.array_equal(G, G.T)
             assert np.max(np.abs(G - ref)) <= 1e-8 * np.max(np.abs(ref))
-            assert W == u * h - v
+            assert count.W[0] == u * h - v
 
     def test_cumulative_matrix_integrates_polynomials(self):
         # A f = int_{-1}^{x_k} f, exact up to the interpolant's degree n - 1

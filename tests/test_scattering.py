@@ -189,9 +189,9 @@ class TestPhaseShift:
         made = []
         solves = ro._kernel_point
 
-        def counted(qfun, lam, q, E, *args, **kwargs):
+        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
             made.append(E)
-            return solves(qfun, lam, q, E, *args, **kwargs)
+            return solves(qfun, sources, channel, potential, E, *args, **kwargs)
 
         monkeypatch.setattr(ro, "_kernel_point", counted)
         res = phase_shift(ch, pot, k, with_fit=False)
@@ -348,7 +348,7 @@ class TestPruferPhase:
     def test_two_solves_give_the_walk_eta(self, ch, local, k):
         # the walk returned theta(mu) - theta(0) of the same two solves
         pot = PotentialModel(r0=1.0, local=local)
-        pair, g0, state = scattering._coupling_states(ch, pot, k, 1e-10)
+        pair, g0, state = scattering._coupling_states(ch, pot, k, 1.0, 1e-10)
         eta_walk, _ = scattering._walk_to(pair, g0, state, state(1.0), 1.0,
                                           MU_STEPS_DEFAULT, pot)
         assert phase_shift(ch, pot, k, with_fit=False).eta == eta_walk
@@ -523,6 +523,20 @@ class TestMuSteps:
                           with_fit=False)
         assert abs(res.eta - 3.008791117936214) <= 1e-8
         assert len(res.events) == 1
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    @pytest.mark.parametrize("walk", [phase_shift, phase_events])
+    def test_non_finite_coupling_raises_before_any_solve(self, monkeypatch, walk, mu):
+        # the pure kernel's cached point never met the local path's check: nan
+        # ended in "cannot convert float NaN to integer" after numpy warnings
+        import qws.radial_ode as ro
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a kernel point was solved")
+
+        monkeypatch.setattr(ro, "_kernel_point", unused)
+        with pytest.raises(QwsError, match="coupling scale mu must be finite"):
+            walk(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu=mu)
 
 
 class TestSqrtMuSteps:

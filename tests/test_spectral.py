@@ -60,6 +60,13 @@ class TestMatchingMismatch:
         with pytest.raises(QwsError):
             matching_mismatch(CH_S, PotentialModel(r0=1.0), 1.0, mu=1.0)
 
+    @pytest.mark.parametrize("E", [math.nan, -math.inf])
+    def test_non_finite_energy_rejected(self, E):
+        # nan passed the E > 0 test and ended in a StiffnessError
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        with pytest.raises(QwsError, match="finite E <= 0"):
+            matching_mismatch(CH_S, pot, E, 1.0)
+
 
 class TestFindBoundStates:
     def test_free_has_none(self):
@@ -498,6 +505,13 @@ class TestSturmLiouville:
         with pytest.raises(QwsError, match="dE must be positive"):
             sturm_liouville_check(CH_S, pot, mu=1.0, E=-1.5, dE=dE)
 
+    @pytest.mark.parametrize("E", [math.nan, -math.inf])
+    def test_non_finite_energy_rejected(self, E):
+        # nan took the default step and ended in a StiffnessError
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        with pytest.raises(QwsError, match="E must be finite"):
+            sturm_liouville_check(CH_S, pot, 1.0, E)
+
 
 class TestContinuationCount:
     def test_single_point_grid_counts_nothing(self):
@@ -609,6 +623,31 @@ class TestContinuationCount:
         with pytest.raises(QwsError):
             continuation_count(CH_S, pot, mu_grid=[0.5, 1.0])
 
+    @pytest.mark.parametrize("kernel, grid", [
+        (False, [0.0, math.nan, 1.0]), (False, [0.0, math.inf]), (False, [0.0, 1.0, 0.5]),
+        (False, [0.0, 0.5, 0.5, 1.0]), (True, [0.0, math.nan, 1.0]),
+    ], ids=["nan", "inf", "not-monotone", "repeated", "nan-kernel"])
+    def test_bad_grid_rejected(self, kernel, grid):
+        # nan and inf ended in a StiffnessError on the well and a ValueError on
+        # the pure kernel; [0, 1, 0.5] was walked as if it were monotone
+        ch, pot = ((ChannelParams(q=3, l=1), PotentialModel(
+            r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)))
+            if kernel else (CH_S, PotentialModel(r0=1.0, local=square_well(10.0))))
+        with pytest.raises(QwsError, match="finite and strictly monotone"):
+            continuation_count(ch, pot, mu_grid=grid)
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]]], ids=["empty", "2-d"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        # [] ended in an IndexError and [[0, 1]] in a ValueError
+        pot = PotentialModel(r0=1.0, local=square_well(10.0))
+        with pytest.raises(QwsError, match="one-dimensional and start at 0"):
+            continuation_count(CH_S, pot, mu_grid=grid)
+
+    def test_grid_may_run_downwards(self):
+        # a barrier turned into a well by mu < 0 gains its level on [0, -1]
+        pot = PotentialModel(r0=1.0, local=square_well(-10.0))
+        assert continuation_count(CH_S, pot, mu_grid=np.linspace(0.0, -1.0, 41)).n_bound == 1
+
 
 class TestStaircasePhaseConsistency:
     def test_event_locations_agree_between_detectors(self):
@@ -664,27 +703,29 @@ class TestLevinson:
         assert len(solves) == 2
 
     def test_counts_a_kernel_without_a_scan(self, monkeypatch):
-        # the count is N(E_top) - N(E_floor): two Green matrices, where a
-        # 400-energy lanes scan once counted sign brackets
+        # the count is N(E_top) - N(E_floor): two kernel points, one at each
+        # end of the range, where a 400-energy lanes scan once counted sign
+        # brackets
         import qws.radial_ode as ro
 
         def unused(*args, **kwargs):
             raise AssertionError("levinson_verify scanned or refined")
 
-        greens = []
-        green = sp.kernel_green
+        points = []
+        point = sp._kernel_point
 
-        def counted(*args, **kwargs):
-            greens.append(args[0].energy.E)
-            return green(*args, **kwargs)
+        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
+            points.append(E)
+            return point(qfun, sources, channel, potential, E, *args, **kwargs)
 
         monkeypatch.setattr(sp, "refine_root", unused)
         monkeypatch.setattr(ro, "interior_lanes", unused)
-        monkeypatch.setattr(sp, "kernel_green", counted)
+        monkeypatch.setattr(sp, "_kernel_point", counted)
+        ch = ChannelParams(q=3, l=1)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
-        rep = levinson_verify(ChannelParams(q=3, l=1), pot, tol=1e-9)
+        rep = levinson_verify(ch, pot, tol=1e-9)
         assert rep.passed and rep.n_direct == rep.n_continuation == 1
-        assert len(greens) == 2
+        assert points == list(sp._search_range(ch, pot, pot.mu, None))
 
     @pytest.mark.parametrize("tol_eta", [math.inf, math.nan, -1.0, 0.0])
     def test_bad_eta_tolerance_raises_qws_error(self, tol_eta):
@@ -756,8 +797,9 @@ def _scalar_scan_values(channel, potential, grid_E, mu, tol):
     """M(E) = y'(r0) - h(E) y(r0), one scalar solve per energy: the reference for the lanes."""
     values = []
     for E in grid_E:
-        u, v, _, h = sp._cutoff_match(channel, potential, float(E), mu, tol)
-        values.append((v - h * u).real)
+        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=float(E)))
+        u, v, _ = interior_state(eq, tol)
+        values.append((v - sp._exterior_logderiv(channel.lam, float(E), potential.r0) * u).real)
     return np.array(values)
 
 
@@ -834,9 +876,9 @@ class TestLaneScans:
         made = []
         solves = ro._kernel_point
 
-        def counted(qfun, lam, q, E, *args, **kwargs):
+        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
             made.append(E)
-            return solves(qfun, lam, q, E, *args, **kwargs)
+            return solves(qfun, sources, channel, potential, E, *args, **kwargs)
 
         monkeypatch.setattr(ro, "_kernel_point", counted)
         fast = continuation_count(ch, pot, mu_grid=grid)
@@ -877,7 +919,8 @@ class TestLaneScans:
         vals = v - np.array([sp._exterior_logderiv(ch.lam, float(e), 1.0) for e in E]) * u
         assert np.array_equal(dets[0], np.zeros(3))
         scalar = _scalar_scan_values(ch, pot, E, 1.0, 1e-10)
-        scale = [abs(x) for x in (sp._cutoff_match(ch, pot, float(e), 1.0, 1e-10)[2] for e in E)]
+        scale = [interior_state(effective_equation(ch, pot, EnergyValue(E=float(e))), 1e-10)[2]
+                 for e in E]
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scalar))
         assert np.all(np.abs(vals - scalar) <= 1e-8 * np.array(scale))
         for e in E:   # A - h at the resonance against mu_star -+ 1e-9
