@@ -131,7 +131,7 @@ class EffectiveEquation:
     coefficient: Callable[[float], complex]
     sources: tuple
     coupling: Optional[np.ndarray]
-    origin_w: tuple  # (w_-1, w_0, w_1): small-r expansion of mu*V
+    origin_w: tuple  # (w_-1, w_0, w_1, ..., w_m): small-r expansion of mu*V (origin_expansion)
 
     @property
     def rank(self) -> int:
@@ -170,6 +170,15 @@ def radial_coefficient(lam, E, mu=0.0,
     return coefficient
 
 
+def origin_expansion(potential: PotentialModel, mu) -> tuple:
+    """(w_-1, w_0, w_1, ...) = mu (v_-1, v_0, v_1, ...), the small-r expansion of mu*V.
+
+    The whole ``origin`` tuple of the local part, scaled; mu is a scalar or
+    an array of float64 lanes (``potential.mu`` is not read).
+    """
+    return tuple(mu * v for v in potential.origin_coefficients())
+
+
 def kernel_sources(channel: ChannelParams, potential: PotentialModel) -> tuple:
     """The sources S_i(r) = g_i(r) r^{(q-1)/2} of the kernel terms, in order.
 
@@ -198,15 +207,12 @@ def effective_equation(channel: ChannelParams, potential: PotentialModel,
     lam = channel.lam
     mu = potential.mu
     coupling = potential.coupling_matrix() if potential.rank else None
-    vm1, v0, v1 = potential.origin_coefficients()
-    origin_w = (mu * vm1, mu * v0, mu * v1)
-
     eq = EffectiveEquation(
         channel=channel, potential=potential, energy=energy,
         lam=lam, mu=mu, r0=potential.r0,
         coefficient=radial_coefficient(lam, energy.E, mu, potential),
         sources=kernel_sources(channel, potential),
-        coupling=coupling, origin_w=origin_w,
+        coupling=coupling, origin_w=origin_expansion(potential, mu),
     )
     if eq.kernel_acts:
         if lam == 0:

@@ -16,25 +16,52 @@ import numpy as np
 
 from .errors import QwsError
 
+# the highest power v_m r^m of the built-in profiles' origin expansions: the
+# origin series of the integrator (radial_ode.SERIES_TERMS = 24 terms) reads
+# v_j up to j = 22
+ORIGIN_ORDER = 22
+
+
+def _taylor(v0: float, step: float, every: int) -> Tuple[float, ...]:
+    """(0, v_0, v_1, ..., v_m) of v_0 exp(step r^every), up to m = ORIGIN_ORDER.
+
+    The terms v_0 step^n / n! sit on the powers every * n, zeros between.
+    The tuple ends before the first later term that overflows (a float
+    product does not raise): a shorter expansion, which the integrator's
+    start radius bounds from the profile.
+    """
+    terms = [v0]
+    c = v0
+    for n in range(1, ORIGIN_ORDER // every + 1):
+        c = c * step / n
+        if not math.isfinite(c):
+            break
+        terms += [0.0] * (every - 1) + [c]
+    return (0.0, *terms)
+
 
 @dataclass(frozen=True)
 class LocalPotential:
     """A local radial profile V(r), untruncated; the model applies the r0 cutoff.
 
-    ``origin`` holds the leading small-r expansion V ~ v_m1/r + v0 + v1*r,
-    used for the series start of the integrator.  ``constant`` is set when
-    the profile is exactly constant inside the cutoff (square well), which
-    lets downstream code skip the per-point evaluation.  ``sign`` is +1 when
-    V >= 0 inside the cutoff, -1 when V <= 0, and 0 when the profile
-    changes sign or its sign is unknown (the default for hand-built
-    profiles); phase shifts of a one-signed well are monotone in mu.
+    ``origin`` = (v_-1, v_0, v_1, ..., v_m) holds the small-r expansion V ~
+    v_-1/r + v_0 + v_1 r + ... + v_m r^m, which the series start of the
+    integrator carries to order m; a shorter tuple reads as zeros beyond
+    its end, which the start radius then bounds from the profile itself.
+    The built-in profiles carry m = ORIGIN_ORDER, or end where they are
+    exact.  ``constant`` is set when the profile is exactly constant inside
+    the cutoff (square well), which lets downstream code skip the per-point
+    evaluation.  ``sign`` is +1 when V >= 0 inside the cutoff, -1 when V <=
+    0, and 0 when the profile changes sign or its sign is unknown (the
+    default for hand-built profiles); phase shifts of a one-signed well are
+    monotone in mu.
     ``knots`` are the radii where V' jumps (the rows of a table); the
     integrator ends a step on each one inside the cutoff.
     """
 
     name: str
     profile: Callable[[float], float]
-    origin: Tuple[float, float, float]
+    origin: Tuple[float, ...]
     params: Tuple[Tuple[str, float], ...] = ()
     constant: Optional[float] = None
     sign: int = 0
@@ -47,7 +74,7 @@ def square_well(depth: float) -> LocalPotential:
     return LocalPotential(
         name="square_well",
         profile=lambda r: val,
-        origin=(0.0, val, 0.0),
+        origin=(0.0, val),
         params=(("depth", float(depth)),),
         constant=val,
         sign=-1 if depth >= 0 else 1,
@@ -62,7 +89,7 @@ def truncated_exponential(depth: float, scale: float) -> LocalPotential:
     return LocalPotential(
         name="truncated_exponential",
         profile=lambda r: -d * math.exp(-r / s),
-        origin=(0.0, -d, d / s),
+        origin=_taylor(-d, -1.0 / s, 1),
         params=(("depth", d), ("scale", s)),
         sign=-1 if d >= 0 else 1,
     )
@@ -81,7 +108,7 @@ def truncated_gaussian(depth: float, width: float) -> LocalPotential:
     return LocalPotential(
         name="truncated_gaussian",
         profile=profile,
-        origin=(0.0, -d, 0.0),
+        origin=_taylor(-d, -(1.0 / w) * (1.0 / w), 2),   # 1 / w ** 2 would divide by 0
         params=(("depth", d), ("width", w)),
         sign=-1 if d >= 0 else 1,
     )
@@ -100,7 +127,7 @@ def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPote
     return LocalPotential(
         name="tabulated",
         profile=lambda x: float(np.interp(x, r, v)),
-        origin=(0.0, float(v[0]), 0.0),   # np.interp holds V = v[0] below the first row
+        origin=(0.0, float(v[0])),   # np.interp holds V = v[0] below the first row
         params=(("n_rows", float(len(r))),),
         sign=1 if np.all(v >= 0) else -1 if np.all(v <= 0) else 0,
         knots=tuple(r.tolist()),
@@ -230,8 +257,9 @@ class PotentialModel:
             return np.array(self.coupling, dtype=float)
         return np.diag(np.asarray(self.strengths, dtype=float))
 
-    def origin_coefficients(self) -> Tuple[float, float, float]:
-        return (0.0, 0.0, 0.0) if self.local is None else self.local.origin
+    def origin_coefficients(self) -> Tuple[float, ...]:
+        """(v_-1, v_0, v_1, ...): the local part's ``origin`` expansion, (0, 0) without one."""
+        return (0.0, 0.0) if self.local is None else self.local.origin
 
     def with_mu(self, mu: float) -> "PotentialModel":
         return replace(self, mu=float(mu))

@@ -1,12 +1,15 @@
 """Integration engine for y'' + Q(r) y = 0 on a radial grid, and the separable kernel.
 
-Origin-regular solutions start from a power series r^{lam+1/2}(1 + a1 r +
-a2 r^2 + a3 r^3) at the radius r_s where the terms the series neglects
-fall below 1e-3 of the tolerance (:func:`_series_radius`); the nodes below
-r_s take the series value.  The subdominant branch of the Wronskian audit
-starts at r_min.  Decaying "Jost-normalized" solutions start at the cutoff
-radius, where compact support makes e^{-ikr} exact, and are integrated
-inward.
+Origin-regular solutions start from the Frobenius series r^{lam+1/2} sum_n
+a_n r^n, carried to SERIES_TERMS terms from the small-r expansion of mu*V
+(:func:`_series_coefficients`), at the radius r_s where what the series
+neglects falls below 1e-3 of the tolerance and k_eff r_s <= SERIES_PHASE,
+up to a quarter of the cutoff radius (:func:`_series_radius`); the nodes
+below r_s take the series value, so that no solve steps the power law
+r^{lam+1/2} across the decades of r near the origin.  The subdominant branch of the
+Wronskian audit starts at r_min.  Decaying "Jost-normalized" solutions
+start at the cutoff radius, where compact support makes e^{-ikr} exact,
+and are integrated inward.
 
 Every entry point routes on one predicate: an equation's ``kernel_acts``
 (mu != 0 and some coupling nonzero), or a model's for the lanes, whose
@@ -46,6 +49,7 @@ import cmath
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -53,8 +57,8 @@ import numpy as np
 
 from .errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                      RegularityError, StiffnessError)
-from .model import (ChannelParams, EffectiveEquation, EnergyValue,
-                    effective_equation, kernel_sources, radial_coefficient)
+from .model import (ChannelParams, EffectiveEquation, EnergyValue, effective_equation,
+                    kernel_sources, origin_expansion, radial_coefficient)
 from .potentials import PotentialModel
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage
@@ -125,9 +129,8 @@ _D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_1
     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564)
 
 # (c_i, columns j, a_ij) of stages 2-12 and 14-16, and the columns and rows of
-# the weights, the error estimates and the extension: the lanes block sums
-# them term by term in this order (:func:`_dot`), the scalar block writes the
-# same sums out
+# the weights and the error estimates: the lanes block sums them term by term
+# in this order (:func:`_dot`), the scalar block writes the same sums out
 _STAGES = (
     (_C2, (1,), (_A2_1,)),
     (_C3, (1, 2), (_A3_1, _A3_2)),
@@ -156,12 +159,15 @@ _B_ROW = (_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
 _E5_ROW = (_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12)
 _E3_ROW = (_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12)
 _D_COLUMNS = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-_D_ROWS = (
+# the extension rows as one matrix: both blocks take the four sums as one
+# product with the (12, 2 x lanes) matrix of the stages in _D_COLUMNS
+_D_ROWS = np.array((
     (_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15, _D3_16),
     (_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16),
     (_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16),
     (_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16),
-)
+))
+_D_ROWS.flags.writeable = False
 # the stepper controls its blended error estimate, far less pessimistic than a
 # 4(5) pair's, to RTOL_SCALE times the requested tolerance: the loosest of a run
 # of neighbouring scales at which the oracle tests of tests/ meet their gates
@@ -173,10 +179,20 @@ _MAX_STEPS = 5_000_000
 # r_min / r0: the first node of the default grid and of every straight-to-cutoff
 # record, and the floor of the series start radius r_s
 R_MIN_FRACTION = 1e-6
-# r_s stays at or below this fraction of r0 (and below half the second recorded node)
-SERIES_CAP_FRACTION = 1e-3
+# the origin series carries a_0 ... a_N, N = SERIES_TERMS; one whose terms
+# overflow falls back to the short series of a_0 ... a_5 from w_-1, w_0, w_1
+SERIES_TERMS = 24
+SHORT_SERIES_TERMS = 5
+# r_s stays at or below this fraction of r0 (and below half the second recorded
+# node), or of the second for a complex lam or E: there Re y winds like
+# cos(Im lam ln r) near the origin
+SERIES_CAP_FRACTION = 0.25
+COMPLEX_SERIES_CAP_FRACTION = 1e-3
 # the terms the start series neglects stay below this fraction of the tolerance
 SERIES_TOL_FRACTION = 1e-3
+# k_eff r_s stays at or below this, k_eff^2 = |E - w_0| + sum_j |w_j| r_s^j a
+# bound on |Q + (lam^2 - 1/4)/r^2| below r_s: no zero of y or y' lies below r_s
+SERIES_PHASE = 0.5
 # the composite Gauss-Legendre rule of every kernel solve: GREEN_NODES nodes on
 # each of ceil(GREEN_PANELS r0 / l) equal panels of [0, r0], split further at the
 # knots of a tabulated well.  l = min(r0, GREEN_PHASE / k, GREEN_WIDTHS w) is the
@@ -588,9 +604,9 @@ def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol:
                         np.negative(qfun(ri), out=neg_q)
                         ks.append(yi[::-1] * slope)
                     dy = yn - y
-                    kd = [ks[j - 1] for j in _D_COLUMNS]
-                    F = (dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1),
-                         *(h * _dot(d, kd) for d in _D_ROWS))
+                    kd = np.array([ks[j - 1] for j in _D_COLUMNS])
+                    ext = h * (_D_ROWS @ kd.reshape(len(kd), -1))
+                    F = (dy, h * k1 - dy, 2.0 * dy - h * (k13 + k1), *ext.reshape((-1,) + y.shape))
                     x = (at[idx:end] - r) / h
                     ys = _dense(y, F, x.reshape((-1,) + (1,) * y.ndim))
                     us[idx:end], vs[idx:end] = ys[:, 0], ys[:, 1]
@@ -627,9 +643,10 @@ def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol:
                     du, dv = un - u, vn - v
                     ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
                     kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
-                    F = np.array([(du, dv), (h * k1u - du, h * k1v - dv),
-                                  (2.0 * du - h * (k13u + k1u), 2.0 * dv - h * (k13v + k1v))]
-                                 + [(h * _dot(d, ku), h * _dot(d, kv)) for d in _D_ROWS])
+                    F = np.concatenate((
+                        [(du, dv), (h * k1u - du, h * k1v - dv),
+                         (2.0 * du - h * (k13u + k1u), 2.0 * dv - h * (k13v + k1v))],
+                        h * (_D_ROWS @ np.array((ku, kv)).T)))
                     ys = _dense(np.array((u, v)), F, (at[idx:end, None] - r) / h)
                     us[idx:end], vs[idx:end] = ys[:, 0], ys[:, 1]
                     m = float(np.abs(ys[:, 0]).max())
@@ -659,86 +676,148 @@ def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol:
     return (nodes_u, nodes_v, max_u, turns) if return_winding else (nodes_u, nodes_v, max_u)
 
 
-def _series_coefficients(lam, E, origin_w):
-    """a1 ... a5 of y = r^{lam+1/2} sum_n a_n r^n for Q = E - (lam^2 - 1/4)/r^2 - W.
+class _Series(NamedTuple):
+    """The origin series of one solve: the expansion it carries and its coefficients.
 
-    W = mu*V ~ w_-1/r + w_0 + w_1 r (origin_w), and
-    n (n + 2 lam) a_n = w_-1 a_{n-1} + (w_0 - E) a_{n-2} + w_1 a_{n-3} + ...;
-    a4 and a5 leave out the W terms beyond w_1, which :func:`_series_radius`
-    bounds from the profile instead.
+    ``w`` = (w_-1, w_0, ..., w_{N-2}) is the part of the small-r expansion
+    of mu*V that fixes the N + 1 coefficients a_0 = 1, a_1, ..., a_N of y =
+    r^{lam+1/2} sum_n a_n r^n (``a``); ``b`` holds (n + lam + 1/2) a_n, those
+    of r^{1/2 - lam} y'.
     """
-    w_m1, w0, w1 = origin_w
-    d = w0 - E
-    a1 = w_m1 / (2 * lam + 1)
-    a2 = (w_m1 * a1 + d) / (2 * (2 * lam + 2))
-    a3 = (w_m1 * a2 + d * a1 + w1) / (3 * (2 * lam + 3))
-    a4 = (w_m1 * a3 + d * a2 + w1 * a1) / (4 * (2 * lam + 4))
-    a5 = (w_m1 * a4 + d * a3 + w1 * a2) / (5 * (2 * lam + 5))
-    return a1, a2, a3, a4, a5
+
+    w: tuple
+    a: list
+    b: list
+
+    @property
+    def finite(self) -> bool:
+        """True when no coefficient is inf or NaN (on any lane)."""
+        t = sum(self.a) + sum(self.b)
+        return bool(np.isfinite(t).all()) if isinstance(t, np.ndarray) else cmath.isfinite(t)
+
+    def at(self, lam, r):
+        """(y, y') at radii r (a scalar or an array), by Horner's rule.
+
+        Raises RegularityError where r^{lam+1/2} overflows (an r far beyond
+        any physical cutoff).
+        """
+        s, ds = self.a[-1], self.b[-1]
+        for an, bn in zip(self.a[-2::-1], self.b[-2::-1]):
+            s = s * r + an
+            ds = ds * r + bn
+        try:
+            return r ** (lam + 0.5) * s, r ** (lam - 0.5) * ds
+        except OverflowError:
+            raise RegularityError(
+                f"the origin series r^(lam + 1/2) overflows at r = {r:g}") from None
 
 
-def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, float, float],
-                    r: float) -> Tuple[complex, complex]:
-    """Series start y = r^{lam+1/2}(1 + a1 r + a2 r^2 + a3 r^3) and its derivative.
+def _series_coefficients(lam, E, origin_w) -> _Series:
+    """a_0 = 1, a_1, ..., a_N of y = r^{lam+1/2} sum_n a_n r^n, N = SERIES_TERMS.
 
-    origin_w = (w_-1, w_0, w_1) is the small-r expansion of mu*V, which
-    fixes a1, a2 and a3 (:func:`_series_coefficients`).  E and origin_w may
+    For Q = E - (lam^2 - 1/4)/r^2 - W with W = mu*V ~ w_-1/r + w_0 + w_1 r +
+    ... (origin_w, zeros beyond its end), the Frobenius recursion
+
+        n (n + 2 lam) a_n = w_-1 a_{n-1} + (w_0 - E) a_{n-2} + sum_{j>=1} w_j a_{n-2-j},
+
+    which reads w_j up to j = N - 2.  E and origin_w are scalars, or arrays
+    of float64 lanes.  A term that overflows (an extreme profile, energy or
+    coupling) falls back to the short series, N = SHORT_SERIES_TERMS from
+    (w_-1, w_0, w_1); where that overflows too, :func:`_series_radius`
+    starts at r_min.
+    """
+    for terms, w in ((SERIES_TERMS, tuple(origin_w[:SERIES_TERMS])),
+                     (SHORT_SERIES_TERMS, tuple(origin_w[:3]))):
+        # w_-1, w_0 - E, w_1, ...: entry i multiplies a_{n-1-i}
+        wv = [w[0], w[1] - E, *w[2:]]
+        rev = [1.0]   # a_{n-1}, ..., a_0
+        for n in range(1, terms + 1):
+            rev.insert(0, sum(map(operator.mul, wv, rev)) / (n * (n + 2 * lam)))
+        a = rev[::-1]
+        series = _Series(w, a, [(n + lam + 0.5) * an for n, an in enumerate(a)])
+        if series.finite:
+            break
+    return series
+
+
+def frobenius_start(lam: complex, E: complex, origin_w: Tuple[float, ...],
+                    r) -> Tuple[complex, complex]:
+    """Series start y = r^{lam+1/2} sum_n a_n r^n and its derivative, at radii r.
+
+    origin_w = (w_-1, w_0, w_1, ...) is the small-r expansion of mu*V, which
+    fixes a_1 ... a_N (:func:`_series_coefficients`).  E and origin_w may
     be arrays (float64 lanes).  Returns (y, y'); raises RegularityError
     where r^{lam+1/2} overflows (an r far beyond any physical cutoff).
     """
-    a1, a2, a3, _, _ = _series_coefficients(lam, E, origin_w)
-    r2 = r * r
-    try:
-        u = r ** (lam + 0.5) * (1 + a1 * r + a2 * r2 + a3 * r2 * r)
-        v = r ** (lam - 0.5) * ((lam + 0.5) + (lam + 1.5) * a1 * r + (lam + 2.5) * a2 * r2
-                                + (lam + 3.5) * a3 * r2 * r)
-    except OverflowError:
-        raise RegularityError(f"the origin series r^(lam + 1/2) overflows at r = {r:g}") from None
-    return u, v
+    with np.errstate(all="ignore"):
+        return _series_coefficients(lam, E, origin_w).at(lam, r)
 
 
 def _largest(x) -> float:
     """|x| for a scalar, the largest |x| over the lanes for an array."""
-    return float(np.max(np.abs(x))) if np.ndim(x) else abs(x)
+    return float(np.max(np.abs(x))) if isinstance(x, np.ndarray) else abs(x)
 
 
-def _series_radius(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
+def _series_radius(qfun: Callable, lam, E, series: _Series, record: np.ndarray, r0: float,
                    tol: float, knots=()) -> float:
     """Start radius r_s of an origin-regular solve: the series meets 1e-3 tol there.
 
-    The series of :func:`frobenius_start` neglects two things, each held
-    below eps = SERIES_TOL_FRACTION tol |lam + 1/2| / |lam + 11/2| relative
-    (the last factor covers y', whose terms carry n + lam + 1/2 in place of
-    lam + 1/2):
+    The N-term ``series`` (:func:`_series_coefficients`) neglects two
+    things, each held below eps = SERIES_TOL_FRACTION tol relative:
 
-    - the profile's departure dV = mu V - (w_-1/r + w_0 + w_1 r) from its
-      origin expansion, |dV(r)| r^2 / (2 |2 lam + 2|) <= eps.  dV is read
-      from Q(r) on radii that halve from the cap; they depend on the model
-      only, not on E.  A wrong ``origin`` tuple fails here down to r_min;
-    - the E-dependent terms a4 r^4 and a5 r^5, in closed form, so that r_s
-      moves continuously with E (finite differences in E stay smooth).
+    - the profile's departure dV = mu V - (w_-1/r + w_0 + ... + w_{N-2}
+      r^{N-2}) from the expansion it carries, |dV(r)| r^2 / (2 |2 lam + 2|)
+      <= eps |lam + 1/2| / |lam + 11/2| (the last factor covers y').  dV is
+      read from Q(r) on radii that halve from the cap; they depend on the
+      model only, not on E.  A wrong or short ``origin`` tuple fails here,
+      down to r_min if need be;
+    - the terms beyond a_N, bounded by the last two, each weighted by (n +
+      lam + 1/2) / (lam + 1/2) to cover y': |a_n| r^n that weight <= eps
+      for n = N - 1 and N, in closed form, so that r_s moves continuously
+      with E (finite differences in E stay smooth).
 
-    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2, knots[0] / 2),
-    so it never passes a knot or the second recorded node, and it is never
-    below record[0].  For float64 lanes the bounds hold on every lane: one r_s,
-    the smallest over the lanes.
+    One more bound keeps neither y nor y' a zero below r_s, so that a
+    winding count from r_s is that of a start at r_min: k_eff r_s <=
+    SERIES_PHASE, with k_eff^2 = |E - w_0| + |w_-1| / r + sum_j |w_j| r^j at
+    the radius the departure leaves, which holds it at every smaller radius.
+
+    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2, knots[0] /
+    2), with COMPLEX_SERIES_CAP_FRACTION in place of the first for a complex
+    lam or E, so it never passes a knot or the second recorded node, and it
+    is never below record[0]; a series whose terms overflow starts there.
+    For float64 lanes the bounds hold on every lane: one r_s, the smallest
+    over the lanes.
     """
     r_min = float(record[0])
-    w_m1, w0, w1 = origin_w
+    if not series.finite:
+        return r_min
+    real = not (isinstance(lam, complex) or np.iscomplexobj(E))
+    r = min((SERIES_CAP_FRACTION if real else COMPLEX_SERIES_CAP_FRACTION) * r0,
+            0.5 * min([float(record[1]), *knots[:1]]))
+    w_m1, w0, *ws = series.w
     cf = lam * lam - 0.25
-    r = min(SERIES_CAP_FRACTION * r0, 0.5 * min([float(record[1]), *knots[:1]]))
-    eps = SERIES_TOL_FRACTION * tol * abs(lam + 0.5) / abs(lam + 5.5)
-    bound = eps * 2 * abs(2 * lam + 2)
+    eps = SERIES_TOL_FRACTION * tol
+    bound = eps * abs(lam + 0.5) / abs(lam + 5.5) * 2 * abs(2 * lam + 2)
+
+    def fit(r, ws):   # w_1 r + w_2 r^2 + ... by Horner's rule
+        s = 0.0
+        for x in reversed(ws):
+            s = (s + x) * r
+        return s
 
     def dv(r):   # dV(r) r^2, per lane
-        return (E - cf / (r * r) - qfun(r) - (w_m1 / r + w0 + w1 * r)) * (r * r)
+        return (E - cf / (r * r) - qfun(r) - (w_m1 / r + w0 + fit(r, ws))) * (r * r)
 
     while r > r_min and not _largest(dv(r)) <= bound:
         r *= 0.5
-    _, _, _, a4, a5 = _series_coefficients(lam, E, origin_w)
-    for a, n in ((_largest(a4), 4), (_largest(a5), 5)):   # a r^n <= eps
-        if a > 0.0:
-            r = min(r, (eps / a) ** (1.0 / n))
+    k2 = _largest(abs(w0 - E) + abs(w_m1) / r + fit(r, [abs(x) for x in ws]))
+    if k2 * r * r > SERIES_PHASE * SERIES_PHASE:
+        r = SERIES_PHASE / math.sqrt(k2)
+    n = len(series.a) - 1
+    for m in (n - 1, n):   # |b_m| r^m <= eps |lam + 1/2|
+        b = _largest(series.b[m])
+        if b > 0.0:
+            r = min(r, (eps * abs(lam + 0.5) / b) ** (1.0 / m))
     return max(r, r_min)
 
 
@@ -749,16 +828,18 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
     branch of :func:`integrate_regular` instead, started at record[0]).  E
-    and origin_w are scalars, or arrays for float64 lanes.  r_s comes from
-    :func:`_series_radius` (r0 is the cutoff radius that caps it); the
-    nodes below r_s (record[0] only) take the series value.  Between
+    and origin_w are scalars, or arrays for float64 lanes.  The series
+    (:func:`_series_coefficients`) is made once and serves r_s, which comes
+    from :func:`_series_radius` (r0 is the cutoff radius that caps it), and
+    the values at r_s and at the nodes below it (record[0] only).  Between
     record[0] and r_s neither y nor y' has a zero, so a real problem's
     winding count is that of a solve from record[0].  Every step ends on
     each of ``knots`` (ascending, inside the span of ``record``), and r_s
-    stays below the first.  Lanes run with numpy's floating-point warnings
-    off: a NaN or inf in a lane rejects its step by design.  Returns the
-    tuple of :func:`_integrate`; a non-finite or non-positive ``tol``
-    raises QwsError before the series.
+    stays below the first.  The series runs with numpy's floating-point
+    warnings off, as lanes do: a term that overflows falls back, and a NaN
+    or inf in a lane rejects its step by design.  Returns the tuple of
+    :func:`_integrate`; a non-finite or non-positive ``tol`` raises
+    QwsError before the series.
     """
     _check_tol(tol)
     re = lam.real if isinstance(lam, complex) else lam
@@ -769,14 +850,16 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     elif re <= 0.0:
         raise RegularityError("regular solution requires Re lam > 0")
     r_min = float(record[0])
-    lanes = np.ndim(E) > 0 or np.ndim(origin_w[0]) > 0
-    with np.errstate(all="ignore") if lanes else contextlib.nullcontext():
+    with np.errstate(all="ignore"):
+        series = _series_coefficients(lam, E, origin_w)
         r_s = (r_min if second_branch
-               else _series_radius(qfun, lam, E, origin_w, record, r0, tol, knots))
-        at_min = frobenius_start(lam, E, origin_w, r_min)
-        us, vs, max_u, *turns = _integrate(qfun, r_s, *frobenius_start(lam, E, origin_w, r_s),
-                                           record[1:], tol, return_winding, head=at_min,
-                                           knots=knots)
+               else _series_radius(qfun, lam, E, series, record, r0, tol, knots))
+        at_min = series.at(lam, r_min)
+        at_s = series.at(lam, r_s)
+    lanes = isinstance(at_s[0], np.ndarray)
+    with np.errstate(all="ignore") if lanes else contextlib.nullcontext():
+        us, vs, max_u, *turns = _integrate(qfun, r_s, *at_s, record[1:], tol, return_winding,
+                                           head=at_min, knots=knots)
     u0 = at_min[0]
     max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
     return (us, vs, max_u, *turns)
@@ -1071,9 +1154,8 @@ def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: Po
         nodes = np.union1d(np.union1d(at, at_u), samples)
     r0 = potential.r0
     record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * nodes[0])], nodes, [r0]))
-    origin_w = tuple(mu * c for c in potential.origin_coefficients())
-    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_w, record, r0, tol,
-                                     return_winding=return_winding,
+    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_expansion(potential, mu), record, r0,
+                                     tol, return_winding=return_winding,
                                      knots=_knots(potential, record))
     u, v = us[-1].real, vs[-1].real
     inward = np.concatenate(([r0], nodes[::-1]))
@@ -1233,6 +1315,13 @@ def prufer_angle(u: complex, v: complex, turns: int) -> float:
     return math.atan2(v.real, u.real) + 2.0 * math.pi * turns
 
 
+def _finite_mu(mu):
+    """``mu``, scalar or array, where every coupling is finite; QwsError otherwise."""
+    if not np.isfinite(mu).all():
+        raise QwsError("coupling scale mu must be finite")
+    return mu
+
+
 def interior_lanes(channel: ChannelParams, potential: PotentialModel,
                    E, mu, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, y', max|y|) at r0^- for many (E, mu) points of one channel and potential.
@@ -1245,19 +1334,18 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
     the cutoff.  A kernel takes the two solves of :func:`_kernel_point` as
     lanes, on one rule that the largest |E| and |mu| set, and comes back
     scaled by det(Id - mu C M), as from :func:`interior_state`.  Returns the
-    real parts.
+    real parts; a nan or inf mu raises QwsError.
     """
     E = np.asarray(E, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    mu = _finite_mu(np.asarray(mu, dtype=float))
     shape = np.broadcast_shapes(E.shape, mu.shape)
     lam = channel.lam
     if isinstance(lam, complex):
         raise QwsError("lanes require real lambda")
     if not potential.kernel_acts:
         record = [R_MIN_FRACTION * potential.r0, potential.r0]
-        origin_w = tuple(mu * w for w in potential.origin_coefficients())
         us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
-                                     origin_w, record, potential.r0, tol,
+                                     origin_expansion(potential, mu), record, potential.r0, tol,
                                      knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
@@ -1277,7 +1365,8 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
     the series start nor the rule depends on mu, so the two solves of
     :func:`_kernel_point` are made once, here, and each coupling costs n +
     1 determinants of n x n matrices.  Any other model solves every call
-    afresh.  The solves live as long as the returned function.
+    afresh.  The solves live as long as the returned function.  A nan or inf
+    mu raises QwsError, on any model.
     """
     if potential.local is not None or not potential.kernel_acts:
         def at(mu):
@@ -1291,7 +1380,7 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
     part = _kernel_point(eq.coefficient, eq.sources, channel, potential, E, eq.mu, tol)
 
     def at(mu):
-        y, dy, max_y = _cutoff(part, eq.coupling, mu)
+        y, dy, max_y = _cutoff(part, eq.coupling, _finite_mu(mu))
         if np.ndim(mu):
             return y, dy, max_y
         return complex(y[0]), complex(dy[0]), float(max_y[0])

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,14 +12,16 @@ from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coe
 from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
                             square_well, tabulated, truncated_exponential, truncated_gaussian)
 from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
-                            R_MIN_FRACTION, _couple, _gauss_legendre, _green_edges,
-                            _integrate, _kernel_point, _knots, _scaled, _series_radius,
-                            _volterra_moments,
+                            R_MIN_FRACTION, SERIES_CAP_FRACTION, SERIES_PHASE,
+                            SHORT_SERIES_TERMS, _couple, _gauss_legendre, _green_edges,
+                            _integrate, _kernel_point, _knots, _scaled,
+                            _series_coefficients, _series_radius, _volterra_moments,
                             cutoff_integral, free_exterior, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, make_grid,
                             prufer_angle, solve_nonlocal)
 from qws.scattering import phase_shift
+from qws.specfun import bessel_i_k, bessel_j, gamma
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
 
@@ -718,6 +721,19 @@ class TestKernelLanes:
         assert np.all(np.abs(u - lanes[0]) <= 1e-8 * lanes[2])
         assert np.all(np.abs(v - lanes[1]) <= 1e-8 * lanes[2])
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, np.array([0.5, math.nan]),
+                                    np.array([-math.inf])],
+                             ids=["nan", "inf", "lanes-nan", "lanes-inf"])
+    @pytest.mark.parametrize("local", [None, square_well(5.0)], ids=["pure-kernel", "well"])
+    def test_a_non_finite_mu_raises(self, local, mu):
+        # the pure kernel's stored solves gave NaN after a RuntimeWarning, and
+        # the lanes a StiffnessError or a RuntimeWarning
+        pot = PotentialModel(r0=1.0, local=local, kernel=(gaussian_bump(0.5, 0.15),),
+                             strengths=(-700.0,))
+        at = interior_in_mu(ChannelParams(q=3, l=1), pot, -1.0)
+        with pytest.raises(QwsError, match="coupling scale mu must be finite"):
+            at(mu)
+
 
 def _knot_to_knot(eq, stops, u0, v0):
     """(y, y') at stops[-1] by scipy's DOP853 at rtol 1e-13, restarted at every stop."""
@@ -784,9 +800,10 @@ class TestTabulatedKnots:
         # np.interp holds V = v[0] below the first row; a linear extrapolation
         # there (-60.49 + 67.8 r) sent every table's series start back to r_min
         _, local = KINKED_TABLE
-        w_m1, w0, w1 = local.origin
+        w_m1, w0, *ws = local.origin
+        assert not any(ws)
         for r in (1e-6, 1e-4, 1e-3, 0.5 * _R_TAB[0], _R_TAB[0]):
-            assert w_m1 / r + w0 + w1 * r == local.profile(r)
+            assert w_m1 / r + w0 == local.profile(r)
 
     def test_kernel_superposition_lands_on_the_rows(self):
         # with the rows landed (and among the rule's panel edges), the solve on
@@ -1065,7 +1082,8 @@ def _start_radius(ch, pot, E, tol=1e-10):
     """r_s of the straight-to-cutoff solve of :func:`interior_state`."""
     eq = effective_equation(ch, pot, EnergyValue(E=E))
     record = [R_MIN_FRACTION * pot.r0, pot.r0]
-    return _series_radius(eq.coefficient, eq.lam, E, eq.origin_w, record, pot.r0, tol,
+    series = _series_coefficients(eq.lam, E, eq.origin_w)
+    return _series_radius(eq.coefficient, eq.lam, E, series, record, pot.r0, tol,
                           knots=_knots(pot, record))
 
 
@@ -1100,7 +1118,8 @@ class TestSeriesStart:
         eq = effective_equation(ch, pot, EnergyValue(E=E))
         g = make_grid(1.0, n_interior=201, n_exterior=21)
         sol = integrate_regular(eq, g, 1e-10)
-        assert g.r_min < _series_radius(eq.coefficient, eq.lam, E, eq.origin_w,
+        series = _series_coefficients(eq.lam, E, eq.origin_w)
+        assert g.r_min < _series_radius(eq.coefficient, eq.lam, E, series,
                                         g.nodes, 1.0, 1e-10) < g.nodes[1]
         assert sol.y[0] == frobenius_start(eq.lam, E, eq.origin_w, g.r_min)[0]
         # the reference: the interior solve from r_min, continued beyond r0
@@ -1116,48 +1135,125 @@ class TestSeriesStart:
         assert np.max(np.abs(sol.dy - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
 
     def test_start_moves_off_r_min_where_the_series_is_exact(self):
-        # lam = 2.5 well and p-wave gaussian: the start lies two decades above r_min
+        # lam = 2.5 well and p-wave gaussian: the start lies four decades above
+        # r_min, at k_eff r_s = SERIES_PHASE or below, and below the cap
         for ch, local in (LANE_WELLS[3], LANE_WELLS[1]):
             r_s = _start_radius(ch, PotentialModel(r0=1.0, local=local), -3.7)
-            assert 100 * R_MIN_FRACTION < r_s <= 1e-3
+            assert 1e4 * R_MIN_FRACTION < r_s < SERIES_CAP_FRACTION
+            assert r_s * math.sqrt(abs(-3.7 - local.origin[1])) <= SERIES_PHASE
 
     def test_falls_back_to_r_min(self):
         r_min = R_MIN_FRACTION
-        # a free s-wave at k = 1500: a4 r^4 meets the tolerance only below r_min
-        assert _start_radius(CH_S, FREE, 1500.0 ** 2) == r_min
+        # a free s-wave at k = 1e6: k_eff r meets SERIES_PHASE only below r_min
+        assert _start_radius(CH_S, FREE, 1e6 ** 2) == r_min
         # an origin tuple that misses the profile by 3 at r = 0: dV = 3 fails down to r_min
         wrong = LocalPotential(name="wrong-origin", profile=lambda r: -3.0 * math.exp(-r),
                                origin=(0.0, 0.0, 0.0))
-        assert _start_radius(CH_S, PotentialModel(r0=1.0, local=wrong), -1.0) == r_min
+        # a gaussian narrower than any radius: its Taylor terms overflow past v_0,
+        # where its origin tuple ends, which misses the profile (0 beyond r =
+        # 1e-298) by the depth
+        narrow = truncated_gaussian(30.0, 1e-300)
+        assert narrow.origin == (0.0, -30.0)
+        # a steep exponential: the recursion overflows and falls back to the
+        # short series, whose w_1 r misses the profile as much
+        steep = truncated_exponential(15.0, 1e-50)
+        eq = effective_equation(CH_S, PotentialModel(r0=1.0, local=steep), EnergyValue(E=-1.0))
+        assert len(_series_coefficients(eq.lam, -1.0, eq.origin_w).a) == SHORT_SERIES_TERMS + 1
         # a start at r_min steps exactly as the start at r_min always did
-        for pot, E in ((FREE, 1500.0 ** 2), (PotentialModel(r0=1.0, local=wrong), -1.0)):
-            eq = effective_equation(CH_S, pot, EnergyValue(E=E))
-            assert interior_state(eq, 1e-10, return_winding=True) == _from_r_min(CH_S, pot, E)
-        # the s-wave square_well(1e5) at its energy floor starts a few r_min out
-        # and still meets the start at r_min
+        for local in (wrong, narrow, steep):
+            pot = PotentialModel(r0=1.0, local=local)
+            assert _start_radius(CH_S, pot, -1.0) == r_min
+            eq = effective_equation(CH_S, pot, EnergyValue(E=-1.0))
+            assert interior_state(eq, 1e-10, return_winding=True) == _from_r_min(CH_S, pot, -1.0)
+        # the s-wave square_well(1e5) at its energy floor starts where k_eff r
+        # meets SERIES_PHASE, and still meets the start at r_min
         deep = PotentialModel(r0=1.0, local=square_well(1e5))
         floor = -1.5e5 - 1.0
-        assert r_min < _start_radius(CH_S, deep, floor) < 10 * r_min
+        r_s = _start_radius(CH_S, deep, floor)
+        assert 1e3 * r_min < r_s <= SERIES_PHASE / math.sqrt(abs(floor + 1e5))
         u, v, _ = interior_state(effective_equation(CH_S, deep, EnergyValue(E=floor)))
         _assert_close(u, v, *_from_r_min(CH_S, deep, floor)[:3])
 
     @pytest.mark.parametrize("ch, local", [LANE_WELLS[0], LANE_WELLS[3]],
                              ids=["square", "square-lam2.5"])
     def test_start_is_continuous_across_a_sturm_stencil(self, ch, local):
-        # r_s follows a4 in closed form on these wells: E +- dE moves it by
-        # O(dE), smoothly, where a search in E would step it by factors of 2
-        # (and break the correlation of the stencil's step sequences)
+        # r_s follows k_eff and the last terms in closed form on these wells:
+        # E +- dE moves it by O(dE), smoothly, where a search in E would step it
+        # by factors of 2 (and break the correlation of the stencil's step
+        # sequences)
         pot = PotentialModel(r0=1.0, local=local)
         for E in (-3.7, -0.5, 2.0):
             dE = default_sturm_step(E)
             r_lo, r_mid, r_hi = (_start_radius(ch, pot, e) for e in (E - dE, E, E + dE))
-            assert r_mid < 1e-3
+            assert r_mid < SERIES_CAP_FRACTION   # off the cap, which does not move with E
             # r_s falls as |w_0 - E| grows: monotone across the stencil, in
             # steps that agree to O(dE^2)
             assert (r_hi - r_mid) * (r_mid - r_lo) > 0.0
             assert abs(r_hi - r_lo) <= 1e-3 * r_mid
             assert abs((r_hi - r_mid) - (r_mid - r_lo)) <= 1e-3 * abs(r_hi - r_lo)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("E", [-3.7, -45.0], ids=["above-floor", "below-floor"])
+    def test_square_well_series_is_the_bessel_function(self, lam, E):
+        # Q = K^2 - (lam^2 - 1/4)/r^2 with K^2 = E + 40: y = c sqrt(r) J_lam(K r),
+        # or c sqrt(r) I_lam(|K| r) below the floor, c = Gamma(lam + 1) (2/|K|)^lam
+        ch = ChannelParams.from_lambda(lam)
+        pot = PotentialModel(r0=1.0, local=square_well(40.0))
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        r = _start_radius(ch, pot, E)
+        k = math.sqrt(abs(E + 40.0))
+        if E > -40.0:
+            f = bessel_j(lam, k * r)
+            z, dz = f.value, f.derivative
+        else:
+            f = bessel_i_k(lam, k * r)
+            z, dz = f.i_value, f.i_derivative
+        c = gamma(lam + 1.0) * (2.0 / k) ** lam
+        ref_u = c * math.sqrt(r) * z
+        ref_v = c * (z / (2.0 * math.sqrt(r)) + math.sqrt(r) * k * dz)
+        u, v = frobenius_start(eq.lam, E, eq.origin_w, r)
+        assert abs(u - ref_u) <= 1e-13 * abs(ref_u)
+        assert abs(v - ref_v) <= 1e-13 * abs(ref_v)
+
+    @pytest.mark.parametrize("local", [truncated_exponential(15.0, 0.5),
+                                       truncated_gaussian(30.0, 0.6)],
+                             ids=["exponential", "gaussian"])
+    def test_origin_tuple_is_the_profile(self, local):
+        # the closed-form Taylor terms carry the profile to 1e-15 out to the cap
+        w_m1, *ws = local.origin
+        assert w_m1 == 0.0
+        for r in np.linspace(0.0, SERIES_CAP_FRACTION, 26):
+            fit = sum(w * r ** j for j, w in enumerate(ws))
+            assert abs(fit - local.profile(r)) <= 1e-15 * abs(local.profile(r))
+
+    @pytest.mark.parametrize("ch, local, k", [
+        (CH_S, None, 2000.0),
+        (ChannelParams(q=3, l=1), square_well(40.0), 1800.0),
+    ], ids=["free-s", "square-p"])
+    def test_winding_holds_where_the_cap_passes_the_first_zero_of_y_prime(self, ch, local, k):
+        # k 1e-3 > pi/2 and k r0 / 4 far beyond: without k_eff r_s <=
+        # SERIES_PHASE the series would start past zeros of y' (and of y), and
+        # the count from r_s would miss their turns
+        pot = PotentialModel(r0=1.0, local=local)
+        E = k * k
+        assert k * _start_radius(ch, pot, E) <= SERIES_PHASE
+        u, v, max_u, turns = interior_state(effective_equation(ch, pot, EnergyValue(E=E)),
+                                            1e-10, return_winding=True)
+        ref_u, ref_v, ref_max, ref_turns = _from_r_min(ch, pot, E)
+        _assert_close(u, v, ref_u, ref_v, ref_max)
+        assert turns == ref_turns
+
+    def test_rhs_evaluations_of_a_high_partial_wave(self):
+        # the lam = 2.5 well starts past the power-law decades: 1,795 Q calls
+        # from the three-term series at 1e-3 r0, 398 from r_s
+        ch = ChannelParams.from_lambda(2.5)
+        eq = effective_equation(ch, PotentialModel(r0=1.0, local=square_well(30.0)),
+                                EnergyValue(E=0.55))
+        calls = []
+        q = eq.coefficient
+        counted = dataclasses.replace(eq, coefficient=lambda r: calls.append(r) or q(r))
+        assert interior_state(counted, 1e-10) == interior_state(eq, 1e-10)
+        assert len(calls) < 500
 
 
 class TestKernelPoint:
