@@ -13,12 +13,15 @@ needs scipy); a level above E = -LEVEL_TOL / LEVEL_RTOL need only lie
 within its refinement width LEVEL_TOL max(1, |E|).  Every model's principal
 phase shift at one wavenumber k in [0.5, 3] (drawn per model, apart from
 the models' own draws) must lie within PHASE_TOL rad, mod pi, of the
-reference ``kernel_phase`` of the same file.  The script prints each model
-whose status is not "pass", whose two counts differ, whose level misses
-the reference or whose phase misses it, then the totals with the largest
-relative level error and the largest phase error, and exits 1 if any
-status is "fail", any count differs, any level misses or any phase misses
-("inconclusive" is reported but allowed).
+reference ``kernel_phase`` of the same file, and every model whose kernel
+acts has its continued phase shift at that k (the Birman-Krein route)
+within WALK_TOL rad of the end of the mu walk of ``phase_events``.  The
+script prints each model whose status is not "pass", whose two counts
+differ, whose level misses the reference or whose phase misses either
+check, then the totals with the largest relative level error and the
+largest error of each phase check, and exits 1 if any status is "fail",
+any count differs, any level misses or any phase misses ("inconclusive"
+is reported but allowed).
 
     PYTHONPATH=src python3 scripts/kernel_sweep.py [--count 120] [--seed 11]
 """
@@ -36,7 +39,9 @@ import numpy as np
 
 from qws.model import ChannelParams
 from qws.potentials import PotentialModel, gaussian_bump, square_well
-from qws.scattering import phase_shift
+from qws.radial_ode import interior_in_mu
+from qws.scattering import (MU_REFINE_FLOOR, MU_STEPS_DEFAULT, _matching_map, _phase_walk,
+                            phase_shift)
 from qws.spectral import find_bound_states, levinson_verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -47,6 +52,7 @@ CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2))
 LEVEL_RTOL = 1e-7   # largest relative distance of a level from the reference's
 LEVEL_TOL = 1e-10   # find_bound_states' tol: levels are refined to LEVEL_TOL max(1, |E|)
 PHASE_TOL = 1e-8    # rad, mod pi: the principal phase against the reference's
+WALK_TOL = 1e-10    # rad: the continued phase against the end of the mu walk
 
 
 def models(count: int, seed: int):
@@ -80,6 +86,15 @@ def reference_level(ch: ChannelParams, pot: PotentialModel, depth: float, bumps,
         return math.nan
 
 
+def walk_eta(ch: ChannelParams, pot: PotentialModel, k: float) -> float:
+    """eta(k) at mu = 1, the end of the mu walk that ``phase_events`` takes on a kernel."""
+    pair = _matching_map(ch.lam, k, pot.r0)[0]
+    at = interior_in_mu(ch, pot, k * k, 1e-10)
+    grid = np.linspace(0.0, 1.0, MU_STEPS_DEFAULT + 1).tolist()
+    return _phase_walk(pair, None, at, {0.0: at(0.0), 1.0: at(1.0)}, grid, MU_REFINE_FLOOR,
+                       pot)[0]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=120, help="number of models")
@@ -88,8 +103,8 @@ def main() -> int:
 
     t0 = time.perf_counter()
     tally = {"pass": 0, "fail": 0, "inconclusive": 0}
-    miscounts = misses = phase_misses = 0
-    worst = worst_phase = 0.0
+    miscounts = misses = phase_misses = walk_misses = 0
+    worst = worst_phase = worst_walk = 0.0
     for i, (label, ch, pot, depth, bumps) in enumerate(models(args.count, args.seed)):
         k = random.Random(args.seed * 1_000_003 + i).uniform(0.5, 3.0)
         eta = phase_shift(ch, pot, k, mu_steps=None, with_fit=False).eta
@@ -99,6 +114,13 @@ def main() -> int:
         if not err <= PHASE_TOL:
             phase_misses += 1
             print(f"{'phase off':<12} {label}: eta({k:.6g}) is {err:.2e} rad off the reference")
+        if pot.kernel_acts:
+            err = abs(phase_shift(ch, pot, k, with_fit=False).eta - walk_eta(ch, pot, k))
+            worst_walk = max(worst_walk, err)
+            if not err <= WALK_TOL:
+                walk_misses += 1
+                print(f"{'walk off':<12} {label}: continued eta({k:.6g}) is {err:.2e} rad "
+                      "off the mu walk's")
         rep = levinson_verify(ch, pot)
         tally[rep.status] += 1
         if rep.status != "pass":
@@ -120,9 +142,10 @@ def main() -> int:
     print(f"{args.count} models: {tally['pass']} pass, {tally['fail']} fail, "
           f"{tally['inconclusive']} inconclusive, {miscounts} level lists off the count, "
           f"{misses} levels off the reference (largest relative error {worst:.2e}), "
-          f"{phase_misses} phases off the reference (largest error {worst_phase:.2e} rad) "
+          f"{phase_misses} phases off the reference (largest error {worst_phase:.2e} rad), "
+          f"{walk_misses} continued phases off the mu walk (largest error {worst_walk:.2e} rad) "
           f"in {time.perf_counter() - t0:.1f} s")
-    return 1 if tally["fail"] or miscounts or misses or phase_misses else 0
+    return 1 if tally["fail"] or miscounts or misses or phase_misses or walk_misses else 0
 
 
 if __name__ == "__main__":

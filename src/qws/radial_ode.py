@@ -1135,8 +1135,9 @@ def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: Po
     interpolants; without samples the state comes at the rule's nodes beyond
     the first panel.  The level count passes h = h(E), the decaying
     exterior's log-derivative: y_2 starts from (1, h), W = y_reg h - y_reg',
-    and the point holds r0 alone, W G, W and, with ``return_winding``,
-    y_reg's winding count: what the count reads.  E and mu are scalars, or
+    and the point holds r0 alone, W G and W: what the count reads.  With
+    ``return_winding`` (a scalar E) either point holds y_reg's winding
+    count, for the count and a continued phase shift.  E and mu are scalars, or
     arrays of float64 lanes (``potential.mu`` is not read), with Q(r) =
     ``qfun`` and S_i(r) = ``sources``: an equation's ``coefficient`` and
     ``sources``.  A complex lambda, q or E raises QwsError.
@@ -1186,7 +1187,7 @@ def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: Po
         P, R = _running(f, edges, samples), _running(f2, edges, samples, reverse=True)
     rows = np.append(kept, -1)
     return _KernelPoint(y[rows], dy[rows], y2[rows], dy2[rows], np.concatenate((P, m_h[None])),
-                        np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0)
+                        np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0, *turns)
 
 
 def _volterra_moments(part: _KernelPoint) -> np.ndarray:

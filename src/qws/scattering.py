@@ -11,46 +11,49 @@ the continuous angle of the never-vanishing pair (KN, KJ) = L (y, y')(r0).
 L is a fixed linear map per k, so nodes of y at the cutoff (poles of A)
 need no special casing.
 
-Two sources give the samples of theta.  For local potentials, the
-homotopy over (r, mu) carries the Prufer angle of (y, y') along r through
-L, so one integration with a winding count gives theta at any mu without
-a path in mu (Prufer, Math. Ann. 95 (1926) 499; Calogero, *Variable Phase
-Approach to Potential Scattering*, 1967); one more at mu = 0 gives
-theta(0), and :func:`phase_shift` takes eta = theta(mu) - theta(0) from
-those two solves.  A kernel that acts (``kernel_acts``) breaks the
-r-winding argument, so its samples are placed on the 2 pi branch nearest
-the previous one along the uniform mu grid, whose points come from one
-lanes call of :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a pure
-kernel makes its two local solves once per k); the walk splits each step
-over which the well's phase may turn by more than pi/2 in sqrt(mu), and a
-kernel's eta is the end of that walk.  A kernel's (y, y') comes from the
-same two local solves at E = k^2 as below threshold, y_reg outward and a
-second solution inward, with its particular solutions by variation of
-parameters, scaled by det(Id - mu C M), so it stays smooth in mu through
-coupling resonances, where the unscaled state passes through infinity
-and its theta jumps by pi.
+For local potentials, the homotopy over (r, mu) carries the Prufer angle
+of (y, y') along r through L, so one integration with a winding count
+gives theta at any mu without a path in mu (Prufer, Math. Ann. 95 (1926)
+499; Calogero, *Variable Phase Approach to Potential Scattering*, 1967);
+one more at mu = 0 gives theta(0), and :func:`phase_shift` takes eta =
+theta(mu) - theta(0) from those two solves.  A kernel that acts
+(``kernel_acts``) breaks that argument for its state, not for y_reg, the
+well's own solution: :func:`phase_shift` takes the well's eta_loc from
+the y_reg of one kernel point at E = k^2
+(:func:`~qws.radial_ode._kernel_point`) and adds the kernel's share from
+the Birman-Krein determinant of the same point (:func:`_krein_shift`),
+with no path in mu either.  A kernel's (y, y') comes from the same two
+local solves, y_reg outward and a second solution inward, scaled by
+det(Id - mu C M), so it stays smooth in mu through coupling resonances,
+where the unscaled state passes through infinity and its theta jumps by
+pi.
 
 The branch events (eta through half-integer multiples of pi) come from the
-walk :func:`_phase_walk`, which a kernel's :func:`phase_shift` runs for
-its eta and :func:`phase_events` runs for any model.  A local walk starts
-from the partition {0, mu} when the profile keeps one sign (eta is then
-monotone in mu: Calogero's d eta/d mu = -(1/k) int V y^2 dr), otherwise
-from the uniform mu grid.  One locator, :func:`_locate_branches`, takes
-both kinds of samples to the events: a segment holding more than one is
-bisected, and a single one is refined by :func:`~qws.roots.refine_root`
-on the matching denominator D = KN cos th0 + KJ sin th0 = |K| cos(eta),
-which is linear in (y, y')(r0), hence smooth in mu, and changes sign at
-the event, where theta itself may turn like a step at low k.  A placed
-sample takes th0 as exactly 0 or pi (the free state has KJ = 0), and
-across a sign change of D its turn comes from the signs of D and P =
-|K| sin(eta) (:func:`_across`): at low k the step is pi to the last bit,
-and the nearest branch a rounding tie.
+walk :func:`_phase_walk`, which :func:`phase_events` runs for any model
+and whose end is the continued eta.  A local walk starts from the
+partition {0, mu} when the profile keeps one sign (eta is then monotone in
+mu: Calogero's d eta/d mu = -(1/k) int V y^2 dr), otherwise from the
+uniform mu grid; a kernel's from that grid always, whose points come from
+one lanes call of :func:`~qws.radial_ode.interior_in_mu` at E = k^2 (a
+pure kernel makes its two local solves once per k), each sample placed on
+the 2 pi branch nearest the previous one and each step split where the
+well's phase may turn by more than pi/2 in sqrt(mu).  One locator,
+:func:`_locate_branches`, takes both kinds of samples to the events: a
+segment holding more than one is bisected, and a single one is refined
+by :func:`~qws.roots.refine_root` on the matching denominator D = KN cos
+th0 + KJ sin th0 = |K| cos(eta), which is linear in (y, y')(r0), hence
+smooth in mu, and changes sign at the event, where theta itself may turn
+like a step at low k.  A placed sample takes th0 as exactly 0 or pi (the
+free state has KJ = 0), and across a sign change of D its turn comes from
+the signs of D and P = |K| sin(eta) (:func:`_across`): at low k the step
+is pi to the last bit, and the nearest branch a rounding tie.
 :func:`~qws.spectral.continuation_count` walks the k -> 0 limit of L,
 (KN, KJ) ~ (y' - rho y, rho~ y - y'), to its own floor.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,8 +66,8 @@ from .errors import (GridMismatchError, NearThresholdResonanceError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
 from .potentials import PotentialModel
-from .radial_ode import (R_MIN_FRACTION, RadialGrid, RadialSolution, free_exterior,
-                         integrate_jost, integrate_regular, interior_in_mu,
+from .radial_ode import (R_MIN_FRACTION, RadialGrid, RadialSolution, _cutoff, _kernel_point,
+                         free_exterior, integrate_jost, integrate_regular, interior_in_mu,
                          interior_state, make_grid, node_at_cutoff, prufer_angle)
 from .roots import refine_root, same_sign
 
@@ -102,17 +105,15 @@ class PhaseShiftResult:
     """One phase-shift evaluation with diagnostics.
 
     eta is the value continued in mu from eta(k, 0) = 0 when ``mu_steps``
-    was set (Prufer-unwrapped for local potentials, unwrapped along the mu
-    grid for kernels), otherwise the raw principal value in (-pi/2, pi/2].
-    eta_raw is that principal value; tan_eta and A come from the same
-    solve at mu (A is None at a node of y at r0).  ``events`` holds the
-    (mu*, direction) branch events of a kernel's walk: mu* is the midpoint
-    of a bracket no wider than MU_REFINE_FLOOR.  A local eta takes no walk,
-    so its ``events`` is (); :func:`phase_events` locates the events of
-    any model.  eta_fit comes from a
-    two-point fit of the exterior oscillating form, continued outward from
-    that same solve at mu instead of matched to Bessel functions at r0, and
-    must agree with eta modulo pi.
+    was set (Prufer-lifted for the local well, plus the Birman-Krein share
+    of a kernel that acts), otherwise the raw principal value in (-pi/2,
+    pi/2].  eta_raw is that principal value; tan_eta and A come from the
+    same solve at mu (A is None at a node of y at r0).  eta_fit comes from
+    a two-point fit of the exterior oscillating form, continued outward
+    from that same solve at mu instead of matched to Bessel functions at
+    r0, and must agree with eta modulo pi.  ``events`` is always (): no
+    phase shift walks a path in mu, and :func:`phase_events` locates the
+    branch events of any model.
     """
 
     k: float
@@ -127,16 +128,11 @@ class PhaseShiftResult:
 
 @dataclass(frozen=True)
 class PhaseShiftCurve:
-    """Unwrapped eta(k) samples at fixed mu, with the branch events each point carries.
-
-    ``events`` collects the ``events`` of each point's
-    :class:`PhaseShiftResult`, so a local curve has none.
-    """
+    """Unwrapped eta(k) samples at fixed mu."""
 
     channel: ChannelParams
     mu: float
     samples: Tuple[Tuple[float, float], ...]
-    events: Tuple[Tuple[float, float, int], ...]  # (k, mu*, direction)
 
 
 def _jost_wavenumber(sol: RadialSolution) -> complex:
@@ -272,8 +268,10 @@ def _matching_map(lam: float, k: float, r0: float):
     KJ = (y' - y/2r0) J(k r0) - y k J'(k r0), same with N for KN; the pair
     never vanishes simultaneously, so its angle tracks eta continuously.
     det L = -2/(pi r0) < 0: L reverses orientation.  Returns L as a function
-    of (y, y') plus g0 = atan2 of L (0, -1), the angle that fixes the lift
-    of theta from the Prufer angle of (y, y') (see :func:`_lift_theta`).
+    of (y, y'), g0 = atan2 of L (0, -1), the angle that fixes the lift of
+    theta from the Prufer angle of (y, y') (see :func:`_lift_theta`), and
+    h+ = 1/(2 r0) + k H'/H, H = J + i N, the log-derivative at r0 of the
+    outgoing wave sqrt(r) H(1)_lam(k r) (see :func:`_krein_shift`).
     """
     x = k * r0
     jrep = specfun.bessel_j(lam, x)
@@ -285,7 +283,7 @@ def _matching_map(lam: float, k: float, r0: float):
         a = v - u / (2.0 * r0)
         return a * nv - u * k * nd, a * jv - u * k * jd
 
-    return pair, math.atan2(-jv, -nv)
+    return pair, math.atan2(-jv, -nv), 0.5 / r0 + k * complex(jd, nd) / complex(jv, nv)
 
 
 def _lift_theta(theta: float, phi: float, g0: float) -> float:
@@ -525,46 +523,43 @@ def _step_count(mu_steps) -> Optional[int]:
     return int(mu_steps)
 
 
-def _coupling_states(channel: ChannelParams, potential: PotentialModel, k: float,
-                     mu: float, tol: float):
-    """(pair, g0, state) of the phase at wavenumber k, for every coupling up to ``mu``.
+def _matching(channel: ChannelParams, potential: PotentialModel, k: float, mu: float):
+    """(pair, g0, h+) of :func:`_matching_map` at wavenumber k, once the arguments hold.
 
-    ``pair`` and ``g0`` are those of :func:`_matching_map`, g0 None where a
-    kernel acts; ``state(mu)`` gives (y, y', max|y|) at r0, with the Prufer
-    winding count for a local model, and for a kernel as
-    :func:`~qws.radial_ode.interior_in_mu` does (scaled, lanes for arrays).
-    A non-finite k or ``mu`` raises QwsError before any solve.
+    A complex or non-positive lam, a k that is not finite and positive, or
+    a non-finite ``mu`` raises QwsError before any solve.
     """
     lam = real_lambda(channel)
     if not (math.isfinite(k) and k > 0):
         raise QwsError("phase shift needs finite k > 0")
     if not math.isfinite(mu):
         raise QwsError("coupling scale mu must be finite")
-    energy = EnergyValue.from_k(k)
-    pair, g0 = _matching_map(lam, k, potential.r0)
-    if potential.kernel_acts:
-        return pair, None, interior_in_mu(channel, potential, energy.E, tol)
-
-    def state(m: float):
-        eqm = effective_equation(channel, potential.with_mu(m), energy)
-        return interior_state(eqm, tol, return_winding=True)
-
-    return pair, g0, state
+    return _matching_map(lam, k, potential.r0)
 
 
-def _walk_to(pair, g0, state, at_mu, mu: float, mu_steps: int,
-             potential: PotentialModel) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
-    """:func:`_phase_walk` from 0 to ``mu`` (``at_mu`` = state(mu)) on its starting grid.
+def _krein_shift(part, coupling: np.ndarray, mu: float, h_out: complex) -> float:
+    """-sum_i Arg(1 + sigma_i): the kernel's share of the continued phase at one point.
 
-    The grid is the partition {0, mu} for a local profile of one sign (eta
-    is then monotone in mu), otherwise the ``mu_steps`` uniform steps.
-    Returns eta and the branch events, each to MU_REFINE_FLOOR.
+    For H = H_loc + S K S^T with K = mu C of rank n, the Birman-Krein
+    formula gives e^{2i eta} = e^{2i eta_loc} conj(D) / D, D = det(Id + K
+    G+), G+_ij = <S_i, (H_loc - E - i0)^-1 S_j> (Birman and Krein, Soviet
+    Math. Dokl. 3 (1962) 740; Yamaguchi, Phys. Rev. 95 (1954) 1628 in
+    closed form).  D is the product of the factors 1 + sigma_i over the
+    eigenvalues sigma_i of K G+, and as the kernel is switched on, K -> t
+    K for t from 0 to 1, each factor runs along the straight segment from
+    1 to 1 + sigma_i: its principal Arg is its continuation, and their sum
+    the kernel's share of eta continued from eta_loc.  D does not vanish
+    off an embedded bound state, so the value is the mu walk's.  G+ comes
+    from the state point ``part`` at E = k^2 (:func:`~qws.radial_ode._kernel_point`,
+    G = -M): the outgoing solution is alpha y_reg + beta y_2 inside, with
+    log-derivative h+ = ``h_out`` at r0, so G+ = G - (alpha/beta) m m^T / W,
+    m = P[-1] and alpha/beta = -(u + h+ v)/(v - h+ u), (u, v) = y_reg(r0).
     """
-    inner = []
-    if potential.kernel_acts or not potential.one_signed:
-        inner = np.linspace(0.0, mu, mu_steps + 1)[1:-1].tolist()
-    return _phase_walk(pair, g0, state, {0.0: state(0.0), mu: at_mu}, [0.0] + inner + [mu],
-                       MU_REFINE_FLOOR, potential)
+    u, v = part.y[-1, 0], part.dy[-1, 0]
+    m = part.P[-1, 0]
+    ratio = -(u + h_out * v) / (v - h_out * u)
+    g_out = -part.M[0] - ratio * np.outer(m, m) / part.W[0]
+    return -sum(cmath.phase(1.0 + s) for s in np.linalg.eigvals(mu * coupling @ g_out))
 
 
 def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
@@ -577,41 +572,46 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     returned eta is the continuation in mu from eta(k, 0) = 0;
     ``mu_steps=None`` returns the principal value only (one solve, defined
     mod pi).  ``with_fit`` adds the exterior two-point fit diagnostic, one
-    outward integration from the solve at mu.
+    outward integration from the solve at mu.  No model walks a path in mu:
+    ``mu_steps`` sets no grid, and ``events`` is () (:func:`phase_events`
+    gives the branch events of any model).
 
     A local potential takes eta = theta(mu) - theta(0) from one
-    Prufer-lifted integration at mu and one at mu = 0: no path in mu, no
-    events (``events`` is ()), and ``mu_steps`` only selects continuation
-    over the principal value.  A potential whose kernel acts
-    (``kernel_acts``: some coupling nonzero) walks the ``mu_steps`` grid,
-    with theta read from the det(Id - mu C M)-scaled state of
-    :func:`~qws.radial_ode.interior_in_mu` and placed on the 2 pi branch
-    nearest the previous sample; :func:`_phase_walk` makes that grid in one
-    lanes call, splits its steps where the well may turn theta by more than
-    pi/2, and resolves the branch events to MU_REFINE_FLOOR, which
-    ``events`` carries.  :func:`phase_events` gives the events of any model.
+    Prufer-lifted integration at mu and one at mu = 0.  A potential whose
+    kernel acts (``kernel_acts``: some coupling nonzero) takes one kernel
+    point at (E = k^2, mu) (:func:`~qws.radial_ode._kernel_point`): its
+    det(Id - mu C M)-scaled state gives tan eta, A and the fit, its y_reg
+    takes the place of the local solve at mu (no well, no solve: eta_loc
+    = 0), and eta = eta_loc + :func:`_krein_shift` of the same point.
     """
     mu_steps = _step_count(mu_steps)
-    pair, g0, state = _coupling_states(channel, potential, k, mu, tol)
-    at_mu = state(float(mu))
-    theta, tan_eta, A = _theta(pair, at_mu, g0)
-    eta_raw = _principal(theta)
-    events: Tuple[Tuple[float, int], ...] = ()
-    if mu == 0.0:
-        eta = 0.0
-    elif mu_steps is None:
-        eta = eta_raw
-    elif g0 is not None:   # Prufer-lifted: theta is absolute at every coupling
-        eta = theta - _theta(pair, state(0.0), g0)[0]
+    pair, g0, h_out = _matching(channel, potential, k, mu)
+    energy = EnergyValue.from_k(k)
+    eq = effective_equation(channel, potential.with_mu(mu), energy)
+    continued = mu != 0.0 and mu_steps is not None
+    if eq.kernel_acts:
+        part = _kernel_point(eq.coefficient, eq.sources, channel, potential, energy.E, eq.mu,
+                             tol, return_winding=continued and potential.local is not None)
+        y, dy, max_y = _cutoff(part, eq.coupling, eq.mu)
+        at_mu = complex(y[0]), complex(dy[0]), float(max_y[0])
+        theta, tan_eta, A = _theta(pair, at_mu)
     else:
-        eta, events = _walk_to(pair, g0, state, at_mu, float(mu), mu_steps, potential)
-    eta_fit = None
-    if with_fit:
-        eq = effective_equation(channel, potential.with_mu(mu), EnergyValue.from_k(k))
-        eta_fit = _exterior_fit_eta(eq, k, at_mu[0], at_mu[1], tol)
+        at_mu = interior_state(eq, tol, return_winding=True)
+        theta, tan_eta, A = _theta(pair, at_mu, g0)
+    eta_raw = _principal(theta)
+    eta = eta_raw if mu != 0.0 and mu_steps is None else 0.0
+    if continued and eq.kernel_acts:
+        eta = _krein_shift(part, eq.coupling, eq.mu, h_out)
+        if potential.local is not None:   # theta of y_reg, the well's solution at mu
+            u, v = part.y[-1, 0], part.dy[-1, 0]
+            kn, kj = pair(u, v)
+            theta = _lift_theta(math.atan2(kj, kn), prufer_angle(u, v, part.turns), g0)
+    if continued and potential.local is not None:
+        free = effective_equation(channel, potential.with_mu(0.0), energy)
+        eta += theta - _theta(pair, interior_state(free, tol, return_winding=True), g0)[0]
+    eta_fit = _exterior_fit_eta(eq, k, at_mu[0], at_mu[1], tol) if with_fit else None
     return PhaseShiftResult(k=k, mu=mu, eta=float(eta), eta_raw=float(eta_raw),
-                            tan_eta=float(tan_eta), A=A, eta_fit=eta_fit,
-                            events=events)
+                            tan_eta=float(tan_eta), A=A, eta_fit=eta_fit)
 
 
 def phase_events(channel: ChannelParams, potential: PotentialModel, k: float,
@@ -621,18 +621,32 @@ def phase_events(channel: ChannelParams, potential: PotentialModel, k: float,
 
     Each event is (mu*, direction): eta passes a half-integer multiple of
     pi at mu*, the midpoint of a bracket no wider than MU_REFINE_FLOOR,
-    upward (+1) or downward (-1).  The walk is the one a kernel's
-    :func:`phase_shift` takes, whose ``events`` these equal.  A local walk
-    takes Prufer-lifted samples, from the partition {0, mu} where the
-    profile keeps one sign and from the ``mu_steps`` uniform grid where it
-    does not; a kernel's starts from that grid always.  ``mu_steps=None``
-    (no continuation) and mu = 0 give ().
+    upward (+1) or downward (-1).  The walk (:func:`_phase_walk`) starts
+    from the partition {0, mu} where the profile is local and keeps one
+    sign, and from the ``mu_steps`` uniform grid otherwise.  A local walk
+    takes Prufer-lifted samples; a kernel's takes the det(Id - mu C
+    M)-scaled states of :func:`~qws.radial_ode.interior_in_mu` at E = k^2,
+    each placed on the 2 pi branch nearest the previous one.  Its end is
+    the continued eta of :func:`phase_shift`, which takes no walk.
+    ``mu_steps=None`` (no continuation) and mu = 0 give (), with no solve.
     """
     mu_steps = _step_count(mu_steps)
-    pair, g0, state = _coupling_states(channel, potential, k, mu, tol)
+    pair, g0, _ = _matching(channel, potential, k, mu)
     if mu == 0.0 or mu_steps is None:
         return ()
-    return _walk_to(pair, g0, state, state(float(mu)), float(mu), mu_steps, potential)[1]
+    mu = float(mu)
+    energy = EnergyValue.from_k(k)
+    if potential.kernel_acts:
+        g0, state = None, interior_in_mu(channel, potential, energy.E, tol)
+    else:
+        def state(m: float):
+            eqm = effective_equation(channel, potential.with_mu(m), energy)
+            return interior_state(eqm, tol, return_winding=True)
+    inner = []
+    if potential.kernel_acts or not potential.one_signed:
+        inner = np.linspace(0.0, mu, mu_steps + 1)[1:-1].tolist()
+    return _phase_walk(pair, g0, state, {0.0: state(0.0), mu: state(mu)}, [0.0] + inner + [mu],
+                       MU_REFINE_FLOOR, potential)[1]
 
 
 def _exterior_fit_eta(eq, k: float, u, v, tol: float) -> float:
@@ -659,22 +673,13 @@ def phase_shift_curve(channel: ChannelParams, potential: PotentialModel,
                       k_values: Sequence[float], mu: float = 1.0,
                       tol: float = 1e-10,
                       mu_steps: Optional[int] = MU_STEPS_DEFAULT) -> PhaseShiftCurve:
-    """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`.
-
-    ``events`` holds (k, mu*, direction) for each event a point carries:
-    a kernel's, none for a local model (:func:`phase_events` has those).
-    """
+    """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`."""
     real_lambda(channel)
     _step_count(mu_steps)
-    samples = []
-    events = []
-    for k in k_values:
-        res = phase_shift(channel, potential, float(k), mu=mu, tol=tol,
-                          mu_steps=mu_steps, with_fit=False)
-        samples.append((float(k), res.eta))
-        events.extend((float(k), m, d) for m, d in res.events)
-    return PhaseShiftCurve(channel=channel, mu=mu, samples=tuple(samples),
-                           events=tuple(events))
+    samples = tuple((float(k), phase_shift(channel, potential, float(k), mu=mu, tol=tol,
+                                           mu_steps=mu_steps, with_fit=False).eta)
+                    for k in k_values)
+    return PhaseShiftCurve(channel=channel, mu=mu, samples=samples)
 
 
 def low_k_phase_asymptotic(channel: ChannelParams, A0: float, k: float,

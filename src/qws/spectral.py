@@ -302,16 +302,20 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
 
 
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
-    """Assemble the unit-norm matched solution and its residual at the root."""
+    """Assemble the unit-norm matched solution and its residual at the root.
+
+    The solve ends at r0; the exterior nodes take sqrt(r) K_lam(kappa r).
+    """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
     kappa = math.sqrt(-E)
     grid = make_grid(r0)
-    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    sol = solve_nonlocal(eq, grid, tol)
-    y, dy = sol.y, sol.dy   # the exterior part is replaced by the decaying tail
     i0 = grid.i_cutoff
-    y_int = y[: i0 + 1]
+    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
+    sol = solve_nonlocal(eq, make_grid(r0, r_max=r0), tol)
+    y = np.empty(len(grid.nodes), dtype=complex)
+    dy = np.empty_like(y)
+    y[: i0 + 1], dy[: i0 + 1] = sol.y, sol.dy
     h = _exterior_logderiv(lam, E, r0)
     A_int = (dy[i0] / y[i0]).real
     residual = abs(A_int - h)
@@ -326,7 +330,7 @@ def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
         dy[j] = scale * damp * (0.5 / math.sqrt(r) * pr.k_scaled
                                 + math.sqrt(r) * kappa * pr.k_deriv_scaled)
     # norm: interior quadrature + closed-form exterior integral of r K^2
-    interior_sq = cutoff_integral(grid, np.real(y_int) ** 2, 2 * lam + 1)
+    interior_sq = cutoff_integral(grid, np.real(sol.y) ** 2, 2 * lam + 1)
     exterior_sq = (scale ** 2) * _exterior_k_integral(lam, kappa * r0, pair0) / (kappa * kappa)
     norm = math.sqrt(abs(interior_sq) + abs(exterior_sq))
     y /= norm
@@ -375,10 +379,10 @@ def sturm_liouville_check(channel: ChannelParams, potential: PotentialModel,
         raise InvalidDifferencingError("y(r0) changed sign across the stencil")
     slope_int_fd = (A_p - A_m) / (2 * dE)
 
-    # integral form at E: -(1/y(r0)^2) * int_0^r0 y^2
-    grid = make_grid(r0)
+    # integral form at E: -(1/y(r0)^2) * int_0^r0 y^2, on a grid that ends at r0
+    grid = make_grid(r0, r_max=r0)
     eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
-    y_int = solve_nonlocal(eq, grid, tol).y[: grid.i_cutoff + 1]
+    y_int = solve_nonlocal(eq, grid, tol).y
     y0 = y_int[grid.i_cutoff].real
     norm_sq = cutoff_integral(grid, np.real(y_int) ** 2, 2 * lam + 1)
     slope_int_quad = -abs(norm_sq) / (y0 * y0)
@@ -478,9 +482,10 @@ def levinson_verify(channel: ChannelParams, potential: PotentialModel,
 
     eta(0) comes from the continued phase of :func:`phase_shift` at two
     small wavenumbers, extrapolated to k = 0 along the k^{2 lam} law: two
-    Prufer-lifted solves each for a local well, the walk along the
-    MU_STEPS_DEFAULT-step mu grid where a kernel acts.  No branch event is
-    read.
+    Prufer-lifted solves each for a local well; where a kernel acts, one
+    kernel point each, whose Birman-Krein determinant adds the kernel's
+    share, plus the free solve at mu = 0 when there is a well.  No path in
+    mu is walked and no branch event is read.
     n = N(E_top) - N(E_floor), the level count (:func:`_level_count`) at
     the ends of :func:`find_bound_states`' default range: two F solves, or
     two Green matrices where a kernel acts (each two local solves, the

@@ -20,6 +20,8 @@ from oracles import circ_dist, kernel_phase, swave_well_eta
 
 CH_S = ChannelParams(q=3, l=0)
 WELL = PotentialModel(r0=1.0, local=square_well(4.0))
+RANK2 = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
+                       strengths=(-500.0, -400.0))
 
 
 class TestWronskian:
@@ -150,9 +152,7 @@ class TestPhaseShift:
         (CH_S, WELL, 2),
         (ChannelParams(q=3, l=1),
          PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,)), 3),
-        (ChannelParams(q=4, l=0),
-         PotentialModel(r0=1.0, kernel=(gaussian_bump(0.35, 0.12), gaussian_bump(0.7, 0.12)),
-                        strengths=(-500.0, -400.0)), 3),
+        (ChannelParams(q=4, l=0), RANK2, 3),
     ], ids=["square-well", "rank1-kernel", "rank2-kernel"])
     def test_fit_reuses_the_interior_solve(self, monkeypatch, ch, pot, integrations):
         # the fit continues the (y, y') the matching took at mu: one interior
@@ -182,24 +182,18 @@ class TestPhaseShift:
                                                     events_ref):
         # the corpus rank-1 kernel; references from the walk that solved the
         # kernel afresh at every mu sample and bisected its events.  One pair
-        # of local solves (one _kernel_point) serves every coupling of the walk
-        import qws.radial_ode as ro
+        # of local solves (one _kernel_point) serves every coupling of the
+        # walk of phase_events, and one more the phase shift
         ch = ChannelParams(q=3, l=1)
         pot = PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))
-        made = []
-        solves = ro._kernel_point
-
-        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
-            made.append(E)
-            return solves(qfun, sources, channel, potential, E, *args, **kwargs)
-
-        monkeypatch.setattr(ro, "_kernel_point", counted)
-        res = phase_shift(ch, pot, k, with_fit=False)
-        assert abs(res.eta - eta_ref) <= 1e-8
-        assert [d for _, d in res.events] == [d for _, d in events_ref]
+        made = _count_kernel_points(monkeypatch)
+        events = phase_events(ch, pot, k)
+        assert [d for _, d in events] == [d for _, d in events_ref]
         assert all(abs(m - m_ref) <= MU_REFINE_FLOOR
-                   for (m, _), (m_ref, _) in zip(res.events, events_ref))
+                   for (m, _), (m_ref, _) in zip(events, events_ref))
         assert made == [k * k]
+        assert abs(phase_shift(ch, pot, k, with_fit=False).eta - eta_ref) <= 1e-8
+        assert made == [k * k] * 2
 
     def test_unwrapped_equals_raw_mod_pi(self):
         res = phase_shift(CH_S, WELL, 0.5, mu_steps=200, with_fit=False)
@@ -258,7 +252,7 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     One scalar interior solve per sample, a kernel's scaled by
     det(Id - mu C M) as :func:`~qws.radial_ode.interior_state` gives it.
     """
-    pair, _ = scattering._matching_map(ch.lam, k, pot.r0)
+    pair, _, _ = scattering._matching_map(ch.lam, k, pot.r0)
     energy = EnergyValue.from_k(k)
 
     def sample(m):
@@ -274,6 +268,41 @@ def _mu_continued(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     return th - th0, scattering._branch_events(path, th0)
 
 
+def _walk(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=MU_STEPS_DEFAULT):
+    """(eta, events) of the mu walk of :func:`phase_events`, from scattering._phase_walk.
+
+    eta is where the walk ends: theta(mu) - theta(0), continued along it.
+    """
+    pair, g0, _ = scattering._matching_map(ch.lam, k, pot.r0)
+    energy = EnergyValue.from_k(k)
+    if pot.kernel_acts:
+        g0, state = None, scattering.interior_in_mu(ch, pot, energy.E, tol)
+    else:
+        def state(m):
+            eq = effective_equation(ch, pot.with_mu(m), energy)
+            return interior_state(eq, tol, return_winding=True)
+    grid = [0.0, mu]
+    if pot.kernel_acts or not pot.one_signed:
+        grid = np.linspace(0.0, mu, mu_steps + 1).tolist()
+    return scattering._phase_walk(pair, g0, state, {0.0: state(0.0), mu: state(mu)}, grid,
+                                  MU_REFINE_FLOOR, pot)
+
+
+def _count_kernel_points(monkeypatch):
+    """The energies of the kernel points made from now on, wherever they are made."""
+    import qws.radial_ode as ro
+    made = []
+    solves = ro._kernel_point
+
+    def counted(qfun, sources, channel, potential, E, *args, **kwargs):
+        made.append(E)
+        return solves(qfun, sources, channel, potential, E, *args, **kwargs)
+
+    monkeypatch.setattr(ro, "_kernel_point", counted)
+    monkeypatch.setattr(scattering, "_kernel_point", counted)
+    return made
+
+
 def _bisected_events(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     """Reference: bisect the branch index between absolute (Prufer-lifted) samples.
 
@@ -281,7 +310,7 @@ def _bisected_events(ch, pot, k, mu=1.0, tol=1e-10, mu_steps=200):
     one-signed profile, the uniform mu grid otherwise; each event is bisected
     down to MU_REFINE_FLOOR.
     """
-    pair, g0 = scattering._matching_map(ch.lam, k, pot.r0)
+    pair, g0, _ = scattering._matching_map(ch.lam, k, pot.r0)
     energy = EnergyValue.from_k(k)
 
     def sample(m):
@@ -348,10 +377,7 @@ class TestPruferPhase:
     def test_two_solves_give_the_walk_eta(self, ch, local, k):
         # the walk returned theta(mu) - theta(0) of the same two solves
         pot = PotentialModel(r0=1.0, local=local)
-        pair, g0, state = scattering._coupling_states(ch, pot, k, 1.0, 1e-10)
-        eta_walk, _ = scattering._walk_to(pair, g0, state, state(1.0), 1.0,
-                                          MU_STEPS_DEFAULT, pot)
-        assert phase_shift(ch, pot, k, with_fit=False).eta == eta_walk
+        assert phase_shift(ch, pot, k, with_fit=False).eta == _walk(ch, pot, k)[0]
 
     def test_walk_refines_on_descending_grid(self):
         # mu < 0 turns the barrier into a well; both routes bisect their events
@@ -522,7 +548,19 @@ class TestMuSteps:
         res = phase_shift(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu_steps=1,
                           with_fit=False)
         assert abs(res.eta - 3.008791117936214) <= 1e-8
-        assert len(res.events) == 1
+        assert len(phase_events(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu_steps=1)) == 1
+
+    @pytest.mark.parametrize("mu, mu_steps", [(0.0, MU_STEPS_DEFAULT), (1.0, None)])
+    def test_no_walk_builds_no_state(self, monkeypatch, mu, mu_steps):
+        # phase_events solved the pure kernel's point here and discarded it
+        import qws.radial_ode as ro
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a kernel point was solved")
+
+        monkeypatch.setattr(ro, "_kernel_point", unused)
+        assert phase_events(ChannelParams(q=3, l=1), self.RANK1, 1.0, mu=mu,
+                            mu_steps=mu_steps) == ()
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     @pytest.mark.parametrize("walk", [phase_shift, phase_events])
@@ -586,8 +624,9 @@ class TestKernelActs:
         # steps over which the well's phase may turn by more than pi/2
         res = phase_shift(CH_S, _deep_well_with_bump(-1e-9), 1.0, with_fit=False)
         assert abs(res.eta - bare.eta) <= 1e-6
+        events = phase_events(CH_S, _deep_well_with_bump(-1e-9), 1.0)
         bare_events = phase_events(CH_S, DEEP_WELL, 1.0)
-        assert [d for _, d in res.events] == [d for _, d in bare_events]
+        assert [d for _, d in events] == [d for _, d in bare_events]
 
 
 WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
@@ -627,10 +666,10 @@ class TestLowKStep:
         # at k = 1e-4 theta - th0 is 0 before the event and exactly +-pi
         # after it; the nearest 2 pi branch took -1 there, +1 at k = 1e-2
         for k in (1e-4, 2e-4, 1e-2):
-            res = phase_shift(self.CH, self.POT, k, with_fit=False)
-            assert [d for _, d in res.events] == [1]
-            assert abs(res.events[0][0] - 0.29418) <= 1e-4
-            assert abs(res.eta - math.pi) <= 1e-6
+            events = phase_events(self.CH, self.POT, k)
+            assert [d for _, d in events] == [1]
+            assert abs(events[0][0] - 0.29418) <= 1e-4
+            assert abs(phase_shift(self.CH, self.POT, k, with_fit=False).eta - math.pi) <= 1e-6
 
     def test_across_reads_p_only_where_both_ends_agree(self):
         # D falls through 0 with P > 0 at both ends: theta rose by pi
@@ -656,11 +695,12 @@ class TestKernelWalkLanes:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(ro, "_integrate", counted)
+        events = phase_events(CH_S, WELL_KERNEL, 1e-4, tol=1e-9)
+        assert [d for _, d in events] == [d for _, d in events_ref] == [1]
+        assert abs(events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
+        assert len(calls) <= 20
         res = phase_shift(CH_S, WELL_KERNEL, 1e-4, tol=1e-9, with_fit=False)
         assert abs(res.eta - eta_ref) <= 1e-9
-        assert [d for _, d in res.events] == [d for _, d in events_ref] == [1]
-        assert abs(res.events[0][0] - events_ref[0][0]) <= MU_REFINE_FLOOR
-        assert len(calls) <= 20
 
     def test_resonant_grid_point_stays_finite(self, monkeypatch):
         # the moment M forced to make det(Id - mu C M) vanish exactly at the
@@ -689,13 +729,13 @@ class TestKernelWalkLanes:
         assert np.all(np.isfinite([*u, *v, *max_u, su, sv, s_max])) and s_max > 0.0
         assert max(abs(u[1] - su.real), abs(v[1] - sv.real)) <= 1e-8 * s_max
         assert np.all(np.abs(v / u - (sv / su).real) <= 1e-7 * abs(sv / su))
-        res = phase_shift(ch, pot, 1.0, with_fit=False)
+        events = phase_events(ch, pot, 1.0)
         assert any(np.any(d == 0.0) for d in dets[2:])   # the walk's lanes met det = 0
         eta_ref, events_ref = _mu_continued(ch, pot, 1.0)
-        assert abs(res.eta - eta_ref) <= 1e-9
-        assert [d for _, d in res.events] == [d for _, d in events_ref]
+        assert abs(_walk(ch, pot, 1.0)[0] - eta_ref) <= 1e-9
+        assert [d for _, d in events] == [d for _, d in events_ref]
         assert all(abs(m - m_ref) <= MU_REFINE_FLOOR
-                   for (m, _), (m_ref, _) in zip(res.events, events_ref))
+                   for (m, _), (m_ref, _) in zip(events, events_ref))
 
     @pytest.mark.parametrize("k", [1e-4, 1.0])
     @pytest.mark.parametrize("ch, pot", [
@@ -703,8 +743,52 @@ class TestKernelWalkLanes:
         (CH_S, WELL_KERNEL),
     ], ids=["rank1-kernel", "well+kernel"])
     def test_phase_events_are_the_kernel_walk_events(self, ch, pot, k):
-        res = phase_shift(ch, pot, k, with_fit=False)
-        assert res.events and phase_events(ch, pot, k) == res.events
+        # the events of the walk whose end is the continued phase
+        eta_walk, events = _walk(ch, pot, k)
+        assert events and phase_events(ch, pot, k) == events
+        assert abs(phase_shift(ch, pot, k, with_fit=False).eta - eta_walk) <= 1e-10
+
+
+KREIN_CASES = [
+    pytest.param(ChannelParams(q=3, l=l), TestMuSteps.RANK1, id=f"rank1-l{l}") for l in (1, 2, 4)
+] + [
+    pytest.param(TestRepulsiveKernel.CH, TestRepulsiveKernel.POT, id="repulsive"),
+    pytest.param(ChannelParams(q=4, l=0), RANK2, id="rank2"),
+    pytest.param(CH_S, WELL_KERNEL, id="well+kernel"),
+    pytest.param(CH_S, _deep_well_with_bump(-1e-9), id="deep-well+bump"),
+]
+
+
+class TestKreinPhase:
+    """A kernel's continued eta from the Birman-Krein determinant of one kernel point."""
+
+    @pytest.mark.parametrize("k", [1e-4, 2e-4, 1.0])
+    @pytest.mark.parametrize("ch, pot", KREIN_CASES)
+    def test_one_kernel_point_gives_the_walk_eta(self, monkeypatch, ch, pot, k):
+        # the reference walk takes one scalar kernel solve per sample; the deep
+        # well's phase turns 23 times, faster in mu near 0 than a uniform grid
+        # follows, so its reference is the walk of phase_events, which splits
+        # those steps in sqrt(mu)
+        import qws.radial_ode as ro
+        tol = 1e-9 if k < 1e-3 else 1e-10
+        if pot.max_local() > 1e3:
+            eta_ref = _walk(ch, pot, k, tol=tol)[0]
+        else:
+            eta_ref = _mu_continued(ch, pot, k, tol=tol, mu_steps=40)[0]
+        made = _count_kernel_points(monkeypatch)
+        lanes, refined = [], []
+        integrate = ro._integrate
+
+        def scalar_only(qfun, r_start, u0, *args, **kwargs):
+            if np.ndim(u0):
+                lanes.append(r_start)
+            return integrate(qfun, r_start, u0, *args, **kwargs)
+
+        monkeypatch.setattr(ro, "_integrate", scalar_only)
+        monkeypatch.setattr(scattering, "refine_root", lambda *args: refined.append(args))
+        eta = phase_shift(ch, pot, k, tol=tol, with_fit=False).eta
+        assert made == [k * k] and not lanes and not refined
+        assert abs(eta - eta_ref) <= 1e-10
 
 
 class TestLowK:

@@ -513,6 +513,32 @@ class TestSturmLiouville:
             sturm_liouville_check(CH_S, pot, 1.0, E)
 
 
+@pytest.mark.parametrize("ch, pot", [
+    (CH_S, PotentialModel(r0=1.0, local=square_well(4.0))),
+    (ChannelParams.from_lambda(1.5),
+     PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.15),), strengths=(-700.0,))),
+], ids=["square-well", "rank1-kernel"])
+def test_no_solve_steps_past_the_cutoff(monkeypatch, ch, pot):
+    # a level's state and the Sturm slope's quadrature were solved on the full
+    # grid, whose exterior was integrated outward to 2 r0 and then discarded
+    import qws.radial_ode as ro
+    past = []
+    integrate = ro._integrate
+
+    def watched(qfun, r_start, u0, v0, record, *args, **kwargs):
+        if max(r_start, float(np.max(record))) > pot.r0:
+            past.append(r_start)
+        return integrate(qfun, r_start, u0, v0, record, *args, **kwargs)
+
+    monkeypatch.setattr(ro, "_integrate", watched)
+    states = find_bound_states(ch, pot)
+    sturm_liouville_check(ch, pot, mu=1.0, E=-1.5)
+    assert states and not past
+    grid = states[0].solution.grid
+    assert grid.r_max == 2.0 * pot.r0 and len(grid.nodes) > grid.i_cutoff + 1
+    assert np.all(np.isfinite(states[0].solution.y))
+
+
 class TestContinuationCount:
     def test_single_point_grid_counts_nothing(self):
         pot = PotentialModel(r0=1.0, local=square_well(4.0))
