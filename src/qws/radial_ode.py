@@ -905,8 +905,9 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
                    tol: float = 1e-10) -> RadialSolution:
     """Solution equal to e^{-ikr} for r >= r0, integrated inward to r_min.
 
-    Requires a compactly supported, local equation and k != 0; supports
-    complex k and complex lambda.
+    The exterior nodes take e^{-ikr} and -ik e^{-ikr} from one array
+    exponential.  Requires a compactly supported, local equation and
+    k != 0; supports complex k and complex lambda.
     """
     if k == 0:
         raise QwsError("Jost normalization is degenerate at k = 0")
@@ -919,10 +920,8 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
     i0 = grid.i_cutoff
     y = np.empty(len(nodes), dtype=complex)
     dy = np.empty(len(nodes), dtype=complex)
-    for j in range(i0, len(nodes)):
-        ph = cmath.exp(-1j * k * nodes[j])
-        y[j] = ph
-        dy[j] = -1j * k * ph
+    y[i0:] = np.exp(-1j * k * nodes[i0:])
+    dy[i0:] = -1j * k * y[i0:]
     record = nodes[: i0 + 1][::-1]
     us, vs, _ = _integrate(eq.coefficient, float(nodes[i0]), y[i0], dy[i0], record,
                            rtol=tol, knots=_knots(eq.potential, record))

@@ -1,10 +1,19 @@
 """Cylinder and modified-cylinder functions of arbitrary real order.
 
-J, Y, I and K of real order nu with their derivatives, computed here in
-pure Python, so that importing the package loads numpy and nothing
-heavier.  Supported envelope: order nu in [0, 50], argument x in (0, 1e3]
-(J also at x = 0); outside it the functions raise rather than return
-garbage, and so do they where a value or a derivative overflows.
+J, Y, I and K of real order nu with their derivatives, computed here on
+Python floats, and K also over a numpy array, so that importing the
+package loads numpy and nothing heavier.  Supported envelope: order nu in
+[0, 50], argument x in (0, 1e3] (J also at x = 0); outside it the
+functions raise rather than return garbage, and so do they where a value
+or a derivative overflows.
+
+:func:`bessel_k_scaled` gives K e^x and K' e^x over an array, from one
+series or continued-fraction loop per region rather than one call per
+point, for the exterior tail of a bound state.  It has its own domain:
+nu in [0, 50] and every finite x > ``_X_TINY``, with no cap on x, as it
+takes no asymptotic branch.  The scalar functions stay on the per-energy
+matching path, where numpy's per-call overhead would cost more than it
+saves.
 
 Three regions of x, one method each:
 
@@ -39,6 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 from .errors import EnvelopeError
 
@@ -567,6 +579,112 @@ def bessel_i_k(nu: float, x: float) -> ModifiedPair:
             raise EnvelopeError(f"modified pair overflowed at nu={nu}, x={x}")
     return ModifiedPair(nu=nu, x=x, i_scaled=i0, i_deriv_scaled=di,
                         k_scaled=k0, k_deriv_scaled=dk, exponent=x)
+
+
+def bessel_k_scaled(nu: float, x) -> Tuple[np.ndarray, np.ndarray]:
+    """(K_nu e^x, K'_nu e^x) over an array x: K alone, with no I and no asymptotic branch.
+
+    Temme's series where x < 2 and Steed's CF2 where x >= 2, each over its
+    part of the array with the terms in mu = nu - round(nu) taken once, then
+    the upward order recurrence to nu and K' = (nu/x) K_nu - K_{nu+1}.  A
+    loop stops when every element has converged; CF2 drops an element as
+    it converges, since its q terms grow as (2x)^i / i! past it.  Domain:
+    nu in [0, 50] and finite x > ``_X_TINY``, with no cap on x, as CF2
+    converges faster as x grows; outside it, and where a value or a
+    derivative overflows, EnvelopeError.
+    """
+    x = np.asarray(x)
+    if isinstance(nu, complex) or np.iscomplexobj(x) or not 0.0 <= nu <= NU_MAX:
+        raise EnvelopeError(f"order nu={nu} outside supported [0, {NU_MAX}], or complex x")
+    x = x.astype(float)
+    if not np.all(np.isfinite(x) & (x > _X_TINY)):
+        raise EnvelopeError(f"argument x outside the supported finite x > {_X_TINY}")
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    kmu, k1 = np.empty_like(x), np.empty_like(x)
+    series = x < _SERIES_X
+    with np.errstate(all="ignore"):
+        if series.any():
+            kmu[series], k1[series] = _temme_k_array(mu, x[series])
+        if not series.all():
+            kmu[~series], k1[~series] = _cf2_k_array(mu, x[~series])
+        xi = 1.0 / x
+        xi2 = 2.0 * xi
+        for i in range(1, nl + 1):
+            kmu, k1 = k1, (mu + i) * xi2 * k1 + kmu
+        dk = nu * xi * kmu - k1
+    if not (np.all(np.isfinite(kmu)) and np.all(np.isfinite(dk))):
+        raise EnvelopeError(f"K_nu e^x overflowed at nu={nu}")
+    return kmu, dk
+
+
+def _temme_k_array(mu: float, x: np.ndarray):
+    """(K_mu e^x, K_{mu+1} e^x) by Temme's series over x < 2 (:func:`_temme_k` on an array)."""
+    gam1, gam2, gampl, gammi = _temme_gammas(mu)
+    pimu = math.pi * mu
+    fact = 1.0 if abs(pimu) < _EPS else pimu / math.sin(pimu)
+    log_2x = _LN2 - np.log(x)
+    sigma = mu * log_2x
+    fact2 = np.where(np.abs(sigma) < _EPS, 1.0, np.sinh(sigma) / sigma)
+    e = np.exp(sigma)
+    ff = fact * (gam1 * np.cosh(sigma) + gam2 * fact2 * log_2x)
+    p, q = 0.5 * e / gampl, 0.5 / (e * gammi)
+    total, total1 = ff, p
+    c = 1.0
+    d = 0.25 * x * x
+    m2 = mu * mu
+    for i in range(1, _MAX_ITER):
+        ff = (i * ff + p + q) / (i * i - m2)
+        c = c * d / i
+        p = p / (i - mu)
+        q = q / (i + mu)
+        delta = c * ff
+        total = total + delta
+        total1 = total1 + c * (p - i * ff)
+        if np.all(np.abs(delta) < _EPS * np.abs(total)):
+            break
+    else:
+        raise _not_converged("Temme's K series", mu, x)
+    scale = np.exp(x)
+    return total * scale, 2.0 * total1 * scale / x
+
+
+def _cf2_k_array(mu: float, x: np.ndarray):
+    """(K_mu e^x, K_{mu+1} e^x) by Steed's CF2 over x >= 2 (that of :func:`_ik_steed`)."""
+    a1 = 0.25 - mu * mu
+    s_out, h_out = np.empty_like(x), np.empty_like(x)
+    live = np.arange(x.size)
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
+    q = np.full_like(x, a1)
+    c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _MAX_ITER):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q = q + c * qnew
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        going = np.abs(dels) >= _EPS * np.abs(s)
+        if not going.all():
+            s_out[live], h_out[live] = s, h
+            if not going.any():
+                break
+            live, b, d, h, delh, q1, q2, q, s = (
+                v[going] for v in (live, b, d, h, delh, q1, q2, q, s))
+    else:
+        raise _not_converged("CF2 for K", mu, x)
+    kmu = np.sqrt(math.pi / (2.0 * x)) / s_out
+    return kmu, kmu * (mu + x + 0.5 - a1 * h_out) / x
 
 
 def log_derivative_exterior(lam: float, kappa: float, r0: float) -> float:

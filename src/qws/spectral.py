@@ -304,7 +304,10 @@ def _counted_levels(channel, potential, mu, E_floor, E_top, ode_tol):
 def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
     """Assemble the unit-norm matched solution and its residual at the root.
 
-    The solve ends at r0; the exterior nodes take sqrt(r) K_lam(kappa r).
+    The solve ends at r0; the exterior nodes take sqrt(r) K_lam(kappa r)
+    from one array call of :func:`~qws.specfun.bessel_k_scaled`.  The
+    scalar pair at r0 alone gives the matching value h, the residual, the
+    tail's scale and its closed-form norm.
     """
     lam = real_lambda(channel, "spectral pipeline")
     r0 = potential.r0
@@ -316,19 +319,18 @@ def _build_bound_state(channel, potential, E, mu, tol) -> BoundState:
     y = np.empty(len(grid.nodes), dtype=complex)
     dy = np.empty_like(y)
     y[: i0 + 1], dy[: i0 + 1] = sol.y, sol.dy
-    h = _exterior_logderiv(lam, E, r0)
+    pair0 = specfun.bessel_i_k(lam, kappa * r0)
+    h = 0.5 / r0 + kappa * pair0.k_log_derivative   # log_derivative_exterior at r0
     A_int = (dy[i0] / y[i0]).real
     residual = abs(A_int - h)
     # exterior tail proportional to sqrt(r) K_lam(kappa r), matched at r0
-    pair0 = specfun.bessel_i_k(lam, kappa * r0)
     scale = y[i0].real / (math.sqrt(r0) * pair0.k_scaled)
-    for j in range(i0 + 1, len(grid.nodes)):
-        r = float(grid.nodes[j])
-        pr = specfun.bessel_i_k(lam, kappa * r)
-        damp = math.exp(-kappa * (r - r0))  # relative to the value at r0
-        y[j] = scale * math.sqrt(r) * pr.k_scaled * damp
-        dy[j] = scale * damp * (0.5 / math.sqrt(r) * pr.k_scaled
-                                + math.sqrt(r) * kappa * pr.k_deriv_scaled)
+    r = grid.nodes[i0 + 1:]
+    k_s, dk_s = specfun.bessel_k_scaled(lam, kappa * r)
+    damp = np.exp(-kappa * (r - r0))  # relative to the value at r0
+    sqrt_r = np.sqrt(r)
+    y[i0 + 1:] = scale * sqrt_r * k_s * damp
+    dy[i0 + 1:] = scale * damp * (0.5 / sqrt_r * k_s + sqrt_r * kappa * dk_s)
     # norm: interior quadrature + closed-form exterior integral of r K^2
     interior_sq = cutoff_integral(grid, np.real(sol.y) ** 2, 2 * lam + 1)
     exterior_sq = (scale ** 2) * _exterior_k_integral(lam, kappa * r0, pair0) / (kappa * kappa)

@@ -148,6 +148,17 @@ class TestJost:
         fm = integrate_jost(eq, g, -1.0, 1e-12)
         assert np.max(np.abs(np.conj(fp.y) - fm.y)) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1.0, 3.7, 2.0 - 0.5j, 1e-3 + 1e-4j])
+    def test_exterior_is_the_per_node_exponential(self, k):
+        # the array exponential against the per-node cmath loop it replaced
+        eq = effective_equation(CH_S, WELL, EnergyValue.from_k(k))
+        g = make_grid(1.0)
+        f = integrate_jost(eq, g, k, 1e-10)
+        for j in range(g.i_cutoff, len(g.nodes)):
+            ph = cmath.exp(-1j * k * g.nodes[j])
+            assert abs(f.y[j] - ph) <= 4e-16 * abs(ph)
+            assert abs(f.dy[j] - (-1j * k * ph)) <= 4e-16 * abs(k * ph)
+
     def test_k_zero_rejected(self):
         eq = effective_equation(CH_S, WELL, EnergyValue.from_k(1.0))
         with pytest.raises(QwsError):

@@ -325,3 +325,49 @@ class TestExteriorLogDerivative:
         assert specfun.log_derivative_interior_free(2.5, 0.0, 1.0) == 3.0
         val = specfun.log_derivative_interior_free(1.5, 1e-6, 1.0)
         assert abs(val - 2.0) <= 1e-6
+
+
+K_NUS = (0.0, 0.1, 0.5, 1.0, 1.5, 2.5, 7.3, 50.0)
+K_XS = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 121),
+                                 [1.9, 1.999999, 2.0, 2.000001, 2.1]]))
+
+
+class TestArrayK:
+    @pytest.mark.parametrize("nu", K_NUS)
+    def test_agrees_with_the_scalar_pair(self, nu):
+        # one call across the series / CF2 boundary at x = 2 and the scalar
+        # pair's asymptotic region, which the array routine reaches by CF2
+        k, dk = specfun.bessel_k_scaled(nu, K_XS)
+        for j, x in enumerate(K_XS):
+            pair = specfun.bessel_i_k(nu, float(x))
+            assert abs(k[j] - pair.k_scaled) <= 1e-13 * pair.k_scaled, (nu, x)
+            assert abs(dk[j] - pair.k_deriv_scaled) <= 1e-13 * abs(pair.k_deriv_scaled), (nu, x)
+
+    @pytest.mark.parametrize("nu", K_NUS)
+    def test_agrees_with_scipy(self, nu):
+        k, dk = specfun.bessel_k_scaled(nu, K_XS)
+        kv = sp.kve(nu, K_XS)
+        kp = -0.5 * (sp.kve(nu - 1, K_XS) + sp.kve(nu + 1, K_XS))
+        assert np.max(abs(k - kv) / kv) <= 1e-12
+        assert np.max(abs(dk - kp) / abs(kp)) <= 1e-12
+
+    def test_no_cap_on_x(self):
+        # past the scalar pair's x <= 1e3, CF2 against the large-argument
+        # branch of _ik; a far element does not spoil one near x = 2
+        xs = np.array([2.0, 1.0e3, 2.6e3, 1.0e4, 1.0e6])
+        for nu in (0.0, 7.3):
+            k, dk = specfun.bessel_k_scaled(nu, xs)
+            for j, x in enumerate(xs):
+                _, _, k_ref, dk_ref = specfun._ik(nu, float(x))
+                assert abs(k[j] - k_ref) <= 1e-14 * k_ref
+                assert abs(dk[j] - dk_ref) <= 1e-14 * abs(dk_ref)
+
+    @pytest.mark.parametrize("nu, x", [
+        (50.1, [1.0]), (-0.1, [1.0]), (math.nan, [1.0]), (1.0 + 0.5j, [1.0]),
+        (1.0, [specfun._X_TINY]), (1.0, [0.0]), (1.0, [-1.0]), (1.0, [2.0, math.nan]),
+        (1.0, [1.0, math.inf]), (1.0, [2.0 + 0j]),
+        (50.0, [1e-200]),           # K_50 overflows
+    ])
+    def test_outside_the_domain_raises(self, nu, x):
+        with pytest.raises(EnvelopeError):
+            specfun.bessel_k_scaled(nu, x)

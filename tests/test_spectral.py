@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qws import spectral as sp
+from qws import specfun, spectral as sp
 from qws.errors import QwsError
 from qws.model import ChannelParams, EnergyValue, effective_equation
 from qws.potentials import PotentialModel, gaussian_bump, square_well, tabulated
@@ -19,7 +19,7 @@ from qws.spectral import (continuation_count, find_bound_states,
                           sturm_liouville_check)
 from qws.radial_ode import interior_lanes, interior_state
 from qws.roots import refine_root
-from qws.scattering import phase_events
+from qws.scattering import phase_events, real_lambda
 
 from oracles import kernel_level_near, rank1_kernel_level, swave_well_levels
 
@@ -537,6 +537,75 @@ def test_no_solve_steps_past_the_cutoff(monkeypatch, ch, pot):
     grid = states[0].solution.grid
     assert grid.r_max == 2.0 * pot.r0 and len(grid.nodes) > grid.i_cutoff + 1
     assert np.all(np.isfinite(states[0].solution.y))
+
+
+def _scalar_tail(state, r0):
+    """The exterior (y, dy) of a level, node by node from the scalar K, matched at r0."""
+    lam = real_lambda(state.channel, "test")
+    kappa, sol = state.kappa, state.solution
+    i0 = sol.grid.i_cutoff
+    k0 = specfun._ik(lam, kappa * r0)[2]
+    scale = sol.y[i0].real / (math.sqrt(r0) * k0)
+    y, dy = [], []
+    for r in sol.grid.nodes[i0 + 1:].tolist():
+        _, _, k, dk = specfun._ik(lam, kappa * r)
+        damp = math.exp(-kappa * (r - r0))
+        y.append(scale * math.sqrt(r) * k * damp)
+        dy.append(scale * damp * (0.5 / math.sqrt(r) * k + math.sqrt(r) * kappa * dk))
+    return np.array(y), np.array(dy)
+
+
+class TestExteriorTail:
+    WELL_KERNEL = PotentialModel(r0=1.0, local=square_well(3.0),
+                                 kernel=(gaussian_bump(0.5, 0.15),), strengths=(-118.0,))
+
+    @pytest.mark.parametrize("ch, pot, kappas", [
+        (CH_S, PotentialModel(r0=1.0, local=square_well(89.8)), (9.04, 7.61, 4.49)),
+        (ChannelParams(q=4, l=0), PotentialModel(r0=1.0, local=square_well(40.545)), (5.45, 2.5)),
+        (CH_S, WELL_KERNEL, (1.19,)),            # nodes straddle x = 2
+    ], ids=["swave-3-levels", "lam1", "well+kernel"])
+    def test_tail_is_the_scalar_tail(self, ch, pot, kappas):
+        states = find_bound_states(ch, pot)
+        assert [round(s.kappa * pot.r0, 2) for s in states] == list(kappas)
+        for state in states:
+            i0 = state.solution.grid.i_cutoff
+            y, dy = _scalar_tail(state, pot.r0)
+            assert np.max(abs(state.solution.y[i0 + 1:] - y) / abs(y)) <= 1e-12
+            assert np.max(abs(state.solution.dy[i0 + 1:] - dy) / abs(dy)) <= 1e-12
+
+    @pytest.mark.parametrize("ch, pot", [
+        (CH_S, PotentialModel(r0=1.0, local=square_well(89.8))),
+        (CH_S, WELL_KERNEL),
+    ], ids=["swave-3-levels", "well+kernel"])
+    def test_one_scalar_pair_per_energy_and_level(self, monkeypatch, ch, pot):
+        # the tail once took one bessel_i_k per exterior node, 160 per level
+        calls, counts = [], []
+        pair, count = specfun.bessel_i_k, sp._level_count
+
+        def counted_pair(*args):
+            calls.append(args)
+            return pair(*args)
+
+        def counted_count(*args):
+            counts.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(specfun, "bessel_i_k", counted_pair)
+        monkeypatch.setattr(sp, "_level_count", counted_count)
+        states = find_bound_states(ch, pot)
+        assert states and len(calls) <= len(counts) + len(states)
+
+    def test_deep_level_tail_past_the_scalar_envelope(self):
+        # kappa r reaches 1020 at 2 r0, past the scalar pair's x <= 1e3,
+        # where the tail of the deepest level of square_well(2.6e5) raised
+        pot = PotentialModel(r0=1.0, local=square_well(3e5))
+        state = sp._build_bound_state(CH_S, pot, -2.6e5, 1.0, 1e-10)
+        i0 = state.solution.grid.i_cutoff
+        tail = state.solution.y[i0 + 1:], state.solution.dy[i0 + 1:]
+        assert state.kappa * state.solution.grid.r_max > 1e3
+        assert np.all(np.isfinite(tail[0])) and np.all(np.isfinite(tail[1]))
+        for got, want in zip(tail, _scalar_tail(state, pot.r0)):
+            assert np.max(abs(got - want) / abs(want)) <= 1e-12
 
 
 class TestContinuationCount:
