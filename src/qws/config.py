@@ -233,8 +233,11 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     diags += _grid_diags(cfg.grid, r0)
 
     for key in ("lambdas", "ks"):
-        if not all(_is_float(v) for v in cfg.scan.get(key, "").split()):
+        values = cfg.scan.get(key, "").split()
+        if not all(_is_float(v) for v in values):
             diags.append(f"[scan] {key} must be a list of numbers")
+        elif not all(math.isfinite(float(v)) for v in values):
+            diags.append(f"[scan] {key} must be finite")
     for key, val in cfg.scan.items():
         if key in ("name", "kind", "pair", "lambdas", "ks"):
             continue

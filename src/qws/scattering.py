@@ -56,7 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,7 +201,12 @@ def wronskian_pair_jost(channel: ChannelParams, potential: PotentialModel,
 
     The default audit grid keeps its lower edge where the product |f f'|,
     which grows like r^{-2 lam} under the centrifugal barrier, still leaves
-    the O(1) Wronskian resolvable in double precision.
+    the O(1) Wronskian resolvable in double precision.  Where k and lam are
+    both real the equation is real, and f(-k) is the conjugate of f(k): one
+    solve gives both (the stepper takes the same steps from conjugate start
+    values, so the conjugate is the direct solve's values bit for bit).  A
+    complex k or lam integrates f(-k) as well; :func:`hermiticity_residual`
+    audits the identity with two solves.
     """
     r0 = potential.r0
     if grid is None:
@@ -211,7 +216,10 @@ def wronskian_pair_jost(channel: ChannelParams, potential: PotentialModel,
         grid = make_grid(r0, r_min=r_lo)
     eq = effective_equation(channel, potential, EnergyValue(E=k * k))
     f_p = integrate_jost(eq, grid, k, tol)
-    f_m = integrate_jost(eq, grid, -k, tol)
+    if isinstance(k, complex) or isinstance(channel.lam, complex):
+        f_m = integrate_jost(eq, grid, -k, tol)
+    else:
+        f_m = replace(f_p, y=f_p.y.conjugate(), dy=f_p.dy.conjugate())
     return wronskian(f_p, f_m)
 
 

@@ -555,6 +555,24 @@ def test_non_integer_counts_exit_as_config_error(tmp_path, capsys, config, key, 
     assert err.startswith("config: ") and message in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lambdas", "0.5 nan"), ("lambdas", "inf"), ("lambdas", "1.5 -inf 2.5"),
+    ("ks", "nan"), ("ks", "inf"), ("ks", "0.5 1 -inf"),
+], ids=["lambdas-nan", "lambdas-inf", "lambdas--inf", "ks-nan", "ks-inf", "ks--inf"])
+def test_non_finite_audit_lists_exit_as_config_error(tmp_path, capsys, key, value):
+    # each entry was checked only to parse as a number: nan ended in exit 3 with
+    # a step size underflow, lambdas = inf in exit 3 with an r_min error
+    text = (CONFIG_DIR / "wronskian_jost.cfg").read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old + "\n", f"{key} = {value}\n"))
+    rc = main(["wronskian-audit", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+               "--no-metadata"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and f"[scan] {key} must be finite" in err
+
+
 HUGE_COUNT_CASES = [
     ("phase_shift_square_well.cfg", "k_count", "1e300"),
     ("phase_shift_square_well.cfg", "k_count", "1000001"),

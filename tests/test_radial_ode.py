@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from qws import radial_ode
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
 from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
@@ -1069,6 +1070,104 @@ class TestFloatStepping:
         # and 3 dense-output abscissas of more than ten steps
         assert len(seen) > 14 * 10
         assert set(seen) == {float}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _jost_problem(ch, pot, k, record=_DENSE_RECORD):
+    """(qfun, r_start, u0, v0, record, knots) of the inward Jost solve at wavenumber k."""
+    eq = effective_equation(ch, pot, EnergyValue(E=k * k))
+    u0 = cmath.exp(-1j * k * pot.r0)
+    inward = record[::-1][1:]
+    return eq.coefficient, pot.r0, u0, -1j * k * u0, inward, _knots(pot, inward)
+
+
+# (id, problem) of the dense-output branch tests: real outward origin solves
+# and complex inward Jost solves on 401 nodes, and a kinked table's knots
+DENSE_PROBLEMS = [
+    ("square-s-bound", lambda: _real_problem(CH_S, _SQUARE, -12.0, _DENSE_RECORD)),
+    ("square-p-scattering", lambda: _real_problem(_CH_P, _SQUARE, 30.0, _DENSE_RECORD)),
+    ("gaussian-lam2.5", lambda: _real_problem(ChannelParams.from_lambda(2.5), PotentialModel(
+        r0=1.0, local=truncated_gaussian(30.0, 0.6)), 5.0, _DENSE_RECORD)),
+    ("table-knots", lambda: _real_problem(CH_S, PotentialModel(
+        r0=1.0, local=KINKED_TABLE[1]), -3.0, _DENSE_RECORD)),
+    ("jost-square", lambda: _jost_problem(CH_S, _SQUARE, 2.0)),
+    ("jost-complex-k", lambda: _jost_problem(_CH_P, _SQUARE, 1.0 + 0.1j)),
+    ("jost-complex-lam", lambda: _jost_problem(ChannelParams.from_lambda(1.5 + 0.5j), PotentialModel(
+        r0=1.0, local=truncated_exponential(15.0, 0.5)), 1.5)),
+    ("jost-table-knots", lambda: _jost_problem(CH_S, PotentialModel(
+        r0=1.0, local=KINKED_TABLE[1]), 3.0)),
+]
+
+
+class TestDenseBranches:
+    """A step evaluates its nodes per node in Python scalars or as one array, bit for bit alike."""
+
+    @staticmethod
+    def both(monkeypatch, solve):
+        # every dense step as one array, then every dense step per node
+        out = []
+        for cut in (0, 10 ** 9):
+            monkeypatch.setattr(radial_ode, "DENSE_SCALAR_NODES", cut)
+            out.append(solve())
+        return out
+
+    @pytest.mark.parametrize("problem", [case[1] for case in DENSE_PROBLEMS],
+                             ids=[case[0] for case in DENSE_PROBLEMS])
+    def test_per_node_is_the_array_on_every_node(self, monkeypatch, problem):
+        qfun, r_start, u0, v0, record, knots = problem()
+        vec, per_node = self.both(monkeypatch, lambda: _integrate(
+            qfun, r_start, u0, v0, record, 1e-10, knots=knots))
+        for a, b in zip(vec, per_node):
+            assert _same_bits(a, b)
+
+    def test_steps_covering_one_cut_and_cut_plus_one_nodes(self, monkeypatch):
+        # the steps do not depend on the nodes in between (a growing solution
+        # never reaches the 1e-3 max|y| floor), so a subset of a fine record
+        # takes the same steps: keep 1, N and N + 1 nodes of three of them
+        n = radial_ode.DENSE_SCALAR_NODES
+        qfun, r_start, u0, v0, fine, _ = _real_problem(
+            CH_S, _SQUARE, -12.0, make_grid(1.0, r_max=1.0, n_interior=4001).interior_nodes)
+        covered = []
+        dense = radial_ode._dense
+
+        def spy(y0, F, x):
+            covered.append(np.size(x))   # x: one scalar, or one row per node
+            return dense(y0, F, x)
+
+        monkeypatch.setattr(radial_ode, "_dense", spy)
+        monkeypatch.setattr(radial_ode, "DENSE_SCALAR_NODES", 0)
+        _integrate(qfun, r_start, u0, v0, fine, 1e-10)
+        starts = np.cumsum([1] + covered)   # fine[0] is r_start's node: no step covers it
+        wide = [j for j, c in enumerate(covered) if c > n + 1]
+        assert len(wide) >= 3
+        keep = [fine[starts[j]:starts[j] + m] for j, m in zip(wide[-3:], (1, n, n + 1))]
+        record = np.concatenate(keep + [fine[-1:]])
+        covered.clear()
+        monkeypatch.setattr(radial_ode, "_dense", dense)
+        vec, per_node = self.both(monkeypatch, lambda: _integrate(
+            qfun, r_start, u0, v0, record, 1e-10))
+        for a, b in zip(vec, per_node):
+            assert _same_bits(a, b)
+        monkeypatch.undo()
+        monkeypatch.setattr(radial_ode, "_dense", spy)
+        default = _integrate(qfun, r_start, u0, v0, record, 1e-10)
+        # per node, _dense takes one scalar x a call: the 1- and N-node steps
+        # make 2 and 2 N calls, the (N + 1)-node step one call on its array
+        assert covered == [1] * 2 * (1 + n) + [n + 1]
+        for a, b in zip(vec, default):
+            assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_kernel_point(self, monkeypatch, ch, pot):
+        eq = effective_equation(ch, pot, EnergyValue(E=-2.0))
+        vec, per_node = self.both(monkeypatch, lambda: _kernel_point(
+            eq.coefficient, eq.sources, ch, pot, -2.0, eq.mu, 1e-10, return_winding=True))
+        for a, b in zip(vec, per_node):
+            assert _same_bits(a, b)
 
 
 def _from_r_min(ch, pot, E, tol=1e-10):

@@ -9,7 +9,7 @@ from qws.model import ChannelParams, EnergyValue, effective_equation
 from qws.potentials import (PotentialModel, gaussian_bump, square_well,
                             tabulated, truncated_exponential,
                             truncated_gaussian)
-from qws.radial_ode import integrate_regular, interior_state, make_grid
+from qws.radial_ode import integrate_jost, integrate_regular, interior_state, make_grid
 from qws.scattering import (MU_REFINE_FLOOR, MU_STEPS_DEFAULT, hermiticity_residual,
                             log_derivative_interior, low_k_phase_asymptotic,
                             phase_events, phase_shift, phase_shift_curve, wronskian,
@@ -55,6 +55,53 @@ class TestWronskian:
         rep = wronskian(sol, sol)
         assert rep.pair == "self"
         assert np.max(np.abs(rep.values)) == 0.0
+
+
+_R_TAB = np.linspace(0.01, 1.0, 60)
+CONJUGATE_WELLS = [square_well(4.0), truncated_gaussian(30.0, 0.6),
+                   truncated_exponential(15.0, 0.5),
+                   tabulated(_R_TAB, -60.0 * np.cos(2.5 * math.pi * _R_TAB))]
+
+
+class TestConjugateJostPair:
+    """At real k and lam, f(-k) is the conjugate of f(k): one solve gives the pair."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def jost(eq, grid, k, tol=1e-10):
+            calls.append((eq, grid, k, tol))
+            return integrate_jost(eq, grid, k, tol)
+
+        monkeypatch.setattr(scattering, "integrate_jost", jost)
+        return calls
+
+    @pytest.mark.parametrize("local", CONJUGATE_WELLS,
+                             ids=["square", "gaussian", "exponential", "table"])
+    def test_report_is_the_two_solve_report_bit_for_bit(self, monkeypatch, local):
+        pot = PotentialModel(r0=1.0, local=local)
+        calls = self.counted(monkeypatch)
+        for lam in (0.5, 1.5, 2.5):
+            for k in (0.5, 1.0, 2.0):
+                calls.clear()
+                rep = wronskian_pair_jost(ChannelParams.from_lambda(lam), pot, k)
+                assert len(calls) == 1
+                eq, grid, _, tol = calls[0]
+                ref = wronskian(integrate_jost(eq, grid, k, tol),
+                                integrate_jost(eq, grid, -k, tol))
+                assert rep.pair == ref.pair and rep.expected == ref.expected
+                assert rep.values.tobytes() == ref.values.tobytes()
+                assert rep.max_abs_deviation == ref.max_abs_deviation
+                assert rep.stddev == ref.stddev
+
+    @pytest.mark.parametrize("lam, k", [(0.5, 1.0 + 0.1j), (1.5 + 0.2j, 1.0)],
+                             ids=["complex-k", "complex-lam"])
+    def test_complex_k_or_lam_integrates_both(self, monkeypatch, lam, k):
+        calls = self.counted(monkeypatch)
+        rep = wronskian_pair_jost(ChannelParams.from_lambda(lam), WELL, k)
+        assert [c[2] for c in calls] == [k, -k]
+        assert rep.max_abs_deviation <= 1e-8 * abs(rep.expected)
 
 
 class TestHermiticity:
