@@ -3,10 +3,13 @@
 form, and the small-k asymptotic law against the full formula.
 
 Writes a CSV with one row per (V0, k) and prints worst-case deviations.
+Exits 1 when the worst |eta - closed form| exceeds ETA_TOL rad, or when an
+asymptotic/full tan eta ratio leaves [1 - RATIO_TOL, 1 + RATIO_TOL].
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -14,6 +17,9 @@ from qws.model import ChannelParams, EnergyValue, effective_equation
 from qws.potentials import PotentialModel, square_well
 from qws.radial_ode import interior_state
 from qws.scattering import low_k_phase_asymptotic, phase_shift
+
+ETA_TOL = 1e-9
+RATIO_TOL = 1e-5
 
 
 def closed_form_eta(k, V0, r0):
@@ -41,6 +47,7 @@ def main():
             rows.append((V0, float(k), res.eta_raw, ref, dev))
     print(f"phase shift vs closed form: worst |deviation| = {worst:.3e}")
 
+    failed = not all(row[-1] <= ETA_TOL for row in rows)   # a nan deviation fails too
     print("small-k law check (tan eta ratios at k = 1e-3):")
     for V0 in args.depths:
         pot = PotentialModel(r0=1.0, local=square_well(V0))
@@ -49,14 +56,19 @@ def main():
         A0 = (v / u).real
         asym = low_k_phase_asymptotic(ch, A0, 1e-3, 1.0)
         full = phase_shift(ch, pot, 1e-3, mu_steps=None, with_fit=False).tan_eta
-        print(f"  V0 = {V0:6.2f}: asymptotic/full = {asym / full:.8f}")
+        ratio = asym / full
+        print(f"  V0 = {V0:6.2f}: asymptotic/full = {ratio:.8f}")
+        failed |= not abs(ratio - 1.0) <= RATIO_TOL
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("V0,k,eta,eta_closed_form,abs_deviation\n")
         for row in rows:
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
+    if failed:
+        print(f"FAIL: a deviation passes {ETA_TOL:g} rad or a ratio leaves 1 +- {RATIO_TOL:g}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

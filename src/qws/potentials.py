@@ -17,8 +17,8 @@ import numpy as np
 from .errors import QwsError
 
 # the highest power v_m r^m of the built-in profiles' origin expansions: the
-# origin series of the integrator (radial_ode.SERIES_TERMS = 24 terms) reads
-# v_j up to j = 22
+# origin series of the integrator carries radial_ode.SERIES_TERMS = ORIGIN_ORDER
+# + 2 terms, which read v_j up to j = ORIGIN_ORDER
 ORIGIN_ORDER = 22
 
 

@@ -32,14 +32,17 @@ cutoff: Q(r0) is the interior value, and a full grid continues from r0
 through :func:`free_exterior`.
 
 Every kernel datum at an energy comes from one kernel point
-(:func:`_kernel_point`): two local solves and no particular solve, y_reg
+(:func:`_kernel_point`, which makes Q(r) and the sources from the channel,
+the model, E and mu): two local solves and no particular solve, y_reg
 outward and y_2 inward from r0, each in the direction in which it grows,
 on a composite Gauss-Legendre rule that resolves the profiles and the
 solutions (:func:`_green_edges`).  For a state y_2 starts from (-y_reg',
 y_reg): variation of parameters gives the particular solutions, the rule
 their moments, and Cramer's rule the cutoff state scaled by det(Id - mu C
 M) (:func:`_couple`), finite at a kernel resonance; :func:`solve_nonlocal`
-alone divides it out.  For the level count y_2 decays from (1, h).
+alone divides it out, by the determinant of its origin normalization,
+which the determinant lemma takes from the same Cramer solve.  For the
+level count y_2 decays from (1, h).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                      RegularityError, StiffnessError)
 from .model import (ChannelParams, EffectiveEquation, EnergyValue, effective_equation,
                     kernel_sources, origin_expansion, radial_coefficient)
-from .potentials import PotentialModel
+from .potentials import ORIGIN_ORDER, PotentialModel
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage
 # abscissas c_i, a_ij of stages 2-12 (c_12 = 1), weights b_j, the 5th- and
@@ -184,9 +187,10 @@ _MAX_STEPS = 5_000_000
 # r_min / r0: the first node of the default grid and of every straight-to-cutoff
 # record, and the floor of the series start radius r_s
 R_MIN_FRACTION = 1e-6
-# the origin series carries a_0 ... a_N, N = SERIES_TERMS; one whose terms
+# the origin series carries a_0 ... a_N, N = SERIES_TERMS, which reads the
+# profiles' origin expansions v_j up to j = ORIGIN_ORDER; one whose terms
 # overflow falls back to the short series of a_0 ... a_5 from w_-1, w_0, w_1
-SERIES_TERMS = 24
+SERIES_TERMS = ORIGIN_ORDER + 2
 SHORT_SERIES_TERMS = 5
 # r_s stays at or below this fraction of r0 (and below half the second recorded
 # node), or of the second for a complex lam or E: there Re y winds like
@@ -243,14 +247,16 @@ class RadialGrid:
 def make_grid(r0: float, r_min: Optional[float] = None, r_max: Optional[float] = None,
               n_interior: int = 801, n_exterior: int = 161) -> RadialGrid:
     """Uniform interior grid on [r_min, r0] plus a uniform exterior tail to r_max."""
-    if r0 <= 0:
-        raise QwsError("r0 must be positive")
     if r_min is None:
         r_min = R_MIN_FRACTION * r0
     if r_max is None:
         r_max = 2.0 * r0
-    if not (0 < r_min < r0 <= r_max):
-        raise QwsError("need 0 < r_min < r0 <= r_max")
+    if not (all(map(math.isfinite, (r0, r_min, r_max))) and 0 < r_min < r0 <= r_max):
+        raise QwsError("need finite 0 < r_min < r0 <= r_max")
+    try:
+        n_interior, n_exterior = operator.index(n_interior), operator.index(n_exterior)
+    except TypeError:
+        raise QwsError("grid node counts must be integers") from None
     if n_interior % 2 == 0:
         n_interior += 1  # Simpson needs an even interval count
     if n_interior < 5:
@@ -1112,7 +1118,8 @@ class _KernelPoint(NamedTuple):
     y, dy, y2, dy2: y_reg, y_2 and their derivatives (sample, point); P =
     int_0^r S_j y_reg and R = int_r^r0 S_j y_2 (sample, point, j); W
     (point,); WG = W G = -(X + X^T) (point, i, j); Q0 = int_0^r0 S_j y_2 on
-    the uniform rule (point, j); turns: y_reg's winding count, if asked.
+    the uniform rule (point, j), which moves :func:`solve_nonlocal`'s
+    determinant to det + Q0.N / W; turns: y_reg's winding count, if asked.
     The level count's point holds r0 alone, and no P, R or Q0.
     """
 
@@ -1133,9 +1140,9 @@ class _KernelPoint(NamedTuple):
         return -self.WG / self.W[:, None, None]
 
 
-def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: PotentialModel,
-                  E, mu, tol: float, samples: Optional[np.ndarray] = None,
-                  h: Optional[float] = None, return_winding: bool = False) -> _KernelPoint:
+def _kernel_point(channel: ChannelParams, potential: PotentialModel, E, mu, tol: float,
+                  samples: Optional[np.ndarray] = None, h: Optional[float] = None,
+                  return_winding: bool = False) -> _KernelPoint:
     """The Green matrix and the state's parts at a kernel point, from two local solves.
 
     y_reg goes outward from its series (:func:`_from_origin`) and y_2 inward
@@ -1157,14 +1164,15 @@ def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: Po
     and the point holds r0 alone, W G and W: what the count reads.  With
     ``return_winding`` (a scalar E) either point holds y_reg's winding
     count, for the count and a continued phase shift.  E and mu are scalars, or
-    arrays of float64 lanes (``potential.mu`` is not read), with Q(r) =
-    ``qfun`` and S_i(r) = ``sources``: an equation's ``coefficient`` and
-    ``sources``.  A complex lambda, q or E raises QwsError.
+    arrays of float64 lanes (``potential.mu`` is not read), which fix Q(r)
+    (:func:`~qws.model.radial_coefficient`) and S_i(r) (``kernel_sources``)
+    here.  A complex lambda, q or E raises QwsError.
     """
     lam = channel.lam
     if isinstance(lam, complex) or np.iscomplex(channel.q) or np.any(np.iscomplex(E)):
         raise QwsError("a non-local solve requires real lambda, q and energy")
     E = np.real(E)
+    qfun, sources = radial_coefficient(lam, E, mu, potential), kernel_sources(channel, potential)
     uniform = _green_edges(potential, E, mu)
     edges = uniform if samples is None else _graded(uniform, float(samples[0]))
     at, w = _rule(edges)
@@ -1209,18 +1217,6 @@ def _kernel_point(qfun: Callable, sources, channel: ChannelParams, potential: Po
                         np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0, *turns)
 
 
-def _volterra_moments(part: _KernelPoint) -> np.ndarray:
-    """The moments M - m_h Q0^T / W of the particular solutions p_j - (Q0_j / W) y_reg.
-
-    Those are (y_2 P_j - y_reg int_0^r S_j y_2) / W, which keep the
-    normalization of the origin series, y ~ r^(lam + 1/2) (for l < a + 2;
-    beyond, the rule's finite sum Q0 is a convention).  The shift along
-    y_reg scales det(Id - mu C M) and N alike (Sherman-Morrison), so det y
-    stays as it is.
-    """
-    return part.M - part.P[-1][:, :, None] * part.Q0[:, None, :] / part.W[:, None, None]
-
-
 def _scaled(part: _KernelPoint, N: np.ndarray, det) -> Tuple[np.ndarray, np.ndarray]:
     """(det y, det y') = det y_reg + (y_2 P.N + y_reg R.N) / W and its derivative at the samples.
 
@@ -1246,37 +1242,38 @@ def solve_nonlocal(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-10) 
     all couplings zero) is integrated by :func:`integrate_regular`; a rank-n
     kernel by :func:`_kernel_point`, with the grid's interior nodes as its
     samples, continued through the free exterior.  The solution keeps the
-    normalization of the origin series: det, N and the moments are those
-    of :func:`_volterra_moments`, and nodes at or below R_MIN_FRACTION r0
-    take the series value of y_reg, as the first node of every
-    origin-regular solve does (where l < a + 2 the particular solutions add
-    r^(a + 2 - l) to it, relative).  It alone divides the scaled state by
-    det, so it alone raises DegenerateCouplingError, where |det| < 1e-12
-    max(1, |B|_F)^n (a kernel resonance: no solution of this normalization
-    exists there).
+    normalization of the origin series, y ~ r^(lam + 1/2): its particular
+    solutions are p_j - (Q0_j / W) y_reg (for l < a + 2; beyond, the rule's
+    finite sum Q0 is a convention).  That shift of the moments, M_V = M -
+    m_h Q0^T / W, is rank one: it leaves N of the one :func:`_couple` on M
+    and moves det to det_V = det + Q0.N / W (the matrix determinant lemma),
+    so beta = N / det_V and y is the det-scaled state over det_V.  Nodes at
+    or below R_MIN_FRACTION r0 take the series value of y_reg, as the first
+    node of every origin-regular solve does (where l < a + 2 the particular
+    solutions add r^(a + 2 - l) to it, relative).  It alone divides by
+    det_V, so it alone raises DegenerateCouplingError, where |det_V| < 1e-12
+    max(1, |B_V|_F)^n, B_V = Id - mu C M_V (a kernel resonance: no solution
+    of this normalization exists there).
     """
     if not eq.kernel_acts:
         return integrate_regular(eq, grid, tol)
     i0 = grid.i_cutoff
     nodes = grid.interior_nodes[:i0]
     low = int(np.searchsorted(nodes, R_MIN_FRACTION * eq.r0, side="right"))
-    part = _kernel_point(eq.coefficient, eq.sources, eq.channel, eq.potential, eq.energy.E,
-                         eq.mu, tol, samples=nodes[low:])
-    y_int, dy_int = _scaled(part, *_couple(part.M, part.P[-1], eq.coupling, eq.mu)[::2])
-    M = _volterra_moments(part)
-    N, B, det = _couple(M, part.P[-1], eq.coupling, eq.mu)
-    det = det[0]
-    if abs(det) < 1e-12 * max(1.0, float(np.linalg.norm(B[0]))) ** eq.rank:
+    part = _kernel_point(eq.channel, eq.potential, eq.energy.E, eq.mu, tol, samples=nodes[low:])
+    m_h, Q0, W = part.P[-1, 0], part.Q0[0], part.W[0]
+    N, B, det = (x[0] for x in _couple(part.M, part.P[-1], eq.coupling, eq.mu))
+    det_v = det + Q0 @ (N / W)
+    B_v = B + np.outer(eq.mu * eq.coupling @ m_h, Q0) / W
+    if abs(det_v) < 1e-12 * max(1.0, float(np.linalg.norm(B_v))) ** eq.rank:
         raise DegenerateCouplingError(
-            f"det(Id - mu C M) = {det:.3e}: kernel resonance at E = {eq.energy.E}")
-    beta = N[0] / det
-    data = KernelSolveData(moments=part.P[-1, 0] + M[0] @ beta, coefficients=beta,
-                           det=float(abs(det)))
+            f"det(Id - mu C M) = {det_v:.3e}: kernel resonance at E = {eq.energy.E}")
+    data = KernelSolveData(moments=(det * m_h + part.M[0] @ N) / det_v, coefficients=N / det_v,
+                           det=float(abs(det_v)))
     y = np.empty(len(grid.nodes), dtype=complex)
     dy = np.empty(len(grid.nodes), dtype=complex)
     y[:low], dy[:low] = frobenius_start(eq.lam, eq.energy.E.real, eq.origin_w, nodes[:low])
-    y[low: i0 + 1] = y_int[:, 0] / det
-    dy[low: i0 + 1] = dy_int[:, 0] / det
+    y[low: i0 + 1], dy[low: i0 + 1] = (x[:, 0] / det_v for x in _scaled(part, N[None], det))
     y[i0:], dy[i0:] = free_exterior(eq, y[i0], dy[i0], grid.nodes[i0:], tol)
     return RadialSolution(grid=grid, y=y, dy=dy, normalization="origin-regular",
                           channel=eq.channel, energy=eq.energy, mu=eq.mu,
@@ -1311,8 +1308,8 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
     if eq.kernel_acts:
         if return_winding:
             raise QwsError("the winding count is defined for the local equation only")
-        y, dy, max_y = _cutoff(_kernel_point(eq.coefficient, eq.sources, eq.channel, eq.potential,
-                                             eq.energy.E, eq.mu, tol), eq.coupling, eq.mu)
+        y, dy, max_y = _cutoff(_kernel_point(eq.channel, eq.potential, eq.energy.E, eq.mu, tol),
+                               eq.coupling, eq.mu)
         return complex(y[0]), complex(dy[0]), float(max_y[0])
     record = [R_MIN_FRACTION * eq.r0, eq.r0]
     us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
@@ -1369,8 +1366,7 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
                                      knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
-    part = _kernel_point(radial_coefficient(lam, E, mu, potential),
-                         kernel_sources(channel, potential), channel, potential, E, mu, tol)
+    part = _kernel_point(channel, potential, E, mu, tol)
     return tuple(x.reshape(shape) for x in _cutoff(part, potential.coupling_matrix(), mu))
 
 
@@ -1396,11 +1392,11 @@ def interior_in_mu(channel: ChannelParams, potential: PotentialModel, E: float,
             return interior_state(eq, tol)
 
         return at
-    eq = effective_equation(channel, potential, EnergyValue(E=E))
-    part = _kernel_point(eq.coefficient, eq.sources, channel, potential, E, eq.mu, tol)
+    part = _kernel_point(channel, potential, E, potential.mu, tol)
+    coupling = potential.coupling_matrix()
 
     def at(mu):
-        y, dy, max_y = _cutoff(part, eq.coupling, _finite_mu(mu))
+        y, dy, max_y = _cutoff(part, coupling, _finite_mu(mu))
         if np.ndim(mu):
             return y, dy, max_y
         return complex(y[0]), complex(dy[0]), float(max_y[0])

@@ -598,8 +598,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     eq = effective_equation(channel, potential.with_mu(mu), energy)
     continued = mu != 0.0 and mu_steps is not None
     if eq.kernel_acts:
-        part = _kernel_point(eq.coefficient, eq.sources, channel, potential, energy.E, eq.mu,
-                             tol, return_winding=continued and potential.local is not None)
+        part = _kernel_point(channel, potential, energy.E, eq.mu, tol,
+                             return_winding=continued and potential.local is not None)
         y, dy, max_y = _cutoff(part, eq.coupling, eq.mu)
         at_mu = complex(y[0]), complex(dy[0]), float(max_y[0])
         theta, tan_eta, A = _theta(pair, at_mu)
@@ -697,8 +697,11 @@ def low_k_phase_asymptotic(channel: ChannelParams, A0: float, k: float,
     tan eta ~ -pi (k r0)^{2 lam} / (4^lam lam Gamma(lam)^2)
               * (A0 - rho~) / (A0 - rho),
     rho = (1/2 - lam)/r0, rho~ = (lam + 1/2)/r0.  Raises when the denominator
-    vanishes (threshold resonance: the leading-order law breaks down).
+    vanishes (threshold resonance: the leading-order law breaks down), and
+    QwsError unless k and r0 are finite and positive and A0 is finite.
     """
+    if not (math.isfinite(k) and k > 0 and math.isfinite(r0) and r0 > 0 and math.isfinite(A0)):
+        raise QwsError("low-k law needs finite k > 0, r0 > 0 and A0")
     lam = channel.lam
     lam_re = lam.real if isinstance(lam, complex) else lam
     if lam_re <= 0:

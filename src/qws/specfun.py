@@ -151,9 +151,9 @@ def _check_envelope(nu: float, x: float, allow_x_zero: bool = False) -> None:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x away from the poles at 0, -1, -2, ..."""
-    if x <= 0 and x == int(x):
-        raise EnvelopeError(f"gamma pole at x={x}")
+    """Gamma function for finite real x away from the poles at 0, -1, -2, ..."""
+    if not math.isfinite(x) or (x <= 0 and x == int(x)):
+        raise EnvelopeError(f"gamma pole or non-finite x={x}")
     try:
         return math.gamma(x)
     except (ValueError, OverflowError) as exc:
@@ -693,8 +693,8 @@ def log_derivative_exterior(lam: float, kappa: float, r0: float) -> float:
     Returns (1/2 - lam)/r0 exactly at kappa = 0; tends to -kappa for deep
     binding.  For lam = 1/2 it equals -kappa identically.
     """
-    if r0 <= 0:
-        raise EnvelopeError("r0 must be positive")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise EnvelopeError("r0 must be positive and finite")
     if kappa < 0:
         raise EnvelopeError("kappa must be nonnegative")
     if kappa == 0.0:
@@ -708,8 +708,8 @@ def log_derivative_interior_free(lam: float, kappa: float, r0: float) -> float:
 
     Tends to (lam + 1/2)/r0 as kappa -> 0.
     """
-    if r0 <= 0:
-        raise EnvelopeError("r0 must be positive")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise EnvelopeError("r0 must be positive and finite")
     if kappa < 0:
         raise EnvelopeError("kappa must be nonnegative")
     if kappa == 0.0:

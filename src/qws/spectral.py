@@ -197,21 +197,19 @@ def _level_count(channel, potential, E, mu, tol) -> Tuple[int, float]:
         F = _prufer_mismatch(channel, potential, E, mu, tol)
         return math.ceil(-F / math.pi), F
     lam = real_lambda(channel, "spectral pipeline")
-    eq = effective_equation(channel, potential.with_mu(mu), EnergyValue(E=E))
     h = _exterior_logderiv(lam, E, potential.r0)
     local = potential.local is not None
-    point = _kernel_point(eq.coefficient, eq.sources, channel, eq.potential, E, eq.mu, tol, h=h,
-                          return_winding=local)
+    point = _kernel_point(channel, potential, E, mu, tol, h=h, return_winding=local)
     u, v = point.y[0, 0], point.dy[0, 0]
     scale = math.hypot(u, v)
     N, W = point.WG[0] / scale, point.W[0] / scale
-    K = mu * eq.coupling
+    K = mu * potential.coupling_matrix()
     k, U = np.linalg.eigh(K)
     on = np.abs(k) > 1e-12 * np.max(np.abs(k))
     A = np.diag(1.0 / k[on]) + U[:, on].T @ (N / W) @ U[:, on]
     index = int(np.sum(np.linalg.eigvalsh(A) > 0)) - int(np.sum(k[on] > 0))
     n_loc = math.ceil(-(prufer_angle(u, v, point.turns) - math.atan(h)) / math.pi) if local else 0
-    return n_loc + index, float(np.linalg.det(W * np.eye(eq.rank) + K @ N) / W ** (eq.rank - 1))
+    return n_loc + index, float(np.linalg.det(W * np.eye(len(K)) + K @ N) / W ** (len(K) - 1))
 
 
 def find_bound_states(channel: ChannelParams, potential: PotentialModel,

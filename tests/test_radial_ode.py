@@ -16,7 +16,7 @@ from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
                             R_MIN_FRACTION, SERIES_CAP_FRACTION, SERIES_PHASE,
                             SHORT_SERIES_TERMS, _couple, _gauss_legendre, _green_edges,
                             _integrate, _kernel_point, _knots, _scaled,
-                            _series_coefficients, _series_radius, _volterra_moments,
+                            _series_coefficients, _series_radius,
                             cutoff_integral, free_exterior, frobenius_start,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, make_grid,
@@ -58,6 +58,15 @@ class TestGrid:
             make_grid(-1.0)
         with pytest.raises(QwsError):
             make_grid(1.0, r_min=2.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r_max": math.inf}, {"n_interior": 801.0}, {"n_exterior": 10.5},
+    ], ids=["r_max-inf", "n_interior-float", "n_exterior-float"])
+    def test_non_finite_radius_or_non_integer_count_rejected(self, kwargs):
+        # r_max = inf made every exterior node inf (and a numpy RuntimeWarning);
+        # a float count was a raw TypeError
+        with pytest.raises(QwsError):
+            make_grid(1.0, **kwargs)
 
 
 class TestRegular:
@@ -830,8 +839,9 @@ class TestTabulatedKnots:
         y0, dy0 = sol.at_cutoff()
         # interior_state carries the det(Id - mu C M) that solve_nonlocal divides
         # out: real at a real energy, sign and all
-        part = _kernel_point(eq.coefficient, eq.sources, CH_S, pot, -3.0, eq.mu, 1e-10)
-        det = _couple(_volterra_moments(part), part.P[-1], eq.coupling, eq.mu)[2][0]
+        part = _kernel_point(CH_S, pot, -3.0, eq.mu, 1e-10)
+        volterra = part.M - part.P[-1][:, :, None] * part.Q0[:, None, :] / part.W[:, None, None]
+        det = _couple(volterra, part.P[-1], eq.coupling, eq.mu)[2][0]
         scale = u / y0
         assert abs(scale.imag) <= 1e-10 * abs(scale)
         assert abs(scale - det) <= 1e-10 * abs(det)
@@ -1163,9 +1173,8 @@ class TestDenseBranches:
 
     @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
     def test_kernel_point(self, monkeypatch, ch, pot):
-        eq = effective_equation(ch, pot, EnergyValue(E=-2.0))
         vec, per_node = self.both(monkeypatch, lambda: _kernel_point(
-            eq.coefficient, eq.sources, ch, pot, -2.0, eq.mu, 1e-10, return_winding=True))
+            ch, pot, -2.0, pot.mu, 1e-10, return_winding=True))
         for a, b in zip(vec, per_node):
             assert _same_bits(a, b)
 
@@ -1391,12 +1400,12 @@ class TestKernelPoint:
     def test_a_multiple_of_y_reg_in_the_particular_solutions_leaves_the_state(self, ch, pot):
         # p_j -> p_j - (c_j / W) y_reg, that is R_j -> R_j - c_j and M -> M -
         # m_h c^T / W, scales det(Id - mu C M) and N alike (Sherman-Morrison),
-        # so det y stays as it is: the origin series' normalization
-        # (_volterra_moments) changes nothing in it, and where int_0^r S_j y_2
+        # so det y stays as it is: the origin series' normalization (the
+        # shift of solve_nonlocal) changes nothing in it, and where int_0^r S_j y_2
         # diverges (l >= a + 2: the l = 4 bump) nothing depends on that sum
         for E in (-40.0, 2.0):
             eq = effective_equation(ch, pot, EnergyValue(E=E))
-            part = _kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu, 1e-10)
+            part = _kernel_point(ch, pot, E, eq.mu, 1e-10)
             c = np.array([0.7, -1.3])[:pot.rank] * np.abs(part.Q0[0])
             # M -> M - m_h c^T / W is W G -> W G + m_h c^T
             moved = part._replace(R=part.R - c, WG=part.WG + part.P[-1][:, :, None] * c)
@@ -1404,6 +1413,48 @@ class TestKernelPoint:
                         for x in (part, moved))
             for a, b in zip(ref, new):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def _volterra_reference(eq, grid, tol=1e-10):
+    """(det, beta, moments, y, low) of the explicit Volterra solve of :func:`solve_nonlocal`.
+
+    Cramer's rule on the moments M_V = M - m_h Q0^T / W of the particular
+    solutions p_j - (Q0_j / W) y_reg, and y = y_reg + sum_j beta_j (p_j -
+    (Q0_j / W) y_reg) on every sample row, the grid's rows from ``low`` to
+    r0: the second solve that the determinant lemma replaced.
+    """
+    nodes = grid.interior_nodes[:grid.i_cutoff]
+    low = int(np.searchsorted(nodes, R_MIN_FRACTION * grid.r0, side="right"))
+    part = _kernel_point(eq.channel, eq.potential, eq.energy.E, eq.mu, tol, samples=nodes[low:])
+    m_h, Q0, W = part.P[-1, 0], part.Q0[0], part.W[0]
+    M = part.M[0] - np.outer(m_h, Q0) / W
+    N, _, det = (x[0] for x in _couple(M[None], part.P[-1], eq.coupling, eq.mu))
+    beta = N / det
+    y_reg = part.y[:, 0]
+    p = (part.y2[:, 0, None] * part.P[:, 0] + y_reg[:, None] * part.R[:, 0]) / W
+    return det, beta, m_h + M @ beta, y_reg + (p - np.outer(y_reg, Q0 / W)) @ beta, low
+
+
+class TestDeterminantLemma:
+    """solve_nonlocal's one Cramer solve against the explicit Volterra solve it replaced."""
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS + [
+        (ChannelParams(q=3, l=4), PotentialModel(r0=1.0, kernel=(_BUMP,), strengths=(-2e4,))),
+    ], ids=KERNEL_IDS + ["l4"])
+    @pytest.mark.parametrize("E", [-40.0, -3.0, 2.0])
+    def test_matches_the_volterra_solve(self, ch, pot, E):
+        # where l >= a + 2 (the l = 4 bump) Q0 is the rule's finite sum, the
+        # same in both
+        eq = effective_equation(ch, pot, EnergyValue(E=E))
+        grid = make_grid(1.0)
+        det, beta, moments, y_ref, low = _volterra_reference(eq, grid)
+        sol = solve_nonlocal(eq, grid, 1e-10)
+        kd = sol.kernel_data
+        assert abs(kd.det - abs(det)) <= 1e-13 * abs(det)
+        assert np.max(np.abs(kd.coefficients - beta)) <= 1e-13 * np.max(np.abs(beta))
+        assert np.max(np.abs(kd.moments - moments)) <= 1e-11 * np.max(np.abs(moments))
+        y = sol.y[low: grid.i_cutoff + 1]
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
 
 def _outward_green(part, h):
@@ -1426,11 +1477,9 @@ class TestKernelGreen:
         # (y_2 from (1, h)) agree; G = -(X + X^T) / W is symmetric by
         # construction
         for E in (-60.0, -8.0, -0.5):
-            eq = effective_equation(ch, pot, EnergyValue(E=E))
             h = _exterior_logderiv(ch.lam, E, 1.0)
-            ref = _outward_green(_kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu,
-                                               1e-10), h)
-            count = _kernel_point(eq.coefficient, eq.sources, ch, pot, E, eq.mu, 1e-10, h=h)
+            ref = _outward_green(_kernel_point(ch, pot, E, pot.mu, 1e-10), h)
+            count = _kernel_point(ch, pot, E, pot.mu, 1e-10, h=h)
             G = count.WG[0] / count.W[0]
             u, v = count.y[0, 0], count.dy[0, 0]
             assert np.array_equal(G, G.T)

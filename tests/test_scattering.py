@@ -341,9 +341,9 @@ def _count_kernel_points(monkeypatch):
     made = []
     solves = ro._kernel_point
 
-    def counted(qfun, sources, channel, potential, E, *args, **kwargs):
+    def counted(channel, potential, E, *args, **kwargs):
         made.append(E)
-        return solves(qfun, sources, channel, potential, E, *args, **kwargs)
+        return solves(channel, potential, E, *args, **kwargs)
 
     monkeypatch.setattr(ro, "_kernel_point", counted)
     monkeypatch.setattr(scattering, "_kernel_point", counted)
@@ -870,6 +870,15 @@ class TestLowK:
     def test_range_guard(self):
         with pytest.raises(QwsError):
             low_k_phase_asymptotic(CH_S, 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("A0, k, r0", [
+        (1.0, -1e-3, 1.0), (1.0, 0.0, 1.0), (1.0, math.nan, 1.0), (math.nan, 1e-3, 1.0),
+        (math.inf, 1e-3, 1.0), (1.0, 1e-3, 0.0), (1.0, 1e-3, -1.0),
+    ], ids=["k-negative", "k-zero", "k-nan", "A0-nan", "A0-inf", "r0-zero", "r0-negative"])
+    def test_invalid_input_rejected(self, A0, k, r0):
+        # these read a number, nan or a raw ZeroDivisionError
+        with pytest.raises(QwsError):
+            low_k_phase_asymptotic(CH_S, A0, k, r0)
 
 
 # (channel, [(center, width, strength)], square-well depth): the corpus

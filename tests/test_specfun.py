@@ -50,7 +50,9 @@ class TestGamma:
         assert specfun.gamma(5.0) == 24.0
 
     def test_poles(self):
-        for x in (0.0, -1.0, -2.0, -7.0):
+        # and the non-finite arguments: -inf raised OverflowError, nan and inf
+        # read nan and inf
+        for x in (0.0, -1.0, -2.0, -7.0, -math.inf, math.nan, math.inf):
             with pytest.raises(EnvelopeError):
                 specfun.gamma(x)
 
@@ -325,6 +327,15 @@ class TestExteriorLogDerivative:
         assert specfun.log_derivative_interior_free(2.5, 0.0, 1.0) == 3.0
         val = specfun.log_derivative_interior_free(1.5, 1e-6, 1.0)
         assert abs(val - 2.0) <= 1e-6
+
+    @pytest.mark.parametrize("fn", [specfun.log_derivative_exterior,
+                                    specfun.log_derivative_interior_free])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_r0_is_an_envelope_error(self, fn, kappa, r0):
+        # at kappa = 0 no Bessel call sees r0: nan read nan and inf read +-0.0
+        with pytest.raises(EnvelopeError):
+            fn(1.5, kappa, r0)
 
 
 K_NUS = (0.0, 0.1, 0.5, 1.0, 1.5, 2.5, 7.3, 50.0)

@@ -809,9 +809,9 @@ class TestLevinson:
         points = []
         point = sp._kernel_point
 
-        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
+        def counted(channel, potential, E, *args, **kwargs):
             points.append(E)
-            return point(qfun, sources, channel, potential, E, *args, **kwargs)
+            return point(channel, potential, E, *args, **kwargs)
 
         monkeypatch.setattr(sp, "refine_root", unused)
         monkeypatch.setattr(ro, "interior_lanes", unused)
@@ -971,9 +971,9 @@ class TestLaneScans:
         made = []
         solves = ro._kernel_point
 
-        def counted(qfun, sources, channel, potential, E, *args, **kwargs):
+        def counted(channel, potential, E, *args, **kwargs):
             made.append(E)
-            return solves(qfun, sources, channel, potential, E, *args, **kwargs)
+            return solves(channel, potential, E, *args, **kwargs)
 
         monkeypatch.setattr(ro, "_kernel_point", counted)
         fast = continuation_count(ch, pot, mu_grid=grid)
