@@ -8,11 +8,15 @@ local families no shipped config uses, the truncated gaussian and
 exponential, are swept as variants of one shipped config's text, made in
 memory: a file under ``configs/`` would also join the benchmark.  So are
 the four Bessel functions of ``eval-special``, as variants of the gamma
-config at nu = 1.5, x = 2.5.  Every run must end with a documented exit
+config at nu = 1.5, x = 2.5, and ``[tolerances] root`` of the kernel
+bound-state config, which ships without it, over every value and one below
+the float spacing.  Every run must end with a documented exit
 code: 0 (ran), 2 (config), 3 (numeric) or 4 (inconclusive), and a Bessel
 variant's run with the one ``special_exit`` names.  An exit 1, any other
-code, an exception escaping ``cli.main``, or a numpy ``RuntimeWarning``
-escaping it (overflow or NaN arithmetic left unguarded) is a failure.
+code, an exception escaping ``cli.main``, a numpy ``RuntimeWarning``
+escaping it (overflow or NaN arithmetic left unguarded), or a run that
+takes longer than ``TIME_LIMIT_S`` (stopped in process by a timer signal,
+so that a hang fails the sweep rather than stalls it) is a failure.
 Prints one line per failure and the totals, and exits 1 when anything
 failed.
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import signal
 import sys
 import tempfile
 import time
@@ -44,6 +49,14 @@ VARIANT_BASE = "levinson_two_levels.cfg"
 SPECIAL_FUNCTIONS = ("bessel_j", "bessel_y", "bessel_i", "bessel_k")
 SPECIAL_BASE = "eval_gamma.cfg"
 SPECIAL_LINES = "name = gamma\nx = 0.5\n"
+# [tolerances] root swept on ROOT_BASE, over VALUES and one tolerance below the float spacing
+ROOT_BASE = "bound_states_kernel.cfg"
+ROOT_VALUES = VALUES + ("1e-17",)
+TIME_LIMIT_S = 20.0     # per run; a run still going then is a hang
+
+
+class RunTimeout(BaseException):
+    """Raised by the timer signal into a run past its limit; ``except Exception`` lets it by."""
 
 
 def numeric_keys(text: str) -> List[Tuple[int, str]]:
@@ -86,6 +99,13 @@ def special_variants(text: str) -> List[Tuple[str, str]]:
             for name in SPECIAL_FUNCTIONS]
 
 
+def root_variant(text: str) -> List[Tuple[str, str]]:
+    """(name, text) of ``text`` with a ``[tolerances] root`` line at the default 1e-10."""
+    if "[tolerances]" in text:
+        raise ValueError(f"{ROOT_BASE} now holds a [tolerances] section")
+    return [(f"{ROOT_BASE}[root]", text.rstrip("\n") + "\n\n[tolerances]\nroot = 1e-10\n")]
+
+
 def special_exit(name: str, key: str, value: str) -> int:
     """The exit code a Bessel variant ``name`` must end with when ``key`` reads ``value``.
 
@@ -119,19 +139,38 @@ def task_of(text: str) -> str:
     raise ValueError("config names no task")
 
 
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise :class:`RunTimeout` in the block once it has run ``seconds`` (main thread only)."""
+    def expire(signum, frame):
+        raise RunTimeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_one(text: str, task: str, workdir: Path, expected: int = None) -> str:
     """Run one config through cli.main; '' when it ends with a documented exit, else why not.
 
-    With ``expected`` the run must end with that exit code.
+    With ``expected`` the run must end with that exit code, and every run
+    within ``TIME_LIMIT_S``.
     """
     cfg = workdir / "mutated.cfg"
     cfg.write_text(text)
     stderr = io.StringIO()
     try:
-        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        with (contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught,
+              time_limit(TIME_LIMIT_S)):
             warnings.simplefilter("always", RuntimeWarning)
             code = cli.main([task, "--config", str(cfg), "--out", str(workdir / "out"),
                              "--no-metadata"])
+    except RunTimeout:
+        return f"timeout: still running after {TIME_LIMIT_S:g} s"
     except Exception:   # the sweep reports any escaping exception as a failure
         return "exception: " + traceback.format_exc(limit=-1).strip().splitlines()[-1]
     if code not in DOCUMENTED_EXITS or expected not in (None, code):
@@ -179,8 +218,10 @@ def main() -> int:
     runs, failures = sweep(configs + family_variants(dict(configs)[VARIANT_BASE]))
     special_runs, special_failures = sweep(special_variants(dict(configs)[SPECIAL_BASE]),
                                            expected_exit=special_exit, keys=("nu", "x"))
-    runs += special_runs
-    failures += special_failures
+    root_runs, root_failures = sweep(root_variant(dict(configs)[ROOT_BASE]), ROOT_VALUES,
+                                     keys=("root",))
+    runs += special_runs + root_runs
+    failures += special_failures + root_failures
     for line in failures:
         print(line)
     print(f"{runs} runs, {len(failures)} failures, {time.perf_counter() - t0:.1f} s")

@@ -932,11 +932,11 @@ def integrate_jost(eq: EffectiveEquation, grid: RadialGrid, k: complex,
     """Solution equal to e^{-ikr} for r >= r0, integrated inward to r_min.
 
     The exterior nodes take e^{-ikr} and -ik e^{-ikr} from one array
-    exponential.  Requires a compactly supported, local equation and
-    k != 0; supports complex k and complex lambda.
+    exponential.  Requires a compactly supported, local equation and a
+    finite k != 0; supports complex k and complex lambda.
     """
-    if k == 0:
-        raise QwsError("Jost normalization is degenerate at k = 0")
+    if k == 0 or not cmath.isfinite(k):
+        raise QwsError(f"Jost normalization needs a finite nonzero k, not k = {k}")
     if eq.kernel_acts:
         raise QwsError("Jost solutions are defined for the local equation only")
     energy = EnergyValue(E=k * k)

@@ -6,10 +6,10 @@ method can (an inverse-quadratic step where it is safe, a bisection where
 it is not): :func:`~qws.spectral.find_bound_states` refines the levels of a
 local well on the Prufer mismatch F(E) + j pi and those of a kernel on W
 det(Id + K G(E)) of its Green matrix, and the mu walk of
-:func:`~qws.scattering.phase_events` (which a kernel's
-:func:`~qws.scattering.phase_shift` takes too) and
+:func:`~qws.scattering.phase_events` and
 :func:`~qws.spectral.continuation_count` locates its branch events on the
-matching denominator D(mu); a local phase shift walks no mu path.  Every
+matching denominator D(mu); :func:`~qws.scattering.phase_shift` walks no mu
+path, for a local well or a kernel.  Every
 caller already holds the values at the bracket ends and hands them in: the
 values of the level counts taken so far, and the samples of the mu walk,
 whose steps :func:`~qws.spectral.continuation_count` first splits in
@@ -51,7 +51,11 @@ def refine_root(f: Callable[[float], float], a: float, fa: float, b: float, fb: 
     as if f(b) had the sign opposite to f(a) until a sign change turns up.
     An infinite value counts by its sign, and a step whose interpolation
     would take one in is a bisection; a NaN value, at an end or at a trial
-    point, raises :class:`~qws.errors.QwsError`.
+    point, raises :class:`~qws.errors.QwsError`.  A tol below the float
+    spacing acts as the spacing: the width never goes below one spacing at
+    the larger end (``math.ulp``), so a bracket whose ends are adjacent
+    doubles is closed, and a trial that the clamp of half a spacing would
+    round onto an end is the double next to it instead.
     """
     if a == b:
         return a, b
@@ -62,9 +66,10 @@ def refine_root(f: Callable[[float], float], a: float, fa: float, b: float, fb: 
     if same_sign(fa, fb):
         warnings.warn(f"no sign change on the bracket [{a:.12g}, {b:.12g}]: "
                       "refining by bisection")
-    steps_left = 2 * math.ceil(math.log2((b - a) / (tol * max(1.0, abs(0.5 * (a + b))))))
+    # with the width at least one spacing, the ratio stays below about 2^54
+    steps_left = 2 * math.ceil(math.log2((b - a) / _width(tol, a, b)))
     x3 = f3 = None   # the end the last trial replaced, and its value
-    while b - a > (target := tol * max(1.0, abs(0.5 * (a + b)))):
+    while b - a > (target := _width(tol, a, b)):
         x = 0.5 * (a + b)
         if not (same_sign(fa, fb) or b - a > target * 2.0 ** (steps_left - 1)):
             if x3 is None:
@@ -81,6 +86,8 @@ def refine_root(f: Callable[[float], float], a: float, fa: float, b: float, fb: 
                         x = x1 + t * (x2 - x1)
             # in this order, a fit that overflowed to NaN lands on the low clamp
             x = max(a + 0.5 * target, min(x, b - 0.5 * target))
+            if not a < x < b:   # a clamp of half a spacing rounded onto an end
+                x = math.nextafter(a, b) if x <= a else math.nextafter(b, a)
         steps_left -= 1
         fx = f(x)
         _check_value(x, fx)
@@ -89,6 +96,11 @@ def refine_root(f: Callable[[float], float], a: float, fa: float, b: float, fb: 
         else:
             x3, f3, b, fb = b, fb, x, fx
     return a, b
+
+
+def _width(tol: float, a: float, b: float) -> float:
+    """tol max(1, |midpoint|), or one float spacing at the larger end where that is wider."""
+    return max(tol * max(1.0, abs(0.5 * (a + b))), math.ulp(max(abs(a), abs(b))))
 
 
 def _check_value(x: float, fx: float) -> None:

@@ -698,21 +698,19 @@ def low_k_phase_asymptotic(channel: ChannelParams, A0: float, k: float,
               * (A0 - rho~) / (A0 - rho),
     rho = (1/2 - lam)/r0, rho~ = (lam + 1/2)/r0.  Raises when the denominator
     vanishes (threshold resonance: the leading-order law breaks down), and
-    QwsError unless k and r0 are finite and positive and A0 is finite.
+    QwsError unless k and r0 are finite and positive, A0 is finite and lam
+    is real and positive (:func:`real_lambda`).
     """
     if not (math.isfinite(k) and k > 0 and math.isfinite(r0) and r0 > 0 and math.isfinite(A0)):
         raise QwsError("low-k law needs finite k > 0, r0 > 0 and A0")
-    lam = channel.lam
-    lam_re = lam.real if isinstance(lam, complex) else lam
-    if lam_re <= 0:
-        raise QwsError("low-k law needs lam > 0")
+    lam = real_lambda(channel, "low-k law")
     if k * r0 >= 0.1:
         raise QwsError("low-k law valid only for k*r0 < 0.1")
-    rho = (0.5 - lam_re) / r0
-    rho_t = (lam_re + 0.5) / r0
+    rho = (0.5 - lam) / r0
+    rho_t = (lam + 0.5) / r0
     den = A0 - rho
     if abs(den) < 1e-10 * max(1.0, abs(rho)):
         raise NearThresholdResonanceError("A0 - rho vanishes: leading terms cancel")
-    pref = -math.pi * (k * r0) ** (2 * lam_re) / (
-        2.0 ** (2 * lam_re) * lam_re * specfun.gamma(lam_re) ** 2)
+    pref = -math.pi * (k * r0) ** (2 * lam) / (
+        2.0 ** (2 * lam) * lam * specfun.gamma(lam) ** 2)
     return pref * (A0 - rho_t) / den

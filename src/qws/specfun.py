@@ -7,32 +7,30 @@ package loads numpy and nothing heavier.  Supported envelope: order nu in
 functions raise rather than return garbage, and so do they where a value
 or a derivative overflows.
 
-:func:`bessel_k_scaled` gives K e^x and K' e^x over an array, from one
-series or continued-fraction loop per region rather than one call per
-point, for the exterior tail of a bound state.  It has its own domain:
-nu in [0, 50] and every finite x > ``_X_TINY``, with no cap on x, as it
-takes no asymptotic branch.  The scalar functions stay on the per-energy
-matching path, where numpy's per-call overhead would cost more than it
-saves.
-
-Three regions of x, one method each:
+Two regions of x, one method each, for every order:
 
 - x < 2: the power series for J and I (its terms keep one sign for I) and
   Temme's series for Y and K at an order mu in [-1/2, 1/2), then the upward
   order recurrence, which is stable for Y and K (N. M. Temme, J. Comput.
   Phys. 19 (1975) 324).  Temme's gamma terms come from the Taylor
   coefficients of 1/Gamma(1 + z) below.
-- 2 <= x < ``_asymptotic_from(nu, modified)``: Steed's method (A. R.
-  Barnett et al., Comput. Phys. Commun. 8 (1974) 377; Numerical Recipes
-  §6.7).  CF1 gives J'/J (I'/I) at nu, the downward recurrence carries it
-  to mu, CF2 gives the (J + iY)'/(J + iY) pair (K and K'/K) at mu, and
-  the Wronskian fixes the scale.
-- x >= ``_asymptotic_from(nu, modified)``: the large-argument expansions
-  (Hankel's for J and Y; Abramowitz & Stegun 9.2 and 9.7), which need no
-  continued fraction of about x steps.
+- x >= 2: Steed's method (A. R. Barnett et al., Comput. Phys. Commun. 8
+  (1974) 377; Numerical Recipes §6.7).  CF1 gives J'/J (I'/I) at nu, the
+  downward recurrence carries it to mu, CF2 gives the (J + iY)'/(J + iY)
+  pair (K and K'/K) at mu, and the Wronskian fixes the scale.  CF1 takes
+  about x steps, which near x = 1e3 is still little beside the interior
+  solve that a matching point at k r0 ~ 1e3 takes.
 
-Derivatives come from the order recurrences or the expansions, never from
-finite differences.  Near the origin the derivative is formed from the
+:func:`bessel_k_scaled` gives K e^x and K' e^x over an array, by the same
+two methods for K, from one series or continued-fraction loop per region
+rather than one call per point, for the exterior tail of a bound state.
+It has its own domain: nu in [0, 50] and every finite x > ``_X_TINY``,
+with no cap on x, as it needs no CF1 and CF2 converges faster as x grows.
+The scalar functions stay on the per-energy matching path, where numpy's
+per-call overhead would cost more than it saves.
+
+Derivatives come from the order recurrences, never from finite
+differences.  Near the origin the derivative is formed from the
 neighbouring orders, J' = J_{nu-1} - (nu/x) J, Y' likewise,
 I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, so that a
 neighbour that overflows raises.
@@ -59,7 +57,7 @@ X_MAX = 1.0e3
 
 _EPS = 1e-16           # relative convergence of every series and continued fraction
 _TINY = 1e-300         # Lentz's stand-in for a zero denominator
-_MAX_ITER = 10_000     # a guard: inside the envelope no loop takes 400 steps
+_MAX_ITER = 10_000     # a guard: inside the envelope no loop it bounds takes 400 steps
 _SERIES_X = 2.0        # below: power and Temme series; above: Steed's continued fractions
 _LN2 = math.log(2.0)
 # Below 1e3 times the smallest normal double every Y' and K' passes 2/(pi x) > 2.8e304;
@@ -139,11 +137,15 @@ def _unscale(scaled: float, exponent: float) -> float:
         return math.inf * (1.0 if scaled >= 0 else -1.0)
 
 
+def _check_order(nu: float) -> None:
+    if isinstance(nu, complex) or not (0.0 <= nu <= NU_MAX):
+        raise EnvelopeError(f"order nu={nu} outside supported real [0, {NU_MAX}]")
+
+
 def _check_envelope(nu: float, x: float, allow_x_zero: bool = False) -> None:
-    if isinstance(nu, complex) or isinstance(x, complex):
-        raise EnvelopeError(f"order nu={nu} and argument x={x} must be real")
-    if not (0.0 <= nu <= NU_MAX):
-        raise EnvelopeError(f"order nu={nu} outside supported [0, {NU_MAX}]")
+    if isinstance(x, complex):
+        raise EnvelopeError(f"argument x={x} must be real")
+    _check_order(nu)
     if x == 0.0 and allow_x_zero:
         return
     if not (0.0 < x <= X_MAX):
@@ -162,19 +164,6 @@ def gamma(x: float) -> float:
 
 def _not_converged(what: str, nu: float, x: float) -> EnvelopeError:
     return EnvelopeError(f"{what} did not converge at nu={nu}, x={x}")
-
-
-def _asymptotic_from(nu: float, modified: bool) -> float:
-    """Smallest x at which the large-argument expansions of order nu serve.
-
-    The terms (4 nu^2 - 1)(4 nu^2 - 9).../(k! (8x)^k) first grow to about
-    e^{nu^2/(2x)}: at most 12 from x = nu^2/6.5 on, which costs as many
-    ulps.  I's alternating sum is about e^{-nu^2/(2x)} and loses that
-    factor as well, so the ``modified`` pair waits until x = nu^2/2.5.
-    Past k ~ nu the terms fall, and from x = 20 + nu on they reach 1e-18
-    before they turn up again near k = 2x.
-    """
-    return max(20.0 + nu, nu * nu / (2.5 if modified else 6.5))
 
 
 def _temme_gammas(mu: float):
@@ -317,56 +306,6 @@ def _temme_k(mu: float, x: float):
     return total * scale, 2.0 * total1 * scale
 
 
-def _hankel(nu: float, x: float):
-    """(J, J', Y, Y') of order nu by Hankel's expansions, x >= _asymptotic_from(nu, False).
-
-    J = A (P cos chi - Q sin chi), Y = A (P sin chi + Q cos chi),
-    J' = -A (R sin chi + S cos chi), Y' = A (R cos chi - S sin chi), with
-    A = sqrt(2/(pi x)) and chi = x - (nu/2 + 1/4) pi (Abramowitz & Stegun
-    9.2.5-9.2.11).
-    """
-    p, q, r, s = _asymptotic_sums(nu, x, alternate=True)
-    # chi's phase from nu mod 4, so that the reduction is exact
-    half_pi_nu = 0.5 * math.pi * math.fmod(nu, 4.0)
-    cn, sn = math.cos(half_pi_nu), math.sin(half_pi_nu)
-    cos_phi, sin_phi = (cn - sn) * math.sqrt(0.5), (sn + cn) * math.sqrt(0.5)
-    cx, sx = math.cos(x), math.sin(x)
-    cos_chi = cx * cos_phi + sx * sin_phi
-    sin_chi = sx * cos_phi - cx * sin_phi
-    amp = math.sqrt(2.0 / (math.pi * x))
-    return (amp * (p * cos_chi - q * sin_chi), -amp * (r * sin_chi + s * cos_chi),
-            amp * (p * sin_chi + q * cos_chi), amp * (r * cos_chi - s * sin_chi))
-
-
-def _asymptotic_sums(nu: float, x: float, alternate: bool):
-    """The even and odd parts of sum a_k and of sum b_k, the value and derivative expansions.
-
-    a_k = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! (8x)^k) and
-    b_k = a_{k-1} (4 nu^2 + 4k^2 - 1) / (8 k x), b_0 = 1.  With ``alternate``
-    the k-th term of each part carries (-1)^(k//2) (Hankel's P, Q, R, S);
-    without it all terms add (K e^x and -K' e^x up to sqrt(pi/(2x))).
-    """
-    mu4 = 4.0 * nu * nu
-    a = 1.0
-    sums = [1.0, 0.0, 1.0, 0.0]          # sum a_even, sum a_odd, sum b_even, sum b_odd
-    prev = math.inf
-    for k in range(1, _MAX_ITER):
-        b = a * (mu4 + 4.0 * k * k - 1.0) / (8.0 * k * x)
-        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        sign = -1.0 if alternate and k % 4 in (2, 3) else 1.0
-        sums[k % 2] += sign * a
-        sums[2 + k % 2] += sign * b
-        size = abs(a) + abs(b)
-        if size <= 0.1 * _EPS * (abs(sums[0]) + abs(sums[1])):
-            break
-        if size > prev and k > 2 * nu:
-            raise _not_converged("the asymptotic expansion", nu, x)
-        prev = size
-    else:
-        raise _not_converged("the asymptotic expansion", nu, x)
-    return sums
-
-
 def _jy_steed(nu: float, x: float):
     """(J, J', Y, Y') of order nu by Steed's method, x >= 2."""
     xi = 1.0 / x
@@ -435,8 +374,6 @@ def _jy_steed(nu: float, x: float):
 
 def _jy(nu: float, x: float):
     """(J, J', Y, Y') of order nu at x > 0."""
-    if x >= _asymptotic_from(nu, False):
-        return _hankel(nu, x)
     if x >= _SERIES_X:
         return _jy_steed(nu, x)
     jm1, j, _ = _power_series(nu, x, -1.0)
@@ -544,12 +481,6 @@ def _ik_steed(nu: float, x: float):
 
 def _ik(nu: float, x: float):
     """(I e^-x, I' e^-x, K e^x, K' e^x) of order nu at x > 0."""
-    if x >= _asymptotic_from(nu, True):
-        a_even, a_odd, b_even, b_odd = _asymptotic_sums(nu, x, alternate=False)
-        ik = math.sqrt(0.5 / (math.pi * x))
-        kk = math.sqrt(0.5 * math.pi / x)
-        return (ik * (a_even - a_odd), ik * (b_even - b_odd),
-                kk * (a_even + a_odd), -kk * (b_even + b_odd))
     if x >= _SERIES_X:
         return _ik_steed(nu, x)
     scale = math.exp(-x)
@@ -582,7 +513,7 @@ def bessel_i_k(nu: float, x: float) -> ModifiedPair:
 
 
 def bessel_k_scaled(nu: float, x) -> Tuple[np.ndarray, np.ndarray]:
-    """(K_nu e^x, K'_nu e^x) over an array x: K alone, with no I and no asymptotic branch.
+    """(K_nu e^x, K'_nu e^x) over an array x: K alone, with no I and so no CF1.
 
     Temme's series where x < 2 and Steed's CF2 where x >= 2, each over its
     part of the array with the terms in mu = nu - round(nu) taken once, then
@@ -691,13 +622,15 @@ def log_derivative_exterior(lam: float, kappa: float, r0: float) -> float:
     """d/dr log[ sqrt(r) K_lam(kappa r) ] at r0: the decaying exterior matching value.
 
     Returns (1/2 - lam)/r0 exactly at kappa = 0; tends to -kappa for deep
-    binding.  For lam = 1/2 it equals -kappa identically.
+    binding.  For lam = 1/2 it equals -kappa identically.  An order lam
+    outside [0, 50] raises EnvelopeError at every kappa, 0 included.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise EnvelopeError("r0 must be positive and finite")
     if kappa < 0:
         raise EnvelopeError("kappa must be nonnegative")
     if kappa == 0.0:
+        _check_order(lam)
         return (0.5 - lam) / r0
     pair = bessel_i_k(lam, kappa * r0)
     return 0.5 / r0 + kappa * pair.k_log_derivative
@@ -706,13 +639,15 @@ def log_derivative_exterior(lam: float, kappa: float, r0: float) -> float:
 def log_derivative_interior_free(lam: float, kappa: float, r0: float) -> float:
     """d/dr log[ sqrt(r) I_lam(kappa r) ] at r0: the free interior value for E <= 0.
 
-    Tends to (lam + 1/2)/r0 as kappa -> 0.
+    Tends to (lam + 1/2)/r0 as kappa -> 0.  An order lam outside [0, 50]
+    raises EnvelopeError at every kappa, 0 included.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise EnvelopeError("r0 must be positive and finite")
     if kappa < 0:
         raise EnvelopeError("kappa must be nonnegative")
     if kappa == 0.0:
+        _check_order(lam)
         return (lam + 0.5) / r0
     pair = bessel_i_k(lam, kappa * r0)
     return 0.5 / r0 + kappa * pair.i_log_derivative

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,35 @@ def test_bound_states_kernel_config(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["count"] == 1
     assert doc["levels"][0]["E"] < 0
+
+
+@pytest.mark.parametrize("root", ["1e-17", "1e-300"])
+def test_root_tolerance_below_the_float_spacing(tmp_path, root):
+    # 1e-17 ran until killed, its trial energy clamped onto one end of a
+    # bracket one double wide, and 1e-300 exited 1 with an OverflowError
+    # traceback; the level now closes on adjacent doubles
+    cfg = tmp_path / "bs.cfg"
+    cfg.write_text((CONFIG_DIR / "bound_states_kernel.cfg").read_text()
+                   + f"\n[tolerances]\nroot = {root}\n")
+
+    def expire(signum, frame):
+        raise TimeoutError("bound-states still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        rcs = [main(["bound-states", "--config", str(path), "--out", str(tmp_path / name),
+                     "--no-metadata"])
+               for path, name in ((cfg, "tight.json"),
+                                  (CONFIG_DIR / "bound_states_kernel.cfg", "default.json"))]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rcs == [0, 0]
+    tight, default = (json.loads((tmp_path / name).read_text())["levels"]
+                      for name in ("tight.json", "default.json"))
+    assert len(tight) == len(default) == 1
+    assert abs(tight[0]["E"] - default[0]["E"]) <= 1e-10 * abs(default[0]["E"])
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -1,11 +1,14 @@
 """The mutation sweep of scripts/config_sweep.py over the fast shipped configs.
 
 bound_states_kernel.cfg takes about 0.1 s per run and stays out of Tier-1
-but for the value 1e300; CI runs the whole sweep, all seven configs and
-every value of ``config_sweep.VALUES``, through the script itself.
+but for the value 1e300 and its ``[tolerances] root`` variant; CI runs the
+whole sweep, all seven configs and every value of ``config_sweep.VALUES``,
+through the script itself.
 """
 
 import importlib.util
+import signal
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,3 +102,31 @@ def test_a_wrong_exit_of_a_bessel_variant_is_a_failure(tmp_path, monkeypatch):
                                         keys=("nu", "x"))
     assert runs == 2 and len(failures) == 2
     assert all("exit 3 (expected 0)" in line for line in failures)
+
+
+def test_root_tolerance_variant_ends_with_a_documented_exit(tmp_path):
+    # [tolerances] root of the kernel config over every value and 1e-17:
+    # 1e-17 ran until killed and 1e-300 raised an OverflowError out of the CLI
+    kernel = dict(config_sweep.shipped([ROOT / "configs" / config_sweep.ROOT_BASE]))
+    variants = config_sweep.root_variant(kernel[config_sweep.ROOT_BASE])
+    assert [name for name, _ in variants] == [f"{config_sweep.ROOT_BASE}[root]"]
+    assert variants[0][1].endswith("\n[tolerances]\nroot = 1e-10\n")
+    runs, failures = config_sweep.sweep(variants, config_sweep.ROOT_VALUES, tmp_path,
+                                        keys=("root",))
+    assert failures == [] and runs == len(config_sweep.VALUES) + 1
+
+
+def test_a_hang_is_a_failure(tmp_path, monkeypatch):
+    # the timer stops a run in process; the next run starts with no timer left
+    def hang(argv):
+        while True:
+            time.sleep(1.0)
+
+    monkeypatch.setattr(config_sweep.cli, "main", hang)
+    monkeypatch.setattr(config_sweep, "TIME_LIMIT_S", 0.05)
+    handler = signal.getsignal(signal.SIGALRM)
+    runs, failures = config_sweep.sweep(FAST_CONFIGS[:1], ("0",), tmp_path)
+    assert runs == len(failures) >= 1
+    assert all("timeout: still running after 0.05 s" in line for line in failures)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler

@@ -21,7 +21,7 @@ from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
                             green_identity_residual, integrate_jost, integrate_regular,
                             interior_in_mu, interior_lanes, interior_state, make_grid,
                             prufer_angle, solve_nonlocal)
-from qws.scattering import phase_shift
+from qws.scattering import phase_shift, wronskian_pair_jost
 from qws.specfun import bessel_i_k, bessel_j, gamma
 from qws.spectral import (_exterior_logderiv, _prufer_mismatch, default_energy_floor,
                           default_sturm_step)
@@ -173,6 +173,17 @@ class TestJost:
         eq = effective_equation(CH_S, WELL, EnergyValue.from_k(1.0))
         with pytest.raises(QwsError):
             integrate_jost(eq, make_grid(1.0), 0.0, 1e-10)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                   complex(1.0, math.nan)])
+    def test_non_finite_k_rejected(self, k):
+        # an infinite k leaked a RuntimeWarning from exp(-ikr) at the exterior
+        # nodes and then ended in StiffnessError, as a NaN k did at once
+        eq = effective_equation(CH_S, WELL, EnergyValue.from_k(1.0))
+        with pytest.raises(QwsError, match="finite nonzero k"):
+            integrate_jost(eq, make_grid(1.0), k, 1e-10)
+        with pytest.raises(QwsError, match="finite nonzero k"):
+            wronskian_pair_jost(CH_S, WELL, k)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])

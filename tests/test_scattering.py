@@ -871,6 +871,13 @@ class TestLowK:
         with pytest.raises(QwsError):
             low_k_phase_asymptotic(CH_S, 1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("lam", [0.5 + 0.3j, 2.5 - 1e-3j])
+    def test_complex_lambda_rejected(self, lam):
+        # the law took the real part of lam alone: at A0 = 2, 0.5 + 0.3j read
+        # -5.0e-4, as lam = 0.5 does
+        with pytest.raises(QwsError, match="real lambda"):
+            low_k_phase_asymptotic(ChannelParams.from_lambda(lam), 2.0, 1e-3, 1.0)
+
     @pytest.mark.parametrize("A0, k, r0", [
         (1.0, -1e-3, 1.0), (1.0, 0.0, 1.0), (1.0, math.nan, 1.0), (math.nan, 1e-3, 1.0),
         (math.inf, 1e-3, 1.0), (1.0, 1e-3, 0.0), (1.0, 1e-3, -1.0),

@@ -221,8 +221,8 @@ GRID_XS = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 97), [1.999, 2.0, 20
 
 
 def test_grid_against_scipy():
-    # the whole envelope nu in [0, 50], x in [1e-3, 1e3], across the series,
-    # continued-fraction and asymptotic regions: I and K relative to the
+    # the whole envelope nu in [0, 50], x in [1e-3, 1e3], across the series
+    # and continued-fraction regions: I and K relative to the
     # value, J and Y relative to sqrt(J^2 + Y^2), their derivatives relative
     # to sqrt(J'^2 + Y'^2); the derivatives of I and K against scipy's
     # (I_{nu-1} + I_{nu+1})/2 and -(K_{nu-1} + K_{nu+1})/2
@@ -338,6 +338,17 @@ class TestExteriorLogDerivative:
             fn(1.5, kappa, r0)
 
 
+    @pytest.mark.parametrize("fn", [specfun.log_derivative_exterior,
+                                    specfun.log_derivative_interior_free])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -3.0, 50.5, 1.5 + 0.5j])
+    def test_order_outside_the_envelope_is_an_envelope_error(self, fn, kappa, lam):
+        # at kappa = 0 no Bessel call saw lam: nan read nan, +-inf an
+        # infinite value and -3 read 3.5 or -2.5
+        with pytest.raises(EnvelopeError):
+            fn(lam, kappa, 1.0)
+
+
 K_NUS = (0.0, 0.1, 0.5, 1.0, 1.5, 2.5, 7.3, 50.0)
 K_XS = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 121),
                                  [1.9, 1.999999, 2.0, 2.000001, 2.1]]))
@@ -346,8 +357,8 @@ K_XS = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 121),
 class TestArrayK:
     @pytest.mark.parametrize("nu", K_NUS)
     def test_agrees_with_the_scalar_pair(self, nu):
-        # one call across the series / CF2 boundary at x = 2 and the scalar
-        # pair's asymptotic region, which the array routine reaches by CF2
+        # one call across the series / CF2 boundary at x = 2 and up to the
+        # scalar pair's cap x = 1e3, both sides by the same two methods
         k, dk = specfun.bessel_k_scaled(nu, K_XS)
         for j, x in enumerate(K_XS):
             pair = specfun.bessel_i_k(nu, float(x))
@@ -363,15 +374,15 @@ class TestArrayK:
         assert np.max(abs(dk - kp) / abs(kp)) <= 1e-12
 
     def test_no_cap_on_x(self):
-        # past the scalar pair's x <= 1e3, CF2 against the large-argument
-        # branch of _ik; a far element does not spoil one near x = 2
+        # past the scalar pair's x <= 1e3, CF2 against scipy's kve and its
+        # recurrence derivative; a far element does not spoil one near x = 2
         xs = np.array([2.0, 1.0e3, 2.6e3, 1.0e4, 1.0e6])
         for nu in (0.0, 7.3):
             k, dk = specfun.bessel_k_scaled(nu, xs)
-            for j, x in enumerate(xs):
-                _, _, k_ref, dk_ref = specfun._ik(nu, float(x))
-                assert abs(k[j] - k_ref) <= 1e-14 * k_ref
-                assert abs(dk[j] - dk_ref) <= 1e-14 * abs(dk_ref)
+            kv = sp.kve(nu, xs)
+            kp = -0.5 * (sp.kve(nu - 1, xs) + sp.kve(nu + 1, xs))
+            assert np.max(abs(k - kv) / kv) <= 1e-14
+            assert np.max(abs(dk - kp) / abs(kp)) <= 1e-14
 
     @pytest.mark.parametrize("nu, x", [
         (50.1, [1.0]), (-0.1, [1.0]), (math.nan, [1.0]), (1.0 + 0.5j, [1.0]),

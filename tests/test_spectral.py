@@ -427,6 +427,32 @@ class TestRefineRoot:
         assert hi - lo <= tol * max(1.0, abs(x))
         assert n <= 2 + 2 * _bisection_steps(a, b, tol)
 
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize("root, a, b", [
+        (0.3, 0.0, 1.0), (0.7, 0.0, 1.0), (2.0 / 3.0, -10.0, 10.0), (-7.25, -40.0, -1.0),
+    ])
+    def test_tolerance_below_the_spacing_closes_on_adjacent_doubles(self, root, a, b, tol):
+        # 1e-17 repeated one trial point, clamped onto an end, past 3000
+        # evaluations; 1e-300 and 5e-324 overflowed the bisection budget
+        # 2.0 ** (steps_left - 1) with an OverflowError
+        seen = []
+
+        def f(x):
+            assert len(seen) < 200, "the bracket stopped closing"
+            seen.append(x)
+            return x - root
+
+        lo, hi = refine_root(f, a, a - root, b, b - root, tol)
+        assert lo <= root <= hi and math.nextafter(lo, math.inf) == hi
+        assert len(set(seen)) == len(seen) and a < min(seen) and max(seen) < b
+
+    def test_tolerance_below_the_spacing_near_zero_keeps_the_relative_floor(self):
+        # tol max(1, |midpoint|) stays the width where it exceeds the spacing
+        lo, hi = refine_root(lambda x: x - 1e-20, 0.0, -1e-20, 1.0, 1.0, 1e-17)
+        assert lo <= 1e-20 <= hi and hi - lo <= 1e-17
+        lo, hi = refine_root(lambda x: x - 1e-20, 0.0, -1e-20, 1.0, 1.0, 1e-300)
+        assert lo <= 1e-20 <= hi and math.nextafter(lo, math.inf) == hi
+
     def test_nan_end_value_raises(self):
         # it returned (0.0, nan) without an error
         with pytest.raises(QwsError, match="NaN"):
