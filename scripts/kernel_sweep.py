@@ -3,7 +3,7 @@
 
 Each model is an attractive square well (depth 0-150, r0 = 1) plus 0, 1 or
 2 rank-1 gaussian bumps (centre 0.3-0.7, width 0.10-0.17, strength
--3000..3000), in a channel with lambda = 0.5, 1, 1.5, 2 or 2.5.  Every
+-3000..3000), in a channel with lambda = 0.5, 0.75, 1, 1.5, 2, 2.3 or 2.5.  Every
 model runs through ``levinson_verify``, and every model whose kernel acts
 also through ``find_bound_states``, which must return as many levels as
 the count, each within LEVEL_RTOL relative of the nearest root of the
@@ -47,8 +47,9 @@ from qws.spectral import find_bound_states, levinson_verify
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import circ_dist, kernel_level_near, kernel_phase  # noqa: E402
 
-# (q, l) for lambda = 0.5, 1, 1.5, 2, 2.5
-CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2))
+# (q, l) for lambda = 0.5, 1, 1.5, 2, 2.5, and 0.75 and 2.3, whose 2 lambda is no
+# integer, so that the kernel points' reduction of order runs without its log term
+CHANNELS = ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2), (3.5, 0), (4.6, 1))
 LEVEL_RTOL = 1e-7   # largest relative distance of a level from the reference's
 LEVEL_TOL = 1e-10   # find_bound_states' tol: levels are refined to LEVEL_TOL max(1, |E|)
 PHASE_TOL = 1e-8    # rad, mod pi: the principal phase against the reference's

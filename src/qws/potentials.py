@@ -22,6 +22,24 @@ from .errors import QwsError
 ORIGIN_ORDER = 22
 
 
+def real_parameter(value, name: str) -> float:
+    """``value`` as a float; a complex value, or one that is not a number, raises QwsError.
+
+    The contract of every real parameter in qws (the factories' depths,
+    widths and radii, a model's r0 and mu, a phase shift's k): float()
+    would raise TypeError on a complex value, and numpy's complex scalars
+    would lose their imaginary part.
+    """
+    if isinstance(value, (float, int)):   # numpy's float64 too
+        return float(value)
+    if np.iscomplexobj(value):
+        raise QwsError(f"{name} must be real, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise QwsError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _taylor(v0: float, step: float, every: int) -> Tuple[float, ...]:
     """(0, v_0, v_1, ..., v_m) of v_0 exp(step r^every), up to m = ORIGIN_ORDER.
 
@@ -70,22 +88,23 @@ class LocalPotential:
 
 def square_well(depth: float) -> LocalPotential:
     """V(r) = -depth for r < r0 (attractive for depth > 0)."""
-    val = -float(depth)
+    d = real_parameter(depth, "depth")
+    val = -d
     return LocalPotential(
         name="square_well",
         profile=lambda r: val,
         origin=(0.0, val),
-        params=(("depth", float(depth)),),
+        params=(("depth", d),),
         constant=val,
-        sign=-1 if depth >= 0 else 1,
+        sign=-1 if d >= 0 else 1,
     )
 
 
 def truncated_exponential(depth: float, scale: float) -> LocalPotential:
     """V(r) = -depth * exp(-r/scale) for r < r0."""
-    if scale <= 0:
+    d, s = real_parameter(depth, "depth"), real_parameter(scale, "scale")
+    if not s > 0:   # NaN fails it too
         raise QwsError("exponential scale must be positive")
-    d, s = float(depth), float(scale)
     return LocalPotential(
         name="truncated_exponential",
         profile=lambda r: -d * math.exp(-r / s),
@@ -97,9 +116,9 @@ def truncated_exponential(depth: float, scale: float) -> LocalPotential:
 
 def truncated_gaussian(depth: float, width: float) -> LocalPotential:
     """V(r) = -depth * exp(-(r/width)^2) for r < r0."""
-    if width <= 0:
+    d, w = real_parameter(depth, "depth"), real_parameter(width, "width")
+    if not w > 0:   # NaN fails it too
         raise QwsError("gaussian width must be positive")
-    d, w = float(depth), float(width)
 
     def profile(r: float) -> float:
         x = r / w
@@ -116,8 +135,13 @@ def truncated_gaussian(depth: float, width: float) -> LocalPotential:
 
 def tabulated(r_values: Sequence[float], v_values: Sequence[float]) -> LocalPotential:
     """Linear interpolation of (r, V) samples; constant below the first and beyond the last."""
-    r = np.asarray(r_values, dtype=float)
-    v = np.asarray(v_values, dtype=float)
+    if np.iscomplexobj(r_values) or np.iscomplexobj(v_values):
+        raise QwsError("tabulated potential needs real radii and values")
+    try:
+        r = np.asarray(r_values, dtype=float)
+        v = np.asarray(v_values, dtype=float)
+    except (TypeError, ValueError):
+        raise QwsError("tabulated potential needs numeric radii and values") from None
     if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
         raise QwsError("tabulated potential needs two equal-length columns, >= 2 rows")
     if np.any(np.diff(r) <= 0):
@@ -151,9 +175,10 @@ class KernelTerm:
 
 def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTerm:
     """g(r) = height * exp(-((r-center)/width)^2)."""
-    if width <= 0:
+    c, w, h = (real_parameter(x, name) for x, name in ((center, "center"), (width, "width"),
+                                                        (height, "height")))
+    if not w > 0:   # NaN fails it too
         raise QwsError("bump width must be positive")
-    c, w, h = float(center), float(width), float(height)
 
     def g(r):
         x = (r - c) / w
@@ -165,9 +190,10 @@ def gaussian_bump(center: float, width: float, height: float = 1.0) -> KernelTer
 
 def poly_bump(a: float, b: float, r0: float, height: float = 1.0) -> KernelTerm:
     """g(r) = height * r^a (r0-r)^b on (0, r0), vanishing at the cutoff for b > 0."""
-    if b <= 0:
+    aa, bb, rr, h = (real_parameter(x, name) for x, name in ((a, "a"), (b, "b"), (r0, "r0"),
+                                                             (height, "height")))
+    if not bb > 0:   # NaN fails it too
         raise QwsError("poly bump needs b > 0 so the profile vanishes at the cutoff")
-    aa, bb, rr, h = float(a), float(b), float(r0), float(height)
 
     def g(r):
         if r <= 0.0 or r >= rr:
@@ -201,6 +227,8 @@ class PotentialModel:
     allow_asymmetric_kernel: bool = False  # test-only hook for negative controls
 
     def __post_init__(self):
+        real_parameter(self.r0, "cutoff radius r0")
+        real_parameter(self.mu, "coupling scale mu")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise QwsError("cutoff radius r0 must be positive and finite")
         if not math.isfinite(self.mu):
@@ -217,6 +245,8 @@ class PotentialModel:
                           for i in range(n) for j in range(n))
                 if not sym and not self.allow_asymmetric_kernel:
                     raise QwsError("kernel coupling matrix must be symmetric")
+            if np.iscomplexobj(self.strengths) or np.iscomplexobj(self.coupling or ()):
+                raise QwsError("kernel couplings must be real")
 
     @property
     def rank(self) -> int:
@@ -262,7 +292,7 @@ class PotentialModel:
         return (0.0, 0.0) if self.local is None else self.local.origin
 
     def with_mu(self, mu: float) -> "PotentialModel":
-        return replace(self, mu=float(mu))
+        return replace(self, mu=real_parameter(mu, "coupling scale mu"))
 
     @property
     def one_signed(self) -> bool:

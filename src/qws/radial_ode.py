@@ -4,9 +4,9 @@ Origin-regular solutions start from the Frobenius series r^{lam+1/2} sum_n
 a_n r^n, carried to SERIES_TERMS terms from the small-r expansion of mu*V
 (:func:`_series_coefficients`), at the radius r_s where what the series
 neglects falls below 1e-3 of the tolerance and k_eff r_s <= SERIES_PHASE,
-up to a quarter of the cutoff radius (:func:`_series_radius`); the nodes
-below r_s take the series value, so that no solve steps the power law
-r^{lam+1/2} across the decades of r near the origin.  The subdominant branch of the
+up to a quarter of the cutoff radius (:func:`_series_radius`); every
+recorded node below r_s takes the series value, so that no solve steps the
+power law r^{lam+1/2} across the decades of r near the origin.  The subdominant branch of the
 Wronskian audit starts at r_min.  Decaying "Jost-normalized" solutions
 start at the cutoff radius, where compact support makes e^{-ikr} exact,
 and are integrated inward.
@@ -34,9 +34,12 @@ through :func:`free_exterior`.
 Every kernel datum at an energy comes from one kernel point
 (:func:`_kernel_point`, which makes Q(r) and the sources from the channel,
 the model, E and mu): two local solves and no particular solve, y_reg
-outward and y_2 inward from r0, each in the direction in which it grows,
-on a composite Gauss-Legendre rule that resolves the profiles and the
-solutions (:func:`_green_edges`).  For a state y_2 starts from (-y_reg',
+outward from r_s and y_2 inward from r0 down to the same r_s, each in the
+direction in which it grows, on a composite Gauss-Legendre rule that
+resolves the profiles and the solutions (:func:`_green_edges`).  Below r_s
+y_2 comes by reduction of order on y_reg's series (:func:`_reduced`), so
+neither power law r^(lam + 1/2) nor r^(1/2 - lam) is stepped across the
+decades near the origin.  For a state y_2 starts from (-y_reg',
 y_reg): variation of parameters gives the particular solutions, the rule
 their moments, and Cramer's rule the cutoff state scaled by det(Id - mu C
 M) (:func:`_couple`), finite at a kernel resonance; :func:`solve_nonlocal`
@@ -192,8 +195,8 @@ R_MIN_FRACTION = 1e-6
 # overflow falls back to the short series of a_0 ... a_5 from w_-1, w_0, w_1
 SERIES_TERMS = ORIGIN_ORDER + 2
 SHORT_SERIES_TERMS = 5
-# r_s stays at or below this fraction of r0 (and below half the second recorded
-# node), or of the second for a complex lam or E: there Re y winds like
+# r_s stays at or below this fraction of r0 (and below half the first knot),
+# or of the second for a complex lam or E: there Re y winds like
 # cos(Im lam ln r) near the origin
 SERIES_CAP_FRACTION = 0.25
 COMPLEX_SERIES_CAP_FRACTION = 1e-3
@@ -202,6 +205,11 @@ SERIES_TOL_FRACTION = 1e-3
 # k_eff r_s stays at or below this, k_eff^2 = |E - w_0| + sum_j |w_j| r_s^j a
 # bound on |Q + (lam^2 - 1/4)/r^2| below r_s: no zero of y or y' lies below r_s
 SERIES_PHASE = 0.5
+# the series of 1/y_reg^2 below r_c, which gives y_2 by reduction of order,
+# takes at most this many terms, or y_2 steps down to the nodes below r_c
+# (16-24 at k_eff r_s = SERIES_PHASE and eps 1e-13 to 1e-16 on the kernel
+# models of tests/)
+INVERSE_SQUARE_TERMS = 4 * SERIES_TERMS
 # the composite Gauss-Legendre rule of every kernel solve: GREEN_NODES nodes on
 # each of ceil(GREEN_PANELS r0 / l) equal panels of [0, r0], split further at the
 # knots of a tabulated well.  l = min(r0, GREEN_PHASE / k, GREEN_WIDTHS w) is the
@@ -361,7 +369,7 @@ def _blend(e5, e3, sc) -> float:
 
 
 def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol: float,
-               return_winding: bool = False, head=None, knots=()):
+               return_winding: bool = False, lead: int = 0, knots=()):
     """Adaptive Dormand-Prince 8(5,3) along the (directed) node list ``record``.
 
     Steps the first-order system (y, y') of y'' + Q y = 0, with Q = ``qfun``.
@@ -397,9 +405,10 @@ def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol:
     Returns (u_nodes, v_nodes, max_abs_u), node axis first, with max_abs_u
     taken over the step ends and the interpolated nodes; for lanes it holds
     one value per lane.  ``record`` must be monotone and start strictly
-    after r_start in the direction of integration (or equal).  ``head`` =
-    (u, v) of one node before r_start (a series start's r_min) puts that
-    node first, written into the same arrays; max_abs_u leaves it out.
+    after r_start in the direction of integration (or equal).  ``lead``
+    leaves that many slots first in the node arrays, for the caller to
+    fill with the nodes before r_start (a series start's nodes below r_s);
+    max_abs_u leaves them out.
 
     ``return_winding=True`` (scalars only) appends the Prufer winding count:
     the signed number of 2 pi wraps of atan2(Re y', Re y) over the accepted
@@ -438,11 +447,8 @@ def _integrate(qfun: Callable, r_start: float, u0, v0, record: np.ndarray, rtol:
     at = np.asarray(record, dtype=float)
     record = at.tolist()   # Python floats: r and every stage abscissa stay float
     n = len(record)
-    lead = 0 if head is None else 1
     nodes_u = np.empty((lead + n,) + np.shape(u), dtype=float if lanes else complex)
     nodes_v = np.empty_like(nodes_u)
-    if head is not None:
-        nodes_u[0], nodes_v[0] = head
     us, vs = nodes_u[lead:], nodes_v[lead:]   # views: one slot per node of record
     idx = 0
     r = r_start
@@ -722,11 +728,14 @@ class _Series(NamedTuple):
         return bool(np.isfinite(t).all()) if isinstance(t, np.ndarray) else cmath.isfinite(t)
 
     def at(self, lam, r):
-        """(y, y') at radii r (a scalar or an array), by Horner's rule.
+        """(y, y') at radii r (a scalar or an array) by Horner's rule.
 
+        Float64 lanes come out (radius, lane) for a 1-D array of radii.
         Raises RegularityError where r^{lam+1/2} overflows (an r far beyond
         any physical cutoff).
         """
+        if isinstance(r, np.ndarray) and r.ndim == 1 and isinstance(self.a[-1], np.ndarray):
+            r = r[:, None]
         s, ds = self.a[-1], self.b[-1]
         for an, bn in zip(self.a[-2::-1], self.b[-2::-1]):
             s = s * r + an
@@ -807,10 +816,11 @@ def _series_radius(qfun: Callable, lam, E, series: _Series, record: np.ndarray, 
     SERIES_PHASE, with k_eff^2 = |E - w_0| + |w_-1| / r + sum_j |w_j| r^j at
     the radius the departure leaves, which holds it at every smaller radius.
 
-    r_s is capped at min(SERIES_CAP_FRACTION r0, record[1] / 2, knots[0] /
-    2), with COMPLEX_SERIES_CAP_FRACTION in place of the first for a complex
-    lam or E, so it never passes a knot or the second recorded node, and it
-    is never below record[0]; a series whose terms overflow starts there.
+    r_s is capped at min(SERIES_CAP_FRACTION r0, knots[0] / 2), with
+    COMPLEX_SERIES_CAP_FRACTION in place of the first for a complex lam or
+    E, so it never passes a knot, and it is never below record[0]; a
+    series whose terms overflow starts there.  The recorded nodes do not
+    cap it: :func:`_from_origin` gives those below r_s the series value.
     For float64 lanes the bounds hold on every lane: one r_s, the smallest
     over the lanes.
     """
@@ -818,8 +828,9 @@ def _series_radius(qfun: Callable, lam, E, series: _Series, record: np.ndarray, 
     if not series.finite:
         return r_min
     real = not (isinstance(lam, complex) or np.iscomplexobj(E))
-    r = min((SERIES_CAP_FRACTION if real else COMPLEX_SERIES_CAP_FRACTION) * r0,
-            0.5 * min([float(record[1]), *knots[:1]]))
+    r = (SERIES_CAP_FRACTION if real else COMPLEX_SERIES_CAP_FRACTION) * r0
+    if knots:
+        r = min(r, 0.5 * knots[0])
     w_m1, w0, *ws = series.w
     cf = lam * lam - 0.25
     eps = SERIES_TOL_FRACTION * tol
@@ -847,9 +858,98 @@ def _series_radius(qfun: Callable, lam, E, series: _Series, record: np.ndarray, 
     return max(r, r_min)
 
 
+class _Outward(NamedTuple):
+    """An origin-regular solve of :func:`_from_origin` and the series start it took.
+
+    us, vs, max_u: the tuple of :func:`_integrate` on the whole record;
+    turns: the winding count, if asked; series, r_s and at_s: the origin
+    series, its start radius and (y, y') there.
+    """
+
+    us: np.ndarray
+    vs: np.ndarray
+    max_u: object   # a float, or one per lane
+    turns: Optional[int]
+    series: _Series
+    r_s: float
+    at_s: tuple
+
+
+def _inverse_square(a: list, r_c: float, eps: float) -> Optional[list]:
+    """c_0 = 1, c_1, ... of 1/s^2 for s = sum_n a_n r^n, a_0 = 1, until they meet eps at r_c.
+
+    The power-of-series recursion n c_n = -sum_{j=1}^n (n + j) a_j c_{n-j}
+    (from s c' = -2 s' c, with a_j = 0 beyond the series) runs until two
+    successive terms |c_n| r_c^n fall to eps, the tail of a series that
+    converges out to the nearest complex zero of s, several times r_c
+    where k_eff r_c <= SERIES_PHASE; None if that takes more than
+    INVERSE_SQUARE_TERMS terms.  An even s (no odd a_n: no Coulomb or odd
+    term in the well) recurs in r^2, on half the terms at a quarter of the
+    products: about half the time of the general recursion on a scalar
+    point, a third on three lanes.  The a_n are scalars or arrays of
+    float64 lanes, whose largest term sets the bound.
+    """
+    if len(a) > 2 and not _largest(sum(map(abs, a[1::2]))):   # s = sigma(r^2): recur in r^2
+        c = _inverse_square(a[::2], r_c * r_c, eps)
+        return None if c is None else [x for cn in c for x in (cn, 0.0)][:-1]
+    a1 = a[1:]
+    ja = [j * x for j, x in enumerate(a1, 1)]
+    size = _largest if isinstance(a[-1], np.ndarray) else abs
+    rev = [1.0]   # c_{n-1}, ..., c_0
+    small, rn = 0, 1.0
+    for n in range(1, INVERSE_SQUARE_TERMS + 1):
+        c = -(sum(map(operator.mul, a1, rev)) + sum(map(operator.mul, ja, rev)) / n)
+        rev.insert(0, c)
+        rn *= r_c
+        small = small + 1 if size(c) * rn <= eps else 0
+        if small == 2:
+            return rev[::-1]
+    return None
+
+
+def _reduced(lam: float, c: list, r_c: float, at_c, y2_c, radii: np.ndarray, y: np.ndarray,
+             dy: np.ndarray):
+    """(y_2, y_2') at ``radii`` below r_c by reduction of order on y_reg = r^(lam+1/2) s(r).
+
+    y_2 = y_reg (C - W I(r)) and y_2' = (y_reg' y_2 + W) / y_reg, with C =
+    y_2 / y_reg and W = y_reg y_2' - y_reg' y_2 at r_c, and I(r) =
+    int_r^{r_c} dt / y_reg^2 = r_c^(-2 lam) sum_n c_n r_c^n (1 - rho^e) / e,
+    rho = r / r_c and e = n - 2 lam, from the series c of 1/s^2
+    (:func:`_inverse_square`).  The terms with |e| >= 1 take one Horner
+    pass in rho; a term with |e| < 1 takes -expm1(e ln rho) / e, -ln rho
+    at e = 0 (the log term of an integer 2 lam), so nothing cancels near
+    it.  Each factor that grows like r^(-2 lam) meets one that falls like
+    r^(lam + 1/2) first, y_reg(r_c) r_c^-lam and (y_reg(r) / y_reg(r_c))
+    rho^-lam, so no intermediate leaves the range of y_2 (a high lam at a
+    small r0).  at_c and y2_c are (y, y') of y_reg and y_2 at r_c, per
+    point (a scalar, or arrays of lanes); y and dy are y_reg's at the
+    radii, (radius, point).
+    """
+    (u, v), (y2, dy2) = at_c, y2_c
+    W = u * dy2 - v * y2
+    e0 = -2.0 * lam
+    rho = radii[:, None] / r_c
+    t = y / u   # y_reg(r) / y_reg(r_c)
+    cs = [cn * r_c ** n for n, cn in enumerate(c)]   # c_n r_c^n
+    d = [0.0 * x if abs(n + e0) < 1.0 else x / (n + e0) for n, x in enumerate(cs)]
+    p = d[-1]   # sum_n d_n rho^n by Horner's rule
+    for dn in d[-2::-1]:
+        p = p * rho + dn
+    rl = rho ** -lam
+    tJ = t * sum(d) - t * rl * rl * p   # (y_reg(r) / y_reg(r_c)) r_c^(2 lam) I(r)
+    near = [n for n in range(max(0, math.ceil(-e0) - 1), min(len(c), math.floor(-e0) + 2))
+            if abs(n + e0) < 1.0 and _largest(c[n])]
+    L = np.log(rho) if near else None
+    for n in near:
+        e = n + e0
+        tJ = tJ - t * cs[n] * (L if e == 0.0 else np.expm1(e * L) / e)
+    y2 = t * y2 - W * (u / r_c ** lam / r_c ** lam) * tJ
+    return y2, (dy * y2 + W) / y
+
+
 def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float,
                  tol: float, return_winding: bool = False, second_branch: bool = False,
-                 knots=()):
+                 knots=()) -> _Outward:
     """Origin-regular solve: the series start at r_s, then :func:`_integrate` on ``record``.
 
     Requires Re lam > 0 (``second_branch=True`` admits the subdominant
@@ -857,15 +957,16 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
     and origin_w are scalars, or arrays for float64 lanes.  The series
     (:func:`_series_coefficients`) is made once and serves r_s, which comes
     from :func:`_series_radius` (r0 is the cutoff radius that caps it), and
-    the values at r_s and at the nodes below it (record[0] only).  Between
-    record[0] and r_s neither y nor y' has a zero, so a real problem's
-    winding count is that of a solve from record[0].  Every step ends on
-    each of ``knots`` (ascending, inside the span of ``record``), and r_s
-    stays below the first.  The series runs with numpy's floating-point
-    warnings off, as lanes do: a term that overflows falls back, and a NaN
-    or inf in a lane rejects its step by design.  Returns the tuple of
-    :func:`_integrate`; a non-finite or non-positive ``tol`` raises
-    QwsError before the series.
+    the values at r_s and at every recorded node below it (record[0] at
+    least), so that no step crosses the decades of the power law below r_s.
+    A solve whose only node below r_s is record[0] takes it on Python
+    scalars.  Between record[0] and r_s neither y nor y' has a zero, so a
+    real problem's winding count is that of a solve from record[0].  Every
+    step ends on each of ``knots`` (ascending, inside the span of
+    ``record``), and r_s stays below the first.  The series runs with
+    numpy's floating-point warnings off, as lanes do: a term that overflows
+    falls back, and a NaN or inf in a lane rejects its step by design.  A
+    non-finite or non-positive ``tol`` raises QwsError before the series.
     """
     _check_tol(tol)
     re = lam.real if isinstance(lam, complex) else lam
@@ -880,15 +981,24 @@ def _from_origin(qfun: Callable, lam, E, origin_w, record: np.ndarray, r0: float
         series = _series_coefficients(lam, E, origin_w)
         r_s = (r_min if second_branch
                else _series_radius(qfun, lam, E, series, record, r0, tol, knots))
-        at_min = series.at(lam, r_min)
+        below = max(1, bisect.bisect_left(record, r_s))   # the nodes that take the series
         at_s = series.at(lam, r_s)
-    lanes = isinstance(at_s[0], np.ndarray)
+        lanes = isinstance(at_s[0], np.ndarray)
+        if below == 1:
+            u0, v0 = series.at(lam, r_min)
+            top = np.abs(u0) if lanes else abs(u0)
+        else:
+            u0, v0 = series.at(lam, np.asarray(record[:below], dtype=float))
+            top = np.abs(u0).max(axis=0)
     with np.errstate(all="ignore") if lanes else contextlib.nullcontext():
-        us, vs, max_u, *turns = _integrate(qfun, r_s, *at_s, record[1:], tol, return_winding,
-                                           head=at_min, knots=knots)
-    u0 = at_min[0]
-    max_u = np.maximum(max_u, np.abs(u0)) if np.ndim(u0) else max(max_u, abs(u0))
-    return (us, vs, max_u, *turns)
+        us, vs, max_u, *turns = _integrate(qfun, r_s, *at_s, record[below:], tol,
+                                           return_winding, lead=below, knots=knots)
+    if below == 1:   # the straight-to-cutoff solves: item writes, as before
+        us[0], vs[0] = u0, v0
+    else:
+        us[:below], vs[:below] = u0, v0
+    max_u = np.maximum(max_u, top) if lanes else max(max_u, float(top))
+    return _Outward(us, vs, max_u, *(turns or [None]), series, r_s, at_s)
 
 
 def _knots(potential: PotentialModel, nodes) -> Tuple[float, ...]:
@@ -917,8 +1027,8 @@ def integrate_regular(eq: EffectiveEquation, grid: RadialGrid, tol: float = 1e-1
     if eq.kernel_acts:
         raise QwsError("equation has an active kernel; use solve_nonlocal")
     nodes, i0 = grid.interior_nodes, grid.i_cutoff
-    us, vs, _ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, nodes, grid.r0,
-                             tol, second_branch=second_branch, knots=_knots(eq.potential, nodes))
+    us, vs, *_ = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, nodes, grid.r0,
+                              tol, second_branch=second_branch, knots=_knots(eq.potential, nodes))
     y = np.empty(len(grid.nodes), dtype=complex)
     dy = np.empty(len(grid.nodes), dtype=complex)
     y[: i0 + 1], dy[: i0 + 1] = us, vs
@@ -1101,8 +1211,9 @@ def _running(f: np.ndarray, edges: np.ndarray, at: Optional[np.ndarray] = None,
 
 
 def _sources(sources, at: np.ndarray) -> np.ndarray:
-    """The kernel sources S_i at the radii ``at``, as (node, 1, i)."""
-    return np.array([[src(r) for src in sources] for r in at.tolist()])[:, None, :]
+    """The kernel sources S_i at the radii ``at``, as (node, 1, i): one map per source."""
+    radii = at.tolist()
+    return np.array([list(map(src, radii)) for src in sources]).T[:, None, :]
 
 
 def source_norms(channel: ChannelParams, potential: PotentialModel) -> np.ndarray:
@@ -1145,10 +1256,16 @@ def _kernel_point(channel: ChannelParams, potential: PotentialModel, E, mu, tol:
                   return_winding: bool = False) -> _KernelPoint:
     """The Green matrix and the state's parts at a kernel point, from two local solves.
 
-    y_reg goes outward from its series (:func:`_from_origin`) and y_2 inward
-    from r0, each in the direction in which it grows, on the rule of
+    y_reg goes outward from its series (:func:`_from_origin`), which gives
+    every node below its start r_s, and y_2 inward from r0 down to r_c =
+    r_s, each in the direction in which it grows, on the rule of
     :func:`_green_edges`, :func:`_graded` down to the first of ``samples``
-    (ascending radii inside (0, r0)) if any.  With P_j = int_0^r S_j y_reg
+    (ascending radii inside (0, r0)) if any.  The nodes below r_c take y_2
+    by reduction of order on y_reg's series (:func:`_inverse_square`,
+    :func:`_reduced`), whose log term at an integer 2 lam it carries:
+    neither solve steps below r_s.  A series of 1/s^2 that does not meet
+    its bound at r_c within INVERSE_SQUARE_TERMS terms sends y_2 on down
+    to the first node.  With P_j = int_0^r S_j y_reg
     (the power r^(lam + q/2) exact on the first panel) and X_ij = int S_i
     y_2 P_j, the half r' < r of the double integral of the Green function
     -y_reg(r<) y_2(r>) / W, W G = -(X + X^T): bounded, so nothing cancels
@@ -1182,14 +1299,25 @@ def _kernel_point(channel: ChannelParams, potential: PotentialModel, E, mu, tol:
         nodes = np.union1d(np.union1d(at, at_u), samples)
     r0 = potential.r0
     record = np.concatenate(([min(R_MIN_FRACTION * r0, 0.5 * nodes[0])], nodes, [r0]))
-    us, vs, _, *turns = _from_origin(qfun, lam, E, origin_expansion(potential, mu), record, r0,
-                                     tol, return_winding=return_winding,
-                                     knots=_knots(potential, record))
-    u, v = us[-1].real, vs[-1].real
-    inward = np.concatenate(([r0], nodes[::-1]))
+    out = _from_origin(qfun, lam, E, origin_expansion(potential, mu), record, r0, tol,
+                       return_winding=return_winding, knots=_knots(potential, record))
+    u, v = out.us[-1].real, out.vs[-1].real
+    y, dy = (x[1:].real.reshape(len(x) - 1, -1) for x in (out.us, out.vs))
+    # y_2 steps in from r0 to r_c = r_s; the nodes below take reduction of order,
+    # unless the series of 1/s^2 falls short there: then y_2 steps down to them
+    r_c = out.r_s
+    below = int(np.searchsorted(nodes, r_c))
+    c = _inverse_square(out.series.a, r_c, SERIES_TOL_FRACTION * tol) if below else None
+    below = below if c is not None else 0
+    stop = [r_c] if below and nodes[below] > r_c else []   # the last node lies beyond r0 / 4
+    inward = np.concatenate(([r0], nodes[below:][::-1], stop))
     ys, dys, _ = _integrate(qfun, r0, *((-v, u) if h is None else (1.0, h)), inward, tol,
                             knots=_knots(potential, inward))
-    y, dy, y2, dy2 = (x.real.reshape(len(x), -1) for x in (us[1:], vs[1:], ys[::-1], dys[::-1]))
+    y2, dy2 = (x[::-1].real.reshape(len(x), -1) for x in (ys, dys))
+    if below:
+        head = _reduced(lam, c, r_c, out.at_s, (y2[0], dy2[0]), nodes[:below], y[:below],
+                        dy[:below])
+        y2, dy2 = (np.concatenate((a, b[len(stop):])) for a, b in zip(head, (y2, dy2)))
 
     def on(radii):   # the rows of the solutions at ``radii``
         return slice(None, -1) if samples is None else np.searchsorted(nodes, radii)
@@ -1201,7 +1329,7 @@ def _kernel_point(channel: ChannelParams, potential: PotentialModel, E, mu, tol:
     X = np.einsum("xpi,xpj->pij", s * (w[:, None] * y2[on(at)])[..., None], P)
     WG = -(X + X.swapaxes(-1, -2))
     if h is not None:
-        return _KernelPoint(y[-1:], dy[-1:], y2[-1:], dy2[-1:], None, None, W, WG, None, *turns)
+        return _KernelPoint(y[-1:], dy[-1:], y2[-1:], dy2[-1:], None, None, W, WG, None, out.turns)
     f2 = s * y2[on(at), :, None]
     m_h = np.tensordot(w, f, axes=1)
     if samples is None:
@@ -1214,7 +1342,7 @@ def _kernel_point(channel: ChannelParams, potential: PotentialModel, E, mu, tol:
         P, R = _running(f, edges, samples), _running(f2, edges, samples, reverse=True)
     rows = np.append(kept, -1)
     return _KernelPoint(y[rows], dy[rows], y2[rows], dy2[rows], np.concatenate((P, m_h[None])),
-                        np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0, *turns)
+                        np.concatenate((R, 0.0 * m_h[None])), W, WG, Q0, out.turns)
 
 
 def _scaled(part: _KernelPoint, N: np.ndarray, det) -> Tuple[np.ndarray, np.ndarray]:
@@ -1312,10 +1440,10 @@ def interior_state(eq: EffectiveEquation, tol: float = 1e-10,
                                eq.coupling, eq.mu)
         return complex(y[0]), complex(dy[0]), float(max_y[0])
     record = [R_MIN_FRACTION * eq.r0, eq.r0]
-    us, vs, *rest = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w,
-                                 record, eq.r0, tol, return_winding=return_winding,
-                                 knots=_knots(eq.potential, record))
-    return (complex(us[-1]), complex(vs[-1]), *rest)
+    out = _from_origin(eq.coefficient, eq.lam, eq.energy.E, eq.origin_w, record, eq.r0, tol,
+                       return_winding=return_winding, knots=_knots(eq.potential, record))
+    state = complex(out.us[-1]), complex(out.vs[-1]), out.max_u
+    return (*state, out.turns) if return_winding else state
 
 
 def node_at_cutoff(u: complex, max_u: float) -> bool:
@@ -1361,9 +1489,9 @@ def interior_lanes(channel: ChannelParams, potential: PotentialModel,
         raise QwsError("lanes require real lambda")
     if not potential.kernel_acts:
         record = [R_MIN_FRACTION * potential.r0, potential.r0]
-        us, vs, max_u = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
-                                     origin_expansion(potential, mu), record, potential.r0, tol,
-                                     knots=_knots(potential, record))
+        us, vs, max_u, *_ = _from_origin(radial_coefficient(lam, E, mu, potential), lam, E,
+                                         origin_expansion(potential, mu), record, potential.r0,
+                                         tol, knots=_knots(potential, record))
         return us[-1].real, vs[-1].real, max_u
     E, mu = (a.ravel() for a in np.broadcast_arrays(E, mu))
     part = _kernel_point(channel, potential, E, mu, tol)

@@ -65,7 +65,7 @@ from . import specfun
 from .errors import (GridMismatchError, NearThresholdResonanceError,
                      NodeAtCutoffError, QwsError)
 from .model import ChannelParams, EnergyValue, effective_equation
-from .potentials import PotentialModel
+from .potentials import PotentialModel, real_parameter
 from .radial_ode import (R_MIN_FRACTION, RadialGrid, RadialSolution, _cutoff, _kernel_point,
                          free_exterior, integrate_jost, integrate_regular, interior_in_mu,
                          interior_state, make_grid, node_at_cutoff, prufer_angle)
@@ -111,7 +111,9 @@ class PhaseShiftResult:
     same solve at mu (A is None at a node of y at r0).  eta_fit comes from
     a two-point fit of the exterior oscillating form, continued outward
     from that same solve at mu instead of matched to Bessel functions at
-    r0, and must agree with eta modulo pi.  ``events`` is always (): no
+    r0, and must agree with eta modulo pi; it is None without the fit, and
+    for k r0 > specfun.X_MAX / 1.75 (about 571), where the Bessel functions
+    at its outer radius 1.75 r0 leave their range.  ``events`` is always (): no
     phase shift walks a path in mu, and :func:`phase_events` locates the
     branch events of any model.
     """
@@ -509,13 +511,13 @@ def _phase_walk(pair, g0: Optional[float], state, states: dict, grid: List[float
 
 
 def real_lambda(channel: ChannelParams, what: str = "phase shift") -> float:
-    """lam of the channel as a float; a complex or non-positive order raises QwsError."""
+    """lam of the channel as a float; a complex, non-positive or NaN order raises QwsError."""
     lam = channel.lam
     if isinstance(lam, complex):
         if lam.imag != 0:
             raise QwsError(f"{what} requires real lambda")
         lam = lam.real
-    if lam <= 0:
+    if not lam > 0:   # NaN fails it too
         raise QwsError(f"{what} requires lam > 0")
     return float(lam)
 
@@ -534,10 +536,12 @@ def _step_count(mu_steps) -> Optional[int]:
 def _matching(channel: ChannelParams, potential: PotentialModel, k: float, mu: float):
     """(pair, g0, h+) of :func:`_matching_map` at wavenumber k, once the arguments hold.
 
-    A complex or non-positive lam, a k that is not finite and positive, or
-    a non-finite ``mu`` raises QwsError before any solve.
+    A complex or non-positive lam, a k that is not real, finite and
+    positive, or a ``mu`` that is not real and finite raises QwsError before
+    any solve.
     """
     lam = real_lambda(channel)
+    k, mu = real_parameter(k, "wavenumber k"), real_parameter(mu, "coupling scale mu")
     if not (math.isfinite(k) and k > 0):
         raise QwsError("phase shift needs finite k > 0")
     if not math.isfinite(mu):
@@ -580,7 +584,8 @@ def phase_shift(channel: ChannelParams, potential: PotentialModel, k: float,
     returned eta is the continuation in mu from eta(k, 0) = 0;
     ``mu_steps=None`` returns the principal value only (one solve, defined
     mod pi).  ``with_fit`` adds the exterior two-point fit diagnostic, one
-    outward integration from the solve at mu.  No model walks a path in mu:
+    outward integration from the solve at mu, up to k r0 = specfun.X_MAX /
+    1.75 (about 571; eta_fit is None beyond).  No model walks a path in mu:
     ``mu_steps`` sets no grid, and ``events`` is () (:func:`phase_events`
     gives the branch events of any model).
 
@@ -657,13 +662,17 @@ def phase_events(channel: ChannelParams, potential: PotentialModel, k: float,
                        MU_REFINE_FLOOR, potential)[1]
 
 
-def _exterior_fit_eta(eq, k: float, u, v, tol: float) -> float:
+def _exterior_fit_eta(eq, k: float, u, v, tol: float) -> Optional[float]:
     """eta mod pi from a two-point fit of y = C sqrt(pi k r/2)[J cos - N sin] beyond r0.
 
-    (u, v) is the interior (y, y') of ``eq`` at r0, continued outward.
+    (u, v) is the interior (y, y') of ``eq`` at r0, continued outward to
+    1.25 r0 and 1.75 r0.  None where k times a fit radius leaves the Bessel
+    functions' range (0, specfun.X_MAX], k r0 > X_MAX / 1.75: no fit.
     """
     r0 = eq.r0
     rr1, rr2 = 1.25 * r0, 1.75 * r0
+    if not k * rr2 <= specfun.X_MAX:
+        return None
     ys, _ = free_exterior(eq, u, v, np.array([r0, rr1, rr2]), tol)
     y1, y2 = ys[1], ys[2]
     lam = eq.lam
@@ -684,9 +693,9 @@ def phase_shift_curve(channel: ChannelParams, potential: PotentialModel,
     """eta(k) over a k grid at fixed mu, each point as by :func:`phase_shift`."""
     real_lambda(channel)
     _step_count(mu_steps)
-    samples = tuple((float(k), phase_shift(channel, potential, float(k), mu=mu, tol=tol,
-                                           mu_steps=mu_steps, with_fit=False).eta)
-                    for k in k_values)
+    ks = [real_parameter(k, "wavenumber k") for k in k_values]
+    samples = tuple((k, phase_shift(channel, potential, k, mu=mu, tol=tol, mu_steps=mu_steps,
+                                    with_fit=False).eta) for k in ks)
     return PhaseShiftCurve(channel=channel, mu=mu, samples=samples)
 
 
@@ -698,9 +707,10 @@ def low_k_phase_asymptotic(channel: ChannelParams, A0: float, k: float,
               * (A0 - rho~) / (A0 - rho),
     rho = (1/2 - lam)/r0, rho~ = (lam + 1/2)/r0.  Raises when the denominator
     vanishes (threshold resonance: the leading-order law breaks down), and
-    QwsError unless k and r0 are finite and positive, A0 is finite and lam
-    is real and positive (:func:`real_lambda`).
+    QwsError unless k and r0 are real, finite and positive, A0 is real and
+    finite and lam is real and positive (:func:`real_lambda`).
     """
+    k, r0, A0 = (real_parameter(x, name) for x, name in ((k, "k"), (r0, "r0"), (A0, "A0")))
     if not (math.isfinite(k) and k > 0 and math.isfinite(r0) and r0 > 0 and math.isfinite(A0)):
         raise QwsError("low-k law needs finite k > 0, r0 > 0 and A0")
     lam = real_lambda(channel, "low-k law")

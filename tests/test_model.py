@@ -8,8 +8,8 @@ from qws.errors import QwsError
 from qws.model import (ChannelParams, EnergyValue, centrifugal_coefficient,
                        effective_equation, lambda_of, radial_coefficient,
                        reduce_wavefunction, unreduce_wavefunction)
-from qws.potentials import (PotentialModel, gaussian_bump, square_well,
-                            truncated_gaussian)
+from qws.potentials import (PotentialModel, gaussian_bump, poly_bump, square_well,
+                            tabulated, truncated_exponential, truncated_gaussian)
 
 
 def test_lambda_of_values():
@@ -222,3 +222,53 @@ def test_truncated_gaussian_vanishes_where_its_square_overflows():
     tiny = truncated_gaussian(4.0, 1e-300)
     assert tiny.profile(0.0) == -4.0
     assert tiny.profile(1e-145) == 0.0 and tiny.profile(0.5) == 0.0 and tiny.profile(1.0) == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda z: square_well(z),
+    lambda z: truncated_exponential(z, 0.5),
+    lambda z: truncated_exponential(4.0, z),
+    lambda z: truncated_gaussian(z, 0.5),
+    lambda z: truncated_gaussian(4.0, z),
+    lambda z: tabulated([0.1, z], [1.0, 2.0]),
+    lambda z: tabulated([0.1, 0.5], [z, 2.0]),
+    lambda z: gaussian_bump(z, 0.1),
+    lambda z: gaussian_bump(0.5, z),
+    lambda z: gaussian_bump(0.5, 0.1, z),
+    lambda z: poly_bump(z, 2.0, 1.0),
+    lambda z: poly_bump(2.0, z, 1.0),
+    lambda z: poly_bump(2.0, 2.0, z),
+    lambda z: poly_bump(2.0, 2.0, 1.0, z),
+    lambda z: PotentialModel(r0=z),
+    lambda z: PotentialModel(r0=1.0, mu=z),
+    lambda z: PotentialModel(r0=1.0).with_mu(z),
+    lambda z: PotentialModel(r0=1.0, kernel=(gaussian_bump(0.5, 0.1),), strengths=(z,)),
+], ids=["square", "exp-depth", "exp-scale", "gauss-depth", "gauss-width", "table-r",
+        "table-v", "bump-center", "bump-width", "bump-height", "poly-a", "poly-b", "poly-r0",
+        "poly-height", "model-r0", "model-mu", "with-mu", "strength"])
+@pytest.mark.parametrize("z", [0.5 + 0.3j, np.complex128(0.7)], ids=["complex", "np-complex"])
+def test_complex_real_parameter_rejected(make, z):
+    # float() and the comparisons raised a raw TypeError on a complex value,
+    # and numpy's complex scalars lost their imaginary part
+    with pytest.raises(QwsError, match="real"):
+        make(z)
+
+
+def test_real_parameters_keep_their_values():
+    assert square_well(np.float64(4.0)).params == (("depth", 4.0),)
+    assert square_well(3).constant == -3.0
+    with pytest.raises(QwsError, match="real number"):
+        square_well("deep")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: truncated_exponential(4.0, math.nan),
+    lambda: truncated_gaussian(4.0, math.nan),
+    lambda: gaussian_bump(0.5, math.nan),
+    lambda: poly_bump(2.0, math.nan, 1.0),
+], ids=["exp-scale", "gauss-width", "bump-width", "poly-b"])
+def test_nan_width_rejected(make):
+    # the checks read `<= 0`, which NaN passes: the profiles came back NaN, or
+    # zero everywhere for the gaussian
+    with pytest.raises(QwsError, match="positive|b > 0"):
+        make()

@@ -9,7 +9,8 @@ from scipy import special as sp
 from qws import radial_ode
 from qws.errors import (DegenerateCouplingError, GridMismatchError, QwsError,
                         RegularityError)
-from qws.model import ChannelParams, EnergyValue, effective_equation, radial_coefficient
+from qws.model import (ChannelParams, EnergyValue, effective_equation, origin_expansion,
+                       radial_coefficient)
 from qws.potentials import (LocalPotential, PotentialModel, gaussian_bump, poly_bump,
                             square_well, tabulated, truncated_exponential, truncated_gaussian)
 from qws.radial_ode import (GREEN_MAX_PANELS, GREEN_PANELS, GREEN_PHASE,
@@ -252,6 +253,23 @@ class TestNonlocal:
             solve_nonlocal(eq, make_grid(1.0, n_interior=n), 1e-11).kernel_data.moments[0]
             for n in (401, 3201))
         assert abs(m_coarse - m_fine) <= 1e-9 * abs(m_fine)
+
+    def test_a_grid_with_no_node_at_the_series_floor(self):
+        # r_min = 1e-4 r0 leaves no node at or below R_MIN_FRACTION r0, so the
+        # kernel point takes every interior node; the solution keeps the origin
+        # series' normalization: its cutoff values and moments are the default grid's
+        ch = ChannelParams.from_lambda(1.5)
+        pot = PotentialModel(r0=1.0, local=square_well(2.0),
+                             kernel=(self.BUMP,), strengths=(-5.0,))
+        eq = effective_equation(ch, pot, EnergyValue(E=-3.0))
+        ref, sol = (solve_nonlocal(eq, make_grid(1.0, r_min=r_min), 1e-11)
+                    for r_min in (None, 1e-4))
+        assert sol.grid.nodes[0] == 1e-4 and np.isfinite(sol.y).all()
+        i, j = sol.grid.i_cutoff, ref.grid.i_cutoff
+        for a, b in ((sol.y, ref.y), (sol.dy, ref.dy)):
+            assert abs(a[i] - b[j]) <= 1e-9 * abs(b[j])
+        assert abs(sol.kernel_data.moments[0] - ref.kernel_data.moments[0]) <= (
+            1e-9 * abs(ref.kernel_data.moments[0]))
 
     def test_superposition_satisfies_equation(self):
         # 5-point second differences: y'' + Q y = sum_i beta_i S_i to 1e-7 (integral norm)
@@ -1249,9 +1267,15 @@ class TestSeriesStart:
         g = make_grid(1.0, n_interior=201, n_exterior=21)
         sol = integrate_regular(eq, g, 1e-10)
         series = _series_coefficients(eq.lam, E, eq.origin_w)
-        assert g.r_min < _series_radius(eq.coefficient, eq.lam, E, series,
-                                        g.nodes, 1.0, 1e-10) < g.nodes[1]
-        assert sol.y[0] == frobenius_start(eq.lam, E, eq.origin_w, g.r_min)[0]
+        r_s = _series_radius(eq.coefficient, eq.lam, E, series, g.nodes, 1.0, 1e-10,
+                             knots=_knots(pot, g.interior_nodes))
+        # the start lies past several recorded nodes (the table's first row
+        # keeps it below the second), and each of them takes the series value
+        below = int(np.searchsorted(g.nodes, r_s))
+        assert below == 1 if pot.knots else below >= 2
+        y, dy = frobenius_start(eq.lam, E, eq.origin_w, g.nodes[:below])
+        assert np.all(np.abs(sol.y[:below] - y) <= 1e-15 * np.abs(y))
+        assert np.all(np.abs(sol.dy[:below] - dy) <= 1e-15 * np.abs(dy))
         # the reference: the interior solve from r_min, continued beyond r0
         # through the free exterior
         record, i0 = g.interior_nodes, g.i_cutoff
@@ -1386,8 +1410,106 @@ class TestSeriesStart:
         assert len(calls) < 500
 
 
+def _kernel_start_radius(ch, pot, E, mu, tol=1e-10):
+    """r_s of a kernel point's origin series at E and mu, scalars or lanes: the model's alone.
+
+    The start of a straight-to-cutoff solve, [r_min, r0] recorded: what no
+    node of the kernel rule may cap.
+    """
+    record = np.array([R_MIN_FRACTION * pot.r0, pot.r0])
+    series = _series_coefficients(ch.lam, E, origin_expansion(pot, mu))
+    return _series_radius(radial_coefficient(ch.lam, E, mu, pot), ch.lam, E, series, record,
+                          pot.r0, tol, knots=_knots(pot, record))
+
+
 class TestKernelPoint:
     """A kernel point from two local solves and variation of parameters (:func:`_kernel_point`)."""
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS, ids=KERNEL_IDS)
+    def test_no_solve_steps_below_the_series_start(self, monkeypatch, ch, pot):
+        # y_reg takes the series at every node below r_s, and y_2 reduction of
+        # order there: neither solve of a count point, a state point, a full
+        # grid or the lanes evaluates Q below r_s (both stepped the power laws
+        # down to the rule's first node, 1e-3 r0, before)
+        import qws.radial_ode as ro
+        lowest = []
+        integrate = ro._integrate
+
+        def watched(qfun, *args, **kwargs):
+            def q(r):
+                lowest[-1] = min(lowest[-1], r)
+                return qfun(r)
+            lowest.append(math.inf)
+            return integrate(q, *args, **kwargs)
+
+        monkeypatch.setattr(ro, "_integrate", watched)
+        E_lanes = np.array([-40.0, -3.0, 2.0])
+        mu_lanes = np.full(3, pot.mu)
+        for E in E_lanes:
+            h = _exterior_logderiv(ch.lam, E, 1.0)
+            eq = effective_equation(ch, pot, EnergyValue(E=E))
+            r_s = _kernel_start_radius(ch, pot, E, pot.mu)
+            for solve in (lambda: _kernel_point(ch, pot, E, pot.mu, 1e-10, h=h),
+                          lambda: _kernel_point(ch, pot, E, pot.mu, 1e-10),
+                          lambda: solve_nonlocal(eq, make_grid(1.0, r_max=1.0), 1e-10)):
+                lowest.clear()
+                solve()   # y_reg and y_2, and the full grid's exterior beyond r0
+                assert len(lowest) >= 2
+                assert min(lowest) >= r_s * (1.0 - 1e-12) and r_s > 1e-3
+        lowest.clear()
+        interior_lanes(ch, pot, E_lanes, mu_lanes)
+        assert min(lowest) >= _kernel_start_radius(ch, pot, E_lanes, mu_lanes) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("lam, r0", [(0.5, 1.0), (20.0, 0.5), (50.0, 0.5), (50.0, 1.0)],
+                             ids=["lam0.5", "lam20-r0.5", "lam50-r0.5", "lam50"])
+    def test_the_reduced_head_is_y_2_stepped_down(self, monkeypatch, lam, r0):
+        # a series of 1 / s^2 that does not meet its bound at r_s within
+        # INVERSE_SQUARE_TERMS terms (none here) sends y_2 stepping down to the
+        # first sample, as every point did before the reduction: the reduced
+        # head matches it node by node.  There y_2 ~ r^(1/2 - lam), but
+        # r^(-2 lam) alone overflows at the first sample for lam 50 at r0 = 0.5:
+        # every row stays finite
+        ch = ChannelParams.from_lambda(lam)
+        pot = PotentialModel(r0=r0, local=square_well(3.0),
+                             kernel=(gaussian_bump(0.5 * r0, 0.15 * r0),), strengths=(-120.0,))
+        E, samples = -3.0, np.geomspace(1e-3 * r0, 0.99 * r0, 60)
+        r_s = _kernel_start_radius(ch, pot, E, pot.mu)
+        assert np.count_nonzero(samples < r_s) >= 10
+        part = _kernel_point(ch, pot, E, pot.mu, 1e-10, samples=samples)
+        monkeypatch.setattr(radial_ode, "INVERSE_SQUARE_TERMS", 0)
+        series = _series_coefficients(ch.lam, E, origin_expansion(pot, pot.mu))
+        assert radial_ode._inverse_square(series.a, r_s, 1e-13) is None
+        ref = _kernel_point(ch, pot, E, pot.mu, 1e-10, samples=samples)
+        for f in ("y", "dy", "y2", "dy2", "P", "R", "W", "WG"):
+            a, b = getattr(part, f), getattr(ref, f)
+            assert np.isfinite(a).all()
+            assert np.all(np.abs(a - b) <= 1e-8 * np.abs(b)) if f in ("y2", "dy2") else (
+                np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("ch, pot", KERNEL_MODELS + [
+        (ChannelParams.from_lambda(1.0 + 1e-9), KERNEL_MODELS[0][1]),
+        (ChannelParams.from_lambda(0.75), KERNEL_MODELS[2][1]),
+    ], ids=KERNEL_IDS + ["lam1+1e-9", "lam0.75"])
+    def test_lanes_agree_with_the_scalar_point_on_the_reduced_head(self, ch, pot):
+        # the samples below r_s take y_reg from the series and y_2 by reduction
+        # of order (with its log term at lam 0.5 and 1, near it at 1 + 1e-9): a
+        # single lane is the scalar point, and three lanes, which share the
+        # smallest r_s, agree with it to the tolerance
+        samples = np.geomspace(1e-3, 0.99, 60)
+        E_lanes = np.array([-40.0, -3.0, 2.0])
+        lanes = _kernel_point(ch, pot, E_lanes, np.full(3, pot.mu), 1e-10, samples=samples)
+        head = samples < _kernel_start_radius(ch, pot, E_lanes, np.full(3, pot.mu))
+        assert np.count_nonzero(head) >= 3
+        for j, E in enumerate(E_lanes):
+            point = _kernel_point(ch, pot, E, pot.mu, 1e-10, samples=samples)
+            one = _kernel_point(ch, pot, np.array([E]), np.array([pot.mu]), 1e-10,
+                                samples=samples)
+            for f in ("y", "dy", "y2", "dy2"):
+                ref, scale = getattr(point, f)[:, 0], np.max(np.abs(getattr(point, f)))
+                assert np.max(np.abs(getattr(one, f)[:, 0] - ref)) <= 1e-14 * scale
+                assert np.max(np.abs(getattr(lanes, f)[:, j] - ref)) <= 1e-8 * scale
+                assert np.max(np.abs(getattr(lanes, f)[:-1][head, j] - ref[:-1][head])) <= (
+                    1e-8 * np.max(np.abs(ref[:-1][head])))
 
     def test_high_partial_wave_is_tolerance_stable(self):
         # q = 3, l = 5: particular solves from (0, 0) at r_min carried about

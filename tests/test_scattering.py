@@ -273,6 +273,35 @@ class TestPhaseShift:
         with pytest.raises(QwsError, match="finite"):
             phase_shift_curve(CH_S, WELL, [1.0, k])
 
+    @pytest.mark.parametrize("k", [1 + 1j, np.complex128(2.0), 1j], ids=["1+1j", "np-2+0j", "1j"])
+    def test_complex_k_rejected(self, k):
+        # math.isfinite raised a raw TypeError on a complex k
+        for call in (lambda: phase_shift(CH_S, WELL, k),
+                     lambda: phase_shift(CH_S, WELL, k, mu_steps=None, with_fit=False),
+                     lambda: phase_events(CH_S, WELL, k),
+                     lambda: phase_shift_curve(CH_S, WELL, [1.0, k]),
+                     lambda: low_k_phase_asymptotic(CH_S, 2.0, k * 1e-3, 1.0)):
+            with pytest.raises(QwsError, match="must be real"):
+                call()
+        with pytest.raises(QwsError, match="must be real"):
+            phase_shift(CH_S, WELL, 1.0, mu=0.5 + 0.1j)
+
+    @pytest.mark.parametrize("k", [575.0, 1000.0])
+    def test_fit_beyond_the_bessel_range_is_none(self, k):
+        # 1.75 k r0 past specfun.X_MAX: _exterior_fit_eta raised EnvelopeError
+        # from J and Y at its outer radius, where the phase itself is defined
+        res = phase_shift(CH_S, WELL, k)
+        assert res.eta_fit is None and math.isfinite(res.eta)
+        ref = phase_shift(CH_S, WELL, k, with_fit=False)
+        assert (res.eta, res.eta_raw, res.tan_eta, res.A) == (ref.eta, ref.eta_raw, ref.tan_eta,
+                                                              ref.A)
+
+    def test_fit_holds_up_to_the_bessel_range(self):
+        # k r0 = 571: the outer fit radius sits at 999.25, inside the range
+        res = phase_shift(CH_S, WELL, 571.0)
+        assert res.eta_fit is not None
+        assert circ_dist(res.eta_fit, res.eta_raw) <= 1e-8
+
 
 def _walk_theta(sample, mu_a, th_a, mu_b, raw_b, path, th0):
     """Continuous theta at mu_b given theta at mu_a and the principal theta raw_b at mu_b.

@@ -69,6 +69,16 @@ class TestMatchingMismatch:
 
 
 class TestFindBoundStates:
+    def test_nan_lambda_rejected(self):
+        # real_lambda's lam <= 0 let NaN through, and the solve ended in
+        # StiffnessError: step size underflow
+        ch = ChannelParams.from_lambda(math.nan)
+        pot = PotentialModel(r0=1.0, local=square_well(4.0))
+        with pytest.raises(QwsError, match="requires lam > 0"):
+            real_lambda(ch)
+        with pytest.raises(QwsError, match="requires lam > 0"):
+            find_bound_states(ch, pot)
+
     def test_free_has_none(self):
         pot = PotentialModel(r0=1.0, local=square_well(10.0))
         assert find_bound_states(CH_S, pot, mu=0.0) == []
